@@ -1,0 +1,35 @@
+//! The request generators' random source: SplitMix64, kept here so a
+//! request transcript depends only on the seed and this file, never on a
+//! dependency's RNG.
+
+/// A small deterministic generator (SplitMix64).
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator for one stream of a seeded run. Streams with different
+    /// `stream` ids are independent.
+    pub fn new(seed: u64, stream: u64) -> Rng {
+        let mut r = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
+        r.next_u64();
+        r
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
