@@ -19,10 +19,16 @@
 //! server. Gated: the cached side must beat the no-cache baseline by the
 //! committed floor at byte-identical wire responses, and the result-cache
 //! hit rate must clear 50%.
+//!
+//! A third rung measures **commit cost against tail size**: embedded
+//! 10-row commits alternate between a table whose unsealed tail holds ~1k
+//! rows and one whose tail holds ~60k. Gated: the 60k-tail insert p50 must
+//! stay within 1.5x of the 1k-tail p50 — a commit costs O(rows inserted),
+//! not O(tail). The machine's core count rides along in the entries.
 
 use crate::exec_bench::BenchEntry;
 use backbone_core::{Database, DurabilityOptions};
-use backbone_query::ExecOptions;
+use backbone_query::{Catalog, ExecOptions};
 use backbone_server::{Client, Server, ServerOptions};
 use backbone_storage::{DataType, Field, Schema, Value};
 use std::sync::{Arc, Barrier};
@@ -271,7 +277,99 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         },
     ];
     entries.extend(hot_mix(quick));
+    entries.extend(tail_growth(quick));
     entries
+}
+
+/// Tail sizes the tail-growth rung compares, in rows.
+const SMALL_TAIL: usize = 1_000;
+const LARGE_TAIL: usize = 60_000;
+
+/// Rows per embedded commit in the tail-growth rung.
+const TAIL_COMMIT_ROWS: usize = 10;
+
+/// Gate: insert p50 at [`LARGE_TAIL`] over insert p50 at [`SMALL_TAIL`].
+const TAIL_GROWTH_CEILING: f64 = 1.5;
+
+/// The tail-growth rung: two in-memory tables are prefilled to a
+/// [`SMALL_TAIL`]- and a [`LARGE_TAIL`]-row unsealed tail, then receive
+/// alternating 10-row embedded commits, so machine noise lands on both
+/// sides alike. Both tails stay below the 65,536-row group size throughout,
+/// so no commit in the window seals.
+fn tail_growth(quick: bool) -> Vec<BenchEntry> {
+    let commits = if quick { 200 } else { 500 };
+    let row = |i: usize| {
+        vec![
+            Value::Int(i as i64),
+            Value::Int((i % 97) as i64),
+            Value::str(["click", "view", "buy"][i % 3]),
+        ]
+    };
+    let db = Database::new();
+    let mut next = [0usize; 2];
+    for (t, tail) in [SMALL_TAIL, LARGE_TAIL].into_iter().enumerate() {
+        let name = format!("tail{t}");
+        db.create_table(
+            &name,
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("user_id", DataType::Int64),
+                Field::new("kind", DataType::Utf8),
+            ]),
+        )
+        .expect("create tail table");
+        for start in (0..tail).step_by(1_000) {
+            db.insert(&name, (start..start + 1_000).map(row).collect())
+                .expect("prefill tail");
+        }
+        next[t] = tail;
+    }
+    let mut samples = [Vec::with_capacity(commits), Vec::with_capacity(commits)];
+    for _ in 0..commits {
+        for t in 0..2 {
+            let rows = (next[t]..next[t] + TAIL_COMMIT_ROWS).map(row).collect();
+            let start = Instant::now();
+            db.insert(&format!("tail{t}"), rows).expect("tail commit");
+            samples[t].push(start.elapsed().as_secs_f64() * 1000.0);
+            next[t] += TAIL_COMMIT_ROWS;
+        }
+    }
+    for (t, tail) in [SMALL_TAIL, LARGE_TAIL].into_iter().enumerate() {
+        let table = db.catalog().table(&format!("tail{t}")).expect("tail table");
+        assert_eq!(
+            table.num_groups(),
+            0,
+            "the tail-growth window must not seal"
+        );
+        assert_eq!(table.num_rows(), tail + commits * TAIL_COMMIT_ROWS);
+    }
+    let [mut small, mut large] = samples;
+    small.sort_by(f64::total_cmp);
+    large.sort_by(f64::total_cmp);
+    let (p_small, p_large) = (percentile(&small, 0.5), percentile(&large, 0.5));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    vec![
+        BenchEntry {
+            name: "tail_1k_insert_p50_ms",
+            ms: p_small,
+            rows: small.len(),
+        },
+        BenchEntry {
+            name: "tail_60k_insert_p50_ms",
+            ms: p_large,
+            rows: large.len(),
+        },
+        BenchEntry {
+            name: "tail_growth_ratio",
+            ms: p_large / p_small.max(1e-9),
+            rows: large.len(),
+        },
+        BenchEntry {
+            name: "cores",
+            ms: 0.0,
+            rows: cores,
+        },
+    ]
 }
 
 /// Statements in the hot pool: heavy full-scan aggregates a production
@@ -533,6 +631,26 @@ pub fn report(entries: &[BenchEntry]) -> String {
         }
         _ => out.push_str("PERF_FAIL missing cache hit-rate measurements\n"),
     }
+
+    // Gate 6: commit latency must not grow with the unsealed tail.
+    match (
+        ms("tail_growth_ratio"),
+        ms("tail_1k_insert_p50_ms"),
+        ms("tail_60k_insert_p50_ms"),
+    ) {
+        (Some(ratio), Some(small), Some(large)) => {
+            let verdict = if ratio <= TAIL_GROWTH_CEILING {
+                "PERF_OK"
+            } else {
+                "PERF_FAIL"
+            };
+            let cores = rows("cores").unwrap_or(0);
+            out.push_str(&format!(
+                "{verdict} serve tail growth = {ratio:.2}x insert p50 at a 60k vs a 1k tail ({large:.3} vs {small:.3} ms, ceiling {TAIL_GROWTH_CEILING}x, {cores} cores)\n"
+            ));
+        }
+        _ => out.push_str("PERF_FAIL missing tail-growth measurements\n"),
+    }
     out
 }
 
@@ -562,6 +680,10 @@ mod tests {
             "hot_speedup",
             "hot_plan_hit_pct",
             "hot_result_hit_pct",
+            "tail_1k_insert_p50_ms",
+            "tail_60k_insert_p50_ms",
+            "tail_growth_ratio",
+            "cores",
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "{json}");
         }
@@ -571,7 +693,28 @@ mod tests {
         assert!(rep.contains("PERF_OK serve concurrency"), "{rep}");
         assert!(rep.contains("PERF_OK serve hot-mix"), "{rep}");
         assert!(rep.contains("PERF_OK serve cache hit rate"), "{rep}");
+        assert!(rep.contains("PERF_OK serve tail growth"), "{rep}");
         assert!(!rep.contains("PERF_FAIL"), "{rep}");
+    }
+
+    #[test]
+    fn tail_growth_gate_trips_above_ceiling() {
+        let entries = |ratio: f64| {
+            vec![
+                entry("tail_1k_insert_p50_ms", 0.1, 200),
+                entry("tail_60k_insert_p50_ms", 0.1 * ratio, 200),
+                entry("tail_growth_ratio", ratio, 200),
+                entry("cores", 0.0, 2),
+            ]
+        };
+        let rep = report(&entries(8.0));
+        assert!(rep.contains("PERF_FAIL serve tail growth = 8.00x"), "{rep}");
+        let rep = report(&entries(1.1));
+        assert!(
+            rep.contains("PERF_OK serve tail growth = 1.10x insert p50 at a 60k vs a 1k tail"),
+            "{rep}"
+        );
+        assert!(rep.contains("2 cores"), "{rep}");
     }
 
     #[test]

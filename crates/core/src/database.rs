@@ -104,26 +104,19 @@ impl DbInner {
         if tables.contains_key(&name) {
             return Err(Error::TableExists(name));
         }
-        let table = Table::new(schema);
-        self.catalog.register(&name, table.clone());
-        tables.insert(name, table);
+        tables.insert(name, Table::new(schema));
         Ok(())
     }
 
-    /// The non-logging core of `insert`, shared with recovery replay.
+    /// The non-logging core of `insert` for recovery replay. Nothing is
+    /// published here: recovery publishes every table once, after the whole
+    /// log has replayed.
     fn apply_insert(&self, name: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        let snapshot = {
-            let mut tables = self.tables.write();
-            let table = tables
-                .get_mut(name)
-                .ok_or_else(|| Error::TableNotFound(name.to_string()))?;
-            for row in rows {
-                table.append_row(row)?;
-            }
-            table.clone()
-        };
-        self.catalog.register(name, snapshot);
-        Ok(())
+        let mut tables = self.tables.write();
+        let table = tables
+            .get_mut(name)
+            .ok_or_else(|| Error::TableNotFound(name.to_string()))?;
+        Ok(table.append_rows(&rows)?)
     }
 }
 
@@ -208,11 +201,7 @@ impl Database {
         if let Some(ckpt) = state.checkpoint {
             report.checkpoint_lsn = ckpt.lsn;
             report.checkpoint_tables = ckpt.tables.len();
-            let mut tables = inner.tables.write();
-            for (name, table) in ckpt.tables {
-                inner.catalog.register(&name, table.clone());
-                tables.insert(name, table);
-            }
+            inner.tables.write().extend(ckpt.tables);
         }
         // Replay only the log suffix the checkpoint does not cover; records
         // at or below its LSN are already in the snapshot (this is what
@@ -232,7 +221,7 @@ impl Database {
             let mut tables = inner.tables.write();
             for (name, t) in tables.iter_mut() {
                 t.record_commit(0, 0);
-                inner.catalog.register(name, t.clone());
+                inner.catalog.register_arc(name, Arc::new(t.clone()));
             }
         }
         inner
@@ -275,7 +264,9 @@ impl Database {
             // inserts add marks.
             let epoch = self.inner.clock.reserve();
             table.record_commit(epoch, self.inner.clock.horizon());
-            self.inner.catalog.register(&name, table.clone());
+            self.inner
+                .catalog
+                .register_arc(&name, Arc::new(table.clone()));
             tables.insert(name.clone(), table);
             // Log inside the lock: WAL order == commit (epoch) order.
             let lsn = match &self.inner.durability {
@@ -296,7 +287,9 @@ impl Database {
         {
             let mut tables = self.inner.tables.write();
             table.record_commit(self.inner.clock.published(), self.inner.clock.horizon());
-            self.inner.catalog.register(&name, table.clone());
+            self.inner
+                .catalog
+                .register_arc(&name, Arc::new(table.clone()));
             tables.insert(name.clone(), table);
         }
         // Wholesale replacement: even if the row count happens to match the
@@ -308,8 +301,12 @@ impl Database {
     /// Append rows to a table, then publish a fresh catalog snapshot so
     /// subsequent queries see them.
     ///
-    /// The snapshot shares sealed row groups with the live table (`Arc`, not
-    /// copies). The commit is stamped with a reserved epoch and registered
+    /// The rows land in the table's columnar tail, which seals into a row
+    /// group only at the group size. The snapshot shares sealed groups and
+    /// frozen tail chunks with the live table (`Arc`, not copies), so a
+    /// commit costs O(rows inserted), not O(tail). The rows are validated
+    /// as a whole first: a bad row rejects the insert and appends nothing.
+    /// The commit is stamped with a reserved epoch and registered
     /// in the catalog *inside* the table write lock — registration order
     /// equals commit order, so two concurrent inserters can never regress
     /// the catalog — but readers still never wait on the append: they query
@@ -333,16 +330,16 @@ impl Database {
             let table = tables
                 .get_mut(name)
                 .ok_or_else(|| Error::TableNotFound(name.to_string()))?;
-            for row in rows {
-                table.append_row(row)?;
-            }
+            table.append_rows(&rows)?;
             let epoch = self.inner.clock.reserve();
             table.record_commit(epoch, self.inner.clock.horizon());
             let lsn = match (&self.inner.durability, record) {
                 (Some(d), Some(rec)) => Some(d.log(&rec)?),
                 _ => None,
             };
-            self.inner.catalog.register(name, table.clone());
+            self.inner
+                .catalog
+                .register_arc(name, Arc::new(table.clone()));
             (epoch, lsn)
         };
         self.commit_epoch(name, epoch, lsn)
@@ -419,11 +416,12 @@ impl Database {
 
     /// Take a checkpoint now: snapshot every table to disk atomically,
     /// stamp it with the current WAL position, and truncate the log through
-    /// that position. A no-op on in-memory databases.
+    /// that position. A no-op on in-memory databases. Unsealed tails are
+    /// written as tails and reopen as tails: a checkpoint never seals.
     ///
     /// Safe against concurrent writers: appends land inside the table write
-    /// lock, so the LSN read under that lock covers exactly the rows in the
-    /// snapshot; anything logged after it survives truncation and replays
+    /// lock, so the LSN read under its read side covers exactly the rows in
+    /// the snapshot; anything logged after it survives truncation and replays
     /// on top of this checkpoint.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(d) = &self.inner.durability else {
@@ -431,10 +429,7 @@ impl Database {
         };
         let _serialize = d.checkpoint_lock().lock();
         let (snapshot, lsn) = {
-            let mut tables = self.inner.tables.write();
-            for t in tables.values_mut() {
-                t.flush()?;
-            }
+            let tables = self.inner.tables.read();
             let snap: Vec<(String, Table)> =
                 tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
             (snap, d.wal().appended_lsn())
@@ -833,17 +828,24 @@ impl Database {
     /// [`create_vector_index`](Database::create_vector_index), which ingests
     /// external per-row data the way
     /// [`create_text_index_from`](Database::create_text_index_from) does.
+    ///
+    /// Reads the published snapshot at a pinned epoch: it neither blocks
+    /// writers nor seals the table's tail.
     pub fn create_text_index(&self, table: &str, column: &str) -> Result<()> {
-        let snapshot = self.flushed_snapshot(table)?;
-        let batch = snapshot.to_batch()?;
-        let col = batch.column_by_name(column)?;
-        // Dictionary-encoded columns decode here: the inverted index wants
-        // per-row text, not code space.
-        let flat = col.decoded();
-        let texts = flat.as_ref().unwrap_or_else(|| col.as_ref()).utf8_data()?;
         let mut index = InvertedIndex::new();
-        for (i, text) in texts.iter().enumerate() {
-            index.add_document(i as u64, text);
+        let mut doc = 0u64;
+        let (snapshot, visible) = self.pinned_snapshot(table)?;
+        for batch in snapshot.prefix_batches(visible) {
+            let batch = batch?;
+            let col = batch.column_by_name(column)?;
+            // Dictionary-encoded columns decode here: the inverted index
+            // wants per-row text, not code space.
+            let flat = col.decoded();
+            let texts = flat.as_ref().unwrap_or_else(|| col.as_ref()).utf8_data()?;
+            for text in texts {
+                index.add_document(doc, text);
+                doc += 1;
+            }
         }
         self.inner
             .text_indexes
@@ -923,19 +925,31 @@ impl Database {
         self.inner.vector_indexes.read().get(table).cloned()
     }
 
-    /// Evaluate a predicate over a table into a row mask, one row group at
-    /// a time — no whole-table materialization.
+    /// Evaluate a predicate over a table into a row mask, one segment at a
+    /// time — no whole-table materialization. The mask covers exactly the
+    /// rows visible at a pinned snapshot; it takes no write lock and seals
+    /// nothing.
     pub fn eval_mask(&self, table: &str, predicate: &backbone_query::Expr) -> Result<Vec<bool>> {
-        let snapshot = self.flushed_snapshot(table)?;
-        let mut mask = Vec::with_capacity(snapshot.num_rows());
-        for gi in 0..snapshot.num_groups() {
-            let group = snapshot.group(gi)?;
-            mask.extend(backbone_query::eval::eval_predicate(
-                predicate,
-                group.batch(),
-            )?);
+        let (snapshot, visible) = self.pinned_snapshot(table)?;
+        let mut mask = Vec::with_capacity(visible);
+        for batch in snapshot.prefix_batches(visible) {
+            mask.extend(backbone_query::eval::eval_predicate(predicate, &batch?)?);
         }
         Ok(mask)
+    }
+
+    /// `table`'s published snapshot and its row count visible at a freshly
+    /// pinned epoch. The snapshot is immutable, so the pin can drop once
+    /// the count is read.
+    fn pinned_snapshot(&self, table: &str) -> Result<(Arc<Table>, usize)> {
+        let pin = self.pin_snapshot();
+        let snapshot = self
+            .inner
+            .catalog
+            .table(table)
+            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
+        let visible = snapshot.visible_rows_at(pin.epoch());
+        Ok((snapshot, visible))
     }
 
     /// Materialize a whole table (row ordinals = batch positions).
@@ -950,16 +964,6 @@ impl Database {
     /// Names of registered tables.
     pub fn table_names(&self) -> Vec<String> {
         self.inner.catalog.table_names()
-    }
-
-    /// A flushed clone of a table (sealed groups shared, pending sealed).
-    fn flushed_snapshot(&self, table: &str) -> Result<Table> {
-        let mut tables = self.inner.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
-        t.flush()?;
-        Ok(t.clone())
     }
 }
 

@@ -29,7 +29,10 @@ pub trait Catalog: Send + Sync {
 #[derive(Default)]
 pub struct MemCatalog {
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    /// Lazily computed per-table column statistics, invalidated on register.
+    /// Lazily computed per-table column statistics. They are dropped only
+    /// when a registration bumps `plan_version`, so stats stay exactly as
+    /// fresh as the cached plans built from them and steady appends never
+    /// re-ANALYZE.
     stats: RwLock<HashMap<String, Arc<Vec<ColumnStats>>>>,
     /// Monotonic version of everything a cached plan depends on: the set of
     /// tables, their schemas, and (coarsely) their sizes. Plan-cache keys
@@ -48,8 +51,8 @@ impl MemCatalog {
         MemCatalog::default()
     }
 
-    /// Register (or replace) a table. The table is flushed first so scans see
-    /// every appended row.
+    /// Register (or replace) a bulk-loaded table. Its tail is sealed first,
+    /// so a loaded table scans as row groups only.
     pub fn register(&self, name: impl Into<String>, mut table: Table) {
         table
             .flush()
@@ -57,11 +60,13 @@ impl MemCatalog {
         self.register_arc(name, Arc::new(table));
     }
 
-    /// Register a pre-shared table handle.
+    /// Register a pre-shared table handle — how a commit publishes its
+    /// snapshot (sealed groups, tail chunks and commit marks, all shared).
     pub fn register_arc(&self, name: impl Into<String>, table: Arc<Table>) {
         let name = name.into();
-        self.note_registration(&name, &table);
-        self.stats.write().remove(&name);
+        if self.note_registration(&name, &table) {
+            self.stats.write().remove(&name);
+        }
         self.tables.write().insert(name, table);
     }
 
@@ -74,8 +79,8 @@ impl MemCatalog {
     /// Bump the plan version when a registration changes what the optimizer
     /// would decide: a new or schema-changed table always does; a same-shape
     /// replacement only once its row count drifts past 2x (or under half)
-    /// of the count at the previous bump.
-    fn note_registration(&self, name: &str, table: &Arc<Table>) {
+    /// of the count at the previous bump. Returns whether it bumped.
+    fn note_registration(&self, name: &str, table: &Arc<Table>) -> bool {
         let rows = table.num_rows();
         let schema_changed = match self.tables.read().get(name) {
             None => true,
@@ -93,6 +98,7 @@ impl MemCatalog {
             last.insert(name.to_string(), rows);
             self.plan_version.fetch_add(1, Ordering::Release);
         }
+        schema_changed || drifted
     }
 
     /// All column statistics of a table, computing and caching on first use.
@@ -100,11 +106,16 @@ impl MemCatalog {
         if let Some(cached) = self.stats.read().get(name) {
             return Some(cached.clone());
         }
+        let version = self.plan_version();
         let table = self.table(name)?;
         let computed = Arc::new(analyze_table(&table));
-        self.stats
-            .write()
-            .insert(name.to_string(), computed.clone());
+        // A bump while analyzing means a newer registration already dropped
+        // this table's stats; caching ours would resurrect stale ones.
+        if self.plan_version() == version {
+            self.stats
+                .write()
+                .insert(name.to_string(), computed.clone());
+        }
         Some(computed)
     }
 
@@ -120,6 +131,7 @@ impl MemCatalog {
         let existed = self.tables.write().remove(name).is_some();
         if existed {
             self.plan_rows.write().remove(name);
+            self.stats.write().remove(name);
             self.plan_version.fetch_add(1, Ordering::Release);
         }
         existed
@@ -177,19 +189,29 @@ mod tests {
         cat.register("t", make_table(100));
         let v1 = cat.plan_version();
         assert!(v1 > v0, "new table must bump");
-        // Steady drip of appends: same schema, <2x growth -> no bump.
+        let s1 = cat.table_stats("t").unwrap();
+        // Steady drip of appends: same schema, <2x growth -> no bump, and
+        // the stats the cached plans were built from stay cached too.
         cat.register("t", make_table(120));
         cat.register("t", make_table(150));
         assert_eq!(cat.plan_version(), v1, "small drift must not bump");
-        // Crossing 2x of the last-bumped count (100) re-plans.
+        assert!(Arc::ptr_eq(&s1, &cat.table_stats("t").unwrap()));
+        // Crossing 2x of the last-bumped count (100) re-plans and
+        // re-analyzes.
         cat.register("t", make_table(400));
         let v2 = cat.plan_version();
         assert!(v2 > v1, "2x drift must bump");
+        let s2 = cat.table_stats("t").unwrap();
+        assert!(!Arc::ptr_eq(&s1, &s2), "2x drift must drop stats");
+        assert_eq!(s2[0].row_count, 400);
         // Schema change always bumps, regardless of size.
         let schema = Schema::new(vec![Field::new("y", DataType::Int64)]);
         cat.register("t", Table::new(schema));
         let v3 = cat.plan_version();
         assert!(v3 > v2, "schema change must bump");
+        let s3 = cat.table_stats("t").unwrap();
+        assert!(!Arc::ptr_eq(&s2, &s3), "schema change must drop stats");
+        assert_eq!(s3[0].row_count, 0);
         // Dropping a table bumps too.
         cat.deregister("t");
         assert!(cat.plan_version() > v3);

@@ -19,20 +19,21 @@ use std::time::Instant;
 pub struct ScanStats {
     /// Row groups skipped via zone maps.
     pub groups_pruned: usize,
-    /// Row groups actually scanned.
+    /// Segments actually scanned: row groups plus unsealed tail chunks.
     pub groups_scanned: usize,
 }
 
-/// Scans a table's row groups, skipping groups whose zone maps refute a
-/// pushed-down filter, evaluating remaining filters per batch, and projecting
-/// early. With `workers >= 1` row groups become morsels on per-worker
-/// work-stealing queues processed by that many threads, with no change to
-/// semantics — the paper's "automatic scalability" principle.
+/// Scans a table's segments — sealed row groups, then the unsealed tail's
+/// chunks — skipping groups whose zone maps refute a pushed-down filter,
+/// evaluating remaining filters per batch, and projecting early. With
+/// `workers >= 1` segments become morsels on per-worker work-stealing queues
+/// processed by that many threads, with no change to semantics — the
+/// paper's "automatic scalability" principle.
 pub struct TableScanExec {
     schema: Arc<Schema>,
     mode: Mode,
     stats: ScanStats,
-    /// Split emitted batches to at most this many logical rows (0 = group
+    /// Split emitted batches to at most this many logical rows (0 = segment
     /// size). On filtered scans the split narrows the selection vector, so
     /// no column data is copied.
     batch_rows: usize,
@@ -44,14 +45,14 @@ pub struct TableScanExec {
     clamp: Option<ScanClamp>,
 }
 
-/// The group-level shape of a snapshot's visible row prefix.
+/// The segment-level shape of a snapshot's visible row prefix.
 #[derive(Debug, Clone, Copy)]
 struct ScanClamp {
-    /// Leading row groups that intersect the prefix; later groups hold only
+    /// Leading segments that intersect the prefix; later segments hold only
     /// rows committed after the snapshot and are never touched.
-    groups: usize,
-    /// When the prefix ends inside group `groups - 1`: how many of its
-    /// leading rows are visible. `None` = the last group is wholly visible.
+    segments: usize,
+    /// When the prefix ends inside segment `segments - 1`: how many of its
+    /// leading rows are visible. `None` = the last segment is wholly visible.
     last_rows: Option<usize>,
 }
 
@@ -60,7 +61,7 @@ enum Mode {
         table: Arc<Table>,
         filters: Vec<Expr>,
         projection: Option<Vec<usize>>,
-        group_idx: usize,
+        segment_idx: usize,
     },
     /// Parallel scan not yet started: workers spawn lazily on the first
     /// `next()` so the builder methods (`with_metrics`, profile) apply.
@@ -109,7 +110,7 @@ impl TableScanExec {
                 table,
                 filters,
                 projection: proj_indices,
-                group_idx: 0,
+                segment_idx: 0,
             }
         } else {
             Mode::Pending {
@@ -131,18 +132,19 @@ impl TableScanExec {
         })
     }
 
-    /// Cap emitted batches at `n` logical rows (0 = one batch per row group).
+    /// Cap emitted batches at `n` logical rows (0 = one batch per segment).
     pub fn with_batch_rows(mut self, n: usize) -> Self {
         self.batch_rows = n;
         self
     }
 
     /// Pin the scan to a snapshot epoch: only the table's row prefix
-    /// committed at or before `epoch` (per its commit marks) is read. Groups
-    /// past the prefix are never materialized; the group straddling the
-    /// boundary is sliced to its visible leading rows *before* filters run.
-    /// Zone-map pruning stays sound on the sliced group — full-group zones
-    /// over-approximate any prefix, so a refutation still holds.
+    /// committed at or before `epoch` (per its commit marks) is read.
+    /// Segments past the prefix are never materialized; the segment
+    /// straddling the boundary is sliced to its visible leading rows
+    /// *before* filters run. Zone-map pruning stays sound on a sliced group
+    /// — full-group zones over-approximate any prefix, so a refutation
+    /// still holds.
     pub fn with_snapshot(mut self, epoch: Option<u64>) -> Self {
         let Some(epoch) = epoch else { return self };
         let table = match &self.mode {
@@ -150,21 +152,24 @@ impl TableScanExec {
             Mode::Running { .. } => unreachable!("snapshot set before the scan starts"),
         };
         let mut remaining = table.visible_rows_at(epoch);
-        let mut groups = 0usize;
+        let mut segments = 0usize;
         let mut last_rows = None;
-        for g in 0..table.num_groups() {
+        for s in 0..table.num_segments() {
             if remaining == 0 {
                 break;
             }
-            let rows = table.group_rows(g);
-            groups += 1;
+            let rows = table.segment_rows(s);
+            segments += 1;
             if rows > remaining {
                 last_rows = Some(remaining);
                 break;
             }
             remaining -= rows;
         }
-        self.clamp = Some(ScanClamp { groups, last_rows });
+        self.clamp = Some(ScanClamp {
+            segments,
+            last_rows,
+        });
         self
     }
 
@@ -182,7 +187,7 @@ impl TableScanExec {
         self
     }
 
-    /// Morsel-parallel start: row groups go onto per-worker work-stealing
+    /// Morsel-parallel start: segments go onto per-worker work-stealing
     /// queues; workers prune, filter, and project their morsels and feed
     /// surviving batches through a bounded channel.
     fn start(&mut self) {
@@ -200,15 +205,13 @@ impl TableScanExec {
             unreachable!("start is only called on a pending parallel scan");
         };
         let (tx, rx) = bounded(workers * 2);
-        let n_groups = self
-            .clamp
-            .map_or(table.num_groups(), |c| c.groups.min(table.num_groups()));
-        // (group index, visible leading rows) when the snapshot boundary
-        // falls inside the final visible group.
+        let n_segments = visible_segments(&table, self.clamp);
+        // (segment index, visible leading rows) when the snapshot boundary
+        // falls inside the final visible segment.
         let boundary = self
             .clamp
-            .and_then(|c| c.last_rows.map(|n| (c.groups - 1, n)));
-        let queues = Arc::new(StealQueues::split(n_groups, workers));
+            .and_then(|c| c.last_rows.map(|n| (c.segments - 1, n)));
+        let queues = Arc::new(StealQueues::split(n_segments, workers));
         if let Some(p) = &self.profile {
             p.workers.add(workers as u64);
         }
@@ -232,32 +235,19 @@ impl TableScanExec {
                     // Zone maps are always resident: refuted groups are
                     // skipped before their payload is ever read (for paged
                     // tables, before any I/O happens at all).
-                    let zones = group_zones(&table, g);
+                    let zones = segment_zones(&table, g);
                     if prunable(&zones, table.schema(), &filters) {
                         continue;
                     }
-                    let group = match table.group(g) {
-                        Ok(gr) => gr,
+                    let visible = boundary.and_then(|(bg, n)| (bg == g).then_some(n));
+                    let batch = match read_segment(&table, g, visible) {
+                        Ok(b) => b,
                         Err(e) => {
-                            let _ = tx.send(Err(e.into()));
+                            let _ = tx.send(Err(e));
                             break;
                         }
                     };
-                    let sliced;
-                    let gbatch = match boundary {
-                        Some((bg, n)) if bg == g => {
-                            match group.batch().slice(0, n) {
-                                Ok(b) => sliced = b,
-                                Err(e) => {
-                                    let _ = tx.send(Err(e.into()));
-                                    break;
-                                }
-                            }
-                            &sliced
-                        }
-                        _ => group.batch(),
-                    };
-                    match process_group(gbatch, zones, &filters, &projection) {
+                    match process_group(&batch, zones, &filters, &projection) {
                         Ok(Some(batch)) => {
                             rows += batch.num_rows() as u64;
                             if tx.send(Ok(batch)).is_err() {
@@ -306,8 +296,25 @@ impl TableScanExec {
     }
 }
 
-fn group_zones(table: &Table, g: usize) -> Vec<(usize, ZoneMap)> {
-    table.group_zones(g).iter().cloned().enumerate().collect()
+fn segment_zones(table: &Table, s: usize) -> Vec<(usize, ZoneMap)> {
+    table.segment_zones(s).iter().cloned().enumerate().collect()
+}
+
+/// Segments the scan may touch: all of them, or the snapshot's prefix.
+fn visible_segments(table: &Table, clamp: Option<ScanClamp>) -> usize {
+    clamp.map_or(table.num_segments(), |c| {
+        c.segments.min(table.num_segments())
+    })
+}
+
+/// Materialize segment `s`, sliced to its leading `visible` rows when the
+/// snapshot boundary falls inside it.
+fn read_segment(table: &Table, s: usize, visible: Option<usize>) -> Result<RecordBatch> {
+    let batch = table.segment(s)?;
+    Ok(match visible {
+        Some(n) => batch.slice(0, n)?,
+        None => batch,
+    })
 }
 
 /// Can the zone maps refute every row of this group for some filter?
@@ -396,40 +403,29 @@ impl Operator for TableScanExec {
                 table,
                 filters,
                 projection,
-                group_idx,
+                segment_idx,
             } => {
                 let clamp = self.clamp;
-                let total_groups =
-                    clamp.map_or(table.num_groups(), |c| c.groups.min(table.num_groups()));
+                let total = visible_segments(table, clamp);
                 let mut found = None;
                 loop {
-                    if *group_idx >= total_groups {
+                    if *segment_idx >= total {
                         break;
                     }
-                    let g = *group_idx;
-                    *group_idx += 1;
+                    let g = *segment_idx;
+                    *segment_idx += 1;
                     // Resident zone maps decide pruning before the group is
                     // materialized — paged groups refuted here cost no I/O.
-                    let zones = group_zones(table, g);
+                    let zones = segment_zones(table, g);
                     if prunable(&zones, table.schema(), filters) {
                         self.stats.groups_pruned += 1;
                         continue;
                     }
                     self.stats.groups_scanned += 1;
-                    let group = table.group(g)?;
+                    let visible = clamp.and_then(|c| c.last_rows.filter(|_| g + 1 == c.segments));
+                    let batch = read_segment(table, g, visible)?;
                     let t0 = Instant::now();
-                    let sliced;
-                    let gbatch = match clamp {
-                        Some(ScanClamp {
-                            groups,
-                            last_rows: Some(n),
-                        }) if g + 1 == groups => {
-                            sliced = group.batch().slice(0, n)?;
-                            &sliced
-                        }
-                        _ => group.batch(),
-                    };
-                    let out = process_group(gbatch, zones, filters, projection)?;
+                    let out = process_group(&batch, zones, filters, projection)?;
                     if let Some(m) = &self.metrics {
                         m.counter("op.scan.kernel.filter_ns")
                             .add(t0.elapsed().as_nanos() as u64);

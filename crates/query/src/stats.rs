@@ -1,7 +1,7 @@
 //! Column statistics: the optimizer's eyes.
 //!
 //! `ANALYZE`-style statistics (distinct count, min/max, null count) computed
-//! lazily per column and cached until the table is re-registered. The
+//! lazily per column and cached until the catalog's plan version moves. The
 //! cardinality model uses them to replace magic-constant selectivities with
 //! `1/ndv` equality estimates, range-fraction estimates, and the classic
 //! `|L|·|R| / max(ndv)` join estimate.
@@ -89,20 +89,21 @@ enum StatAcc<'a> {
 /// Compute statistics for every column of a table (one pass per column).
 pub fn analyze_table(table: &Table) -> Vec<ColumnStats> {
     let ncols = table.schema().len();
-    // Materialize groups up front (paged ones decode through the pool); the
-    // string accumulators borrow from these batches, so they must outlive
-    // the per-column passes. Unreadable groups contribute no stats rather
-    // than failing planning.
-    let groups: Vec<_> = (0..table.num_groups())
-        .filter_map(|i| table.group(i).ok())
+    // Materialize segments up front (paged groups decode through the pool,
+    // tail chunks are shared); the string accumulators borrow from these
+    // batches, so they must outlive the per-column passes. Unreadable
+    // groups contribute no stats rather than failing planning.
+    let batches: Vec<_> = table
+        .prefix_batches(table.num_rows())
+        .filter_map(|b| b.ok())
         .collect();
     let mut out = Vec::with_capacity(ncols);
     for c in 0..ncols {
         let mut acc: Option<StatAcc> = None;
         let mut null_count = 0u64;
         let mut row_count = 0u64;
-        for group in &groups {
-            let col = group.batch().column(c);
+        for batch in &batches {
+            let col = batch.column(c);
             let bm = col.validity();
             row_count += col.len() as u64;
             if let Ok(data) = col.i64_data() {

@@ -49,7 +49,7 @@ const INT_PACKED: u8 = 1;
 pub struct CheckpointData {
     /// WAL records with LSN ≤ this value are already reflected in `tables`.
     pub lsn: u64,
-    /// Every table at snapshot time, rebuilt and flushed.
+    /// Every table at snapshot time: sealed groups plus its unsealed tail.
     pub tables: Vec<(String, Table)>,
 }
 
@@ -305,12 +305,14 @@ pub fn write_checkpoint(path: &Path, lsn: u64, tables: &[(&str, &Table)]) -> Res
             codec::put_u32(&mut body, payload.len() as u32);
             body.extend_from_slice(&payload);
         }
-        // Rows appended since the last seal ride along in row form.
-        let pending = table.pending_rows();
-        codec::put_u64(&mut body, pending.len() as u64);
-        for row in pending {
-            for v in row {
-                codec::put_value(&mut body, v);
+        // The unsealed tail rides along in row form and is restored as a
+        // tail, so checkpoints never fragment a table into short groups.
+        codec::put_u64(&mut body, table.tail_rows() as u64);
+        for chunk in table.tail_batches() {
+            for i in 0..chunk.num_rows() {
+                for v in chunk.row(i) {
+                    codec::put_value(&mut body, &v);
+                }
             }
         }
     }
@@ -373,7 +375,6 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointData>> {
                 }
                 table.append_row(row)?;
             }
-            table.flush()?;
         } else {
             let n_groups = cur.u32()? as usize;
             for _ in 0..n_groups {
@@ -409,7 +410,6 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointData>> {
                 }
                 table.append_row(row)?;
             }
-            table.flush()?;
         }
         tables.push((name, table));
     }
@@ -443,7 +443,7 @@ fn parse_window<T>(
 
 /// Open the checkpoint at `path` *paged*: row-group payloads stay on disk
 /// and stream through a [`BufferPool`] of `pool_pages` frames on demand;
-/// only schemas, zone maps, and pending rows are materialized. `Ok(None)`
+/// only schemas, zone maps, and tail rows are materialized. `Ok(None)`
 /// when no checkpoint exists.
 ///
 /// Two passes, both in `O(pool)` memory: a streaming CRC-32 over the whole
@@ -549,10 +549,7 @@ pub fn open_checkpoint_paged(
             Ok(rows)
         })?;
         pos += used as u64;
-        for row in pending {
-            table.append_row(row)?;
-        }
-        table.flush()?;
+        table.append_rows(&pending)?;
         tables.push((name, table));
     }
     if pos != body_len {

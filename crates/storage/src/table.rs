@@ -11,7 +11,7 @@ use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::pager::PagedFile;
 use crate::schema::Schema;
-use crate::types::Value;
+use crate::types::{DataType, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -223,17 +223,64 @@ pub enum GroupSlot {
     },
 }
 
+/// Rows per tail chunk (capped at the table's group size). Frozen chunks are
+/// shared by every published clone; only the open chunk is ever copied.
+pub const TAIL_CHUNK_ROWS: usize = 1024;
+
+/// Rows appended since the last seal, stored columnar in chunks.
+///
+/// Frozen chunks hold exactly `TAIL_CHUNK_ROWS.min(group_size)` rows and
+/// never change; their list is itself shared and copied only when a chunk
+/// freezes. The open chunk's columns are `Arc`s mutated through
+/// [`Arc::make_mut`]: a clone shares them, and the next append copies at
+/// most one chunk. Publishing a snapshot (cloning the table) therefore
+/// costs O(1) here, and the commit after it O(open chunk) — never O(tail).
+#[derive(Debug, Clone)]
+struct Tail {
+    frozen: Arc<Vec<RecordBatch>>,
+    open: Vec<Arc<Column>>,
+    open_rows: usize,
+    rows: usize,
+}
+
+impl Tail {
+    fn new(schema: &Schema) -> Tail {
+        Tail {
+            frozen: Arc::new(Vec::new()),
+            open: empty_columns(schema),
+            open_rows: 0,
+            rows: 0,
+        }
+    }
+
+    /// The open chunk as a batch (shares its columns).
+    fn open_batch(&self, schema: &Arc<Schema>) -> RecordBatch {
+        RecordBatch::try_new(schema.clone(), self.open.clone())
+            .expect("open tail chunk matches its schema")
+    }
+}
+
+fn empty_columns(schema: &Schema) -> Vec<Arc<Column>> {
+    schema
+        .fields()
+        .iter()
+        .map(|f| Arc::new(Column::empty(f.data_type)))
+        .collect()
+}
+
 /// An append-only, row-grouped columnar table.
 ///
-/// Sealed row groups are immutable and `Arc`-shared, so cloning a table (the
-/// catalog does this to publish a snapshot after every append) copies only
-/// the pending buffer and a vector of pointers — never column data.
+/// A table is *(sealed row groups, tail chunks, commit marks)*. Sealed groups
+/// are immutable and `Arc`-shared; appends land in a columnar tail that seals
+/// into a group (encoded under the [`EncodingPolicy`]) only once it reaches
+/// the group size. Cloning a table — the catalog does this to publish a
+/// snapshot after every commit — copies pointers plus at most one open tail
+/// chunk, never column data of sealed groups or frozen chunks.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<Schema>,
     groups: Vec<GroupSlot>,
-    /// Rows buffered but not yet sealed into a group.
-    pending: Vec<Vec<Value>>,
+    tail: Tail,
     group_size: usize,
     rows: usize,
     encoding: EncodingPolicy,
@@ -257,9 +304,9 @@ impl Table {
     pub fn with_group_size(schema: Arc<Schema>, group_size: usize) -> Table {
         assert!(group_size > 0, "row group size must be positive");
         Table {
+            tail: Tail::new(&schema),
             schema,
             groups: Vec::new(),
-            pending: Vec::new(),
             group_size,
             rows: 0,
             encoding: EncodingPolicy::default(),
@@ -283,18 +330,54 @@ impl Table {
         &self.schema
     }
 
-    /// Total rows (sealed + pending).
+    /// Total rows (sealed + tail).
     pub fn num_rows(&self) -> usize {
         self.rows
     }
 
-    /// Number of sealed row groups (pending rows excluded until flushed).
+    /// Number of sealed row groups (tail rows excluded until sealed).
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
 
+    /// Rows appended since the last seal (not yet in any row group).
+    pub fn tail_rows(&self) -> usize {
+        self.tail.rows
+    }
+
     /// Append one row.
     pub fn append_row(&mut self, row: Vec<Value>) -> Result<()> {
+        self.append_rows(std::slice::from_ref(&row))
+    }
+
+    /// Append rows, all or nothing: every row is checked against the schema
+    /// before any is appended, so a bad row leaves the table untouched.
+    pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
+        for row in rows {
+            self.check_row(row)?;
+        }
+        for row in rows {
+            for (col, v) in self.tail.open.iter_mut().zip(row) {
+                Arc::make_mut(col).push_value(v)?;
+            }
+            self.tail.open_rows += 1;
+            self.tail.rows += 1;
+            self.rows += 1;
+            if self.tail.rows >= self.group_size {
+                self.flush()?;
+            } else if self.tail.open_rows >= TAIL_CHUNK_ROWS.min(self.group_size) {
+                let chunk = self.tail.open_batch(&self.schema);
+                Arc::make_mut(&mut self.tail.frozen).push(chunk);
+                self.tail.open = empty_columns(&self.schema);
+                self.tail.open_rows = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Arity and type check of one row (ints widen into float columns,
+    /// NULL fits anywhere), mirroring what [`Column::push_value`] accepts.
+    fn check_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(StorageError::SchemaMismatch(format!(
                 "row has {} values, schema has {} fields",
@@ -302,30 +385,36 @@ impl Table {
                 self.schema.len()
             )));
         }
-        self.pending.push(row);
-        self.rows += 1;
-        if self.pending.len() >= self.group_size {
-            self.flush()?;
+        for (f, v) in self.schema.fields().iter().zip(row) {
+            match v.data_type() {
+                None => {}
+                Some(DataType::Int64) if f.data_type == DataType::Float64 => {}
+                Some(got) if got == f.data_type => {}
+                Some(got) => {
+                    return Err(StorageError::TypeMismatch {
+                        expected: f.data_type.to_string(),
+                        found: got.to_string(),
+                    })
+                }
+            }
         }
         Ok(())
     }
 
-    /// Append a whole batch (split into groups as needed).
-    pub fn append_batch(&mut self, batch: &RecordBatch) -> Result<()> {
-        for i in 0..batch.num_rows() {
-            self.append_row(batch.row(i))?;
-        }
-        Ok(())
-    }
-
-    /// Seal pending rows into a row group, dictionary-encoding qualifying
-    /// Utf8 columns under the table's [`EncodingPolicy`].
+    /// Seal the tail into a row group now, even if it is short of the group
+    /// size (bulk loads do this once at the end), encoding qualifying
+    /// columns under the table's [`EncodingPolicy`].
     pub fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
+        if self.tail.rows == 0 {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.pending);
-        let batch = RecordBatch::from_rows(self.schema.clone(), &rows)?;
+        let mut chunks: Vec<RecordBatch> = self.tail_batches().collect();
+        self.tail = Tail::new(&self.schema);
+        let batch = if chunks.len() == 1 {
+            chunks.swap_remove(0)
+        } else {
+            RecordBatch::concat(self.schema.clone(), &chunks)?
+        };
         let batch = match self.encoding {
             EncodingPolicy::Auto => encode_for_seal(batch),
             EncodingPolicy::Plain => batch,
@@ -337,13 +426,15 @@ impl Table {
 
     /// Seal an already-built batch directly as a row group, keeping whatever
     /// physical encodings its columns carry (checkpoint replay restores
-    /// dictionary columns without a re-encode pass).
+    /// dictionary columns without a re-encode pass). A non-empty tail seals
+    /// first, so row order is preserved.
     pub fn push_sealed_batch(&mut self, batch: RecordBatch) -> Result<()> {
         if batch.schema().fields() != self.schema.fields() {
             return Err(StorageError::SchemaMismatch(
                 "sealed batch schema differs from table schema".into(),
             ));
         }
+        self.flush()?;
         self.rows += batch.num_rows();
         self.groups
             .push(GroupSlot::Mem(Arc::new(RowGroup::new(batch))));
@@ -362,6 +453,7 @@ impl Table {
         rows: usize,
         zones: Vec<ZoneMap>,
     ) {
+        debug_assert_eq!(self.tail.rows, 0, "paged groups precede the tail");
         self.rows += rows;
         self.groups.push(GroupSlot::Paged {
             pager,
@@ -434,9 +526,74 @@ impl Table {
             .count()
     }
 
-    /// Rows appended since the last seal (not yet in any row group).
-    pub fn pending_rows(&self) -> &[Vec<Value>] {
-        &self.pending
+    /// The tail as batches, in row order: frozen chunks, then the open
+    /// chunk when it holds rows. Batches share the tail's columns.
+    pub fn tail_batches(&self) -> impl Iterator<Item = RecordBatch> + '_ {
+        let open = (self.tail.open_rows > 0).then(|| self.tail.open_batch(&self.schema));
+        self.tail.frozen.iter().cloned().chain(open)
+    }
+
+    /// Number of scan segments: sealed groups first, then tail chunks, in
+    /// row order. Scans, ANALYZE and snapshot readers walk segments so the
+    /// tail is read in place, never sealed on their behalf.
+    pub fn num_segments(&self) -> usize {
+        self.groups.len() + self.tail.frozen.len() + usize::from(self.tail.open_rows > 0)
+    }
+
+    /// Row count of segment `i` without materializing it.
+    pub fn segment_rows(&self, i: usize) -> usize {
+        match i.checked_sub(self.groups.len()) {
+            None => self.group_rows(i),
+            Some(c) => match self.tail.frozen.get(c) {
+                Some(chunk) => chunk.num_rows(),
+                None => self.tail.open_rows,
+            },
+        }
+    }
+
+    /// Zone maps of segment `i`: a sealed group's, or none for a tail chunk
+    /// (tail chunks are never pruned).
+    pub fn segment_zones(&self, i: usize) -> &[ZoneMap] {
+        if i < self.groups.len() {
+            self.group_zones(i)
+        } else {
+            &[]
+        }
+    }
+
+    /// Materialize segment `i` (see [`Table::group`] for paged groups).
+    pub fn segment(&self, i: usize) -> Result<RecordBatch> {
+        match i.checked_sub(self.groups.len()) {
+            None => Ok(self.group(i)?.batch().clone()),
+            Some(c) => match self.tail.frozen.get(c) {
+                Some(chunk) => Ok(chunk.clone()),
+                None if c == self.tail.frozen.len() && self.tail.open_rows > 0 => {
+                    Ok(self.tail.open_batch(&self.schema))
+                }
+                None => Err(StorageError::OutOfBounds {
+                    index: i,
+                    len: self.num_segments(),
+                }),
+            },
+        }
+    }
+
+    /// The first `rows` rows as one batch per segment, the last one sliced
+    /// at the boundary — how a reader walks a snapshot's visible prefix.
+    pub fn prefix_batches(&self, rows: usize) -> impl Iterator<Item = Result<RecordBatch>> + '_ {
+        let mut remaining = rows.min(self.rows);
+        (0..self.num_segments()).map_while(move |i| {
+            if remaining == 0 {
+                return None;
+            }
+            let n = self.segment_rows(i);
+            let take = n.min(remaining);
+            remaining -= take;
+            Some(
+                self.segment(i)
+                    .and_then(|b| if take < n { b.slice(0, take) } else { Ok(b) }),
+            )
+        })
     }
 
     /// Record that every row appended so far is committed at `epoch`.
@@ -486,26 +643,23 @@ impl Table {
     /// Materialize the whole table as one batch (testing / small tables;
     /// paged groups are read through the pool one at a time).
     pub fn to_batch(&self) -> Result<RecordBatch> {
-        let mut batches: Vec<RecordBatch> = Vec::with_capacity(self.groups.len() + 1);
-        for i in 0..self.groups.len() {
-            batches.push(self.group(i)?.batch().clone());
-        }
-        if !self.pending.is_empty() {
-            batches.push(RecordBatch::from_rows(self.schema.clone(), &self.pending)?);
-        }
+        let batches = self.prefix_batches(self.rows).collect::<Result<Vec<_>>>()?;
         RecordBatch::concat(self.schema.clone(), &batches)
     }
 
-    /// Approximate in-memory size in bytes of sealed groups. Paged groups
-    /// count only their resident zone maps (their payloads live on disk).
+    /// Approximate in-memory size in bytes of sealed groups and the tail.
+    /// Paged groups count only their resident zone maps (their payloads
+    /// live on disk).
     pub fn byte_size(&self) -> usize {
-        self.groups
+        let sealed: usize = self
+            .groups
             .iter()
             .map(|s| match s {
                 GroupSlot::Mem(g) => g.batch().byte_size(),
                 GroupSlot::Paged { zones, .. } => zones.len() * std::mem::size_of::<ZoneMap>(),
             })
-            .sum()
+            .sum();
+        sealed + self.tail_batches().map(|b| b.byte_size()).sum::<usize>()
     }
 
     /// (dictionary-encoded columns, rows they cover) across memory-resident
@@ -650,6 +804,106 @@ mod tests {
         // row > 30? strict no, inclusive yes.
         assert!(!z.may_contain_gt(&Value::Int(30), false));
         assert!(z.may_contain_gt(&Value::Int(30), true));
+    }
+
+    /// Every sealed group and frozen tail-chunk column of `t`, as pointers.
+    fn shared_parts(t: &Table) -> (Vec<Arc<RowGroup>>, Vec<Arc<Column>>) {
+        let groups = t
+            .groups
+            .iter()
+            .map(|s| match s {
+                GroupSlot::Mem(g) => g.clone(),
+                GroupSlot::Paged { .. } => unreachable!("in-memory table"),
+            })
+            .collect();
+        let chunks = t
+            .tail
+            .frozen
+            .iter()
+            .flat_map(|c| c.columns().iter().cloned())
+            .collect();
+        (groups, chunks)
+    }
+
+    #[test]
+    fn published_snapshots_share_groups_and_frozen_chunks() {
+        // Groups of 4 chunks: commits of 10 rows cross chunk and group
+        // boundaries at different points.
+        let mut t = Table::with_group_size(schema(), 4 * TAIL_CHUNK_ROWS);
+        let mut next = 0i64;
+        let mut commit = |t: &mut Table, n: usize| {
+            let rows: Vec<Vec<Value>> = (0..n)
+                .map(|_| {
+                    next += 1;
+                    vec![Value::Int(next), Value::str(format!("r{next}"))]
+                })
+                .collect();
+            t.append_rows(&rows).unwrap();
+        };
+        commit(&mut t, 5 * TAIL_CHUNK_ROWS + 7);
+        assert_eq!(t.num_groups(), 1);
+        assert_eq!(t.tail_rows(), TAIL_CHUNK_ROWS + 7);
+        for _ in 0..400 {
+            let before = t.clone();
+            commit(&mut t, 10);
+            let after = t.clone();
+            let (g0, c0) = shared_parts(&before);
+            let (g1, c1) = shared_parts(&after);
+            // Everything the earlier snapshot had sealed or frozen is the
+            // very same allocation in the later one: a publish copies at
+            // most the open chunk.
+            assert!(g0.len() <= g1.len());
+            assert!(g0.iter().zip(&g1).all(|(a, b)| Arc::ptr_eq(a, b)));
+            if g0.len() == g1.len() {
+                assert!(c0.len() <= c1.len());
+                assert!(c0.iter().zip(&c1).all(|(a, b)| Arc::ptr_eq(a, b)));
+            }
+            // The earlier snapshot still reads exactly its own rows.
+            assert_eq!(before.num_rows() + 10, after.num_rows());
+            assert_eq!(before.to_batch().unwrap().num_rows(), before.num_rows());
+        }
+        // The loop crossed one more seal; nothing else was sealed.
+        assert_eq!(t.num_groups(), 2);
+        assert_eq!(t.tail_rows(), t.num_rows() - 2 * 4 * TAIL_CHUNK_ROWS);
+    }
+
+    #[test]
+    fn tail_seals_only_at_group_size() {
+        let mut t = Table::with_group_size(schema(), 100);
+        for i in 0..250 {
+            t.append_row(vec![Value::Int(i), Value::Null]).unwrap();
+            assert_eq!(t.num_groups(), (i as usize + 1) / 100);
+            assert_eq!(t.tail_rows(), (i as usize + 1) % 100);
+        }
+        // Segments walk groups, then the tail, in row order.
+        assert_eq!(t.num_segments(), 3);
+        let ids: Vec<Value> = t
+            .prefix_batches(t.num_rows())
+            .flat_map(|b| b.unwrap().to_rows())
+            .map(|row| row[0].clone())
+            .collect();
+        assert_eq!(ids, (0..250).map(Value::Int).collect::<Vec<_>>());
+        // A prefix ending inside the tail is sliced there.
+        let n: usize = t.prefix_batches(230).map(|b| b.unwrap().num_rows()).sum();
+        assert_eq!(n, 230);
+    }
+
+    #[test]
+    fn append_rows_is_all_or_nothing() {
+        let mut t = Table::new(schema());
+        let rows = vec![
+            vec![Value::Int(1), Value::str("a")],
+            vec![Value::str("bad"), Value::Null],
+        ];
+        assert!(t.append_rows(&rows).is_err());
+        assert_eq!(t.num_rows(), 0);
+        assert!(t.to_batch().unwrap().is_empty());
+        // Ints widen into float columns; NULL fits any column.
+        let fs = Schema::new(vec![Field::nullable("f", DataType::Float64)]);
+        let mut f = Table::new(fs);
+        f.append_rows(&[vec![Value::Int(2)], vec![Value::Null]])
+            .unwrap();
+        assert_eq!(f.to_batch().unwrap().row(0), vec![Value::Float(2.0)]);
     }
 
     #[test]

@@ -59,6 +59,8 @@ echo "$out" | grep -q "PERF_OK serve concurrency" || { echo "repro serve: concur
 echo "$out" | grep -q "PERF_OK serve hot-mix" || { echo "repro serve: hot-mix speedup floor not met"; exit 1; }
 # Hit-rate gate: an 80%-repeated statement mix must mostly hit the result cache.
 echo "$out" | grep -q "PERF_OK serve cache hit rate" || { echo "repro serve: cache hit-rate floor not met"; exit 1; }
+# Tail-growth gate: a commit must cost O(rows inserted), not O(unsealed tail).
+echo "$out" | grep -q "PERF_OK serve tail growth" || { echo "repro serve: commit latency grows with the tail"; exit 1; }
 
 echo "== repro smoke (quick) =="
 out="$(cargo run -q -p backbone-bench --bin repro -- e5 --quick)"

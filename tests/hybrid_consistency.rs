@@ -5,11 +5,12 @@
 use backbone_core::{
     bolton_search, unified_search, Database, FusionWeights, HybridSpec, VectorIndexSpec,
 };
-use backbone_query::{col, lit};
+use backbone_query::{col, lit, Catalog};
 use backbone_storage::{DataType, Field, Schema, Value};
 use backbone_vector::{Dataset, Metric};
 use backbone_workloads::hybrid;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn build_db(products: usize, seed: u64) -> Database {
     let catalog = hybrid::generate(products, 8, seed);
@@ -227,5 +228,72 @@ fn hnsw_backed_unified_search_mostly_matches_exact() {
     assert!(
         hnsw_score >= exact_score * 0.9,
         "HNSW-backed hybrid quality too low: {hnsw_score:.2} vs exact {exact_score:.2}"
+    );
+}
+
+/// Ten product rows with ids from `first`, cycling prices.
+fn product_rows(first: usize) -> Vec<Vec<Value>> {
+    (first..first + 10)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::str("audio"),
+                Value::Float((i % 300) as f64),
+                Value::Float(4.0),
+                Value::Bool(true),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn filtered_searches_read_the_pinned_snapshot_without_sealing() {
+    let db = build_db(600, 24);
+    let groups = || db.catalog().table("products").unwrap().num_groups();
+    let sealed = groups();
+    let filter = || col("price").lt(lit(100.0));
+    for c in 0..50 {
+        db.insert("products", product_rows(600 + 10 * c)).unwrap();
+        let response = db
+            .search("products")
+            .filter(filter())
+            .keyword("premium")
+            .vector(vec![0.1; 8])
+            .k(5)
+            .run()
+            .unwrap();
+        assert!(!response.hits.is_empty());
+        let pin = db.pin_snapshot();
+        let visible = db
+            .catalog()
+            .table("products")
+            .unwrap()
+            .visible_rows_at(pin.epoch());
+        assert_eq!(visible, 610 + 10 * c);
+        let mask = db.eval_mask("products", &filter()).unwrap();
+        assert_eq!(mask.len(), visible, "mask must cover the pinned prefix");
+        assert_eq!(groups(), sealed, "a search sealed the tail");
+    }
+}
+
+#[test]
+fn searches_after_small_commits_reuse_analyze_stats() {
+    let db = build_db(600, 25);
+    let search = || {
+        db.search("products")
+            .filter(col("price").lt(lit(50.0)))
+            .vector(vec![0.1; 8])
+            .k(5)
+            .run()
+            .unwrap()
+    };
+    search();
+    let stats = db.catalog().table_stats("products").unwrap();
+    db.insert("products", product_rows(600)).unwrap();
+    search();
+    let after = db.catalog().table_stats("products").unwrap();
+    assert!(
+        Arc::ptr_eq(&stats, &after),
+        "a 10-row commit re-analyzed the table"
     );
 }

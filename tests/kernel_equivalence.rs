@@ -11,6 +11,7 @@ use backbone_query::{
     avg, col, count, count_star, execute, lit, max, min, sum, ExecOptions, JoinType, LogicalPlan,
     MemCatalog, Parallelism,
 };
+use backbone_storage::table::{DEFAULT_ROW_GROUP_SIZE, TAIL_CHUNK_ROWS};
 use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Table, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -1121,4 +1122,205 @@ fn tiny_budget_actually_spills_and_stays_correct() {
         m.value("storage.spill.partitions") > 0,
         "a 600-row build side under 2 KiB must grace-partition"
     );
+}
+
+// ---- Unsealed tail vs sealed groups --------------------------------------
+//
+// Commits land in a table's columnar tail, which scans read in place after
+// the sealed groups. Where rows live must be invisible in results: the same
+// rows sealed into one group, left entirely in the tail, or split between
+// 32-row groups and a tail answer every plan identically, serially and
+// morsel-parallel.
+
+/// Register `rows` three times: `<stem>_sealed` (sealed into one group),
+/// `<stem>_tail` (all in the unsealed tail) and `<stem>_mixed` (32-row
+/// groups, the remainder in the tail). The tail twins are published through
+/// `register_arc`, which, unlike `register`, does not seal.
+fn register_tail_triplet(catalog: &MemCatalog, stem: &str, rows: &[Row], names: [&str; 3]) {
+    let schema = Schema::new(vec![
+        Field::nullable(names[0], DataType::Int64),
+        Field::nullable(names[1], DataType::Int64),
+        Field::nullable(names[2], DataType::Float64),
+    ]);
+    let values: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|(k, v, f)| vec![value_of_int(*k), value_of_int(*v), value_of_float(*f)])
+        .collect();
+    for (suffix, group_size) in [
+        ("sealed", DEFAULT_ROW_GROUP_SIZE),
+        ("tail", DEFAULT_ROW_GROUP_SIZE),
+        ("mixed", 32),
+    ] {
+        let mut table = Table::with_group_size(schema.clone(), group_size);
+        table.append_rows(&values).expect("schema matches");
+        if suffix == "sealed" {
+            table.flush().expect("in-memory flush");
+        }
+        let tail = if suffix == "sealed" {
+            0
+        } else {
+            values.len() % group_size
+        };
+        assert_eq!(table.tail_rows(), tail, "{suffix} twin");
+        catalog.register_arc(format!("{stem}_{suffix}"), Arc::new(table));
+    }
+}
+
+/// Sorted rows of `plan` at parallelism `p`.
+fn sorted_rows(
+    catalog: &MemCatalog,
+    plan: LogicalPlan,
+    p: Parallelism,
+    context: &str,
+) -> Vec<Vec<Value>> {
+    let mut rows = execute(plan, catalog, &ExecOptions::serial().parallel(p))
+        .unwrap_or_else(|e| panic!("{context} at {p:?}: {e}"))
+        .to_rows();
+    rows.sort_by_key(|r| join_key(r));
+    rows
+}
+
+/// Filters, group-by, a global aggregate and top-k: tail and mixed twins
+/// must equal the sealed one at Serial and Fixed(4).
+fn check_tail_vs_sealed(rows: &[Row], threshold: i64, k: usize) {
+    let catalog = MemCatalog::new();
+    register_tail_triplet(&catalog, "t", rows, ["k", "v", "f"]);
+    type PlanFn<'a> = Box<dyn Fn(&str) -> LogicalPlan + 'a>;
+    let scan = |n: &str| LogicalPlan::scan(n, &catalog).expect("registered");
+    let plans: Vec<(&str, PlanFn)> = vec![
+        (
+            "filter v >= lit",
+            Box::new(|n| scan(n).filter(col("v").gt_eq(lit(threshold)))),
+        ),
+        (
+            "filter k = lit",
+            Box::new(|n| scan(n).filter(col("k").eq(lit(2i64)))),
+        ),
+        (
+            "filter nothing passes",
+            Box::new(|n| scan(n).filter(col("v").gt(lit(10_000i64)))),
+        ),
+        (
+            "group by k",
+            Box::new(|n| {
+                scan(n).aggregate(
+                    vec![col("k")],
+                    vec![
+                        count_star().alias("n"),
+                        count(col("v")).alias("nv"),
+                        sum(col("v")).alias("sv"),
+                        min(col("v")).alias("minv"),
+                        max(col("v")).alias("maxv"),
+                        avg(col("f")).alias("af"),
+                    ],
+                )
+            }),
+        ),
+        (
+            "global agg over an empty selection",
+            Box::new(|n| {
+                scan(n).filter(col("v").gt(lit(10_000i64))).aggregate(
+                    vec![],
+                    vec![count_star().alias("n"), sum(col("v")).alias("sv")],
+                )
+            }),
+        ),
+        (
+            "topk",
+            Box::new(|n| {
+                scan(n)
+                    .sort(vec![desc(col("v")), asc(col("k")), asc(col("f"))])
+                    .limit(k)
+            }),
+        ),
+    ];
+    for p in [Parallelism::Serial, Parallelism::Fixed(4)] {
+        for (context, plan) in &plans {
+            let base = sorted_rows(&catalog, plan("t_sealed"), p, context);
+            for twin in ["t_tail", "t_mixed"] {
+                let got = sorted_rows(&catalog, plan(twin), p, context);
+                assert_rows_match(&got, &base, &format!("{context} on {twin} at {p:?}"));
+            }
+        }
+    }
+}
+
+/// Joins across every placement pairing must equal sealed ⋈ sealed.
+fn check_tail_join(left: &[Row], right: &[Row], join_type: JoinType) {
+    let catalog = MemCatalog::new();
+    register_tail_triplet(&catalog, "l", left, ["k", "v", "f"]);
+    register_tail_triplet(&catalog, "r", right, ["rk", "rv", "rf"]);
+    let plan = |ln: &str, rn: &str| {
+        LogicalPlan::scan(ln, &catalog).unwrap().join(
+            LogicalPlan::scan(rn, &catalog).unwrap(),
+            vec![("k", "rk")],
+            join_type,
+        )
+    };
+    for p in [Parallelism::Serial, Parallelism::Fixed(4)] {
+        let base = sorted_rows(&catalog, plan("l_sealed", "r_sealed"), p, "join");
+        for (ln, rn) in [
+            ("l_tail", "r_tail"),
+            ("l_tail", "r_sealed"),
+            ("l_sealed", "r_mixed"),
+            ("l_mixed", "r_tail"),
+        ] {
+            let got = sorted_rows(&catalog, plan(ln, rn), p, "join");
+            assert_rows_match(&got, &base, &format!("join {ln} x {rn} at {p:?}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn tail_execution_matches_sealed(
+        rows in arbitrary_rows(120, 3),
+        threshold in -100i64..100,
+        k in 0usize..12,
+    ) {
+        check_tail_vs_sealed(&rows, threshold, k);
+    }
+
+    #[test]
+    fn tail_execution_matches_sealed_null_heavy(
+        rows in arbitrary_rows(80, 30),
+        threshold in -100i64..100,
+    ) {
+        check_tail_vs_sealed(&rows, threshold, 5);
+    }
+
+    #[test]
+    fn tail_inner_join_matches_sealed(
+        left in arbitrary_rows(60, 3),
+        right in arbitrary_rows(60, 3),
+    ) {
+        check_tail_join(&left, &right, JoinType::Inner);
+    }
+
+    #[test]
+    fn tail_left_join_matches_sealed(
+        left in arbitrary_rows(50, 8),
+        right in arbitrary_rows(50, 8),
+    ) {
+        check_tail_join(&left, &right, JoinType::Left);
+    }
+}
+
+#[test]
+fn multi_chunk_tail_matches_sealed() {
+    // Enough rows for several frozen tail chunks plus an open one, with a
+    // NULL every few cells.
+    let rows: Vec<Row> = (0..3 * TAIL_CHUNK_ROWS as i64 + 77)
+        .map(|i| {
+            (
+                (i % 5 != 0).then_some(i % 7 - 3),
+                (i % 3 != 0).then_some(i * 37 % 199 - 99),
+                (i % 4 != 0).then_some((i % 101) as f64 / 4.0),
+            )
+        })
+        .collect();
+    check_tail_vs_sealed(&rows, 17, 9);
+    check_tail_join(&rows[..1500], &rows[1000..1040], JoinType::Inner);
 }

@@ -16,7 +16,9 @@
 
 use backbone_core::durability::WAL_FILE;
 use backbone_core::{Database, DurabilityOptions, FsyncPolicy};
-use backbone_storage::{DataType, Field, Schema, Value};
+use backbone_query::Catalog;
+use backbone_storage::table::DEFAULT_ROW_GROUP_SIZE;
+use backbone_storage::{DataType, Field, Schema, Table, Value};
 use backbone_txn::{FaultFile, FaultKind, FaultPlan};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -320,6 +322,55 @@ fn checkpoint_truncates_log_and_recovery_starts_from_it() {
 }
 
 #[test]
+fn small_commits_seal_whole_groups_and_checkpoints_keep_the_tail() {
+    let dir = scratch_dir("no-fragmentation");
+    let commits = 670;
+    let per_commit = 100;
+    let group_size = DEFAULT_ROW_GROUP_SIZE;
+    // Sealed groups and tail rows of the published snapshot.
+    let shape = |db: &Database| {
+        let t = db.catalog().table("events").unwrap();
+        (t.num_groups(), t.tail_rows())
+    };
+    let answers = |db: &Database| {
+        db.sql("SELECT COUNT(*) AS n, SUM(id) AS s, MAX(note) AS m FROM events WHERE id >= 60000")
+            .unwrap()
+            .to_rows()
+    };
+    let (want, expected_shape) = {
+        let opts = DurabilityOptions::default()
+            .checkpoint_every(0)
+            .fsync(FsyncPolicy::Never);
+        let db = Database::open_with(&dir, opts).unwrap();
+        db.create_table("events", events_schema()).unwrap();
+        for c in 0..commits {
+            let rows = (c * per_commit..(c + 1) * per_commit)
+                .map(event_row)
+                .collect();
+            db.insert("events", rows).unwrap();
+        }
+        let rows = commits * per_commit;
+        let expected_shape = (rows / group_size, rows % group_size);
+        assert_eq!(shape(&db), expected_shape, "commits fragmented the table");
+        let want = answers(&db);
+        db.checkpoint().unwrap();
+        assert_eq!(shape(&db), expected_shape, "the checkpoint sealed the tail");
+        assert_eq!(answers(&db), want);
+        db.wal_sync().unwrap();
+        (want, expected_shape)
+    };
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(db.recovery_report().unwrap().replayed_records, 0);
+    assert_eq!(shape(&db), expected_shape, "reopen sealed the tail");
+    assert_eq!(answers(&db), want);
+    assert_eq!(
+        recovered_ids(&db).unwrap(),
+        (0..(commits * per_commit) as i64).collect::<Vec<_>>()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn automatic_checkpoints_fire_on_cadence() {
     let dir = scratch_dir("cadence");
     {
@@ -465,9 +516,15 @@ fn paged_reopen_streams_groups_through_the_pool() {
     {
         let db =
             Database::open_with(&dir, DurabilityOptions::default().checkpoint_every(0)).unwrap();
-        db.create_table("events", events_schema()).unwrap();
-        let rows: Vec<Vec<Value>> = (0..2000).map(event_row).collect();
-        db.insert("events", rows).unwrap();
+        // A bulk load sealed in 256-row groups: the checkpoint writes them
+        // as row groups, which a paged open keeps on disk. (Committed rows
+        // stay in the unsealed tail until it reaches the group size, and a
+        // checkpoint writes and reopens a tail as a tail.)
+        let mut table = Table::with_group_size(events_schema(), 256);
+        for i in 0..2000 {
+            table.append_row(event_row(i)).unwrap();
+        }
+        db.register_table("events", table).unwrap();
         db.checkpoint().unwrap();
         // A few post-checkpoint rows exercise WAL replay on top of paged
         // groups.

@@ -15,8 +15,8 @@
 //!   everything.
 
 use backbone_core::Database;
-use backbone_query::ExecOptions;
-use backbone_storage::{DataType, Field, Schema, Value};
+use backbone_query::{col, lit, Catalog, ExecOptions, Parallelism};
+use backbone_storage::{DataType, Field, Schema, Table, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -172,6 +172,73 @@ fn pinned_snapshot_is_immune_to_later_commits() {
     assert_eq!(db.row_count("stream"), Some(BATCH + 3 * 10 * BATCH));
     let fresh = db.sql("SELECT writer, seq FROM stream").unwrap();
     assert_eq!(fresh.num_rows(), BATCH + 3 * 10 * BATCH);
+}
+
+#[test]
+fn pinned_prefix_ending_in_the_tail_or_across_a_seal_stays_exact() {
+    // A 64-row-group table bulk-loaded through `register_table` (sealed: 64
+    // + 36 rows); commits then append to its tail, which seals at 64.
+    let db = Database::new();
+    let mut table = Table::with_group_size(stream_schema(), 64);
+    for i in 0..100 {
+        table
+            .append_row(vec![Value::Int(0), Value::Int(i)])
+            .unwrap();
+    }
+    db.register_table("stream", table).unwrap();
+    let mut next = 0i64;
+    let mut commit = |n: usize| {
+        let rows = (0..n)
+            .map(|_| {
+                next += 1;
+                vec![Value::Int(1), Value::Int(next - 1)]
+            })
+            .collect();
+        db.insert("stream", rows).unwrap();
+    };
+    let shape = || {
+        let t = db.catalog().table("stream").unwrap();
+        (t.num_groups(), t.tail_rows())
+    };
+    // Writer 1's seqs visible at `epoch`, checked against the exact prefix
+    // under both a plain scan and a filter, serially and morsel-parallel.
+    let seqs_at = |epoch: u64, want: usize| {
+        for p in [Parallelism::Serial, Parallelism::Fixed(4)] {
+            let opts = ExecOptions::serial().parallel(p).at_snapshot(epoch);
+            let rows = db
+                .execute_with(db.query("stream").unwrap(), &opts)
+                .unwrap()
+                .to_rows();
+            assert_eq!(rows.len(), 100 + want, "{p:?}");
+            let mut seqs = observed_seqs(&rows, 2).remove(1);
+            seqs.sort_unstable();
+            assert_eq!(seqs, (0..want as i64).collect::<Vec<_>>(), "{p:?}");
+            let plan = db
+                .query("stream")
+                .unwrap()
+                .filter(col("writer").eq(lit(1i64)));
+            let filtered = db.execute_with(plan, &opts).unwrap();
+            assert_eq!(filtered.num_rows(), want, "{p:?} filtered");
+        }
+    };
+
+    commit(10);
+    assert_eq!(shape(), (2, 10));
+    // The pinned prefix ends inside the tail.
+    let in_tail = db.pin_snapshot();
+    commit(20);
+    assert_eq!(shape(), (2, 30), "no seal below the group size");
+    seqs_at(in_tail.epoch(), 10);
+    // This prefix ends in rows that the next commit seals into a group
+    // together with rows the pin must not see.
+    let across_seal = db.pin_snapshot();
+    commit(50);
+    assert_eq!(shape(), (3, 16), "the tail sealed exactly one 64-row group");
+    seqs_at(in_tail.epoch(), 10);
+    seqs_at(across_seal.epoch(), 30);
+    drop((in_tail, across_seal));
+    let fresh = db.sql("SELECT writer, seq FROM stream").unwrap();
+    assert_eq!(fresh.num_rows(), 180);
 }
 
 #[test]
