@@ -3,12 +3,14 @@
 //! Measures the hot paths the vector tentpole claims to have sped up — the
 //! blocked distance kernels against the scalar reference, the serial vs
 //! worker-pool-partitioned exact/IVF/HNSW searches, and the cost-picked
-//! hybrid filter strategy against both forced plans — and emits the numbers
-//! as JSON (`BENCH_ann.json`) so CI can diff against a committed baseline.
+//! hybrid filter strategy against both forced plans — and records the
+//! numbers as JSON (`BENCH_ann.json`); [`GATES`] holds the verdicts CI
+//! enforces through `repro ann`'s exit code.
 //! Every parallel rung asserts result identity against its serial twin, and
 //! every approximate rung records recall against brute force, so a speedup
 //! can never silently change answers.
 
+use crate::ledger::{measure, Gate, Over, Rung};
 use crate::time;
 use backbone_core::{
     choose_strategy, unified_search, unified_search_forced, FilterStrategy, FusionWeights,
@@ -23,28 +25,8 @@ use backbone_vector::{
 };
 use backbone_workloads::hybrid::generate_queries;
 
-pub use crate::exec_bench::BenchEntry;
-
 const RUNS: usize = 5;
-const WARMUPS: usize = 3;
 const K: usize = 10;
-
-/// Best-of-N wall clock for `f`, after untimed warmups (so caches and the
-/// shared worker pool reach steady state before a sample counts).
-fn measure<R>(mut f: impl FnMut() -> R) -> (R, f64) {
-    for _ in 0..WARMUPS {
-        let _ = f();
-    }
-    let mut samples: Vec<f64> = Vec::with_capacity(RUNS);
-    let mut last = None;
-    for _ in 0..RUNS {
-        let (r, s) = time(&mut f);
-        samples.push(s * 1000.0);
-        last = Some(r);
-    }
-    samples.sort_by(f64::total_cmp);
-    (last.expect("RUNS > 0"), samples[0])
-}
 
 /// Hit lists match exactly: same ids in the same order, distances equal.
 /// Parallel partitioning re-scores the same slots with the same kernel, so
@@ -64,16 +46,11 @@ fn overlap(a: &[backbone_core::HybridHit], b: &[backbone_core::HybridHit]) -> f6
 }
 
 /// Run the baseline suite. `quick` shrinks data sizes for CI smoke runs.
-pub fn run(quick: bool) -> Vec<BenchEntry> {
+pub fn run(quick: bool) -> Vec<Rung> {
     let mut out = Vec::new();
 
-    // How many cores this run had, so `report` can gate the parallel floors.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push(BenchEntry {
-        name: "cores",
-        ms: 0.0,
-        rows: cores,
-    });
+    // How many cores this run had, so the parallel floors can skip.
+    out.push(Rung::cores());
 
     // The E9 dataset: clustered vectors like real embedding spaces.
     let n = if quick { 2000 } else { 20_000 };
@@ -146,16 +123,16 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
             break;
         }
     }
-    out.push(BenchEntry {
-        name: "l2_scalar_ms",
-        ms: scalar_ms,
-        rows: kernel_rows * queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "l2_blocked_ms",
-        ms: blocked_ms,
-        rows: kernel_rows * queries.len(),
-    });
+    out.push(Rung::ms(
+        "l2_scalar_ms",
+        scalar_ms,
+        kernel_rows * queries.len(),
+    ));
+    out.push(Rung::ms(
+        "l2_blocked_ms",
+        blocked_ms,
+        kernel_rows * queries.len(),
+    ));
 
     // Exact scan: serial vs range-partitioned across the worker pool.
     let exact = ExactIndex::from_dataset(data.clone(), Metric::L2);
@@ -175,16 +152,8 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         hits_equal(&serial_hits, &par_hits),
         "exact: Fixed(4) diverged from serial"
     );
-    out.push(BenchEntry {
-        name: "exact_serial_ms",
-        ms: exact_serial_ms,
-        rows: queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "exact_fixed4_ms",
-        ms: exact_fixed4_ms,
-        rows: queries.len(),
-    });
+    out.push(Rung::ms("exact_serial_ms", exact_serial_ms, queries.len()));
+    out.push(Rung::ms("exact_fixed4_ms", exact_fixed4_ms, queries.len()));
 
     // IVF: probes partitioned across workers, per-worker heaps merged.
     let ivf = IvfIndex::build(
@@ -213,21 +182,14 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         hits_equal(&ivf_serial_hits, &ivf_par_hits),
         "ivf: Fixed(4) diverged from serial"
     );
-    out.push(BenchEntry {
-        name: "ivf_serial_ms",
-        ms: ivf_serial_ms,
-        rows: queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "ivf_fixed4_ms",
-        ms: ivf_fixed4_ms,
-        rows: queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "ivf_recall",
-        ms: recall_at_k(&ivf, &exact, &queries, K),
-        rows: queries.len(),
-    });
+    out.push(Rung::ms("ivf_serial_ms", ivf_serial_ms, queries.len()));
+    out.push(Rung::ms("ivf_fixed4_ms", ivf_fixed4_ms, queries.len()));
+    out.push(Rung::new(
+        "ivf_recall",
+        recall_at_k(&ivf, &exact, &queries, K),
+        "frac",
+        queries.len(),
+    ));
 
     // HNSW: per-query traversal is sequential; parallelism partitions the
     // query batch (`search_many`) across the pool.
@@ -247,21 +209,18 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         hits_equal(&hnsw_serial_hits, &hnsw_par_hits),
         "hnsw: batched Fixed(4) diverged from serial"
     );
-    out.push(BenchEntry {
-        name: "hnsw_serial_ms",
-        ms: hnsw_serial_ms,
-        rows: queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "hnsw_many_fixed4_ms",
-        ms: hnsw_fixed4_ms,
-        rows: queries.len(),
-    });
-    out.push(BenchEntry {
-        name: "hnsw_recall",
-        ms: recall_at_k(&hnsw, &exact, &queries, K),
-        rows: queries.len(),
-    });
+    out.push(Rung::ms("hnsw_serial_ms", hnsw_serial_ms, queries.len()));
+    out.push(Rung::ms(
+        "hnsw_many_fixed4_ms",
+        hnsw_fixed4_ms,
+        queries.len(),
+    ));
+    out.push(Rung::new(
+        "hnsw_recall",
+        recall_at_k(&hnsw, &exact, &queries, K),
+        "frac",
+        queries.len(),
+    ));
 
     // Hybrid strategy rungs: the cost model's pick vs both forced plans, on
     // a selective (<1% pass) and a permissive (>50% pass) predicate. Prices
@@ -271,22 +230,28 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
     let products = if quick { 4000 } else { 20_000 };
     let db = crate::e3_hybrid::build_db(products, 8, 42, VectorIndexKind::Exact);
     let hqs = generate_queries(if quick { 6 } else { 12 }, 8, 0.0, K, 43);
-    for (label, cutoff, pre_name, post_name, auto_name, overlap_name) in [
+    for (label, cutoff, [pre_name, post_name, worse_name, auto_name, overlap_name]) in [
         (
             "selective",
             10.0,
-            "hybrid_sel_pre_ms",
-            "hybrid_sel_post_ms",
-            "hybrid_sel_auto_ms",
-            "hybrid_sel_overlap",
+            [
+                "hybrid_sel_pre_ms",
+                "hybrid_sel_post_ms",
+                "hybrid_sel_worse_ms",
+                "hybrid_sel_auto_ms",
+                "hybrid_sel_overlap",
+            ],
         ),
         (
             "permissive",
             255.0,
-            "hybrid_perm_pre_ms",
-            "hybrid_perm_post_ms",
-            "hybrid_perm_auto_ms",
-            "hybrid_perm_overlap",
+            [
+                "hybrid_perm_pre_ms",
+                "hybrid_perm_post_ms",
+                "hybrid_perm_worse_ms",
+                "hybrid_perm_auto_ms",
+                "hybrid_perm_overlap",
+            ],
         ),
     ] {
         let specs: Vec<HybridSpec> = hqs
@@ -333,175 +298,87 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
             .map(|(a, p)| overlap(a, p))
             .sum::<f64>()
             / specs.len() as f64;
-        out.push(BenchEntry {
-            name: pre_name,
-            ms: pre_ms,
-            rows: specs.len(),
-        });
-        out.push(BenchEntry {
-            name: post_name,
-            ms: post_ms,
-            rows: specs.len(),
-        });
-        out.push(BenchEntry {
-            name: auto_name,
-            ms: auto_ms,
-            rows: specs.len(),
-        });
-        out.push(BenchEntry {
-            name: overlap_name,
-            ms: mean_overlap,
-            rows: specs.len(),
-        });
+        let n = specs.len();
+        out.push(Rung::ms(pre_name, pre_ms, n));
+        out.push(Rung::ms(post_name, post_ms, n));
+        // The pick is gated against whichever forced plan lost.
+        out.push(Rung::ms(worse_name, pre_ms.max(post_ms), n));
+        out.push(Rung::ms(auto_name, auto_ms, n));
+        out.push(Rung::new(overlap_name, mean_overlap, "frac", n));
     }
 
     out
 }
 
-/// Render entries as a stable, pretty-printed JSON object.
-pub fn to_json(entries: &[BenchEntry], quick: bool) -> String {
-    crate::exec_bench::to_json(entries, quick)
-}
-
-/// Human summary plus the `PERF_OK`/`PERF_FAIL`/`PERF_SKIP` verdict lines CI
-/// greps for. Floors:
-///
-/// - blocked kernel >= 2x over the scalar reference;
-/// - parallel rungs >= their serial twins (gated on >= 4 cores — below that
-///   the pool degrades to inline execution and the floor is skipped);
-/// - IVF(nprobe=16) recall >= 0.90, HNSW(ef=64) recall >= 0.92;
-/// - the cost model's pick beats the *worse* forced plan on both predicates
-///   (it must never route a query to the losing plan);
-/// - picked-plan top-k overlap vs the exhaustive pre-filtered plan >= 0.90.
-pub fn report(entries: &[BenchEntry]) -> String {
-    let mut out = String::from("vector & hybrid search baseline:\n");
-    for e in entries {
-        out.push_str(&format!(
-            "  {:<22} {:>9.3} ms  rows={}\n",
-            e.name, e.ms, e.rows
-        ));
-    }
-    let get = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.ms);
-
-    match (get("l2_scalar_ms"), get("l2_blocked_ms")) {
-        (Some(s), Some(b)) if b > 0.0 => {
-            let speedup = s / b;
-            let verdict = if speedup >= 2.0 {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} blocked kernel = {speedup:.2}x over scalar (floor 2.0x)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing kernel measurements\n"),
-    }
-
-    let cores = entries
-        .iter()
-        .find(|e| e.name == "cores")
-        .map_or(1, |e| e.rows);
-    for (label, serial, parallel) in [
-        ("exact parallel", "exact_serial_ms", "exact_fixed4_ms"),
-        ("ivf parallel", "ivf_serial_ms", "ivf_fixed4_ms"),
-        (
-            "hnsw batch parallel",
-            "hnsw_serial_ms",
-            "hnsw_many_fixed4_ms",
-        ),
-    ] {
-        if cores < 4 {
-            out.push_str(&format!(
-                "PERF_SKIP {label} floor needs >=4 cores (this run had {cores})\n"
-            ));
-            continue;
-        }
-        match (get(serial), get(parallel)) {
-            (Some(s), Some(p)) if p > 0.0 => {
-                let speedup = s / p;
-                let verdict = if speedup >= 1.0 {
-                    "PERF_OK"
-                } else {
-                    "PERF_FAIL"
-                };
-                out.push_str(&format!(
-                    "{verdict} {label} speedup = {speedup:.2}x over serial (floor 1.0x)\n"
-                ));
-            }
-            _ => out.push_str(&format!("PERF_FAIL missing {label} measurements\n")),
-        }
-    }
-
-    for (label, name, floor) in [
-        ("ivf recall", "ivf_recall", 0.90),
-        ("hnsw recall", "hnsw_recall", 0.92),
-    ] {
-        match get(name) {
-            Some(r) => {
-                let verdict = if r >= floor { "PERF_OK" } else { "PERF_FAIL" };
-                out.push_str(&format!("{verdict} {label} = {r:.3} (floor {floor:.2})\n"));
-            }
-            None => out.push_str(&format!("PERF_FAIL missing {label} measurement\n")),
-        }
-    }
-
-    for (label, pre, post, auto, ovl) in [
-        (
-            "hybrid selective",
-            "hybrid_sel_pre_ms",
-            "hybrid_sel_post_ms",
-            "hybrid_sel_auto_ms",
-            "hybrid_sel_overlap",
-        ),
-        (
-            "hybrid permissive",
-            "hybrid_perm_pre_ms",
-            "hybrid_perm_post_ms",
-            "hybrid_perm_auto_ms",
-            "hybrid_perm_overlap",
-        ),
-    ] {
-        match (get(pre), get(post), get(auto)) {
-            (Some(p), Some(q), Some(a)) if p.max(q) > 0.0 => {
-                // The pick must never be the losing plan: when the forced
-                // plans are far apart the picked one is the fast one, and
-                // when they are close either pick clears the ceiling.
-                let ratio = a / p.max(q);
-                let verdict = if ratio <= 1.10 {
-                    "PERF_OK"
-                } else {
-                    "PERF_FAIL"
-                };
-                out.push_str(&format!(
-                    "{verdict} {label} pick = {ratio:.2}x of worse forced plan (ceiling 1.10x; pre {p:.2} ms, post {q:.2} ms)\n"
-                ));
-            }
-            _ => out.push_str(&format!("PERF_FAIL missing {label} measurements\n")),
-        }
-        match get(ovl) {
-            Some(o) => {
-                let verdict = if o >= 0.90 { "PERF_OK" } else { "PERF_FAIL" };
-                out.push_str(&format!(
-                    "{verdict} {label} overlap = {o:.2} vs pre-filtered truth (floor 0.90)\n"
-                ));
-            }
-            None => out.push_str(&format!("PERF_FAIL missing {label} overlap\n")),
-        }
-    }
-
-    out
-}
+/// The verdicts `repro ann` enforces.
+pub const GATES: &[Gate] = &[
+    Gate::floor(
+        "blocked kernel speedup over scalar",
+        Over::Ratio("l2_scalar_ms", "l2_blocked_ms"),
+        2.0,
+    ),
+    // Below 4 cores the pool degrades to inline execution.
+    Gate::floor(
+        "exact parallel speedup over serial",
+        Over::Ratio("exact_serial_ms", "exact_fixed4_ms"),
+        1.0,
+    )
+    .min_cores(4),
+    Gate::floor(
+        "ivf parallel speedup over serial",
+        Over::Ratio("ivf_serial_ms", "ivf_fixed4_ms"),
+        1.0,
+    )
+    .min_cores(4),
+    Gate::floor(
+        "hnsw batch parallel speedup over serial",
+        Over::Ratio("hnsw_serial_ms", "hnsw_many_fixed4_ms"),
+        1.0,
+    )
+    .min_cores(4),
+    Gate::floor("ivf recall", Over::Rung("ivf_recall"), 0.90),
+    Gate::floor("hnsw recall", Over::Rung("hnsw_recall"), 0.92),
+    // The cost model's pick must never be the losing plan: when the forced
+    // plans are far apart it is the fast one, and when they are close
+    // either pick clears the ceiling. Its top-k must match the exhaustive
+    // pre-filtered plan, ground truth on an exact index.
+    Gate::ceiling(
+        "hybrid selective pick of worse forced plan",
+        Over::Ratio("hybrid_sel_auto_ms", "hybrid_sel_worse_ms"),
+        1.10,
+    ),
+    Gate::floor(
+        "hybrid selective overlap vs pre-filtered truth",
+        Over::Rung("hybrid_sel_overlap"),
+        0.90,
+    ),
+    Gate::ceiling(
+        "hybrid permissive pick of worse forced plan",
+        Over::Ratio("hybrid_perm_auto_ms", "hybrid_perm_worse_ms"),
+        1.10,
+    ),
+    Gate::floor(
+        "hybrid permissive overlap vs pre-filtered truth",
+        Over::Rung("hybrid_perm_overlap"),
+        0.90,
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Verdict;
+
+    fn verdict(label: &str, rungs: &[Rung]) -> Verdict {
+        let gate = GATES.iter().find(|g| g.label.starts_with(label));
+        gate.expect("known gate").evaluate(rungs)
+    }
 
     #[test]
     fn quick_suite_runs_and_serializes() {
-        let entries = run(true);
-        assert_eq!(entries.len(), 19);
-        let json = to_json(&entries, true);
+        let rungs = run(true);
+        assert_eq!(rungs.len(), 21);
+        let json = crate::ledger::to_json(&rungs, true);
         for name in [
             "cores",
             "l2_scalar_ms",
@@ -516,102 +393,94 @@ mod tests {
             "hnsw_recall",
             "hybrid_sel_pre_ms",
             "hybrid_sel_post_ms",
+            "hybrid_sel_worse_ms",
             "hybrid_sel_auto_ms",
             "hybrid_sel_overlap",
             "hybrid_perm_pre_ms",
             "hybrid_perm_post_ms",
+            "hybrid_perm_worse_ms",
             "hybrid_perm_auto_ms",
             "hybrid_perm_overlap",
         ] {
             assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
         }
-        let rep = report(&entries);
-        assert!(rep.contains("blocked kernel"), "{rep}");
-        assert!(rep.contains("ivf recall"), "{rep}");
-        assert!(rep.contains("hnsw recall"), "{rep}");
-        assert!(rep.contains("hybrid selective pick"), "{rep}");
-        assert!(rep.contains("hybrid permissive pick"), "{rep}");
-        // The parallel verdicts are always present: a floor on >=4 cores,
-        // an explicit skip below that.
-        assert!(
-            rep.contains("exact parallel speedup") || rep.contains("PERF_SKIP exact parallel"),
-            "{rep}"
-        );
+        // Every gate finds its rungs (parallel floors may skip on few cores).
+        for gate in GATES {
+            let v = gate.evaluate(&rungs);
+            assert!(!matches!(v, Verdict::Missing(_)), "{}: {v:?}", gate.label);
+        }
         // Correctness floors hold even on quick sizes.
-        let ms = |name: &str| entries.iter().find(|e| e.name == name).unwrap().ms;
-        assert!(ms("ivf_recall") >= 0.90, "ivf recall {}", ms("ivf_recall"));
-        assert!(
-            ms("hnsw_recall") >= 0.92,
-            "hnsw recall {}",
-            ms("hnsw_recall")
-        );
-        assert!(ms("hybrid_sel_overlap") >= 0.90);
-        assert!(ms("hybrid_perm_overlap") >= 0.90);
-    }
-
-    fn entry(name: &'static str, ms: f64, rows: usize) -> BenchEntry {
-        BenchEntry { name, ms, rows }
+        for label in [
+            "ivf recall",
+            "hnsw recall",
+            "hybrid selective overlap",
+            "hybrid permissive overlap",
+        ] {
+            let v = verdict(label, &rungs);
+            assert!(matches!(v, Verdict::Ok(_)), "{label}: {v:?}");
+        }
     }
 
     #[test]
     fn kernel_floor_enforced() {
-        let rep = report(&[
-            entry("l2_scalar_ms", 10.0, 1),
-            entry("l2_blocked_ms", 8.0, 1),
-        ]);
-        assert!(rep.contains("PERF_FAIL blocked kernel = 1.25x"), "{rep}");
-        let rep = report(&[
-            entry("l2_scalar_ms", 10.0, 1),
-            entry("l2_blocked_ms", 2.0, 1),
-        ]);
-        assert!(rep.contains("PERF_OK blocked kernel = 5.00x"), "{rep}");
+        let rungs = |blocked_ms: f64| {
+            [
+                Rung::ms("l2_scalar_ms", 10.0, 1),
+                Rung::ms("l2_blocked_ms", blocked_ms, 1),
+            ]
+        };
+        assert_eq!(verdict("blocked kernel", &rungs(8.0)), Verdict::Fail(1.25));
+        assert_eq!(verdict("blocked kernel", &rungs(2.0)), Verdict::Ok(5.0));
     }
 
     #[test]
     fn parallel_floor_gated_on_cores() {
-        let base = vec![
-            entry("exact_serial_ms", 10.0, 1),
-            entry("exact_fixed4_ms", 20.0, 1), // slower than serial
-        ];
-        let mut single = base.clone();
-        single.push(entry("cores", 0.0, 1));
-        let rep = report(&single);
-        assert!(rep.contains("PERF_SKIP exact parallel"), "{rep}");
-        assert!(!rep.contains("PERF_FAIL exact parallel"), "{rep}");
-        let mut multi = base;
-        multi.push(entry("cores", 0.0, 8));
-        let rep = report(&multi);
-        assert!(
-            rep.contains("PERF_FAIL exact parallel speedup = 0.50x"),
-            "{rep}"
+        // The parallel run is slower than serial.
+        let rungs = |cores: usize| {
+            [
+                Rung::ms("exact_serial_ms", 10.0, 1),
+                Rung::ms("exact_fixed4_ms", 20.0, 1),
+                Rung::count("cores", cores),
+            ]
+        };
+        assert_eq!(
+            verdict("exact parallel", &rungs(1)),
+            Verdict::Skip { cores: 1 }
         );
+        assert_eq!(verdict("exact parallel", &rungs(8)), Verdict::Fail(0.5));
     }
 
     #[test]
     fn strategy_ceiling_enforced() {
         // Auto matching the best plan passes; auto slower than even the
-        // losing plan fails.
-        let good = vec![
-            entry("hybrid_sel_pre_ms", 2.0, 6),
-            entry("hybrid_sel_post_ms", 20.0, 6),
-            entry("hybrid_sel_auto_ms", 2.1, 6),
-        ];
-        let rep = report(&good);
-        assert!(rep.contains("PERF_OK hybrid selective pick"), "{rep}");
-        let bad = vec![
-            entry("hybrid_sel_pre_ms", 2.0, 6),
-            entry("hybrid_sel_post_ms", 20.0, 6),
-            entry("hybrid_sel_auto_ms", 25.0, 6),
-        ];
-        let rep = report(&bad);
-        assert!(rep.contains("PERF_FAIL hybrid selective pick"), "{rep}");
+        // losing plan fails. The losing (worse) plan here is post at 20 ms.
+        let rungs = |auto_ms: f64| {
+            [
+                Rung::ms("hybrid_sel_pre_ms", 2.0, 6),
+                Rung::ms("hybrid_sel_post_ms", 20.0, 6),
+                Rung::ms("hybrid_sel_worse_ms", 20.0, 6),
+                Rung::ms("hybrid_sel_auto_ms", auto_ms, 6),
+            ]
+        };
+        assert!(matches!(
+            verdict("hybrid selective pick", &rungs(2.1)),
+            Verdict::Ok(_)
+        ));
+        assert!(matches!(
+            verdict("hybrid selective pick", &rungs(25.0)),
+            Verdict::Fail(_)
+        ));
     }
 
     #[test]
     fn recall_floor_enforced() {
-        let rep = report(&[entry("ivf_recall", 0.85, 50)]);
-        assert!(rep.contains("PERF_FAIL ivf recall = 0.850"), "{rep}");
-        let rep = report(&[entry("hnsw_recall", 0.97, 50)]);
-        assert!(rep.contains("PERF_OK hnsw recall = 0.970"), "{rep}");
+        let ivf = [Rung::new("ivf_recall", 0.85, "frac", 50)];
+        assert_eq!(verdict("ivf recall", &ivf), Verdict::Fail(0.85));
+        let hnsw = [Rung::new("hnsw_recall", 0.97, "frac", 50)];
+        assert_eq!(verdict("hnsw recall", &hnsw), Verdict::Ok(0.97));
+        let overlap = |o: f64| [Rung::new("hybrid_perm_overlap", o, "frac", 12)];
+        let gate = "hybrid permissive overlap";
+        assert_eq!(verdict(gate, &overlap(0.85)), Verdict::Fail(0.85));
+        assert_eq!(verdict(gate, &overlap(0.90)), Verdict::Ok(0.90));
     }
 }

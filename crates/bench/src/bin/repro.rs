@@ -7,8 +7,11 @@
 //!
 //! `--quick` shrinks workload sizes for smoke runs (used by CI/tests);
 //! the default sizes match the numbers recorded in EXPERIMENTS.md.
+//! `ann`, `bench` and `serve` exit with status 1 when any of their gates
+//! fails or finds a rung missing.
 
 use backbone_bench as bench;
+use bench::ledger::{self, Gate, Rung};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,49 +91,46 @@ fn main() {
         println!("{}", bench::e9_ann::report(n, 42));
     }
 
-    if which == "ann" {
-        ran = true;
-        let entries = bench::ann_bench::run(quick);
-        let json = bench::ann_bench::to_json(&entries, quick);
+    // The gated suites: each writes its rungs as JSON and exits non-zero
+    // when a gate fails or finds a rung missing.
+    type Suite = (
+        &'static str,
+        &'static str,
+        fn(bool) -> Vec<Rung>,
+        &'static [Gate],
+    );
+    let suites: [Suite; 3] = [
+        ("ann", "ann", bench::ann_bench::run, bench::ann_bench::GATES),
+        (
+            "bench",
+            "exec",
+            bench::exec_bench::run,
+            bench::exec_bench::GATES,
+        ),
+        (
+            "serve",
+            "serve",
+            bench::serve_bench::run,
+            bench::serve_bench::GATES,
+        ),
+    ];
+    if let Some((_, stem, run_suite, gates)) = suites.into_iter().find(|s| s.0 == which) {
+        let rungs = run_suite(quick);
         // Quick smoke runs must not clobber the committed full-size baseline.
         let path = if quick {
-            "target/BENCH_ann.quick.json"
+            format!("target/BENCH_{stem}.quick.json")
         } else {
-            "BENCH_ann.json"
+            format!("BENCH_{stem}.json")
         };
-        std::fs::write(path, format!("{json}\n")).expect("write ann baseline");
-        print!("{}", bench::ann_bench::report(&entries));
+        let json = ledger::to_json(&rungs, quick);
+        std::fs::write(&path, format!("{json}\n")).expect("write bench JSON");
+        let (text, passed) = ledger::report(&format!("{stem} baseline"), &rungs, gates);
+        print!("{text}");
         println!("wrote {path}");
-    }
-
-    if which == "bench" {
+        if !passed {
+            std::process::exit(1);
+        }
         ran = true;
-        let entries = bench::exec_bench::run(quick);
-        let json = bench::exec_bench::to_json(&entries, quick);
-        // Quick smoke runs must not clobber the committed full-size baseline.
-        let path = if quick {
-            "target/BENCH_exec.quick.json"
-        } else {
-            "BENCH_exec.json"
-        };
-        std::fs::write(path, format!("{json}\n")).expect("write baseline");
-        print!("{}", bench::exec_bench::report(&entries, 8.0));
-        println!("wrote {path}");
-    }
-
-    if which == "serve" {
-        ran = true;
-        let entries = bench::serve_bench::run(quick);
-        let json = bench::serve_bench::to_json(&entries, quick);
-        // Quick smoke runs must not clobber the committed full-size baseline.
-        let path = if quick {
-            "target/BENCH_serve.quick.json"
-        } else {
-            "BENCH_serve.json"
-        };
-        std::fs::write(path, format!("{json}\n")).expect("write serve baseline");
-        print!("{}", bench::serve_bench::report(&entries));
-        println!("wrote {path}");
     }
 
     if !ran {

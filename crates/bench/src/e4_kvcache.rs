@@ -9,7 +9,7 @@
 
 use backbone_kvcache::{
     evaluate_policies_observed, generate_db_scan_trace, generate_llm_trace, CostModel,
-    LlmTraceConfig, Trace,
+    LlmTraceConfig,
 };
 use backbone_storage::Metrics;
 
@@ -52,14 +52,6 @@ pub fn run_observed(
         }
     }
     out
-}
-
-/// The LLM trace used by the Criterion bench.
-pub fn default_llm_trace(seed: u64) -> Trace {
-    generate_llm_trace(&LlmTraceConfig {
-        seed,
-        ..Default::default()
-    })
 }
 
 /// Print the experiment's tables. Hit/miss numbers come from the shared

@@ -8,7 +8,7 @@
 //! "gazillion" quip.
 
 use backbone_txn::harness::{load_initial, run_workload, WorkloadConfig};
-use backbone_txn::{FsyncPolicy, KvEngine, MvccEngine, SerialEngine, TwoPlEngine, Wal, WalConfig};
+use backbone_txn::{FsyncPolicy, MvccEngine, SerialEngine, TwoPlEngine, Wal, WalConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -174,16 +174,6 @@ pub fn run(thread_counts: &[usize], txns_per_thread: usize, skew: f64, seed: u64
         }
     }
     out
-}
-
-/// A single-engine run used by the Criterion bench.
-pub fn bench_engine(engine: Arc<dyn KvEngine>, threads: usize, txns: usize) -> f64 {
-    let config = WorkloadConfig {
-        threads,
-        txns_per_thread: txns,
-        ..Default::default()
-    };
-    run_workload(engine, &config).throughput()
 }
 
 /// Print the experiment's table.

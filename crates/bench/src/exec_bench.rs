@@ -2,11 +2,13 @@
 //!
 //! Measures the operator hot paths this crate's experiments lean on — E1's
 //! Q1/Q6 aggregation scans, E8's declarative-vs-hand-rolled gap, and a LIKE
-//! micro-benchmark over the compiled-pattern matcher — and emits the numbers
-//! as JSON (`BENCH_exec.json`) so CI can diff against a committed baseline.
+//! micro-benchmark over the compiled-pattern matcher — and records the
+//! numbers as JSON (`BENCH_exec.json`); [`GATES`] holds the verdicts CI
+//! enforces through `repro bench`'s exit code.
 //! Every measured query also asserts result identity against an independent
 //! evaluation, so a speedup can never silently change answers.
 
+use crate::ledger::{measure, Gate, Over, Rung};
 use crate::time;
 use backbone_query::{
     col, count_star, execute, lit, sum, ExecOptions, JoinType, LogicalPlan, MemCatalog, Parallelism,
@@ -16,38 +18,6 @@ use backbone_storage::{
 };
 use backbone_workloads::{queries, tpch};
 use std::sync::Arc;
-
-/// One measured entry: name, milliseconds (best of `RUNS`), result rows.
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    /// Metric name as it appears in the JSON.
-    pub name: &'static str,
-    /// Best-of-N wall-clock milliseconds. The minimum is the noise-robust
-    /// cost estimator on a shared box: interference only ever adds time.
-    pub ms: f64,
-    /// Result rows (sanity anchor: a wrong plan shows up here).
-    pub rows: usize,
-}
-
-const RUNS: usize = 5;
-const WARMUPS: usize = 3;
-
-/// Best-of-N wall clock for `f`, after untimed warmups (several, so both
-/// caches and the worker pool's allocator arenas reach steady state).
-fn measure<R>(mut f: impl FnMut() -> R) -> (R, f64) {
-    for _ in 0..WARMUPS {
-        let _ = f();
-    }
-    let mut samples: Vec<f64> = Vec::with_capacity(RUNS);
-    let mut last = None;
-    for _ in 0..RUNS {
-        let (r, s) = time(&mut f);
-        samples.push(s * 1000.0);
-        last = Some(r);
-    }
-    samples.sort_by(f64::total_cmp);
-    (last.expect("RUNS > 0"), samples[0])
-}
 
 /// Rows match within floating-point tolerance (sums may reassociate when the
 /// optimizer reshapes a plan).
@@ -181,7 +151,7 @@ fn int_catalog(rows: usize) -> MemCatalog {
     catalog
 }
 
-/// Worker counts the thread-scaling ladder measures, with the static entry
+/// Worker counts the thread-scaling ladder measures, with the static rung
 /// names each rung publishes (`<query>_p<workers>_ms`).
 const SCALING_RUNGS: [(usize, &str, &str, &str); 4] = [
     (1, "e1_q1_p1_ms", "e1_q6_p1_ms", "e8_declarative_p1_ms"),
@@ -191,16 +161,11 @@ const SCALING_RUNGS: [(usize, &str, &str, &str); 4] = [
 ];
 
 /// Run the baseline suite. `quick` shrinks data sizes for CI smoke runs.
-pub fn run(quick: bool) -> Vec<BenchEntry> {
+pub fn run(quick: bool) -> Vec<Rung> {
     let mut out = Vec::new();
 
-    // How many cores this run had, so `report` can gate the scaling floor.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push(BenchEntry {
-        name: "cores",
-        ms: 0.0,
-        rows: cores,
-    });
+    // How many cores this run had, so the scaling floor can skip.
+    out.push(Rung::cores());
 
     // E1 Q1/Q6: aggregation-dominated scans over lineitem. Serial is the
     // committed baseline; the morsel-parallel ladder (1/2/4/8 workers) runs
@@ -233,11 +198,7 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
             "{label}: kernelized result diverged from unoptimized reference"
         );
         references.push((label, reference.to_rows()));
-        out.push(BenchEntry {
-            name,
-            ms,
-            rows: result.num_rows(),
-        });
+        out.push(Rung::ms(name, ms, result.num_rows()));
     }
     for (workers, q1_name, q6_name, _) in SCALING_RUNGS {
         let opts = ExecOptions::serial().parallel(Parallelism::Fixed(workers));
@@ -249,11 +210,7 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
                 rows_equal(&result.to_rows(), reference),
                 "{label} at {workers} workers diverged from the serial answer"
             );
-            out.push(BenchEntry {
-                name,
-                ms,
-                rows: result.num_rows(),
-            });
+            out.push(Rung::ms(name, ms, result.num_rows()));
         }
     }
 
@@ -261,7 +218,7 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
     // a 32 KiB budget — a working set far past the ceiling at either scale
     // factor, so the joins Grace-partition and the aggregate spills partial
     // states. The rung asserts the budgeted answer equals the unbudgeted one
-    // and that the spill counters actually fired; `report` turns the
+    // and that the spill counters actually fired; a [`GATES`] row turns the
     // budgeted/unbudgeted wall-time ratio into a catastrophic-regression
     // ceiling.
     let (q3_reference, q3_ms) =
@@ -281,28 +238,23 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         spill_partitions > 0 && spill_metrics.value("storage.spill.bytes_read") > 0,
         "budgeted Q3 never touched disk; the rung is not out-of-core"
     );
-    out.push(BenchEntry {
-        name: "e1_q3_ms",
-        ms: q3_ms,
-        rows: q3_reference.num_rows(),
-    });
-    out.push(BenchEntry {
-        name: "e1_q3_budget_ms",
-        ms: q3_budget_ms,
-        rows: q3_budgeted.num_rows(),
-    });
+    out.push(Rung::ms("e1_q3_ms", q3_ms, q3_reference.num_rows()));
+    out.push(Rung::ms(
+        "e1_q3_budget_ms",
+        q3_budget_ms,
+        q3_budgeted.num_rows(),
+    ));
     // Cumulative across warmups + samples; the gate only needs nonzero.
-    out.push(BenchEntry {
-        name: "e1_q3_spill_partitions",
-        ms: 0.0,
-        rows: spill_partitions as usize,
-    });
+    out.push(Rung::count(
+        "e1_q3_spill_partitions",
+        spill_partitions as usize,
+    ));
 
     // Paired 1-worker overhead measurement: interleave serial and 1-worker
     // blocks, then compare the best sample each mode achieved anywhere in
     // the window. On a shared box noise only ever *adds* time, so the global
     // minima converge to the true per-mode cost while the absolute rungs
-    // above drift with the machine — this ratio is what `report` verdicts
+    // above drift with the machine — this ratio is what [`GATES`] verdicts
     // on. Blocks (rather than strict alternation) let allocator arenas
     // re-warm after each mode switch before a sample can count.
     // A window whose ratio clears the 1.10x ceiling ends the measurement; a
@@ -330,11 +282,12 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
             break;
         }
     }
-    out.push(BenchEntry {
-        name: "parallel_overhead_ratio",
-        ms: ratio,
-        rows: rounds * reps,
-    });
+    out.push(Rung::new(
+        "parallel_overhead_ratio",
+        ratio,
+        "x",
+        rounds * reps,
+    ));
 
     // E8: the declarative plan vs the hand-rolled client loop, then the
     // declarative plan again at each parallelism rung.
@@ -347,16 +300,8 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         decl, manual,
         "E8: declarative and hand-rolled answers differ"
     );
-    out.push(BenchEntry {
-        name: "e8_declarative_ms",
-        ms: decl_ms,
-        rows: decl.len(),
-    });
-    out.push(BenchEntry {
-        name: "e8_manual_ms",
-        ms: manual_ms,
-        rows: manual.len(),
-    });
+    out.push(Rung::ms("e8_declarative_ms", decl_ms, decl.len()));
+    out.push(Rung::ms("e8_manual_ms", manual_ms, manual.len()));
     for (workers, _, _, e8_name) in SCALING_RUNGS {
         let opts = ExecOptions::serial().parallel(Parallelism::Fixed(workers));
         let (got, ms) = measure(|| crate::e8_usability::declarative_with(&catalog, date, &opts));
@@ -369,11 +314,7 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
                 "E8 at {workers} workers: revenue {gv} vs {dv}"
             );
         }
-        out.push(BenchEntry {
-            name: e8_name,
-            ms,
-            rows: got.len(),
-        });
+        out.push(Rung::ms(e8_name, ms, got.len()));
     }
 
     // LIKE micro-benchmark: a fast-path pattern (contains) and a generic one.
@@ -393,11 +334,11 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         let (result, ms) = measure(|| execute(plan(), &catalog, &opts).expect("like run"));
         let n = result.row(0)[0].as_int().expect("count") as usize;
         assert_eq!(n, expect, "LIKE '{pattern}' matched an unexpected count");
-        out.push(BenchEntry { name, ms, rows: n });
+        out.push(Rung::ms(name, ms, n));
     }
 
     // Dictionary encoding: the same scans over plain vs encoded strings. The
-    // plain run is the control; `report` turns the ratios into the PERF gate.
+    // plain run is the control; [`GATES`] turns the ratios into verdicts.
     let rows = if quick { 40_000 } else { 400_000 };
     let catalog = dict_catalog(rows);
     let opts = ExecOptions::default();
@@ -443,18 +384,15 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
                 ),
                 None => results.push((kind, rows_out.clone())),
             }
-            out.push(BenchEntry {
-                name: match (kind, suffix) {
-                    ("filter", "plain") => "plain_filter_ms",
-                    ("filter", "dict") => "dict_filter_ms",
-                    ("group", "plain") => "plain_group_ms",
-                    ("group", "dict") => "dict_group_ms",
-                    ("join", "plain") => "plain_join_ms",
-                    _ => "dict_join_ms",
-                },
-                ms,
-                rows: result.num_rows(),
-            });
+            let name = match (kind, suffix) {
+                ("filter", "plain") => "plain_filter_ms",
+                ("filter", "dict") => "dict_filter_ms",
+                ("group", "plain") => "plain_group_ms",
+                ("group", "dict") => "dict_group_ms",
+                ("join", "plain") => "plain_join_ms",
+                _ => "dict_join_ms",
+            };
+            out.push(Rung::ms(name, ms, result.num_rows()));
         }
     }
 
@@ -503,18 +441,15 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
                 ),
                 None => results.push((kind, rows_out.clone())),
             }
-            out.push(BenchEntry {
-                name: match (kind, suffix) {
-                    ("filter", "plain") => "plain_int_filter_ms",
-                    ("filter", "enc") => "enc_int_filter_ms",
-                    ("group", "plain") => "plain_int_group_ms",
-                    ("group", "enc") => "enc_int_group_ms",
-                    ("join", "plain") => "plain_int_join_ms",
-                    _ => "enc_int_join_ms",
-                },
-                ms,
-                rows: result.num_rows(),
-            });
+            let name = match (kind, suffix) {
+                ("filter", "plain") => "plain_int_filter_ms",
+                ("filter", "enc") => "enc_int_filter_ms",
+                ("group", "plain") => "plain_int_group_ms",
+                ("group", "enc") => "enc_int_group_ms",
+                ("join", "plain") => "plain_int_join_ms",
+                _ => "enc_int_join_ms",
+            };
+            out.push(Rung::ms(name, ms, result.num_rows()));
         }
     }
 
@@ -530,292 +465,187 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         backbone_storage::checkpoint::write_checkpoint(&path, 0, &[(table, &*t)])
             .expect("checkpoint write");
         let bytes = std::fs::metadata(&path).expect("checkpoint stat").len() as usize;
-        out.push(BenchEntry {
-            name,
-            ms: 0.0,
-            rows: bytes,
-        });
+        out.push(Rung::new(name, bytes as f64, "bytes", 1));
     }
     let _ = std::fs::remove_dir_all(&dir);
 
     out
 }
 
-/// Render entries as a stable, pretty-printed JSON object.
-pub fn to_json(entries: &[BenchEntry], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!(
-            "  \"{}\": {{ \"ms\": {:.3}, \"rows\": {} }}{sep}\n",
-            e.name, e.ms, e.rows
-        ));
-    }
-    s.push('}');
-    s
-}
-
-/// Human summary plus the `PERF_OK`/`PERF_FAIL` verdict line CI greps for.
-/// The threshold is deliberately generous: the declarative engine must stay
-/// within `max_gap`× of the hand-rolled loop (catastrophic-regression alarm,
-/// not a tuning target).
-pub fn report(entries: &[BenchEntry], max_gap: f64) -> String {
-    let mut out = String::from("exec kernel baseline:\n");
-    for e in entries {
-        out.push_str(&format!(
-            "  {:<20} {:>9.2} ms  rows={}\n",
-            e.name, e.ms, e.rows
-        ));
-    }
-    let get = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.ms);
-    match (get("e8_declarative_ms"), get("e8_manual_ms")) {
-        (Some(decl), Some(manual)) if manual > 0.0 => {
-            let gap = decl / manual;
-            let verdict = if gap <= max_gap {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} declarative/hand-rolled gap = {gap:.2}x (threshold {max_gap:.0}x)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing E8 measurements\n"),
-    }
-    // Encoding gate: dictionary kernels must never lose to the plain path.
-    for (kind, plain, dict) in [
-        ("filter", "plain_filter_ms", "dict_filter_ms"),
-        ("group-by", "plain_group_ms", "dict_group_ms"),
-    ] {
-        match (get(plain), get(dict)) {
-            (Some(p), Some(d)) if d > 0.0 => {
-                let speedup = p / d;
-                let verdict = if speedup >= 1.0 {
-                    "PERF_OK"
-                } else {
-                    "PERF_FAIL"
-                };
-                out.push_str(&format!(
-                    "{verdict} dict {kind} speedup = {speedup:.2}x over plain (floor 1.0x)\n"
-                ));
-            }
-            _ => out.push_str(&format!("PERF_FAIL missing dict {kind} measurements\n")),
-        }
-    }
-    // Numeric encoding gate: encoded-int kernels must never lose to plain.
-    for (kind, plain, enc) in [
-        ("filter", "plain_int_filter_ms", "enc_int_filter_ms"),
-        ("group-by", "plain_int_group_ms", "enc_int_group_ms"),
-        ("join", "plain_int_join_ms", "enc_int_join_ms"),
-    ] {
-        match (get(plain), get(enc)) {
-            (Some(p), Some(e)) if e > 0.0 => {
-                let speedup = p / e;
-                let verdict = if speedup >= 1.0 {
-                    "PERF_OK"
-                } else {
-                    "PERF_FAIL"
-                };
-                out.push_str(&format!(
-                    "{verdict} encoded int {kind} speedup = {speedup:.2}x over plain (floor 1.0x)\n"
-                ));
-            }
-            _ => out.push_str(&format!(
-                "PERF_FAIL missing encoded int {kind} measurements\n"
-            )),
-        }
-    }
-    // Out-of-core gate: a memory budget must force spilling, not a blow-up.
-    // The budgeted Q3 run pays partitioning I/O and recursive repartitioning,
-    // so the ceiling is a catastrophic-regression alarm, not a tuning target.
-    match (get("e1_q3_ms"), get("e1_q3_budget_ms")) {
-        (Some(base), Some(b)) if base > 0.0 => {
-            let ratio = b / base;
-            let verdict = if ratio <= 20.0 {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} budgeted Q3 overhead = {ratio:.2}x of unbudgeted (ceiling 20.0x)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing budgeted Q3 measurements\n"),
-    }
-    match entries.iter().find(|e| e.name == "e1_q3_spill_partitions") {
-        Some(e) if e.rows > 0 => out.push_str(&format!(
-            "PERF_OK budgeted Q3 spilled ({} partitions across samples)\n",
-            e.rows
-        )),
-        _ => out.push_str("PERF_FAIL budgeted Q3 did not spill\n"),
-    }
-    // Parallel gates. One worker must cost at most 10% over serial; the
-    // verdict uses the paired ratio (serial and 1-worker alternated round by
-    // round, median of per-round ratios) so host-wide noise cancels instead
-    // of flipping the gate. The >=2.5x Q1 scaling floor only applies where
-    // the machine has the cores to reach it.
-    match get("parallel_overhead_ratio") {
-        Some(overhead) => {
-            let verdict = if overhead <= 1.10 {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} parallel 1-worker overhead = {overhead:.2}x of serial (ceiling 1.10x)\n"
-            ));
-        }
-        None => out.push_str("PERF_FAIL missing parallel 1-worker measurements\n"),
-    }
-    let cores = entries
-        .iter()
-        .find(|e| e.name == "cores")
-        .map_or(1, |e| e.rows);
-    if cores < 4 {
-        out.push_str(&format!(
-            "PERF_SKIP parallel scaling floor needs >=4 cores (this run had {cores})\n"
-        ));
-    } else {
-        match (get("e1_q1_ms"), get("e1_q1_p4_ms")) {
-            (Some(serial), Some(p4)) if p4 > 0.0 => {
-                let speedup = serial / p4;
-                let verdict = if speedup >= 2.5 {
-                    "PERF_OK"
-                } else {
-                    "PERF_FAIL"
-                };
-                out.push_str(&format!(
-                    "{verdict} parallel Q1 scaling = {speedup:.2}x at 4 workers (floor 2.5x)\n"
-                ));
-            }
-            _ => out.push_str("PERF_FAIL missing parallel scaling measurements\n"),
-        }
-    }
-    out
-}
+/// The verdicts `repro bench` enforces.
+pub const GATES: &[Gate] = &[
+    // Catastrophic-regression alarm, not a tuning target: the declarative
+    // engine must stay within 8x of the hand-rolled loop.
+    Gate::ceiling(
+        "declarative/hand-rolled gap",
+        Over::Ratio("e8_declarative_ms", "e8_manual_ms"),
+        8.0,
+    ),
+    // Encoding gates: encoded kernels must never lose to the plain path.
+    Gate::floor(
+        "dict filter speedup over plain",
+        Over::Ratio("plain_filter_ms", "dict_filter_ms"),
+        1.0,
+    ),
+    Gate::floor(
+        "dict group-by speedup over plain",
+        Over::Ratio("plain_group_ms", "dict_group_ms"),
+        1.0,
+    ),
+    Gate::floor(
+        "encoded int filter speedup over plain",
+        Over::Ratio("plain_int_filter_ms", "enc_int_filter_ms"),
+        1.0,
+    ),
+    Gate::floor(
+        "encoded int group-by speedup over plain",
+        Over::Ratio("plain_int_group_ms", "enc_int_group_ms"),
+        1.0,
+    ),
+    Gate::floor(
+        "encoded int join speedup over plain",
+        Over::Ratio("plain_int_join_ms", "enc_int_join_ms"),
+        1.0,
+    ),
+    // Out-of-core: a memory budget must force spilling, not a blow-up. The
+    // budgeted Q3 run pays partitioning I/O and recursive repartitioning,
+    // so the ceiling is a catastrophic-regression alarm.
+    Gate::ceiling(
+        "budgeted Q3 overhead of unbudgeted",
+        Over::Ratio("e1_q3_budget_ms", "e1_q3_ms"),
+        20.0,
+    ),
+    Gate::floor(
+        "budgeted Q3 spilled",
+        Over::Rung("e1_q3_spill_partitions"),
+        1.0,
+    ),
+    // One worker costs at most 10% over serial, on the paired ratio so
+    // host-wide noise cancels; the Q1 scaling floor needs the cores.
+    Gate::ceiling(
+        "parallel 1-worker overhead of serial",
+        Over::Rung("parallel_overhead_ratio"),
+        1.10,
+    ),
+    Gate::floor(
+        "parallel Q1 scaling at 4 workers",
+        Over::Ratio("e1_q1_ms", "e1_q1_p4_ms"),
+        2.5,
+    )
+    .min_cores(4),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Verdict;
+
+    fn verdict(label: &str, rungs: &[Rung]) -> Verdict {
+        let gate = GATES.iter().find(|g| g.label.starts_with(label));
+        gate.expect("known gate").evaluate(rungs)
+    }
 
     #[test]
     fn quick_suite_runs_and_serializes() {
-        let entries = run(true);
-        assert_eq!(entries.len(), 37);
-        let json = to_json(&entries, true);
-        assert!(json.contains("\"cores\""));
-        assert!(json.contains("\"e1_q1_ms\""));
-        assert!(json.contains("\"e1_q3_budget_ms\""));
-        assert!(json.contains("\"e1_q3_spill_partitions\""));
-        assert!(json.contains("\"enc_int_filter_ms\""));
-        assert!(json.contains("\"enc_int_group_ms\""));
-        assert!(json.contains("\"enc_int_join_ms\""));
-        assert!(json.contains("\"e1_q1_p4_ms\""));
-        assert!(json.contains("\"e1_q6_p8_ms\""));
-        assert!(json.contains("\"e8_declarative_p2_ms\""));
-        assert!(json.contains("\"like_generic_ms\""));
-        assert!(json.contains("\"dict_filter_ms\""));
-        assert!(json.contains("\"dict_checkpoint_bytes\""));
-        let rep = report(&entries, 1000.0);
-        assert!(rep.contains("PERF_OK"), "{rep}");
-        assert!(!rep.contains("missing dict"), "{rep}");
-        assert!(!rep.contains("missing parallel"), "{rep}");
-        assert!(!rep.contains("missing encoded int"), "{rep}");
-        assert!(!rep.contains("missing budgeted"), "{rep}");
-        assert!(rep.contains("budgeted Q3 spilled"), "{rep}");
-        // The scaling verdict is always present: a floor on >=4 cores, an
-        // explicit skip below that.
-        assert!(
-            rep.contains("parallel Q1 scaling") || rep.contains("PERF_SKIP"),
-            "{rep}"
-        );
+        let rungs = run(true);
+        assert_eq!(rungs.len(), 37);
+        let json = crate::ledger::to_json(&rungs, true);
+        for name in [
+            "cores",
+            "e1_q1_ms",
+            "e1_q3_budget_ms",
+            "e1_q3_spill_partitions",
+            "enc_int_filter_ms",
+            "enc_int_group_ms",
+            "enc_int_join_ms",
+            "e1_q1_p4_ms",
+            "e1_q6_p8_ms",
+            "e8_declarative_p2_ms",
+            "like_generic_ms",
+            "dict_filter_ms",
+            "dict_checkpoint_bytes",
+        ] {
+            assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
+        }
+        // Every gate finds its rungs. Timing verdicts are not enforced on a
+        // debug build at quick sizes, but the spill count is not a timing.
+        for gate in GATES {
+            let v = gate.evaluate(&rungs);
+            assert!(!matches!(v, Verdict::Missing(_)), "{}: {v:?}", gate.label);
+        }
+        assert!(matches!(
+            verdict("budgeted Q3 spilled", &rungs),
+            Verdict::Ok(_)
+        ));
         // The encoded checkpoint must be materially smaller than the plain one.
         let bytes = |name: &str| {
-            entries
+            rungs
                 .iter()
-                .find(|e| e.name == name)
-                .expect("checkpoint entry")
-                .rows
+                .find(|r| r.name == name)
+                .expect("checkpoint rung")
+                .value
         };
         assert!(
-            bytes("dict_checkpoint_bytes") * 2 < bytes("plain_checkpoint_bytes"),
+            bytes("dict_checkpoint_bytes") * 2.0 < bytes("plain_checkpoint_bytes"),
             "dictionary checkpoint not smaller: {} vs {}",
             bytes("dict_checkpoint_bytes"),
             bytes("plain_checkpoint_bytes")
         );
     }
 
-    fn entry(name: &'static str, ms: f64, rows: usize) -> BenchEntry {
-        BenchEntry { name, ms, rows }
-    }
-
     #[test]
     fn parallel_overhead_ceiling_enforced() {
         // A paired ratio of 2x must trip the 1.10x ceiling; 1.05x passes.
-        let rep = report(&[entry("parallel_overhead_ratio", 2.0, 9)], 1000.0);
-        assert!(
-            rep.contains("PERF_FAIL parallel 1-worker overhead = 2.00x"),
-            "{rep}"
+        let ratio = |x: f64| [Rung::new("parallel_overhead_ratio", x, "x", 9)];
+        assert_eq!(
+            verdict("parallel 1-worker", &ratio(2.0)),
+            Verdict::Fail(2.0)
         );
-        let rep = report(&[entry("parallel_overhead_ratio", 1.05, 9)], 1000.0);
-        assert!(
-            rep.contains("PERF_OK parallel 1-worker overhead = 1.05x"),
-            "{rep}"
+        assert_eq!(
+            verdict("parallel 1-worker", &ratio(1.05)),
+            Verdict::Ok(1.05)
         );
     }
 
     #[test]
     fn scaling_floor_gated_on_cores() {
-        let base = vec![
-            entry("e1_q1_ms", 100.0, 4),
-            entry("e1_q6_ms", 10.0, 1),
-            entry("e8_declarative_ms", 10.0, 3),
-            entry("e1_q1_p1_ms", 100.0, 4),
-            entry("e1_q6_p1_ms", 10.0, 1),
-            entry("e8_declarative_p1_ms", 10.0, 3),
-            entry("e1_q1_p4_ms", 80.0, 4), // only 1.25x: below the 2.5x floor
-        ];
-        // Too few cores: the floor is skipped, not failed.
-        let mut single = base.clone();
-        single.push(entry("cores", 0.0, 1));
-        let rep = report(&single, 1000.0);
-        assert!(rep.contains("PERF_SKIP parallel scaling"), "{rep}");
-        assert!(!rep.contains("PERF_FAIL parallel Q1 scaling"), "{rep}");
-        // Enough cores: the same numbers now fail the floor.
-        let mut multi = base;
-        multi.push(entry("cores", 0.0, 8));
-        let rep = report(&multi, 1000.0);
-        assert!(rep.contains("PERF_FAIL parallel Q1 scaling"), "{rep}");
+        let rungs = |cores: usize, p4_ms: f64| {
+            vec![
+                Rung::ms("e1_q1_ms", 100.0, 4),
+                Rung::ms("e1_q6_ms", 10.0, 1),
+                Rung::ms("e8_declarative_ms", 10.0, 3),
+                Rung::ms("e1_q1_p1_ms", 100.0, 4),
+                Rung::ms("e1_q6_p1_ms", 10.0, 1),
+                Rung::ms("e8_declarative_p1_ms", 10.0, 3),
+                Rung::ms("e1_q1_p4_ms", p4_ms, 4),
+                Rung::count("cores", cores),
+            ]
+        };
+        // Only 1.25x, below the 2.5x floor: skipped on one core, failed on 8.
+        assert_eq!(
+            verdict("parallel Q1 scaling", &rungs(1, 80.0)),
+            Verdict::Skip { cores: 1 }
+        );
+        assert_eq!(
+            verdict("parallel Q1 scaling", &rungs(8, 80.0)),
+            Verdict::Fail(1.25)
+        );
         // And a genuine 2.5x+ speedup passes.
-        let fast: Vec<BenchEntry> = multi
-            .into_iter()
-            .map(|e| {
-                if e.name == "e1_q1_p4_ms" {
-                    entry("e1_q1_p4_ms", 30.0, 4)
-                } else {
-                    e
-                }
-            })
-            .collect();
-        let rep = report(&fast, 1000.0);
-        assert!(rep.contains("PERF_OK parallel Q1 scaling = 3.33x"), "{rep}");
+        assert_eq!(
+            verdict("parallel Q1 scaling", &rungs(8, 30.0)),
+            Verdict::Ok(100.0 / 30.0)
+        );
     }
 
     #[test]
     fn gap_threshold_enforced() {
-        let entries = vec![
-            BenchEntry {
-                name: "e8_declarative_ms",
-                ms: 100.0,
-                rows: 3,
-            },
-            BenchEntry {
-                name: "e8_manual_ms",
-                ms: 1.0,
-                rows: 3,
-            },
-        ];
-        assert!(report(&entries, 10.0).contains("PERF_FAIL"));
+        let rungs = |decl_ms: f64| {
+            [
+                Rung::ms("e8_declarative_ms", decl_ms, 3),
+                Rung::ms("e8_manual_ms", 1.0, 3),
+            ]
+        };
+        assert_eq!(verdict("declarative", &rungs(100.0)), Verdict::Fail(100.0));
+        assert_eq!(verdict("declarative", &rungs(8.0)), Verdict::Ok(8.0));
     }
 }

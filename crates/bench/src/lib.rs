@@ -2,8 +2,9 @@
 //!
 //! Each `eN` module implements one experiment from EXPERIMENTS.md (the
 //! paper is a position paper; experiments reproduce its quantified claims —
-//! see DESIGN.md). The `repro` binary prints their tables; the Criterion
-//! benches in `benches/` measure the same code paths.
+//! see DESIGN.md). The `repro` binary prints their tables. The gated
+//! suites `exec_bench`, `ann_bench` and `serve_bench` record typed rungs
+//! and declare gate tables on the shared [`ledger`].
 
 pub mod e1_tpch;
 pub mod e2_orm;
@@ -17,6 +18,7 @@ pub mod e9_ann;
 
 pub mod ann_bench;
 pub mod exec_bench;
+pub mod ledger;
 pub mod serve_bench;
 
 /// Format a number with thousands separators.

@@ -24,9 +24,11 @@
 //! 10-row commits alternate between a table whose unsealed tail holds ~1k
 //! rows and one whose tail holds ~60k. Gated: the 60k-tail insert p50 must
 //! stay within 1.5x of the 1k-tail p50 — a commit costs O(rows inserted),
-//! not O(tail). The machine's core count rides along in the entries.
+//! not O(tail). The machine's core count rides along in the rungs.
+//!
+//! [`GATES`] holds the verdicts; `repro serve` exits non-zero when one fails.
 
-use crate::exec_bench::BenchEntry;
+use crate::ledger::{Gate, Over, Rung};
 use backbone_core::{Database, DurabilityOptions};
 use backbone_query::{Catalog, ExecOptions};
 use backbone_server::{Client, Server, ServerOptions};
@@ -77,7 +79,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 /// Run the serve benchmark. `quick` shrinks the fleet for CI smoke runs.
-pub fn run(quick: bool) -> Vec<BenchEntry> {
+pub fn run(quick: bool) -> Vec<Rung> {
     let cfg = if quick {
         ServeConfig::quick()
     } else {
@@ -214,71 +216,24 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
     let total_ops = cfg.sessions * cfg.requests;
     let throughput = total_ops as f64 / (elapsed_ms / 1000.0);
 
-    let mut entries = vec![
-        BenchEntry {
-            name: "sessions",
-            ms: 0.0,
-            rows: cfg.sessions,
-        },
-        BenchEntry {
-            name: "writer_sessions",
-            ms: 0.0,
-            rows: writers,
-        },
-        BenchEntry {
-            name: "requests_total",
-            ms: 0.0,
-            rows: total_ops,
-        },
-        BenchEntry {
-            name: "elapsed_ms",
-            ms: elapsed_ms,
-            rows: total_ops,
-        },
-        BenchEntry {
-            name: "throughput_ops_per_s",
-            ms: throughput,
-            rows: total_ops,
-        },
-        BenchEntry {
-            name: "insert_p50_ms",
-            ms: percentile(&write_ms, 0.50),
-            rows: write_ms.len(),
-        },
-        BenchEntry {
-            name: "insert_p99_ms",
-            ms: percentile(&write_ms, 0.99),
-            rows: write_ms.len(),
-        },
-        BenchEntry {
-            name: "read_p50_ms",
-            ms: percentile(&read_ms, 0.50),
-            rows: read_ms.len(),
-        },
-        BenchEntry {
-            name: "read_p99_ms",
-            ms: percentile(&read_ms, 0.99),
-            rows: read_ms.len(),
-        },
-        BenchEntry {
-            name: "reader_stalls",
-            ms: 0.0,
-            rows: reader_stalls as usize,
-        },
-        BenchEntry {
-            name: "wal_commits",
-            ms: 0.0,
-            rows: commits as usize,
-        },
-        BenchEntry {
-            name: "wal_fsyncs",
-            ms: 0.0,
-            rows: fsyncs as usize,
-        },
+    let mut rungs = vec![
+        Rung::count("sessions", cfg.sessions),
+        Rung::count("writer_sessions", writers),
+        Rung::count("requests_total", total_ops),
+        Rung::count("reads_total", read_ms.len()),
+        Rung::ms("elapsed_ms", elapsed_ms, total_ops),
+        Rung::new("throughput_ops_per_s", throughput, "ops/s", total_ops),
+        Rung::ms("insert_p50_ms", percentile(&write_ms, 0.50), write_ms.len()),
+        Rung::ms("insert_p99_ms", percentile(&write_ms, 0.99), write_ms.len()),
+        Rung::ms("read_p50_ms", percentile(&read_ms, 0.50), read_ms.len()),
+        Rung::ms("read_p99_ms", percentile(&read_ms, 0.99), read_ms.len()),
+        Rung::count("reader_stalls", reader_stalls as usize),
+        Rung::count("wal_commits", commits as usize),
+        Rung::count("wal_fsyncs", fsyncs as usize),
     ];
-    entries.extend(hot_mix(quick));
-    entries.extend(tail_growth(quick));
-    entries
+    rungs.extend(hot_mix(quick));
+    rungs.extend(tail_growth(quick));
+    rungs
 }
 
 /// Tail sizes the tail-growth rung compares, in rows.
@@ -296,7 +251,7 @@ const TAIL_GROWTH_CEILING: f64 = 1.5;
 /// alternating 10-row embedded commits, so machine noise lands on both
 /// sides alike. Both tails stay below the 65,536-row group size throughout,
 /// so no commit in the window seals.
-fn tail_growth(quick: bool) -> Vec<BenchEntry> {
+fn tail_growth(quick: bool) -> Vec<Rung> {
     let commits = if quick { 200 } else { 500 };
     let row = |i: usize| {
         vec![
@@ -347,28 +302,16 @@ fn tail_growth(quick: bool) -> Vec<BenchEntry> {
     small.sort_by(f64::total_cmp);
     large.sort_by(f64::total_cmp);
     let (p_small, p_large) = (percentile(&small, 0.5), percentile(&large, 0.5));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     vec![
-        BenchEntry {
-            name: "tail_1k_insert_p50_ms",
-            ms: p_small,
-            rows: small.len(),
-        },
-        BenchEntry {
-            name: "tail_60k_insert_p50_ms",
-            ms: p_large,
-            rows: large.len(),
-        },
-        BenchEntry {
-            name: "tail_growth_ratio",
-            ms: p_large / p_small.max(1e-9),
-            rows: large.len(),
-        },
-        BenchEntry {
-            name: "cores",
-            ms: 0.0,
-            rows: cores,
-        },
+        Rung::ms("tail_1k_insert_p50_ms", p_small, small.len()),
+        Rung::ms("tail_60k_insert_p50_ms", p_large, large.len()),
+        Rung::new(
+            "tail_growth_ratio",
+            p_large / p_small.max(1e-9),
+            "x",
+            large.len(),
+        ),
+        Rung::cores(),
     ]
 }
 
@@ -393,7 +336,7 @@ fn unique_statement(thread: usize, seq: usize, rows: usize) -> String {
 /// The hot-query-mix rung: identical deterministic transcripts (80% from
 /// the hot pool, 20% unique) replayed against a cache-enabled and a
 /// cache-disabled server; wire responses must match byte for byte.
-fn hot_mix(quick: bool) -> Vec<BenchEntry> {
+fn hot_mix(quick: bool) -> Vec<Rung> {
     let rows = if quick { 30_000 } else { 200_000 };
     let threads = 4usize;
     let requests = if quick { 100 } else { 400 };
@@ -501,173 +444,87 @@ fn hot_mix(quick: bool) -> Vec<BenchEntry> {
     let result_pct = pct(m.value("cache.result.hits"), m.value("cache.result.misses"));
     let total = threads * requests;
     vec![
-        BenchEntry {
-            name: "hot_requests_total",
-            ms: 0.0,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_cached_ops_per_s",
-            ms: total as f64 / cached_s,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_nocache_ops_per_s",
-            ms: total as f64 / nocache_s,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_speedup",
-            ms: nocache_s / cached_s,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_gate_floor",
-            ms: floor,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_plan_hit_pct",
-            ms: plan_pct,
-            rows: total,
-        },
-        BenchEntry {
-            name: "hot_result_hit_pct",
-            ms: result_pct,
-            rows: total,
-        },
+        Rung::count("hot_requests_total", total),
+        Rung::new(
+            "hot_cached_ops_per_s",
+            total as f64 / cached_s,
+            "ops/s",
+            total,
+        ),
+        Rung::new(
+            "hot_nocache_ops_per_s",
+            total as f64 / nocache_s,
+            "ops/s",
+            total,
+        ),
+        Rung::new("hot_speedup", nocache_s / cached_s, "x", total),
+        Rung::new("hot_gate_floor", floor, "x", total),
+        Rung::new("hot_plan_hit_pct", plan_pct, "pct", total),
+        Rung::new("hot_result_hit_pct", result_pct, "pct", total),
     ]
 }
 
-/// Render entries as the same stable JSON shape as `BENCH_exec.json`.
-pub fn to_json(entries: &[BenchEntry], quick: bool) -> String {
-    crate::exec_bench::to_json(entries, quick)
-}
+/// `fsyncs < commits` as a ceiling on their ratio: for integer counts
+/// below 2^52 a ratio under 1 is at most `1 - EPSILON`.
+const FEWER_THAN_ONE: f64 = 1.0 - f64::EPSILON;
 
-/// Human summary plus the `PERF_OK`/`PERF_FAIL` verdict lines CI greps for.
-pub fn report(entries: &[BenchEntry]) -> String {
-    let mut out = String::from("concurrent serving baseline:\n");
-    for e in entries {
-        out.push_str(&format!(
-            "  {:<22} {:>10.2}  rows={}\n",
-            e.name, e.ms, e.rows
-        ));
-    }
-    let rows = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.rows);
-
-    // Gate 1: snapshot readers must not queue behind writers. The stall
-    // counter triggers at >=1 ms pin acquisition; allow at most 1% of reads
-    // to absorb scheduler blips on a shared box.
-    match (rows("reader_stalls"), rows("read_p50_ms")) {
-        (Some(stalls), Some(reads)) if reads > 0 => {
-            let verdict = if stalls * 100 <= reads {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} serve reader stalls = {stalls} of {reads} reads (gate <=1%)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing reader-stall measurements\n"),
-    }
-
-    // Gate 2: group commit must share fsyncs across concurrent commits.
-    match (rows("wal_commits"), rows("wal_fsyncs")) {
-        (Some(commits), Some(fsyncs)) if commits > 0 => {
-            let verdict = if fsyncs < commits {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} serve batched commits = {fsyncs} fsyncs for {commits} commits (gate: fewer fsyncs than commits)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing commit-batching measurements\n"),
-    }
-
-    // Gate 3: the committed baseline must actually exercise concurrency.
-    match rows("sessions") {
-        Some(n) if n >= 8 => out.push_str(&format!(
-            "PERF_OK serve concurrency = {n} sessions (floor 8; committed baseline runs 64)\n"
-        )),
-        Some(n) => out.push_str(&format!(
-            "PERF_FAIL serve concurrency = {n} sessions (floor 8)\n"
-        )),
-        None => out.push_str("PERF_FAIL missing session count\n"),
-    }
-
-    let ms = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.ms);
-
-    // Gate 4: the serving-path caches must pay for themselves on the hot
-    // mix. The floor travels in the entries (2x committed, lower for the
-    // quick CI rung), and the bench already asserted wire-identical results.
-    match (ms("hot_speedup"), ms("hot_gate_floor")) {
-        (Some(speedup), Some(floor)) => {
-            let verdict = if speedup >= floor {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} serve hot-mix = {speedup:.2}x over no-cache baseline (floor {floor}x, identical responses)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing hot-mix measurements\n"),
-    }
-
-    // Gate 5: an 80%-repeated mix must mostly hit the result cache.
-    match (ms("hot_result_hit_pct"), ms("hot_plan_hit_pct")) {
-        (Some(result), Some(plan)) => {
-            let verdict = if result >= 50.0 {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            out.push_str(&format!(
-                "{verdict} serve cache hit rate = {result:.0}% result, {plan:.0}% plan (floor 50% result)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing cache hit-rate measurements\n"),
-    }
-
-    // Gate 6: commit latency must not grow with the unsealed tail.
-    match (
-        ms("tail_growth_ratio"),
-        ms("tail_1k_insert_p50_ms"),
-        ms("tail_60k_insert_p50_ms"),
-    ) {
-        (Some(ratio), Some(small), Some(large)) => {
-            let verdict = if ratio <= TAIL_GROWTH_CEILING {
-                "PERF_OK"
-            } else {
-                "PERF_FAIL"
-            };
-            let cores = rows("cores").unwrap_or(0);
-            out.push_str(&format!(
-                "{verdict} serve tail growth = {ratio:.2}x insert p50 at a 60k vs a 1k tail ({large:.3} vs {small:.3} ms, ceiling {TAIL_GROWTH_CEILING}x, {cores} cores)\n"
-            ));
-        }
-        _ => out.push_str("PERF_FAIL missing tail-growth measurements\n"),
-    }
-    out
-}
+/// The verdicts `repro serve` enforces.
+pub const GATES: &[Gate] = &[
+    // Snapshot readers must not queue behind writers. The stall counter
+    // triggers at >=1 ms pin acquisition; at most 1% of reads may stall, to
+    // absorb scheduler blips on a shared box.
+    Gate::ceiling(
+        "serve reader stalls per read",
+        Over::Ratio("reader_stalls", "reads_total"),
+        0.01,
+    ),
+    // Group commit must share fsyncs across concurrent commits.
+    Gate::ceiling(
+        "serve batched commits (fewer fsyncs than commits)",
+        Over::Ratio("wal_fsyncs", "wal_commits"),
+        FEWER_THAN_ONE,
+    ),
+    // The committed baseline runs 64 sessions; the floor keeps it concurrent.
+    Gate::floor("serve concurrency", Over::Rung("sessions"), 8.0),
+    // The serving-path caches must pay for themselves on the hot mix. The
+    // floor travels in the rungs (2x committed, lower for the quick CI
+    // rung), and the bench already asserted wire-identical responses.
+    Gate::floor(
+        "serve hot-mix speedup over its floor",
+        Over::Ratio("hot_speedup", "hot_gate_floor"),
+        1.0,
+    ),
+    // An 80%-repeated mix must mostly hit the result cache.
+    Gate::floor(
+        "serve cache hit rate (result, pct)",
+        Over::Rung("hot_result_hit_pct"),
+        50.0,
+    ),
+    // Commit latency must not grow with the unsealed tail.
+    Gate::ceiling(
+        "serve tail growth (60k vs 1k tail insert p50)",
+        Over::Rung("tail_growth_ratio"),
+        TAIL_GROWTH_CEILING,
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Verdict;
 
-    fn entry(name: &'static str, ms: f64, rows: usize) -> BenchEntry {
-        BenchEntry { name, ms, rows }
+    fn verdict(label: &str, rungs: &[Rung]) -> Verdict {
+        let gate = GATES.iter().find(|g| g.label.starts_with(label));
+        gate.expect("known gate").evaluate(rungs)
     }
 
     #[test]
     fn quick_serve_bench_runs_and_gates_pass() {
-        let entries = run(true);
-        let json = to_json(&entries, true);
+        let rungs = run(true);
+        let json = crate::ledger::to_json(&rungs, true);
         for key in [
             "sessions",
+            "reads_total",
             "throughput_ops_per_s",
             "insert_p99_ms",
             "read_p99_ms",
@@ -687,91 +544,91 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "{json}");
         }
-        let rep = report(&entries);
-        assert!(rep.contains("PERF_OK serve reader stalls"), "{rep}");
-        assert!(rep.contains("PERF_OK serve batched commits"), "{rep}");
-        assert!(rep.contains("PERF_OK serve concurrency"), "{rep}");
-        assert!(rep.contains("PERF_OK serve hot-mix"), "{rep}");
-        assert!(rep.contains("PERF_OK serve cache hit rate"), "{rep}");
-        assert!(rep.contains("PERF_OK serve tail growth"), "{rep}");
-        assert!(!rep.contains("PERF_FAIL"), "{rep}");
+        for gate in GATES {
+            let v = gate.evaluate(&rungs);
+            assert!(matches!(v, Verdict::Ok(_)), "{}: {v:?}", gate.label);
+        }
     }
 
     #[test]
     fn tail_growth_gate_trips_above_ceiling() {
-        let entries = |ratio: f64| {
-            vec![
-                entry("tail_1k_insert_p50_ms", 0.1, 200),
-                entry("tail_60k_insert_p50_ms", 0.1 * ratio, 200),
-                entry("tail_growth_ratio", ratio, 200),
-                entry("cores", 0.0, 2),
+        let rungs = |ratio: f64| {
+            [
+                Rung::ms("tail_1k_insert_p50_ms", 0.1, 200),
+                Rung::ms("tail_60k_insert_p50_ms", 0.1 * ratio, 200),
+                Rung::new("tail_growth_ratio", ratio, "x", 200),
+                Rung::count("cores", 2),
             ]
         };
-        let rep = report(&entries(8.0));
-        assert!(rep.contains("PERF_FAIL serve tail growth = 8.00x"), "{rep}");
-        let rep = report(&entries(1.1));
-        assert!(
-            rep.contains("PERF_OK serve tail growth = 1.10x insert p50 at a 60k vs a 1k tail"),
-            "{rep}"
+        assert_eq!(
+            verdict("serve tail growth", &rungs(8.0)),
+            Verdict::Fail(8.0)
         );
-        assert!(rep.contains("2 cores"), "{rep}");
+        assert_eq!(verdict("serve tail growth", &rungs(1.1)), Verdict::Ok(1.1));
     }
 
     #[test]
     fn hot_mix_gate_trips_below_floor() {
-        let entries = vec![
-            entry("hot_speedup", 1.4, 0),
-            entry("hot_gate_floor", 2.0, 0),
-            entry("hot_result_hit_pct", 80.0, 0),
-            entry("hot_plan_hit_pct", 90.0, 0),
-        ];
-        let rep = report(&entries);
-        assert!(
-            rep.contains("PERF_FAIL serve hot-mix = 1.40x over no-cache baseline (floor 2x"),
-            "{rep}"
+        let rungs = |speedup: f64, result_pct: f64| {
+            [
+                Rung::new("hot_speedup", speedup, "x", 0),
+                Rung::new("hot_gate_floor", 2.0, "x", 0),
+                Rung::new("hot_result_hit_pct", result_pct, "pct", 0),
+                Rung::new("hot_plan_hit_pct", 90.0, "pct", 0),
+            ]
+        };
+        assert_eq!(
+            verdict("serve hot-mix", &rungs(1.4, 80.0)),
+            Verdict::Fail(0.7)
         );
-        assert!(
-            rep.contains("PERF_OK serve cache hit rate = 80% result"),
-            "{rep}"
+        assert_eq!(
+            verdict("serve cache hit rate", &rungs(1.4, 80.0)),
+            Verdict::Ok(80.0)
         );
-
-        let entries = vec![
-            entry("hot_speedup", 2.6, 0),
-            entry("hot_gate_floor", 2.0, 0),
-            entry("hot_result_hit_pct", 30.0, 0),
-            entry("hot_plan_hit_pct", 90.0, 0),
-        ];
-        let rep = report(&entries);
-        assert!(rep.contains("PERF_OK serve hot-mix = 2.60x"), "{rep}");
-        assert!(
-            rep.contains("PERF_FAIL serve cache hit rate = 30% result"),
-            "{rep}"
+        assert_eq!(
+            verdict("serve hot-mix", &rungs(2.6, 30.0)),
+            Verdict::Ok(1.3)
+        );
+        assert_eq!(
+            verdict("serve cache hit rate", &rungs(2.6, 30.0)),
+            Verdict::Fail(30.0)
         );
     }
 
     #[test]
     fn stall_gate_trips_on_blocked_readers() {
-        let entries = vec![
-            entry("reader_stalls", 0.0, 50),
-            entry("read_p50_ms", 1.0, 400),
-        ];
-        let rep = report(&entries);
-        assert!(rep.contains("PERF_FAIL serve reader stalls = 50"), "{rep}");
+        let rungs = |stalls: usize| {
+            [
+                Rung::count("reader_stalls", stalls),
+                Rung::count("reads_total", 400),
+            ]
+        };
+        assert_eq!(
+            verdict("serve reader stalls", &rungs(50)),
+            Verdict::Fail(0.125)
+        );
+        assert_eq!(verdict("serve reader stalls", &rungs(4)), Verdict::Ok(0.01));
     }
 
     #[test]
     fn batching_gate_requires_fewer_fsyncs_than_commits() {
-        let entries = vec![
-            entry("wal_commits", 0.0, 100),
-            entry("wal_fsyncs", 0.0, 100),
-        ];
-        let rep = report(&entries);
-        assert!(rep.contains("PERF_FAIL serve batched commits"), "{rep}");
-        let entries = vec![entry("wal_commits", 0.0, 100), entry("wal_fsyncs", 0.0, 12)];
-        let rep = report(&entries);
-        assert!(
-            rep.contains("PERF_OK serve batched commits = 12 fsyncs for 100 commits"),
-            "{rep}"
+        let rungs = |fsyncs: usize| {
+            [
+                Rung::count("wal_commits", 100),
+                Rung::count("wal_fsyncs", fsyncs),
+            ]
+        };
+        assert_eq!(
+            verdict("serve batched commits", &rungs(100)),
+            Verdict::Fail(1.0)
+        );
+        assert_eq!(
+            verdict("serve batched commits", &rungs(99)),
+            Verdict::Ok(0.99)
+        );
+        assert_eq!(
+            verdict("serve batched commits", &rungs(12)),
+            Verdict::Ok(0.12)
         );
     }
 }

@@ -9,8 +9,8 @@ use crate::eval::eval_predicate;
 use crate::expr::{BinOp, Expr};
 use backbone_storage::table::ZoneMap;
 use backbone_storage::{Metrics, RecordBatch, Schema, Table, Value};
-use crossbeam::channel::{bounded, Receiver};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -192,7 +192,7 @@ impl TableScanExec {
     /// surviving batches through a bounded channel.
     fn start(&mut self) {
         let placeholder = Mode::Running {
-            rx: bounded(0).1,
+            rx: sync_channel(0).1,
             handles: Vec::new(),
         };
         let Mode::Pending {
@@ -204,7 +204,7 @@ impl TableScanExec {
         else {
             unreachable!("start is only called on a pending parallel scan");
         };
-        let (tx, rx) = bounded(workers * 2);
+        let (tx, rx) = sync_channel(workers * 2);
         let n_segments = visible_segments(&table, self.clamp);
         // (segment index, visible leading rows) when the snapshot boundary
         // falls inside the final visible segment.

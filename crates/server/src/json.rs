@@ -125,18 +125,56 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol messages nest
+/// about three levels; the cap keeps a hostile `[[[…` line from recursing
+/// through a worker thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected its input.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ParseError {
+    /// Malformed JSON; the message names what was expected and where.
+    Syntax(String),
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep { offset: usize },
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::Syntax(msg) => f.write_str(msg),
+            ParseError::TooDeep { offset } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at offset {offset}")
+            }
+        }
+    }
+}
+
+impl From<&str> for ParseError {
+    fn from(msg: &str) -> Self {
+        ParseError::Syntax(msg.into())
+    }
+}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parse one JSON value from `input`, requiring it to consume the whole
 /// string (modulo surrounding whitespace).
-pub fn parse(input: &str) -> Result<Json, String> {
+pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
+        return p.syntax("trailing bytes");
     }
     Ok(value)
 }
@@ -144,9 +182,15 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    fn syntax<T>(&self, what: &str) -> Result<T, ParseError> {
+        Err(ParseError::Syntax(format!("{what} at offset {}", self.pos)))
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
@@ -157,38 +201,49 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
+            self.syntax(&format!("expected '{}'", b as char))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("invalid literal at offset {}", self.pos))
+            self.syntax("invalid literal")
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseError::TooDeep { offset: self.pos });
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
+            _ => self.syntax("unexpected byte"),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -206,12 +261,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+                _ => return self.syntax("expected ',' or ']'"),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -234,12 +289,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(pairs));
                 }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+                _ => return self.syntax("expected ',' or '}'"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -275,7 +330,7 @@ impl Parser<'_> {
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
+                        _ => return self.syntax("bad escape"),
                     }
                     self.pos += 1;
                 }
@@ -292,7 +347,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -312,11 +367,11 @@ impl Parser<'_> {
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
-                .map_err(|_| format!("bad number '{text}'"))
+                .map_err(|_| ParseError::Syntax(format!("bad number '{text}'")))
         } else {
             text.parse::<i64>()
                 .map(Json::Int)
-                .map_err(|_| format!("bad number '{text}'"))
+                .map_err(|_| ParseError::Syntax(format!("bad number '{text}'")))
         }
     }
 }
@@ -360,6 +415,29 @@ mod tests {
         assert!(parse("nope").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let line = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // Server workers run on 2 MiB spawned stacks.
+        let got = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&line))
+            .unwrap()
+            .join()
+            .expect("parser must not overflow the stack");
+        assert_eq!(got, Err(ParseError::TooDeep { offset: MAX_DEPTH }));
+
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(matches!(parse(&objects), Err(ParseError::TooDeep { .. })));
     }
 
     #[test]

@@ -131,6 +131,36 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_gets_an_error_and_the_connection_survives() {
+        use crate::proto::Response;
+        use std::io::{BufRead, BufReader, Write};
+
+        let server = Server::start(served_db(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut roundtrip = |line: &str| {
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Response::decode(reply.trim()).unwrap()
+        };
+
+        let depth = 100_000;
+        let hostile = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        match roundtrip(&hostile) {
+            Response::Error { message, .. } => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        match roundtrip(r#"{"op":"sql","q":"SELECT id FROM t"}"#) {
+            Response::Rows { rows, .. } => assert_eq!(rows.len(), 2),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn concurrent_clients_each_get_a_session() {
         let db = served_db();
         let server = Server::start(db, "127.0.0.1:0", ServerOptions::default()).unwrap();
