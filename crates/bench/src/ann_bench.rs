@@ -13,7 +13,7 @@
 use crate::ledger::{measure, Gate, Over, Rung};
 use crate::time;
 use backbone_core::{
-    choose_strategy, unified_search, unified_search_forced, FilterStrategy, FusionWeights,
+    unified_search, unified_search_forced, unified_search_profiled, FilterStrategy, FusionWeights,
     HybridSpec, VectorIndexKind,
 };
 use backbone_query::{col, lit};
@@ -267,7 +267,10 @@ pub fn run(quick: bool) -> Vec<Rung> {
             .collect();
         // The cost model must route the two predicates differently: the
         // permissive one to post-filtering, the selective one away from it.
-        let (picked, _) = choose_strategy(&db, &specs[0]);
+        let picked = unified_search_profiled(&db, &specs[0])
+            .expect("profiled")
+            .2
+            .strategy;
         if label == "permissive" {
             assert_eq!(picked, FilterStrategy::PostFilter, "permissive pick");
         } else {

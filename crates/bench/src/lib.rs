@@ -20,6 +20,7 @@ pub mod ann_bench;
 pub mod exec_bench;
 pub mod ledger;
 pub mod serve_bench;
+pub mod topk;
 
 /// Format a number with thousands separators.
 pub fn fmt_count(n: f64) -> String {

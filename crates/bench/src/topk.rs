@@ -8,10 +8,9 @@
 //! vector and text rankings in sorted order, completes each newly seen
 //! object by random access, and stops as soon as the k-th best fused score
 //! meets the threshold — typically long before either list is exhausted.
+//! It is a comparator for E3, built on the engine's public index handles.
 
-use crate::database::Database;
-use crate::error::{Error, Result};
-use crate::hybrid::{FusionWeights, HybridHit, HybridSpec};
+use backbone_core::{Database, Error, FusionWeights, HybridHit, HybridSpec, Result};
 use backbone_text::bm25::{rank_terms, Bm25Params};
 use backbone_text::tokenize::tokenize;
 use std::collections::HashMap;
@@ -170,7 +169,7 @@ pub fn ta_search(db: &Database, spec: &HybridSpec) -> Result<TaResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::VectorIndexSpec;
+    use backbone_core::VectorIndexSpec;
     use backbone_storage::{DataType, Field, Schema, Value};
     use backbone_vector::{Dataset, Metric};
 

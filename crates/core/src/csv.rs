@@ -155,10 +155,12 @@ impl Database {
 
     /// Export a table as CSV text with a header row. NULLs export as empty
     /// cells; strings containing commas/quotes/newlines are quoted.
+    ///
+    /// Rows export in row order, as of a pinned snapshot.
     pub fn to_csv(&self, name: &str) -> Result<String> {
-        let batch = self.table_batch(name)?;
+        let (table, visible) = self.pinned_snapshot(name)?;
         let mut out = String::new();
-        let names: Vec<String> = batch
+        let names: Vec<String> = table
             .schema()
             .fields()
             .iter()
@@ -166,24 +168,27 @@ impl Database {
             .collect();
         out.push_str(&names.join(","));
         out.push('\n');
-        for i in 0..batch.num_rows() {
-            let cells: Vec<String> = batch
-                .row(i)
-                .iter()
-                .map(|v| match v {
-                    Value::Null => String::new(),
-                    Value::Str(s) => {
-                        if s.contains([',', '"', '\n']) {
-                            format!("\"{}\"", s.replace('"', "\"\""))
-                        } else {
-                            s.to_string()
+        for batch in table.prefix_batches(visible) {
+            let batch = batch?;
+            for i in 0..batch.num_rows() {
+                let cells: Vec<String> = batch
+                    .row(i)
+                    .iter()
+                    .map(|v| match v {
+                        Value::Null => String::new(),
+                        Value::Str(s) => {
+                            if s.contains([',', '"', '\n']) {
+                                format!("\"{}\"", s.replace('"', "\"\""))
+                            } else {
+                                s.to_string()
+                            }
                         }
-                    }
-                    other => other.to_string(),
-                })
-                .collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
+                        other => other.to_string(),
+                    })
+                    .collect();
+                out.push_str(&cells.join(","));
+                out.push('\n');
+            }
         }
         Ok(out)
     }
@@ -204,7 +209,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 2);
-        let batch = db.table_batch("people").unwrap();
+        let batch = db.sql("SELECT * FROM people").unwrap();
         let s = batch.schema();
         assert_eq!(s.field_by_name("name").unwrap().data_type, DataType::Utf8);
         assert_eq!(s.field_by_name("age").unwrap().data_type, DataType::Int64);
@@ -228,7 +233,7 @@ mod tests {
     fn ints_widen_to_float() {
         let db = Database::new();
         db.load_csv("t", "x\n1\n2.5\n3\n").unwrap();
-        let batch = db.table_batch("t").unwrap();
+        let batch = db.sql("SELECT * FROM t").unwrap();
         assert_eq!(batch.schema().field(0).data_type, DataType::Float64);
         assert_eq!(batch.row(0)[0], Value::Float(1.0));
     }
@@ -237,7 +242,7 @@ mod tests {
     fn empty_cells_become_null() {
         let db = Database::new();
         db.load_csv("t", "a,b\n1,\n,x\n").unwrap();
-        let batch = db.table_batch("t").unwrap();
+        let batch = db.sql("SELECT * FROM t").unwrap();
         assert!(batch.row(0)[1].is_null());
         assert!(batch.row(1)[0].is_null());
     }
@@ -247,7 +252,7 @@ mod tests {
         let db = Database::new();
         db.load_csv("t", "msg\n\"hello, world\"\n\"say \"\"hi\"\"\"\n")
             .unwrap();
-        let batch = db.table_batch("t").unwrap();
+        let batch = db.sql("SELECT * FROM t").unwrap();
         assert_eq!(batch.row(0)[0], Value::str("hello, world"));
         assert_eq!(batch.row(1)[0], Value::str("say \"hi\""));
     }
@@ -260,8 +265,8 @@ mod tests {
         let db2 = Database::new();
         db2.load_csv("t", &csv).unwrap();
         assert_eq!(
-            db.table_batch("t").unwrap().to_rows(),
-            db2.table_batch("t").unwrap().to_rows()
+            db.sql("SELECT * FROM t").unwrap().to_rows(),
+            db2.sql("SELECT * FROM t").unwrap().to_rows()
         );
     }
 
@@ -278,7 +283,7 @@ mod tests {
     fn all_empty_column_is_utf8() {
         let db = Database::new();
         db.load_csv("t", "a,b\n1,\n2,\n").unwrap();
-        let batch = db.table_batch("t").unwrap();
+        let batch = db.sql("SELECT * FROM t").unwrap();
         assert_eq!(batch.schema().field(1).data_type, DataType::Utf8);
     }
 }

@@ -15,7 +15,8 @@ use backbone_text::InvertedIndex;
 use backbone_txn::wal::LogDevice;
 use backbone_txn::{EpochClock, SnapshotGuard};
 use backbone_vector::{Dataset, VectorIndex};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -53,8 +54,12 @@ pub struct Database {
 
 /// The shared state every [`Database`] handle points at.
 struct DbInner {
-    tables: RwLock<HashMap<String, Table>>,
+    /// The only copy of every table: each commit publishes a new
+    /// `Arc<Table>` snapshot here, and every reader goes through it.
     catalog: MemCatalog,
+    /// Serializes commits: epoch reservation, WAL append order and catalog
+    /// registration order all follow the order commits take this lock.
+    commit: Mutex<()>,
     text_indexes: RwLock<HashMap<String, Arc<InvertedIndex>>>,
     vector_indexes: RwLock<HashMap<String, Arc<dyn VectorIndex>>>,
     exec: ExecOptions,
@@ -75,8 +80,8 @@ impl DbInner {
     fn with_options(mut exec: ExecOptions) -> DbInner {
         let metrics = exec.metrics.get_or_insert_with(Metrics::new).clone();
         DbInner {
-            tables: RwLock::new(HashMap::new()),
             catalog: MemCatalog::new(),
+            commit: Mutex::new(()),
             text_indexes: RwLock::new(HashMap::new()),
             vector_indexes: RwLock::new(HashMap::new()),
             exec,
@@ -88,35 +93,24 @@ impl DbInner {
             result_cache: ResultCache::new(cache::RESULT_CACHE_BYTES, metrics),
         }
     }
+}
 
-    /// Apply a recovered op without re-logging it (recovery replay only;
-    /// commit marks are stamped in one pass after the whole tail replays).
-    fn apply_op(&self, op: DbOp) -> Result<()> {
-        match op {
-            DbOp::CreateTable { name, schema } => self.apply_create(name, schema),
-            DbOp::Insert { table, rows } => self.apply_insert(&table, rows),
-        }
-    }
-
-    /// The non-logging core of `create_table`, shared with recovery replay.
-    fn apply_create(&self, name: String, schema: Arc<Schema>) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(&name) {
-            return Err(Error::TableExists(name));
-        }
-        tables.insert(name, Table::new(schema));
-        Ok(())
-    }
-
-    /// The non-logging core of `insert` for recovery replay. Nothing is
-    /// published here: recovery publishes every table once, after the whole
-    /// log has replayed.
-    fn apply_insert(&self, name: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        let mut tables = self.tables.write();
-        let table = tables
-            .get_mut(name)
-            .ok_or_else(|| Error::TableNotFound(name.to_string()))?;
-        Ok(table.append_rows(&rows)?)
+/// Apply a recovered op to the replay map without re-logging it. Nothing is
+/// published here: recovery registers every table once, after the whole log
+/// has replayed.
+fn replay_op(tables: &mut HashMap<String, Table>, op: DbOp) -> Result<()> {
+    match op {
+        DbOp::CreateTable { name, schema } => match tables.entry(name) {
+            Entry::Occupied(e) => Err(Error::TableExists(e.key().clone())),
+            Entry::Vacant(e) => {
+                e.insert(Table::new(schema));
+                Ok(())
+            }
+        },
+        DbOp::Insert { table, rows } => Ok(tables
+            .get_mut(&table)
+            .ok_or(Error::TableNotFound(table))?
+            .append_rows(&rows)?),
     }
 }
 
@@ -198,10 +192,11 @@ impl Database {
             wal_bytes_dropped: state.replay.bytes_dropped,
             ..RecoveryReport::default()
         };
+        let mut tables = HashMap::new();
         if let Some(ckpt) = state.checkpoint {
             report.checkpoint_lsn = ckpt.lsn;
             report.checkpoint_tables = ckpt.tables.len();
-            inner.tables.write().extend(ckpt.tables);
+            tables.extend(ckpt.tables);
         }
         // Replay only the log suffix the checkpoint does not cover; records
         // at or below its LSN are already in the snapshot (this is what
@@ -211,18 +206,15 @@ impl Database {
             if rec.lsn <= report.checkpoint_lsn {
                 continue;
             }
-            inner.apply_op(durability::decode_op(&rec.payload)?)?;
+            replay_op(&mut tables, durability::decode_op(&rec.payload)?)?;
             report.replayed_records += 1;
         }
         // Everything recovered is committed: stamp it at epoch 0, visible
         // to every future snapshot (the clock restarts at 0 per process —
         // epochs order commits within a run, they are not persistent LSNs).
-        {
-            let mut tables = inner.tables.write();
-            for (name, t) in tables.iter_mut() {
-                t.record_commit(0, 0);
-                inner.catalog.register_arc(name, Arc::new(t.clone()));
-            }
+        for (name, mut t) in tables {
+            t.record_commit(0, 0);
+            inner.catalog.register_arc(name, Arc::new(t));
         }
         inner
             .metrics
@@ -253,27 +245,21 @@ impl Database {
     /// configured fsync policy.
     pub fn create_table(&self, name: impl Into<String>, schema: Arc<Schema>) -> Result<()> {
         let name = name.into();
+        let record = self
+            .inner
+            .durability
+            .as_ref()
+            .map(|_| durability::encode_create(&name, &schema));
         let (epoch, lsn) = {
-            let mut tables = self.inner.tables.write();
-            if tables.contains_key(&name) {
+            let _commit = self.inner.commit.lock();
+            if self.inner.catalog.table(&name).is_some() {
                 return Err(Error::TableExists(name));
             }
-            let mut table = Table::new(schema.clone());
-            // Stamp the (empty) table with its creation epoch so snapshots
+            let lsn = self.log(record)?;
+            // The (empty) table carries its creation epoch, so snapshots
             // pinned before this point keep seeing nothing even after later
             // inserts add marks.
-            let epoch = self.inner.clock.reserve();
-            table.record_commit(epoch, self.inner.clock.horizon());
-            self.inner
-                .catalog
-                .register_arc(&name, Arc::new(table.clone()));
-            tables.insert(name.clone(), table);
-            // Log inside the lock: WAL order == commit (epoch) order.
-            let lsn = match &self.inner.durability {
-                Some(d) => Some(d.log(&durability::encode_create(&name, &schema))?),
-                None => None,
-            };
-            (epoch, lsn)
+            (self.publish_commit(&name, Table::new(schema)), lsn)
         };
         self.commit_epoch(&name, epoch, lsn)
     }
@@ -285,12 +271,9 @@ impl Database {
         let name = name.into();
         table.flush()?;
         {
-            let mut tables = self.inner.tables.write();
+            let _commit = self.inner.commit.lock();
             table.record_commit(self.inner.clock.published(), self.inner.clock.horizon());
-            self.inner
-                .catalog
-                .register_arc(&name, Arc::new(table.clone()));
-            tables.insert(name.clone(), table);
+            self.inner.catalog.register_arc(&name, Arc::new(table));
         }
         // Wholesale replacement: even if the row count happens to match the
         // old content, the generation bump retires every cached result.
@@ -298,51 +281,60 @@ impl Database {
         Ok(())
     }
 
-    /// Append rows to a table, then publish a fresh catalog snapshot so
-    /// subsequent queries see them.
+    /// Append rows to a table by publishing a new catalog snapshot that
+    /// holds them.
     ///
-    /// The rows land in the table's columnar tail, which seals into a row
-    /// group only at the group size. The snapshot shares sealed groups and
-    /// frozen tail chunks with the live table (`Arc`, not copies), so a
-    /// commit costs O(rows inserted), not O(tail). The rows are validated
-    /// as a whole first: a bad row rejects the insert and appends nothing.
-    /// The commit is stamped with a reserved epoch and registered
-    /// in the catalog *inside* the table write lock — registration order
-    /// equals commit order, so two concurrent inserters can never regress
-    /// the catalog — but readers still never wait on the append: they query
-    /// the previously published `Arc` snapshot throughout.
+    /// Under the commit mutex the insert clones the table's published
+    /// snapshot, appends to the clone, logs, and registers the clone. The
+    /// rows land in the columnar tail, which seals into a row group only at
+    /// the group size; the clone shares sealed groups and frozen tail
+    /// chunks with the snapshot (`Arc`, not copies), so a commit costs
+    /// O(rows inserted), not O(tail). Registration order equals commit
+    /// order, so concurrent inserters never regress the catalog, and
+    /// readers never wait: they query the previously published snapshot
+    /// throughout.
     ///
-    /// On a durable database the rows are write-ahead-logged after they
-    /// validate (a failed insert leaves no durable record), and the call
+    /// Nothing is registered unless the commit validates and, on a durable
+    /// database, its WAL append succeeds: a bad row or a dead log leaves
+    /// every reader, checkpoint and recovery exactly as before. The call
     /// returns only once the record is durable under the fsync policy —
     /// concurrent inserters share fsyncs via group commit. The commit epoch
     /// is published only after the durability ack, so snapshot readers
     /// never observe an unacknowledged write.
     pub fn insert(&self, name: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        // Encode before the rows are consumed by the append below.
         let record = self
             .inner
             .durability
             .as_ref()
             .map(|_| durability::encode_insert(name, &rows));
         let (epoch, lsn) = {
-            let mut tables = self.inner.tables.write();
-            let table = tables
-                .get_mut(name)
-                .ok_or_else(|| Error::TableNotFound(name.to_string()))?;
+            let _commit = self.inner.commit.lock();
+            let mut table = Table::clone(&*self.table(name)?);
             table.append_rows(&rows)?;
-            let epoch = self.inner.clock.reserve();
-            table.record_commit(epoch, self.inner.clock.horizon());
-            let lsn = match (&self.inner.durability, record) {
-                (Some(d), Some(rec)) => Some(d.log(&rec)?),
-                _ => None,
-            };
-            self.inner
-                .catalog
-                .register_arc(name, Arc::new(table.clone()));
-            (epoch, lsn)
+            let lsn = self.log(record)?;
+            (self.publish_commit(name, table), lsn)
         };
         self.commit_epoch(name, epoch, lsn)
+    }
+
+    /// Append a commit's WAL record, if the database is durable. Call under
+    /// the commit mutex, so log order equals commit order.
+    fn log(&self, record: Option<Vec<u8>>) -> Result<Option<u64>> {
+        match (&self.inner.durability, record) {
+            (Some(d), Some(rec)) => Ok(Some(d.log(&rec)?)),
+            _ => Ok(None),
+        }
+    }
+
+    /// Stamp `table` with the next epoch and register it as `name`'s
+    /// snapshot. Call under the commit mutex, after the WAL append
+    /// succeeded, so epoch order equals log order. Returns the epoch for
+    /// [`Database::commit_epoch`] to publish.
+    fn publish_commit(&self, name: &str, mut table: Table) -> u64 {
+        let epoch = self.inner.clock.reserve();
+        table.record_commit(epoch, self.inner.clock.horizon());
+        self.inner.catalog.register_arc(name, Arc::new(table));
+        epoch
     }
 
     /// Wait for a commit's durability, publish its epoch, and run the
@@ -354,8 +346,9 @@ impl Database {
     /// commit acks whole batches, so publishes may arrive out of epoch
     /// order — the clock's `fetch_max` handles that (every epoch below a
     /// durable epoch is durable, because epochs are reserved in log order).
-    /// On a WAL failure the rows are already installed, so the epoch is
-    /// still published — but the commit is not acknowledged to the caller.
+    /// When the durability wait fails, the record was appended and the
+    /// snapshot registered, so the epoch is still published — but the
+    /// commit is not acknowledged to the caller.
     /// After publication the touched table's cached results are invalidated:
     /// the generation bump makes every pre-commit result-cache key
     /// unreachable (keys embed the generation), and the indexed entries are
@@ -388,8 +381,8 @@ impl Database {
     /// Pin the current snapshot: queries planned against the returned
     /// guard's epoch read a stable committed prefix of every table for as
     /// long as the guard lives. Pinning never blocks on writers; if it ever
-    /// takes longer than [`READER_STALL_THRESHOLD`] the `mvcc.reader_stalls`
-    /// counter records it (the serve bench gates this at ~0).
+    /// takes longer than a millisecond the `mvcc.reader_stalls` counter
+    /// records it (the serve bench gates this at ~0).
     pub fn pin_snapshot(&self) -> SnapshotGuard {
         let t0 = Instant::now();
         let guard = self.inner.clock.pin();
@@ -419,22 +412,21 @@ impl Database {
     /// that position. A no-op on in-memory databases. Unsealed tails are
     /// written as tails and reopen as tails: a checkpoint never seals.
     ///
-    /// Safe against concurrent writers: appends land inside the table write
-    /// lock, so the LSN read under its read side covers exactly the rows in
-    /// the snapshot; anything logged after it survives truncation and replays
-    /// on top of this checkpoint.
+    /// Safe against concurrent writers: the catalog snapshots and the WAL
+    /// position are read together under the commit mutex, and a commit
+    /// registers exactly when its record is appended, so the LSN covers
+    /// exactly the rows in the snapshots; anything logged after it survives
+    /// truncation and replays on top of this checkpoint.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(d) = &self.inner.durability else {
             return Ok(());
         };
         let _serialize = d.checkpoint_lock().lock();
         let (snapshot, lsn) = {
-            let tables = self.inner.tables.read();
-            let snap: Vec<(String, Table)> =
-                tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
-            (snap, d.wal().appended_lsn())
+            let _commit = self.inner.commit.lock();
+            (self.tables(), d.wal().appended_lsn())
         };
-        let refs: Vec<(&str, &Table)> = snapshot.iter().map(|(n, t)| (n.as_str(), t)).collect();
+        let refs: Vec<(&str, &Table)> = snapshot.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
         write_checkpoint(d.checkpoint_path(), lsn, &refs)?;
         d.wal().truncate_through(lsn)?;
         d.checkpoint_done();
@@ -455,11 +447,10 @@ impl Database {
     /// how many columns (and rows) are dictionary- or integer-encoded right
     /// now, and how many row groups live on disk behind the buffer pool.
     fn record_encoding_stats(&self) {
-        let tables = self.inner.tables.read();
         let (mut dict_cols, mut dict_rows) = (0u64, 0u64);
         let (mut int_cols, mut int_rows) = (0u64, 0u64);
         let mut paged_groups = 0u64;
-        for t in tables.values() {
+        for (_, t) in self.tables() {
             let (c, r) = t.encoding_stats();
             dict_cols += c as u64;
             dict_rows += r as u64;
@@ -818,9 +809,31 @@ impl Database {
         &self.inner.catalog
     }
 
-    /// Number of rows currently in a table.
+    /// Rows of a table visible at the published epoch — what a fresh
+    /// `SELECT COUNT(*)` returns.
     pub fn row_count(&self, table: &str) -> Option<usize> {
-        self.inner.tables.read().get(table).map(|t| t.num_rows())
+        self.pinned_snapshot(table).ok().map(|(_, rows)| rows)
+    }
+
+    /// `table`'s published snapshot.
+    fn table(&self, table: &str) -> Result<Arc<Table>> {
+        self.inner
+            .catalog
+            .table(table)
+            .ok_or_else(|| Error::TableNotFound(table.to_string()))
+    }
+
+    /// Every table's published snapshot, by name.
+    fn tables(&self) -> Vec<(String, Arc<Table>)> {
+        let catalog = &self.inner.catalog;
+        catalog
+            .table_names()
+            .into_iter()
+            .filter_map(|name| {
+                let t = catalog.table(&name)?;
+                Some((name, t))
+            })
+            .collect()
     }
 
     /// Build a full-text index over a UTF-8 column of `table`. Document ids
@@ -925,40 +938,14 @@ impl Database {
         self.inner.vector_indexes.read().get(table).cloned()
     }
 
-    /// Evaluate a predicate over a table into a row mask, one segment at a
-    /// time — no whole-table materialization. The mask covers exactly the
-    /// rows visible at a pinned snapshot; it takes no write lock and seals
-    /// nothing.
-    pub fn eval_mask(&self, table: &str, predicate: &backbone_query::Expr) -> Result<Vec<bool>> {
-        let (snapshot, visible) = self.pinned_snapshot(table)?;
-        let mut mask = Vec::with_capacity(visible);
-        for batch in snapshot.prefix_batches(visible) {
-            mask.extend(backbone_query::eval::eval_predicate(predicate, &batch?)?);
-        }
-        Ok(mask)
-    }
-
     /// `table`'s published snapshot and its row count visible at a freshly
     /// pinned epoch. The snapshot is immutable, so the pin can drop once
     /// the count is read.
-    fn pinned_snapshot(&self, table: &str) -> Result<(Arc<Table>, usize)> {
+    pub(crate) fn pinned_snapshot(&self, table: &str) -> Result<(Arc<Table>, usize)> {
         let pin = self.pin_snapshot();
-        let snapshot = self
-            .inner
-            .catalog
-            .table(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
+        let snapshot = self.table(table)?;
         let visible = snapshot.visible_rows_at(pin.epoch());
         Ok((snapshot, visible))
-    }
-
-    /// Materialize a whole table (row ordinals = batch positions).
-    pub fn table_batch(&self, table: &str) -> Result<RecordBatch> {
-        let tables = self.inner.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
-        Ok(t.to_batch()?)
     }
 
     /// Names of registered tables.

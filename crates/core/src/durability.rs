@@ -6,7 +6,7 @@
 //!
 //! - `wal.log` — the write-ahead log ([`backbone_txn::wal::Wal`]). Every
 //!   `create_table` and `insert` appends one [`DbOp`] record *inside* the
-//!   table write lock (log order = commit order) and acknowledges only
+//!   database's commit mutex (log order = commit order) and acknowledges only
 //!   after the record is durable under the configured
 //!   [`FsyncPolicy`].
 //! - `checkpoint.bin` — an atomic snapshot of every table
@@ -190,9 +190,9 @@ pub struct Durability {
     checkpoint_path: PathBuf,
     opts: DurabilityOptions,
     ops_since_checkpoint: AtomicU64,
-    /// Serializes checkpoints (never held while waiting on the table lock
-    /// holders — the table lock is taken *inside* a checkpoint, and no
-    /// caller takes this lock while holding the table lock).
+    /// Serializes checkpoints (never held while waiting on the commit mutex
+    /// holders — the commit mutex is taken *inside* a checkpoint, and no
+    /// caller takes this lock while holding the commit mutex).
     checkpoint_lock: Mutex<()>,
 }
 
@@ -260,14 +260,14 @@ impl Durability {
         ))
     }
 
-    /// Append one encoded op without waiting (call inside the table write
-    /// lock so log order matches commit order). Returns the record's LSN.
+    /// Append one encoded op without waiting (call inside the commit mutex
+    /// so log order matches commit order). Returns the record's LSN.
     pub fn log(&self, payload: &[u8]) -> Result<u64> {
         Ok(self.wal.append(payload)?)
     }
 
     /// Block until the record at `lsn` is durable under the policy (call
-    /// *outside* the table lock so group commit can batch waiters).
+    /// *outside* the commit mutex so group commit can batch waiters).
     pub fn wait(&self, lsn: u64) -> Result<()> {
         Ok(self.wal.wait_durable(lsn)?)
     }

@@ -42,8 +42,10 @@
 use crate::database::Database;
 use crate::error::{Error, Result};
 
+use backbone_query::eval::eval_predicate;
 use backbone_query::optimizer::cardinality::selectivity_on;
 use backbone_query::Expr;
+use backbone_storage::Table;
 use backbone_text::bm25::{rank_terms_counted, rank_terms_filtered_counted, Bm25Params, Bm25Work};
 use backbone_text::tokenize::tokenize;
 use backbone_vector::exact::TopK;
@@ -176,7 +178,8 @@ pub struct HybridProfile {
     pub strategy: FilterStrategy,
     /// Estimated filter selectivity in `[0, 1]` (1.0 when unfiltered).
     pub selectivity: f64,
-    /// Table row count the estimate was scaled by.
+    /// Rows visible at the request's pinned snapshot (the count the
+    /// estimate was scaled by).
     pub rows: usize,
     /// Rows that actually passed the filter (0 when unfiltered).
     pub rows_passing: usize,
@@ -207,11 +210,18 @@ fn fuse(weights: &FusionWeights, vector_distance: Option<f32>, text_score: Optio
     weights.vector * v + weights.text * t
 }
 
-fn evaluate_filter(db: &Database, spec: &HybridSpec) -> Result<Option<Vec<bool>>> {
-    match &spec.filter {
-        None => Ok(None),
-        Some(f) => Ok(Some(db.eval_mask(&spec.table, f)?)),
+/// Evaluate the spec's filter over the first `visible` rows of `table` into
+/// a row mask, one segment at a time — no whole-table materialization.
+/// `None` when the spec has no filter.
+fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Option<Vec<bool>>> {
+    let Some(f) = &spec.filter else {
+        return Ok(None);
+    };
+    let mut mask = Vec::with_capacity(visible);
+    for batch in table.prefix_batches(visible) {
+        mask.extend(eval_predicate(f, &batch?)?);
     }
+    Ok(Some(mask))
 }
 
 fn vector_index_of(
@@ -253,9 +263,10 @@ fn rank_and_truncate(
     hits
 }
 
-/// Pick the vector-stage plan from ANALYZE statistics, without touching the
-/// data. Returns the plan and the selectivity estimate it was based on.
-pub fn choose_strategy(db: &Database, spec: &HybridSpec) -> (FilterStrategy, f64) {
+/// Pick the vector-stage plan for a table of `rows` visible rows from
+/// ANALYZE statistics, without touching the data. Returns the plan and the
+/// selectivity estimate it was based on.
+fn choose_strategy(db: &Database, spec: &HybridSpec, rows: usize) -> (FilterStrategy, f64) {
     let Some(f) = &spec.filter else {
         return (FilterStrategy::Unfiltered, 1.0);
     };
@@ -264,8 +275,7 @@ pub fn choose_strategy(db: &Database, spec: &HybridSpec) -> (FilterStrategy, f64
         // No vector stage to plan; the mask is simply pushed into BM25.
         return (FilterStrategy::PreFilter, sel);
     }
-    let n = db.row_count(&spec.table).unwrap_or(0) as f64;
-    if sel * n <= EXACT_SCAN_ROWS {
+    if sel * rows as f64 <= EXACT_SCAN_ROWS {
         (FilterStrategy::ExactScan, sel)
     } else if sel >= POST_FILTER_MIN_SEL {
         (FilterStrategy::PostFilter, sel)
@@ -275,7 +285,9 @@ pub fn choose_strategy(db: &Database, spec: &HybridSpec) -> (FilterStrategy, f64
 }
 
 /// The unified engine: filter once, cost the vector stage, push the mask
-/// into the chosen plan, fuse in place.
+/// into the chosen plan, fuse in place. The request pins one snapshot: the
+/// mask, the strategy's row count and the pure-relational path all read the
+/// same committed prefix.
 ///
 /// Each stage's elapsed time accumulates into the database's metrics
 /// registry (`hybrid.filter_ns`, `hybrid.vector_ns`, `hybrid.text_ns`,
@@ -313,7 +325,8 @@ fn run_unified(
     let metrics = db.metrics();
     metrics.counter("hybrid.searches").incr();
 
-    let (mut strategy, sel) = choose_strategy(db, spec);
+    let (table, rows) = db.pinned_snapshot(&spec.table)?;
+    let (mut strategy, sel) = choose_strategy(db, spec, rows);
     if let Some(f) = forced {
         // A filterless query has nothing to pre/post-filter; the guard keeps
         // forced rungs honest instead of crashing on a missing mask.
@@ -328,12 +341,12 @@ fn run_unified(
     let mut profile = HybridProfile {
         strategy,
         selectivity: sel,
-        rows: db.row_count(&spec.table).unwrap_or(0),
+        rows,
         ..Default::default()
     };
 
     let stage = Instant::now();
-    let mask = evaluate_filter(db, spec)?;
+    let mask = filter_mask(spec, &table, rows)?;
     profile.filter_ns = stage.elapsed().as_nanos() as u64;
     metrics.counter("hybrid.filter_ns").add_elapsed(stage);
     profile.rows_passing = mask
@@ -358,7 +371,6 @@ fn run_unified(
         // The fusion layer wants a candidate pool wider than k so the text
         // side can promote rows the vector side ranked lower.
         let want = (spec.k * 4).max(64);
-        let n = profile.rows;
         let hits = match strategy {
             FilterStrategy::Unfiltered => index.search_with(qv, want, parallel),
             FilterStrategy::PreFilter => index.search_masked(qv, want, &passes),
@@ -382,17 +394,17 @@ fn run_unified(
                 // only if the estimate was badly off.
                 let mut fetch = ((want as f64 / sel.max(1e-6)) * OVERFETCH_SAFETY)
                     .ceil()
-                    .min(n as f64) as usize;
+                    .min(rows as f64) as usize;
                 fetch = fetch.max(want);
                 profile.overfetch = fetch;
                 loop {
                     let raw = index.search_with(qv, fetch, parallel);
-                    let exhausted = raw.len() < fetch || fetch >= n;
+                    let exhausted = raw.len() < fetch || fetch >= rows;
                     let kept: Vec<_> = raw.into_iter().filter(|h| passes(h.id)).collect();
                     if kept.len() >= want || exhausted {
                         break kept;
                     }
-                    fetch = (fetch * 2).min(n.max(1));
+                    fetch = (fetch * 2).min(rows.max(1));
                     profile.overfetch = fetch;
                 }
             }
@@ -449,7 +461,6 @@ fn run_unified(
 
     // Pure relational query: return the first k masked rows.
     if spec.vector.is_none() && spec.keyword.is_none() {
-        let rows = db.row_count(&spec.table).unwrap_or(0);
         for row in 0..rows as u64 {
             if passes(row) {
                 merged.insert(row, (None, None));
@@ -533,8 +544,8 @@ pub fn explain_hybrid(db: &Database, spec: &HybridSpec) -> Result<String> {
 /// The bolt-on composition: three services, client-side glue, over-fetch
 /// and retry.
 pub fn bolton_search(db: &Database, spec: &HybridSpec) -> Result<(Vec<HybridHit>, SearchCost)> {
-    let mask = evaluate_filter(db, spec)?;
-    let total_rows = db.row_count(&spec.table).unwrap_or(0);
+    let (table, total_rows) = db.pinned_snapshot(&spec.table)?;
+    let mask = filter_mask(spec, &table, total_rows)?;
 
     // Service 1 (RDBMS): ships the entire qualifying id list to the client.
     let filter_ids: Option<Vec<u64>> = mask.as_ref().map(|m| {
@@ -848,13 +859,13 @@ mod tests {
         let db = db();
         // 40 rows total: anything qualifies as "tiny" so the cost model
         // must choose the exact scan.
-        let (strat, sel) = choose_strategy(&db, &spec());
+        let (strat, sel) = choose_strategy(&db, &spec(), 40);
         assert_eq!(strat, FilterStrategy::ExactScan);
         assert!(sel > 0.0 && sel <= 1.0);
         // No filter: nothing to plan.
         let mut s = spec();
         s.filter = None;
-        assert_eq!(choose_strategy(&db, &s).0, FilterStrategy::Unfiltered);
+        assert_eq!(choose_strategy(&db, &s, 40).0, FilterStrategy::Unfiltered);
         // Strategy counters tick.
         let before = db.metrics().value("hybrid.strategy.exactscan");
         unified_search(&db, &spec()).unwrap();

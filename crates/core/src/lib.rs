@@ -18,7 +18,7 @@
 //!   the measured baseline;
 //! - substrates: [`backbone_storage`] (columns, compression, buffering),
 //!   [`backbone_vector`], [`backbone_text`], [`backbone_txn`],
-//!   [`backbone_kvcache`].
+//!   `backbone_kvcache`.
 //!
 //! ## Quickstart
 //!
@@ -77,19 +77,17 @@ pub mod error;
 pub mod hybrid;
 pub mod index;
 pub mod session;
-pub mod topk;
 
 pub use database::Database;
 pub use durability::{DbOp, DurabilityOptions, RecoveryReport};
 pub use error::{Error, Result};
 pub use hybrid::{
-    bolton_search, choose_strategy, explain_hybrid, unified_search, unified_search_forced,
-    unified_search_profiled, FilterStrategy, FusionWeights, HybridHit, HybridProfile, HybridSpec,
-    SearchCost, VectorIndexKind,
+    bolton_search, explain_hybrid, unified_search, unified_search_forced, unified_search_profiled,
+    FilterStrategy, FusionWeights, HybridHit, HybridProfile, HybridSpec, SearchCost,
+    VectorIndexKind,
 };
 pub use index::VectorIndexSpec;
-pub use session::{PreparedInfo, SearchRequest, SearchResponse, SearchStrategy, Session};
-pub use topk::{ta_search, TaResult};
+pub use session::{PreparedInfo, SearchRequest, SearchResponse, Session};
 
 // Durability policy knob, re-exported so `Database::open_with` callers
 // don't need a direct `backbone_txn` dependency.

@@ -12,15 +12,14 @@
 //! [`SearchRequest`] consolidates the hybrid-search plumbing behind one
 //! typed builder (the same consuming-builder style as
 //! [`crate::VectorIndexSpec`]): filter, keywords, vector, `k`, and fusion
-//! weights compose fluently, and [`SearchRequest::run`] executes either the
-//! unified engine or the bolt-on baseline over the identical spec.
+//! weights compose fluently, and [`SearchRequest::run`] executes the unified
+//! engine. The bolt-on baseline runs over the identical spec through
+//! [`crate::bolton_search`]`(db, request.spec())`.
 
 use crate::cache::CachedPlan;
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::hybrid::{
-    bolton_search, unified_search, FusionWeights, HybridHit, HybridSpec, SearchCost,
-};
+use crate::hybrid::{unified_search, FusionWeights, HybridHit, HybridSpec, SearchCost};
 use backbone_query::{ExecOptions, Expr, LogicalPlan, Parallelism};
 use backbone_storage::{RecordBatch, Schema, Value};
 use parking_lot::Mutex;
@@ -193,16 +192,6 @@ impl Session {
     }
 }
 
-/// Which architecture executes a [`SearchRequest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// The unified engine: one pass, filter pushed into both indexes.
-    Unified,
-    /// The bolt-on baseline: three independent services glued at the
-    /// client (the architecture E3 measures against).
-    BoltOn,
-}
-
 /// A hybrid search in flight: relational filter + keyword query + vector
 /// query over one table, fused into a single ranked result.
 ///
@@ -229,7 +218,6 @@ pub enum SearchStrategy {
 pub struct SearchRequest<'db> {
     db: &'db Database,
     spec: HybridSpec,
-    strategy: SearchStrategy,
 }
 
 /// The outcome of a [`SearchRequest`]: ranked hits plus the architectural
@@ -254,7 +242,6 @@ impl<'db> SearchRequest<'db> {
                 k: 10,
                 weights: FusionWeights::default(),
             },
-            strategy: SearchStrategy::Unified,
         }
     }
 
@@ -300,24 +287,14 @@ impl<'db> SearchRequest<'db> {
         self
     }
 
-    /// Execute through the bolt-on (three separate services) baseline
-    /// instead of the unified engine.
-    pub fn via_bolton(mut self) -> SearchRequest<'db> {
-        self.strategy = SearchStrategy::BoltOn;
-        self
-    }
-
     /// The spec this builder has accumulated (for logging / tests).
     pub fn spec(&self) -> &HybridSpec {
         &self.spec
     }
 
-    /// Run the search.
+    /// Run the search through the unified engine.
     pub fn run(self) -> Result<SearchResponse> {
-        let (hits, cost) = match self.strategy {
-            SearchStrategy::Unified => unified_search(self.db, &self.spec)?,
-            SearchStrategy::BoltOn => bolton_search(self.db, &self.spec)?,
-        };
+        let (hits, cost) = unified_search(self.db, &self.spec)?;
         Ok(SearchResponse { hits, cost })
     }
 }
@@ -325,6 +302,7 @@ impl<'db> SearchRequest<'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hybrid::bolton_search;
     use backbone_query::{col, lit};
     use backbone_storage::{DataType, Field};
 
@@ -418,20 +396,15 @@ mod tests {
     #[test]
     fn bolton_strategy_runs_the_baseline() {
         let db = seeded_db();
-        let unified = db.search("t").keyword("red").k(3).run().unwrap();
-        let bolton = db
-            .search("t")
-            .keyword("red")
-            .k(3)
-            .via_bolton()
-            .run()
-            .unwrap();
+        let request = db.search("t").keyword("red").k(3);
+        let (bolton, bolton_cost) = bolton_search(&db, request.spec()).unwrap();
+        let unified = request.run().unwrap();
         // Same fused ranking, different architecture: the bolt-on pays in
         // round trips.
         assert_eq!(
             unified.hits.iter().map(|h| h.row).collect::<Vec<_>>(),
-            bolton.hits.iter().map(|h| h.row).collect::<Vec<_>>(),
+            bolton.iter().map(|h| h.row).collect::<Vec<_>>(),
         );
-        assert!(bolton.cost.round_trips >= unified.cost.round_trips);
+        assert!(bolton_cost.round_trips >= unified.cost.round_trips);
     }
 }

@@ -20,7 +20,7 @@
 //! - [`run_workers`]: run `f(0), .., f(workers-1)` concurrently and block
 //!   until all return (the breaker-operator shape: aggregate, join probe,
 //!   top-k). Borrows non-`'static` state; panics propagate to the caller.
-//! - [`spawn_detached`]: fire one `'static` job and get a join handle back
+//! - `spawn_detached`: fire one `'static` job and get a join handle back
 //!   (the scan-producer shape).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

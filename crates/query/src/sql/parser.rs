@@ -37,7 +37,7 @@ struct SelectStmt {
     limit: Option<usize>,
 }
 
-/// A parsed SQL statement: a query, or an EXPLAIN [ANALYZE] wrapper
+/// A parsed SQL statement: a query, or an `EXPLAIN [ANALYZE]` wrapper
 /// around one.
 #[derive(Debug, Clone)]
 pub enum Statement {

@@ -442,9 +442,9 @@ fn parse_window<T>(
 }
 
 /// Open the checkpoint at `path` *paged*: row-group payloads stay on disk
-/// and stream through a [`BufferPool`] of `pool_pages` frames on demand;
-/// only schemas, zone maps, and tail rows are materialized. `Ok(None)`
-/// when no checkpoint exists.
+/// and stream through a [`BufferPool`](crate::bufferpool::BufferPool) of
+/// `pool_pages` frames on demand; only schemas, zone maps, and tail rows are
+/// materialized. `Ok(None)` when no checkpoint exists.
 ///
 /// Two passes, both in `O(pool)` memory: a streaming CRC-32 over the whole
 /// file (same corruption guarantee as [`read_checkpoint`], without the

@@ -6,7 +6,7 @@
 //! independence" principle separates from the declarative query layer:
 //!
 //! - [`types`]: scalar values and data types,
-//! - [`column`]: typed, nullable column vectors,
+//! - [`column`](mod@column): typed, nullable column vectors,
 //! - [`schema`]: field and schema descriptors,
 //! - [`batch`]: record batches (the unit of vectorized execution),
 //! - [`table`]: row-grouped tables with zone-map pruning statistics,

@@ -600,7 +600,7 @@ impl Table {
     ///
     /// Call with the epoch reserved inside the commit critical section, so
     /// marks are appended in ascending epoch order. `horizon` is the oldest
-    /// epoch any live snapshot can still pin ([`EpochClock::horizon`] in
+    /// epoch any live snapshot can still pin (`EpochClock::horizon` in
     /// `backbone-txn`): marks strictly older than the newest mark at or
     /// below the horizon can never be selected again and are pruned here,
     /// keeping the mark vector O(active snapshots), not O(commits).

@@ -17,7 +17,7 @@
 //! ([`exact::TopK`]), and [`VectorIndex::search_with`] /
 //! [`VectorIndex::search_many`] partition work across the shared
 //! `backbone_query` worker pool under the typed
-//! [`Parallelism`](backbone_query::Parallelism) knob — degrading to the
+//! [`Parallelism`] knob — degrading to the
 //! serial path on one core exactly like the relational executor.
 
 pub mod dataset;

@@ -27,7 +27,7 @@ fn main() {
 
     // 1. Load: schema inferred (Utf8, Utf8, Int64, Int64, Bool).
     let rows = db.load_csv("cities", CITIES).expect("load");
-    let batch = db.table_batch("cities").expect("batch");
+    let batch = db.sql("SELECT * FROM cities").expect("batch");
     println!("loaded {rows} rows; inferred schema:");
     for f in batch.schema().fields() {
         println!("  {:<12} {}", f.name, f.data_type);

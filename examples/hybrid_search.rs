@@ -7,8 +7,8 @@
 //! cargo run --example hybrid_search
 //! ```
 
-use backbone_core::Database;
-use backbone_core::{HybridSpec, VectorIndexSpec};
+use backbone_bench::topk::ta_search;
+use backbone_core::{bolton_search, Database, HybridSpec, VectorIndexSpec};
 use backbone_query::{col, lit};
 use backbone_storage::{DataType, Field, Schema, Value};
 use backbone_vector::{Dataset, Metric};
@@ -66,7 +66,7 @@ fn main() {
     // declarative request assembled with the `SearchRequest` builder.
     let mut query_vec = vec![0.1f32; 8];
     query_vec[0] = 1.0; // the "audio" direction
-    let unified = db
+    let request = db
         .search("products")
         .filter(
             col("price")
@@ -75,14 +75,16 @@ fn main() {
         )
         .keyword("bass wireless")
         .vector(query_vec.clone())
-        .k(5)
-        .run()
-        .expect("unified");
+        .k(5);
+    // The same spec, routed through the bolt-on three-service composition
+    // (the measured baseline the unified engine replaces).
+    let (_, bolton) = bolton_search(&db, request.spec()).expect("bolton");
+    let unified = request.run().expect("unified");
     println!(
         "unified engine: {} round trip(s), {} candidates shipped",
         unified.cost.round_trips, unified.cost.candidates_fetched
     );
-    let batch = db.table_batch("products").expect("batch");
+    let batch = db.sql("SELECT * FROM products").expect("batch");
     for h in &unified.hits {
         let row = batch.row(h.row as usize);
         println!(
@@ -96,26 +98,11 @@ fn main() {
         );
     }
 
-    // Same request, routed through the bolt-on three-service composition
-    // (the measured baseline the unified engine replaces).
-    let bolton = db
-        .search("products")
-        .filter(
-            col("price")
-                .lt(lit(100.0))
-                .and(col("in_stock").eq(lit(true))),
-        )
-        .keyword("bass wireless")
-        .vector(query_vec.clone())
-        .k(5)
-        .via_bolton()
-        .run()
-        .expect("bolton");
     println!(
         "\nbolt-on composition: {} round trips, {} candidates shipped ({}x more)",
-        bolton.cost.round_trips,
-        bolton.cost.candidates_fetched,
-        bolton.cost.candidates_fetched / unified.cost.candidates_fetched.max(1)
+        bolton.round_trips,
+        bolton.candidates_fetched,
+        bolton.candidates_fetched / unified.cost.candidates_fetched.max(1)
     );
 
     // Bonus: the paper's cross-disciplinary exhibit — Fagin's Threshold
@@ -128,7 +115,7 @@ fn main() {
         k: 5,
         weights: Default::default(),
     };
-    let ta = backbone_core::ta_search(&db, &unfiltered).expect("ta");
+    let ta = ta_search(&db, &unfiltered).expect("ta");
     println!(
         "\nthreshold algorithm (no filter): top-{} found at sorted depth {} of {} products ({} random accesses)",
         unfiltered.k,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the full test suite.
+# Repo gate: formatting, lints, rustdoc, and the full test suite.
 #
 #   scripts/check.sh
 #
@@ -12,6 +12,10 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken intra-doc links (e.g. to a deleted API) fail the gate.
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test -q =="
 cargo test --workspace -q

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so this crate reimplements
 //! the subset of proptest the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map` / `prop_recursive` / `boxed`,
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_recursive` / `boxed`,
 //! [`strategy::Just`], range and tuple strategies, `any::<T>()`,
 //! `collection::vec`, `option::of`, the `proptest!` / `prop_oneof!` /
 //! `prop_assert!` / `prop_assert_eq!` macros, and `ProptestConfig`.

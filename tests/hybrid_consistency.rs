@@ -3,7 +3,8 @@
 //! enough information, and both must honor the relational filter exactly.
 
 use backbone_core::{
-    bolton_search, unified_search, Database, FusionWeights, HybridSpec, VectorIndexSpec,
+    bolton_search, unified_search, unified_search_profiled, Database, FusionWeights, HybridSpec,
+    VectorIndexSpec,
 };
 use backbone_query::{col, lit, Catalog};
 use backbone_storage::{DataType, Field, Schema, Value};
@@ -77,7 +78,7 @@ proptest! {
             k,
             weights: FusionWeights::default(),
         };
-        let batch = db.table_batch("products").unwrap();
+        let batch = db.sql("SELECT * FROM products").unwrap();
         let price_of = |row: u64| batch.column_by_name("price").unwrap().value(row as usize).as_float().unwrap();
 
         let (u, cu) = unified_search(&db, &spec).unwrap();
@@ -177,19 +178,17 @@ fn search_request_builder_matches_direct_calls() {
         direct_cost.candidates_fetched
     );
 
-    let built_bolton = session
+    let request = session
         .search("products")
         .filter(col("rating").gt(lit(2.5)))
         .keyword("premium bass")
         .vector(v)
         .k(7)
         .vector_weight(1.5)
-        .text_weight(0.5)
-        .via_bolton()
-        .run()
-        .unwrap();
+        .text_weight(0.5);
+    let (built_bolton, _) = bolton_search(&db, request.spec()).unwrap();
     let (direct_bolton, _) = bolton_search(&db, &spec).unwrap();
-    assert_eq!(built_bolton.hits, direct_bolton);
+    assert_eq!(built_bolton, direct_bolton);
 }
 
 #[test]
@@ -270,8 +269,9 @@ fn filtered_searches_read_the_pinned_snapshot_without_sealing() {
             .unwrap()
             .visible_rows_at(pin.epoch());
         assert_eq!(visible, 610 + 10 * c);
-        let mask = db.eval_mask("products", &filter()).unwrap();
-        assert_eq!(mask.len(), visible, "mask must cover the pinned prefix");
+        let request = db.search("products").filter(filter()).k(5);
+        let rows = unified_search_profiled(&db, request.spec()).unwrap().2.rows;
+        assert_eq!(rows, visible, "the search must read the pinned prefix");
         assert_eq!(groups(), sealed, "a search sealed the tail");
     }
 }

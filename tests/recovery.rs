@@ -15,8 +15,8 @@
 //!   (or an explicit corrupt-log error — never a panic).
 
 use backbone_core::durability::WAL_FILE;
-use backbone_core::{Database, DurabilityOptions, FsyncPolicy};
-use backbone_query::Catalog;
+use backbone_core::{Database, DurabilityOptions, Error, FsyncPolicy};
+use backbone_query::{Catalog, QueryError};
 use backbone_storage::table::DEFAULT_ROW_GROUP_SIZE;
 use backbone_storage::{DataType, Field, Schema, Table, Value};
 use backbone_txn::{FaultFile, FaultKind, FaultPlan};
@@ -44,7 +44,7 @@ fn event_row(i: usize) -> Vec<Value> {
 /// Ids currently in the events table, in row order (`None` if the table
 /// does not exist).
 fn recovered_ids(db: &Database) -> Option<Vec<i64>> {
-    let batch = db.table_batch("events").ok()?;
+    let batch = db.sql("SELECT id FROM events").ok()?;
     Some(
         (0..batch.num_rows())
             .map(|i| match batch.row(i)[0] {
@@ -144,6 +144,64 @@ fn crash_matrix_kill_point_by_fault_kind_by_policy() {
             }
         }
     }
+}
+
+/// `SELECT COUNT(*) FROM events`.
+fn sql_event_count(db: &Database) -> usize {
+    let out = db.sql("SELECT COUNT(*) FROM events").unwrap();
+    out.row(0)[0].as_int().expect("integer count") as usize
+}
+
+#[test]
+fn failed_commits_leave_no_trace_in_reads_checkpoints_or_recovery() {
+    const MARKER: usize = 999_999;
+    let dir = scratch_dir("failed-commits");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Appends 1-3 (header, create, first insert) persist; the 4th crashes
+    // the device cleanly, and every later WAL append fails.
+    let device = FaultFile::open(
+        dir.join(WAL_FILE),
+        FaultPlan::new(FaultKind::CleanCrash, 4, 1),
+    )
+    .unwrap();
+    let opts = DurabilityOptions::default().fsync(FsyncPolicy::Always);
+    let db = Database::open_with_device(&dir, Box::new(device), opts).unwrap();
+    db.create_table("events", events_schema()).unwrap();
+    let mut next = 0;
+    while db.insert("events", vec![event_row(next)]).is_ok() {
+        next += 1;
+        assert!(next < 100, "the injected fault never fired");
+    }
+
+    // Commits on a dead log fail, and readers never see them.
+    assert!(db.insert("events", vec![event_row(MARKER)]).is_err());
+    assert_eq!(
+        db.row_count("events"),
+        Some(sql_event_count(&db)),
+        "row_count disagrees with SELECT COUNT(*)"
+    );
+    assert!(db.create_table("ghost", events_schema()).is_err());
+    match db.sql("SELECT COUNT(*) FROM ghost") {
+        Err(Error::Query(QueryError::TableNotFound(t))) => assert_eq!(t, "ghost"),
+        other => panic!("a failed create_table is queryable: {other:?}"),
+    }
+
+    // Nor does a checkpoint taken afterwards persist them.
+    let _ = db.checkpoint();
+    std::mem::forget(db);
+    let db = Database::open(&dir).unwrap();
+    let ids = recovered_ids(&db).unwrap();
+    assert!(
+        !ids.contains(&(MARKER as i64)),
+        "a failed insert came back: {ids:?}"
+    );
+    assert_eq!(ids, (0..ids.len() as i64).collect::<Vec<_>>());
+    assert!(
+        db.sql("SELECT COUNT(*) FROM ghost").is_err(),
+        "a failed create_table came back"
+    );
+    assert!(!db.table_names().contains(&"ghost".to_string()));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
