@@ -12,10 +12,8 @@
 
 use crate::ledger::{measure, Gate, Over, Rung};
 use crate::time;
-use backbone_core::{
-    unified_search, unified_search_forced, unified_search_profiled, FilterStrategy, FusionWeights,
-    HybridSpec, VectorIndexKind,
-};
+use backbone_core::hybrid::{self, FilterStrategy};
+use backbone_core::{FusionWeights, HybridSpec, VectorIndexSpec};
 use backbone_query::{col, lit};
 use backbone_vector::hnsw::HnswParams;
 use backbone_vector::ivf::IvfParams;
@@ -228,7 +226,7 @@ pub fn run(quick: bool) -> Vec<Rung> {
     // quick size stays above 2x the exact-scan threshold so the permissive
     // predicate still lands in post-filter territory.
     let products = if quick { 4000 } else { 20_000 };
-    let db = crate::e3_hybrid::build_db(products, 8, 42, VectorIndexKind::Exact);
+    let db = crate::e3_hybrid::build_db(products, 8, 42, VectorIndexSpec::exact(Metric::L2));
     let hqs = generate_queries(if quick { 6 } else { 12 }, 8, 0.0, K, 43);
     for (label, cutoff, [pre_name, post_name, worse_name, auto_name, overlap_name]) in [
         (
@@ -267,9 +265,9 @@ pub fn run(quick: bool) -> Vec<Rung> {
             .collect();
         // The cost model must route the two predicates differently: the
         // permissive one to post-filtering, the selective one away from it.
-        let picked = unified_search_profiled(&db, &specs[0])
+        let picked = hybrid::search(&db, &specs[0])
             .expect("profiled")
-            .2
+            .profile
             .strategy;
         if label == "permissive" {
             assert_eq!(picked, FilterStrategy::PostFilter, "permissive pick");
@@ -280,7 +278,11 @@ pub fn run(quick: bool) -> Vec<Rung> {
             measure(|| {
                 specs
                     .iter()
-                    .map(|s| unified_search_forced(&db, s, strategy).expect("forced").0)
+                    .map(|s| {
+                        hybrid::search_forced(&db, s, strategy)
+                            .expect("forced")
+                            .hits
+                    })
                     .collect::<Vec<_>>()
             })
         };
@@ -289,7 +291,7 @@ pub fn run(quick: bool) -> Vec<Rung> {
         let (auto_hits, auto_ms) = measure(|| {
             specs
                 .iter()
-                .map(|s| unified_search(&db, s).expect("auto").0)
+                .map(|s| hybrid::search(&db, s).expect("auto").hits)
                 .collect::<Vec<_>>()
         });
         // Recall anchor: the picked plan must return (nearly) the same top-k

@@ -6,11 +6,9 @@
 //! fewer round trips, and the gap widens as the relational filter gets more
 //! selective (bolt-on over-fetches blindly and retries).
 
-use crate::time;
-use backbone_core::{
-    bolton_search, explain_hybrid, unified_search, Database, FusionWeights, HybridSpec,
-    VectorIndexKind, VectorIndexSpec,
-};
+use crate::{bolton, time};
+use backbone_core::hybrid::{self, FilterStrategy};
+use backbone_core::{Database, FusionWeights, HybridSpec, Result, VectorIndexSpec};
 use backbone_query::{col, lit};
 use backbone_storage::{DataType, Field, Schema, Value};
 use backbone_vector::{Dataset, Metric};
@@ -35,8 +33,11 @@ pub struct E3Row {
     pub overlap: f64,
 }
 
-/// Build the product database.
-pub fn build_db(products: usize, dim: usize, seed: u64, kind: VectorIndexKind) -> Database {
+/// Build the product database: `products` generated rows in `products`
+/// (`id, category, price, rating, in_stock`), a text index over their
+/// descriptions and a `spec` vector index over their `dim`-dimensional
+/// embeddings. Row ordinal, document id and vector id are the product id.
+pub fn build_db(products: usize, dim: usize, seed: u64, spec: VectorIndexSpec) -> Database {
     let catalog = generate(products, dim, seed);
     let db = Database::new();
     db.create_table(
@@ -64,23 +65,6 @@ pub fn build_db(products: usize, dim: usize, seed: u64, kind: VectorIndexKind) -
         })
         .collect();
     db.insert("products", rows).unwrap();
-    // Text index over descriptions: build a synthetic desc column table?
-    // Descriptions live outside the relational schema; index them directly.
-    db.create_table(
-        "product_desc",
-        Schema::new(vec![Field::new("desc", DataType::Utf8)]),
-    )
-    .unwrap();
-    db.insert(
-        "product_desc",
-        catalog
-            .products
-            .iter()
-            .map(|p| vec![Value::str(&p.description)])
-            .collect(),
-    )
-    .unwrap();
-    // Index text under the products table name so hybrid search finds it.
     db.create_text_index_from(
         "products",
         catalog.products.iter().map(|p| p.description.as_str()),
@@ -90,8 +74,7 @@ pub fn build_db(products: usize, dim: usize, seed: u64, kind: VectorIndexKind) -
     for p in &catalog.products {
         ds.push(p.id, &p.embedding);
     }
-    db.create_vector_index("products", ds, VectorIndexSpec::of_kind(Metric::L2, kind))
-        .unwrap();
+    db.create_vector_index("products", ds, spec).unwrap();
     db
 }
 
@@ -125,11 +108,12 @@ pub fn run(
                     k,
                     weights: FusionWeights::default(),
                 };
-                let ((hits_u, cost_u), su) = time(|| unified_search(db, &spec).expect("unified"));
-                let ((hits_b, cost_b), sb) = time(|| bolton_search(db, &spec).expect("bolton"));
+                let (hits_u, su) = time(|| hybrid::search(db, &spec).expect("unified").hits);
+                let ((hits_b, cost_b), sb) = time(|| bolton::search(db, &spec).expect("bolton"));
                 unified_s += su;
                 bolton_s += sb;
-                uc += cost_u.candidates_fetched as f64;
+                // One round trip returns exactly the hits.
+                uc += hits_u.len() as f64;
                 bc += cost_b.candidates_fetched as f64;
                 brt += cost_b.round_trips as f64;
                 let set_u: std::collections::BTreeSet<u64> = hits_u.iter().map(|h| h.row).collect();
@@ -164,7 +148,7 @@ pub fn modeled_ms(cpu_s: f64, candidates: f64, round_trips: f64) -> f64 {
 
 /// Print the experiment's table.
 pub fn report(products: usize, queries: usize, k: usize, seed: u64) -> String {
-    let db = build_db(products, 8, seed, VectorIndexKind::Exact);
+    let db = build_db(products, 8, seed, VectorIndexSpec::exact(Metric::L2));
     let cutoffs = [250.0, 50.0, 25.0, 10.0];
     let rows = run(&db, &cutoffs, queries, k, seed + 1);
     let mut out = String::new();
@@ -204,9 +188,64 @@ pub fn report(products: usize, queries: usize, k: usize, seed: u64) -> String {
             weights: FusionWeights::default(),
         };
         out.push_str(&format!("\nEXPLAIN hybrid (price < {cutoff}):\n"));
-        out.push_str(&explain_hybrid(&db, &spec).expect("explain"));
+        out.push_str(&explain(&db, &spec).expect("explain"));
     }
     out
+}
+
+/// Render a hybrid search's plan and execution the way `EXPLAIN ANALYZE`
+/// renders a relational one: the costed decision first, then per-stage
+/// actuals from the search's [`hybrid::HybridProfile`]. Runs the search.
+pub fn explain(db: &Database, spec: &HybridSpec) -> Result<String> {
+    let response = hybrid::search(db, spec)?;
+    let p = response.profile;
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let mut out = format!("HybridSearch {} (k={})\n", spec.table, spec.k);
+    out.push_str(&format!(
+        "  strategy: {} (estimated selectivity {:.1}% of {} rows)\n",
+        p.strategy.name(),
+        p.selectivity * 100.0,
+        p.rows
+    ));
+    if spec.filter.is_some() {
+        out.push_str(&format!(
+            "  -> Filter: {:.3} ms, {} rows pass ({:.1}% actual)\n",
+            ms(p.filter_ns),
+            p.rows_passing,
+            p.rows_passing as f64 * 100.0 / p.rows.max(1) as f64
+        ));
+    }
+    if spec.vector.is_some() {
+        let detail = match p.strategy {
+            FilterStrategy::PostFilter => format!(", overfetch {}", p.overfetch),
+            _ => String::new(),
+        };
+        out.push_str(&format!(
+            "  -> Vector [{}{}]: {:.3} ms, {} candidates\n",
+            p.strategy.name(),
+            detail,
+            ms(p.vector_ns),
+            p.vector_candidates
+        ));
+    }
+    if spec.keyword.is_some() {
+        out.push_str(&format!(
+            "  -> Text [bm25]: {:.3} ms, {} postings scored\n",
+            ms(p.text_ns),
+            p.bm25.postings_scored
+        ));
+    }
+    if spec.vector.is_some() {
+        out.push_str(&format!(
+            "  -> Complete distances: {:.3} ms\n",
+            ms(p.complete_ns)
+        ));
+    }
+    out.push_str(&format!(
+        "  => {} hits, 1 round trip\n",
+        response.hits.len()
+    ));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -215,7 +254,7 @@ mod tests {
 
     #[test]
     fn bolton_ships_more_as_selectivity_drops() {
-        let db = build_db(2000, 8, 5, VectorIndexKind::Exact);
+        let db = build_db(2000, 8, 5, VectorIndexSpec::exact(Metric::L2));
         let rows = run(&db, &[250.0, 10.0], 10, 5, 6);
         assert_eq!(rows.len(), 2);
         // At every selectivity the bolt-on ships more candidates.
@@ -224,5 +263,26 @@ mod tests {
         }
         // And more at the tighter filter than the looser one.
         assert!(rows[1].bolton_candidates >= rows[0].bolton_candidates * 0.8);
+    }
+
+    #[test]
+    fn explain_names_strategy_and_stages() {
+        let db = build_db(2000, 8, 5, VectorIndexSpec::exact(Metric::L2));
+        let q = &generate_queries(1, 8, 0.0, 5, 6)[0];
+        let spec = HybridSpec {
+            table: "products".into(),
+            filter: Some(col("price").lt(lit(10.0))),
+            keyword: Some(q.keyword.clone()),
+            vector: Some(q.embedding.clone()),
+            k: 5,
+            weights: FusionWeights::default(),
+        };
+        let out = explain(&db, &spec).unwrap();
+        assert!(out.contains("strategy: exact-scan"), "{out}");
+        assert!(out.contains("-> Filter"), "{out}");
+        assert!(out.contains("-> Vector [exact-scan]"), "{out}");
+        assert!(out.contains("-> Text [bm25]"), "{out}");
+        assert!(out.contains("postings scored"), "{out}");
+        assert!(out.contains("round trip"), "{out}");
     }
 }

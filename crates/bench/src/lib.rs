@@ -4,7 +4,9 @@
 //! paper is a position paper; experiments reproduce its quantified claims —
 //! see DESIGN.md). The `repro` binary prints their tables. The gated
 //! suites `exec_bench`, `ann_bench` and `serve_bench` record typed rungs
-//! and declare gate tables on the shared [`ledger`].
+//! and declare gate tables on the shared [`ledger`]. [`bolton`] and
+//! [`topk`] are the hybrid-search comparators E3 measures the engine
+//! against.
 
 pub mod e1_tpch;
 pub mod e2_orm;
@@ -17,6 +19,7 @@ pub mod e8_usability;
 pub mod e9_ann;
 
 pub mod ann_bench;
+pub mod bolton;
 pub mod exec_bench;
 pub mod ledger;
 pub mod serve_bench;

@@ -11,15 +11,9 @@
 //! It is a comparator for E3, built on the engine's public index handles.
 
 use backbone_core::{Database, Error, FusionWeights, HybridHit, HybridSpec, Result};
-use backbone_text::bm25::{rank_terms, Bm25Params};
+use backbone_text::bm25::{rank_terms_filtered_counted, score_doc, Bm25Params};
 use backbone_text::tokenize::tokenize;
 use std::collections::HashMap;
-
-/// Convert a distance to a similarity in (0, 1] (same transform as the
-/// hybrid engine).
-fn similarity(distance: f32) -> f64 {
-    1.0 / (1.0 + distance.max(0.0) as f64)
-}
 
 /// Outcome of a TA run.
 #[derive(Debug, Clone)]
@@ -46,7 +40,7 @@ pub fn ta_search(db: &Database, spec: &HybridSpec) -> Result<TaResult> {
     };
     if spec.filter.is_some() {
         return Err(Error::InvalidInput(
-            "threshold algorithm variant does not support relational filters; use unified_search"
+            "threshold algorithm variant does not support relational filters; use hybrid::search"
                 .into(),
         ));
     }
@@ -66,7 +60,13 @@ pub fn ta_search(db: &Database, spec: &HybridSpec) -> Result<TaResult> {
     // Sorted access streams. The vector list is materialized lazily in
     // doubling chunks so shallow terminations stay cheap.
     let terms = tokenize(kw);
-    let text_list = rank_terms(&tindex, &terms, tindex.num_docs(), Bm25Params::default());
+    let (text_list, _) = rank_terms_filtered_counted(
+        &tindex,
+        &terms,
+        tindex.num_docs(),
+        Bm25Params::default(),
+        &|_| true,
+    );
     let mut vector_list = vindex.search(qv, 64.min(vindex.len().max(1)));
     let total = vindex.len();
 
@@ -88,13 +88,11 @@ pub fn ta_search(db: &Database, spec: &HybridSpec) -> Result<TaResult> {
             Some(t) => Some(t),
             None => {
                 *ra += 1;
-                let t = backbone_text::bm25::score_doc(&tindex, kw, id, Bm25Params::default());
+                let t = score_doc(&tindex, kw, id, Bm25Params::default());
                 (t > 0.0).then_some(t)
             }
         };
-        let score =
-            weights.vector * vd.map(similarity).unwrap_or(0.0) + weights.text * ts.unwrap_or(0.0);
-        (score, vd, ts)
+        (weights.score(vd, ts), vd, ts)
     };
 
     let mut best: Vec<HybridHit> = Vec::new();
@@ -137,20 +135,12 @@ pub fn ta_search(db: &Database, spec: &HybridSpec) -> Result<TaResult> {
         // Threshold: the best fused score any completely unseen object
         // could still achieve — the value at each list's frontier, or 0 for
         // an exhausted list.
-        let v_bound = if depth >= total {
-            0.0
-        } else {
-            vector_list
-                .get(depth - 1)
-                .map(|h| similarity(h.distance))
-                .unwrap_or(0.0)
-        };
-        let t_bound = if depth > text_list.len() {
-            0.0
-        } else {
-            text_list.get(depth - 1).map(|s| s.score).unwrap_or(0.0)
-        };
-        let threshold = weights.vector * v_bound + weights.text * t_bound;
+        let v_bound = vector_list
+            .get(depth - 1)
+            .filter(|_| depth < total)
+            .map(|h| h.distance);
+        let t_bound = text_list.get(depth - 1).map(|s| s.score);
+        let threshold = weights.score(v_bound, t_bound);
         if best.len() >= spec.k {
             let kth = best[spec.k - 1].score;
             if kth >= threshold {
@@ -228,7 +218,7 @@ mod tests {
                     id,
                     Bm25Params::default(),
                 );
-                (id, similarity(vd) + ts)
+                (id, s.weights.score(Some(vd), Some(ts)))
             })
             .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));

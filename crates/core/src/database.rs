@@ -484,11 +484,6 @@ impl Database {
         Ok(())
     }
 
-    /// Whether this database persists to disk.
-    pub fn is_durable(&self) -> bool {
-        self.inner.durability.is_some()
-    }
-
     /// What recovery found when this database was opened (`None` for
     /// in-memory databases).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {

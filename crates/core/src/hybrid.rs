@@ -1,22 +1,16 @@
-//! Hybrid search: the unified engine vs the bolt-on composition (E3).
+//! Hybrid search: one engine runs a relational filter, a vector query and
+//! a keyword query over one table and fuses the answers (E3).
 //!
 //! The panel's claim: *"solutions are crappy when you combine diverse
 //! workloads like vectors, keywords, and relational queries in commercial
-//! systems."* The two functions here make the comparison concrete:
-//!
-//! - [`unified_search`] is `backbone`'s way: one engine evaluates the
-//!   relational predicate once into a row mask, *costs* the filtered vector
-//!   stage like a query optimizer would ([`FilterStrategy`]), pushes the
-//!   mask into the chosen plan, restricts BM25 to it, and fuses — one
-//!   logical round trip.
-//! - [`bolton_search`] is the architecture the quote complains about: three
-//!   independent services (vector store, text search, RDBMS) queried
-//!   separately and glued at the client. The relational service must ship
-//!   its whole qualifying id set, the other two over-fetch blindly, and the
-//!   client retries with bigger fetches until enough survivors intersect.
-//!
-//! Both compute the same fusion score, so differences in cost and recall are
-//! purely architectural.
+//! systems."* [`search`] is `backbone`'s answer: one engine evaluates the
+//! relational predicate once into a row mask, *costs* the filtered vector
+//! stage like a query optimizer would ([`FilterStrategy`]), pushes the mask
+//! into the chosen plan, restricts BM25 to it, and fuses — one logical
+//! round trip. The bolt-on composition it is measured against (three
+//! services glued at the client) lives in the bench crate and ranks through
+//! the same [`fuse_top_k`], so differences in cost and recall are purely
+//! architectural.
 //!
 //! ## Costing the filtered vector stage
 //!
@@ -34,10 +28,11 @@
 //!   entirely. Wins when so few rows qualify that scanning them costs less
 //!   than any index traversal — and it is *exact*, so recall can only go up.
 //!
-//! [`unified_search`] picks per query using the same ANALYZE statistics the
+//! [`search`] picks per query using the same ANALYZE statistics the
 //! relational optimizer uses ([`backbone_query::optimizer::cardinality`]);
-//! the decision, the selectivity estimate, and per-stage timings surface in
-//! [`HybridProfile`] / [`explain_hybrid`] and the `hybrid.*` metrics.
+//! [`search_forced`] runs a named plan instead. The decision, the
+//! selectivity estimate, and per-stage timings surface in [`HybridProfile`]
+//! and the `hybrid.*` metrics.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
@@ -46,22 +41,11 @@ use backbone_query::eval::eval_predicate;
 use backbone_query::optimizer::cardinality::selectivity_on;
 use backbone_query::Expr;
 use backbone_storage::Table;
-use backbone_text::bm25::{rank_terms_counted, rank_terms_filtered_counted, Bm25Params, Bm25Work};
+use backbone_text::bm25::{rank_terms_filtered_counted, Bm25Params, Bm25Work};
 use backbone_text::tokenize::tokenize;
 use backbone_vector::exact::TopK;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Which vector index implementation a table uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VectorIndexKind {
-    /// Brute-force exact scan.
-    Exact,
-    /// IVF-Flat.
-    Ivf,
-    /// HNSW graph.
-    Hnsw,
-}
 
 /// Physical plan for the *vector stage* of a filtered hybrid search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,6 +113,15 @@ impl Default for FusionWeights {
     }
 }
 
+impl FusionWeights {
+    /// The fused score of one row: the weighted sum of its vector
+    /// similarity `1/(1+distance)` and its BM25 score, each 0 when absent.
+    pub fn score(&self, vector_distance: Option<f32>, text_score: Option<f64>) -> f64 {
+        let v = vector_distance.map(|d| 1.0 / (1.0 + d.max(0.0) as f64));
+        self.vector * v.unwrap_or(0.0) + self.text * text_score.unwrap_or(0.0)
+    }
+}
+
 /// A hybrid query specification.
 #[derive(Debug, Clone)]
 pub struct HybridSpec {
@@ -157,17 +150,6 @@ pub struct HybridHit {
     pub vector_distance: Option<f32>,
     /// BM25 score, when the row matched the keyword query.
     pub text_score: Option<f64>,
-}
-
-/// Accounting of what a search cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchCost {
-    /// Candidate rows shipped between components (the bolt-on tax).
-    pub candidates_fetched: usize,
-    /// Logical round trips between client and services.
-    pub round_trips: usize,
-    /// Vector-stage plan the engine executed.
-    pub strategy: FilterStrategy,
 }
 
 /// Per-query execution profile: the decision and where the time went — the
@@ -199,15 +181,34 @@ pub struct HybridProfile {
     pub bm25: Bm25Work,
 }
 
-/// Convert a distance to a similarity in (0, 1].
-fn similarity(distance: f32) -> f64 {
-    1.0 / (1.0 + distance.max(0.0) as f64)
+/// The outcome of a hybrid search: ranked hits plus the per-query profile.
+#[derive(Debug, Clone)]
+pub struct SearchResponse {
+    /// Fused results, best first.
+    pub hits: Vec<HybridHit>,
+    /// The plan chosen and where the time went.
+    pub profile: HybridProfile,
 }
 
-fn fuse(weights: &FusionWeights, vector_distance: Option<f32>, text_score: Option<f64>) -> f64 {
-    let v = vector_distance.map(similarity).unwrap_or(0.0);
-    let t = text_score.unwrap_or(0.0);
-    weights.vector * v + weights.text * t
+/// Per-row candidate components gathered before fusion: the row's vector
+/// distance and BM25 score, each `None` when that side did not see it.
+pub type Candidates = HashMap<u64, (Option<f32>, Option<f64>)>;
+
+/// Fuse candidates into the top `k` hits: scored by
+/// [`FusionWeights::score`], best first, ties broken by row order.
+pub fn fuse_top_k(candidates: Candidates, weights: &FusionWeights, k: usize) -> Vec<HybridHit> {
+    let mut hits: Vec<HybridHit> = candidates
+        .into_iter()
+        .map(|(row, (vd, ts))| HybridHit {
+            row,
+            score: weights.score(vd, ts),
+            vector_distance: vd,
+            text_score: ts,
+        })
+        .collect();
+    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.row.cmp(&b.row)));
+    hits.truncate(k);
+    hits
 }
 
 /// Evaluate the spec's filter over the first `visible` rows of `table` into
@@ -224,43 +225,11 @@ fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Optio
     Ok(Some(mask))
 }
 
-fn vector_index_of(
-    db: &Database,
-    table: &str,
-) -> Result<std::sync::Arc<dyn backbone_vector::VectorIndex>> {
-    db.vector_index(table).ok_or_else(|| Error::IndexMissing {
-        table: table.to_string(),
-        kind: "vector",
-    })
-}
-
-fn text_index_of(
-    db: &Database,
-    table: &str,
-) -> Result<std::sync::Arc<backbone_text::InvertedIndex>> {
-    db.text_index(table).ok_or_else(|| Error::IndexMissing {
-        table: table.to_string(),
-        kind: "text",
-    })
-}
-
-fn rank_and_truncate(
-    mut merged: HashMap<u64, (Option<f32>, Option<f64>)>,
-    weights: &FusionWeights,
-    k: usize,
-) -> Vec<HybridHit> {
-    let mut hits: Vec<HybridHit> = merged
-        .drain()
-        .map(|(row, (vd, ts))| HybridHit {
-            row,
-            score: fuse(weights, vd, ts),
-            vector_distance: vd,
-            text_score: ts,
-        })
-        .collect();
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.row.cmp(&b.row)));
-    hits.truncate(k);
-    hits
+fn missing(spec: &HybridSpec, kind: &'static str) -> Error {
+    Error::IndexMissing {
+        table: spec.table.clone(),
+        kind,
+    }
 }
 
 /// Pick the vector-stage plan for a table of `rows` visible rows from
@@ -284,7 +253,7 @@ fn choose_strategy(db: &Database, spec: &HybridSpec, rows: usize) -> (FilterStra
     }
 }
 
-/// The unified engine: filter once, cost the vector stage, push the mask
+/// Run a hybrid search: filter once, cost the vector stage, push the mask
 /// into the chosen plan, fuse in place. The request pins one snapshot: the
 /// mask, the strategy's row count and the pure-relational path all read the
 /// same committed prefix.
@@ -294,48 +263,41 @@ fn choose_strategy(db: &Database, spec: &HybridSpec, rows: usize) -> (FilterStra
 /// `hybrid.complete_ns`, a `hybrid.searches` call counter, and one
 /// `hybrid.strategy.*` counter per plan chosen) — the same observability
 /// spine `EXPLAIN ANALYZE` uses for relational operators.
-pub fn unified_search(db: &Database, spec: &HybridSpec) -> Result<(Vec<HybridHit>, SearchCost)> {
-    run_unified(db, spec, None).map(|(h, c, _)| (h, c))
+pub fn search(db: &Database, spec: &HybridSpec) -> Result<SearchResponse> {
+    run(db, spec, None)
 }
 
-/// [`unified_search`] with the vector-stage plan forced instead of costed —
-/// how the E3 bench pits the strategies against each other and checks that
-/// the cost model's pick is never the losing plan.
-pub fn unified_search_forced(
+/// [`search`] with the vector-stage plan forced instead of costed — how the
+/// ANN bench pits the strategies against each other and checks that the
+/// cost model's pick is never the losing plan. A filterless spec always
+/// runs [`FilterStrategy::Unfiltered`]; forcing `Unfiltered` on a filtered
+/// spec is an error, because that plan would return rows the filter
+/// rejects.
+pub fn search_forced(
     db: &Database,
     spec: &HybridSpec,
     strategy: FilterStrategy,
-) -> Result<(Vec<HybridHit>, SearchCost)> {
-    run_unified(db, spec, Some(strategy)).map(|(h, c, _)| (h, c))
+) -> Result<SearchResponse> {
+    run(db, spec, Some(strategy))
 }
 
-/// [`unified_search`] returning the per-query [`HybridProfile`] alongside.
-pub fn unified_search_profiled(
-    db: &Database,
-    spec: &HybridSpec,
-) -> Result<(Vec<HybridHit>, SearchCost, HybridProfile)> {
-    run_unified(db, spec, None)
-}
-
-fn run_unified(
-    db: &Database,
-    spec: &HybridSpec,
-    forced: Option<FilterStrategy>,
-) -> Result<(Vec<HybridHit>, SearchCost, HybridProfile)> {
+fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Result<SearchResponse> {
     let metrics = db.metrics();
     metrics.counter("hybrid.searches").incr();
 
     let (table, rows) = db.pinned_snapshot(&spec.table)?;
-    let (mut strategy, sel) = choose_strategy(db, spec, rows);
-    if let Some(f) = forced {
-        // A filterless query has nothing to pre/post-filter; the guard keeps
-        // forced rungs honest instead of crashing on a missing mask.
-        strategy = if spec.filter.is_some() {
-            f
-        } else {
-            FilterStrategy::Unfiltered
-        };
-    }
+    let (costed, sel) = choose_strategy(db, spec, rows);
+    let strategy = match forced {
+        None => costed,
+        // A filterless query has nothing to pre/post-filter.
+        Some(_) if spec.filter.is_none() => FilterStrategy::Unfiltered,
+        Some(FilterStrategy::Unfiltered) => {
+            return Err(Error::InvalidInput(
+                "the unfiltered plan cannot run a filtered search".into(),
+            ))
+        }
+        Some(f) => f,
+    };
     metrics.counter(strategy.counter_key()).incr();
 
     let mut profile = HybridProfile {
@@ -359,11 +321,13 @@ fn run_unified(
             .unwrap_or(true)
     };
 
-    let mut merged: HashMap<u64, (Option<f32>, Option<f64>)> = HashMap::new();
+    let mut merged = Candidates::new();
 
     if let Some(qv) = &spec.vector {
         let stage = Instant::now();
-        let index = vector_index_of(db, &spec.table)?;
+        let index = db
+            .vector_index(&spec.table)
+            .ok_or_else(|| missing(spec, "vector"))?;
         // Typed boundary check: past this point the kernels only
         // debug_assert.
         index.check_query(qv)?;
@@ -419,23 +383,19 @@ fn run_unified(
 
     if let Some(kw) = &spec.keyword {
         let stage = Instant::now();
-        let index = text_index_of(db, &spec.table)?;
+        let index = db
+            .text_index(&spec.table)
+            .ok_or_else(|| missing(spec, "text"))?;
         let terms = tokenize(kw);
         // Push the mask into relevance scoring and keep a bounded candidate
         // set — the index is co-located, so no over-fetch leaves the engine.
         let fetch = (spec.k * 4).max(64);
-        let (scored, work) = if spec.filter.is_some() {
-            rank_terms_filtered_counted(&index, &terms, fetch, Bm25Params::default(), &passes)
-        } else {
-            rank_terms_counted(&index, &terms, fetch, Bm25Params::default())
-        };
+        let (scored, work) =
+            rank_terms_filtered_counted(&index, &terms, fetch, Bm25Params::default(), &passes);
         profile.bm25 = work;
         metrics
             .counter("text.bm25.postings_scored")
             .add(work.postings_scored);
-        metrics
-            .counter("text.bm25.norm_lookups_saved")
-            .add(work.norm_lookups_saved);
         for s in scored {
             merged.entry(s.doc).or_insert((None, None)).1 = Some(s.score);
         }
@@ -471,153 +431,10 @@ fn run_unified(
         }
     }
 
-    let hits = rank_and_truncate(merged, &spec.weights, spec.k);
-    let cost = SearchCost {
-        candidates_fetched: hits.len(),
-        round_trips: 1,
-        strategy,
-    };
-    Ok((hits, cost, profile))
-}
-
-/// Render a hybrid query's plan and execution the way `EXPLAIN ANALYZE`
-/// renders a relational one: the costed decision first, then per-stage
-/// actuals. Runs the query.
-pub fn explain_hybrid(db: &Database, spec: &HybridSpec) -> Result<String> {
-    let (hits, cost, p) = unified_search_profiled(db, spec)?;
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut out = String::new();
-    out.push_str(&format!("HybridSearch {} (k={})\n", spec.table, spec.k));
-    out.push_str(&format!(
-        "  strategy: {} (estimated selectivity {:.1}% of {} rows)\n",
-        p.strategy.name(),
-        p.selectivity * 100.0,
-        p.rows
-    ));
-    if spec.filter.is_some() {
-        out.push_str(&format!(
-            "  -> Filter: {:.3} ms, {} rows pass ({:.1}% actual)\n",
-            ms(p.filter_ns),
-            p.rows_passing,
-            if p.rows > 0 {
-                p.rows_passing as f64 * 100.0 / p.rows as f64
-            } else {
-                0.0
-            }
-        ));
-    }
-    if spec.vector.is_some() {
-        let detail = match p.strategy {
-            FilterStrategy::PostFilter => format!(", overfetch {}", p.overfetch),
-            _ => String::new(),
-        };
-        out.push_str(&format!(
-            "  -> Vector [{}{}]: {:.3} ms, {} candidates\n",
-            p.strategy.name(),
-            detail,
-            ms(p.vector_ns),
-            p.vector_candidates
-        ));
-    }
-    if spec.keyword.is_some() {
-        out.push_str(&format!(
-            "  -> Text [bm25]: {:.3} ms, {} postings scored ({} norm lookups saved)\n",
-            ms(p.text_ns),
-            p.bm25.postings_scored,
-            p.bm25.norm_lookups_saved
-        ));
-    }
-    if spec.vector.is_some() {
-        out.push_str(&format!(
-            "  -> Complete distances: {:.3} ms\n",
-            ms(p.complete_ns)
-        ));
-    }
-    out.push_str(&format!(
-        "  => {} hits, {} round trip(s)\n",
-        hits.len(),
-        cost.round_trips
-    ));
-    Ok(out)
-}
-
-/// The bolt-on composition: three services, client-side glue, over-fetch
-/// and retry.
-pub fn bolton_search(db: &Database, spec: &HybridSpec) -> Result<(Vec<HybridHit>, SearchCost)> {
-    let (table, total_rows) = db.pinned_snapshot(&spec.table)?;
-    let mask = filter_mask(spec, &table, total_rows)?;
-
-    // Service 1 (RDBMS): ships the entire qualifying id list to the client.
-    let filter_ids: Option<Vec<u64>> = mask.as_ref().map(|m| {
-        m.iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i as u64))
-            .collect()
-    });
-    let mut cost = SearchCost {
-        candidates_fetched: filter_ids.as_ref().map(|v| v.len()).unwrap_or(0),
-        round_trips: if filter_ids.is_some() { 1 } else { 0 },
-        // The bolt-on glue can only post-filter: its services are blind to
-        // each other's predicates.
-        strategy: FilterStrategy::PostFilter,
-    };
-    let in_filter = |row: u64| {
-        filter_ids
-            .as_ref()
-            .map(|ids| ids.binary_search(&row).is_ok())
-            .unwrap_or(true)
-    };
-
-    let mut fetch = (spec.k * 4).max(64);
-    loop {
-        let mut merged: HashMap<u64, (Option<f32>, Option<f64>)> = HashMap::new();
-
-        // Service 2 (vector store): blind top-`fetch`, no filter awareness.
-        if let Some(qv) = &spec.vector {
-            let index = vector_index_of(db, &spec.table)?;
-            index.check_query(qv)?;
-            let hits = index.search(qv, fetch);
-            cost.candidates_fetched += hits.len();
-            cost.round_trips += 1;
-            for h in hits {
-                merged.entry(h.id).or_insert((None, None)).0 = Some(h.distance);
-            }
-        }
-
-        // Service 3 (text search): blind top-`fetch`.
-        if let Some(kw) = &spec.keyword {
-            let index = text_index_of(db, &spec.table)?;
-            let terms = tokenize(kw);
-            let (scored, _) = rank_terms_counted(&index, &terms, fetch, Bm25Params::default());
-            cost.candidates_fetched += scored.len();
-            cost.round_trips += 1;
-            for s in scored {
-                merged.entry(s.doc).or_insert((None, None)).1 = Some(s.score);
-            }
-        }
-
-        // Client-side intersection with the filter list.
-        merged.retain(|row, _| in_filter(*row));
-
-        if spec.vector.is_none() && spec.keyword.is_none() {
-            // Pure relational: the RDBMS result is the answer.
-            for row in filter_ids
-                .clone()
-                .unwrap_or_else(|| (0..total_rows as u64).collect())
-            {
-                merged.insert(row, (None, None));
-                if merged.len() >= spec.k {
-                    break;
-                }
-            }
-        }
-
-        let enough = merged.len() >= spec.k || fetch >= total_rows;
-        if enough {
-            return Ok((rank_and_truncate(merged, &spec.weights, spec.k), cost));
-        }
-        fetch *= 2;
-    }
+    Ok(SearchResponse {
+        hits: fuse_top_k(merged, &spec.weights, spec.k),
+        profile,
+    })
 }
 
 #[cfg(test)]
@@ -682,75 +499,20 @@ mod tests {
     #[test]
     fn unified_respects_filter() {
         let db = db();
-        let (hits, cost) = unified_search(&db, &spec()).unwrap();
+        let hits = search(&db, &spec()).unwrap().hits;
         assert_eq!(hits.len(), 5);
         for h in &hits {
             assert!(h.row < 20, "row {} violates price filter", h.row);
         }
-        assert_eq!(cost.round_trips, 1);
     }
 
     #[test]
     fn unified_prefers_even_near_vector() {
         let db = db();
-        let (hits, _) = unified_search(&db, &spec()).unwrap();
+        let hits = search(&db, &spec()).unwrap().hits;
         // Query vector [1,0] and keyword "even": even rows win.
         assert!(hits.iter().all(|h| h.row % 2 == 0), "hits: {hits:?}");
         assert!(hits[0].score >= hits[4].score);
-    }
-
-    #[test]
-    fn bolton_returns_filtered_results_too() {
-        let db = db();
-        let (hits, cost) = bolton_search(&db, &spec()).unwrap();
-        assert_eq!(hits.len(), 5);
-        for h in &hits {
-            assert!(h.row < 20);
-        }
-        // The bolt-on tax: more rows shipped, more round trips.
-        let (_, unified_cost) = unified_search(&db, &spec()).unwrap();
-        assert!(cost.candidates_fetched > unified_cost.candidates_fetched);
-        assert!(cost.round_trips > unified_cost.round_trips);
-    }
-
-    #[test]
-    fn unified_at_least_as_good_without_filter() {
-        let db = db();
-        let mut s = spec();
-        s.filter = None;
-        let (a, _) = unified_search(&db, &s).unwrap();
-        let (b, _) = bolton_search(&db, &s).unwrap();
-        // Unified completes missing vector distances for keyword-only
-        // candidates, so its fused top-k score dominates the bolt-on's.
-        let score = |v: &[HybridHit]| v.iter().map(|h| h.score).sum::<f64>();
-        assert!(
-            score(&a) >= score(&b) - 1e-9,
-            "{} < {}",
-            score(&a),
-            score(&b)
-        );
-        // And every unified hit now carries a vector distance.
-        assert!(a.iter().all(|h| h.vector_distance.is_some()));
-    }
-
-    #[test]
-    fn selective_filter_forces_bolton_refetch() {
-        let db = db();
-        let mut s = spec();
-        // Only rows 0..4 qualify: blind top-20 vector fetches waste most
-        // results and the text list needs growth.
-        s.filter = Some(col("price").lt(lit(4.0)));
-        s.k = 2;
-        let (hits_u, cost_u) = unified_search(&db, &s).unwrap();
-        let (hits_b, cost_b) = bolton_search(&db, &s).unwrap();
-        assert!(!hits_u.is_empty());
-        assert!(!hits_b.is_empty());
-        assert!(hits_u.iter().all(|h| h.row < 4));
-        assert!(hits_b.iter().all(|h| h.row < 4));
-        assert!(
-            cost_b.candidates_fetched >= cost_u.candidates_fetched * 2,
-            "bolt-on should ship much more: {cost_b:?} vs {cost_u:?}"
-        );
     }
 
     #[test]
@@ -764,7 +526,7 @@ mod tests {
             k: 3,
             weights: FusionWeights::default(),
         };
-        let (hits, _) = unified_search(&db, &s).unwrap();
+        let hits = search(&db, &s).unwrap().hits;
         assert_eq!(hits.len(), 3);
         assert!(hits.iter().all(|h| h.row % 2 == 1));
     }
@@ -775,12 +537,12 @@ mod tests {
         let mut s = spec();
         s.filter = None;
         s.keyword = None;
-        let (hits, _) = unified_search(&db, &s).unwrap();
+        let hits = search(&db, &s).unwrap().hits;
         assert!(hits.iter().all(|h| h.vector_distance.is_some()));
         let mut s2 = spec();
         s2.filter = None;
         s2.vector = None;
-        let (hits2, _) = unified_search(&db, &s2).unwrap();
+        let hits2 = search(&db, &s2).unwrap().hits;
         assert!(hits2.iter().all(|h| h.text_score.is_some()));
     }
 
@@ -799,7 +561,7 @@ mod tests {
             weights: FusionWeights::default(),
         };
         assert!(matches!(
-            unified_search(&db, &s),
+            search(&db, &s),
             Err(Error::IndexMissing { kind: "text", .. })
         ));
     }
@@ -808,7 +570,7 @@ mod tests {
     fn stage_timings_land_in_registry() {
         let db = db();
         let before = db.metrics().value("hybrid.searches");
-        unified_search(&db, &spec()).unwrap();
+        search(&db, &spec()).unwrap();
         assert_eq!(db.metrics().value("hybrid.searches"), before + 1);
         for stage in ["hybrid.filter_ns", "hybrid.vector_ns", "hybrid.text_ns"] {
             assert!(db.metrics().value(stage) > 0, "{stage} not recorded");
@@ -820,30 +582,26 @@ mod tests {
         let db = db();
         let mut s = spec();
         s.vector = Some(vec![1.0, 0.0, 0.5]); // index is 2-dimensional
-        match unified_search(&db, &s) {
+        match search(&db, &s) {
             Err(Error::DimensionMismatch { expected, got }) => {
                 assert_eq!((expected, got), (2, 3));
             }
             other => panic!("expected DimensionMismatch, got {other:?}"),
         }
-        assert!(matches!(
-            bolton_search(&db, &s),
-            Err(Error::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
     fn every_forced_strategy_respects_the_filter() {
         let db = db();
         let s = spec();
-        let (auto, _) = unified_search(&db, &s).unwrap();
+        let auto = search(&db, &s).unwrap().hits;
         for strat in [
             FilterStrategy::PreFilter,
             FilterStrategy::PostFilter,
             FilterStrategy::ExactScan,
         ] {
-            let (hits, cost) = unified_search_forced(&db, &s, strat).unwrap();
-            assert_eq!(cost.strategy, strat);
+            let SearchResponse { hits, profile } = search_forced(&db, &s, strat).unwrap();
+            assert_eq!(profile.strategy, strat);
             assert_eq!(hits.len(), 5, "{strat:?}");
             assert!(hits.iter().all(|h| h.row < 20), "{strat:?}: {hits:?}");
             // The exact index makes every strategy exact on this small
@@ -852,6 +610,11 @@ mod tests {
             let auto_rows: Vec<u64> = auto.iter().map(|h| h.row).collect();
             assert_eq!(rows, auto_rows, "{strat:?} disagrees with auto");
         }
+        // The unfiltered plan would leak rows the filter rejects.
+        assert!(matches!(
+            search_forced(&db, &s, FilterStrategy::Unfiltered),
+            Err(Error::InvalidInput(_))
+        ));
     }
 
     #[test]
@@ -868,38 +631,27 @@ mod tests {
         assert_eq!(choose_strategy(&db, &s, 40).0, FilterStrategy::Unfiltered);
         // Strategy counters tick.
         let before = db.metrics().value("hybrid.strategy.exactscan");
-        unified_search(&db, &spec()).unwrap();
+        search(&db, &spec()).unwrap();
         assert_eq!(db.metrics().value("hybrid.strategy.exactscan"), before + 1);
     }
 
     #[test]
     fn bm25_norm_cache_counters_tick() {
         let db = db();
-        let saved_before = db.metrics().value("text.bm25.norm_lookups_saved");
-        let scored_before = db.metrics().value("text.bm25.postings_scored");
-        unified_search(&db, &spec()).unwrap();
-        let saved = db.metrics().value("text.bm25.norm_lookups_saved") - saved_before;
-        let scored = db.metrics().value("text.bm25.postings_scored") - scored_before;
-        assert!(saved > 0, "text stage must record cached-norm work");
-        assert_eq!(saved, scored, "every scored posting uses the cached norm");
-    }
-
-    #[test]
-    fn explain_names_strategy_and_stages() {
-        let db = db();
-        let out = explain_hybrid(&db, &spec()).unwrap();
-        assert!(out.contains("strategy: exact-scan"), "{out}");
-        assert!(out.contains("-> Filter"), "{out}");
-        assert!(out.contains("-> Vector [exact-scan]"), "{out}");
-        assert!(out.contains("-> Text [bm25]"), "{out}");
-        assert!(out.contains("postings scored"), "{out}");
-        assert!(out.contains("round trip"), "{out}");
+        let before = db.metrics().value("text.bm25.postings_scored");
+        let work = search(&db, &spec()).unwrap().profile.bm25;
+        let scored = db.metrics().value("text.bm25.postings_scored") - before;
+        assert!(
+            scored > 0,
+            "text stage must record its cached-norm postings"
+        );
+        assert_eq!(scored, work.postings_scored);
     }
 
     #[test]
     fn profile_reports_decision_inputs() {
         let db = db();
-        let (_, _, p) = unified_search_profiled(&db, &spec()).unwrap();
+        let p = search(&db, &spec()).unwrap().profile;
         assert_eq!(p.strategy, FilterStrategy::ExactScan);
         assert_eq!(p.rows, 40);
         assert_eq!(p.rows_passing, 20);

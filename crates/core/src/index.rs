@@ -1,28 +1,28 @@
 //! Typed index specifications for the `Database` facade.
 //!
-//! [`VectorIndexSpec`] replaces the old positional
-//! `create_vector_index(table, vectors, metric, kind)` call: the algorithm
-//! choice and its tuning knobs (`nlist`/`nprobe` for IVF, `m`/`ef_*` for
-//! HNSW) travel in one typed value instead of being hard-coded to
-//! `::default()` inside the facade.
+//! [`VectorIndexSpec`] names the metric and the algorithm in one typed
+//! value; each algorithm builds with its crate's default parameters.
 
-use crate::hybrid::VectorIndexKind;
-use backbone_vector::hnsw::HnswParams;
-use backbone_vector::ivf::IvfParams;
 use backbone_vector::{Dataset, ExactIndex, HnswIndex, IvfIndex, Metric, VectorIndex};
 use std::sync::Arc;
 
-/// How to build a vector index: metric + algorithm + tuning parameters.
+/// How to build a vector index: metric + algorithm.
 ///
 /// ```
-/// use backbone_core::VectorIndexSpec;
-/// use backbone_vector::Metric;
+/// use backbone_core::{Database, VectorIndexSpec};
+/// use backbone_storage::{DataType, Field, Schema, Value};
+/// use backbone_vector::{Dataset, Metric};
 ///
-/// let exact = VectorIndexSpec::exact(Metric::L2);
-/// let ivf = VectorIndexSpec::ivf(Metric::L2).nlist(64).nprobe(8);
-/// let hnsw = VectorIndexSpec::hnsw(Metric::Cosine).m(24).ef_search(100);
-/// assert_ne!(ivf.kind(), hnsw.kind());
-/// # let _ = (exact, ivf, hnsw);
+/// let db = Database::new();
+/// db.create_table("t", Schema::new(vec![Field::new("id", DataType::Int64)])).unwrap();
+/// db.insert("t", vec![vec![Value::Int(0)], vec![Value::Int(1)]]).unwrap();
+/// let mut vectors = Dataset::new(2);
+/// vectors.push(0, &[1.0, 0.0]);
+/// vectors.push(1, &[0.0, 1.0]);
+/// db.create_vector_index("t", vectors, VectorIndexSpec::hnsw(Metric::L2)).unwrap();
+/// let nearest = db.vector_index("t").unwrap().search(&[0.9, 0.1], 1);
+/// assert_eq!(nearest[0].id, 0);
+/// # let _ = (VectorIndexSpec::exact(Metric::L2), VectorIndexSpec::ivf(Metric::Cosine));
 /// ```
 #[derive(Debug, Clone)]
 pub struct VectorIndexSpec {
@@ -30,15 +30,15 @@ pub struct VectorIndexSpec {
     algo: Algo,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Algo {
     Exact,
-    Ivf(IvfParams),
-    Hnsw(HnswParams),
+    Ivf,
+    Hnsw,
 }
 
 impl VectorIndexSpec {
-    /// Brute-force exact scan (no tuning knobs; always perfect recall).
+    /// Brute-force exact scan (always perfect recall).
     pub fn exact(metric: Metric) -> VectorIndexSpec {
         VectorIndexSpec {
             metric,
@@ -46,155 +46,27 @@ impl VectorIndexSpec {
         }
     }
 
-    /// IVF-Flat with default parameters; tune with [`nlist`](Self::nlist)
-    /// and [`nprobe`](Self::nprobe), or supply full [`IvfParams`] via
-    /// [`ivf_with`](Self::ivf_with).
+    /// IVF-Flat with default parameters.
     pub fn ivf(metric: Metric) -> VectorIndexSpec {
-        VectorIndexSpec::ivf_with(metric, IvfParams::default())
-    }
-
-    /// IVF-Flat with explicit parameters.
-    pub fn ivf_with(metric: Metric, params: IvfParams) -> VectorIndexSpec {
         VectorIndexSpec {
             metric,
-            algo: Algo::Ivf(params),
+            algo: Algo::Ivf,
         }
     }
 
-    /// HNSW with default parameters; tune with [`m`](Self::m),
-    /// [`ef_construction`](Self::ef_construction), and
-    /// [`ef_search`](Self::ef_search), or supply full [`HnswParams`] via
-    /// [`hnsw_with`](Self::hnsw_with).
+    /// HNSW with default parameters.
     pub fn hnsw(metric: Metric) -> VectorIndexSpec {
-        VectorIndexSpec::hnsw_with(metric, HnswParams::default())
-    }
-
-    /// HNSW with explicit parameters.
-    pub fn hnsw_with(metric: Metric, params: HnswParams) -> VectorIndexSpec {
         VectorIndexSpec {
             metric,
-            algo: Algo::Hnsw(params),
+            algo: Algo::Hnsw,
         }
-    }
-
-    /// Default spec for a [`VectorIndexKind`] — the bridge for callers that
-    /// sweep over algorithm kinds (benchmarks, recall experiments).
-    pub fn of_kind(metric: Metric, kind: VectorIndexKind) -> VectorIndexSpec {
-        match kind {
-            VectorIndexKind::Exact => VectorIndexSpec::exact(metric),
-            VectorIndexKind::Ivf => VectorIndexSpec::ivf(metric),
-            VectorIndexKind::Hnsw => VectorIndexSpec::hnsw(metric),
-        }
-    }
-
-    /// Number of k-means cells (IVF only).
-    pub fn nlist(mut self, nlist: usize) -> VectorIndexSpec {
-        self.ivf_params("nlist").nlist = nlist;
-        self
-    }
-
-    /// Cells probed per query (IVF only).
-    pub fn nprobe(mut self, nprobe: usize) -> VectorIndexSpec {
-        self.ivf_params("nprobe").nprobe = nprobe;
-        self
-    }
-
-    /// Max neighbours per node per layer (HNSW only).
-    pub fn m(mut self, m: usize) -> VectorIndexSpec {
-        self.hnsw_params("m").m = m;
-        self
-    }
-
-    /// Beam width during construction (HNSW only).
-    pub fn ef_construction(mut self, ef: usize) -> VectorIndexSpec {
-        self.hnsw_params("ef_construction").ef_construction = ef;
-        self
-    }
-
-    /// Beam width during search (HNSW only).
-    pub fn ef_search(mut self, ef: usize) -> VectorIndexSpec {
-        self.hnsw_params("ef_search").ef_search = ef;
-        self
-    }
-
-    /// Which algorithm family this spec builds.
-    pub fn kind(&self) -> VectorIndexKind {
-        match self.algo {
-            Algo::Exact => VectorIndexKind::Exact,
-            Algo::Ivf(_) => VectorIndexKind::Ivf,
-            Algo::Hnsw(_) => VectorIndexKind::Hnsw,
-        }
-    }
-
-    /// The distance metric this spec builds with.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     pub(crate) fn build(self, vectors: Dataset) -> Arc<dyn VectorIndex> {
         match self.algo {
             Algo::Exact => Arc::new(ExactIndex::from_dataset(vectors, self.metric)),
-            Algo::Ivf(p) => Arc::new(IvfIndex::build(vectors, self.metric, p)),
-            Algo::Hnsw(p) => Arc::new(HnswIndex::build(vectors, self.metric, p)),
-        }
-    }
-
-    fn ivf_params(&mut self, knob: &str) -> &mut IvfParams {
-        match &mut self.algo {
-            Algo::Ivf(p) => p,
-            _ => panic!("`{knob}` applies to IVF specs; build with VectorIndexSpec::ivf"),
-        }
-    }
-
-    fn hnsw_params(&mut self, knob: &str) -> &mut HnswParams {
-        match &mut self.algo {
-            Algo::Hnsw(p) => p,
-            _ => panic!("`{knob}` applies to HNSW specs; build with VectorIndexSpec::hnsw"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builders_set_kind_and_knobs() {
-        let s = VectorIndexSpec::ivf(Metric::L2).nlist(32).nprobe(4);
-        assert_eq!(s.kind(), VectorIndexKind::Ivf);
-        match s.algo {
-            Algo::Ivf(p) => {
-                assert_eq!(p.nlist, 32);
-                assert_eq!(p.nprobe, 4);
-            }
-            _ => unreachable!(),
-        }
-        let s = VectorIndexSpec::hnsw(Metric::Cosine)
-            .m(8)
-            .ef_construction(50)
-            .ef_search(70);
-        match s.algo {
-            Algo::Hnsw(p) => {
-                assert_eq!((p.m, p.ef_construction, p.ef_search), (8, 50, 70));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "applies to IVF")]
-    fn wrong_family_knob_panics() {
-        let _ = VectorIndexSpec::exact(Metric::L2).nprobe(2);
-    }
-
-    #[test]
-    fn of_kind_round_trips() {
-        for kind in [
-            VectorIndexKind::Exact,
-            VectorIndexKind::Ivf,
-            VectorIndexKind::Hnsw,
-        ] {
-            assert_eq!(VectorIndexSpec::of_kind(Metric::L2, kind).kind(), kind);
+            Algo::Ivf => Arc::new(IvfIndex::build(vectors, self.metric, Default::default())),
+            Algo::Hnsw => Arc::new(HnswIndex::build(vectors, self.metric, Default::default())),
         }
     }
 }

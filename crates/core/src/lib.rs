@@ -14,8 +14,8 @@
 //!   [`backbone_query`];
 //! - the "data backbone" for mixed workloads ("solutions are crappy when you
 //!   combine diverse workloads like vectors, keywords, and relational
-//!   queries") is [`hybrid`], with the bolt-on composition it replaces as
-//!   the measured baseline;
+//!   queries") is [`hybrid`]; the bolt-on composition it replaces is the
+//!   bench crate's measured baseline;
 //! - substrates: [`backbone_storage`] (columns, compression, buffering),
 //!   [`backbone_vector`], [`backbone_text`], [`backbone_txn`],
 //!   `backbone_kvcache`.
@@ -82,12 +82,10 @@ pub use database::Database;
 pub use durability::{DbOp, DurabilityOptions, RecoveryReport};
 pub use error::{Error, Result};
 pub use hybrid::{
-    bolton_search, explain_hybrid, unified_search, unified_search_forced, unified_search_profiled,
-    FilterStrategy, FusionWeights, HybridHit, HybridProfile, HybridSpec, SearchCost,
-    VectorIndexKind,
+    FilterStrategy, FusionWeights, HybridHit, HybridProfile, HybridSpec, SearchResponse,
 };
 pub use index::VectorIndexSpec;
-pub use session::{PreparedInfo, SearchRequest, SearchResponse, Session};
+pub use session::{PreparedInfo, SearchRequest, Session};
 
 // Durability policy knob, re-exported so `Database::open_with` callers
 // don't need a direct `backbone_txn` dependency.

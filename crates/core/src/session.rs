@@ -12,14 +12,13 @@
 //! [`SearchRequest`] consolidates the hybrid-search plumbing behind one
 //! typed builder (the same consuming-builder style as
 //! [`crate::VectorIndexSpec`]): filter, keywords, vector, `k`, and fusion
-//! weights compose fluently, and [`SearchRequest::run`] executes the unified
-//! engine. The bolt-on baseline runs over the identical spec through
-//! [`crate::bolton_search`]`(db, request.spec())`.
+//! weights compose fluently, and [`SearchRequest::run`] executes
+//! [`crate::hybrid::search`] over the accumulated [`HybridSpec`].
 
 use crate::cache::CachedPlan;
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::hybrid::{unified_search, FusionWeights, HybridHit, HybridSpec, SearchCost};
+use crate::hybrid::{self, FusionWeights, HybridSpec, SearchResponse};
 use backbone_query::{ExecOptions, Expr, LogicalPlan, Parallelism};
 use backbone_storage::{RecordBatch, Schema, Value};
 use parking_lot::Mutex;
@@ -220,16 +219,6 @@ pub struct SearchRequest<'db> {
     spec: HybridSpec,
 }
 
-/// The outcome of a [`SearchRequest`]: ranked hits plus the architectural
-/// cost accounting ([`SearchCost`]) the E3 experiment compares.
-#[derive(Debug, Clone)]
-pub struct SearchResponse {
-    /// Fused results, best first.
-    pub hits: Vec<HybridHit>,
-    /// What the search cost (candidates shipped, round trips).
-    pub cost: SearchCost,
-}
-
 impl<'db> SearchRequest<'db> {
     pub(crate) fn new(db: &'db Database, table: String) -> SearchRequest<'db> {
         SearchRequest {
@@ -292,17 +281,15 @@ impl<'db> SearchRequest<'db> {
         &self.spec
     }
 
-    /// Run the search through the unified engine.
+    /// Run the search (see [`crate::hybrid::search`]).
     pub fn run(self) -> Result<SearchResponse> {
-        let (hits, cost) = unified_search(self.db, &self.spec)?;
-        Ok(SearchResponse { hits, cost })
+        hybrid::search(self.db, &self.spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::bolton_search;
     use backbone_query::{col, lit};
     use backbone_storage::{DataType, Field};
 
@@ -387,24 +374,9 @@ mod tests {
             k: 2,
             weights: FusionWeights::default(),
         };
-        let (direct, _) = unified_search(&db, &spec).unwrap();
+        let direct = hybrid::search(&db, &spec).unwrap().hits;
         assert_eq!(response.hits, direct);
         // Only row 3 ("red panda") passes both filter and keyword.
         assert_eq!(response.hits[0].row, 2);
-    }
-
-    #[test]
-    fn bolton_strategy_runs_the_baseline() {
-        let db = seeded_db();
-        let request = db.search("t").keyword("red").k(3);
-        let (bolton, bolton_cost) = bolton_search(&db, request.spec()).unwrap();
-        let unified = request.run().unwrap();
-        // Same fused ranking, different architecture: the bolt-on pays in
-        // round trips.
-        assert_eq!(
-            unified.hits.iter().map(|h| h.row).collect::<Vec<_>>(),
-            bolton.iter().map(|h| h.row).collect::<Vec<_>>(),
-        );
-        assert!(bolton_cost.round_trips >= unified.cost.round_trips);
     }
 }

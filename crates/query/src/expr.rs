@@ -49,14 +49,6 @@ impl BinOp {
     pub fn is_logical(&self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
-
-    /// Whether this is arithmetic.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        )
-    }
 }
 
 impl fmt::Display for BinOp {

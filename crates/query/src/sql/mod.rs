@@ -24,7 +24,7 @@ mod lexer;
 mod parser;
 
 pub use lexer::{lex, Token};
-pub use parser::{parse_select, parse_statement, Statement};
+pub use parser::{parse_select, parse_statement, Statement, MAX_DEPTH};
 
 use crate::error::Result;
 

@@ -53,6 +53,27 @@ pub enum Statement {
     },
 }
 
+/// Deepest expression nesting the parser accepts, counted twice: as the
+/// parser's own recursion (parentheses, prefix operators, right operands)
+/// and as the depth of the expression tree it builds (which a
+/// left-associative chain such as `a + b + c` grows without recursing).
+/// Every recursion over an accepted tree (planning, evaluation, drop) then
+/// fits a 2 MiB worker stack; deeper input is a typed
+/// [`QueryError::InvalidExpression`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+fn too_deep() -> QueryError {
+    QueryError::InvalidExpression(format!("expression nests deeper than {MAX_DEPTH} levels"))
+}
+
+/// The depth of a node whose deepest child is `child` levels deep.
+fn node_over(child: usize) -> Result<usize> {
+    if child >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(child + 1)
+}
+
 /// Parse a SQL `SELECT` statement against a catalog into a logical plan.
 pub fn parse_select(sql: &str, catalog: &dyn Catalog) -> Result<LogicalPlan> {
     match parse_statement(sql, catalog)? {
@@ -66,7 +87,11 @@ pub fn parse_select(sql: &str, catalog: &dyn Catalog) -> Result<LogicalPlan> {
 /// Parse a SQL statement — `SELECT` or `EXPLAIN [ANALYZE] SELECT`.
 pub fn parse_statement(sql: &str, catalog: &dyn Catalog) -> Result<Statement> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        calls: 0,
+    };
     let explain = p.eat_keyword("EXPLAIN");
     let analyze = explain && p.eat_keyword("ANALYZE");
     let stmt = p.parse_statement()?;
@@ -82,9 +107,16 @@ pub fn parse_statement(sql: &str, catalog: &dyn Catalog) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `parse_expr` calls open at `pos` (see [`MAX_DEPTH`]).
+    calls: usize,
 }
 
 impl Parser {
+    /// A whole expression (statement-level callers).
+    fn expr(&mut self) -> Result<Expr> {
+        Ok(self.parse_expr(0)?.0)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -208,7 +240,7 @@ impl Parser {
         }
 
         let where_clause = if self.eat_keyword("WHERE") {
-            Some(self.parse_expr(0)?)
+            Some(self.expr()?)
         } else {
             None
         };
@@ -217,7 +249,7 @@ impl Parser {
         if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
             loop {
-                group_by.push(self.parse_expr(0)?);
+                group_by.push(self.expr()?);
                 if !self.eat(&Token::Comma) {
                     break;
                 }
@@ -225,7 +257,7 @@ impl Parser {
         }
 
         let having = if self.eat_keyword("HAVING") {
-            Some(self.parse_expr(0)?)
+            Some(self.expr()?)
         } else {
             None
         };
@@ -234,7 +266,7 @@ impl Parser {
         if self.eat_keyword("ORDER") {
             self.expect_keyword("BY")?;
             loop {
-                let expr = self.parse_expr(0)?;
+                let expr = self.expr()?;
                 let descending = if self.eat_keyword("DESC") {
                     true
                 } else {
@@ -297,7 +329,7 @@ impl Parser {
                 return Ok(SelectItem::Agg(agg));
             }
         }
-        let expr = self.parse_expr(0)?;
+        let expr = self.expr()?;
         let expr = self.maybe_alias(expr)?;
         Ok(SelectItem::Scalar(expr))
     }
@@ -325,7 +357,7 @@ impl Parser {
             self.expect(&Token::RParen)?;
             return Ok(count_star());
         }
-        let inner = self.parse_expr(0)?;
+        let inner = self.expr()?;
         self.expect(&Token::RParen)?;
         let agg = match name.to_ascii_uppercase().as_str() {
             "SUM" => sum(inner),
@@ -343,8 +375,14 @@ impl Parser {
     }
 
     /// Pratt expression parser. `min_bp` is the minimum binding power.
-    fn parse_expr(&mut self, min_bp: u8) -> Result<Expr> {
-        let mut lhs = self.parse_prefix()?;
+    /// Returns the expression and its tree depth. The call counts against
+    /// [`MAX_DEPTH`] until it returns `Ok`; an error ends the whole parse.
+    fn parse_expr(&mut self, min_bp: u8) -> Result<(Expr, usize)> {
+        if self.calls == MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.calls += 1;
+        let (mut lhs, mut depth) = self.parse_prefix()?;
         loop {
             // IS [NOT] NULL postfix.
             if self.peek().map(|t| t.keyword_eq("IS")).unwrap_or(false) && min_bp <= 4 {
@@ -356,6 +394,7 @@ impl Parser {
                 } else {
                     lhs.is_null()
                 };
+                depth = node_over(depth)?;
                 continue;
             }
             // [NOT] LIKE 'pattern'.
@@ -376,6 +415,7 @@ impl Parser {
                         } else {
                             lhs.like(pattern)
                         };
+                        depth = node_over(depth)?;
                         continue;
                     }
                     other => {
@@ -404,7 +444,9 @@ impl Parser {
                     self.pos += 1;
                 } else {
                     loop {
-                        list.push(self.parse_expr(0)?);
+                        let (item, item_depth) = self.parse_expr(0)?;
+                        list.push(item);
+                        depth = depth.max(item_depth);
                         match self.next() {
                             Some(Token::Comma) => continue,
                             Some(Token::RParen) => break,
@@ -421,6 +463,7 @@ impl Parser {
                 } else {
                     lhs.in_list(list)
                 };
+                depth = node_over(depth)?;
                 continue;
             }
             // BETWEEN lo AND hi.
@@ -431,10 +474,11 @@ impl Parser {
                 && min_bp <= 4
             {
                 self.pos += 1;
-                let lo = self.parse_expr(5)?;
+                let (lo, lo_depth) = self.parse_expr(5)?;
                 self.expect_keyword("AND")?;
-                let hi = self.parse_expr(5)?;
+                let (hi, hi_depth) = self.parse_expr(5)?;
                 lhs = lhs.between(lo, hi);
+                depth = node_over(depth.max(lo_depth).max(hi_depth))?;
                 continue;
             }
             let Some((op, lbp, rbp)) = self.peek_binop() else {
@@ -444,14 +488,16 @@ impl Parser {
                 break;
             }
             self.pos += 1;
-            let rhs = self.parse_expr(rbp)?;
+            let (rhs, rhs_depth) = self.parse_expr(rbp)?;
             lhs = Expr::Binary {
                 left: Box::new(lhs),
                 op,
                 right: Box::new(rhs),
             };
+            depth = node_over(depth.max(rhs_depth))?;
         }
-        Ok(lhs)
+        self.calls -= 1;
+        Ok((lhs, depth))
     }
 
     fn peek_binop(&self) -> Option<(BinOp, u8, u8)> {
@@ -475,28 +521,34 @@ impl Parser {
         Some((op, bp, bp + 1))
     }
 
-    fn parse_prefix(&mut self) -> Result<Expr> {
-        match self.next() {
-            Some(Token::Int(n)) => Ok(Expr::Literal(Value::Int(n))),
-            Some(Token::Float(f)) => Ok(Expr::Literal(Value::Float(f))),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::str(s))),
-            Some(Token::Param(i)) => Ok(Expr::Param(i)),
-            Some(Token::Minus) => Ok(self.parse_expr(7)?.neg()),
+    /// A prefix operator, parenthesized expression or leaf, and its tree
+    /// depth.
+    fn parse_prefix(&mut self) -> Result<(Expr, usize)> {
+        let leaf = match self.next() {
+            Some(Token::Int(n)) => Expr::Literal(Value::Int(n)),
+            Some(Token::Float(f)) => Expr::Literal(Value::Float(f)),
+            Some(Token::Str(s)) => Expr::Literal(Value::str(s)),
+            Some(Token::Param(i)) => Expr::Param(i),
+            Some(Token::Minus) => {
+                let (e, depth) = self.parse_expr(7)?;
+                return Ok((e.neg(), node_over(depth)?));
+            }
             Some(Token::LParen) => {
                 let inner = self.parse_expr(0)?;
                 self.expect(&Token::RParen)?;
-                Ok(inner)
+                return Ok(inner);
             }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("NOT") => Ok(self.parse_expr(3)?.not()),
+            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("NOT") => {
+                let (e, depth) = self.parse_expr(3)?;
+                return Ok((e.not(), node_over(depth)?));
+            }
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("TRUE") => {
-                Ok(Expr::Literal(Value::Bool(true)))
+                Expr::Literal(Value::Bool(true))
             }
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("FALSE") => {
-                Ok(Expr::Literal(Value::Bool(false)))
+                Expr::Literal(Value::Bool(false))
             }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("NULL") => {
-                Ok(Expr::Literal(Value::Null))
-            }
+            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("NULL") => Expr::Literal(Value::Null),
             Some(Token::Ident(s)) => {
                 if self.peek() == Some(&Token::LParen) {
                     return Err(QueryError::InvalidPlan(format!(
@@ -505,14 +557,18 @@ impl Parser {
                 }
                 if self.eat(&Token::Dot) {
                     // Qualified name: keep only the column part.
-                    return Ok(col(self.ident()?));
+                    col(self.ident()?)
+                } else {
+                    col(s)
                 }
-                Ok(col(s))
             }
-            other => Err(QueryError::InvalidPlan(format!(
-                "unexpected token in expression: {other:?}"
-            ))),
-        }
+            other => {
+                return Err(QueryError::InvalidPlan(format!(
+                    "unexpected token in expression: {other:?}"
+                )))
+            }
+        };
+        Ok((leaf, 1))
     }
 }
 

@@ -161,6 +161,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_sql_gets_an_error_and_the_connection_survives() {
+        let server = Server::start(served_db(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let depth = 100_000;
+        let hostile = format!(
+            "SELECT id FROM t WHERE {}id = 1{}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        match client.sql(&hostile) {
+            Err(ServerError::Remote(message)) => {
+                assert!(message.contains("nests deeper"), "{message}")
+            }
+            other => panic!("expected a remote error, got {other:?}"),
+        }
+        assert_eq!(client.sql("SELECT id FROM t").unwrap().rows.len(), 2);
+        server.shutdown();
+    }
+
+    #[test]
     fn concurrent_clients_each_get_a_session() {
         let db = served_db();
         let server = Server::start(db, "127.0.0.1:0", ServerOptions::default()).unwrap();

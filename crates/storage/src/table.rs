@@ -320,11 +320,6 @@ impl Table {
         self
     }
 
-    /// The seal-time encoding policy.
-    pub fn encoding_policy(&self) -> EncodingPolicy {
-        self.encoding
-    }
-
     /// The table's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema

@@ -26,10 +26,6 @@ impl Default for Bm25Params {
 pub struct Bm25Work {
     /// Postings whose contribution was computed.
     pub postings_scored: u64,
-    /// Per-posting length-map lookups avoided by the `doc_len` cached in
-    /// each posting — equal to `postings_scored` since the cache always
-    /// hits; kept separate so the saving is named where it is counted.
-    pub norm_lookups_saved: u64,
 }
 
 /// Robertson-Sparck-Jones IDF with the +1 floor that keeps scores positive.
@@ -40,66 +36,24 @@ fn idf(n_docs: usize, df: usize) -> f64 {
 /// Score every document matching any query term; returns the top `k` by
 /// descending BM25 score (ties broken by doc id for determinism).
 pub fn search(index: &InvertedIndex, query: &str, k: usize, params: Bm25Params) -> Vec<ScoredDoc> {
-    let terms = tokenize(query);
-    rank_terms(index, &terms, k, params)
+    rank_terms_filtered_counted(index, &tokenize(query), k, params, &|_| true).0
 }
 
-/// Like [`search`] but over pre-tokenized terms.
-pub fn rank_terms(
-    index: &InvertedIndex,
-    terms: &[String],
-    k: usize,
-    params: Bm25Params,
-) -> Vec<ScoredDoc> {
-    rank_terms_counted(index, terms, k, params).0
-}
-
-/// [`rank_terms`] returning the work performed alongside the ranking.
-pub fn rank_terms_counted(
-    index: &InvertedIndex,
-    terms: &[String],
-    k: usize,
-    params: Bm25Params,
-) -> (Vec<ScoredDoc>, Bm25Work) {
-    rank_counted(index, terms, k, params, None)
-}
-
-/// Like [`rank_terms`] but restricted to documents passing `keep` — the
-/// path a co-located engine uses to push a relational filter into relevance
-/// scoring instead of over-fetching and discarding.
-pub fn rank_terms_filtered(
-    index: &InvertedIndex,
-    terms: &[String],
-    k: usize,
-    params: Bm25Params,
-    keep: &dyn Fn(u64) -> bool,
-) -> Vec<ScoredDoc> {
-    rank_terms_filtered_counted(index, terms, k, params, keep).0
-}
-
-/// [`rank_terms_filtered`] returning the work performed alongside the
-/// ranking.
+/// Rank pre-tokenized `terms` over the documents passing `keep`, returning
+/// the top `k` and the work performed. Pushing the filter into scoring is
+/// how a co-located engine restricts relevance to a relational predicate
+/// instead of over-fetching and discarding; unfiltered callers pass
+/// `&|_| true`.
+///
+/// The per-posting cost is one multiply-add on the posting's cached
+/// `doc_len`: the length-normalization factors that do not depend on the
+/// document (`k1·(1-b)` and `k1·b/avgdl`) are hoisted out of the loop.
 pub fn rank_terms_filtered_counted(
     index: &InvertedIndex,
     terms: &[String],
     k: usize,
     params: Bm25Params,
     keep: &dyn Fn(u64) -> bool,
-) -> (Vec<ScoredDoc>, Bm25Work) {
-    rank_counted(index, terms, k, params, Some(keep))
-}
-
-/// Shared scoring core. The per-posting cost is one multiply-add on the
-/// posting's cached `doc_len` — the length-normalization factors that do
-/// not depend on the document (`k1·(1-b)` and `k1·b/avgdl`) are hoisted out
-/// of the loop, and the per-posting `doc_len` map lookup the cache replaces
-/// is counted in [`Bm25Work::norm_lookups_saved`].
-fn rank_counted(
-    index: &InvertedIndex,
-    terms: &[String],
-    k: usize,
-    params: Bm25Params,
-    keep: Option<&dyn Fn(u64) -> bool>,
 ) -> (Vec<ScoredDoc>, Bm25Work) {
     let mut work = Bm25Work::default();
     if k == 0 || terms.is_empty() {
@@ -119,15 +73,12 @@ fn rank_counted(
         }
         let idf = idf(n, postings.len());
         for p in postings {
-            if let Some(keep) = keep {
-                if !keep(p.doc) {
-                    continue;
-                }
+            if !keep(p.doc) {
+                continue;
             }
             let tf = p.positions.len() as f64;
             let denom = tf + c0 + c1 * p.doc_len as f64;
             work.postings_scored += 1;
-            work.norm_lookups_saved += 1;
             *scores.entry(p.doc).or_insert(0.0) += idf * tf * tf_scale / denom;
         }
     }
@@ -244,12 +195,12 @@ mod tests {
     fn counted_variants_report_work_and_agree() {
         let ix = index();
         let terms: Vec<String> = vec!["rust".into(), "database".into()];
-        let plain = rank_terms(&ix, &terms, 10, Bm25Params::default());
-        let (counted, work) = rank_terms_counted(&ix, &terms, 10, Bm25Params::default());
+        let plain = search(&ix, "rust database", 10, Bm25Params::default());
+        let (counted, work) =
+            rank_terms_filtered_counted(&ix, &terms, 10, Bm25Params::default(), &|_| true);
         assert_eq!(plain, counted);
-        // "rust" has 2 postings, "database" 2: all scored, all via cache.
+        // "rust" has 2 postings, "database" 2: all scored.
         assert_eq!(work.postings_scored, 4);
-        assert_eq!(work.norm_lookups_saved, 4);
 
         let keep = |doc: u64| doc != 2;
         let (filtered, fwork) =

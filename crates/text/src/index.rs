@@ -95,11 +95,6 @@ impl InvertedIndex {
         self.postings(term).len()
     }
 
-    /// Number of distinct terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Documents containing the exact token sequence `phrase`.
     pub fn phrase_docs(&self, phrase: &[String]) -> Vec<u64> {
         let Some(first) = phrase.first() else {

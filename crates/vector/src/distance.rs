@@ -38,7 +38,7 @@ impl Metric {
     ///
     /// Dimensions are the caller's contract: the typed
     /// [`crate::DimensionMismatch`] check lives at the index insert/search
-    /// boundary ([`crate::VectorIndex::try_search`],
+    /// boundary ([`crate::VectorIndex::check_query`],
     /// [`crate::dataset::Dataset::try_push`]), not in this hot loop.
     #[inline]
     pub fn distance(&self, a: &[f32], b: &[f32]) -> f32 {

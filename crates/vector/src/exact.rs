@@ -180,18 +180,6 @@ impl ExactIndex {
     pub fn try_insert(&mut self, id: u64, vector: &[f32]) -> Result<(), crate::DimensionMismatch> {
         self.data.try_push(id, vector)
     }
-
-    /// Filtered scan that evaluates the predicate *before* computing
-    /// distances — the "unified" behaviour a real engine wants, as opposed
-    /// to the over-fetching default of [`VectorIndex::search_filtered`].
-    pub fn search_prefiltered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &dyn Fn(u64) -> bool,
-    ) -> Vec<Hit> {
-        self.search_masked(query, k, filter)
-    }
 }
 
 impl VectorIndex for ExactIndex {
@@ -309,8 +297,13 @@ mod tests {
     fn prefiltered_matches_postfiltered_when_enough_results() {
         let ix = index();
         let filter = |id: u64| id.is_multiple_of(2);
-        let pre = ix.search_prefiltered(&[0.0, 0.0], 2, &filter);
-        let post = ix.search_filtered(&[0.0, 0.0], 2, &filter);
+        let pre = ix.search_masked(&[0.0, 0.0], 2, &filter);
+        let post: Vec<Hit> = ix
+            .search(&[0.0, 0.0], ix.len())
+            .into_iter()
+            .filter(|h| filter(h.id))
+            .take(2)
+            .collect();
         assert_eq!(pre.len(), 2);
         assert_eq!(
             pre.iter().map(|h| h.id).collect::<Vec<_>>(),
@@ -360,11 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn try_search_rejects_wrong_dimension() {
+    fn check_query_rejects_wrong_dimension() {
         let ix = index();
-        let err = ix.try_search(&[1.0, 2.0, 3.0], 2).unwrap_err();
+        let err = ix.check_query(&[1.0, 2.0, 3.0]).unwrap_err();
         assert_eq!((err.expected, err.got), (2, 3));
-        assert_eq!(ix.try_search(&[1.0, 2.0], 2).unwrap().len(), 2);
+        assert!(ix.check_query(&[1.0, 2.0]).is_ok());
     }
 
     #[test]

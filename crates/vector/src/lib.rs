@@ -44,7 +44,7 @@ pub use backbone_query::Parallelism;
 /// `debug_assert`s (it is the innermost hot loop), so in release builds a
 /// wrong-dimension query would silently score garbage. Every entry point
 /// that crosses from caller data into kernel space —
-/// [`VectorIndex::try_search`], [`Dataset::try_push`], the index `insert`
+/// [`VectorIndex::check_query`], [`Dataset::try_push`], the index `insert`
 /// paths — rejects with this error instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DimensionMismatch {
@@ -95,15 +95,9 @@ pub trait VectorIndex: Send + Sync {
     /// The `k` nearest vectors to `query`, best first.
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit>;
 
-    /// [`VectorIndex::search`] with a typed dimension check at the boundary
-    /// — the entry point engine code uses, so a wrong-dimension query is an
-    /// error instead of silently scored garbage.
-    fn try_search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, DimensionMismatch> {
-        self.check_query(query)?;
-        Ok(self.search(query, k))
-    }
-
-    /// Validate a query vector's dimensionality against the index.
+    /// Validate a query vector's dimensionality against the index — the
+    /// typed boundary check engine code runs before any search, so a
+    /// wrong-dimension query is an error instead of silently scored garbage.
     fn check_query(&self, query: &[f32]) -> Result<(), DimensionMismatch> {
         if query.len() != self.dim() {
             return Err(DimensionMismatch {
@@ -155,27 +149,22 @@ pub trait VectorIndex: Send + Sync {
     /// service cannot offer cheaply.
     fn distance_of(&self, query: &[f32], id: u64) -> Option<f32>;
 
-    /// Like [`VectorIndex::search`] but only ids passing `filter` are
-    /// returned (post-filtering; used by the bolt-on baseline in E3).
-    fn search_filtered(&self, query: &[f32], k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Hit> {
-        // Default: over-fetch then filter — the classic bolt-on behaviour.
+    /// Filtered search: only ids passing `filter` are returned, best first.
+    /// Indexes that enumerate candidate slots (exact, IVF) override this
+    /// with a true masked scan, so distances are only computed for passing
+    /// ids. Graph indexes keep this default: over-fetch unfiltered, drop
+    /// failing ids, and double the fetch until `k` survive or the index is
+    /// exhausted.
+    fn search_masked(&self, query: &[f32], k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Hit> {
         let mut fetch = k.max(16);
         loop {
             let hits = self.search(query, fetch);
-            let kept: Vec<Hit> = hits.iter().copied().filter(|h| filter(h.id)).collect();
-            if kept.len() >= k || hits.len() < fetch {
+            let exhausted = hits.len() < fetch;
+            let kept: Vec<Hit> = hits.into_iter().filter(|h| filter(h.id)).collect();
+            if kept.len() >= k || exhausted {
                 return kept.into_iter().take(k).collect();
             }
             fetch *= 2;
         }
-    }
-
-    /// Pre-filtered search: the predicate is pushed *into* the index, so
-    /// distances are only computed for ids passing `filter`. Indexes that
-    /// enumerate candidate slots (exact, IVF) override this with a true
-    /// masked scan; graph indexes fall back to the over-fetching
-    /// [`VectorIndex::search_filtered`].
-    fn search_masked(&self, query: &[f32], k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Hit> {
-        self.search_filtered(query, k, filter)
     }
 }

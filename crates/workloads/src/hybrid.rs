@@ -1,7 +1,6 @@
 //! Product-catalog generator for the hybrid relational+vector+keyword
 //! experiments (E3).
 
-use backbone_storage::{DataType, Field, Schema, Table, Value};
 use rand::prelude::*;
 
 /// Product categories; each has an embedding centroid and a vocabulary.
@@ -94,39 +93,13 @@ pub struct Product {
     pub embedding: Vec<f32>,
 }
 
-/// A generated catalog: products plus a relational table view.
+/// A generated catalog.
 #[derive(Debug)]
 pub struct ProductCatalog {
     /// All products.
     pub products: Vec<Product>,
     /// Embedding dimensionality.
     pub dim: usize,
-}
-
-impl ProductCatalog {
-    /// The relational table (`id, category, price, rating, in_stock`).
-    pub fn to_table(&self) -> Table {
-        let schema = Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("category", DataType::Utf8),
-            Field::new("price", DataType::Float64),
-            Field::new("rating", DataType::Float64),
-            Field::new("in_stock", DataType::Bool),
-        ]);
-        let mut t = Table::new(schema);
-        for p in &self.products {
-            t.append_row(vec![
-                Value::Int(p.id as i64),
-                Value::str(p.category),
-                Value::Float(p.price),
-                Value::Float(p.rating),
-                Value::Bool(p.in_stock),
-            ])
-            .unwrap();
-        }
-        t.flush().unwrap();
-        t
-    }
 }
 
 /// Deterministically generate `n` products with `dim`-dimensional
@@ -264,14 +237,6 @@ mod tests {
             }
         }
         assert!(in_vocab as f64 / total as f64 > 0.5);
-    }
-
-    #[test]
-    fn table_view_matches() {
-        let cat = generate(50, 8, 6);
-        let t = cat.to_table();
-        assert_eq!(t.num_rows(), 50);
-        assert_eq!(t.schema().len(), 5);
     }
 
     #[test]

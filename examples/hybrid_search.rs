@@ -7,60 +7,16 @@
 //! cargo run --example hybrid_search
 //! ```
 
-use backbone_bench::topk::ta_search;
-use backbone_core::{bolton_search, Database, HybridSpec, VectorIndexSpec};
+use backbone_bench::e3_hybrid::build_db;
+use backbone_bench::{bolton, topk::ta_search};
+use backbone_core::{HybridSpec, VectorIndexSpec};
 use backbone_query::{col, lit};
-use backbone_storage::{DataType, Field, Schema, Value};
-use backbone_vector::{Dataset, Metric};
-use backbone_workloads::hybrid;
+use backbone_vector::Metric;
 
 fn main() {
-    // A 10k-product catalog with embeddings and descriptions.
-    let catalog = hybrid::generate(10_000, 8, 7);
-    let db = Database::new();
-    db.create_table(
-        "products",
-        Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("category", DataType::Utf8),
-            Field::new("price", DataType::Float64),
-            Field::new("rating", DataType::Float64),
-            Field::new("in_stock", DataType::Bool),
-        ]),
-    )
-    .expect("create");
-    db.insert(
-        "products",
-        catalog
-            .products
-            .iter()
-            .map(|p| {
-                vec![
-                    Value::Int(p.id as i64),
-                    Value::str(p.category),
-                    Value::Float(p.price),
-                    Value::Float(p.rating),
-                    Value::Bool(p.in_stock),
-                ]
-            })
-            .collect(),
-    )
-    .expect("insert");
-    db.create_text_index_from(
-        "products",
-        catalog.products.iter().map(|p| p.description.as_str()),
-    )
-    .expect("text index");
-    let mut ds = Dataset::new(catalog.dim);
-    for p in &catalog.products {
-        ds.push(p.id, &p.embedding);
-    }
-    db.create_vector_index(
-        "products",
-        ds,
-        VectorIndexSpec::hnsw(Metric::L2).ef_search(96),
-    )
-    .expect("vector index");
+    // A 10k-product catalog with embeddings and descriptions, indexed for
+    // keywords (BM25) and vectors (HNSW).
+    let db = build_db(10_000, 8, 7, VectorIndexSpec::hnsw(Metric::L2));
 
     // "Find 5 audio products like this one, about bass, under $100" — one
     // declarative request assembled with the `SearchRequest` builder.
@@ -78,11 +34,12 @@ fn main() {
         .k(5);
     // The same spec, routed through the bolt-on three-service composition
     // (the measured baseline the unified engine replaces).
-    let (_, bolton) = bolton_search(&db, request.spec()).expect("bolton");
+    let (_, bolton) = bolton::search(&db, request.spec()).expect("bolton");
     let unified = request.run().expect("unified");
     println!(
-        "unified engine: {} round trip(s), {} candidates shipped",
-        unified.cost.round_trips, unified.cost.candidates_fetched
+        "unified engine: 1 round trip, {} hits shipped ({} plan)",
+        unified.hits.len(),
+        unified.profile.strategy.name()
     );
     let batch = db.sql("SELECT * FROM products").expect("batch");
     for h in &unified.hits {
@@ -102,7 +59,7 @@ fn main() {
         "\nbolt-on composition: {} round trips, {} candidates shipped ({}x more)",
         bolton.round_trips,
         bolton.candidates_fetched,
-        bolton.candidates_fetched / unified.cost.candidates_fetched.max(1)
+        bolton.candidates_fetched / unified.hits.len().max(1)
     );
 
     // Bonus: the paper's cross-disciplinary exhibit — Fagin's Threshold

@@ -34,6 +34,13 @@ echo "== out-of-core spill smoke (budget-capped, serial + Fixed(4)) =="
 cargo test -q -p backbone-bench --test kernel_equivalence budget
 cargo test -q -p backbone-bench --test kernel_equivalence tiny_budget
 
+# Nesting a client can send — SQL expressions and wire JSON — is capped with a
+# typed error, so no request can overflow a worker's stack.
+echo "== hostile input: SQL and JSON nesting depth =="
+cargo test -q -p backbone-bench --test sql_robustness sql_depth_is_a_typed_error_not_a_stack_overflow
+cargo test -q -p backbone-server deep_nesting_is_a_typed_error_not_a_stack_overflow
+cargo test -q -p backbone-server deeply_nested
+
 echo "== serving: server crate + concurrent-session property suite =="
 cargo test -q -p backbone-server
 cargo test -q -p backbone-bench --test serving
@@ -70,6 +77,13 @@ cargo run -q --release -p backbone-bench --bin repro -- bench --quick
 
 echo "== ANN kernel/parallel equivalence property suite =="
 cargo test -q -p backbone-bench --test ann_equivalence
+
+# The engine's every hybrid plan against a from-scratch reference (also under
+# concurrent commits), then the example that drives the engine, the bolt-on
+# baseline and the Threshold Algorithm together.
+echo "== hybrid: reference suite + example =="
+cargo test -q -p backbone-bench --test hybrid_consistency
+cargo run -q --release --example hybrid_search
 
 echo "== vector & hybrid smoke (quick) =="
 out="$(cargo run -q --release -p backbone-bench --bin repro -- e9 --quick)"

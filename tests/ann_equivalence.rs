@@ -225,7 +225,7 @@ fn dimension_mismatch_is_typed_at_every_boundary() {
     let exact = ExactIndex::from_dataset(data, Metric::L2);
     let wrong = vec![1.0f32; 9];
     for ix in [&exact as &dyn VectorIndex, &ivf, &hnsw] {
-        let err = ix.try_search(&wrong, 5).expect_err("wrong dimension");
+        let err = ix.check_query(&wrong).expect_err("wrong dimension");
         assert_eq!((err.expected, err.got), (16, 9));
     }
     assert!(ivf.try_insert(999_999, &wrong).is_err());

@@ -1,61 +1,25 @@
-//! Cross-crate consistency of hybrid search: the unified engine and the
-//! bolt-on composition must agree on answers whenever the bolt-on has
+//! Cross-crate consistency of hybrid search: every plan of the engine must
+//! equal a from-scratch answer built from the generated catalog, the
+//! engine and the bolt-on composition must agree whenever the bolt-on has
 //! enough information, and both must honor the relational filter exactly.
 
-use backbone_core::{
-    bolton_search, unified_search, unified_search_profiled, Database, FusionWeights, HybridSpec,
-    VectorIndexSpec,
-};
+use backbone_bench::bolton;
+use backbone_bench::e3_hybrid;
+use backbone_core::hybrid::{self, FilterStrategy};
+use backbone_core::{Database, FusionWeights, HybridHit, HybridSpec, VectorIndexSpec};
 use backbone_query::{col, lit, Catalog};
-use backbone_storage::{DataType, Field, Schema, Value};
-use backbone_vector::{Dataset, Metric};
-use backbone_workloads::hybrid;
+use backbone_storage::Value;
+use backbone_text::bm25::{rank_terms_filtered_counted, Bm25Params};
+use backbone_text::tokenize::tokenize;
+use backbone_text::InvertedIndex;
+use backbone_vector::Metric;
+use backbone_workloads::hybrid::{generate, generate_queries, HybridQuery, ProductCatalog};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn build_db(products: usize, seed: u64) -> Database {
-    let catalog = hybrid::generate(products, 8, seed);
-    let db = Database::new();
-    db.create_table(
-        "products",
-        Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("category", DataType::Utf8),
-            Field::new("price", DataType::Float64),
-            Field::new("rating", DataType::Float64),
-            Field::new("in_stock", DataType::Bool),
-        ]),
-    )
-    .unwrap();
-    db.insert(
-        "products",
-        catalog
-            .products
-            .iter()
-            .map(|p| {
-                vec![
-                    Value::Int(p.id as i64),
-                    Value::str(p.category),
-                    Value::Float(p.price),
-                    Value::Float(p.rating),
-                    Value::Bool(p.in_stock),
-                ]
-            })
-            .collect(),
-    )
-    .unwrap();
-    db.create_text_index_from(
-        "products",
-        catalog.products.iter().map(|p| p.description.as_str()),
-    )
-    .unwrap();
-    let mut ds = Dataset::new(8);
-    for p in &catalog.products {
-        ds.push(p.id, &p.embedding);
-    }
-    db.create_vector_index("products", ds, VectorIndexSpec::exact(Metric::L2))
-        .unwrap();
-    db
+    e3_hybrid::build_db(products, 8, seed, VectorIndexSpec::exact(Metric::L2))
 }
 
 proptest! {
@@ -81,13 +45,15 @@ proptest! {
         let batch = db.sql("SELECT * FROM products").unwrap();
         let price_of = |row: u64| batch.column_by_name("price").unwrap().value(row as usize).as_float().unwrap();
 
-        let (u, cu) = unified_search(&db, &spec).unwrap();
-        let (b, cb) = bolton_search(&db, &spec).unwrap();
+        let u = hybrid::search(&db, &spec).unwrap().hits;
+        let (b, cb) = bolton::search(&db, &spec).unwrap();
         for h in u.iter().chain(&b) {
             prop_assert!(price_of(h.row) < cutoff, "row {} price {} >= {}", h.row, price_of(h.row), cutoff);
         }
         prop_assert!(u.len() <= k && b.len() <= k);
-        prop_assert!(cu.round_trips <= cb.round_trips);
+        // One round trip for the engine; at least one per service for the
+        // bolt-on.
+        prop_assert!(cb.round_trips >= 3);
     }
 
     #[test]
@@ -106,12 +72,12 @@ proptest! {
             k,
             weights: FusionWeights::default(),
         };
-        let (u, _) = unified_search(&db, &spec).unwrap();
-        let (b, _) = bolton_search(&db, &spec).unwrap();
+        let u = hybrid::search(&db, &spec).unwrap().hits;
+        let (b, _) = bolton::search(&db, &spec).unwrap();
         // The unified engine completes missing vector distances for
         // keyword-only candidates, so it can only improve on the bolt-on's
         // fused score — never regress.
-        let score = |v: &[backbone_core::HybridHit]| v.iter().map(|h| h.score).sum::<f64>();
+        let score = |v: &[HybridHit]| v.iter().map(|h| h.score).sum::<f64>();
         prop_assert!(
             score(&u) >= score(&b) - 1e-9,
             "unified {} < bolton {}",
@@ -133,7 +99,7 @@ proptest! {
             k,
             weights: FusionWeights { vector: 2.0, text: 1.0 },
         };
-        let (hits, _) = unified_search(&db, &spec).unwrap();
+        let hits = hybrid::search(&db, &spec).unwrap().hits;
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
@@ -143,8 +109,8 @@ proptest! {
 #[test]
 fn search_request_builder_matches_direct_calls() {
     // The `Session`/`SearchRequest` facade is plumbing, not policy: for the
-    // same spec it must return byte-identical hits and costs for both the
-    // unified engine and the bolt-on baseline.
+    // same spec it must return byte-identical hits and the same plan for
+    // both the engine and the bolt-on baseline.
     let db = build_db(500, 27);
     let mut v = vec![0.1f32; 8];
     v[2] = 1.0;
@@ -170,13 +136,10 @@ fn search_request_builder_matches_direct_calls() {
         .text_weight(0.5)
         .run()
         .unwrap();
-    let (direct, direct_cost) = unified_search(&db, &spec).unwrap();
-    assert_eq!(built.hits, direct);
-    assert_eq!(built.cost.round_trips, direct_cost.round_trips);
-    assert_eq!(
-        built.cost.candidates_fetched,
-        direct_cost.candidates_fetched
-    );
+    let direct = hybrid::search(&db, &spec).unwrap();
+    assert_eq!(built.hits, direct.hits);
+    assert_eq!(built.profile.strategy, direct.profile.strategy);
+    assert_eq!(built.profile.rows, direct.profile.rows);
 
     let request = session
         .search("products")
@@ -186,31 +149,21 @@ fn search_request_builder_matches_direct_calls() {
         .k(7)
         .vector_weight(1.5)
         .text_weight(0.5);
-    let (built_bolton, _) = bolton_search(&db, request.spec()).unwrap();
-    let (direct_bolton, _) = bolton_search(&db, &spec).unwrap();
+    let built_bolton = bolton::search(&db, request.spec()).unwrap();
+    let direct_bolton = bolton::search(&db, &spec).unwrap();
     assert_eq!(built_bolton, direct_bolton);
 }
 
 #[test]
-fn hnsw_backed_unified_search_mostly_matches_exact() {
+fn hnsw_backed_search_mostly_matches_exact() {
     let db_exact = build_db(1500, 30);
-    let catalog = hybrid::generate(1500, 8, 30);
-    let db_hnsw = {
-        let db = build_db(1500, 30);
-        let mut ds = Dataset::new(8);
-        for p in &catalog.products {
-            ds.push(p.id, &p.embedding);
-        }
-        db.create_vector_index("products", ds, VectorIndexSpec::hnsw(Metric::L2))
-            .unwrap();
-        db
-    };
+    let db_hnsw = e3_hybrid::build_db(1500, 8, 30, VectorIndexSpec::hnsw(Metric::L2));
     // The synthetic catalog clusters embeddings tightly per category, so
     // top-k membership is dominated by near-ties; the meaningful quality
     // metric is the achieved fused score, not id overlap.
     let mut exact_score = 0.0;
     let mut hnsw_score = 0.0;
-    for q in hybrid::generate_queries(10, 8, 0.0, 10, 31) {
+    for q in generate_queries(10, 8, 0.0, 10, 31) {
         let spec = HybridSpec {
             table: "products".into(),
             filter: Some(col("in_stock").eq(lit(true))),
@@ -219,8 +172,8 @@ fn hnsw_backed_unified_search_mostly_matches_exact() {
             k: 10,
             weights: FusionWeights::default(),
         };
-        let (a, _) = unified_search(&db_exact, &spec).unwrap();
-        let (b, _) = unified_search(&db_hnsw, &spec).unwrap();
+        let a = hybrid::search(&db_exact, &spec).unwrap().hits;
+        let b = hybrid::search(&db_hnsw, &spec).unwrap().hits;
         exact_score += a.iter().map(|h| h.score).sum::<f64>();
         hnsw_score += b.iter().map(|h| h.score).sum::<f64>();
     }
@@ -269,8 +222,14 @@ fn filtered_searches_read_the_pinned_snapshot_without_sealing() {
             .unwrap()
             .visible_rows_at(pin.epoch());
         assert_eq!(visible, 610 + 10 * c);
-        let request = db.search("products").filter(filter()).k(5);
-        let rows = unified_search_profiled(&db, request.spec()).unwrap().2.rows;
+        let rows = db
+            .search("products")
+            .filter(filter())
+            .k(5)
+            .run()
+            .unwrap()
+            .profile
+            .rows;
         assert_eq!(rows, visible, "the search must read the pinned prefix");
         assert_eq!(groups(), sealed, "a search sealed the tail");
     }
@@ -296,4 +255,149 @@ fn searches_after_small_commits_reuse_analyze_stats() {
         Arc::ptr_eq(&stats, &after),
         "a 10-row commit re-analyzed the table"
     );
+}
+
+/// Price cutoffs passing about 1%, 20% and 50% of the catalog (prices are
+/// uniform in [5, 500]).
+const CUTOFFS: [f64; 3] = [9.95, 104.0, 252.5];
+
+/// The catalog behind a [`build_db`] database, and a text index rebuilt
+/// from its descriptions outside the engine.
+fn reference_inputs(products: usize, seed: u64) -> (ProductCatalog, InvertedIndex) {
+    let catalog = generate(products, 8, seed);
+    let mut text = InvertedIndex::new();
+    for p in &catalog.products {
+        text.add_document(p.id, &p.description);
+    }
+    (catalog, text)
+}
+
+/// The fused top-`k` built from scratch: exact distances over every
+/// passing catalog row and BM25 over the passing documents, each cut to
+/// the engine's candidate pool of `max(4k, 64)`; then the union's missing
+/// distances are filled in and every candidate is scored `1/(1+d) + bm25`.
+fn reference(
+    catalog: &ProductCatalog,
+    text: &InvertedIndex,
+    q: &HybridQuery,
+    cutoff: f64,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let pool = (k * 4).max(64);
+    let passes = |row: u64| {
+        catalog
+            .products
+            .get(row as usize)
+            .is_some_and(|p| p.price < cutoff)
+    };
+    let dist =
+        |row: u64| Metric::L2.distance(&q.embedding, &catalog.products[row as usize].embedding);
+    let mut by_dist: Vec<(f32, u64)> = (0..catalog.products.len() as u64)
+        .filter(|&r| passes(r))
+        .map(|r| (dist(r), r))
+        .collect();
+    by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    by_dist.truncate(pool);
+    let terms = tokenize(&q.keyword);
+    let (scored, _) =
+        rank_terms_filtered_counted(text, &terms, pool, Bm25Params::default(), &passes);
+    let mut bm25: HashMap<u64, f64> = by_dist.iter().map(|&(_, r)| (r, 0.0)).collect();
+    bm25.extend(scored.iter().map(|s| (s.doc, s.score)));
+    let mut hits: Vec<(u64, f64)> = bm25
+        .into_iter()
+        .map(|(r, t)| (r, 1.0 / (1.0 + dist(r).max(0.0) as f64) + t))
+        .collect();
+    hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    hits.truncate(k);
+    hits
+}
+
+/// `search` and every filtered `search_forced` plan must return the
+/// reference answer: position by position the same row, or a score within
+/// 1e-6 relative (a tie the two sides broke differently). Forcing the
+/// unfiltered plan on a filtered spec is an error, not an answer.
+/// `before_each` runs before each query's plans.
+fn assert_every_plan_matches_reference(
+    db: &Database,
+    catalog: &ProductCatalog,
+    text: &InvertedIndex,
+    before_each: &dyn Fn(),
+) {
+    for q in generate_queries(4, 8, 0.0, 10, 41) {
+        for cutoff in CUTOFFS {
+            for k in [5, 20] {
+                before_each();
+                let spec = HybridSpec {
+                    table: "products".into(),
+                    filter: Some(col("price").lt(lit(cutoff))),
+                    keyword: Some(q.keyword.clone()),
+                    vector: Some(q.embedding.clone()),
+                    k,
+                    weights: FusionWeights::default(),
+                };
+                let want = reference(catalog, text, &q, cutoff, k);
+                let mut plans = vec![("auto", hybrid::search(db, &spec).unwrap())];
+                for strategy in [
+                    FilterStrategy::PreFilter,
+                    FilterStrategy::PostFilter,
+                    FilterStrategy::ExactScan,
+                ] {
+                    let response = hybrid::search_forced(db, &spec, strategy).unwrap();
+                    plans.push((strategy.name(), response));
+                }
+                for (plan, response) in plans {
+                    let got = &response.hits;
+                    assert!(
+                        got.iter()
+                            .all(|h| (h.row as usize) < catalog.products.len()),
+                        "{plan}: a hit is a row the indexes do not cover: {got:?}"
+                    );
+                    let same = got.len() == want.len()
+                        && got.iter().zip(&want).all(|(a, b)| {
+                            a.row == b.0 || (a.score - b.1).abs() <= 1e-6 * b.1.abs().max(1.0)
+                        });
+                    assert!(
+                        same,
+                        "{plan}, price < {cutoff}, k={k}: {got:?}\ndiffers from the reference {want:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_plan_matches_a_from_scratch_reference() {
+    let db = build_db(6000, 40);
+    let (catalog, text) = reference_inputs(6000, 40);
+    assert_every_plan_matches_reference(&db, &catalog, &text, &|| {});
+}
+
+#[test]
+fn every_plan_matches_the_reference_while_rows_commit() {
+    let db = build_db(6000, 40);
+    let (catalog, text) = reference_inputs(6000, 40);
+    // Committed rows are visible and some pass every filter, but no index
+    // covers them, so they must never surface as hits. The rendezvous
+    // channel lets each query start only after one more commit landed; the
+    // writer's next commit then races that query's searches.
+    let (committed, next_query) = std::sync::mpsc::sync_channel(0);
+    let commits = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut commits = 0;
+            loop {
+                db.insert("products", product_rows(6000 + 10 * commits))
+                    .unwrap();
+                commits += 1;
+                if committed.send(()).is_err() {
+                    return commits;
+                }
+            }
+        });
+        let wait_for_commit = || next_query.recv().expect("the writer stopped early");
+        assert_every_plan_matches_reference(&db, &catalog, &text, &wait_for_commit);
+        drop(next_query);
+        writer.join().unwrap()
+    });
+    assert_eq!(db.row_count("products"), Some(6000 + 10 * commits));
 }

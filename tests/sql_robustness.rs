@@ -117,3 +117,52 @@ fn sql_plan_shapes_differ_but_answers_match() {
     assert_eq!(opt.to_rows(), raw.to_rows());
     assert_eq!(opt.num_rows(), 3);
 }
+
+/// The nesting shapes of a `WHERE` clause, `levels` deep: nested
+/// parentheses, stacked prefix `NOT`s, a left-associative `+` chain, and
+/// chains inside parentheses, where the parser recurses only `g` deep but
+/// builds a tree `g²` deep (`g = √levels`, at most 60).
+fn deep_queries(levels: usize) -> [String; 4] {
+    let g = ((levels as f64).sqrt() as usize).min(60);
+    [
+        format!(
+            "SELECT a FROM t WHERE {}a = 1{}",
+            "(".repeat(levels),
+            ")".repeat(levels)
+        ),
+        format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(levels)),
+        format!("SELECT a FROM t WHERE a = 1{}", " + 1".repeat(levels)),
+        format!(
+            "SELECT a FROM t WHERE {}a{} = 0",
+            "(".repeat(g),
+            format!("{})", " + 1".repeat(g)).repeat(g)
+        ),
+    ]
+}
+
+#[test]
+fn sql_depth_is_a_typed_error_not_a_stack_overflow() {
+    let db = backbone_core::Database::new();
+    db.create_table("t", Schema::new(vec![Field::new("a", DataType::Int64)]))
+        .unwrap();
+    db.insert("t", (0..40).map(|i| vec![Value::Int(i)]).collect())
+        .unwrap();
+    // Server workers run on 2 MiB spawned stacks.
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for sql in deep_queries(100_000) {
+                let err = db.sql(&sql).expect_err("100k levels must be rejected");
+                assert!(err.to_string().contains("nests deeper"), "{err}");
+            }
+            // Just under the cap, every shape plans, runs and drops.
+            let [parens, nots, chain, grouped] = deep_queries(backbone_query::sql::MAX_DEPTH - 8);
+            assert_eq!(db.sql(&parens).unwrap().num_rows(), 1);
+            assert_eq!(db.sql(&nots).unwrap().num_rows(), 1);
+            assert_eq!(db.sql(&chain).unwrap().num_rows(), 0);
+            assert_eq!(db.sql(&grouped).unwrap().num_rows(), 0);
+        })
+        .unwrap()
+        .join()
+        .expect("the parser must not overflow a 2 MiB stack");
+}
