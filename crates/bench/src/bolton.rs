@@ -16,7 +16,7 @@
 
 use backbone_core::hybrid::{fuse_top_k, Candidates};
 use backbone_core::{Database, Error, HybridHit, HybridSpec, Result};
-use backbone_query::eval::eval_predicate;
+use backbone_query::eval::refine_selection;
 use backbone_query::Catalog;
 use backbone_text::bm25::{rank_terms_filtered_counted, Bm25Params};
 use backbone_text::tokenize::tokenize;
@@ -44,14 +44,13 @@ fn filter_ids(db: &Database, spec: &HybridSpec) -> Result<(usize, Option<Vec<u64
         return Ok((visible, None));
     };
     let mut ids = Vec::new();
-    let mut row = 0u64;
+    let mut offset = 0u64;
     for batch in table.prefix_batches(visible) {
-        for keep in eval_predicate(filter, &batch?)? {
-            if keep {
-                ids.push(row);
-            }
-            row += 1;
-        }
+        let batch = batch?;
+        let passing = refine_selection(filter, &batch)?;
+        let kept = passing.selection().unwrap_or_default();
+        ids.extend(kept.iter().map(|&i| offset + u64::from(i)));
+        offset += batch.base_rows() as u64;
     }
     Ok((visible, Some(ids)))
 }

@@ -27,12 +27,22 @@
 //!    reclamation plus a counter — it is never load-bearing for
 //!    correctness, so its timing cannot race a reader into a stale answer.
 //!
+//! A result entry is one flat buffer: the schema and the batch as
+//! [`codec::put_schema`] and [`checkpoint::put_batch`] encode them, decoded
+//! again on every hit. A hit already costs O(result) to send, so the decode
+//! adds no new order of cost, and an entry retains its encoded bytes plus a
+//! fixed bookkeeping share instead of a batch's column handles, bitmaps and
+//! schema. Which tables an entry read lives only in the invalidation index.
+//!
 //! Counters: `cache.plan.{hits,misses,evictions}` and
-//! `cache.result.{hits,misses,evictions,invalidations,bytes}`.
+//! `cache.result.{hits,misses,evictions,invalidations,bytes}`;
+//! `cache.result.bytes` is the retained encoded bytes plus
+//! [`ENTRY_OVERHEAD`] per entry.
 
 use backbone_query::optimizer::Rule;
 use backbone_query::{LogicalPlan, Metrics};
-use backbone_storage::{RecordBatch, Value};
+use backbone_storage::codec::{self, Cursor};
+use backbone_storage::{checkpoint, RecordBatch, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -44,6 +54,11 @@ const PLAN_CACHE_ENTRIES: usize = 256;
 
 /// Default byte budget for retained result batches.
 pub(crate) const RESULT_CACHE_BYTES: usize = 64 << 20;
+
+/// Bytes one result entry retains besides its encoded payload: the map
+/// slot, the payload's allocation header, the LRU node and the
+/// invalidation-index entry.
+pub(crate) const ENTRY_OVERHEAD: usize = 128;
 
 /// Statement fingerprint: the plan-cache key and the statement half of every
 /// result-cache key.
@@ -182,16 +197,49 @@ impl PlanCache {
 }
 
 struct ResultEntry {
-    batch: RecordBatch,
-    bytes: usize,
+    /// The result's schema and batch, encoded by [`encode`].
+    payload: Arc<[u8]>,
     tick: u64,
-    tables: Vec<String>,
+}
+
+impl ResultEntry {
+    fn bytes(&self) -> usize {
+        self.payload.len() + ENTRY_OVERHEAD
+    }
+}
+
+/// Encode a result for the cache. Dictionary columns whose dictionary
+/// outnumbers the rows (a few rows gathered from a large row group) are
+/// flattened first, so an entry never carries a group's whole dictionary.
+fn encode(batch: &RecordBatch) -> Arc<[u8]> {
+    let batch = batch.materialize();
+    let rows = batch.num_rows();
+    let oversized = |c: &Arc<backbone_storage::Column>| {
+        c.dict_parts().is_some_and(|(dict, ..)| dict.len() > rows)
+    };
+    let batch = if batch.columns().iter().any(oversized) {
+        batch.decoded()
+    } else {
+        batch
+    };
+    let mut out = Vec::new();
+    codec::put_schema(&mut out, batch.schema());
+    checkpoint::put_batch(&mut out, &batch);
+    out.into()
+}
+
+/// Inverse of [`encode`].
+fn decode(payload: &[u8]) -> backbone_storage::error::Result<RecordBatch> {
+    let mut cur = Cursor::new(payload);
+    let schema = codec::read_schema(&mut cur)?;
+    checkpoint::read_batch(&mut cur, &schema)
 }
 
 struct ResultState {
     /// result key -> cached batch.
     map: HashMap<u64, ResultEntry>,
-    /// table -> keys of entries that read it (the invalidation index).
+    /// table -> keys of entries that read it (the invalidation index, and
+    /// the only record of which tables an entry read).
     by_table: HashMap<String, HashSet<u64>>,
     /// Per-table generation; bumped by `invalidate_table` so keys computed
     /// before a commit can never collide with keys computed after it, even
@@ -235,24 +283,34 @@ impl ResultCache {
             .collect()
     }
 
+    /// Look up and decode a result, counting the hit or miss and
+    /// refreshing recency. The decode runs outside the cache lock.
     pub fn get(&self, key: u64) -> Option<RecordBatch> {
-        let mut s = self.state.lock();
-        s.tick += 1;
-        let tick = s.tick;
-        match s.map.get_mut(&key) {
-            Some(e) => {
-                let batch = e.batch.clone();
-                let old = std::mem::replace(&mut e.tick, tick);
-                s.lru.remove(&old);
-                s.lru.insert(tick, key);
-                self.metrics.counter("cache.result.hits").incr();
-                Some(batch)
+        let found = {
+            let mut s = self.state.lock();
+            s.tick += 1;
+            let tick = s.tick;
+            match s.map.get_mut(&key) {
+                Some(e) => {
+                    let found = e.payload.clone();
+                    let old = std::mem::replace(&mut e.tick, tick);
+                    s.lru.remove(&old);
+                    s.lru.insert(tick, key);
+                    Some(found)
+                }
+                None => None,
             }
-            None => {
-                self.metrics.counter("cache.result.misses").incr();
-                None
-            }
-        }
+        };
+        // The payload is this cache's own encoding, so a decode failure is
+        // a bug; answering it as a miss re-executes instead of failing.
+        let batch = found.and_then(|payload| decode(&payload).ok());
+        let outcome = if batch.is_some() {
+            "cache.result.hits"
+        } else {
+            "cache.result.misses"
+        };
+        self.metrics.counter(outcome).incr();
+        batch
     }
 
     /// Whether a result is cached, without touching recency or counters.
@@ -266,7 +324,8 @@ impl ResultCache {
     /// keys embed the new generation), so storing it would only leak budget
     /// — skip it instead.
     pub fn insert(&self, key: u64, batch: &RecordBatch, tables: &[String], generations: &[u64]) {
-        let bytes = batch.byte_size().max(64);
+        let payload = encode(batch);
+        let bytes = payload.len() + ENTRY_OVERHEAD;
         if bytes > self.budget {
             return;
         }
@@ -295,15 +354,7 @@ impl ResultCache {
         for t in tables {
             s.by_table.entry(t.clone()).or_default().insert(key);
         }
-        s.map.insert(
-            key,
-            ResultEntry {
-                batch: batch.clone(),
-                bytes,
-                tick,
-                tables: tables.to_vec(),
-            },
-        );
+        s.map.insert(key, ResultEntry { payload, tick });
         self.publish_bytes(&s);
     }
 
@@ -329,18 +380,15 @@ impl ResultCache {
     }
 
     /// Drop an entry from the map, byte count, and per-table index (the LRU
-    /// entry is the caller's job — eviction already popped it).
+    /// entry is the caller's job — eviction already popped it). The index
+    /// holds only tables with live entries, so the sweep is short.
     fn unlink(s: &mut ResultState, key: u64) {
         if let Some(e) = s.map.remove(&key) {
-            s.bytes -= e.bytes;
-            for t in &e.tables {
-                if let Some(set) = s.by_table.get_mut(t) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        s.by_table.remove(t);
-                    }
-                }
-            }
+            s.bytes -= e.bytes();
+            s.by_table.retain(|_, keys| {
+                keys.remove(&key);
+                !keys.is_empty()
+            });
         }
     }
 
@@ -430,7 +478,7 @@ mod tests {
     fn result_cache_evicts_by_bytes_lru_first() {
         let m = Metrics::new();
         let b = batch(&[1, 2, 3, 4]);
-        let unit = b.byte_size().max(64);
+        let unit = encode(&b).len() + ENTRY_OVERHEAD;
         // Room for exactly two entries.
         let c = ResultCache::new(unit * 2, m.clone());
         let tables = vec!["t".to_string()];

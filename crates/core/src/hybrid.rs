@@ -37,7 +37,7 @@
 use crate::database::Database;
 use crate::error::{Error, Result};
 
-use backbone_query::eval::eval_predicate;
+use backbone_query::eval::refine_selection;
 use backbone_query::optimizer::cardinality::selectivity_on;
 use backbone_query::Expr;
 use backbone_storage::Table;
@@ -218,9 +218,15 @@ fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Optio
     let Some(f) = &spec.filter else {
         return Ok(None);
     };
-    let mut mask = Vec::with_capacity(visible);
+    let mut mask = vec![false; visible];
+    let mut offset = 0;
     for batch in table.prefix_batches(visible) {
-        mask.extend(eval_predicate(f, &batch?)?);
+        let batch = batch?;
+        let passing = refine_selection(f, &batch)?;
+        for &i in passing.selection().unwrap_or_default() {
+            mask[offset + i as usize] = true;
+        }
+        offset += batch.base_rows();
     }
     Ok(Some(mask))
 }

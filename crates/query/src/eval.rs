@@ -6,11 +6,20 @@
 //! aligned across stacked operators without compaction, and it preserves
 //! error semantics — a division by zero on a row the filter already dropped
 //! must not fail the query.
+//!
+//! Predicates take a narrower road: [`refine_selection`] turns a `WHERE`
+//! clause straight into a narrower selection vector. Conjuncts refine one
+//! after another, and `column <cmp> literal` runs a branch-free kernel over
+//! the column's borrowed slices — no literal broadcast, no `Bool` column, no
+//! mask. Any other shape evaluates through [`eval`] (the reference path) and
+//! keeps its TRUE lanes.
 
 use crate::error::{QueryError, Result};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel_metrics;
+use backbone_storage::compress::EncodedInts;
 use backbone_storage::{Bitmap, Column, RecordBatch, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,36 +47,76 @@ macro_rules! lanes {
 /// batch's **base** row count. On a selected batch only the selected lanes
 /// are computed; other lanes are NULL and must not be read.
 pub fn eval(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
+    let out = eval_arc(expr, batch)?;
+    Ok(Arc::try_unwrap(out).unwrap_or_else(|shared| shared.as_ref().clone()))
+}
+
+/// Evaluate like [`eval`], but column references return the batch's shared
+/// column handle instead of deep-cloning the data — the difference between
+/// O(1) and re-allocating every string in a Utf8 column on each batch.
+pub fn eval_arc(expr: &Expr, batch: &RecordBatch) -> Result<Arc<Column>> {
     eval_lanes(expr, batch, batch.selection())
 }
 
-/// Evaluate like [`eval`], but bare column references (and aliases of them)
-/// return the batch's shared column handle instead of deep-cloning the data —
-/// the difference between O(1) and re-allocating every string in a Utf8
-/// column on each batch.
-pub fn eval_arc(expr: &Expr, batch: &RecordBatch) -> Result<std::sync::Arc<Column>> {
-    let mut e = expr;
-    while let Expr::Alias(inner, _) = e {
-        e = inner;
-    }
-    if let Expr::Column(name) = e {
-        let col = batch
-            .column_by_name(name)
-            .map_err(|_| QueryError::InvalidExpression(format!("unknown column '{name}'")))?;
-        return Ok(col.clone());
-    }
-    Ok(std::sync::Arc::new(eval(expr, batch)?))
+/// Narrow `batch`'s selection to the rows where `predicate` is TRUE — SQL
+/// `WHERE` semantics: FALSE and NULL rows drop. Columns are shared, never
+/// copied, and the result always carries a selection vector (ascending
+/// when the input's was).
+pub fn refine_selection(predicate: &Expr, batch: &RecordBatch) -> Result<RecordBatch> {
+    let sel = select(predicate, batch, batch.selection())?;
+    Ok(batch.with_selection(Arc::new(sel))?)
 }
 
-fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<Column> {
-    match expr {
-        Expr::Column(name) => {
-            let col = batch
-                .column_by_name(name)
-                .map_err(|_| QueryError::InvalidExpression(format!("unknown column '{name}'")))?;
-            Ok(col.as_ref().clone())
+/// Base-row indices among the candidates (`sel`, else every row) where
+/// `predicate` is TRUE, in candidate order.
+fn select(predicate: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<Vec<u32>> {
+    match strip_alias(predicate) {
+        // TRUE AND TRUE is the only TRUE conjunction: each conjunct refines
+        // the survivors of the one before.
+        Expr::Binary {
+            left,
+            op: BinOp::And,
+            right,
+        } => {
+            let survivors = select(left, batch, sel)?;
+            if survivors.is_empty() {
+                return Ok(survivors);
+            }
+            return select(right, batch, Some(&survivors));
         }
-        Expr::Literal(v) => broadcast(v, batch.base_rows()),
+        Expr::Binary { left, op, right } => {
+            if let Some((name, op, literal)) = column_vs_literal(left, *op, right) {
+                if let Some(out) = select_cmp(column(batch, name)?, op, literal, sel) {
+                    return Ok(out);
+                }
+            }
+        }
+        _ => {}
+    }
+    true_lanes(&*eval_lanes(predicate, batch, sel)?, sel)
+}
+
+/// The candidates whose lane of a Bool verdict column is TRUE.
+fn true_lanes(verdict: &Column, sel: Option<&[u32]>) -> Result<Vec<u32>> {
+    match verdict {
+        Column::Bool(vals, validity) => Ok(refine(sel, vals.len(), validity, |i| vals[i])),
+        other => Err(QueryError::InvalidExpression(format!(
+            "predicate must be boolean, got {}",
+            other.data_type()
+        ))),
+    }
+}
+
+fn column<'b>(batch: &'b RecordBatch, name: &str) -> Result<&'b Arc<Column>> {
+    batch
+        .column_by_name(name)
+        .map_err(|_| QueryError::InvalidExpression(format!("unknown column '{name}'")))
+}
+
+fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<Arc<Column>> {
+    match expr {
+        Expr::Column(name) => Ok(column(batch, name)?.clone()),
+        Expr::Literal(v) => Ok(Arc::new(broadcast(v, batch.base_rows()))),
         Expr::Param(i) => Err(QueryError::InvalidExpression(format!(
             "parameter ${} is not bound",
             i + 1
@@ -75,23 +124,23 @@ fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<C
         Expr::Alias(inner, _) => eval_lanes(inner, batch, sel),
         Expr::Unary { op, expr } => {
             let input = eval_lanes(expr, batch, sel)?;
-            eval_unary(*op, &input)
+            Ok(Arc::new(eval_unary(*op, &input)?))
         }
         Expr::Binary { left, op, right } => {
-            // Dictionary fast path: `dict_col <cmp> 'literal'` compares once
-            // per dictionary entry instead of once per row. Must intercept
-            // before the literal broadcasts into a full column.
-            if op.is_comparison() {
-                if let Some(out) = try_dict_compare(left, *op, right, batch, sel)? {
-                    return Ok(out);
-                }
-                if let Some(out) = try_encoded_compare(left, *op, right, batch, sel)? {
-                    return Ok(out);
+            // `column <cmp> literal` as a value (under OR, NOT, a
+            // projection): the selection kernel run for the comparison and
+            // for its negation splits the lanes into TRUE, FALSE and NULL.
+            if let Some((name, cmp, literal)) = column_vs_literal(left, *op, right) {
+                let col = column(batch, name)?;
+                if let Some(yes) = select_cmp(col, cmp, literal, sel) {
+                    let no = select_cmp(col, cmp.negated(), literal, sel)
+                        .expect("a kernel covers both a comparison and its negation");
+                    return Ok(Arc::new(verdict_column(col.len(), &yes, &no)));
                 }
             }
             let l = eval_lanes(left, batch, sel)?;
             let r = eval_lanes(right, batch, sel)?;
-            eval_binary(&l, *op, &r, sel)
+            Ok(Arc::new(eval_binary(&l, *op, &r, sel)?))
         }
         Expr::Like {
             expr,
@@ -99,13 +148,13 @@ fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<C
             negated,
         } => {
             let input = eval_lanes(expr, batch, sel)?;
-            eval_like(&input, pattern, *negated, sel)
+            Ok(Arc::new(eval_like(&input, pattern, *negated, sel)?))
         }
         Expr::InList {
             expr,
             list,
             negated,
-        } => eval_in_list(expr, list, *negated, batch, sel),
+        } => Ok(Arc::new(eval_in_list(expr, list, *negated, batch, sel)?)),
     }
 }
 
@@ -117,159 +166,291 @@ fn strip_alias(mut e: &Expr) -> &Expr {
     e
 }
 
-/// `keep(ordering)` verdict for a comparison operator.
-#[inline]
-fn cmp_keep(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::NotEq => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::LtEq => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::GtEq => ord != Ordering::Less,
-        _ => unreachable!("not a comparison"),
+/// `column <op> literal` with the literal on either side, normalized so the
+/// column comes first. `None` for every other comparison shape.
+fn column_vs_literal<'e>(
+    left: &'e Expr,
+    op: BinOp,
+    right: &'e Expr,
+) -> Option<(&'e str, BinOp, &'e Value)> {
+    if !op.is_comparison() {
+        return None;
+    }
+    match (strip_alias(left), strip_alias(right)) {
+        (Expr::Column(n), Expr::Literal(v)) => Some((n, op, v)),
+        (Expr::Literal(v), Expr::Column(n)) => Some((n, op.flipped(), v)),
+        _ => None,
     }
 }
 
-/// Code-space comparison kernel: when one side is a dictionary-encoded
-/// column reference and the other a string literal, evaluate the comparison
-/// over the O(distinct) dictionary and scan the u32 codes against the
-/// resulting accept set. Returns `None` when the shape doesn't apply (the
-/// caller falls through to the generic row-wise path).
-fn try_dict_compare(
-    left: &Expr,
-    op: BinOp,
-    right: &Expr,
-    batch: &RecordBatch,
-    sel: Option<&[u32]>,
-) -> Result<Option<Column>> {
-    let (name, needle, flipped) = match (strip_alias(left), strip_alias(right)) {
-        (Expr::Column(n), Expr::Literal(Value::Str(s))) => (n, s, false),
-        (Expr::Literal(Value::Str(s)), Expr::Column(n)) => (n, s, true),
-        _ => return Ok(None),
-    };
-    let Ok(col) = batch.column_by_name(name) else {
-        return Ok(None); // unknown column: let the generic path report it
-    };
-    let Some((dict, codes, validity)) = col.dict_parts() else {
-        return Ok(None);
-    };
-    let t0 = Instant::now();
-    let accept: Vec<bool> = dict
-        .iter()
-        .map(|entry| {
-            let ord = if flipped {
-                (**needle).cmp(entry.as_str())
-            } else {
-                entry.as_str().cmp(needle)
-            };
-            cmp_keep(op, ord)
-        })
-        .collect();
-    let n = codes.len();
+/// A Bool column from the TRUE lanes `yes` and the FALSE lanes `no`; every
+/// other lane is NULL.
+fn verdict_column(n: usize, yes: &[u32], no: &[u32]) -> Column {
     let mut vals = vec![false; n];
-    let mut out_validity = Bitmap::all_null(n);
-    lanes!(sel, n, i => {
-        if validity.get(i) {
-            vals[i] = accept[codes[i] as usize];
-            out_validity.set(i, true);
-        }
-    });
-    kernel_metrics::record(|m| {
-        m.counter("op.eval.kernel.dict_cmp_ns").add_elapsed(t0);
-        m.counter("op.eval.kernel.dict_rows").add(n as u64);
-    });
-    Ok(Some(Column::Bool(vals, out_validity)))
+    let mut validity = Bitmap::all_null(n);
+    for &i in yes {
+        vals[i as usize] = true;
+        validity.set(i as usize, true);
+    }
+    for &i in no {
+        validity.set(i as usize, true);
+    }
+    Column::Bool(vals, validity)
 }
 
-/// Code-space comparison kernel for encoded integers: when one side is an
-/// [`Column::Int64Encoded`] column reference and the other a numeric
-/// literal, RLE columns get one verdict per run (filled across the whole
-/// span) and bit-packed columns compare unpacked words lane by lane —
-/// neither materializes a plain vector. Returns `None` when the shape
-/// doesn't apply.
-fn try_encoded_compare(
-    left: &Expr,
-    op: BinOp,
-    right: &Expr,
-    batch: &RecordBatch,
-    sel: Option<&[u32]>,
-) -> Result<Option<Column>> {
-    #[derive(Clone, Copy)]
-    enum Needle {
-        I(i64),
-        F(f64),
+/// One comparison operator as a type, so every kernel below is
+/// monomorphized per operator and its inner loop holds no `match`.
+/// `test` is the SQL verdict on two non-NULL operands: unordered operands
+/// (a NaN on either side) compare NULL, so every operator — `<>` included —
+/// answers `false` for them.
+trait Cmp {
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
+}
+
+struct CmpEq;
+struct CmpNe;
+struct CmpLt;
+struct CmpLe;
+struct CmpGt;
+struct CmpGe;
+
+impl Cmp for CmpEq {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a == b
     }
-    let (name, needle, flipped) = match (strip_alias(left), strip_alias(right)) {
-        (Expr::Column(n), Expr::Literal(Value::Int(v))) => (n, Needle::I(*v), false),
-        (Expr::Literal(Value::Int(v)), Expr::Column(n)) => (n, Needle::I(*v), true),
-        (Expr::Column(n), Expr::Literal(Value::Float(v))) => (n, Needle::F(*v), false),
-        (Expr::Literal(Value::Float(v)), Expr::Column(n)) => (n, Needle::F(*v), true),
-        _ => return Ok(None),
-    };
-    let Ok(col) = batch.column_by_name(name) else {
-        return Ok(None); // unknown column: let the generic path report it
-    };
-    let Some((data, validity)) = col.encoded_parts() else {
-        return Ok(None);
-    };
+}
+
+impl Cmp for CmpNe {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Greater))
+    }
+}
+
+impl Cmp for CmpLt {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a < b
+    }
+}
+
+impl Cmp for CmpLe {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a <= b
+    }
+}
+
+impl Cmp for CmpGt {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a > b
+    }
+}
+
+impl Cmp for CmpGe {
+    #[inline(always)]
+    fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a >= b
+    }
+}
+
+/// Refine the candidates by `col <op> literal`, or `None` when no kernel
+/// covers this column kind and literal type (the caller then evaluates the
+/// reference path, which also reports type errors).
+fn select_cmp(col: &Column, op: BinOp, literal: &Value, sel: Option<&[u32]>) -> Option<Vec<u32>> {
     let t0 = Instant::now();
-    // `None` mirrors the float kernels' NaN behavior: no ordering, row NULL.
-    let verdict = |v: i64| -> Option<bool> {
-        let ord = match needle {
-            Needle::I(x) => {
-                if flipped {
-                    x.cmp(&v)
-                } else {
-                    v.cmp(&x)
-                }
-            }
-            Needle::F(x) => {
-                if flipped {
-                    x.partial_cmp(&(v as f64))?
-                } else {
-                    (v as f64).partial_cmp(&x)?
-                }
-            }
-        };
-        Some(cmp_keep(op, ord))
+    let out = match op {
+        BinOp::Eq => select_cmp_op::<CmpEq>(col, literal, sel),
+        BinOp::NotEq => select_cmp_op::<CmpNe>(col, literal, sel),
+        BinOp::Lt => select_cmp_op::<CmpLt>(col, literal, sel),
+        BinOp::LtEq => select_cmp_op::<CmpLe>(col, literal, sel),
+        BinOp::Gt => select_cmp_op::<CmpGt>(col, literal, sel),
+        BinOp::GtEq => select_cmp_op::<CmpGe>(col, literal, sel),
+        _ => None,
+    }?;
+    let lanes = sel.map_or(col.len(), <[u32]>::len) as u64;
+    let (ns, rows) = match col {
+        Column::DictUtf8 { .. } => ("op.eval.kernel.dict_cmp_ns", "op.eval.kernel.dict_rows"),
+        Column::Int64Encoded { .. } => ("op.eval.kernel.enc_cmp_ns", "op.eval.kernel.enc_rows"),
+        _ => return Some(out),
     };
+    kernel_metrics::record(|m| {
+        m.counter(ns).add_elapsed(t0);
+        m.counter(rows).add(lanes);
+    });
+    Some(out)
+}
+
+/// The per-kind verdicts of one operator. A NULL literal makes every
+/// comparison NULL; the numeric kinds answer that with no survivors (other
+/// kinds leave it to the reference path, which rejects the type mix).
+fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> Option<Vec<u32>> {
     let n = col.len();
-    let mut vals = vec![false; n];
-    let mut out_validity = Bitmap::all_null(n);
-    match (data.runs(), sel) {
-        (Some(runs), None) => {
-            let mut pos = 0usize;
-            for &(v, cnt) in runs {
-                let end = pos + cnt as usize;
-                if let Some(k) = verdict(v) {
-                    for (slot, i) in vals[pos..end].iter_mut().zip(pos..) {
-                        if validity.get(i) {
-                            *slot = k;
-                            out_validity.set(i, true);
-                        }
-                    }
-                }
-                pos = end;
+    Some(match (col, literal) {
+        (Column::Int64(..) | Column::Float64(..) | Column::Int64Encoded { .. }, Value::Null) => {
+            Vec::new()
+        }
+        (Column::Int64(v, valid), Value::Int(x)) => refine(sel, n, valid, |i| O::test(&v[i], x)),
+        (Column::Int64(v, valid), Value::Float(x)) => {
+            refine(sel, n, valid, |i| O::test(&(v[i] as f64), x))
+        }
+        (Column::Float64(v, valid), Value::Float(x)) => {
+            refine(sel, n, valid, |i| O::test(&v[i], x))
+        }
+        (Column::Float64(v, valid), Value::Int(x)) => {
+            let x = *x as f64;
+            refine(sel, n, valid, |i| O::test(&v[i], &x))
+        }
+        (
+            Column::Int64Encoded {
+                data: EncodedInts::BitPacked(p),
+                validity,
+            },
+            Value::Int(x),
+        ) => refine(sel, n, validity, |i| O::test(&p.get_unchecked(i), x)),
+        (
+            Column::Int64Encoded {
+                data: EncodedInts::BitPacked(p),
+                validity,
+            },
+            Value::Float(x),
+        ) => refine(sel, n, validity, |i| {
+            O::test(&(p.get_unchecked(i) as f64), x)
+        }),
+        (
+            Column::Int64Encoded {
+                data: EncodedInts::Rle { rle, ends },
+                validity,
+            },
+            Value::Int(x),
+        ) => refine_runs(sel, &rle.runs, ends, validity, |v| O::test(&v, x)),
+        (
+            Column::Int64Encoded {
+                data: EncodedInts::Rle { rle, ends },
+                validity,
+            },
+            Value::Float(x),
+        ) => refine_runs(sel, &rle.runs, ends, validity, |v| O::test(&(v as f64), x)),
+        (
+            Column::DictUtf8 {
+                dict,
+                codes,
+                validity,
+            },
+            Value::Str(s),
+        ) => {
+            // One string comparison per dictionary entry, then a code
+            // lookup per lane. NULL slots may hold any code: the trailing
+            // `false` catches out-of-range ones without a branch.
+            let mut accept: Vec<bool> = dict.iter().map(|e| O::test(e.as_str(), &**s)).collect();
+            accept.push(false);
+            let last = dict.len();
+            refine(sel, n, validity, |i| accept[(codes[i] as usize).min(last)])
+        }
+        (Column::Utf8(v, valid), Value::Str(s)) => {
+            refine(sel, n, valid, |i| O::test(v[i].as_str(), &**s))
+        }
+        _ => return None,
+    })
+}
+
+/// The candidates (`sel`, else `0..n`) that are valid and pass `keep`.
+#[inline(always)]
+fn refine(
+    sel: Option<&[u32]>,
+    n: usize,
+    validity: &Bitmap,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<u32> {
+    if validity.all_set() {
+        refine_lanes(sel, n, keep)
+    } else {
+        refine_lanes(sel, n, |i| validity.get(i) & keep(i))
+    }
+}
+
+/// Branch-free selection (Ross, "Selection conditions in main memory",
+/// TODS 2004): every candidate is written to the output and the cursor
+/// advances by the verdict, so the loop has no data-dependent branch to
+/// mispredict at middling selectivities.
+#[inline(always)]
+fn refine_lanes(sel: Option<&[u32]>, n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; sel.map_or(n, <[u32]>::len)];
+    let mut k = 0;
+    match sel {
+        Some(s) => {
+            for &i in s {
+                out[k] = i;
+                k += keep(i as usize) as usize;
             }
         }
-        _ => {
-            lanes!(sel, n, i => {
-                if validity.get(i) {
-                    if let Some(k) = verdict(data.get(i)) {
-                        vals[i] = k;
-                        out_validity.set(i, true);
-                    }
-                }
-            });
+        None => {
+            for i in 0..n {
+                out[k] = i as u32;
+                k += keep(i) as usize;
+            }
         }
     }
-    kernel_metrics::record(|m| {
-        m.counter("op.eval.kernel.enc_cmp_ns").add_elapsed(t0);
-        m.counter("op.eval.kernel.enc_rows").add(n as u64);
-    });
-    Ok(Some(Column::Bool(vals, out_validity)))
+    shrunk(out, k)
+}
+
+/// Truncate a kernel's output to its `k` survivors, returning memory a
+/// selective predicate left unused (the selection lives as long as the
+/// batch view that carries it).
+fn shrunk(mut out: Vec<u32>, k: usize) -> Vec<u32> {
+    out.truncate(k);
+    if k < out.capacity() / 4 {
+        out.shrink_to_fit();
+    }
+    out
+}
+
+/// [`refine`] over an RLE column: one verdict per run. Without a selection
+/// the passing runs' ranges are emitted whole; with one, the run cursor is
+/// merge-walked forward along the (ascending) selection instead of
+/// binary-searching every lane. An out-of-order lane re-seeks the cursor.
+fn refine_runs(
+    sel: Option<&[u32]>,
+    runs: &[(i64, u32)],
+    ends: &[u32],
+    validity: &Bitmap,
+    verdict: impl Fn(i64) -> bool,
+) -> Vec<u32> {
+    let all_valid = validity.all_set();
+    let Some(sel) = sel else {
+        let mut out = Vec::new();
+        let mut start = 0u32;
+        for (&(v, _), &end) in runs.iter().zip(ends) {
+            if verdict(v) {
+                out.extend(start..end);
+            }
+            start = end;
+        }
+        if !all_valid {
+            out.retain(|&i| validity.get(i as usize));
+        }
+        return out;
+    };
+    let mut out = vec![0u32; sel.len()];
+    let mut k = 0;
+    let mut r = 0usize;
+    let mut keep = runs.first().is_some_and(|&(v, _)| verdict(v));
+    for &i in sel {
+        if ends[r] <= i {
+            while ends[r] <= i {
+                r += 1;
+            }
+            keep = verdict(runs[r].0);
+        } else if r > 0 && ends[r - 1] > i {
+            r = ends.partition_point(|&e| e <= i);
+            keep = verdict(runs[r].0);
+        }
+        out[k] = i;
+        k += (keep & (all_valid || validity.get(i as usize))) as usize;
+    }
+    shrunk(out, k)
 }
 
 /// SQL `IN (...)`: OR-chain three-valued semantics. Dictionary columns with
@@ -563,38 +744,14 @@ fn seg_match(text: &[char], segs: &[Vec<char>]) -> bool {
     true
 }
 
-/// Evaluate a predicate to a **logical-row** mask: `true` where the result is
-/// TRUE (not NULL, not FALSE) — SQL `WHERE` semantics. On a selected batch
-/// the mask has one entry per selection lane, aligned with `num_rows()`.
-pub fn eval_predicate(expr: &Expr, batch: &RecordBatch) -> Result<Vec<bool>> {
-    let col = eval(expr, batch)?;
-    match col {
-        Column::Bool(vals, validity) => Ok(match batch.selection() {
-            Some(s) => s
-                .iter()
-                .map(|&i| vals[i as usize] && validity.get(i as usize))
-                .collect(),
-            None => vals
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| b && validity.get(i))
-                .collect(),
-        }),
-        other => Err(QueryError::InvalidExpression(format!(
-            "predicate must be boolean, got {}",
-            other.data_type()
-        ))),
-    }
-}
-
-fn broadcast(v: &Value, n: usize) -> Result<Column> {
-    Ok(match v {
+fn broadcast(v: &Value, n: usize) -> Column {
+    match v {
         Value::Int(x) => Column::Int64(vec![*x; n], Bitmap::all_valid(n)),
         Value::Float(x) => Column::Float64(vec![*x; n], Bitmap::all_valid(n)),
         Value::Str(s) => Column::Utf8(vec![s.to_string(); n], Bitmap::all_valid(n)),
         Value::Bool(b) => Column::Bool(vec![*b; n], Bitmap::all_valid(n)),
         Value::Null => Column::Int64(vec![0; n], Bitmap::all_null(n)),
-    })
+    }
 }
 
 fn eval_unary(op: UnOp, input: &Column) -> Result<Column> {
@@ -1042,6 +1199,18 @@ mod tests {
     use backbone_storage::{DataType, Field, Schema};
     use std::sync::Arc;
 
+    /// The predicate's verdict per logical row, read off the selection
+    /// [`refine_selection`] leaves.
+    fn eval_predicate(expr: &Expr, batch: &RecordBatch) -> Result<Vec<bool>> {
+        let refined = refine_selection(expr, batch)?;
+        let kept = refined
+            .selection()
+            .expect("refined batches carry a selection");
+        Ok((0..batch.num_rows())
+            .map(|i| kept.binary_search(&(batch.base_index(i) as u32)).is_ok())
+            .collect())
+    }
+
     fn batch() -> RecordBatch {
         let schema = Schema::new(vec![
             Field::new("a", DataType::Int64),
@@ -1354,6 +1523,44 @@ mod tests {
         let pm = eval_predicate(&col("p").gt(lit(0i64)), &sel).unwrap();
         assert_eq!(em, pm);
         assert_eq!(em, vec![true, true, false]);
+    }
+
+    #[test]
+    fn rle_kernel_matches_plain_on_any_selection_order() {
+        use backbone_storage::compress::RleI64;
+        let vals = [1, 1, 1, 4, 4, 2, 2, 2, 2, 9];
+        let rle = Column::encoded_from_parts(
+            EncodedInts::from_rle(RleI64::encode(&vals)),
+            Bitmap::all_valid(vals.len()),
+        );
+        let schema = Schema::new(vec![
+            Field::new("r", DataType::Int64),
+            Field::new("p", DataType::Int64),
+        ]);
+        let cols = vec![Arc::new(rle), Arc::new(Column::from_i64(vals.to_vec()))];
+        let b = RecordBatch::try_new(schema, cols).unwrap();
+        // Ascending lanes merge-walk the runs; the reversed ones re-seek.
+        for lanes in [vec![0, 3, 4, 8, 9], vec![9, 8, 5, 4, 1, 0]] {
+            let sel = b.with_selection(Arc::new(lanes)).unwrap();
+            for pred in [col("r").gt(lit(1i64)), lit(2i64).not_eq(col("r"))] {
+                let rm = eval_predicate(&pred, &sel).unwrap();
+                let pm = eval_predicate(&on_plain_twin(&pred), &sel).unwrap();
+                assert_eq!(rm, pm, "{pred}");
+            }
+        }
+    }
+
+    /// `pred` with its column `r` renamed to the plain twin `p`.
+    fn on_plain_twin(pred: &Expr) -> Expr {
+        match pred {
+            Expr::Column(_) => col("p"),
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(on_plain_twin(left)),
+                op: *op,
+                right: Box::new(on_plain_twin(right)),
+            },
+            other => other.clone(),
+        }
     }
 
     #[test]

@@ -49,6 +49,33 @@ impl BinOp {
     pub fn is_logical(&self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
+
+    /// The comparison with its operands swapped: `a < b` is `b > a`.
+    /// Non-comparisons are returned unchanged.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            other => other,
+        }
+    }
+
+    /// The comparison that is TRUE exactly where this one is FALSE (both
+    /// are NULL on the same rows): `a < b` against `a >= b`.
+    /// Non-comparisons are returned unchanged.
+    pub fn negated(self) -> BinOp {
+        match self {
+            BinOp::Eq => BinOp::NotEq,
+            BinOp::NotEq => BinOp::Eq,
+            BinOp::Lt => BinOp::GtEq,
+            BinOp::LtEq => BinOp::Gt,
+            BinOp::Gt => BinOp::LtEq,
+            BinOp::GtEq => BinOp::Lt,
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {

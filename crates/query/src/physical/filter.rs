@@ -2,7 +2,7 @@
 
 use super::Operator;
 use crate::error::Result;
-use crate::eval::eval_predicate;
+use crate::eval::refine_selection;
 use crate::expr::Expr;
 use backbone_storage::{RecordBatch, Schema};
 use std::sync::Arc;
@@ -28,10 +28,9 @@ impl Operator for FilterExec {
     fn next(&mut self) -> Result<Option<RecordBatch>> {
         // Skip batches that filter to empty rather than emitting empties.
         while let Some(batch) = self.input.next()? {
-            let mask = eval_predicate(&self.predicate, &batch)?;
             // Pass survivors downstream as a selection view: no column is
             // compacted here, kernels below iterate the selected lanes.
-            let out = batch.select_mask(&mask)?;
+            let out = refine_selection(&self.predicate, &batch)?;
             if !out.is_empty() {
                 return Ok(Some(out));
             }

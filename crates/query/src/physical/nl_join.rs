@@ -2,7 +2,7 @@
 
 use super::{drain, Operator};
 use crate::error::Result;
-use crate::eval::eval_predicate;
+use crate::eval::refine_selection;
 use crate::expr::Expr;
 use backbone_storage::{Column, RecordBatch, Schema};
 use std::sync::Arc;
@@ -64,10 +64,9 @@ impl NestedLoopJoinExec {
             let combined = RecordBatch::try_new(self.schema.clone(), cols)?;
             let kept = match &self.predicate {
                 None => combined,
-                Some(p) => {
-                    let mask = eval_predicate(p, &combined)?;
-                    combined.filter(&mask)?
-                }
+                // Compact the survivors: the output holds every chunk until
+                // the join drains, and a view would pin each whole chunk.
+                Some(p) => refine_selection(p, &combined)?.materialize(),
             };
             if !kept.is_empty() {
                 out.push(kept);

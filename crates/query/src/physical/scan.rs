@@ -5,10 +5,10 @@ use super::parallel::{record_worker, ParallelProfile, StealQueues};
 use super::pool::{spawn_detached, PoolHandle};
 use super::Operator;
 use crate::error::Result;
-use crate::eval::eval_predicate;
+use crate::eval::refine_selection;
 use crate::expr::{BinOp, Expr};
 use backbone_storage::table::ZoneMap;
-use backbone_storage::{Metrics, RecordBatch, Schema, Table, Value};
+use backbone_storage::{Counter, Metrics, RecordBatch, Schema, Table, Value};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -39,6 +39,9 @@ pub struct TableScanExec {
     batch_rows: usize,
     pending: VecDeque<RecordBatch>,
     metrics: Option<Metrics>,
+    /// `op.scan.kernel.filter_ns`, resolved once per scan and shared with
+    /// the parallel workers.
+    filter_ns: Option<Counter>,
     profile: Option<ParallelProfile>,
     /// Snapshot clamp: scan only this visible row prefix (see
     /// [`TableScanExec::with_snapshot`]). `None` = scan everything.
@@ -127,6 +130,7 @@ impl TableScanExec {
             batch_rows: 0,
             pending: VecDeque::new(),
             metrics: None,
+            filter_ns: None,
             profile: None,
             clamp: None,
         })
@@ -177,6 +181,9 @@ impl TableScanExec {
     /// per-worker morsel/row/steal counters (`op.scan.worker.*`,
     /// `op.scan.steals`) into `metrics`.
     pub fn with_metrics(mut self, metrics: Option<Metrics>) -> Self {
+        self.filter_ns = metrics
+            .as_ref()
+            .map(|m| m.counter("op.scan.kernel.filter_ns"));
         self.metrics = metrics;
         self
     }
@@ -223,6 +230,7 @@ impl TableScanExec {
             let tx = tx.clone();
             let queues = queues.clone();
             let metrics = self.metrics.clone();
+            let filter_ns = self.filter_ns.clone();
             let profile = self.profile.clone();
             handles.push(spawn_detached(move || {
                 // Workers record eval-kernel counters through their own
@@ -247,7 +255,12 @@ impl TableScanExec {
                             break;
                         }
                     };
-                    match process_group(&batch, zones, &filters, &projection) {
+                    let t0 = Instant::now();
+                    let out = process_group(&batch, zones, &filters, &projection);
+                    if let Some(c) = &filter_ns {
+                        c.add_elapsed(t0);
+                    }
+                    match out {
                         Ok(Some(batch)) => {
                             rows += batch.num_rows() as u64;
                             if tx.send(Ok(batch)).is_err() {
@@ -330,16 +343,7 @@ fn zone_refutes(zones: &[(usize, ZoneMap)], schema: &Schema, filter: &Expr) -> b
     // Normalize to (column op literal).
     let (name, op, value) = match (left.as_ref(), right.as_ref()) {
         (Expr::Column(n), Expr::Literal(v)) => (n, *op, v),
-        (Expr::Literal(v), Expr::Column(n)) => {
-            let flipped = match op {
-                BinOp::Lt => BinOp::Gt,
-                BinOp::LtEq => BinOp::GtEq,
-                BinOp::Gt => BinOp::Lt,
-                BinOp::GtEq => BinOp::LtEq,
-                other => *other,
-            };
-            (n, flipped, v)
-        }
+        (Expr::Literal(v), Expr::Column(n)) => (n, op.flipped(), v),
         _ => return false,
     };
     if matches!(value, Value::Null) {
@@ -372,10 +376,9 @@ fn process_group(
     }
     let mut current = batch.clone();
     for f in filters {
-        let mask = eval_predicate(f, &current)?;
         // Survivors become a narrower selection over the same columns;
         // downstream kernels and the projection late-materialize.
-        current = current.select_mask(&mask)?;
+        current = refine_selection(f, &current)?;
         if current.is_empty() {
             return Ok(None);
         }
@@ -426,9 +429,8 @@ impl Operator for TableScanExec {
                     let batch = read_segment(table, g, visible)?;
                     let t0 = Instant::now();
                     let out = process_group(&batch, zones, filters, projection)?;
-                    if let Some(m) = &self.metrics {
-                        m.counter("op.scan.kernel.filter_ns")
-                            .add(t0.elapsed().as_nanos() as u64);
+                    if let Some(c) = &self.filter_ns {
+                        c.add_elapsed(t0);
                     }
                     if let Some(batch) = out {
                         found = Some(batch);

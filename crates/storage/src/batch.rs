@@ -154,40 +154,6 @@ impl RecordBatch {
         })
     }
 
-    /// Zero-copy filter: keep logical rows where `mask` is true, composing
-    /// with any existing selection. Columns are shared, not compacted.
-    pub fn select_mask(&self, mask: &[bool]) -> Result<RecordBatch> {
-        if mask.len() != self.num_rows() {
-            return Err(StorageError::OutOfBounds {
-                index: mask.len(),
-                len: self.num_rows(),
-            });
-        }
-        let mut sel = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
-        match &self.sel {
-            Some(old) => {
-                for (k, &m) in mask.iter().enumerate() {
-                    if m {
-                        sel.push(old[k]);
-                    }
-                }
-            }
-            None => {
-                for (k, &m) in mask.iter().enumerate() {
-                    if m {
-                        sel.push(k as u32);
-                    }
-                }
-            }
-        }
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows,
-            sel: Some(Arc::new(sel)),
-        })
-    }
-
     /// Gather any selection into dense columns. A no-op clone when the batch
     /// is already dense.
     pub fn materialize(&self) -> RecordBatch {
@@ -269,7 +235,6 @@ impl RecordBatch {
     }
 
     /// Keep logical rows where `mask` is true, compacting the columns.
-    /// See [`RecordBatch::select_mask`] for the zero-copy view variant.
     pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
         if mask.len() != self.num_rows() {
             return Err(StorageError::OutOfBounds {
@@ -277,8 +242,9 @@ impl RecordBatch {
                 len: self.num_rows(),
             });
         }
-        if self.sel.is_some() {
-            return self.select_mask(mask).map(|b| b.materialize());
+        if let Some(sel) = &self.sel {
+            let kept = sel.iter().zip(mask).filter(|(_, &m)| m).map(|(&i, _)| i);
+            return Ok(self.with_selection(Arc::new(kept.collect()))?.materialize());
         }
         let cols = self
             .columns

@@ -60,7 +60,9 @@ pub struct ZoneMap {
 impl ZoneMap {
     /// Compute the zone map for a column. Dictionary columns scan their
     /// entries instead of rows: O(distinct) rather than O(rows), and still
-    /// sound (entries bound every stored value).
+    /// sound (entries bound every stored value). NaN is left out of the
+    /// bounds: it satisfies no comparison, and as a bound it would compare
+    /// equal to everything and refute groups holding matching rows.
     pub fn from_column(col: &Column) -> ZoneMap {
         if let Some((dict, _, validity)) = col.dict_parts() {
             let mut min: Option<Value> = None;
@@ -92,6 +94,9 @@ impl ZoneMap {
             let v = col.value(i);
             if v.is_null() {
                 null_count += 1;
+                continue;
+            }
+            if matches!(v, Value::Float(f) if f.is_nan()) {
                 continue;
             }
             match &min {
@@ -783,6 +788,20 @@ mod tests {
         assert!(!z.may_contain_eq(&Value::Int(0)));
         assert!(!z.may_contain_lt(&Value::Int(100), true));
         assert!(!z.may_contain_gt(&Value::Int(-100), true));
+    }
+
+    #[test]
+    fn zone_map_bounds_skip_nan() {
+        // A leading NaN must not become a bound that compares equal to
+        // everything: `f < 2.0` has a match here.
+        let col = Column::from_f64(vec![f64::NAN, 1.5, 3.0]);
+        let z = ZoneMap::from_column(&col);
+        assert_eq!(z.min, Some(Value::Float(1.5)));
+        assert!(z.may_contain_lt(&Value::Float(2.0), false));
+        assert_eq!(
+            ZoneMap::from_column(&Column::from_f64(vec![f64::NAN])).min,
+            None
+        );
     }
 
     #[test]

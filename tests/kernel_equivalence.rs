@@ -8,8 +8,8 @@
 
 use backbone_query::logical::{asc, desc};
 use backbone_query::{
-    avg, col, count, count_star, execute, lit, max, min, sum, ExecOptions, JoinType, LogicalPlan,
-    MemCatalog, Parallelism,
+    avg, col, count, count_star, execute, lit, max, min, sum, BinOp, ExecOptions, Expr, JoinType,
+    LogicalPlan, MemCatalog, Parallelism,
 };
 use backbone_storage::table::{DEFAULT_ROW_GROUP_SIZE, TAIL_CHUNK_ROWS};
 use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Table, Value};
@@ -1323,4 +1323,333 @@ fn multi_chunk_tail_matches_sealed() {
         .collect();
     check_tail_vs_sealed(&rows, 17, 9);
     check_tail_join(&rows[..1500], &rows[1000..1040], JoinType::Inner);
+}
+
+// ---- Selection kernels vs a three-valued reference ------------------------
+
+/// One row for the selection-kernel suite: a nullable int (stored plain,
+/// RLE and bit-packed), a nullable float drawn to hit NaN and ±0.0, and a
+/// nullable string (stored plain and dictionary-encoded).
+type SelRow = (Option<i64>, Option<f64>, Option<String>);
+
+const WORDS: [&str; 5] = ["", "a", "ab", "b", "ba"];
+
+/// Columns of the suite's table, by storage kind, after the `id` column.
+const INT_COLS: [&str; 3] = ["i", "r", "p"];
+const FLOAT_COL: &str = "f";
+const STR_COLS: [&str; 2] = ["s", "d"];
+
+fn special_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(0.0),
+        Just(-0.0),
+        (-3i64..4).prop_map(|v| v as f64),
+        (-30i64..40).prop_map(|v| v as f64 / 10.0),
+    ]
+}
+
+/// Rows in runs of 1–5 copies, so the RLE column has runs worth walking.
+fn selection_rows(max_runs: usize, null_weight: u32) -> impl Strategy<Value = Vec<SelRow>> {
+    let cell = (
+        maybe(null_weight, -3i64..4),
+        maybe(null_weight, special_float()),
+        maybe(
+            null_weight,
+            (0usize..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+        ),
+    );
+    proptest::collection::vec((cell, 1usize..6), 0..max_runs).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(row, n)| std::iter::repeat_n(row, n))
+            .collect()
+    })
+}
+
+fn selection_schema() -> Arc<Schema> {
+    let mut fields = vec![Field::new("id", DataType::Int64)];
+    fields.extend(INT_COLS.map(|c| Field::nullable(c, DataType::Int64)));
+    fields.push(Field::nullable(FLOAT_COL, DataType::Float64));
+    fields.extend(STR_COLS.map(|c| Field::nullable(c, DataType::Utf8)));
+    Schema::new(fields)
+}
+
+/// `rows` (ids from `first_id`) as one batch holding every column kind the
+/// selection kernels read: plain, RLE and bit-packed ints, floats, plain and
+/// dictionary strings.
+fn selection_batch(rows: &[SelRow], first_id: i64) -> RecordBatch {
+    use backbone_storage::compress::{BitPackedI64, EncodedInts, RleI64};
+    let ids: Vec<i64> = (first_id..first_id + rows.len() as i64).collect();
+    let ints = Column::from_opt_i64(rows.iter().map(|r| r.0).collect());
+    let validity = ints.validity().clone();
+    // NULL slots hold 0, as sealing normalizes them.
+    let raw: Vec<i64> = rows.iter().map(|r| r.0.unwrap_or(0)).collect();
+    let rle = Column::encoded_from_parts(
+        EncodedInts::from_rle(RleI64::encode(&raw)),
+        validity.clone(),
+    );
+    let packed =
+        Column::encoded_from_parts(EncodedInts::BitPacked(BitPackedI64::encode(&raw)), validity);
+    let floats = Column::from_opt_f64(rows.iter().map(|r| r.1).collect());
+    let strs: Vec<Value> = rows
+        .iter()
+        .map(|r| r.2.as_deref().map(Value::str).unwrap_or(Value::Null))
+        .collect();
+    let plain = Column::from_values(DataType::Utf8, &strs).expect("string column");
+    let dict = plain.dict_encode().expect("string columns encode");
+    let cols = [
+        Column::from_i64(ids),
+        ints,
+        rle,
+        packed,
+        floats,
+        plain,
+        dict,
+    ];
+    RecordBatch::try_new(selection_schema(), cols.into_iter().map(Arc::new).collect())
+        .expect("columns match schema")
+}
+
+/// The row's value in column `name`.
+fn sel_cell(row: &SelRow, name: &str) -> Value {
+    match name {
+        "f" => value_of_float(row.1),
+        "s" | "d" => row.2.as_deref().map(Value::str).unwrap_or(Value::Null),
+        _ => value_of_int(row.0),
+    }
+}
+
+/// SQL three-valued `a <op> b` on two scalars, one row at a time: `None`
+/// is NULL. Int against Float compares in f64, and an unordered pair (NaN
+/// on either side) is NULL under every operator.
+fn reference_cmp(a: &Value, op: BinOp, b: &Value) -> Option<bool> {
+    let ord = match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => return None,
+        (Value::Int(x), Value::Int(y)) => x.partial_cmp(y),
+        (Value::Int(x), Value::Float(y)) => (*x as f64).partial_cmp(y),
+        (Value::Float(x), Value::Int(y)) => x.partial_cmp(&(*y as f64)),
+        (Value::Float(x), Value::Float(y)) => x.partial_cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.partial_cmp(y),
+        other => panic!("the suite never compares {other:?}"),
+    }?;
+    Some(match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        other => panic!("{other} is not a comparison"),
+    })
+}
+
+/// One `column <op> literal` comparison, literal on either side.
+#[derive(Clone, Debug)]
+struct Comparison {
+    column: &'static str,
+    op: BinOp,
+    literal: Value,
+    literal_first: bool,
+}
+
+impl Comparison {
+    fn expr(&self) -> Expr {
+        let (c, l) = (col(self.column), Expr::Literal(self.literal.clone()));
+        let (left, right) = if self.literal_first { (l, c) } else { (c, l) };
+        Expr::Binary {
+            left: Box::new(left),
+            op: self.op,
+            right: Box::new(right),
+        }
+    }
+
+    fn reference(&self, row: &SelRow) -> Option<bool> {
+        let cell = sel_cell(row, self.column);
+        if self.literal_first {
+            reference_cmp(&self.literal, self.op, &cell)
+        } else {
+            reference_cmp(&cell, self.op, &self.literal)
+        }
+    }
+}
+
+const COMPARISONS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::NotEq,
+    BinOp::Lt,
+    BinOp::LtEq,
+    BinOp::Gt,
+    BinOp::GtEq,
+];
+
+/// Every column × operator × literal × side the kernels cover: Int and
+/// Float literals (NaN and -0.0 among them) and a NULL literal against the
+/// numeric kinds, string literals against the string kinds.
+fn all_comparisons() -> Vec<Comparison> {
+    let numeric = [
+        Value::Int(-1),
+        Value::Int(0),
+        Value::Int(2),
+        Value::Float(0.5),
+        Value::Float(-0.0),
+        Value::Float(2.0),
+        Value::Float(f64::NAN),
+        Value::Null,
+    ];
+    let strings: Vec<Value> = WORDS.iter().chain(&["c"]).map(Value::str).collect();
+    let mut out = Vec::new();
+    let columns = INT_COLS
+        .iter()
+        .chain(&[FLOAT_COL])
+        .map(|c| (*c, &numeric[..]));
+    for (column, literals) in columns.chain(STR_COLS.iter().map(|c| (*c, &strings[..]))) {
+        for op in COMPARISONS {
+            for literal in literals {
+                for literal_first in [false, true] {
+                    out.push(Comparison {
+                        column,
+                        op,
+                        literal: literal.clone(),
+                        literal_first,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `refine_selection` and `eval` on one batch, with and without an incoming
+/// selection, against the reference: the selection keeps exactly the TRUE
+/// candidates, and the Bool column form is TRUE, FALSE or NULL per lane.
+fn check_kernels_direct(rows: &[SelRow], keep_mask: &[bool]) {
+    use backbone_query::eval::{eval, refine_selection};
+    let dense = selection_batch(rows, 0);
+    let picked: Vec<u32> = (0..rows.len() as u32)
+        .filter(|&i| keep_mask[i as usize % keep_mask.len()])
+        .collect();
+    let selected = dense.with_selection(Arc::new(picked)).expect("in bounds");
+    let comparisons = all_comparisons();
+    for batch in [&dense, &selected] {
+        let candidates: Vec<u32> = (0..batch.num_rows())
+            .map(|i| batch.base_index(i) as u32)
+            .collect();
+        for c in &comparisons {
+            let context = format!("{c:?} over {} candidates", candidates.len());
+            let want: Vec<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&i| c.reference(&rows[i as usize]) == Some(true))
+                .collect();
+            let got = refine_selection(&c.expr(), batch).expect("kernel runs");
+            assert_eq!(got.selection().expect("refined"), &want[..], "{context}");
+
+            let verdicts = eval(&c.expr(), batch).expect("comparison evaluates");
+            for &i in &candidates {
+                let got = match verdicts.value(i as usize) {
+                    Value::Bool(b) => Some(b),
+                    Value::Null => None,
+                    other => panic!("{context}: verdict {other:?}"),
+                };
+                assert_eq!(got, c.reference(&rows[i as usize]), "{context}: row {i}");
+            }
+        }
+        // Conjunctions refine one conjunct after the other.
+        for k in (0..comparisons.len()).step_by(5) {
+            let a = &comparisons[k];
+            let b = &comparisons[(k * 37 + 11) % comparisons.len()];
+            let conj = a.expr().and(b.expr());
+            let want: Vec<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let row = &rows[i as usize];
+                    a.reference(row) == Some(true) && b.reference(row) == Some(true)
+                })
+                .collect();
+            let got = refine_selection(&conj, batch).expect("kernel runs");
+            assert_eq!(
+                got.selection().expect("refined"),
+                &want[..],
+                "{a:?} AND {b:?}"
+            );
+        }
+    }
+}
+
+/// The same predicates as plans over a table of several sealed groups:
+/// through `FilterExec` (no optimizer rules, so the filter stays an
+/// operator) and pushed into serial and `Fixed(2)` scans.
+fn check_kernels_in_plans(rows: &[SelRow], picks: &[(usize, usize)]) {
+    const GROUP: usize = 16;
+    let catalog = MemCatalog::new();
+    let mut table = Table::new(selection_schema());
+    for (g, chunk) in rows.chunks(GROUP).enumerate() {
+        table
+            .push_sealed_batch(selection_batch(chunk, (g * GROUP) as i64))
+            .expect("sealed batch");
+    }
+    catalog.register("t", table);
+    let mut filter_exec = ExecOptions::serial();
+    filter_exec.rules = Some(Vec::new());
+    let modes = [
+        ("FilterExec", filter_exec),
+        ("serial scan", ExecOptions::serial()),
+        (
+            "Fixed(2) scan",
+            ExecOptions::serial().parallel(Parallelism::Fixed(2)),
+        ),
+    ];
+    let comparisons = all_comparisons();
+    for &(a, b) in picks {
+        let (a, b) = (
+            &comparisons[a % comparisons.len()],
+            &comparisons[b % comparisons.len()],
+        );
+        let want: Vec<i64> = (0..rows.len() as i64)
+            .filter(|&i| {
+                let row = &rows[i as usize];
+                a.reference(row) == Some(true) && b.reference(row) == Some(true)
+            })
+            .collect();
+        for (mode, opts) in &modes {
+            let plan = LogicalPlan::scan("t", &catalog)
+                .expect("registered")
+                .filter(a.expr().and(b.expr()));
+            let out = execute(plan, &catalog, opts)
+                .unwrap_or_else(|e| panic!("{mode}: {a:?} AND {b:?}: {e}"));
+            let mut got: Vec<i64> = (0..out.num_rows())
+                .map(|r| match out.column(0).value(r) {
+                    Value::Int(id) => id,
+                    other => panic!("id {other:?}"),
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{mode}: {a:?} AND {b:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn selection_kernels_match_three_valued_reference(
+        rows in selection_rows(40, 3),
+        keep_mask in proptest::collection::vec(any::<bool>(), 1..9),
+        picks in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..24),
+    ) {
+        check_kernels_direct(&rows, &keep_mask);
+        check_kernels_in_plans(&rows, &picks);
+    }
+
+    #[test]
+    fn selection_kernels_match_reference_null_heavy(
+        rows in selection_rows(16, 25),
+        keep_mask in proptest::collection::vec(any::<bool>(), 1..9),
+        picks in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..24),
+    ) {
+        check_kernels_direct(&rows, &keep_mask);
+        check_kernels_in_plans(&rows, &picks);
+    }
 }
