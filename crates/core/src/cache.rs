@@ -40,7 +40,7 @@
 //! [`ENTRY_OVERHEAD`] per entry.
 
 use backbone_query::optimizer::Rule;
-use backbone_query::{LogicalPlan, Metrics};
+use backbone_query::{Counter, LogicalPlan, Metrics};
 use backbone_storage::codec::{self, Cursor};
 use backbone_storage::{checkpoint, RecordBatch, Value};
 use parking_lot::Mutex;
@@ -137,6 +137,9 @@ struct PlanState {
 pub(crate) struct PlanCache {
     state: Mutex<PlanState>,
     metrics: Metrics,
+    // Bumped on every lookup, so resolved once here.
+    hits: Counter,
+    misses: Counter,
 }
 
 impl PlanCache {
@@ -147,6 +150,8 @@ impl PlanCache {
                 lru: BTreeMap::new(),
                 tick: 0,
             }),
+            hits: metrics.counter("cache.plan.hits"),
+            misses: metrics.counter("cache.plan.misses"),
             metrics,
         }
     }
@@ -162,11 +167,11 @@ impl PlanCache {
                 let old = std::mem::replace(old, tick);
                 s.lru.remove(&old);
                 s.lru.insert(tick, fp);
-                self.metrics.counter("cache.plan.hits").incr();
+                self.hits.incr();
                 Some(plan)
             }
             None => {
-                self.metrics.counter("cache.plan.misses").incr();
+                self.misses.incr();
                 None
             }
         }
@@ -256,11 +261,16 @@ pub(crate) struct ResultCache {
     state: Mutex<ResultState>,
     budget: usize,
     metrics: Metrics,
+    // Bumped on every lookup, so resolved once here.
+    hits: Counter,
+    misses: Counter,
 }
 
 impl ResultCache {
     pub fn new(budget: usize, metrics: Metrics) -> ResultCache {
         ResultCache {
+            hits: metrics.counter("cache.result.hits"),
+            misses: metrics.counter("cache.result.misses"),
             state: Mutex::new(ResultState {
                 map: HashMap::new(),
                 by_table: HashMap::new(),
@@ -305,11 +315,11 @@ impl ResultCache {
         // a bug; answering it as a miss re-executes instead of failing.
         let batch = found.and_then(|payload| decode(&payload).ok());
         let outcome = if batch.is_some() {
-            "cache.result.hits"
+            &self.hits
         } else {
-            "cache.result.misses"
+            &self.misses
         };
-        self.metrics.counter(outcome).incr();
+        outcome.incr();
         batch
     }
 

@@ -1,11 +1,22 @@
 //! Hash aggregation.
 //!
-//! Columnar, selection-aware implementation: group keys are hashed column-
-//! wise with [`Column::hash_combine`] (one mixing pass per key column, no
-//! `Value` boxing), group ids come from an open-addressing table pre-sized to
-//! the first batch, and every aggregate maintains a **typed accumulator
-//! vector indexed by group id** so the update pass is a tight loop over one
-//! column at a time. A global aggregate (no keys) skips hashing entirely.
+//! Columnar, selection-aware implementation in two passes per batch:
+//!
+//! 1. **Group ids.** When every group key in a batch is dictionary-encoded
+//!    and the product of `dict.len() + 1` over the keys (the `+ 1` is NULL)
+//!    is at most the batch's row count, ids are assigned in **code space**:
+//!    each lane's codes fold into one small index, and a per-batch lookup
+//!    table resolves each distinct code tuple once. Other key shapes hash
+//!    column-wise with [`Column::hash_combine`] (one mixing pass per key
+//!    column, no `Value` boxing; an all-valid RLE key hashes once per run).
+//!    Either way a new key goes through one open-addressing group table
+//!    under the same hash, so dictionary, plain and RLE batches, parallel
+//!    workers and spill partitions all meet in the same groups.
+//! 2. **Accumulators.** Every aggregate keeps a **typed accumulator vector
+//!    indexed by group id**, updated one column at a time; an all-valid
+//!    input skips the per-lane validity probe.
+//!
+//! A global aggregate (no keys) skips pass 1 entirely.
 
 use super::parallel::{record_worker, ParallelProfile, SharedSource};
 use super::spill::{BudgetAccountant, BudgetLease, SpillFile, SpillSet, MAX_SPILL_DEPTH};
@@ -13,7 +24,9 @@ use super::{for_each_lane, Operator};
 use crate::error::{QueryError, Result};
 use crate::eval::eval_arc;
 use crate::expr::{AggExpr, AggFunc, Expr};
+use backbone_storage::column::{fnv1a, mix64, NULL_TAG};
 use backbone_storage::{Bitmap, Column, DataType, Field, Metrics, RecordBatch, Schema, Value};
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -208,7 +221,6 @@ impl AccVec {
         &mut self,
         gids: &[u32],
         sel: Option<&[u32]>,
-        n: usize,
         input: Option<&Column>,
     ) -> Result<()> {
         match self {
@@ -219,53 +231,22 @@ impl AccVec {
                         counts[g as usize] += 1;
                     }
                 }
-                Some(col) => {
-                    let validity = col.validity();
-                    for_each_lane(sel, n, |pos, base| {
-                        if validity.get(base) {
-                            counts[gids[pos] as usize] += 1;
-                        }
-                    });
-                }
+                Some(col) => for_each_valid(gids, sel, col.validity(), |g, _| counts[g] += 1),
             },
             AccVec::SumI { sums, seen } => {
                 let col = input.expect("SUM has an input");
-                match col {
-                    Column::Int64(v, bm) => {
-                        let mut overflow = false;
-                        for_each_lane(sel, n, |pos, base| {
-                            if bm.get(base) {
-                                let g = gids[pos] as usize;
-                                match sums[g].checked_add(v[base]) {
-                                    Some(s) => {
-                                        sums[g] = s;
-                                        seen[g] = true;
-                                    }
-                                    None => overflow = true,
-                                }
-                            }
-                        });
-                        if overflow {
-                            return Err(QueryError::Arithmetic("SUM integer overflow".into()));
-                        }
+                let mut overflow = false;
+                let mut add = |g: usize, x: i64| match sums[g].checked_add(x) {
+                    Some(s) => {
+                        sums[g] = s;
+                        seen[g] = true;
                     }
+                    None => overflow = true,
+                };
+                match col {
+                    Column::Int64(v, bm) => for_each_valid(gids, sel, bm, |g, row| add(g, v[row])),
                     Column::Int64Encoded { data, validity } => {
-                        let mut overflow = false;
-                        for_each_lane(sel, n, |pos, base| {
-                            if validity.get(base) {
-                                let g = gids[pos] as usize;
-                                match sums[g].checked_add(data.get(base)) {
-                                    Some(s) => {
-                                        sums[g] = s;
-                                        seen[g] = true;
-                                    }
-                                    None => overflow = true,
-                                }
-                            }
-                        });
-                        if overflow {
-                            return Err(QueryError::Arithmetic("SUM integer overflow".into()));
-                        }
+                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row)))
                     }
                     other => {
                         return Err(QueryError::InvalidExpression(format!(
@@ -274,36 +255,25 @@ impl AccVec {
                         )))
                     }
                 }
+                if overflow {
+                    return Err(QueryError::Arithmetic("SUM integer overflow".into()));
+                }
             }
             AccVec::SumF { sums, seen } => {
                 let col = input.expect("SUM has an input");
+                let mut add = |g: usize, x: f64| {
+                    sums[g] += x;
+                    seen[g] = true;
+                };
                 match col {
                     Column::Float64(v, bm) => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if bm.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += v[base];
-                                seen[g] = true;
-                            }
-                        });
+                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
                     }
                     Column::Int64(v, bm) => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if bm.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += v[base] as f64;
-                                seen[g] = true;
-                            }
-                        });
+                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row] as f64))
                     }
                     Column::Int64Encoded { data, validity } => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if validity.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += data.get(base) as f64;
-                                seen[g] = true;
-                            }
-                        });
+                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row) as f64))
                     }
                     other => {
                         return Err(QueryError::InvalidExpression(format!(
@@ -315,39 +285,25 @@ impl AccVec {
             }
             AccVec::Avg { sums, counts } => {
                 let col = input.expect("AVG has an input");
+                let mut add = |g: usize, x: f64| {
+                    sums[g] += x;
+                    counts[g] += 1;
+                };
                 match col {
                     Column::Float64(v, bm) => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if bm.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += v[base];
-                                counts[g] += 1;
-                            }
-                        });
+                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
                     }
                     Column::Int64(v, bm) => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if bm.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += v[base] as f64;
-                                counts[g] += 1;
-                            }
-                        });
+                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row] as f64))
                     }
                     Column::Int64Encoded { data, validity } => {
-                        for_each_lane(sel, n, |pos, base| {
-                            if validity.get(base) {
-                                let g = gids[pos] as usize;
-                                sums[g] += data.get(base) as f64;
-                                counts[g] += 1;
-                            }
-                        });
+                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row) as f64))
                     }
                     other => {
                         // Mirror the row-at-a-time error: only raised when a
                         // non-null value actually arrives.
                         let mut bad: Option<Value> = None;
-                        for_each_lane(sel, n, |_, base| {
+                        for_each_lane(sel, gids.len(), |_, base| {
                             if bad.is_none() && !other.is_null(base) {
                                 bad = Some(other.value(base));
                             }
@@ -360,102 +316,71 @@ impl AccVec {
                     }
                 }
             }
-            AccVec::MinMaxI { vals, seen, min } => match input {
-                Some(Column::Int64(v, bm)) => {
-                    let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if bm.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = v[base];
-                            if !seen[g] || (min && x < vals[g]) || (!min && x > vals[g]) {
-                                vals[g] = x;
-                                seen[g] = true;
-                            }
-                        }
-                    });
+            AccVec::MinMaxI { vals, seen, min } => {
+                let min = *min;
+                let mut fold = |g: usize, x: i64| {
+                    if !seen[g] || (min && x < vals[g]) || (!min && x > vals[g]) {
+                        vals[g] = x;
+                        seen[g] = true;
+                    }
+                };
+                match input {
+                    Some(Column::Int64(v, bm)) => {
+                        for_each_valid(gids, sel, bm, |g, row| fold(g, v[row]))
+                    }
+                    Some(Column::Int64Encoded { data, validity }) => {
+                        for_each_valid(gids, sel, validity, |g, row| fold(g, data.get(row)))
+                    }
+                    _ => {}
                 }
-                Some(Column::Int64Encoded { data, validity }) => {
-                    let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if validity.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = data.get(base);
-                            if !seen[g] || (min && x < vals[g]) || (!min && x > vals[g]) {
-                                vals[g] = x;
-                                seen[g] = true;
-                            }
-                        }
-                    });
-                }
-                _ => {}
-            },
+            }
             AccVec::MinMaxF { vals, seen, min } => {
                 if let Some(Column::Float64(v, bm)) = input {
                     let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if bm.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = v[base];
-                            // sql_cmp treats incomparable floats as equal, so
-                            // NaN never replaces an existing extreme.
-                            let ord = x.partial_cmp(&vals[g]).unwrap_or(std::cmp::Ordering::Equal);
-                            let better = if min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            };
-                            if !seen[g] || better {
-                                vals[g] = x;
-                                seen[g] = true;
-                            }
+                    for_each_valid(gids, sel, bm, |g, row| {
+                        let x = v[row];
+                        // sql_cmp treats incomparable floats as equal, so
+                        // NaN never replaces an existing extreme.
+                        let ord = x.partial_cmp(&vals[g]).unwrap_or(std::cmp::Ordering::Equal);
+                        let better = if min {
+                            ord == std::cmp::Ordering::Less
+                        } else {
+                            ord == std::cmp::Ordering::Greater
+                        };
+                        if !seen[g] || better {
+                            vals[g] = x;
+                            seen[g] = true;
                         }
                     });
                 }
             }
-            AccVec::MinMaxS { vals, seen, min } => match input {
-                Some(Column::Utf8(v, bm)) => {
-                    let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if bm.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = &v[base];
-                            if !seen[g] || (min && *x < vals[g]) || (!min && *x > vals[g]) {
-                                vals[g] = x.clone();
-                                seen[g] = true;
-                            }
-                        }
-                    });
+            AccVec::MinMaxS { vals, seen, min } => {
+                let min = *min;
+                let mut fold = |g: usize, x: &str| {
+                    if !seen[g] || (min && x < vals[g].as_str()) || (!min && x > vals[g].as_str()) {
+                        vals[g] = x.to_string();
+                        seen[g] = true;
+                    }
+                };
+                match input {
+                    Some(Column::Utf8(v, bm)) => {
+                        for_each_valid(gids, sel, bm, |g, row| fold(g, &v[row]))
+                    }
+                    Some(c @ Column::DictUtf8 { .. }) => {
+                        let (dict, codes, bm) = c.dict_parts().expect("matched dict");
+                        for_each_valid(gids, sel, bm, |g, row| fold(g, &dict[codes[row] as usize]))
+                    }
+                    _ => {}
                 }
-                Some(c @ Column::DictUtf8 { .. }) => {
-                    let (dict, codes, bm) = c.dict_parts().expect("matched dict");
-                    let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if bm.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = dict[codes[base] as usize].as_str();
-                            if !seen[g]
-                                || (min && x < vals[g].as_str())
-                                || (!min && x > vals[g].as_str())
-                            {
-                                vals[g] = x.to_string();
-                                seen[g] = true;
-                            }
-                        }
-                    });
-                }
-                _ => {}
-            },
+            }
             AccVec::MinMaxB { vals, seen, min } => {
                 if let Some(Column::Bool(v, bm)) = input {
                     let min = *min;
-                    for_each_lane(sel, n, |pos, base| {
-                        if bm.get(base) {
-                            let g = gids[pos] as usize;
-                            let x = v[base];
-                            if !seen[g] || (min && !x & vals[g]) || (!min && x & !vals[g]) {
-                                vals[g] = x;
-                                seen[g] = true;
-                            }
+                    for_each_valid(gids, sel, bm, |g, row| {
+                        let x = v[row];
+                        if !seen[g] || (min && !x & vals[g]) || (!min && x & !vals[g]) {
+                            vals[g] = x;
+                            seen[g] = true;
                         }
                     });
                 }
@@ -699,6 +624,68 @@ impl AccVec {
     }
 }
 
+/// Visit `(group, base_row)` for every lane whose input is valid. An
+/// all-valid input runs a loop with no per-lane bitmap probe.
+#[inline]
+fn for_each_valid(
+    gids: &[u32],
+    sel: Option<&[u32]>,
+    validity: &Bitmap,
+    mut f: impl FnMut(usize, usize),
+) {
+    match (sel, validity.all_set()) {
+        (Some(s), true) => {
+            for (&g, &row) in gids.iter().zip(s) {
+                f(g as usize, row as usize);
+            }
+        }
+        (None, true) => {
+            for (row, &g) in gids.iter().enumerate() {
+                f(g as usize, row);
+            }
+        }
+        (Some(s), false) => {
+            for (&g, &row) in gids.iter().zip(s) {
+                if validity.get(row as usize) {
+                    f(g as usize, row as usize);
+                }
+            }
+        }
+        (None, false) => {
+            for (row, &g) in gids.iter().enumerate() {
+                if validity.get(row) {
+                    f(g as usize, row);
+                }
+            }
+        }
+    }
+}
+
+/// The code-space domain of a batch's group keys: the product of
+/// `dict.len() + 1` over the keys (the `+ 1` is the NULL code). `None`
+/// unless every key is dictionary-encoded and the product is at most the
+/// batch's `rows`, so the per-batch lookup table never outgrows the batch.
+fn code_domain(key_cols: &[Arc<Column>], rows: usize) -> Option<usize> {
+    let limit = rows.min(u32::MAX as usize);
+    key_cols.iter().try_fold(1usize, |domain, kc| {
+        let (dict, ..) = kc.dict_parts()?;
+        domain.checked_mul(dict.len() + 1).filter(|&d| d <= limit)
+    })
+}
+
+/// The hash [`Column::hash_combine`] gives row `row` of dictionary keys.
+fn tuple_hash(key_cols: &[Arc<Column>], row: usize) -> u64 {
+    key_cols.iter().fold(0, |h, kc| {
+        let (dict, codes, validity) = kc.dict_parts().expect("dictionary key");
+        let lane = if validity.get(row) {
+            fnv1a(dict[codes[row] as usize].as_bytes())
+        } else {
+            NULL_TAG
+        };
+        mix64(h ^ lane)
+    })
+}
+
 /// One grouping state: key stores + accumulators + the hash table mapping
 /// key hashes to dense group ids. Serial aggregation uses one; each parallel
 /// worker builds its own and the states merge pairwise afterwards.
@@ -715,6 +702,7 @@ struct AggState {
     // Scratch reused across batches.
     hashes: Vec<u64>,
     gids: Vec<u32>,
+    lut: Vec<u32>,
 }
 
 impl AggState {
@@ -735,21 +723,20 @@ impl AggState {
             rows: 0,
             hashes: Vec::new(),
             gids: Vec::new(),
+            lut: Vec::new(),
         }
     }
 
-    /// Fold one input batch into this state (hash keys, assign group ids,
+    /// Fold one input batch into this state (assign group ids, then the
     /// columnar accumulator update).
     fn consume(&mut self, group_by: &[Expr], aggs: &[AggExpr], batch: &RecordBatch) -> Result<()> {
-        let nkeys = group_by.len();
         let n = batch.num_rows();
         self.morsels += 1;
         self.rows += n as u64;
-        if n == 0 && nkeys > 0 {
+        if n == 0 && !group_by.is_empty() {
             return Ok(());
         }
         let sel = batch.selection();
-        let base = batch.base_rows();
 
         let key_cols: Vec<Arc<Column>> = group_by
             .iter()
@@ -766,106 +753,166 @@ impl AggState {
 
         // Pass 1: assign a group id to every lane.
         let t0 = Instant::now();
-        self.gids.clear();
-        self.gids.resize(n, 0);
-        if nkeys == 0 {
-            // Global aggregate: one group, no hashing.
-            if self.n_groups == 0 && n > 0 {
-                self.n_groups = 1;
-                for acc in &mut self.accs {
-                    acc.push_group();
-                }
-            }
-        } else {
-            self.hashes.clear();
-            self.hashes.resize(base, 0);
-            for kc in &key_cols {
-                kc.hash_combine(sel, &mut self.hashes);
-            }
-            if key_cols.iter().any(|kc| kc.is_dict()) {
-                self.dict_key_rows += n as u64;
-            }
-            let mut insert_err: Option<QueryError> = None;
-            let hashes = &self.hashes;
-            let gids = &mut self.gids;
-            let key_stores = &mut self.key_stores;
-            let accs = &mut self.accs;
-            let table = &mut self.table;
-            let n_groups = &mut self.n_groups;
-            // Run-aware fast path: a single all-valid RLE-encoded key with
-            // no selection resolves one group id per *run* — every row in a
-            // run shares the key, hence the hash, hence the group.
-            let key_runs = if sel.is_none() && key_cols.len() == 1 {
-                match key_cols[0].as_ref() {
-                    Column::Int64Encoded { data, validity } if validity.all_set() => data.runs(),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            if let Some(runs) = key_runs {
-                let mut pos = 0usize;
-                for &(_, cnt) in runs {
-                    let (gid, inserted) = table.find_or_insert(hashes[pos], *n_groups, |g| {
-                        key_stores[0].eq_rows_null_eq(g as usize, &key_cols[0], pos)
-                    });
-                    if inserted {
-                        *n_groups += 1;
-                        key_stores[0].push_from(&key_cols[0], pos)?;
-                        for acc in accs.iter_mut() {
-                            acc.push_group();
-                        }
-                    }
-                    let end = pos + cnt as usize;
-                    gids[pos..end].fill(gid);
-                    pos = end;
-                }
-                self.hash_ns += t0.elapsed().as_nanos() as u64;
-                let t1 = Instant::now();
-                for (acc, col) in self.accs.iter_mut().zip(&agg_cols) {
-                    acc.update_batch(&self.gids, sel, n, col.as_deref())?;
-                }
-                self.update_ns += t1.elapsed().as_nanos() as u64;
-                return Ok(());
-            }
-            for_each_lane(sel, n, |pos, base_row| {
-                if insert_err.is_some() {
-                    return;
-                }
-                let h = hashes[base_row];
-                let (gid, inserted) = table.find_or_insert(h, *n_groups, |g| {
-                    key_stores
-                        .iter()
-                        .zip(&key_cols)
-                        .all(|(store, kc)| store.eq_rows_null_eq(g as usize, kc, base_row))
-                });
-                if inserted {
-                    *n_groups += 1;
-                    for (store, kc) in key_stores.iter_mut().zip(&key_cols) {
-                        if let Err(e) = store.push_from(kc, base_row) {
-                            insert_err = Some(e.into());
-                            return;
-                        }
-                    }
-                    for acc in accs.iter_mut() {
-                        acc.push_group();
-                    }
-                }
-                gids[pos] = gid;
-            });
-            if let Some(e) = insert_err {
-                return Err(e);
-            }
-        }
+        let mut gids = std::mem::take(&mut self.gids);
+        gids.clear();
+        gids.resize(n, 0);
+        self.assign_groups(&key_cols, sel, batch.base_rows(), &mut gids)?;
         self.hash_ns += t0.elapsed().as_nanos() as u64;
 
         // Pass 2: columnar accumulator update, one aggregate at a time.
         let t1 = Instant::now();
         for (acc, col) in self.accs.iter_mut().zip(&agg_cols) {
-            acc.update_batch(&self.gids, sel, n, col.as_deref())?;
+            acc.update_batch(&gids, sel, col.as_deref())?;
         }
         self.update_ns += t1.elapsed().as_nanos() as u64;
+        self.gids = gids;
         Ok(())
+    }
+
+    /// Fill `gids[pos]` with the group of logical row `pos`. Dictionary keys
+    /// with a small code domain resolve in code space; an all-valid RLE key
+    /// without a selection resolves once per run; anything else hashes every
+    /// lane with [`Column::hash_combine`].
+    fn assign_groups(
+        &mut self,
+        key_cols: &[Arc<Column>],
+        sel: Option<&[u32]>,
+        base_rows: usize,
+        gids: &mut [u32],
+    ) -> Result<()> {
+        if key_cols.is_empty() {
+            // Global aggregate: one group, no hashing.
+            if self.n_groups == 0 && !gids.is_empty() {
+                self.new_group();
+            }
+            return Ok(());
+        }
+        if key_cols.iter().any(|kc| kc.is_dict()) {
+            self.dict_key_rows += gids.len() as u64;
+        }
+        if let Some(domain) = code_domain(key_cols, gids.len()) {
+            return self.code_space_groups(key_cols, sel, domain, gids);
+        }
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.clear();
+        hashes.resize(base_rows, 0);
+        for kc in key_cols {
+            kc.hash_combine(sel, &mut hashes);
+        }
+        // Every row in an RLE run shares the key, hence the hash and group.
+        let key_runs = match (sel, key_cols) {
+            (None, [kc]) => match kc.as_ref() {
+                Column::Int64Encoded { data, validity } if validity.all_set() => data.runs(),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some(runs) = key_runs {
+            let mut pos = 0usize;
+            for &(_, cnt) in runs {
+                let gid = self.group_of(hashes[pos], key_cols, pos)?;
+                let end = pos + cnt as usize;
+                gids[pos..end].fill(gid);
+                pos = end;
+            }
+        } else {
+            match sel {
+                Some(s) => {
+                    for (g, &row) in gids.iter_mut().zip(s) {
+                        *g = self.group_of(hashes[row as usize], key_cols, row as usize)?;
+                    }
+                }
+                None => {
+                    for (row, g) in gids.iter_mut().enumerate() {
+                        *g = self.group_of(hashes[row], key_cols, row)?;
+                    }
+                }
+            }
+        }
+        self.hashes = hashes;
+        Ok(())
+    }
+
+    /// Code-space group ids (see [`code_domain`]). Each lane's key codes
+    /// fold into one index below `domain` (NULL is code `dict.len()`), and
+    /// a per-batch lookup table resolves each distinct index once: its first
+    /// lane hashes the tuple exactly as [`Column::hash_combine`] would and
+    /// goes through the group table, so groups still meet across row
+    /// groups with other dictionaries, plain-Utf8 batches, worker merges and
+    /// spill partitions. Lanes resolve in order, so first-appearance group
+    /// order is unchanged.
+    fn code_space_groups(
+        &mut self,
+        key_cols: &[Arc<Column>],
+        sel: Option<&[u32]>,
+        domain: usize,
+        gids: &mut [u32],
+    ) -> Result<()> {
+        for kc in key_cols {
+            let (dict, codes, validity) = kc.dict_parts().expect("code_domain checked");
+            let card = dict.len() as u32 + 1;
+            if validity.all_set() {
+                match sel {
+                    Some(s) => {
+                        for (g, &row) in gids.iter_mut().zip(s) {
+                            *g = *g * card + codes[row as usize];
+                        }
+                    }
+                    None => {
+                        for (g, &code) in gids.iter_mut().zip(codes) {
+                            *g = *g * card + code;
+                        }
+                    }
+                }
+            } else {
+                let null = dict.len() as u32;
+                for_each_lane(sel, gids.len(), |pos, row| {
+                    let code = if validity.get(row) { codes[row] } else { null };
+                    gids[pos] = gids[pos] * card + code;
+                });
+            }
+        }
+        let mut lut = std::mem::take(&mut self.lut);
+        lut.clear();
+        lut.resize(domain, u32::MAX);
+        for pos in 0..gids.len() {
+            let idx = gids[pos] as usize;
+            if lut[idx] == u32::MAX {
+                let row = sel.map_or(pos, |s| s[pos] as usize);
+                lut[idx] = self.group_of(tuple_hash(key_cols, row), key_cols, row)?;
+            }
+            gids[pos] = lut[idx];
+        }
+        self.lut = lut;
+        Ok(())
+    }
+
+    /// The group of row `row` of `keys`, which hashes to `hash`; a key seen
+    /// for the first time becomes a new group.
+    #[inline]
+    fn group_of<C: Borrow<Column>>(&mut self, hash: u64, keys: &[C], row: usize) -> Result<u32> {
+        let stores = &self.key_stores;
+        let (gid, inserted) = self.table.find_or_insert(hash, self.n_groups, |g| {
+            stores
+                .iter()
+                .zip(keys)
+                .all(|(store, k)| store.eq_rows_null_eq(g as usize, k.borrow(), row))
+        });
+        if inserted {
+            for (store, k) in self.key_stores.iter_mut().zip(keys) {
+                store.push_from(k.borrow(), row)?;
+            }
+            self.new_group();
+        }
+        Ok(gid)
+    }
+
+    /// Append default accumulator state for one new group.
+    fn new_group(&mut self) {
+        self.n_groups += 1;
+        for acc in &mut self.accs {
+            acc.push_group();
+        }
     }
 
     /// Merge another worker's partial state into this one. Key stores hold
@@ -883,39 +930,19 @@ impl AggState {
         }
         if nkeys == 0 {
             if self.n_groups == 0 {
-                self.n_groups = 1;
-                for acc in &mut self.accs {
-                    acc.push_group();
-                }
+                self.new_group();
             }
             for (acc, src) in self.accs.iter_mut().zip(&other.accs) {
                 acc.merge_from(0, src, 0)?;
             }
             return Ok(());
         }
-        let src_groups = other.n_groups as usize;
-        let mut hashes = vec![0u64; src_groups];
+        let mut hashes = vec![0u64; other.n_groups as usize];
         for ks in &other.key_stores {
             ks.hash_combine(None, &mut hashes);
         }
         for (sg, &hash) in hashes.iter().enumerate() {
-            let key_stores = &self.key_stores;
-            let others = &other.key_stores;
-            let (gid, inserted) = self.table.find_or_insert(hash, self.n_groups, |g| {
-                key_stores
-                    .iter()
-                    .zip(others)
-                    .all(|(store, o)| store.eq_rows_null_eq(g as usize, o, sg))
-            });
-            if inserted {
-                self.n_groups += 1;
-                for (store, o) in self.key_stores.iter_mut().zip(&other.key_stores) {
-                    store.push_from(o, sg)?;
-                }
-                for acc in &mut self.accs {
-                    acc.push_group();
-                }
-            }
+            let gid = self.group_of(hash, &other.key_stores, sg)?;
             for (acc, src) in self.accs.iter_mut().zip(&other.accs) {
                 acc.merge_from(gid as usize, src, sg)?;
             }
@@ -1312,10 +1339,7 @@ impl Operator for HashAggregateExec {
         // Global aggregation over an empty input still yields one row
         // (COUNT(*) = 0, SUM = NULL, ...), matching SQL.
         if state.n_groups == 0 && nkeys == 0 {
-            state.n_groups = 1;
-            for acc in &mut state.accs {
-                acc.push_group();
-            }
+            state.new_group();
         }
 
         // When anything spilled, every group flows through the partitions:
@@ -1655,6 +1679,36 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r[0] == Value::Int(2) && r[1] == Value::Int(40) && r[2] == Value::Int(1)));
+    }
+
+    fn dict_col(values: &[Option<&str>]) -> Column {
+        let vals: Vec<Value> = values
+            .iter()
+            .map(|v| v.map_or(Value::Null, Value::str))
+            .collect();
+        Column::from_values(DataType::Utf8, &vals)
+            .unwrap()
+            .dict_encode()
+            .unwrap()
+    }
+
+    #[test]
+    fn code_space_hash_matches_hash_combine() {
+        let keys = vec![
+            Arc::new(dict_col(&[Some("a"), None, Some("bb"), Some("a")])),
+            Arc::new(dict_col(&[None, Some("x"), Some("x"), Some("y")])),
+        ];
+        let mut hashes = vec![0u64; 4];
+        for k in &keys {
+            k.hash_combine(None, &mut hashes);
+        }
+        for (row, &h) in hashes.iter().enumerate() {
+            assert_eq!(tuple_hash(&keys, row), h, "row {row}");
+        }
+        // Domain (2+1)*(2+1) = 9 exceeds 4 rows; one key alone fits.
+        assert_eq!(code_domain(&keys, 4), None);
+        assert_eq!(code_domain(&keys[..1], 4), Some(3));
+        assert_eq!(code_domain(&[Arc::new(Column::from_i64(vec![1]))], 4), None);
     }
 
     /// Sorted row images for order-insensitive comparison: spilled output is

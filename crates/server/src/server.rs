@@ -15,7 +15,7 @@
 
 use crate::proto::{Request, Response};
 use backbone_core::{Database, Error, Session};
-use backbone_query::Metrics;
+use backbone_query::{Counter, Metrics};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -56,6 +56,8 @@ struct Shared {
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
     metrics: Metrics,
+    /// `session.requests`, resolved once: it is bumped on every request.
+    requests: Counter,
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) stops
@@ -87,6 +89,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
+            requests: metrics.counter("session.requests"),
             metrics,
         });
         let workers = (0..opts.max_sessions.max(1))
@@ -218,7 +221,7 @@ fn worker_loop(shared: &Shared) {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let session = shared.db.session();
-        let _ = serve_connection(&session, stream, &shared.metrics);
+        let _ = serve_connection(&session, stream, &shared.requests);
         shared.conns.lock().unwrap().remove(&conn_id);
         shared.metrics.counter("session.closed").incr();
         shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -230,7 +233,7 @@ fn worker_loop(shared: &Shared) {
 fn serve_connection(
     session: &Session,
     stream: TcpStream,
-    metrics: &Metrics,
+    requests: &Counter,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -244,7 +247,7 @@ fn serve_connection(
         if trimmed.is_empty() {
             continue;
         }
-        metrics.counter("session.requests").incr();
+        requests.incr();
         let response = match Request::decode(trimmed) {
             Ok(request) => handle(session, request),
             Err(e) => Response::Error {

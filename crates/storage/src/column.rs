@@ -640,7 +640,6 @@ impl Column {
                 }
             };
         }
-        const NULL_TAG: u64 = 0x9e37_79b9_7f4a_7c15;
         match self {
             Column::Int64(v, bm) => {
                 lanes!(|i: usize| if bm.get(i) {
@@ -1213,6 +1212,10 @@ fn concat_utf8(parts: &[&Column]) -> Result<Column> {
     }
     Ok(Column::Utf8(data, bm))
 }
+
+/// The lane value [`Column::hash_combine`] mixes in for a NULL key, so
+/// code-space group-bys can reproduce its hashes without a column.
+pub const NULL_TAG: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Finalizer from splitmix64: full-avalanche 64-bit mixer, so combining
 /// per-column hashes by XOR-then-mix keeps multi-key distributions flat.

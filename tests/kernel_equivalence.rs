@@ -1653,3 +1653,266 @@ proptest! {
         check_kernels_in_plans(&rows, &picks);
     }
 }
+
+// ---- Code-space group-by ---------------------------------------------------
+//
+// Grouping on dictionary keys resolves group ids in code space when the
+// keys' code domain fits the batch, and hashes otherwise. Neither choice may
+// show in results: tables mixing two sealed row groups with different
+// dictionaries and a plain-Utf8 tail, grouped on one or two dictionary keys
+// or a dictionary key plus an int key, with and without a filter's
+// selection, must equal a row-at-a-time reference. Serial output keeps the
+// reference's first-appearance order; parallel output is compared sorted.
+
+/// One generated row: two nullable low-cardinality strings, a nullable int
+/// key, a nullable int and a nullable float.
+type GRow = (
+    Option<String>,
+    Option<String>,
+    Option<i64>,
+    Option<i64>,
+    Option<f64>,
+);
+
+fn value_of_str(s: &Option<String>) -> Value {
+    s.clone().map(Value::str).unwrap_or(Value::Null)
+}
+
+/// Register `rows` as `name`: the first `sealed[0]` rows seal into one row
+/// group and the next `sealed[1]` into a second, each string column
+/// dictionary-encoded over its own group; the rest stay in the unsealed
+/// tail as plain Utf8.
+fn register_dict_groups(catalog: &MemCatalog, name: &str, rows: &[GRow], sealed: [usize; 2]) {
+    let schema = Schema::new(vec![
+        Field::nullable("s1", DataType::Utf8),
+        Field::nullable("s2", DataType::Utf8),
+        Field::nullable("k", DataType::Int64),
+        Field::nullable("v", DataType::Int64),
+        Field::nullable("f", DataType::Float64),
+    ]);
+    let values: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|(s1, s2, k, v, f)| {
+            vec![
+                value_of_str(s1),
+                value_of_str(s2),
+                value_of_int(*k),
+                value_of_int(*v),
+                value_of_float(*f),
+            ]
+        })
+        .collect();
+    let (a, rest) = values.split_at(sealed[0]);
+    let (b, tail) = rest.split_at(sealed[1]);
+    let mut table = Table::new(schema.clone());
+    for part in [a, b].into_iter().filter(|p| !p.is_empty()) {
+        let cols = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, field)| {
+                let vals: Vec<Value> = part.iter().map(|r| r[c].clone()).collect();
+                let col = Column::from_values(field.data_type, &vals).expect("typed column");
+                Arc::new(col.dict_encode().unwrap_or(col))
+            })
+            .collect();
+        let batch = RecordBatch::try_new(schema.clone(), cols).expect("columns match schema");
+        table.push_sealed_batch(batch).expect("sealed batch");
+    }
+    table.append_rows(tail).expect("schema matches");
+    assert_eq!(table.tail_rows(), tail.len());
+    catalog.register_arc(name, Arc::new(table));
+}
+
+/// The aggregates every code-space plan computes.
+fn group_aggs() -> Vec<backbone_query::AggExpr> {
+    vec![
+        count_star().alias("n"),
+        count(col("v")).alias("nv"),
+        sum(col("v")).alias("sv"),
+        sum(col("f")).alias("sf"),
+        avg(col("f")).alias("af"),
+        min(col("v")).alias("minv"),
+        max(col("f")).alias("maxf"),
+    ]
+}
+
+/// Row-at-a-time reference for [`group_aggs`] over the rows `pass` keeps,
+/// grouped on `keys`, in first-appearance order. `Value` has no total
+/// order, so groups are found through a hash map on the key tuple.
+fn reference_groups(rows: &[GRow], keys: &[&str], pass: &dyn Fn(&GRow) -> bool) -> Vec<Vec<Value>> {
+    let key_of = |r: &GRow| -> Vec<Value> {
+        keys.iter()
+            .map(|k| match *k {
+                "s1" => value_of_str(&r.0),
+                "s2" => value_of_str(&r.1),
+                _ => value_of_int(r.2),
+            })
+            .collect()
+    };
+    let mut index: std::collections::HashMap<Vec<Value>, usize> = Default::default();
+    let mut groups: Vec<(Vec<Value>, Vec<&GRow>)> = Vec::new();
+    for r in rows.iter().filter(|r| pass(r)) {
+        let key = key_of(r);
+        let i = *index.entry(key.clone()).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[i].1.push(r);
+    }
+    groups
+        .into_iter()
+        .map(|(mut out, g)| {
+            let vs: Vec<i64> = g.iter().filter_map(|r| r.3).collect();
+            let fs: Vec<f64> = g.iter().filter_map(|r| r.4).collect();
+            let fsum = (!fs.is_empty()).then(|| fs.iter().sum::<f64>());
+            out.extend([
+                Value::Int(g.len() as i64),
+                Value::Int(vs.len() as i64),
+                value_of_int((!vs.is_empty()).then(|| vs.iter().sum())),
+                value_of_float(fsum),
+                value_of_float(fsum.map(|s| s / fs.len() as f64)),
+                value_of_int(vs.iter().copied().min()),
+                value_of_float(fs.iter().copied().reduce(f64::max)),
+            ]);
+            out
+        })
+        .collect()
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by_key(|r| join_key(r));
+    rows
+}
+
+/// Every key shape, with and without a filter selection, serial (exact
+/// order) and at Fixed(2) (sorted) against [`reference_groups`].
+fn check_code_space_group_by(rows: &[GRow], sealed: [usize; 2], threshold: i64) {
+    let catalog = MemCatalog::new();
+    register_dict_groups(&catalog, "t", rows, sealed);
+    let key_sets: [&[&str]; 3] = [&["s1"], &["s1", "s2"], &["s1", "k"]];
+    for keys in key_sets {
+        for filtered in [false, true] {
+            let mut plan = LogicalPlan::scan("t", &catalog).expect("registered");
+            if filtered {
+                plan = plan.filter(col("v").gt_eq(lit(threshold)));
+            }
+            let plan = plan.aggregate(keys.iter().map(|&k| col(k)).collect(), group_aggs());
+            let pass = |r: &GRow| !filtered || r.3.is_some_and(|v| v >= threshold);
+            let want = reference_groups(rows, keys, &pass);
+            let context = format!("group by {keys:?}, filtered {filtered}");
+            let serial = execute(plan.clone(), &catalog, &ExecOptions::serial())
+                .unwrap_or_else(|e| panic!("{context}: {e}"))
+                .to_rows();
+            assert_rows_match(&serial, &want, &format!("{context}, serial"));
+            let opts = ExecOptions::serial().parallel(Parallelism::Fixed(2));
+            let parallel = execute(plan, &catalog, &opts)
+                .unwrap_or_else(|e| panic!("{context}: {e}"))
+                .to_rows();
+            let want = sorted(want);
+            assert_rows_match(&sorted(parallel), &want, &format!("{context}, Fixed(2)"));
+        }
+    }
+}
+
+fn arbitrary_grows(max_len: usize, null_weight: u32) -> impl Strategy<Value = Vec<GRow>> {
+    let s1 = prop_oneof![Just("ash"), Just("birch"), Just("cedar"), Just("delta")];
+    let s2 = prop_oneof![Just("x"), Just("y"), Just("z")];
+    let cell = (
+        maybe(null_weight, s1.prop_map(str::to_owned)),
+        maybe(null_weight, s2.prop_map(str::to_owned)),
+        maybe(null_weight, -2i64..3),
+        maybe(null_weight, -100i64..100),
+        maybe(null_weight, -50.0f64..50.0),
+    );
+    proptest::collection::vec(cell, 0..max_len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn code_space_group_by_matches_reference(
+        rows in arbitrary_grows(200, 3),
+        t in -100i64..100,
+    ) {
+        let third = rows.len() / 3;
+        check_code_space_group_by(&rows, [third, third], t);
+    }
+
+    #[test]
+    fn code_space_group_by_matches_reference_null_heavy(
+        rows in arbitrary_grows(120, 30),
+        t in -100i64..100,
+    ) {
+        let third = rows.len() / 3;
+        check_code_space_group_by(&rows, [third, third], t);
+    }
+}
+
+/// Rows over `s1` in {a, b, c} and `s2` in {x, y} (plus NULLs), cycling so
+/// that any 11 consecutive rows hold every value: a code domain of
+/// (3 + 1) * (2 + 1) = 12.
+fn boundary_rows(n: usize, offset: usize) -> Vec<GRow> {
+    let s1 = [Some("c"), Some("a"), None, Some("b")];
+    let s2 = [Some("y"), None, Some("x")];
+    (0..n)
+        .map(|i| {
+            let j = i + offset;
+            (
+                s1[j % 4].map(str::to_owned),
+                s2[j % 3].map(str::to_owned),
+                Some((j % 2) as i64),
+                (!j.is_multiple_of(5)).then_some(j as i64),
+                (!j.is_multiple_of(7)).then_some(j as f64 / 4.0),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn code_space_domain_boundary_matches_reference() {
+    // The first group has 11 rows against a domain of 12 and falls back to
+    // hashing; the second, with its own dictionary order, has exactly 12
+    // rows and resolves in code space; the tail is plain Utf8.
+    let mut rows = boundary_rows(11, 0);
+    rows.extend(boundary_rows(12, 1));
+    rows.extend(boundary_rows(9, 2));
+    check_code_space_group_by(&rows, [11, 12], 6);
+}
+
+#[test]
+fn code_space_group_by_under_tiny_budget_spills_and_matches_reference() {
+    let rows: Vec<GRow> = boundary_rows(600, 0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut r)| {
+            r.2 = Some((i % 97) as i64);
+            r
+        })
+        .collect();
+    let catalog = MemCatalog::new();
+    register_dict_groups(&catalog, "t", &rows, [250, 250]);
+    let key_sets: [&[&str]; 3] = [&["s1"], &["s1", "s2"], &["s1", "k"]];
+    for keys in key_sets {
+        let want = sorted(reference_groups(&rows, keys, &|_| true));
+        let plan = LogicalPlan::scan("t", &catalog)
+            .expect("registered")
+            .aggregate(keys.iter().map(|&k| col(k)).collect(), group_aggs());
+        for p in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            let metrics = backbone_storage::Metrics::new();
+            let opts = ExecOptions::serial()
+                .parallel(p)
+                .with_mem_budget(2048)
+                .with_metrics(metrics.clone());
+            let got = execute(plan.clone(), &catalog, &opts)
+                .unwrap_or_else(|e| panic!("{keys:?} at {p:?}: {e}"))
+                .to_rows();
+            assert_rows_match(&sorted(got), &want, &format!("{keys:?} at {p:?}, capped"));
+            assert!(
+                metrics.value("storage.spill.partitions") > 0,
+                "{keys:?} at {p:?}: a 2 KiB budget must spill"
+            );
+        }
+    }
+}
