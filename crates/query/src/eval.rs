@@ -17,9 +17,10 @@
 use crate::error::{QueryError, Result};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel_metrics;
-use backbone_storage::compress::EncodedInts;
+use backbone_storage::compress::{EncodedInts, ForLanes, Lane};
 use backbone_storage::{Bitmap, Column, RecordBatch, Value};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -205,6 +206,12 @@ fn verdict_column(n: usize, yes: &[u32], no: &[u32]) -> Column {
 /// answers `false` for them.
 trait Cmp {
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
+
+    /// The passing residual codes of a frame of `end` codes, where exactly
+    /// the codes below `lt` compare less than the literal and the codes
+    /// below `le` compare less or equal: a half-open range, or — when the
+    /// flag is set — everything outside it.
+    fn codes(lt: u64, le: u64, end: u64) -> (Range<u64>, bool);
 }
 
 struct CmpEq;
@@ -219,12 +226,22 @@ impl Cmp for CmpEq {
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a == b
     }
+
+    #[inline(always)]
+    fn codes(lt: u64, le: u64, _end: u64) -> (Range<u64>, bool) {
+        (lt..le, false)
+    }
 }
 
 impl Cmp for CmpNe {
     #[inline(always)]
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Greater))
+    }
+
+    #[inline(always)]
+    fn codes(lt: u64, le: u64, _end: u64) -> (Range<u64>, bool) {
+        (lt..le, true)
     }
 }
 
@@ -233,12 +250,22 @@ impl Cmp for CmpLt {
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a < b
     }
+
+    #[inline(always)]
+    fn codes(lt: u64, _le: u64, _end: u64) -> (Range<u64>, bool) {
+        (0..lt, false)
+    }
 }
 
 impl Cmp for CmpLe {
     #[inline(always)]
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a <= b
+    }
+
+    #[inline(always)]
+    fn codes(_lt: u64, le: u64, _end: u64) -> (Range<u64>, bool) {
+        (0..le, false)
     }
 }
 
@@ -247,12 +274,22 @@ impl Cmp for CmpGt {
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a > b
     }
+
+    #[inline(always)]
+    fn codes(_lt: u64, le: u64, end: u64) -> (Range<u64>, bool) {
+        (le..end, false)
+    }
 }
 
 impl Cmp for CmpGe {
     #[inline(always)]
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a >= b
+    }
+
+    #[inline(always)]
+    fn codes(lt: u64, _le: u64, end: u64) -> (Range<u64>, bool) {
+        (lt..end, false)
     }
 }
 
@@ -271,15 +308,17 @@ fn select_cmp(col: &Column, op: BinOp, literal: &Value, sel: Option<&[u32]>) -> 
         _ => None,
     }?;
     let lanes = sel.map_or(col.len(), <[u32]>::len) as u64;
-    let (ns, rows) = match col {
-        Column::DictUtf8 { .. } => ("op.eval.kernel.dict_cmp_ns", "op.eval.kernel.dict_rows"),
-        Column::Int64Encoded { .. } => ("op.eval.kernel.enc_cmp_ns", "op.eval.kernel.enc_rows"),
-        _ => return Some(out),
-    };
-    kernel_metrics::record(|m| {
-        m.counter(ns).add_elapsed(t0);
-        m.counter(rows).add(lanes);
-    });
+    match col {
+        Column::DictUtf8 { .. } => kernel_metrics::record(|c| {
+            c.dict_cmp_ns.add_elapsed(t0);
+            c.dict_rows.add(lanes);
+        }),
+        Column::Int64Encoded { .. } => kernel_metrics::record(|c| {
+            c.enc_cmp_ns.add_elapsed(t0);
+            c.enc_rows.add(lanes);
+        }),
+        _ => {}
+    }
     Some(out)
 }
 
@@ -305,20 +344,25 @@ fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> 
         }
         (
             Column::Int64Encoded {
-                data: EncodedInts::BitPacked(p),
+                data: EncodedInts::For(f),
                 validity,
             },
             Value::Int(x),
-        ) => refine(sel, n, validity, |i| O::test(&p.get_unchecked(i), x)),
+        ) => refine_frame::<O>(sel, f, validity, |v| v < *x, |v| v <= *x),
         (
             Column::Int64Encoded {
-                data: EncodedInts::BitPacked(p),
+                data: EncodedInts::For(_),
+                ..
+            },
+            Value::Float(x),
+        ) if x.is_nan() => Vec::new(),
+        (
+            Column::Int64Encoded {
+                data: EncodedInts::For(f),
                 validity,
             },
             Value::Float(x),
-        ) => refine(sel, n, validity, |i| {
-            O::test(&(p.get_unchecked(i) as f64), x)
-        }),
+        ) => refine_frame::<O>(sel, f, validity, |v| (v as f64) < *x, |v| (v as f64) <= *x),
         (
             Column::Int64Encoded {
                 data: EncodedInts::Rle { rle, ends },
@@ -405,6 +449,84 @@ fn shrunk(mut out: Vec<u32>, k: usize) -> Vec<u32> {
         out.shrink_to_fit();
     }
     out
+}
+
+/// [`refine`] over frame-of-reference lanes. The literal is translated once
+/// into residual space: `lt(v)` / `le(v)` say whether value `v` compares
+/// less / less-or-equal to it, exactly as the plain kernel compares (in
+/// f64 for a Float literal). Both are monotone in `v`, so a binary search
+/// over the lane width's codes finds where each flips, and `O::codes` turns
+/// the two split points into an inclusive code range (empty or full when
+/// the literal falls outside the frame). The lanes are then compared raw,
+/// monomorphized per lane width. A NaN literal never gets here.
+fn refine_frame<O: Cmp>(
+    sel: Option<&[u32]>,
+    f: &ForLanes,
+    validity: &Bitmap,
+    lt: impl Fn(i64) -> bool,
+    le: impl Fn(i64) -> bool,
+) -> Vec<u32> {
+    backbone_storage::with_lanes!(&f.lanes, s => {
+        let end = lane_end(s);
+        // Codes past the largest residual saturate, which keeps both
+        // predicates monotone over the whole lane width.
+        let value = |c: u64| f.reference.saturating_add(c as i64);
+        let split = |pred: &dyn Fn(i64) -> bool| partition_codes(end, |c| pred(value(c)));
+        let (range, outside) = O::codes(split(&lt), split(&le), end);
+        refine_codes(sel, s, validity, range, outside, end)
+    })
+}
+
+/// One past the largest code of a lane slice's width.
+fn lane_end<T: Lane>(_: &[T]) -> u64 {
+    T::MAX + 1
+}
+
+/// The first code in `0..end` where `pred` stops holding (`pred` is true
+/// on a prefix of the codes, then false).
+fn partition_codes(end: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0u64, end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The candidates whose lane falls inside `range` (outside it when
+/// `outside`), compared in the lane type. Empty and full ranges answer
+/// without reading a lane.
+fn refine_codes<T: Lane>(
+    sel: Option<&[u32]>,
+    lanes: &[T],
+    validity: &Bitmap,
+    range: Range<u64>,
+    outside: bool,
+    end: u64,
+) -> Vec<u32> {
+    let n = lanes.len();
+    if range.is_empty() || range == (0..end) {
+        return if range.is_empty() == outside {
+            refine(sel, n, validity, |_| true)
+        } else {
+            Vec::new()
+        };
+    }
+    let (lo, hi) = (T::narrow(range.start), T::narrow(range.end - 1));
+    // One comparison per lane whenever the range is a point or touches an
+    // end of the lane width.
+    match (outside, range.start == 0, range.end == end, lo == hi) {
+        (true, _, _, true) => refine(sel, n, validity, |i| lanes[i] != lo),
+        (true, ..) => refine(sel, n, validity, |i| (lanes[i] < lo) | (lanes[i] > hi)),
+        (false, _, _, true) => refine(sel, n, validity, |i| lanes[i] == lo),
+        (false, true, ..) => refine(sel, n, validity, |i| lanes[i] <= hi),
+        (false, _, true, _) => refine(sel, n, validity, |i| lanes[i] >= lo),
+        (false, ..) => refine(sel, n, validity, |i| (lanes[i] >= lo) & (lanes[i] <= hi)),
+    }
 }
 
 /// [`refine`] over an RLE column: one verdict per run. Without a selection
@@ -565,9 +687,9 @@ fn try_dict_in_list(
             // else: no match but a NULL item — verdict is NULL.
         }
     });
-    kernel_metrics::record(|m| {
-        m.counter("op.eval.kernel.dict_in_ns").add_elapsed(t0);
-        m.counter("op.eval.kernel.dict_rows").add(n as u64);
+    kernel_metrics::record(|c| {
+        c.dict_in_ns.add_elapsed(t0);
+        c.dict_rows.add(n as u64);
     });
     Ok(Some(Column::Bool(vals, out_validity)))
 }
@@ -658,9 +780,9 @@ fn eval_like(input: &Column, pattern: &str, negated: bool, sel: Option<&[u32]>) 
                     out_validity.set(i, true);
                 }
             });
-            kernel_metrics::record(|m| {
-                m.counter("op.eval.kernel.dict_like_ns").add_elapsed(t0);
-                m.counter("op.eval.kernel.dict_rows").add(n as u64);
+            kernel_metrics::record(|c| {
+                c.dict_like_ns.add_elapsed(t0);
+                c.dict_rows.add(n as u64);
             });
             return Ok(Column::Bool(out, out_validity));
         }
@@ -1036,7 +1158,7 @@ fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
                     }
                 });
             } else {
-                kernel_metrics::record(|m| m.counter("op.eval.kernel.dict_fallback").add(1));
+                kernel_metrics::record(|c| c.dict_fallback.incr());
                 lanes!(sel, n, i => {
                     if lb.get(i) && rb.get(i) {
                         vals[i] =
@@ -1054,7 +1176,7 @@ fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
             },
             Column::Utf8(rv, rb),
         ) => {
-            kernel_metrics::record(|m| m.counter("op.eval.kernel.dict_fallback").add(1));
+            kernel_metrics::record(|c| c.dict_fallback.incr());
             lanes!(sel, n, i => {
                 if lb.get(i) && rb.get(i) {
                     vals[i] = keep(ld[lc[i] as usize].as_str().cmp(rv[i].as_str()));
@@ -1070,7 +1192,7 @@ fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
                 validity: rb,
             },
         ) => {
-            kernel_metrics::record(|m| m.counter("op.eval.kernel.dict_fallback").add(1));
+            kernel_metrics::record(|c| c.dict_fallback.incr());
             lanes!(sel, n, i => {
                 if lb.get(i) && rb.get(i) {
                     vals[i] = keep(lv[i].as_str().cmp(rd[rc[i] as usize].as_str()));

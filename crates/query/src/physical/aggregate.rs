@@ -25,6 +25,8 @@ use crate::error::{QueryError, Result};
 use crate::eval::eval_arc;
 use crate::expr::{AggExpr, AggFunc, Expr};
 use backbone_storage::column::{fnv1a, mix64, NULL_TAG};
+use backbone_storage::compress::EncodedInts;
+use backbone_storage::with_lanes;
 use backbone_storage::{Bitmap, Column, DataType, Field, Metrics, RecordBatch, Schema, Value};
 use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
@@ -236,24 +238,18 @@ impl AccVec {
             AccVec::SumI { sums, seen } => {
                 let col = input.expect("SUM has an input");
                 let mut overflow = false;
-                let mut add = |g: usize, x: i64| match sums[g].checked_add(x) {
+                let add = |g: usize, x: i64| match sums[g].checked_add(x) {
                     Some(s) => {
                         sums[g] = s;
                         seen[g] = true;
                     }
                     None => overflow = true,
                 };
-                match col {
-                    Column::Int64(v, bm) => for_each_valid(gids, sel, bm, |g, row| add(g, v[row])),
-                    Column::Int64Encoded { data, validity } => {
-                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row)))
-                    }
-                    other => {
-                        return Err(QueryError::InvalidExpression(format!(
-                            "SUM over {}",
-                            other.data_type()
-                        )))
-                    }
+                if !for_each_valid_int(gids, sel, col, add) {
+                    return Err(QueryError::InvalidExpression(format!(
+                        "SUM over {}",
+                        col.data_type()
+                    )));
                 }
                 if overflow {
                     return Err(QueryError::Arithmetic("SUM integer overflow".into()));
@@ -269,17 +265,13 @@ impl AccVec {
                     Column::Float64(v, bm) => {
                         for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
                     }
-                    Column::Int64(v, bm) => {
-                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row] as f64))
-                    }
-                    Column::Int64Encoded { data, validity } => {
-                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row) as f64))
-                    }
                     other => {
-                        return Err(QueryError::InvalidExpression(format!(
-                            "SUM over {}",
-                            other.data_type()
-                        )))
+                        if !for_each_valid_int(gids, sel, other, |g, x| add(g, x as f64)) {
+                            return Err(QueryError::InvalidExpression(format!(
+                                "SUM over {}",
+                                other.data_type()
+                            )));
+                        }
                     }
                 }
             }
@@ -293,12 +285,7 @@ impl AccVec {
                     Column::Float64(v, bm) => {
                         for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
                     }
-                    Column::Int64(v, bm) => {
-                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row] as f64))
-                    }
-                    Column::Int64Encoded { data, validity } => {
-                        for_each_valid(gids, sel, validity, |g, row| add(g, data.get(row) as f64))
-                    }
+                    other if for_each_valid_int(gids, sel, other, |g, x| add(g, x as f64)) => {}
                     other => {
                         // Mirror the row-at-a-time error: only raised when a
                         // non-null value actually arrives.
@@ -318,20 +305,14 @@ impl AccVec {
             }
             AccVec::MinMaxI { vals, seen, min } => {
                 let min = *min;
-                let mut fold = |g: usize, x: i64| {
+                let fold = |g: usize, x: i64| {
                     if !seen[g] || (min && x < vals[g]) || (!min && x > vals[g]) {
                         vals[g] = x;
                         seen[g] = true;
                     }
                 };
-                match input {
-                    Some(Column::Int64(v, bm)) => {
-                        for_each_valid(gids, sel, bm, |g, row| fold(g, v[row]))
-                    }
-                    Some(Column::Int64Encoded { data, validity }) => {
-                        for_each_valid(gids, sel, validity, |g, row| fold(g, data.get(row)))
-                    }
-                    _ => {}
+                if let Some(col) = input {
+                    for_each_valid_int(gids, sel, col, fold);
                 }
             }
             AccVec::MinMaxF { vals, seen, min } => {
@@ -659,6 +640,31 @@ fn for_each_valid(
             }
         }
     }
+}
+
+/// [`for_each_valid`] over an integer column's values: `f(group, value)`
+/// per valid lane. Frame-of-reference lanes are read as a slice, once per
+/// lane width. `false` (and no calls) for a non-integer column.
+fn for_each_valid_int(
+    gids: &[u32],
+    sel: Option<&[u32]>,
+    col: &Column,
+    mut f: impl FnMut(usize, i64),
+) -> bool {
+    match col {
+        Column::Int64(v, bm) => for_each_valid(gids, sel, bm, |g, row| f(g, v[row])),
+        Column::Int64Encoded {
+            data: EncodedInts::For(l),
+            validity,
+        } => with_lanes!(&l.lanes, s => for_each_valid(gids, sel, validity, |g, row| {
+            f(g, l.reference.wrapping_add(s[row] as i64))
+        })),
+        Column::Int64Encoded { data, validity } => {
+            for_each_valid(gids, sel, validity, |g, row| f(g, data.get(row)))
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// The code-space domain of a batch's group keys: the product of

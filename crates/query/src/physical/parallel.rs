@@ -81,22 +81,34 @@ impl StealQueues {
     }
 }
 
-/// A pulled child operator shared by worker threads. Lock scope is exactly
-/// one `next()` call.
+/// A pulled child operator shared by worker threads, with a count of the
+/// batches served so far. Lock scope is exactly one `next()` call.
 pub(crate) struct SharedSource<'a> {
-    inner: Mutex<&'a mut dyn Operator>,
+    inner: Mutex<(&'a mut dyn Operator, usize)>,
 }
 
 impl<'a> SharedSource<'a> {
     pub fn new(op: &'a mut dyn Operator) -> SharedSource<'a> {
         SharedSource {
-            inner: Mutex::new(op),
+            inner: Mutex::new((op, 0)),
         }
     }
 
     /// Pull the next batch on behalf of one worker.
     pub fn next(&self) -> Result<Option<RecordBatch>> {
-        self.inner.lock().expect("source lock").next()
+        Ok(self.next_numbered()?.map(|(_, batch)| batch))
+    }
+
+    /// Pull the next batch with its position in the child's output order,
+    /// so workers can break ties exactly as a serial pull would.
+    pub fn next_numbered(&self) -> Result<Option<(usize, RecordBatch)>> {
+        let mut guard = self.inner.lock().expect("source lock");
+        let (op, served) = &mut *guard;
+        let Some(batch) = op.next()? else {
+            return Ok(None);
+        };
+        *served += 1;
+        Ok(Some((*served - 1, batch)))
     }
 }
 

@@ -11,40 +11,63 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Compare two candidate key tuples under per-key sort direction.
-fn cmp_keys(descending: &[bool], a: &[Value], b: &[Value]) -> Ordering {
-    for (i, (va, vb)) in a.iter().zip(b).enumerate() {
+/// One surviving row: its sort key values, the batch it came from (`seq`,
+/// the batch's position in the input; `bi`, its slot in
+/// [`TopKState::kept`]) and its logical position there.
+struct Candidate {
+    key: Vec<Value>,
+    seq: usize,
+    bi: usize,
+    pos: usize,
+}
+
+/// Order candidates under per-key sort direction; ties fall back to input
+/// order, `(seq, pos)`, so the result equals a stable sort plus limit.
+fn cmp_candidates(descending: &[bool], a: &Candidate, b: &Candidate) -> Ordering {
+    for (i, (va, vb)) in a.key.iter().zip(&b.key).enumerate() {
         let ord = va.sql_cmp(vb);
         let ord = if descending[i] { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;
         }
     }
-    Ordering::Equal
+    (a.seq, a.pos).cmp(&(b.seq, b.pos))
 }
 
-/// One selection buffer: candidates are (key values, kept-batch index, base
-/// row). Rows stay in their source batches until the final gather (late
+/// Keep the `k` smallest of `items` under `cmp` (a total order), unordered:
+/// a partial selection, O(n) instead of a sort.
+fn keep_smallest<T>(items: &mut Vec<T>, k: usize, cmp: impl FnMut(&T, &T) -> Ordering) {
+    if items.len() > k {
+        items.select_nth_unstable_by(k, cmp);
+        items.truncate(k);
+    }
+}
+
+/// One selection buffer: the best `k` candidates seen so far, unordered.
+/// Rows stay in their source batches until the final gather (late
 /// materialization), so evicted candidates never cost a row copy. Serial
 /// top-k uses one; each parallel worker keeps its own and the buffers merge
-/// — in worker order, keeping the merge deterministic — at drain.
+/// at drain. Ties break on input order, so serial and parallel runs keep
+/// the same rows.
 #[derive(Default)]
 struct TopKState {
     kept: Vec<RecordBatch>,
-    buffer: Vec<(Vec<Value>, usize, usize)>,
+    buffer: Vec<Candidate>,
     morsels: u64,
     rows: u64,
 }
 
 impl TopKState {
-    /// Fold one batch: pre-rank its lanes, take the local top-k, merge into
-    /// the buffer, re-truncate to k. Selection cost is O(n log(buffer)) and
-    /// memory O(k + retained batches).
+    /// Fold batch number `seq` of the input: partially select its local
+    /// top-k lanes, add them to the buffer, and cut the buffer back to k.
+    /// Selection cost is O(n + k) per batch and memory O(k + retained
+    /// batches).
     fn consume(
         &mut self,
         keys: &[SortKey],
         descending: &[bool],
         k: usize,
+        seq: usize,
         batch: RecordBatch,
     ) -> Result<()> {
         self.morsels += 1;
@@ -56,36 +79,36 @@ impl TopKState {
             .iter()
             .map(|key| Ok((eval_arc(&key.expr, &batch)?, key.descending)))
             .collect::<Result<_>>()?;
-        // Key columns are base-length, so sort base indices.
-        let mut local: Vec<usize> = (0..batch.num_rows()).map(|i| batch.base_index(i)).collect();
-        local.sort_by(|&a, &b| cmp_rows(&key_cols, a, b));
-        local.truncate(k);
+        // Key columns are base-length: compare base rows, break ties by
+        // logical position.
+        let base: Vec<usize> = (0..batch.num_rows()).map(|i| batch.base_index(i)).collect();
+        let mut local: Vec<usize> = (0..base.len()).collect();
+        keep_smallest(&mut local, k, |&a, &b| {
+            cmp_rows(&key_cols, base[a], base[b]).then(a.cmp(&b))
+        });
         let bi = self.kept.len();
-        for base_row in local {
-            let key: Vec<Value> = key_cols.iter().map(|(c, _)| c.value(base_row)).collect();
-            self.buffer.push((key, bi, base_row));
+        for pos in local {
+            let key: Vec<Value> = key_cols.iter().map(|(c, _)| c.value(base[pos])).collect();
+            self.buffer.push(Candidate { key, seq, bi, pos });
         }
         self.kept.push(batch);
-        self.buffer.sort_by(|a, b| cmp_keys(descending, &a.0, &b.0));
-        self.buffer.truncate(k);
+        keep_smallest(&mut self.buffer, k, |a, b| cmp_candidates(descending, a, b));
         Ok(())
     }
 
-    /// Append another worker's survivors (batch indices re-based), then
+    /// Append another worker's survivors (batch slots re-based), then
     /// re-select the global top-k.
     fn absorb(&mut self, other: TopKState, descending: &[bool], k: usize) {
         self.morsels += other.morsels;
         self.rows += other.rows;
         let offset = self.kept.len();
         self.kept.extend(other.kept);
-        self.buffer.extend(
-            other
-                .buffer
-                .into_iter()
-                .map(|(key, bi, row)| (key, bi + offset, row)),
-        );
-        self.buffer.sort_by(|a, b| cmp_keys(descending, &a.0, &b.0));
-        self.buffer.truncate(k);
+        self.buffer
+            .extend(other.buffer.into_iter().map(|c| Candidate {
+                bi: c.bi + offset,
+                ..c
+            }));
+        keep_smallest(&mut self.buffer, k, |a, b| cmp_candidates(descending, a, b));
     }
 }
 
@@ -149,8 +172,8 @@ impl TopKExec {
         let states: Vec<Result<TopKState>> = super::pool::run_workers(workers, |w| {
             let _kernel = crate::kernel_metrics::install(metrics.clone());
             let mut st = TopKState::default();
-            while let Some(batch) = source.next()? {
-                st.consume(keys, descending, k, batch)?;
+            while let Some((seq, batch)) = source.next_numbered()? {
+                st.consume(keys, descending, k, seq, batch)?;
             }
             record_worker(metrics.as_ref(), "topk", w, st.morsels, st.rows);
             Ok(st)
@@ -196,22 +219,29 @@ impl Operator for TopKExec {
         let mut input = self.input.take().expect("run once");
         let descending: Vec<bool> = self.keys.iter().map(|k| k.descending).collect();
 
-        let state = if self.workers == 0 {
+        let mut state = if self.workers == 0 {
             let mut st = TopKState::default();
+            let mut seq = 0;
             while let Some(batch) = input.next()? {
-                st.consume(&self.keys, &descending, self.k, batch)?;
+                st.consume(&self.keys, &descending, self.k, seq, batch)?;
+                seq += 1;
             }
             st
         } else {
             self.parallel_state(input.as_mut(), &descending)?
         };
 
-        // Gather the surviving rows column-by-column with typed appends.
+        // Order the k survivors, then gather them column-by-column with
+        // typed appends.
+        state
+            .buffer
+            .sort_unstable_by(|a, b| cmp_candidates(&descending, a, b));
         let mut columns = Vec::with_capacity(self.schema.len());
         for (ci, f) in self.schema.fields().iter().enumerate() {
             let mut col = Column::empty(f.data_type);
-            for (_, bi, base_row) in &state.buffer {
-                col.push_from(state.kept[*bi].column(ci), *base_row)?;
+            for c in &state.buffer {
+                let batch = &state.kept[c.bi];
+                col.push_from(batch.column(ci), batch.base_index(c.pos))?;
             }
             columns.push(Arc::new(col));
         }

@@ -13,7 +13,7 @@
 
 use crate::codec::{self, Cursor};
 use crate::column::{Bitmap, Column};
-use crate::compress::{BitPackedI64, EncodedInts, RleI64};
+use crate::compress::{BitPackedI64, EncodedInts, ForLanes, RleI64};
 use crate::error::{Result, StorageError};
 use crate::pager::PagedFile;
 use crate::table::{Table, ZoneMap};
@@ -42,6 +42,8 @@ const COL_DICT: u8 = 1;
 const COL_INT: u8 = 2;
 
 /// Sub-tags for the two [`EncodedInts`] representations under [`COL_INT`].
+/// Frame-of-reference lanes are stored bit-packed at their exact width
+/// ([`ForLanes::packed`]) and widened back to byte-aligned lanes on read.
 const INT_RLE: u8 = 0;
 const INT_PACKED: u8 = 1;
 
@@ -99,14 +101,7 @@ fn put_column(out: &mut Vec<u8>, col: &Column, rows: usize) {
             codec::put_str(out, s);
         }
         let ints: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
-        let packed = BitPackedI64::encode(&ints);
-        codec::put_u64(out, packed.reference as u64);
-        out.push(packed.width);
-        codec::put_u64(out, packed.len as u64);
-        codec::put_u32(out, packed.words.len() as u32);
-        for w in &packed.words {
-            codec::put_u64(out, *w);
-        }
+        put_packed(out, &BitPackedI64::encode(&ints));
         put_bitmap(out, validity, rows);
     } else if let Some((data, validity)) = col.encoded_parts() {
         out.push(COL_INT);
@@ -121,15 +116,9 @@ fn put_column(out: &mut Vec<u8>, col: &Column, rows: usize) {
                     codec::put_u32(out, n);
                 }
             }
-            EncodedInts::BitPacked(packed) => {
+            EncodedInts::For(lanes) => {
                 out.push(INT_PACKED);
-                codec::put_u64(out, packed.reference as u64);
-                out.push(packed.width);
-                codec::put_u64(out, packed.len as u64);
-                codec::put_u32(out, packed.words.len() as u32);
-                for w in &packed.words {
-                    codec::put_u64(out, *w);
-                }
+                put_packed(out, &lanes.packed());
             }
         }
         put_bitmap(out, validity, rows);
@@ -139,6 +128,42 @@ fn put_column(out: &mut Vec<u8>, col: &Column, rows: usize) {
             codec::put_value(out, &col.value(i));
         }
     }
+}
+
+/// Serialize one bit-packed vector: reference, width, length, words.
+fn put_packed(out: &mut Vec<u8>, packed: &BitPackedI64) {
+    codec::put_u64(out, packed.reference as u64);
+    out.push(packed.width);
+    codec::put_u64(out, packed.len as u64);
+    codec::put_u32(out, packed.words.len() as u32);
+    for w in &packed.words {
+        codec::put_u64(out, *w);
+    }
+}
+
+/// Inverse of [`put_packed`]; a word count that disagrees with the length
+/// and width is corruption, caught before anything is unpacked.
+fn read_packed(cur: &mut Cursor<'_>) -> Result<BitPackedI64> {
+    let reference = cur.u64()? as i64;
+    let width = cur.u8()?;
+    let len = cur.u64()? as usize;
+    let nwords = cur.u32()? as usize;
+    let mut words = Vec::with_capacity(nwords.min(cur.remaining() / 8));
+    for _ in 0..nwords {
+        words.push(cur.u64()?);
+    }
+    let packed = BitPackedI64 {
+        reference,
+        width,
+        words,
+        len,
+    };
+    if !packed.is_well_formed() {
+        return Err(StorageError::Corrupt(
+            "bit-packed word count mismatch".into(),
+        ));
+    }
+    Ok(packed)
 }
 
 fn read_column(cur: &mut Cursor<'_>, dt: crate::DataType, rows: usize) -> Result<Column> {
@@ -156,19 +181,7 @@ fn read_column(cur: &mut Cursor<'_>, dt: crate::DataType, rows: usize) -> Result
             for _ in 0..dict_len {
                 dict.push(cur.str()?.to_string());
             }
-            let packed = BitPackedI64 {
-                reference: cur.u64()? as i64,
-                width: cur.u8()?,
-                len: cur.u64()? as usize,
-                words: {
-                    let nwords = cur.u32()? as usize;
-                    let mut words = Vec::with_capacity(nwords);
-                    for _ in 0..nwords {
-                        words.push(cur.u64()?);
-                    }
-                    words
-                },
-            };
+            let packed = read_packed(cur)?;
             if packed.len != rows {
                 return Err(StorageError::Corrupt("dict code count mismatch".into()));
             }
@@ -184,6 +197,21 @@ fn read_column(cur: &mut Cursor<'_>, dt: crate::DataType, rows: usize) -> Result
         }
         COL_INT => {
             let data = match cur.u8()? {
+                INT_PACKED => {
+                    let packed = read_packed(cur)?;
+                    if packed.len != rows {
+                        return Err(StorageError::Corrupt("encoded int count mismatch".into()));
+                    }
+                    let validity = read_bitmap(cur, rows)?;
+                    // A range wider than 32 bits has no lane width; such a
+                    // column reopens plain.
+                    return Ok(match ForLanes::from_packed(&packed) {
+                        Some(lanes) => {
+                            Column::encoded_from_parts(EncodedInts::For(lanes), validity)
+                        }
+                        None => Column::Int64(packed.decode(), validity),
+                    });
+                }
                 INT_RLE => {
                     let len = cur.u64()? as usize;
                     let n_runs = cur.u32()? as usize;
@@ -197,19 +225,6 @@ fn read_column(cur: &mut Cursor<'_>, dt: crate::DataType, rows: usize) -> Result
                     }
                     EncodedInts::from_rle(rle)
                 }
-                INT_PACKED => EncodedInts::BitPacked(BitPackedI64 {
-                    reference: cur.u64()? as i64,
-                    width: cur.u8()?,
-                    len: cur.u64()? as usize,
-                    words: {
-                        let nwords = cur.u32()? as usize;
-                        let mut words = Vec::with_capacity(nwords);
-                        for _ in 0..nwords {
-                            words.push(cur.u64()?);
-                        }
-                        words
-                    },
-                }),
                 other => {
                     return Err(StorageError::Corrupt(format!(
                         "unknown int encoding sub-tag {other}"

@@ -3,6 +3,7 @@
 use crate::compress::EncodedInts;
 use crate::error::{Result, StorageError};
 use crate::types::{DataType, Value};
+use crate::with_lanes;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -148,17 +149,20 @@ pub enum Column {
         /// Per-row validity.
         validity: Bitmap,
     },
-    /// Encoded 64-bit integers: RLE runs or frame-of-reference bit-packing.
+    /// Encoded 64-bit integers: RLE runs or frame-of-reference lanes.
     ///
     /// Logically identical to [`Column::Int64`] (`data_type()` reports
     /// `Int64`) — the numeric mirror of [`Column::DictUtf8`]. Sealed row
-    /// groups adopt this representation when it compresses well; kernels
-    /// that understand the encoding evaluate comparisons once per RLE run
-    /// and hash/aggregate through [`EncodedInts::get`] without ever
-    /// materializing the plain vector. NULL slots hold an arbitrary
-    /// placeholder; consult the validity bitmap first. Immutable: the
-    /// row-at-a-time append paths reject it, and gathers/takes decode to
-    /// plain `Int64` (outputs are materializations).
+    /// groups adopt this representation when it compresses well. Kernels
+    /// that understand the encoding never materialize the plain vector:
+    /// comparisons run once per RLE run, or over the `u8`/`u16`/`u32` lane
+    /// slice of a [`crate::compress::ForLanes`] against a literal translated
+    /// into residual space; hashing and accumulators read `reference +
+    /// lanes[i]` in loops monomorphized per lane width. NULL slots hold a
+    /// placeholder (the minimum valid value); consult the validity bitmap
+    /// first. Immutable: the row-at-a-time append paths reject it,
+    /// gathers/takes decode to plain `Int64` (outputs are materializations),
+    /// and slices stay encoded.
     Int64Encoded {
         /// The encoded value body.
         data: EncodedInts,
@@ -591,27 +595,9 @@ impl Column {
                 }
             }
             // Encoded integers decode on gather: outputs are materializations
-            // and re-encoding a scattered subset rarely pays. Bulk gathers
-            // from an RLE column decode the runs once and index the flat
-            // vector — O(n + k) beats k binary searches.
+            // and re-encoding a scattered subset rarely pays.
             Column::Int64Encoded { data, validity } => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                let flat = match data.runs() {
-                    Some(runs) if indices.len() >= runs.len() => Some(data.decode()),
-                    _ => None,
-                };
-                for (k, &i) in indices.iter().enumerate() {
-                    let i = i as usize;
-                    out.push(match &flat {
-                        Some(v) => v[i],
-                        None => data.get(i),
-                    });
-                    if validity.get(i) {
-                        out_bm.set(k, true);
-                    }
-                }
-                Column::Int64(out, out_bm)
+                take_encoded(data, validity, indices.iter().map(|&i| i as usize))
             }
         }
     }
@@ -678,8 +664,17 @@ impl Column {
                 });
             }
             // Hashing mirrors Int64 ((v as f64).to_bits()), so mixed-encoding
-            // group-bys and joins still collide correctly. Full all-valid RLE
-            // sweeps hash each run's value once and fill the span.
+            // group-bys and joins still collide correctly. Frame-of-reference
+            // lanes are read as a slice, once per lane width; full all-valid
+            // RLE sweeps hash each run's value once and fill the span.
+            Column::Int64Encoded {
+                data: EncodedInts::For(f),
+                validity,
+            } => with_lanes!(&f.lanes, s => lanes!(|i: usize| if validity.get(i) {
+                (f.reference.wrapping_add(s[i] as i64) as f64).to_bits()
+            } else {
+                NULL_TAG
+            })),
             Column::Int64Encoded { data, validity } => match data.runs() {
                 Some(runs) if sel.is_none() && validity.all_set() => {
                     let mut pos = 0usize;
@@ -829,15 +824,7 @@ impl Column {
                 }
             }
             Column::Int64Encoded { data, validity } => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (k, &i) in indices.iter().enumerate() {
-                    out.push(data.get(i));
-                    if validity.get(i) {
-                        out_bm.set(k, true);
-                    }
-                }
-                Column::Int64(out, out_bm)
+                take_encoded(data, validity, indices.iter().copied())
             }
         }
     }
@@ -979,9 +966,10 @@ impl Column {
     }
 
     /// Encode a plain Int64 column ([`EncodedInts::encode`] picks RLE or
-    /// bit-packing). Returns `None` for non-Int64 or already-encoded
-    /// columns. NULL placeholders are normalized to 0 first so they never
-    /// widen the frame-of-reference range.
+    /// frame-of-reference lanes). Returns `None` for non-Int64 or
+    /// already-encoded columns. NULL placeholders are normalized to the
+    /// minimum valid value first, so a NULL never widens the frame of
+    /// reference (and hence the lane width).
     pub fn int64_encode(&self) -> Option<Column> {
         let Column::Int64(values, bm) = self else {
             return None;
@@ -989,10 +977,15 @@ impl Column {
         let data = if bm.all_set() {
             EncodedInts::encode(values)
         } else {
+            let fill = (0..values.len())
+                .filter(|&i| bm.get(i))
+                .map(|i| values[i])
+                .min()
+                .unwrap_or(0);
             let cleaned: Vec<i64> = values
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| if bm.get(i) { v } else { 0 })
+                .map(|(i, &v)| if bm.get(i) { v } else { fill })
                 .collect();
             EncodedInts::encode(&cleaned)
         };
@@ -1103,6 +1096,41 @@ impl Column {
             _ => None,
         }
     }
+}
+
+/// The rows at `indices` of an encoded integer column, decoded into a plain
+/// one. Lanes are read as a slice, once per lane width; bulk takes from an
+/// RLE column decode the runs once and index the flat vector — O(n + k)
+/// beats k binary searches.
+fn take_encoded(
+    data: &EncodedInts,
+    validity: &Bitmap,
+    indices: impl ExactSizeIterator<Item = usize> + Clone,
+) -> Column {
+    let n = indices.len();
+    let values: Vec<i64> = match data {
+        EncodedInts::For(f) => with_lanes!(&f.lanes, s => indices
+            .clone()
+            .map(|i| f.reference.wrapping_add(s[i] as i64))
+            .collect()),
+        EncodedInts::Rle { rle, .. } if n >= rle.runs.len() => {
+            let flat = data.decode();
+            indices.clone().map(|i| flat[i]).collect()
+        }
+        EncodedInts::Rle { .. } => indices.clone().map(|i| data.get(i)).collect(),
+    };
+    let out_bm = if validity.all_set() {
+        Bitmap::all_valid(n)
+    } else {
+        let mut bm = Bitmap::all_null(n);
+        for (k, i) in indices.enumerate() {
+            if validity.get(i) {
+                bm.set(k, true);
+            }
+        }
+        bm
+    };
+    Column::Int64(values, out_bm)
 }
 
 /// The error every append path raises for sealed encoded-integer columns.
@@ -1525,6 +1553,28 @@ mod tests {
         let back = enc.decoded().unwrap();
         for i in 0..plain.len() {
             assert_eq!(back.value(i), plain.value(i), "decoded row {i}");
+        }
+    }
+
+    #[test]
+    fn null_placeholder_leaves_lane_width_unchanged() {
+        let near: Vec<Option<i64>> = (0..200).map(|i| Some(1_000_000_000 + i % 200)).collect();
+        let mut with_null = near.clone();
+        with_null[17] = None;
+        let width = |vals: Vec<Option<i64>>| {
+            let enc = Column::from_opt_i64(vals).int64_encode().unwrap();
+            let (data, _) = enc.encoded_parts().unwrap();
+            data.lanes()
+                .expect("a 200-value range seals as lanes")
+                .lane_bytes()
+        };
+        assert_eq!(width(near), 1);
+        assert_eq!(width(with_null.clone()), 1);
+        let enc = Column::from_opt_i64(with_null.clone())
+            .int64_encode()
+            .unwrap();
+        for (i, v) in with_null.iter().enumerate() {
+            assert_eq!(enc.value(i), v.map_or(Value::Null, Value::Int), "row {i}");
         }
     }
 

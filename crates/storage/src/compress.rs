@@ -1,14 +1,16 @@
-//! Lightweight integer encodings: run-length and bit-packing.
+//! Lightweight integer encodings: run-length, frame-of-reference lanes and
+//! bit-packing.
 //!
-//! These are the classic analytical-storage encodings, and since the
-//! encoded-numeric work they are live execution representations, not just
-//! at-rest codecs: [`EncodedInts`] wraps [`RleI64`] and [`BitPackedI64`]
-//! behind one random-access surface and backs the
-//! [`crate::Column::Int64Encoded`] variant that filter/group/join/top-k
-//! kernels consume without decoding — the numeric mirror of the
-//! [`crate::Column::DictUtf8`] pipeline. The checkpoint codec additionally
-//! bit-packs dictionary codes with [`BitPackedI64`], and sealed-table state
-//! feeds the `storage.encoding.*` gauges reported by EXPLAIN ANALYZE.
+//! [`EncodedInts`] is a live execution representation, not just an at-rest
+//! codec: it backs the [`crate::Column::Int64Encoded`] variant that
+//! filter/group/join/top-k kernels consume without decoding — the numeric
+//! mirror of the [`crate::Column::DictUtf8`] pipeline. Its two arms are
+//! [`RleI64`] runs and [`ForLanes`], frame-of-reference residuals stored in
+//! the narrowest byte-aligned lane type (`u8`, `u16` or `u32`) so kernels
+//! read them as plain slices. [`BitPackedI64`] is the checkpoint codec
+//! only: it packs lanes and dictionary codes at their exact bit width on
+//! write and unpacks them sequentially on read. Sealed-table state feeds the
+//! `storage.encoding.*` gauges reported by EXPLAIN ANALYZE.
 
 use crate::error::{Result, StorageError};
 
@@ -73,7 +75,9 @@ impl RleI64 {
 }
 
 /// Fixed-width bit-packing of non-negative i64 deltas from a frame-of-
-/// reference minimum.
+/// reference minimum — the checkpoint codec for [`ForLanes`] and dictionary
+/// codes. Only whole-vector packing and a sequential unpack exist: in
+/// memory, residuals live in byte-aligned lanes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPackedI64 {
     /// Frame of reference (minimum value).
@@ -89,83 +93,73 @@ pub struct BitPackedI64 {
 impl BitPackedI64 {
     /// Encode a slice with frame-of-reference + bit packing.
     pub fn encode(values: &[i64]) -> BitPackedI64 {
-        if values.is_empty() {
-            return BitPackedI64 {
-                reference: 0,
-                width: 0,
-                words: Vec::new(),
-                len: 0,
-            };
-        }
-        let reference = values.iter().copied().min().unwrap();
-        let max_delta = values
-            .iter()
-            .map(|&v| (v.wrapping_sub(reference)) as u64)
-            .max()
-            .unwrap();
-        let width = if max_delta == 0 {
-            0
-        } else {
-            (64 - max_delta.leading_zeros()) as u8
-        };
-        let mut words = Vec::new();
+        let reference = values.iter().copied().min().unwrap_or(0);
+        BitPackedI64::pack(
+            reference,
+            values.iter().map(|&v| v.wrapping_sub(reference) as u64),
+        )
+    }
+
+    /// Pack `residuals` above `reference` at the bit width the largest one
+    /// needs.
+    fn pack(reference: i64, residuals: impl Iterator<Item = u64> + Clone) -> BitPackedI64 {
+        let (len, max_delta) = residuals
+            .clone()
+            .fold((0usize, 0u64), |(n, m), d| (n + 1, m.max(d)));
+        let width = (64 - max_delta.leading_zeros()) as usize;
+        let mut words = vec![0u64; (len * width).div_ceil(64)];
         if width > 0 {
-            let total_bits = values.len() * width as usize;
-            words = vec![0u64; total_bits.div_ceil(64)];
-            for (i, &v) in values.iter().enumerate() {
-                let delta = v.wrapping_sub(reference) as u64;
-                let bit = i * width as usize;
-                let word = bit / 64;
-                let off = bit % 64;
+            for (i, delta) in residuals.enumerate() {
+                let bit = i * width;
+                let (word, off) = (bit / 64, bit % 64);
                 words[word] |= delta << off;
-                if off + width as usize > 64 {
+                if off + width > 64 {
                     words[word + 1] |= delta >> (64 - off);
                 }
             }
         }
         BitPackedI64 {
             reference,
-            width,
+            width: width as u8,
             words,
-            len: values.len(),
+            len,
         }
+    }
+
+    /// The residuals above the reference, unpacked in order.
+    fn residuals(&self) -> impl Iterator<Item = u64> + '_ {
+        let w = self.width as usize;
+        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+        (0..self.len).map(move |i| {
+            if w == 0 {
+                return 0;
+            }
+            let bit = i * w;
+            let (word, off) = (bit / 64, bit % 64);
+            let mut delta = self.words[word] >> off;
+            if off + w > 64 {
+                delta |= self.words[word + 1] << (64 - off);
+            }
+            delta & mask
+        })
     }
 
     /// Decode back to the original slice.
     pub fn decode(&self) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            out.push(self.get_unchecked(i));
-        }
-        out
+        self.residuals()
+            .map(|d| self.reference.wrapping_add(d as i64))
+            .collect()
     }
 
-    /// Random access: value at position `i`.
-    pub fn get(&self, i: usize) -> Result<i64> {
-        if i >= self.len {
-            return Err(StorageError::OutOfBounds {
-                index: i,
-                len: self.len,
-            });
-        }
-        Ok(self.get_unchecked(i))
-    }
-
-    /// Random access without the bounds check (`i` must be `< len`).
-    pub fn get_unchecked(&self, i: usize) -> i64 {
-        if self.width == 0 {
-            return self.reference;
-        }
-        let w = self.width as usize;
-        let bit = i * w;
-        let word = bit / 64;
-        let off = bit % 64;
-        let mut delta = self.words[word] >> off;
-        if off + w > 64 {
-            delta |= self.words[word + 1] << (64 - off);
-        }
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        self.reference.wrapping_add((delta & mask) as i64)
+    /// Whether the word count matches `len * width` bits — checked before
+    /// unpacking untrusted bytes.
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.width <= 64
+            && self
+                .len
+                .checked_mul(self.width as usize)
+                .map(|b| b.div_ceil(64))
+                == Some(self.words.len())
     }
 
     /// Encoded size in bytes.
@@ -174,14 +168,179 @@ impl BitPackedI64 {
     }
 }
 
-/// A sealed integer column body in one of the lightweight encodings, with
-/// O(1)/O(log runs) random access — the representation behind
-/// [`crate::Column::Int64Encoded`].
+/// An unsigned lane type holding frame-of-reference residuals.
+pub trait Lane: Copy + Ord {
+    /// The largest residual the lane holds.
+    const MAX: u64;
+    /// Narrow `x` (at most [`Lane::MAX`]) into a lane.
+    fn narrow(x: u64) -> Self;
+}
+
+impl Lane for u8 {
+    const MAX: u64 = u8::MAX as u64;
+    fn narrow(x: u64) -> u8 {
+        x as u8
+    }
+}
+
+impl Lane for u16 {
+    const MAX: u64 = u16::MAX as u64;
+    fn narrow(x: u64) -> u16 {
+        x as u16
+    }
+}
+
+impl Lane for u32 {
+    const MAX: u64 = u32::MAX as u64;
+    fn narrow(x: u64) -> u32 {
+        x as u32
+    }
+}
+
+/// Frame-of-reference residuals in the narrowest byte-aligned lane type
+/// that holds their range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lanes {
+    /// Residual range below 2^8.
+    U8(Vec<u8>),
+    /// Residual range below 2^16.
+    U16(Vec<u16>),
+    /// Residual range below 2^32.
+    U32(Vec<u32>),
+}
+
+/// Run `$body` with `$s` bound to the lane slice of a [`Lanes`], once per
+/// lane width — kernels written against `$s` are monomorphized per width.
+/// `$s[i] as i64` is the residual of row `i` in every arm.
+#[macro_export]
+macro_rules! with_lanes {
+    ($lanes:expr, $s:ident => $body:expr) => {
+        match $lanes {
+            $crate::compress::Lanes::U8($s) => $body,
+            $crate::compress::Lanes::U16($s) => $body,
+            $crate::compress::Lanes::U32($s) => $body,
+        }
+    };
+}
+
+/// Frame-of-reference integers stored byte-aligned: row `i` is
+/// `reference + lanes[i]` (Lang et al., "Data Blocks", SIGMOD 2016, truncate
+/// to the narrowest byte-addressable width). Kernels compare, hash and
+/// aggregate straight from the lane slice; nothing is unpacked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ForLanes {
+    /// Frame of reference (the minimum value).
+    pub reference: i64,
+    /// Per-row residuals above `reference`.
+    pub lanes: Lanes,
+}
+
+impl ForLanes {
+    /// Encode `values`, or `None` when their range needs more than 32 bits.
+    pub fn encode(values: &[i64]) -> Option<ForLanes> {
+        let reference = values.iter().copied().min().unwrap_or(0);
+        let max = values.iter().copied().max().unwrap_or(0);
+        ForLanes::from_residuals(
+            reference,
+            max.wrapping_sub(reference) as u64,
+            values.iter().map(|&v| v.wrapping_sub(reference) as u64),
+        )
+    }
+
+    /// Lanes of the narrowest width holding `max_delta`, or `None` past 32
+    /// bits.
+    fn from_residuals(
+        reference: i64,
+        max_delta: u64,
+        residuals: impl Iterator<Item = u64>,
+    ) -> Option<ForLanes> {
+        let lanes = if max_delta <= <u8 as Lane>::MAX {
+            Lanes::U8(residuals.map(u8::narrow).collect())
+        } else if max_delta <= <u16 as Lane>::MAX {
+            Lanes::U16(residuals.map(u16::narrow).collect())
+        } else if max_delta <= <u32 as Lane>::MAX {
+            Lanes::U32(residuals.map(u32::narrow).collect())
+        } else {
+            return None;
+        };
+        Some(ForLanes { reference, lanes })
+    }
+
+    /// Rebuild lanes from their checkpoint packing, or `None` when the
+    /// packed width exceeds 32 bits. Packing stores the exact bit width of
+    /// the largest residual, and lane widths break on byte boundaries, so
+    /// the round trip restores the lane width the lanes were sealed with.
+    pub fn from_packed(packed: &BitPackedI64) -> Option<ForLanes> {
+        let max_delta = if packed.width == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - packed.width as u32)
+        };
+        ForLanes::from_residuals(packed.reference, max_delta, packed.residuals())
+    }
+
+    /// Pack the lanes at their exact bit width for a checkpoint.
+    pub fn packed(&self) -> BitPackedI64 {
+        with_lanes!(&self.lanes, s => BitPackedI64::pack(self.reference, s.iter().map(|&d| d as u64)))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        with_lanes!(&self.lanes, s => s.len())
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes per lane: 1, 2 or 4.
+    pub fn lane_bytes(&self) -> usize {
+        match self.lanes {
+            Lanes::U8(_) => 1,
+            Lanes::U16(_) => 2,
+            Lanes::U32(_) => 4,
+        }
+    }
+
+    /// Value at position `i` (must be `< len`).
+    #[inline]
+    pub fn get(&self, i: usize) -> i64 {
+        with_lanes!(&self.lanes, s => self.reference.wrapping_add(s[i] as i64))
+    }
+
+    /// Decode to a plain vector.
+    pub fn decode(&self) -> Vec<i64> {
+        with_lanes!(&self.lanes, s => s.iter().map(|&d| self.reference.wrapping_add(d as i64)).collect())
+    }
+
+    /// The rows `[offset, offset + len)`: a sub-range copy of the lanes under
+    /// the same reference and width.
+    pub fn slice(&self, offset: usize, len: usize) -> ForLanes {
+        let range = offset..offset + len;
+        ForLanes {
+            reference: self.reference,
+            lanes: match &self.lanes {
+                Lanes::U8(s) => Lanes::U8(s[range].to_vec()),
+                Lanes::U16(s) => Lanes::U16(s[range].to_vec()),
+                Lanes::U32(s) => Lanes::U32(s[range].to_vec()),
+            },
+        }
+    }
+
+    /// Encoded size in bytes: the reference plus the lanes.
+    pub fn byte_size(&self) -> usize {
+        8 + self.len() * self.lane_bytes()
+    }
+}
+
+/// A sealed integer column body in one of the lightweight encodings — the
+/// representation behind [`crate::Column::Int64Encoded`].
 ///
-/// NULL slots carry an arbitrary placeholder value; the owning column's
-/// validity bitmap is authoritative. Which encoding wins is decided at seal
-/// time by [`EncodedInts::encode`]: whichever of RLE and frame-of-reference
-/// bit-packing is smaller for the data at hand.
+/// NULL slots carry a placeholder value; the owning column's validity
+/// bitmap is authoritative. Which encoding wins is decided at seal time by
+/// [`EncodedInts::encode`]: frame-of-reference lanes when the residual range
+/// fits 32 bits, unless RLE runs are smaller still.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodedInts {
     /// Run-length runs plus a prefix-sum of run ends for binary-searched
@@ -192,19 +351,18 @@ pub enum EncodedInts {
         /// `ends[k]` = first position after run `k`.
         ends: Vec<u32>,
     },
-    /// Frame-of-reference bit-packing.
-    BitPacked(BitPackedI64),
+    /// Frame-of-reference residuals in byte-aligned lanes.
+    For(ForLanes),
 }
 
 impl EncodedInts {
-    /// Encode `values`, picking whichever encoding is smaller.
+    /// Encode `values`, picking whichever of RLE and frame-of-reference
+    /// lanes is smaller (lanes only exist for ranges of at most 32 bits).
     pub fn encode(values: &[i64]) -> EncodedInts {
         let rle = RleI64::encode(values);
-        let packed = BitPackedI64::encode(values);
-        if rle.byte_size() < packed.byte_size() {
-            EncodedInts::from_rle(rle)
-        } else {
-            EncodedInts::BitPacked(packed)
+        match ForLanes::encode(values) {
+            Some(lanes) if lanes.byte_size() <= rle.byte_size() => EncodedInts::For(lanes),
+            _ => EncodedInts::from_rle(rle),
         }
     }
 
@@ -223,7 +381,7 @@ impl EncodedInts {
     pub fn len(&self) -> usize {
         match self {
             EncodedInts::Rle { rle, .. } => rle.len,
-            EncodedInts::BitPacked(p) => p.len,
+            EncodedInts::For(f) => f.len(),
         }
     }
 
@@ -232,8 +390,8 @@ impl EncodedInts {
         self.len() == 0
     }
 
-    /// Value at position `i` (must be `< len`). O(1) for bit-packing,
-    /// O(log runs) for RLE.
+    /// Value at position `i` (must be `< len`). O(1) for lanes, O(log runs)
+    /// for RLE.
     #[inline]
     pub fn get(&self, i: usize) -> i64 {
         match self {
@@ -241,7 +399,7 @@ impl EncodedInts {
                 let run = ends.partition_point(|&e| e <= i as u32);
                 rle.runs[run].0
             }
-            EncodedInts::BitPacked(p) => p.get_unchecked(i),
+            EncodedInts::For(f) => f.get(i),
         }
     }
 
@@ -249,7 +407,7 @@ impl EncodedInts {
     pub fn decode(&self) -> Vec<i64> {
         match self {
             EncodedInts::Rle { rle, .. } => rle.decode(),
-            EncodedInts::BitPacked(p) => p.decode(),
+            EncodedInts::For(f) => f.decode(),
         }
     }
 
@@ -257,14 +415,13 @@ impl EncodedInts {
     pub fn byte_size(&self) -> usize {
         match self {
             EncodedInts::Rle { rle, ends } => rle.byte_size() + ends.len() * 4,
-            EncodedInts::BitPacked(p) => p.byte_size(),
+            EncodedInts::For(f) => f.byte_size(),
         }
     }
 
-    /// The window `[offset, offset + len)` re-encoded in the same arm: RLE
-    /// trims runs in O(log runs + runs in window); bit-packing re-packs the
-    /// window's values (the frame of reference may tighten, never widen).
-    /// This is what keeps a morsel slice of an encoded column encoded.
+    /// The window `[offset, offset + len)` in the same arm: RLE trims runs
+    /// in O(log runs + runs in window); lanes copy the sub-range. This is
+    /// what keeps a morsel slice of an encoded column encoded.
     pub fn slice(&self, offset: usize, len: usize) -> EncodedInts {
         debug_assert!(offset + len <= self.len());
         match self {
@@ -290,10 +447,7 @@ impl EncodedInts {
                 }
                 EncodedInts::from_rle(RleI64 { runs, len })
             }
-            EncodedInts::BitPacked(p) => {
-                let vals: Vec<i64> = (offset..offset + len).map(|i| p.get_unchecked(i)).collect();
-                EncodedInts::BitPacked(BitPackedI64::encode(&vals))
-            }
+            EncodedInts::For(f) => EncodedInts::For(f.slice(offset, len)),
         }
     }
 
@@ -302,7 +456,15 @@ impl EncodedInts {
     pub fn runs(&self) -> Option<&[(i64, u32)]> {
         match self {
             EncodedInts::Rle { rle, .. } => Some(&rle.runs),
-            EncodedInts::BitPacked(_) => None,
+            EncodedInts::For(_) => None,
+        }
+    }
+
+    /// The frame-of-reference lanes, when lane-encoded.
+    pub fn lanes(&self) -> Option<&ForLanes> {
+        match self {
+            EncodedInts::Rle { .. } => None,
+            EncodedInts::For(f) => Some(f),
         }
     }
 }
@@ -378,11 +540,50 @@ mod tests {
     }
 
     #[test]
-    fn bitpack_random_access() {
+    fn for_lanes_random_access() {
         let data: Vec<i64> = (0..50).map(|i| i * 3 + 10).collect();
-        let enc = BitPackedI64::encode(&data);
-        assert_eq!(enc.get(49).unwrap(), data[49]);
-        assert!(enc.get(50).is_err());
+        let enc = ForLanes::encode(&data).expect("range fits a lane");
+        assert_eq!(enc.reference, 10);
+        assert_eq!(enc.lane_bytes(), 1);
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(enc.get(i), v);
+        }
+        assert_eq!(enc.decode(), data);
+    }
+
+    #[test]
+    fn for_lanes_pick_the_narrowest_width() {
+        for (span, bytes) in [
+            (0i64, Some(1)),
+            (255, Some(1)),
+            (256, Some(2)),
+            (65_535, Some(2)),
+            (65_536, Some(4)),
+            (u32::MAX as i64, Some(4)),
+            (u32::MAX as i64 + 1, None),
+        ] {
+            for base in [-7i64, 1_000_000_000, i64::MIN, i64::MAX - span] {
+                let data = vec![base, base.wrapping_add(span), base];
+                let enc = ForLanes::encode(&data);
+                assert_eq!(enc.as_ref().map(ForLanes::lane_bytes), bytes, "span {span}");
+                if let Some(enc) = enc {
+                    assert_eq!(enc.decode(), data, "span {span} base {base}");
+                }
+            }
+        }
+        assert!(ForLanes::encode(&[i64::MIN, i64::MAX]).is_none());
+    }
+
+    #[test]
+    fn for_lanes_pack_round_trip_keeps_width() {
+        for span in [0i64, 1, 200, 300, 70_000, 4_000_000_000] {
+            let data: Vec<i64> = (0..300).map(|i| -5 + (i * 7919) % (span + 1)).collect();
+            let enc = ForLanes::encode(&data).expect("range fits a lane");
+            let packed = enc.packed();
+            assert!(packed.is_well_formed());
+            assert_eq!(packed.decode(), data);
+            assert_eq!(ForLanes::from_packed(&packed), Some(enc), "span {span}");
+        }
     }
 
     #[test]
@@ -392,11 +593,17 @@ mod tests {
         let enc = EncodedInts::encode(&runs);
         assert!(matches!(enc, EncodedInts::Rle { .. }));
         assert_eq!(enc.decode(), runs);
-        // High-churn small range: bit-packing wins.
+        // High-churn small range: frame-of-reference lanes win.
         let churn: Vec<i64> = (0..1000).map(|i| i % 97).collect();
         let enc = EncodedInts::encode(&churn);
-        assert!(matches!(enc, EncodedInts::BitPacked(_)));
+        assert!(matches!(enc, EncodedInts::For(_)));
         assert_eq!(enc.decode(), churn);
+        // A range past 32 bits has no lane width: RLE is the only arm.
+        let wide: Vec<i64> = (0..1000).map(|i| (i % 3) << 40).collect();
+        assert!(matches!(
+            EncodedInts::encode(&wide),
+            EncodedInts::Rle { .. }
+        ));
     }
 
     #[test]
@@ -405,11 +612,13 @@ mod tests {
             (0..500).map(|i| i / 50).collect::<Vec<i64>>(),
             (0..500).map(|i| i % 13 - 6).collect::<Vec<i64>>(),
             vec![],
-            vec![i64::MIN, 0, i64::MAX],
+            vec![i64::MIN, i64::MIN + 9, i64::MIN + 3],
+            vec![i64::MAX - 70_000, i64::MAX, i64::MAX - 1],
         ] {
+            let lanes = ForLanes::encode(&data).expect("range fits a lane");
             for enc in [
                 EncodedInts::from_rle(RleI64::encode(&data)),
-                EncodedInts::BitPacked(BitPackedI64::encode(&data)),
+                EncodedInts::For(lanes),
             ] {
                 assert_eq!(enc.len(), data.len());
                 for (i, &v) in data.iter().enumerate() {
@@ -424,9 +633,10 @@ mod tests {
         let runny: Vec<i64> = (0..500).map(|i| (i / 64) % 5).collect();
         let churn: Vec<i64> = (0..500).map(|i| (i * 31) % 64).collect();
         for data in [runny, churn] {
+            let lanes = ForLanes::encode(&data).expect("range fits a lane");
             for enc in [
                 EncodedInts::from_rle(RleI64::encode(&data)),
-                EncodedInts::BitPacked(BitPackedI64::encode(&data)),
+                EncodedInts::For(lanes),
             ] {
                 for (off, len) in [(0, 500), (0, 0), (13, 101), (64, 64), (499, 1), (450, 50)] {
                     let s = enc.slice(off, len);

@@ -8,6 +8,7 @@
 
 use crate::batch::RecordBatch;
 use crate::column::Column;
+use crate::compress::EncodedInts;
 use crate::error::{Result, StorageError};
 use crate::pager::PagedFile;
 use crate::schema::Schema;
@@ -27,9 +28,10 @@ pub const DICT_MIN_SEAL_ROWS: usize = 64;
 /// evaluation and u32 code scans beat per-row string work.
 pub const DICT_RATIO_DEN: usize = 4;
 
-/// An Int64 column seals encoded (RLE or frame-of-reference bit-packing)
-/// only when the encoded bytes are at most `1 / ENC_RATIO_DEN` of the plain
-/// bytes — a 2x floor, so marginal wins never pay the random-access tax.
+/// An Int64 column seals RLE-encoded only when the runs take at most
+/// `1 / ENC_RATIO_DEN` of the plain value bytes — a 2x floor, so marginal
+/// wins never pay the per-run indirection. Frame-of-reference lanes clear
+/// the floor by construction: `u32`, the widest lane, is half of an `i64`.
 pub const ENC_RATIO_DEN: usize = 2;
 
 /// How [`Table::flush`] physically represents Utf8 columns when sealing a
@@ -702,9 +704,10 @@ impl Table {
 /// Re-encode every qualifying column of a freshly sealed batch: Utf8
 /// columns dictionary-encode when at least [`DICT_MIN_SEAL_ROWS`] rows and
 /// distinct ratio at most `1 / DICT_RATIO_DEN`; Int64 columns switch to
-/// RLE / bit-packed [`crate::compress::EncodedInts`] when the encoded bytes
-/// clear the [`ENC_RATIO_DEN`] compression floor. One encode pass per
-/// column; non-qualifying columns keep their plain vectors.
+/// [`crate::compress::EncodedInts`] — frame-of-reference lanes whenever the
+/// value range fits 32 bits, RLE when its runs are smaller still or clear
+/// the [`ENC_RATIO_DEN`] floor on their own. One encode pass per column;
+/// non-qualifying columns keep their plain vectors.
 fn encode_for_seal(batch: RecordBatch) -> RecordBatch {
     let rows = batch.num_rows();
     if rows < DICT_MIN_SEAL_ROWS {
@@ -722,7 +725,12 @@ fn encode_for_seal(batch: RecordBatch) -> RecordBatch {
                 }
             }
             if let Some(enc) = c.int64_encode() {
-                if enc.byte_size() * ENC_RATIO_DEN <= c.byte_size() {
+                let keep = match enc.encoded_parts() {
+                    Some((EncodedInts::For(_), _)) => true,
+                    Some((data, _)) => data.byte_size() * ENC_RATIO_DEN <= rows * 8,
+                    None => false,
+                };
+                if keep {
                     changed = true;
                     return Arc::new(enc);
                 }

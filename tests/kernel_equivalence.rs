@@ -560,7 +560,7 @@ fn empty_selection_flows_through_dict_operators() {
 
 /// Register `rows` twice under `<stem>_plain` / `<stem>_enc`: identical
 /// contents, but the enc twin's two integer columns are sealed as
-/// [`Column::Int64Encoded`] (RLE or frame-of-reference bit-packing, chosen
+/// [`Column::Int64Encoded`] (RLE or frame-of-reference lanes, chosen
 /// per column by size). Any plan must produce identical rows on both.
 fn register_encoded_pair(
     catalog: &MemCatalog,
@@ -704,7 +704,8 @@ proptest! {
 #[test]
 fn run_heavy_and_churn_encodings_match_plain() {
     // Long runs pick RLE (kernels then evaluate per run); high churn over a
-    // small range picks bit-packing. Both must be invisible in results.
+    // small range picks frame-of-reference lanes. Both must be invisible in
+    // results.
     let runs: Vec<Row> = (0..200)
         .map(|i| (Some(i / 40), Some(i / 25), Some(i as f64)))
         .collect();
@@ -1328,7 +1329,7 @@ fn multi_chunk_tail_matches_sealed() {
 // ---- Selection kernels vs a three-valued reference ------------------------
 
 /// One row for the selection-kernel suite: a nullable int (stored plain,
-/// RLE and bit-packed), a nullable float drawn to hit NaN and ±0.0, and a
+/// RLE and frame-of-reference lanes), a nullable float drawn to hit NaN and ±0.0, and a
 /// nullable string (stored plain and dictionary-encoded).
 type SelRow = (Option<i64>, Option<f64>, Option<String>);
 
@@ -1375,21 +1376,22 @@ fn selection_schema() -> Arc<Schema> {
 }
 
 /// `rows` (ids from `first_id`) as one batch holding every column kind the
-/// selection kernels read: plain, RLE and bit-packed ints, floats, plain and
-/// dictionary strings.
+/// selection kernels read: plain, RLE and lane-encoded ints, floats, plain
+/// and dictionary strings.
 fn selection_batch(rows: &[SelRow], first_id: i64) -> RecordBatch {
-    use backbone_storage::compress::{BitPackedI64, EncodedInts, RleI64};
+    use backbone_storage::compress::{EncodedInts, ForLanes, RleI64};
     let ids: Vec<i64> = (first_id..first_id + rows.len() as i64).collect();
     let ints = Column::from_opt_i64(rows.iter().map(|r| r.0).collect());
     let validity = ints.validity().clone();
-    // NULL slots hold 0, as sealing normalizes them.
-    let raw: Vec<i64> = rows.iter().map(|r| r.0.unwrap_or(0)).collect();
+    // NULL slots hold the minimum valid value, as sealing normalizes them.
+    let fill = rows.iter().filter_map(|r| r.0).min().unwrap_or(0);
+    let raw: Vec<i64> = rows.iter().map(|r| r.0.unwrap_or(fill)).collect();
     let rle = Column::encoded_from_parts(
         EncodedInts::from_rle(RleI64::encode(&raw)),
         validity.clone(),
     );
-    let packed =
-        Column::encoded_from_parts(EncodedInts::BitPacked(BitPackedI64::encode(&raw)), validity);
+    let lanes = ForLanes::encode(&raw).expect("a small range fits a lane");
+    let packed = Column::encoded_from_parts(EncodedInts::For(lanes), validity);
     let floats = Column::from_opt_f64(rows.iter().map(|r| r.1).collect());
     let strs: Vec<Value> = rows
         .iter()
@@ -1915,4 +1917,435 @@ fn code_space_group_by_under_tiny_budget_spills_and_matches_reference() {
             );
         }
     }
+}
+
+// ---- Top-K ties at the k boundary -------------------------------------------
+//
+// Top-k partially selects each batch and breaks ties on input order, so it
+// must equal a stable `Sort` plus `Limit` even when equal keys straddle the
+// k boundary — within one batch and across batches — at every worker count.
+
+/// A fixed list of batches as an operator, pulled in order.
+struct Batches(Arc<Schema>, std::collections::VecDeque<RecordBatch>);
+
+impl backbone_query::physical::Operator for Batches {
+    fn schema(&self) -> Arc<Schema> {
+        self.0.clone()
+    }
+
+    fn next(&mut self) -> backbone_query::error::Result<Option<RecordBatch>> {
+        Ok(self.1.pop_front())
+    }
+
+    fn name(&self) -> &'static str {
+        "Batches"
+    }
+}
+
+/// Batches of (key, id) rows from `keys` (ids count up from 0), each cut
+/// at `sizes` and given a selection that drops every `drop_every`-th lane.
+fn tie_batches(keys: &[i64], sizes: &[usize], drop_every: usize) -> Vec<RecordBatch> {
+    let schema = Schema::new(vec![
+        Field::new("key", DataType::Int64),
+        Field::new("id", DataType::Int64),
+    ]);
+    let mut out = Vec::new();
+    let mut start = 0;
+    for &size in sizes.iter().cycle() {
+        if start >= keys.len() {
+            break;
+        }
+        let end = (start + size.max(1)).min(keys.len());
+        let batch = RecordBatch::try_new(
+            schema.clone(),
+            vec![
+                Arc::new(Column::from_i64(keys[start..end].to_vec())),
+                Arc::new(Column::from_i64((start as i64..end as i64).collect())),
+            ],
+        )
+        .expect("columns match schema");
+        let keep: Vec<u32> = (0..(end - start) as u32)
+            .filter(|i| drop_every == 0 || !(*i as usize + 1).is_multiple_of(drop_every))
+            .collect();
+        out.push(batch.with_selection(Arc::new(keep)).expect("in bounds"));
+        start = end;
+    }
+    out
+}
+
+fn check_topk_ties(keys: &[i64], sizes: &[usize], drop_every: usize, k: usize) {
+    use backbone_query::physical::{LimitExec, Operator, SortExec, TopKExec};
+    let batches = tie_batches(keys, sizes, drop_every);
+    let schema = batches.first().map_or_else(
+        || Schema::new(vec![Field::new("key", DataType::Int64)]),
+        |b| b.schema().clone(),
+    );
+    let source = || Box::new(Batches(schema.clone(), batches.clone().into()));
+    let drain = |op: &mut dyn Operator| {
+        let mut rows = Vec::new();
+        while let Some(b) = op.next().expect("operator runs") {
+            rows.extend(b.to_rows());
+        }
+        rows
+    };
+    for keys_order in [vec![asc(col("key"))], vec![desc(col("key"))]] {
+        let want = drain(&mut LimitExec::new(
+            Box::new(SortExec::new(source(), keys_order.clone())),
+            k,
+        ));
+        for workers in [0, 2] {
+            let got =
+                drain(&mut TopKExec::new(source(), keys_order.clone(), k).with_workers(workers));
+            assert_eq!(got, want, "k {k}, workers {workers}, {keys_order:?}");
+        }
+    }
+}
+
+#[test]
+fn topk_ties_straddling_k_equal_sort_plus_limit() {
+    // Within one batch: ten equal keys, the boundary cuts through them.
+    check_topk_ties(&[5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0], &[12], 0, 4);
+    // Across batches: every batch repeats the boundary key.
+    let keys: Vec<i64> = (0..60).map(|i| [2, 1, 1, 3, 1][i % 5]).collect();
+    for k in [1, 3, 7, 13, 24, 59, 60, 80] {
+        check_topk_ties(&keys, &[7, 3, 11], 4, k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn topk_ties_match_sort_plus_limit(
+        keys in proptest::collection::vec(0i64..4, 0..120),
+        sizes in proptest::collection::vec(1usize..20, 1..5),
+        drop_every in 0usize..5,
+        k in 0usize..30,
+    ) {
+        check_topk_ties(&keys, &sizes, drop_every, k);
+    }
+}
+
+// ---- Frame-of-reference lane widths ----------------------------------------
+//
+// Sealed integers whose range fits 32 bits become `reference + lanes[i]` in
+// the narrowest of u8/u16/u32. Residual widths on both sides of every lane
+// boundary, references from far negative to the ends of i64, and literals
+// below, inside and above the frame must all be invisible in results.
+
+/// Residual widths in bits, and the lane bytes each must seal as (`None`:
+/// past 32 bits, no lane width — the column must not become lanes).
+const LANE_WIDTHS: [(u32, Option<usize>); 7] = [
+    (1, Some(1)),
+    (8, Some(1)),
+    (9, Some(2)),
+    (16, Some(2)),
+    (17, Some(4)),
+    (32, Some(4)),
+    (33, None),
+];
+
+/// The frame's reference for `base` ∈ 0..5: far negative, small negative,
+/// large positive, `i64::MIN`, and the highest frame that fits below
+/// `i64::MAX`.
+fn lane_reference(bits: u32, base: usize) -> i64 {
+    match base {
+        0 => -5_000_000_000,
+        1 => -7,
+        2 => 1_000_000_000,
+        3 => i64::MIN,
+        _ => i64::MAX - ((1i64 << bits) - 1),
+    }
+}
+
+/// Values of exactly `bits` residual bits above `reference`: the first two
+/// rows pin the minimum and the maximum, the rest come from `seeds`, and
+/// every `null_every`-th row after them is NULL (none below 2).
+fn lane_values(bits: u32, reference: i64, seeds: &[u64], null_every: usize) -> Vec<Option<i64>> {
+    let mask = (1u64 << bits) - 1;
+    let residuals = [0, mask].into_iter().chain(seeds.iter().map(|s| s & mask));
+    residuals
+        .enumerate()
+        .map(|(i, r)| {
+            let null = i >= 2 && null_every >= 2 && i % null_every == 0;
+            (!null).then(|| reference.wrapping_add(r as i64))
+        })
+        .collect()
+}
+
+/// The lane bytes of an encoded column, `None` when it is not lanes.
+fn lane_bytes(col: &Column) -> Option<usize> {
+    let (data, _) = col.encoded_parts()?;
+    data.lanes().map(|l| l.lane_bytes())
+}
+
+/// Literals around the frame `[lo, hi]`: below, at both ends, inside and
+/// above, as Int and as Float (a fractional one inside, and ±∞).
+fn frame_literals(lo: i64, hi: i64) -> Vec<Value> {
+    let mid = lo + (hi - lo) / 2;
+    let mut ints = vec![lo, mid, hi];
+    ints.extend(lo.checked_sub(1));
+    ints.extend(lo.checked_sub(1_000_000));
+    ints.extend(hi.checked_add(1));
+    ints.extend(hi.checked_add(1 << 40));
+    let mut out: Vec<Value> = ints.iter().map(|&x| Value::Int(x)).collect();
+    out.extend(ints.iter().map(|&x| Value::Float(x as f64)));
+    out.extend([
+        Value::Float(mid as f64 + 0.5),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+    ]);
+    out
+}
+
+/// Kernel-level checks on one lane column: width, comparisons with and
+/// without a selection against the row-at-a-time reference, hashing, take
+/// and slice against the plain twin.
+fn check_lane_kernels(vals: &[Option<i64>], want_bytes: Option<usize>, keep_mask: &[bool]) {
+    use backbone_query::eval::{eval, refine_selection};
+    let plain = Column::from_opt_i64(vals.to_vec());
+    let enc = plain.int64_encode().expect("int columns encode");
+    assert_eq!(lane_bytes(&enc), want_bytes, "lane width of {vals:?}");
+    let n = vals.len();
+    let schema = Schema::new(vec![
+        Field::nullable("p", DataType::Int64),
+        Field::nullable("e", DataType::Int64),
+    ]);
+    let dense = RecordBatch::try_new(schema, vec![Arc::new(plain.clone()), Arc::new(enc.clone())])
+        .expect("columns match schema");
+    let picked: Vec<u32> = (0..n as u32)
+        .filter(|&i| keep_mask[i as usize % keep_mask.len()])
+        .collect();
+    let selected = dense.with_selection(Arc::new(picked)).expect("in bounds");
+    let lo = vals.iter().flatten().copied().min().expect("pinned rows");
+    let hi = vals.iter().flatten().copied().max().expect("pinned rows");
+    for batch in [&dense, &selected] {
+        let candidates: Vec<u32> = (0..batch.num_rows())
+            .map(|i| batch.base_index(i) as u32)
+            .collect();
+        for literal in frame_literals(lo, hi) {
+            for op in COMPARISONS {
+                let context = format!("e {op} {literal:?} over {} rows", candidates.len());
+                let cell = |i: u32| value_of_int(vals[i as usize]);
+                let want: Vec<u32> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|&i| reference_cmp(&cell(i), op, &literal) == Some(true))
+                    .collect();
+                let expr = Expr::Binary {
+                    left: Box::new(col("e")),
+                    op,
+                    right: Box::new(Expr::Literal(literal.clone())),
+                };
+                let got = refine_selection(&expr, batch).expect("kernel runs");
+                assert_eq!(got.selection().expect("refined"), &want[..], "{context}");
+                let verdicts = eval(&expr, batch).expect("comparison evaluates");
+                for &i in &candidates {
+                    let got = match verdicts.value(i as usize) {
+                        Value::Bool(b) => Some(b),
+                        _ => None,
+                    };
+                    assert_eq!(got, reference_cmp(&cell(i), op, &literal), "{context}: {i}");
+                }
+            }
+        }
+    }
+    let mut h_plain = vec![3u64; n];
+    let mut h_enc = vec![3u64; n];
+    plain.hash_combine(None, &mut h_plain);
+    enc.hash_combine(None, &mut h_enc);
+    assert_eq!(h_plain, h_enc, "hashes");
+    let idx: Vec<usize> = (0..n).rev().step_by(3).collect();
+    let (t_enc, t_plain) = (enc.take(&idx), plain.take(&idx));
+    for k in 0..idx.len() {
+        assert_eq!(t_enc.value(k), t_plain.value(k), "take row {k}");
+    }
+    for (off, len) in [(0, n), (1, n / 2), (n / 3, n - n / 3), (n, 0)] {
+        let s = enc.slice(off, len);
+        assert_eq!(
+            lane_bytes(&s),
+            want_bytes,
+            "slice ({off}, {len}) keeps its lanes"
+        );
+        for i in 0..len {
+            assert_eq!(
+                s.value(i),
+                plain.value(off + i),
+                "slice ({off}, {len}) row {i}"
+            );
+        }
+    }
+}
+
+/// Register (k, v) twice under `<stem>_plain` / `<stem>_enc`, with the enc
+/// twin's `v` sealed as encoded (lanes when the range allows).
+fn register_lane_pair(catalog: &MemCatalog, stem: &str, vals: &[Option<i64>], names: [&str; 2]) {
+    let schema = Schema::new(vec![
+        Field::nullable(names[0], DataType::Int64),
+        Field::nullable(names[1], DataType::Int64),
+    ]);
+    let keys = Column::from_i64((0..vals.len() as i64).map(|i| i % 3).collect());
+    let plain = Column::from_opt_i64(vals.to_vec());
+    let enc = plain.int64_encode().expect("int columns encode");
+    for (suffix, vc) in [("plain", plain), ("enc", enc)] {
+        let batch =
+            RecordBatch::try_new(schema.clone(), vec![Arc::new(keys.clone()), Arc::new(vc)])
+                .expect("columns match schema");
+        let mut table = Table::new(schema.clone());
+        table.push_sealed_batch(batch).expect("sealed batch");
+        catalog.register(format!("{stem}_{suffix}"), table);
+    }
+}
+
+/// Plans over the lane twin against the plain twin: filters, SUM (which may
+/// overflow — then both must fail), AVG/MIN/MAX, the lane column as group
+/// key and as join key (lanes against plain and against lanes), top-k.
+fn check_lane_plans(vals: &[Option<i64>]) {
+    let catalog = MemCatalog::new();
+    register_lane_pair(&catalog, "t", vals, ["k", "v"]);
+    let mut right: Vec<Option<i64>> = vals.to_vec();
+    right.reverse();
+    register_lane_pair(&catalog, "r", &right, ["rk", "rv"]);
+    let scan = |n: &str| LogicalPlan::scan(n, &catalog).expect("registered");
+    let run = |plan: LogicalPlan| {
+        execute(plan, &catalog, &ExecOptions::default()).map(|b| {
+            let mut rows = b.to_rows();
+            rows.sort_by_key(|r| join_key(r));
+            rows
+        })
+    };
+    let lo = vals.iter().flatten().copied().min().expect("pinned rows");
+    let hi = vals.iter().flatten().copied().max().expect("pinned rows");
+    let mid = lo + (hi - lo) / 2;
+    type Make<'a> = Box<dyn Fn(&str) -> LogicalPlan + 'a>;
+    let plans: Vec<(&str, Make)> = vec![
+        (
+            "filter",
+            Box::new(|n| scan(n).filter(col("v").gt_eq(lit(mid)))),
+        ),
+        (
+            "range",
+            Box::new(|n| scan(n).filter(col("v").gt(lit(lo)).and(col("v").lt_eq(lit(mid))))),
+        ),
+        (
+            "aggregates",
+            Box::new(|n| {
+                scan(n).aggregate(
+                    vec![col("k")],
+                    vec![
+                        sum(col("v")).alias("s"),
+                        avg(col("v")).alias("a"),
+                        min(col("v")).alias("lo"),
+                        max(col("v")).alias("hi"),
+                        count(col("v")).alias("n"),
+                    ],
+                )
+            }),
+        ),
+        (
+            "group key",
+            Box::new(|n| scan(n).aggregate(vec![col("v")], vec![count_star().alias("n")])),
+        ),
+        (
+            "topk",
+            Box::new(|n| scan(n).sort(vec![desc(col("v")), asc(col("k"))]).limit(5)),
+        ),
+    ];
+    for (context, make) in &plans {
+        let want = run(make("t_plain"));
+        let got = run(make("t_enc"));
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => assert_rows_match(g, w, context),
+            (Err(_), Err(_)) => {}
+            _ => panic!("{context}: lanes {got:?} vs plain {want:?}"),
+        }
+    }
+    let join = |l: &str, r: &str| {
+        run(scan(l).join(scan(r), vec![("v", "rv")], JoinType::Inner)).expect("join runs")
+    };
+    let want = join("t_plain", "r_plain");
+    for (l, r) in [
+        ("t_enc", "r_enc"),
+        ("t_enc", "r_plain"),
+        ("t_plain", "r_enc"),
+    ] {
+        assert_rows_match(&join(l, r), &want, &format!("join {l} x {r}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn lane_widths_match_plain_and_reference(
+        width in 0usize..LANE_WIDTHS.len(),
+        base in 0usize..5,
+        seeds in proptest::collection::vec(any::<u64>(), 0..60),
+        null_every in 0usize..5,
+        keep_mask in proptest::collection::vec(any::<bool>(), 1..9),
+    ) {
+        let (bits, want_bytes) = LANE_WIDTHS[width];
+        let vals = lane_values(bits, lane_reference(bits, base), &seeds, null_every);
+        check_lane_kernels(&vals, want_bytes, &keep_mask);
+        check_lane_plans(&vals);
+    }
+}
+
+#[test]
+fn lane_widths_survive_checkpoint_and_reopen() {
+    use backbone_core::{Database, DurabilityOptions};
+    let dir = std::env::temp_dir().join(format!("backbone-lanes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::nullable("v", DataType::Int64),
+    ]);
+    let mut expected = Vec::new();
+    {
+        let db = Database::open_with(&dir, DurabilityOptions::default().checkpoint_every(0))
+            .expect("open");
+        for (w, &(bits, _)) in LANE_WIDTHS.iter().enumerate() {
+            let reference = lane_reference(bits, w % 5);
+            let seeds: Vec<u64> = (0..300u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let vals = lane_values(bits, reference, &seeds, 3);
+            let mut table = Table::with_group_size(schema.clone(), 128);
+            for (i, v) in vals.iter().enumerate() {
+                table
+                    .append_row(vec![Value::Int(i as i64), value_of_int(*v)])
+                    .expect("schema matches");
+            }
+            let name = format!("w{bits}");
+            db.register_table(name.as_str(), table).expect("register");
+            let widths = group_lane_widths(&db, &name);
+            expected.push((name, vals, widths));
+        }
+        db.checkpoint().expect("checkpoint");
+    }
+    for opts in [
+        DurabilityOptions::default(),
+        DurabilityOptions::default().paged(16),
+    ] {
+        let db = Database::open_with(&dir, opts).expect("reopen");
+        for (name, vals, widths) in &expected {
+            assert_eq!(&group_lane_widths(&db, name), widths, "{name}: lane widths");
+            let out = db
+                .sql(&format!("SELECT id, v FROM {name} ORDER BY id"))
+                .expect("scan");
+            let got: Vec<Value> = out.to_rows().into_iter().map(|r| r[1].clone()).collect();
+            let want: Vec<Value> = vals.iter().map(|v| value_of_int(*v)).collect();
+            assert_eq!(got, want, "{name}: values");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lane bytes of `v` in each sealed group of `table` (`None`: not lanes).
+fn group_lane_widths(db: &backbone_core::Database, table: &str) -> Vec<Option<usize>> {
+    use backbone_query::Catalog;
+    let t = db.catalog().table(table).expect("registered");
+    (0..t.num_groups())
+        .map(|g| lane_bytes(t.group(g).expect("group loads").batch().column(1)))
+        .collect()
 }

@@ -1,7 +1,7 @@
 //! Property tests for the storage layer: encodings are lossless, batch
 //! operators agree with a naive row model, and zone maps never lie.
 
-use backbone_storage::compress::{BitPackedI64, RleI64};
+use backbone_storage::compress::{EncodedInts, ForLanes, RleI64};
 use backbone_storage::table::ZoneMap;
 use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Table, Value};
 use proptest::prelude::*;
@@ -21,17 +21,40 @@ proptest! {
     }
 
     #[test]
-    fn bitpack_roundtrip(values in proptest::collection::vec(any::<i64>(), 1..300)) {
-        let enc = BitPackedI64::encode(&values);
-        prop_assert_eq!(enc.decode(), values.clone());
-        for (i, &v) in values.iter().enumerate().step_by(5) {
-            prop_assert_eq!(enc.get(i).unwrap(), v);
+    fn for_lanes_roundtrip(
+        base in any::<i64>(),
+        shift in 0u32..34,
+        deltas in proptest::collection::vec(any::<u64>(), 1..300),
+    ) {
+        // Residuals up to 33 bits over any reference: up to 32 bits encode
+        // as lanes of the narrowest width, past that there is no lane.
+        let values: Vec<i64> = deltas
+            .iter()
+            .map(|&d| base.saturating_add((d >> (63 - shift) >> 1) as i64))
+            .collect();
+        let lo = *values.iter().min().unwrap();
+        let hi = *values.iter().max().unwrap();
+        let span = hi.wrapping_sub(lo) as u64;
+        match ForLanes::encode(&values) {
+            Some(enc) => {
+                prop_assert!(span <= u32::MAX as u64);
+                let want = if span <= 0xff { 1 } else if span <= 0xffff { 2 } else { 4 };
+                prop_assert_eq!(enc.lane_bytes(), want);
+                prop_assert_eq!(enc.reference, lo);
+                prop_assert_eq!(enc.decode(), values.clone());
+                for (i, &v) in values.iter().enumerate().step_by(5) {
+                    prop_assert_eq!(enc.get(i), v);
+                }
+                prop_assert_eq!(ForLanes::from_packed(&enc.packed()), Some(enc));
+            }
+            None => prop_assert!(span > u32::MAX as u64),
         }
+        prop_assert_eq!(EncodedInts::encode(&values).decode(), values);
     }
 
     #[test]
-    fn bitpack_small_domain_compresses(values in proptest::collection::vec(0i64..16, 64..256)) {
-        let enc = BitPackedI64::encode(&values);
+    fn for_lanes_small_domain_compresses(values in proptest::collection::vec(0i64..16, 64..256)) {
+        let enc = EncodedInts::encode(&values);
         prop_assert!(enc.byte_size() < values.len() * 8 / 2,
             "expected >2x compression on 4-bit data: {} vs {}", enc.byte_size(), values.len() * 8);
     }
