@@ -7,7 +7,7 @@
 //! transfers; (b) scan-resistant policies (LRU-2, 2Q) beat LRU on the
 //! scan-polluted database mix; (c) Belady bounds everything.
 
-use backbone_kvcache::{
+use backbone_lab::{
     evaluate_policies_observed, generate_db_scan_trace, generate_llm_trace, CostModel,
     LlmTraceConfig,
 };
@@ -17,7 +17,7 @@ use backbone_storage::Metrics;
 pub fn run(
     capacities: &[usize],
     seed: u64,
-) -> Vec<(String, usize, Vec<backbone_kvcache::PolicyResult>)> {
+) -> Vec<(String, usize, Vec<backbone_lab::PolicyResult>)> {
     run_observed(capacities, seed, &Metrics::new())
 }
 
@@ -29,7 +29,7 @@ pub fn run_observed(
     capacities: &[usize],
     seed: u64,
     metrics: &Metrics,
-) -> Vec<(String, usize, Vec<backbone_kvcache::PolicyResult>)> {
+) -> Vec<(String, usize, Vec<backbone_lab::PolicyResult>)> {
     let llm = generate_llm_trace(&LlmTraceConfig {
         sessions: 48,
         turns_per_session: 8,
@@ -93,10 +93,10 @@ pub fn report(capacities: &[usize], seed: u64) -> String {
 /// Extension: prefix-aware pinning on top of generic policies — the
 /// "smarter admission" headroom toward the Belady bound.
 pub fn pinning_report(capacities: &[usize], seed: u64) -> String {
-    use backbone_kvcache::pinning::{hottest_keys, PinnedPolicy};
-    use backbone_kvcache::CostModel;
-    use backbone_storage::cache::CacheSim;
-    use backbone_storage::eviction::PolicyKind;
+    use backbone_lab::cache::CacheSim;
+    use backbone_lab::eviction::PolicyKind;
+    use backbone_lab::pinning::{hottest_keys, PinnedPolicy};
+    use backbone_lab::CostModel;
 
     let trace = generate_llm_trace(&LlmTraceConfig {
         sessions: 48,
@@ -116,7 +116,7 @@ pub fn pinning_report(capacities: &[usize], seed: u64) -> String {
     ));
     for &cap in capacities {
         let pin = hottest_keys(&trace.accesses, cap / 2);
-        let run = |policy: Box<dyn backbone_storage::eviction::Policy>| {
+        let run = |policy: Box<dyn backbone_lab::eviction::Policy>| {
             let mut sim = CacheSim::new(cap, policy);
             let s = sim.run(&trace.accesses);
             s.hit_rate() * 100.0

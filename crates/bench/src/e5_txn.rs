@@ -7,8 +7,9 @@
 //! the ladder, then diminishing marginal gains — the shape behind the
 //! "gazillion" quip.
 
-use backbone_txn::harness::{load_initial, run_workload, WorkloadConfig};
-use backbone_txn::{FsyncPolicy, MvccEngine, SerialEngine, TwoPlEngine, Wal, WalConfig};
+use backbone_lab::harness::{load_initial, run_workload, WorkloadConfig};
+use backbone_lab::{MvccEngine, SerialEngine, TwoPlEngine};
+use backbone_txn::{FsyncPolicy, Wal, WalConfig};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -17,8 +17,8 @@
 //!   queries") is [`hybrid`]; the bolt-on composition it replaces is the
 //!   bench crate's measured baseline;
 //! - substrates: [`backbone_storage`] (columns, compression, buffering),
-//!   [`backbone_vector`], [`backbone_text`], [`backbone_txn`],
-//!   `backbone_kvcache`.
+//!   [`backbone_vector`], [`backbone_text`], [`backbone_txn`]; the
+//!   experiment rigs live in `backbone_lab`, which this crate never uses.
 //!
 //! ## Quickstart
 //!

@@ -6,7 +6,7 @@
 //! themselves.
 
 use crate::eviction::Policy;
-use crate::metrics::{CacheCounters, Metrics};
+use backbone_storage::metrics::{CacheCounters, Metrics};
 use std::collections::HashSet;
 
 /// Hit/miss statistics for a simulated cache.
@@ -79,8 +79,8 @@ impl CacheSim {
         if self.resident.len() >= self.capacity {
             let victim = self
                 .policy
-                .evict(&|_| false)
-                .expect("unpinned cache must always yield a victim");
+                .evict()
+                .expect("a full cache always yields a victim");
             self.resident.remove(&victim);
             self.stats.evictions += 1;
             if let Some(c) = &self.counters {

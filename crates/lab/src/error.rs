@@ -1,6 +1,6 @@
 //! Transaction errors.
 
-use crate::wal::WalError;
+use backbone_txn::wal::WalError;
 use std::fmt;
 
 /// Errors surfaced by transaction engines.

@@ -111,34 +111,25 @@ impl Policy for Arc {
         self.trim_ghosts();
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
-        // REPLACE: evict from T1 when it exceeds the adaptive target.
+    fn evict(&mut self) -> Option<u64> {
+        // REPLACE: evict T1's LRU end into ghost B1 when T1 exceeds the
+        // adaptive target (or T2 is empty), else T2's into B2.
         let prefer_t1 = self.t1.len() > self.p.max(1) || self.t2.is_empty();
-        let try_t1 = |s: &mut Self, pinned: &dyn Fn(u64) -> bool| -> Option<u64> {
-            let pos = s.t1.iter().position(|&k| !pinned(k))?;
-            let key = s.t1.remove(pos).unwrap();
-            s.t1_set.remove(&key);
-            s.b1.push_back(key);
-            s.b1_set.insert(key);
-            Some(key)
-        };
-        let try_t2 = |s: &mut Self, pinned: &dyn Fn(u64) -> bool| -> Option<u64> {
-            let pos = s.t2.iter().position(|&k| !pinned(k))?;
-            let key = s.t2.remove(pos).unwrap();
-            s.t2_set.remove(&key);
-            s.b2.push_back(key);
-            s.b2_set.insert(key);
-            Some(key)
-        };
-        let victim = if prefer_t1 {
-            try_t1(self, pinned).or_else(|| try_t2(self, pinned))
+        let victim = if prefer_t1 && !self.t1.is_empty() {
+            let key = self.t1.pop_front()?;
+            self.t1_set.remove(&key);
+            self.b1.push_back(key);
+            self.b1_set.insert(key);
+            key
         } else {
-            try_t2(self, pinned).or_else(|| try_t1(self, pinned))
+            let key = self.t2.pop_front()?;
+            self.t2_set.remove(&key);
+            self.b2.push_back(key);
+            self.b2_set.insert(key);
+            key
         };
-        if victim.is_some() {
-            self.trim_ghosts();
-        }
-        victim
+        self.trim_ghosts();
+        Some(victim)
     }
 
     fn on_remove(&mut self, key: u64) {
@@ -174,7 +165,7 @@ mod tests {
         let mut p = Arc::new(2);
         p.on_insert(1);
         p.on_insert(2);
-        let v = p.evict(&|_| false).unwrap(); // 1 -> B1
+        let v = p.evict().unwrap(); // 1 -> B1
         assert_eq!(v, 1);
         assert!(p.b1_set.contains(&1));
         let before = p.p;
@@ -193,8 +184,8 @@ mod tests {
             p.on_insert(k);
         }
         // Evict twice: scan pages in T1 (over target) go first.
-        let a = p.evict(&|_| false).unwrap();
-        let b = p.evict(&|_| false).unwrap();
+        let a = p.evict().unwrap();
+        let b = p.evict().unwrap();
         assert!(a != 100 && b != 100, "ARC evicted the hot key");
     }
 
@@ -204,7 +195,7 @@ mod tests {
         for k in 0..200u64 {
             p.on_insert(k);
             if k >= 4 {
-                p.evict(&|_| false);
+                p.evict();
             }
         }
         assert!(p.b1.len() + p.b2.len() <= 2 * 4);

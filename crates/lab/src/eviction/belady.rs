@@ -59,12 +59,11 @@ impl Policy for Belady {
         self.resident.insert(key);
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
+    fn evict(&mut self) -> Option<u64> {
         // Prefer keys never used again, then the farthest next use.
         let victim = self
             .resident
             .iter()
-            .filter(|&&k| !pinned(k))
             .max_by_key(|&&k| match self.next_use(k) {
                 None => (1u8, usize::MAX, k),
                 Some(pos) => (0, pos, k),
@@ -92,7 +91,7 @@ mod tests {
         p.on_insert(1); // consumes pos 0; next use of 1 = pos 3
         p.on_insert(2); // consumes pos 1; next use of 2 = pos 4
                         // Need room for 3: optimal evicts 2 (used at 4) — farther than 1 (at 3).
-        assert_eq!(p.evict(&|_| false), Some(2));
+        assert_eq!(p.evict(), Some(2));
     }
 
     #[test]
@@ -101,16 +100,7 @@ mod tests {
         let mut p = Belady::new(&trace);
         p.on_insert(1);
         p.on_insert(2); // 2 never appears again
-        assert_eq!(p.evict(&|_| false), Some(2));
-    }
-
-    #[test]
-    fn respects_pins() {
-        let trace = [1u64, 2, 3];
-        let mut p = Belady::new(&trace);
-        p.on_insert(1);
-        p.on_insert(2);
-        assert_eq!(p.evict(&|k| k == 2), Some(1));
+        assert_eq!(p.evict(), Some(2));
     }
 
     #[test]

@@ -49,37 +49,25 @@ impl Policy for Clock {
         self.live += 1;
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
+    fn evict(&mut self) -> Option<u64> {
         if self.live == 0 {
             return None;
         }
-        // Bounded sweep: after two full passes every unpinned bit has been
-        // cleared, so a third pass must find a victim unless all are pinned.
-        let mut unpinned_seen = false;
-        for _ in 0..self.ring.len() * 3 {
+        // The first pass clears every set bit it passes, so the hand finds a
+        // clear bit within two passes.
+        loop {
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.ring.len();
-            let Some((key, referenced)) = self.ring[slot] else {
-                continue;
-            };
-            if pinned(key) {
-                continue;
+            match self.ring[slot] {
+                Some((key, true)) => self.ring[slot] = Some((key, false)),
+                Some((key, false)) => {
+                    self.ring[slot] = None;
+                    self.slot_of.remove(&key);
+                    self.live -= 1;
+                    return Some(key);
+                }
+                None => {}
             }
-            unpinned_seen = true;
-            if referenced {
-                self.ring[slot] = Some((key, false));
-            } else {
-                self.ring[slot] = None;
-                self.slot_of.remove(&key);
-                self.live -= 1;
-                return Some(key);
-            }
-        }
-        if unpinned_seen {
-            // Defensive: should be unreachable given the 3-pass bound.
-            None
-        } else {
-            None
         }
     }
 
@@ -102,15 +90,15 @@ mod tests {
         p.on_insert(2);
         p.on_access(1); // 1 gets its reference bit set
                         // Hand starts at 1: bit set -> cleared, move on; 2: bit clear -> victim.
-        assert_eq!(p.evict(&|_| false), Some(2));
+        assert_eq!(p.evict(), Some(2));
         // Now 1's bit was cleared during the sweep.
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
     fn empty_ring() {
         let mut p = Clock::new();
-        assert_eq!(p.evict(&|_| false), None);
+        assert_eq!(p.evict(), None);
     }
 
     #[test]
@@ -121,16 +109,8 @@ mod tests {
         p.on_remove(1);
         p.on_insert(3);
         assert_eq!(p.ring.len(), 2, "hole should be reused, ring must not grow");
-        let mut victims = vec![p.evict(&|_| false).unwrap(), p.evict(&|_| false).unwrap()];
+        let mut victims = vec![p.evict().unwrap(), p.evict().unwrap()];
         victims.sort_unstable();
         assert_eq!(victims, vec![2, 3]);
-    }
-
-    #[test]
-    fn all_pinned_terminates() {
-        let mut p = Clock::new();
-        p.on_insert(1);
-        p.on_insert(2);
-        assert_eq!(p.evict(&|_| true), None);
     }
 }

@@ -29,9 +29,8 @@ impl Policy for Fifo {
         self.queue.push_back(key);
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
-        let pos = self.queue.iter().position(|&k| !pinned(k))?;
-        self.queue.remove(pos)
+    fn evict(&mut self) -> Option<u64> {
+        self.queue.pop_front()
     }
 
     fn on_remove(&mut self, key: u64) {
@@ -53,17 +52,8 @@ mod tests {
         p.on_insert(30);
         // Access does not change FIFO order.
         p.on_access(10);
-        assert_eq!(p.evict(&|_| false), Some(10));
-        assert_eq!(p.evict(&|_| false), Some(20));
-        assert_eq!(p.evict(&|_| false), Some(30));
-    }
-
-    #[test]
-    fn pinned_head_skipped() {
-        let mut p = Fifo::new();
-        p.on_insert(1);
-        p.on_insert(2);
-        assert_eq!(p.evict(&|k| k == 1), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(10));
+        assert_eq!(p.evict(), Some(20));
+        assert_eq!(p.evict(), Some(30));
     }
 }

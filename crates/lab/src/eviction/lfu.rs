@@ -44,15 +44,10 @@ impl Policy for Lfu {
         self.bump(key);
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
-        let victim = self
-            .ordered
-            .iter()
-            .find(|&&(_, _, k)| !pinned(k))
-            .copied()?;
-        self.ordered.remove(&victim);
-        self.state.remove(&victim.2);
-        Some(victim.2)
+    fn evict(&mut self) -> Option<u64> {
+        let (_, _, key) = self.ordered.pop_first()?;
+        self.state.remove(&key);
+        Some(key)
     }
 
     fn on_remove(&mut self, key: u64) {
@@ -75,9 +70,9 @@ mod tests {
         p.on_access(1);
         p.on_access(2);
         p.on_insert(3); // count 1
-        assert_eq!(p.evict(&|_| false), Some(3));
-        assert_eq!(p.evict(&|_| false), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(3));
+        assert_eq!(p.evict(), Some(2));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
@@ -87,7 +82,7 @@ mod tests {
         p.on_insert(2);
         p.on_access(1);
         p.on_access(2); // equal counts; 1's last access older
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
@@ -99,6 +94,6 @@ mod tests {
             p.on_access(1);
         }
         p.on_insert(2);
-        assert_eq!(p.evict(&|_| false), Some(2));
+        assert_eq!(p.evict(), Some(2));
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 /// LRU: evicts the key whose last access is oldest.
 ///
 /// Recency is tracked with a logical clock; `BTreeMap<time, key>` gives
-/// O(log n) victim selection while skipping pinned keys in recency order.
+/// O(log n) victim selection.
 #[derive(Debug, Default)]
 pub struct Lru {
     clock: u64,
@@ -43,13 +43,8 @@ impl Policy for Lru {
         self.touch(key);
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
-        let victim_time = self
-            .by_time
-            .iter()
-            .find(|(_, &k)| !pinned(k))
-            .map(|(&t, _)| t)?;
-        let key = self.by_time.remove(&victim_time).unwrap();
+    fn evict(&mut self) -> Option<u64> {
+        let (_, key) = self.by_time.pop_first()?;
         self.time_of.remove(&key);
         Some(key)
     }
@@ -72,9 +67,9 @@ mod tests {
         p.on_insert(2);
         p.on_insert(3);
         p.on_access(1); // 1 is now most recent
-        assert_eq!(p.evict(&|_| false), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(3));
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(2));
+        assert_eq!(p.evict(), Some(3));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
@@ -87,17 +82,8 @@ mod tests {
             p.on_access(0);
         }
         for expected in [1, 2, 3, 4] {
-            assert_eq!(p.evict(&|_| false), Some(expected));
+            assert_eq!(p.evict(), Some(expected));
         }
-        assert_eq!(p.evict(&|_| false), Some(0));
-    }
-
-    #[test]
-    fn skips_pinned_in_recency_order() {
-        let mut p = Lru::new();
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_insert(3);
-        assert_eq!(p.evict(&|k| k == 1 || k == 2), Some(3));
+        assert_eq!(p.evict(), Some(0));
     }
 }

@@ -61,11 +61,10 @@ impl Policy for LruK {
         self.record(key);
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
+    fn evict(&mut self) -> Option<u64> {
         let victim = self
             .history
             .iter()
-            .filter(|(&k, _)| !pinned(k))
             .min_by_key(|(&k, times)| (self.priority(times), k))
             .map(|(&k, _)| k)?;
         self.history.remove(&victim);
@@ -90,9 +89,9 @@ mod tests {
         p.on_insert(2);
         p.on_insert(3);
         // Despite 2 and 3 being more recent, they lack K accesses: evicted first.
-        assert_eq!(p.evict(&|_| false), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(3));
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(2));
+        assert_eq!(p.evict(), Some(3));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
@@ -104,7 +103,7 @@ mod tests {
         p.on_access(1); // t=3 -> key1 history [1,3]
         p.on_access(2); // t=4 -> key2 history [2,4]
                         // K-th most recent: key1 -> 1, key2 -> 2. Evict key1.
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(1));
     }
 
     #[test]
@@ -113,7 +112,7 @@ mod tests {
         p.on_insert(1);
         p.on_insert(2);
         p.on_access(1);
-        assert_eq!(p.evict(&|_| false), Some(2));
+        assert_eq!(p.evict(), Some(2));
     }
 
     #[test]

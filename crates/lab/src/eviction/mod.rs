@@ -1,10 +1,9 @@
 //! Cache replacement policies.
 //!
-//! Every policy implements [`Policy`] over opaque `u64` keys so the same
-//! implementations drive both the page [`crate::bufferpool::BufferPool`] and
-//! the LLM KV-cache simulator (experiment E4 — the paper's observation that
-//! "the key-value cache of LLMs and its connection to buffering" is classic
-//! database territory).
+//! Every policy implements [`Policy`] over opaque `u64` keys, so one
+//! [`crate::cache::CacheSim`] replays page traces and LLM KV-cache traces
+//! alike (experiment E4 — the paper's observation that "the key-value cache
+//! of LLMs and its connection to buffering" is classic database territory).
 
 mod arc;
 mod belady;
@@ -26,8 +25,8 @@ pub use twoq::TwoQ;
 
 /// A cache replacement policy over opaque `u64` keys.
 ///
-/// The policy tracks metadata only; residency is owned by the caller (buffer
-/// pool or simulator), which guarantees the invariants: `on_insert` is called
+/// The policy tracks metadata only; residency is owned by the caller (the
+/// simulator), which guarantees the invariants: `on_insert` is called
 /// at most once per resident key, `on_access` only for resident keys, and
 /// every key returned by `evict` is removed before being re-inserted.
 pub trait Policy: Send {
@@ -40,11 +39,10 @@ pub trait Policy: Send {
     /// A key became resident (cache miss, after any eviction).
     fn on_insert(&mut self, key: u64);
 
-    /// Choose a victim among resident keys, skipping keys for which `pinned`
-    /// returns true. Returns `None` when every resident key is pinned.
+    /// Choose a victim among resident keys; `None` when nothing is resident.
     ///
     /// The policy must forget the returned key (no separate `on_remove`).
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64>;
+    fn evict(&mut self) -> Option<u64>;
 
     /// A key was removed without eviction (e.g. explicit invalidation).
     fn on_remove(&mut self, key: u64);
@@ -126,20 +124,16 @@ mod tests {
     use super::*;
 
     /// Generic conformance check each policy must satisfy: after inserting
-    /// keys 1..=3 and evicting three times with nothing pinned, each key is
-    /// returned exactly once.
+    /// keys 1..=3 and evicting three times, each key is returned exactly
+    /// once.
     fn check_conformance(mut p: Box<dyn Policy>) {
         for k in 1..=3 {
             p.on_insert(k);
         }
-        let mut got = vec![
-            p.evict(&|_| false).unwrap(),
-            p.evict(&|_| false).unwrap(),
-            p.evict(&|_| false).unwrap(),
-        ];
+        let mut got = vec![p.evict().unwrap(), p.evict().unwrap(), p.evict().unwrap()];
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        assert!(p.evict(&|_| false).is_none());
+        assert!(p.evict().is_none());
     }
 
     #[test]
@@ -152,36 +146,14 @@ mod tests {
     }
 
     #[test]
-    fn pinned_keys_are_skipped() {
-        for kind in PolicyKind::online() {
-            let mut p = kind.build(8, None);
-            p.on_insert(1);
-            p.on_insert(2);
-            let v = p.evict(&|k| k == 1).unwrap();
-            assert_eq!(v, 2, "policy {} must skip pinned key", p.name());
-        }
-    }
-
-    #[test]
-    fn all_pinned_returns_none() {
-        for kind in PolicyKind::online() {
-            let mut p = kind.build(8, None);
-            p.on_insert(1);
-            assert!(p.evict(&|_| true).is_none(), "policy {}", p.name());
-            // Key 1 must still be evictable afterwards.
-            assert_eq!(p.evict(&|_| false), Some(1), "policy {}", p.name());
-        }
-    }
-
-    #[test]
     fn on_remove_forgets_key() {
         for kind in PolicyKind::online() {
             let mut p = kind.build(8, None);
             p.on_insert(1);
             p.on_insert(2);
             p.on_remove(1);
-            assert_eq!(p.evict(&|_| false), Some(2), "policy {}", p.name());
-            assert!(p.evict(&|_| false).is_none(), "policy {}", p.name());
+            assert_eq!(p.evict(), Some(2), "policy {}", p.name());
+            assert!(p.evict().is_none(), "policy {}", p.name());
         }
     }
 

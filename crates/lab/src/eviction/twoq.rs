@@ -95,31 +95,18 @@ impl Policy for TwoQ {
         }
     }
 
-    fn evict(&mut self, pinned: &dyn Fn(u64) -> bool) -> Option<u64> {
-        // Prefer probationers when A1in exceeds its share (or Am is empty).
-        let from_a1in = self.a1in.len() > self.a1in_target || self.am.is_empty();
-        if from_a1in {
-            if let Some(pos) = self.a1in.iter().position(|&k| !pinned(k)) {
-                let key = self.a1in.remove(pos).unwrap();
-                self.a1in_set.remove(&key);
-                self.ghost_insert(key);
-                return Some(key);
-            }
-        }
-        // Evict from Am (LRU end = front).
-        if let Some(pos) = self.am.iter().position(|&k| !pinned(k)) {
-            let key = self.am.remove(pos).unwrap();
-            self.am_set.remove(&key);
-            return Some(key);
-        }
-        // Fall back to A1in if Am had only pinned keys.
-        if let Some(pos) = self.a1in.iter().position(|&k| !pinned(k)) {
-            let key = self.a1in.remove(pos).unwrap();
+    fn evict(&mut self) -> Option<u64> {
+        // Prefer probationers when A1in exceeds its share (or Am is empty);
+        // otherwise take Am's LRU end (the front).
+        if self.a1in.len() > self.a1in_target || self.am.is_empty() {
+            let key = self.a1in.pop_front()?;
             self.a1in_set.remove(&key);
             self.ghost_insert(key);
             return Some(key);
         }
-        None
+        let key = self.am.pop_front()?;
+        self.am_set.remove(&key);
+        Some(key)
     }
 
     fn on_remove(&mut self, key: u64) {
@@ -151,8 +138,8 @@ mod tests {
             p.on_insert(k);
         }
         // A1in (len 4) exceeds target 2: scan keys evicted before the hot key.
-        assert_eq!(p.evict(&|_| false), Some(1));
-        assert_eq!(p.evict(&|_| false), Some(2));
+        assert_eq!(p.evict(), Some(1));
+        assert_eq!(p.evict(), Some(2));
     }
 
     #[test]
@@ -160,18 +147,18 @@ mod tests {
         let mut p = TwoQ::new(4); // a1in_target 1, ghost cap 2
         p.on_insert(1);
         p.on_insert(2); // a1in over target
-        assert_eq!(p.evict(&|_| false), Some(1)); // 1 goes to ghost list
-                                                  // Re-insert 1: ghost hit -> protected Am.
+        assert_eq!(p.evict(), Some(1)); // 1 goes to ghost list
+                                        // Re-insert 1: ghost hit -> protected Am.
         p.on_insert(1);
         p.on_insert(3);
         p.on_insert(4);
         // A1in = [2,3,4] is over its target: probationers drain first.
-        assert_eq!(p.evict(&|_| false), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(3));
+        assert_eq!(p.evict(), Some(2));
+        assert_eq!(p.evict(), Some(3));
         // A1in = [4] is now within target; simplified 2Q then takes Am's LRU
         // end, so the protected key goes before the remaining probationer.
-        assert_eq!(p.evict(&|_| false), Some(1));
-        assert_eq!(p.evict(&|_| false), Some(4));
+        assert_eq!(p.evict(), Some(1));
+        assert_eq!(p.evict(), Some(4));
     }
 
     #[test]
@@ -182,7 +169,7 @@ mod tests {
         p.on_insert(2);
         p.on_access(2); // promote
         p.on_access(1); // 1 most recent in Am
-        assert_eq!(p.evict(&|_| false), Some(2));
-        assert_eq!(p.evict(&|_| false), Some(1));
+        assert_eq!(p.evict(), Some(2));
+        assert_eq!(p.evict(), Some(1));
     }
 }

@@ -3,8 +3,8 @@
 use crate::error::TxnError;
 use crate::ops::{KvEngine, TxnOp};
 use crate::serial::encode_record;
-use crate::snapshot::EpochClock;
-use crate::wal::Wal;
+use backbone_txn::snapshot::EpochClock;
+use backbone_txn::wal::Wal;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;

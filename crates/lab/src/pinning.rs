@@ -6,7 +6,7 @@
 //! only the per-session tail. This is the "smarter admission" headroom the
 //! Belady gap in E4 points at.
 
-use backbone_storage::eviction::{Policy, PolicyKind};
+use crate::eviction::{Policy, PolicyKind};
 use std::collections::HashSet;
 
 /// Wraps a policy so that a fixed set of keys is never evicted.
@@ -54,10 +54,10 @@ impl Policy for PinnedPolicy {
         }
     }
 
-    fn evict(&mut self, pinned_cb: &dyn Fn(u64) -> bool) -> Option<u64> {
+    fn evict(&mut self) -> Option<u64> {
         // The inner policy never learned about pinned keys, so it can only
-        // return unpinned victims; still honour the caller's pins.
-        self.inner.evict(pinned_cb)
+        // return unpinned victims.
+        self.inner.evict()
     }
 
     fn on_remove(&mut self, key: u64) {
@@ -82,9 +82,9 @@ pub fn hottest_keys(trace: &[u64], n: usize) -> HashSet<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSim;
     use crate::sim::CostModel;
     use crate::trace::{generate_llm_trace, LlmTraceConfig};
-    use backbone_storage::cache::CacheSim;
 
     #[test]
     fn pinned_keys_are_never_evicted() {

@@ -2,7 +2,7 @@
 
 use crate::error::TxnError;
 use crate::ops::{KvEngine, TxnOp};
-use crate::wal::Wal;
+use backbone_txn::wal::Wal;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,8 +1,8 @@
 //! Replay traces through eviction policies with an inference cost model.
 
+use crate::cache::CacheSim;
+use crate::eviction::PolicyKind;
 use crate::trace::Trace;
-use backbone_storage::cache::CacheSim;
-use backbone_storage::eviction::PolicyKind;
 use backbone_storage::Metrics;
 
 /// Cost model for a KV-cache access.

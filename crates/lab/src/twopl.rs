@@ -3,7 +3,7 @@
 use crate::error::TxnError;
 use crate::ops::{KvEngine, TxnOp};
 use crate::serial::{apply_ops, encode_record};
-use crate::wal::Wal;
+use backbone_txn::wal::Wal;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,337 +1,167 @@
-//! A pin/unpin page buffer pool with pluggable replacement.
+//! A read-only LRU page cache over a file.
+//!
+//! The pool holds at most `capacity` pages of an immutable file (a published
+//! checkpoint). A fetch hands out an `Arc<Page>`, so a reader keeps its page
+//! alive even after the pool evicts it: eviction never waits on a reader and
+//! never fails, and memory stays bounded by `capacity` plus the pages that
+//! in-flight reads hold.
 
 use crate::disk::DiskManager;
-use crate::error::{Result, StorageError};
-use crate::eviction::{Policy, PolicyKind};
-use crate::metrics::{CacheCounters, Counter, Metrics};
+use crate::error::Result;
+use crate::metrics::{CacheCounters, Metrics};
 use crate::page::{Page, PageId};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Buffer pool statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Fetches served from memory.
-    pub hits: u64,
-    /// Fetches that required a disk read.
-    pub misses: u64,
-    /// Frames evicted.
-    pub evictions: u64,
-    /// Dirty pages written back on eviction or flush.
-    pub writebacks: u64,
+/// Resident pages, in least-recently-used order.
+#[derive(Default)]
+struct Frames {
+    /// Page → (contents, last-use tick).
+    pages: HashMap<PageId, (Arc<Page>, u64)>,
+    /// Last-use tick → page; the first entry is the LRU victim.
+    by_tick: BTreeMap<u64, PageId>,
+    tick: u64,
 }
 
-impl PoolStats {
-    /// Hits / total fetches.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+impl Frames {
+    /// Make `id` (holding `page`) the most recently used frame.
+    fn touch(&mut self, id: PageId, page: Arc<Page>) {
+        self.tick += 1;
+        if let Some((_, old)) = self.pages.insert(id, (page, self.tick)) {
+            self.by_tick.remove(&old);
         }
+        self.by_tick.insert(self.tick, id);
     }
 }
 
-struct Frame {
-    page: Arc<RwLock<Page>>,
-    pins: usize,
-    dirty: bool,
-}
-
-struct PoolState {
-    frames: HashMap<PageId, Frame>,
-    policy: Box<dyn Policy>,
-    stats: PoolStats,
-}
-
-/// A fixed-capacity buffer pool over a [`DiskManager`].
-///
-/// Pages are fetched with [`BufferPool::fetch`], which pins the page until
-/// the returned [`PageGuard`] drops. Eviction respects pins; when every frame
-/// is pinned, `fetch` fails with [`StorageError::PoolExhausted`].
+/// A fixed-capacity LRU cache of the pages of a [`DiskManager`]'s file,
+/// recording `bufferpool.{lookups,hits,misses,evictions}`.
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     capacity: usize,
-    state: Mutex<PoolState>,
+    frames: Mutex<Frames>,
     counters: CacheCounters,
-    writebacks: Counter,
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames using the given replacement policy,
-    /// recording into a private metrics registry.
-    pub fn new(disk: Arc<DiskManager>, capacity: usize, policy: PolicyKind) -> Arc<BufferPool> {
-        BufferPool::with_metrics(disk, capacity, policy, &Metrics::new())
-    }
-
-    /// A pool that records `bufferpool.{lookups,hits,misses,evictions,
-    /// writebacks}` into the given shared registry.
+    /// A pool of `capacity` frames over `disk`, recording into `metrics`.
     pub fn with_metrics(
         disk: Arc<DiskManager>,
         capacity: usize,
-        policy: PolicyKind,
         metrics: &Metrics,
     ) -> Arc<BufferPool> {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         Arc::new(BufferPool {
             disk,
             capacity,
-            state: Mutex::new(PoolState {
-                frames: HashMap::with_capacity(capacity),
-                policy: policy.build(capacity, None),
-                stats: PoolStats::default(),
-            }),
+            frames: Mutex::new(Frames::default()),
             counters: CacheCounters::resolve(metrics, "bufferpool"),
-            writebacks: metrics.counter("bufferpool.writebacks"),
         })
     }
 
-    /// Fetch (and pin) a page.
-    pub fn fetch(self: &Arc<Self>, id: PageId) -> Result<PageGuard> {
-        let mut st = self.state.lock();
-        if let Some(frame) = st.frames.get_mut(&id) {
-            frame.pins += 1;
-            let page = frame.page.clone();
-            st.stats.hits += 1;
+    /// The page `id`, from memory or read from the file. On a miss with
+    /// every frame full, the least recently used page is evicted first.
+    pub fn fetch(&self, id: PageId) -> Result<Arc<Page>> {
+        let mut frames = self.frames.lock();
+        if let Some(page) = frames.pages.get(&id).map(|(page, _)| page.clone()) {
             self.counters.hit();
-            st.policy.on_access(id);
-            return Ok(PageGuard {
-                pool: self.clone(),
-                id,
-                page,
-            });
+            frames.touch(id, page.clone());
+            return Ok(page);
         }
-        st.stats.misses += 1;
         self.counters.miss();
-        if st.frames.len() >= self.capacity {
-            self.evict_one(&mut st)?;
+        // Read under the lock: one reader per page fault keeps the pool a
+        // plain map, and checkpoint reads are sequential scans anyway.
+        let page = Arc::new(self.disk.read(id)?);
+        if frames.pages.len() >= self.capacity {
+            let (_, victim) = frames.by_tick.pop_first().expect("full pool has a victim");
+            frames.pages.remove(&victim);
+            self.counters.evict();
         }
-        // Read outside the policy bookkeeping but under the state lock: the
-        // pool is a teaching/measurement substrate, single-lock simplicity
-        // beats I/O concurrency here.
-        let page = self.disk.read(id)?;
-        let arc = Arc::new(RwLock::new(page));
-        st.frames.insert(
-            id,
-            Frame {
-                page: arc.clone(),
-                pins: 1,
-                dirty: false,
-            },
-        );
-        st.policy.on_insert(id);
-        Ok(PageGuard {
-            pool: self.clone(),
-            id,
-            page: arc,
-        })
-    }
-
-    fn evict_one(&self, st: &mut PoolState) -> Result<()> {
-        // The policy must skip pinned frames.
-        let frames_ref = &st.frames;
-        let victim = st
-            .policy
-            .evict(&|k| frames_ref.get(&k).map(|f| f.pins > 0).unwrap_or(false))
-            .ok_or(StorageError::PoolExhausted)?;
-        let frame = st
-            .frames
-            .remove(&victim)
-            .expect("policy returned non-resident victim");
-        st.stats.evictions += 1;
-        self.counters.evict();
-        if frame.dirty {
-            st.stats.writebacks += 1;
-            self.writebacks.incr();
-            self.disk.write(victim, &frame.page.read())?;
-        }
-        Ok(())
-    }
-
-    fn unpin(&self, id: PageId) {
-        let mut st = self.state.lock();
-        if let Some(frame) = st.frames.get_mut(&id) {
-            debug_assert!(frame.pins > 0, "unpin of unpinned page");
-            frame.pins -= 1;
-        }
-    }
-
-    fn mark_dirty(&self, id: PageId) {
-        let mut st = self.state.lock();
-        if let Some(frame) = st.frames.get_mut(&id) {
-            frame.dirty = true;
-        }
-    }
-
-    /// Write all dirty pages back to disk (keeps them resident).
-    pub fn flush_all(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        let dirty: Vec<PageId> = st
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dirty {
-            let frame = st.frames.get(&id).unwrap();
-            self.disk.write(id, &frame.page.read())?;
-            st.stats.writebacks += 1;
-            self.writebacks.incr();
-            st.frames.get_mut(&id).unwrap().dirty = false;
-        }
-        Ok(())
+        frames.touch(id, page.clone());
+        Ok(page)
     }
 
     /// Number of resident frames.
     pub fn resident(&self) -> usize {
-        self.state.lock().frames.len()
+        self.frames.lock().pages.len()
     }
 
     /// The pool's frame capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> PoolStats {
-        self.state.lock().stats
-    }
-}
-
-/// A pinned page. The page stays resident while any guard is alive.
-pub struct PageGuard {
-    pool: Arc<BufferPool>,
-    id: PageId,
-    page: Arc<RwLock<Page>>,
-}
-
-impl std::fmt::Debug for PageGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PageGuard(page {})", self.id)
-    }
-}
-
-impl PageGuard {
-    /// The page id.
-    pub fn id(&self) -> PageId {
-        self.id
-    }
-
-    /// Read the page contents.
-    pub fn read<R>(&self, f: impl FnOnce(&Page) -> R) -> R {
-        f(&self.page.read())
-    }
-
-    /// Mutate the page contents, marking it dirty.
-    pub fn write<R>(&self, f: impl FnOnce(&mut Page) -> R) -> R {
-        let r = f(&mut self.page.write());
-        self.pool.mark_dirty(self.id);
-        r
-    }
-}
-
-impl Drop for PageGuard {
-    fn drop(&mut self) {
-        self.pool.unpin(self.id);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
 
-    fn setup(capacity: usize, pages: usize) -> (Arc<DiskManager>, Arc<BufferPool>, Vec<PageId>) {
-        let disk = Arc::new(DiskManager::new());
-        let ids: Vec<PageId> = (0..pages).map(|_| disk.allocate()).collect();
-        let pool = BufferPool::new(disk.clone(), capacity, PolicyKind::Lru);
-        (disk, pool, ids)
+    /// A pool over a file of `pages` pages, page `i` filled with byte `i`.
+    /// The file is unlinked once open; the pool's handle keeps it readable.
+    fn setup(capacity: usize, pages: usize, tag: &str) -> (Arc<BufferPool>, Metrics) {
+        let path = std::env::temp_dir().join(format!(
+            "backbone-bufferpool-test-{tag}-{}",
+            std::process::id()
+        ));
+        let bytes: Vec<u8> = (0..pages * PAGE_SIZE)
+            .map(|i| (i / PAGE_SIZE) as u8)
+            .collect();
+        std::fs::write(&path, bytes).unwrap();
+        let disk = Arc::new(DiskManager::open_file(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let metrics = Metrics::new();
+        let pool = BufferPool::with_metrics(disk, capacity, &metrics);
+        (pool, metrics)
     }
 
     #[test]
     fn fetch_hit_and_miss_accounting() {
-        let (_disk, pool, ids) = setup(2, 2);
-        drop(pool.fetch(ids[0]).unwrap());
-        drop(pool.fetch(ids[0]).unwrap());
-        let s = pool.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 1);
+        let (pool, metrics) = setup(2, 2, "accounting");
+        pool.fetch(0).unwrap();
+        pool.fetch(0).unwrap();
+        assert_eq!(metrics.value("bufferpool.misses"), 1);
+        assert_eq!(metrics.value("bufferpool.hits"), 1);
     }
 
     #[test]
     fn eviction_when_full() {
-        let (_disk, pool, ids) = setup(2, 3);
-        drop(pool.fetch(ids[0]).unwrap());
-        drop(pool.fetch(ids[1]).unwrap());
-        drop(pool.fetch(ids[2]).unwrap());
+        let (pool, metrics) = setup(2, 3, "evict");
+        for id in 0..3 {
+            pool.fetch(id).unwrap();
+        }
         assert_eq!(pool.resident(), 2);
-        assert_eq!(pool.stats().evictions, 1);
+        assert_eq!(metrics.value("bufferpool.evictions"), 1);
+        // Page 0 was least recently used, so it went: fetching it misses.
+        pool.fetch(0).unwrap();
+        assert_eq!(metrics.value("bufferpool.misses"), 4);
     }
 
     #[test]
     fn pinned_pages_survive_eviction() {
-        let (_disk, pool, ids) = setup(2, 3);
-        let g0 = pool.fetch(ids[0]).unwrap();
-        drop(pool.fetch(ids[1]).unwrap());
-        drop(pool.fetch(ids[2]).unwrap()); // must evict ids[1], not pinned ids[0]
-        assert!(pool.fetch(ids[0]).map(|g| g.id()).unwrap() == ids[0]);
-        // ids[0] stayed resident: fetching it again was a hit.
-        assert!(pool.stats().hits >= 1);
-        drop(g0);
-    }
-
-    #[test]
-    fn pool_exhausted_when_all_pinned() {
-        let (_disk, pool, ids) = setup(2, 3);
-        let _g0 = pool.fetch(ids[0]).unwrap();
-        let _g1 = pool.fetch(ids[1]).unwrap();
-        let err = pool.fetch(ids[2]).unwrap_err();
-        assert_eq!(err, StorageError::PoolExhausted);
-    }
-
-    #[test]
-    fn dirty_pages_written_back_on_eviction() {
-        let (disk, pool, ids) = setup(1, 2);
-        {
-            let g = pool.fetch(ids[0]).unwrap();
-            g.write(|p| {
-                p.write_at(0, b"dirty");
-            });
-        }
-        drop(pool.fetch(ids[1]).unwrap()); // evicts ids[0], forcing writeback
-        assert_eq!(pool.stats().writebacks, 1);
-        let p = disk.read(ids[0]).unwrap();
-        assert_eq!(p.read_at(0, 5), b"dirty");
-    }
-
-    #[test]
-    fn flush_all_persists_without_eviction() {
-        let (disk, pool, ids) = setup(4, 1);
-        {
-            let g = pool.fetch(ids[0]).unwrap();
-            g.write(|p| {
-                p.write_at(0, b"keep");
-            });
-        }
-        pool.flush_all().unwrap();
+        // A reader holding a page keeps reading it after the pool evicts
+        // it, and holding it never blocks the pool from admitting others.
+        let (pool, metrics) = setup(1, 3, "held");
+        let held = pool.fetch(0).unwrap();
+        let other = pool.fetch(1).unwrap();
+        pool.fetch(2).unwrap();
         assert_eq!(pool.resident(), 1);
-        assert_eq!(disk.read(ids[0]).unwrap().read_at(0, 4), b"keep");
+        assert_eq!(metrics.value("bufferpool.evictions"), 2);
+        assert_eq!(held.read_at(0, 4), [0; 4]);
+        assert_eq!(other.read_at(PAGE_SIZE - 4, 4), [1; 4]);
     }
 
     #[test]
     fn shared_registry_mirrors_pool_stats() {
-        let disk = Arc::new(DiskManager::new());
-        let ids: Vec<PageId> = (0..3).map(|_| disk.allocate()).collect();
-        let metrics = Metrics::new();
-        let pool = BufferPool::with_metrics(disk, 2, PolicyKind::Lru, &metrics);
-        for &id in ids.iter().chain(ids.iter()) {
-            drop(pool.fetch(id).unwrap());
+        let (pool, metrics) = setup(2, 3, "registry");
+        for id in (0..3).chain(0..3) {
+            pool.fetch(id).unwrap();
         }
-        let s = pool.stats();
-        assert_eq!(metrics.value("bufferpool.hits"), s.hits);
-        assert_eq!(metrics.value("bufferpool.misses"), s.misses);
-        assert_eq!(metrics.value("bufferpool.evictions"), s.evictions);
+        // LRU over a loop one larger than the pool never hits.
+        assert_eq!(metrics.value("bufferpool.hits"), 0);
+        assert_eq!(metrics.value("bufferpool.misses"), 6);
+        assert_eq!(metrics.value("bufferpool.evictions"), 4);
         assert_eq!(
             metrics.value("bufferpool.lookups"),
             metrics.value("bufferpool.hits") + metrics.value("bufferpool.misses"),
@@ -342,14 +172,14 @@ mod tests {
     fn hit_rate_improves_with_capacity() {
         // The zero→aha demonstration of buffering: same trace, bigger pool,
         // fewer disk reads.
-        let trace: Vec<usize> = (0..200).map(|i| i % 8).collect();
+        let trace: Vec<u64> = (0..200).map(|i| i % 8).collect();
         let mut rates = Vec::new();
         for cap in [2usize, 4, 8] {
-            let (_disk, pool, ids) = setup(cap, 8);
-            for &i in &trace {
-                drop(pool.fetch(ids[i]).unwrap());
+            let (pool, metrics) = setup(cap, 8, &format!("rate{cap}"));
+            for &id in &trace {
+                pool.fetch(id).unwrap();
             }
-            rates.push(pool.stats().hit_rate());
+            rates.push(metrics.value("bufferpool.hits") as f64 / trace.len() as f64);
         }
         assert!(
             rates[0] < rates[2],

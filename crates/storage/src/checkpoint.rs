@@ -310,7 +310,7 @@ pub fn write_checkpoint(path: &Path, lsn: u64, tables: &[(&str, &Table)]) -> Res
             let batch = g.batch();
             let rows = batch.num_rows();
             // Group directory: row count + per-column zones + payload length,
-            // so a paged reader can skip payloads it never needs to pin.
+            // so a paged reader can skip payloads it never needs to read.
             codec::put_u64(&mut body, rows as u64);
             for i in 0..batch.columns().len() {
                 put_zone(&mut body, g.zone(i));
@@ -474,7 +474,6 @@ pub fn open_checkpoint_paged(
 ) -> Result<Option<CheckpointData>> {
     use crate::bufferpool::BufferPool;
     use crate::disk::DiskManager;
-    use crate::eviction::PolicyKind;
     use crate::page::PAGE_SIZE;
 
     if !path.exists() {
@@ -485,11 +484,11 @@ pub fn open_checkpoint_paged(
     if len < 4 {
         return Err(StorageError::Corrupt("checkpoint shorter than CRC".into()));
     }
-    let pool = BufferPool::with_metrics(disk, pool_pages.max(2), PolicyKind::Lru, metrics);
+    let pool = BufferPool::with_metrics(disk, pool_pages.max(2), metrics);
     let pager = Arc::new(PagedFile::new(pool, len));
     let body_len = len - 4;
 
-    // Pass 1: whole-file checksum, one pinned page at a time.
+    // Pass 1: whole-file checksum, one page at a time.
     let mut crc = codec::Crc32::new();
     let mut pos = 0u64;
     while pos < body_len {

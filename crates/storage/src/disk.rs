@@ -1,12 +1,8 @@
-//! A page store: the "disk" under the buffer pool.
+//! Page reads from an immutable file: the "disk" under the buffer pool.
 //!
-//! Two backings share one interface: an in-memory vector of pages (the
-//! laptop-scale default — see DESIGN.md) and a read-only file view that
-//! maps page `id` to byte offset `id * PAGE_SIZE`, which is how checkpoint
-//! files stream through the buffer pool without being loaded whole. Both
-//! count physical reads/writes and can inject a configurable per-access
-//! latency so buffer-pool experiments expose realistic hit/miss cost
-//! asymmetry.
+//! [`DiskManager`] maps page `id` to the `PAGE_SIZE` bytes at offset
+//! `id * PAGE_SIZE`, which is how a published checkpoint file streams
+//! through the pool without being loaded whole.
 
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, PAGE_SIZE};
@@ -14,61 +10,17 @@ use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// I/O statistics for a page store.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Pages read from the store.
-    pub reads: u64,
-    /// Pages written to the store.
-    pub writes: u64,
-    /// Pages allocated.
-    pub allocations: u64,
-}
-
-/// Where the pages live.
-#[derive(Debug)]
-enum Backing {
-    /// Growable in-memory store; pages are allocated explicitly.
-    Mem(Mutex<Vec<Page>>),
-    /// Read-only view of a file: page `id` is the `PAGE_SIZE` slice at
-    /// offset `id * PAGE_SIZE`, zero-padded past end-of-file. Writes and
-    /// allocation are rejected — checkpoint files are immutable once
-    /// published.
-    File { file: Mutex<File>, len: u64 },
-}
-
-/// A page store with I/O accounting.
+/// A read-only page view of a file. The final partial page (if the file
+/// length is not a multiple of [`PAGE_SIZE`]) reads back zero-padded.
 #[derive(Debug)]
 pub struct DiskManager {
-    backing: Backing,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    /// Simulated per-access latency; zero by default.
-    latency: std::time::Duration,
+    file: Mutex<File>,
+    len: u64,
 }
 
 impl DiskManager {
-    /// An empty in-memory store with no simulated latency.
-    pub fn new() -> DiskManager {
-        DiskManager::with_latency(std::time::Duration::ZERO)
-    }
-
-    /// An empty in-memory store that sleeps `latency` on every read/write,
-    /// emulating a slow device for buffer-pool benchmarks.
-    pub fn with_latency(latency: std::time::Duration) -> DiskManager {
-        DiskManager {
-            backing: Backing::Mem(Mutex::new(Vec::new())),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            latency,
-        }
-    }
-
-    /// A read-only page view of the file at `path`. The final partial page
-    /// (if the file length is not a multiple of [`PAGE_SIZE`]) reads back
-    /// zero-padded.
+    /// Open the file at `path` for page reads.
     pub fn open_file(path: impl AsRef<Path>) -> Result<DiskManager> {
         let file = File::open(path.as_ref()).map_err(|e| StorageError::Io(e.to_string()))?;
         let len = file
@@ -76,115 +28,31 @@ impl DiskManager {
             .map_err(|e| StorageError::Io(e.to_string()))?
             .len();
         Ok(DiskManager {
-            backing: Backing::File {
-                file: Mutex::new(file),
-                len,
-            },
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            latency: std::time::Duration::ZERO,
+            file: Mutex::new(file),
+            len,
         })
     }
 
-    /// Length in bytes of the backing store (file length for file-backed
-    /// stores, `num_pages * PAGE_SIZE` for in-memory ones).
+    /// Length of the file in bytes.
     pub fn len_bytes(&self) -> u64 {
-        match &self.backing {
-            Backing::Mem(pages) => (pages.lock().len() * PAGE_SIZE) as u64,
-            Backing::File { len, .. } => *len,
-        }
+        self.len
     }
 
-    /// Allocate a fresh zeroed page, returning its id. Errors on read-only
-    /// file-backed stores.
-    pub fn allocate(&self) -> PageId {
-        match &self.backing {
-            Backing::Mem(pages) => {
-                let mut pages = pages.lock();
-                pages.push(Page::zeroed());
-                (pages.len() - 1) as PageId
-            }
-            Backing::File { .. } => {
-                unreachable!("allocate on a read-only file-backed page store")
-            }
-        }
-    }
-
-    /// Number of pages addressable in the store.
-    pub fn num_pages(&self) -> usize {
-        match &self.backing {
-            Backing::Mem(pages) => pages.lock().len(),
-            Backing::File { len, .. } => (*len as usize).div_ceil(PAGE_SIZE),
-        }
-    }
-
-    /// Read a page by id.
+    /// Read a page by id; a page past the end of the file is
+    /// [`StorageError::PageNotFound`].
     pub fn read(&self, id: PageId) -> Result<Page> {
-        self.simulate_latency();
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        match &self.backing {
-            Backing::Mem(pages) => {
-                let pages = pages.lock();
-                pages
-                    .get(id as usize)
-                    .cloned()
-                    .ok_or(StorageError::PageNotFound(id))
-            }
-            Backing::File { file, len } => {
-                let offset = id * PAGE_SIZE as u64;
-                if offset >= *len {
-                    return Err(StorageError::PageNotFound(id));
-                }
-                let want = (*len - offset).min(PAGE_SIZE as u64) as usize;
-                let mut page = Page::zeroed();
-                let mut f = file.lock();
-                f.seek(SeekFrom::Start(offset))
-                    .map_err(|e| StorageError::Io(e.to_string()))?;
-                f.read_exact(&mut page.bytes_mut()[..want])
-                    .map_err(|e| StorageError::Io(e.to_string()))?;
-                Ok(page)
-            }
+        let offset = id * PAGE_SIZE as u64;
+        if offset >= self.len {
+            return Err(StorageError::PageNotFound(id));
         }
-    }
-
-    /// Write a page by id. Errors on read-only file-backed stores.
-    pub fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        self.simulate_latency();
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        match &self.backing {
-            Backing::Mem(pages) => {
-                let mut pages = pages.lock();
-                let slot = pages
-                    .get_mut(id as usize)
-                    .ok_or(StorageError::PageNotFound(id))?;
-                *slot = page.clone();
-                Ok(())
-            }
-            Backing::File { .. } => Err(StorageError::Corrupt(
-                "write to a read-only file-backed page store".into(),
-            )),
-        }
-    }
-
-    /// Current I/O statistics.
-    pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            allocations: self.num_pages() as u64,
-        }
-    }
-
-    fn simulate_latency(&self) {
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-    }
-}
-
-impl Default for DiskManager {
-    fn default() -> Self {
-        DiskManager::new()
+        let want = (self.len - offset).min(PAGE_SIZE as u64) as usize;
+        let mut page = Page::zeroed();
+        let mut f = self.file.lock();
+        f.seek(SeekFrom::Start(offset))
+            .map_err(|e| StorageError::Io(e.to_string()))?;
+        f.read_exact(&mut page.bytes_mut()[..want])
+            .map_err(|e| StorageError::Io(e.to_string()))?;
+        Ok(page)
     }
 }
 
@@ -193,34 +61,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocate_read_write() {
-        let disk = DiskManager::new();
-        let id = disk.allocate();
-        let mut p = Page::zeroed();
-        p.write_at(0, b"data");
-        disk.write(id, &p).unwrap();
-        let back = disk.read(id).unwrap();
-        assert_eq!(back.read_at(0, 4), b"data");
-    }
-
-    #[test]
     fn missing_page_errors() {
-        let disk = DiskManager::new();
+        let path = std::env::temp_dir().join(format!("backbone-disk-empty-{}", std::process::id()));
+        std::fs::write(&path, b"").unwrap();
+        let disk = DiskManager::open_file(&path).unwrap();
+        assert!(matches!(disk.read(0), Err(StorageError::PageNotFound(0))));
         assert!(matches!(disk.read(9), Err(StorageError::PageNotFound(9))));
-        assert!(disk.write(9, &Page::zeroed()).is_err());
-    }
-
-    #[test]
-    fn stats_count_io() {
-        let disk = DiskManager::new();
-        let id = disk.allocate();
-        disk.write(id, &Page::zeroed()).unwrap();
-        disk.read(id).unwrap();
-        disk.read(id).unwrap();
-        let s = disk.stats();
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.allocations, 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -235,15 +82,13 @@ mod tests {
 
         let disk = DiskManager::open_file(&path).unwrap();
         assert_eq!(disk.len_bytes(), (PAGE_SIZE + 10) as u64);
-        assert_eq!(disk.num_pages(), 2);
         assert_eq!(disk.read(0).unwrap().read_at(0, 4), [0xAB; 4]);
         let tail = disk.read(1).unwrap();
         assert_eq!(tail.read_at(0, 10), [0xCD; 10]);
         // Past end-of-file within the last page is zero-padded.
         assert_eq!(tail.read_at(10, 4), [0u8; 4]);
-        // Past the last page is an error; writes are rejected.
+        // Past the last page is an error.
         assert!(matches!(disk.read(2), Err(StorageError::PageNotFound(2))));
-        assert!(disk.write(0, &Page::zeroed()).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }

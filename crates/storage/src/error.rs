@@ -23,9 +23,7 @@ pub enum StorageError {
         /// The container length.
         len: usize,
     },
-    /// The buffer pool has no evictable frame left.
-    PoolExhausted,
-    /// A page id that was never allocated.
+    /// A page id past the end of the file.
     PageNotFound(u64),
     /// Corrupt or undecodable encoded data.
     Corrupt(String),
@@ -44,7 +42,6 @@ impl fmt::Display for StorageError {
             StorageError::OutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for length {len}")
             }
-            StorageError::PoolExhausted => write!(f, "buffer pool exhausted: all frames pinned"),
             StorageError::PageNotFound(id) => write!(f, "page {id} not found"),
             StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),

@@ -10,31 +10,26 @@
 //! - [`schema`]: field and schema descriptors,
 //! - [`batch`]: record batches (the unit of vectorized execution),
 //! - [`table`]: row-grouped tables with zone-map pruning statistics,
-//! - [`compress`]: lightweight column encodings (RLE, dictionary, bit-packing),
-//! - [`page`] / [`disk`]: fixed-size pages and a page store,
-//! - [`eviction`]: pluggable cache replacement policies (LRU, LRU-K, CLOCK,
-//!   LFU, 2Q, FIFO, and a Belady oracle),
-//! - [`cache`]: a policy-driven cache simulator shared with the LLM KV-cache
-//!   study (experiment E4),
-//! - [`bufferpool`]: a pin/unpin page buffer pool over the page store,
+//! - [`compress`]: lightweight column encodings (RLE, dictionary,
+//!   frame-of-reference lanes),
+//! - [`page`] / [`disk`]: fixed-size pages read from an immutable file,
+//! - [`bufferpool`]: a read-only LRU cache of those pages,
 //! - [`pager`]: byte-range reads over a page file served through the pool
 //!   (how checkpoint row groups stream without whole-file materialization),
 //! - [`codec`] / [`checkpoint`]: checksummed byte encodings and atomic
 //!   table snapshots for the durability subsystem,
 //! - [`metrics`]: the engine-wide [`metrics::Metrics`] counter registry that
-//!   the buffer pool, cache simulator, query operators, and the `Database`
-//!   facade all record into.
+//!   the buffer pool, query operators, and the `Database` facade all record
+//!   into.
 
 pub mod batch;
 pub mod bufferpool;
-pub mod cache;
 pub mod checkpoint;
 pub mod codec;
 pub mod column;
 pub mod compress;
 pub mod disk;
 pub mod error;
-pub mod eviction;
 pub mod metrics;
 pub mod page;
 pub mod pager;

@@ -7,7 +7,6 @@ pub const PAGE_SIZE: usize = 4096;
 pub type PageId = u64;
 
 /// A fixed-size page of bytes.
-#[derive(Clone)]
 pub struct Page {
     data: Box<[u8; PAGE_SIZE]>,
 }
@@ -20,25 +19,9 @@ impl Page {
         }
     }
 
-    /// Borrow the page bytes.
-    pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
-        &self.data
-    }
-
     /// Mutably borrow the page bytes.
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.data
-    }
-
-    /// Write `src` at `offset`, truncating at the page boundary. Returns the
-    /// number of bytes written.
-    pub fn write_at(&mut self, offset: usize, src: &[u8]) -> usize {
-        if offset >= PAGE_SIZE {
-            return 0;
-        }
-        let n = src.len().min(PAGE_SIZE - offset);
-        self.data[offset..offset + n].copy_from_slice(&src[..n]);
-        n
     }
 
     /// Read `len` bytes at `offset`, truncated at the page boundary.
@@ -48,12 +31,6 @@ impl Page {
         }
         let n = len.min(PAGE_SIZE - offset);
         &self.data[offset..offset + n]
-    }
-}
-
-impl Default for Page {
-    fn default() -> Self {
-        Page::zeroed()
     }
 }
 
@@ -70,22 +47,20 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut p = Page::zeroed();
-        assert_eq!(p.write_at(10, b"hello"), 5);
+        p.bytes_mut()[10..15].copy_from_slice(b"hello");
         assert_eq!(p.read_at(10, 5), b"hello");
     }
 
     #[test]
-    fn write_truncates_at_boundary() {
+    fn read_truncates_at_boundary() {
         let mut p = Page::zeroed();
-        let n = p.write_at(PAGE_SIZE - 3, b"abcdef");
-        assert_eq!(n, 3);
+        p.bytes_mut()[PAGE_SIZE - 3..].copy_from_slice(b"abc");
         assert_eq!(p.read_at(PAGE_SIZE - 3, 10), b"abc");
     }
 
     #[test]
-    fn write_past_end_is_noop() {
-        let mut p = Page::zeroed();
-        assert_eq!(p.write_at(PAGE_SIZE, b"x"), 0);
+    fn read_past_end_is_empty() {
+        let p = Page::zeroed();
         assert_eq!(p.read_at(PAGE_SIZE, 1), b"");
     }
 }

@@ -1,46 +1,24 @@
 //! # backbone-txn
 //!
-//! OLTP substrate for experiment E5 — Dittrich's quip that *"the best
-//! (database) minds of my generation are thinking about how to increase
-//! transaction throughput from one gazillion TAs/sec to 2 gazillion"*.
+//! The transaction substrate `Database` runs on:
 //!
-//! The crate implements a ladder of transaction engines over the same
-//! key-value store so the throughput gain of each classic optimization can
-//! be measured in isolation:
-//!
-//! 1. [`serial::SerialEngine`] — one global lock, the 1970s baseline;
-//! 2. [`twopl::TwoPlEngine`] — strict two-phase locking on striped locks;
-//! 3. [`mvcc::MvccEngine`] — multi-version snapshot isolation
-//!    (first-committer-wins write-conflict detection);
-//! 4. any engine + [`wal::Wal`] group commit — amortized fsync.
-//!
-//! [`harness`] drives them with a contended multi-threaded workload.
-//!
-//! The WAL is the durable backbone of the whole engine, not just the E5
-//! ladder: it appends length-prefixed, CRC-32-checksummed records to a
-//! pluggable [`wal::LogDevice`] (in-memory for benchmarks, a real file for
-//! persistence, or the deterministic crash-injecting [`fault::FaultFile`]),
-//! and [`wal::Wal::replay`] recovers a torn or corrupt tail by truncating at
-//! the last valid record instead of panicking.
+//! - [`wal`]: the write-ahead log. It appends length-prefixed,
+//!   CRC-32-checksummed records to a pluggable [`wal::LogDevice`] (in-memory
+//!   for benchmarks, a real file for persistence), batches fsyncs under
+//!   group commit, and [`wal::Wal::replay`] recovers a torn or corrupt tail
+//!   by truncating at the last valid record instead of panicking;
+//! - [`snapshot`]: the epoch clock. Commits reserve and publish epochs,
+//!   readers pin a [`SnapshotGuard`] and see a stable committed prefix
+//!   without blocking a writer;
+//! - [`fault`]: [`fault::FaultFile`], a deterministic crash-injecting log
+//!   device for recovery tests.
 
-pub mod error;
 pub mod fault;
-pub mod harness;
-pub mod mvcc;
-pub mod ops;
-pub mod serial;
 pub mod snapshot;
-pub mod twopl;
 pub mod wal;
 
-pub use error::TxnError;
 pub use fault::{FaultFile, FaultKind, FaultPlan};
-pub use harness::{run_workload, WorkloadConfig, WorkloadReport};
-pub use mvcc::MvccEngine;
-pub use ops::{KvEngine, TxnOp};
-pub use serial::SerialEngine;
 pub use snapshot::{EpochClock, SnapshotGuard};
-pub use twopl::TwoPlEngine;
 pub use wal::{
     FileDevice, FsyncPolicy, LogDevice, MemDevice, Replay, Wal, WalConfig, WalError, WalRecord,
 };

@@ -3,8 +3,9 @@
 //! [`EpochClock`] is the shared commit clock extracted from the MVCC engine
 //! so that both worlds use one mechanism:
 //!
-//! - [`crate::mvcc::MvccEngine`] allocates commit timestamps from it and
-//!   consults its horizon for version GC;
+//! - the E5 key-value MVCC engine (`backbone_lab::mvcc::MvccEngine`)
+//!   allocates commit timestamps from it and consults its horizon for
+//!   version GC;
 //! - the relational facade (`backbone_core::Database`) stamps every insert
 //!   with an epoch and lets queries pin a [`SnapshotGuard`] so scans read a
 //!   stable prefix of each table without ever blocking a writer.

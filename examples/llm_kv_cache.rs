@@ -9,7 +9,7 @@
 //! cargo run --example llm_kv_cache
 //! ```
 
-use backbone_kvcache::{evaluate_policies, generate_llm_trace, CostModel, LlmTraceConfig};
+use backbone_lab::{evaluate_policies, generate_llm_trace, CostModel, LlmTraceConfig};
 
 fn main() {
     let config = LlmTraceConfig {

@@ -17,12 +17,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# The experiment rigs live in backbone-lab; no engine crate may depend on it.
+echo "== product crates do not depend on the lab crate =="
+for product in backbone-server backbone-core; do
+  deps="$(cargo tree -e normal -p "$product")"
+  if grep -q "backbone-lab" <<<"$deps"; then
+    echo "$product depends on backbone-lab"; exit 1
+  fi
+done
+
 echo "== cargo test -q =="
 cargo test --workspace -q
 
 echo "== fault-injection / crash-recovery suite =="
 cargo test -q -p backbone-txn fault
 cargo test -q -p backbone-bench --test recovery
+
+# Replacement policies, cache simulator, KV-cache study and the KV
+# transaction ladder, with their property and isolation suites.
+echo "== lab crate (E4/E5 substrates) =="
+cargo test -q -p backbone-lab
 
 echo "== kernel equivalence property suite =="
 cargo test -q -p backbone-bench --test kernel_equivalence
@@ -68,6 +82,11 @@ echo "$out"
 # file-backed group-commit rung.
 echo "$out" | grep -q "fsyncs" || { echo "repro e5: missing fsyncs column"; exit 1; }
 echo "$out" | grep -q "MVCC+grp+file" || { echo "repro e5: missing file-backed WAL rung"; exit 1; }
+out="$(cargo run -q --release -p backbone-bench --bin repro -- e4 --quick)"
+echo "$out"
+# The policy table must keep its Belady bound and the pinning extension.
+echo "$out" | grep -q "BELADY" || { echo "repro e4: missing Belady row"; exit 1; }
+echo "$out" | grep -q "LRU+pin" || { echo "repro e4: missing pinning table"; exit 1; }
 
 echo "== perf smoke (quick) =="
 out="$(cargo run -q --release -p backbone-bench --bin repro -- e8 --quick)"

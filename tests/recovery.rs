@@ -625,6 +625,44 @@ fn paged_reopen_streams_groups_through_the_pool() {
 }
 
 #[test]
+fn paged_reads_succeed_with_more_concurrent_readers_than_frames() {
+    let dir = scratch_dir("paged-concurrent");
+    {
+        let db =
+            Database::open_with(&dir, DurabilityOptions::default().checkpoint_every(0)).unwrap();
+        let mut table = Table::with_group_size(events_schema(), 1024);
+        for i in 0..20_000 {
+            table.append_row(event_row(i)).unwrap();
+        }
+        db.register_table("events", table).unwrap();
+        db.checkpoint().unwrap();
+    }
+    // A two-frame pool and four concurrent readers: no reader may fail
+    // because the other readers hold pages.
+    let db = Database::open_with(&dir, DurabilityOptions::default().paged(2)).unwrap();
+    assert!(db.metrics().value("storage.pager.paged_groups") > 0);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let session = db.session();
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for i in 0..50 {
+                    // A distinct statement each time, so every query reads
+                    // the paged groups instead of the result cache.
+                    let sql = format!("SELECT count(*) FROM events WHERE note <> 'none-{t}-{i}'");
+                    let out = session.sql(&sql).unwrap();
+                    assert_eq!(out.row(0)[0], Value::Int(20_000));
+                }
+            });
+        }
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sql_sees_recovered_state() {
     let dir = scratch_dir("sql-after-recovery");
     {

@@ -1,11 +1,37 @@
 //! Property tests for the storage layer: encodings are lossless, batch
 //! operators agree with a naive row model, and zone maps never lie.
 
+use backbone_lab::cache::CacheSim;
+use backbone_lab::eviction::PolicyKind;
+use backbone_storage::bufferpool::BufferPool;
 use backbone_storage::compress::{EncodedInts, ForLanes, RleI64};
+use backbone_storage::disk::DiskManager;
+use backbone_storage::page::PAGE_SIZE;
 use backbone_storage::table::ZoneMap;
-use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Table, Value};
+use backbone_storage::{Column, DataType, Field, Metrics, RecordBatch, Schema, Table, Value};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The bytes of a `pages`-page file whose every page differs.
+fn page_file_bytes(pages: usize) -> Vec<u8> {
+    (0..pages * PAGE_SIZE).map(|i| (i % 251) as u8).collect()
+}
+
+/// A pool of `capacity` frames over a fresh file holding `bytes`. The file
+/// is unlinked once open; the pool's handle keeps it readable.
+fn file_pool(bytes: &[u8], capacity: usize, metrics: &Metrics) -> Arc<BufferPool> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "backbone-storage-properties-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let disk = Arc::new(DiskManager::open_file(&path).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    BufferPool::with_metrics(disk, capacity, metrics)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -142,47 +168,52 @@ proptest! {
         prop_assert_eq!(got, rows);
     }
 
-    /// An all-pinned pool fails `fetch` with the typed
-    /// [`StorageError::PoolExhausted`] — never a panic or a busy loop — and
-    /// recovers as soon as any single pin drops, under every online policy.
+    /// For any trace and capacity, the pool never holds more than its
+    /// capacity and every fetch returns the file's page — also while the
+    /// caller keeps earlier pages alive past their eviction.
     #[test]
-    fn pool_exhaustion_is_typed_and_recoverable(
-        cap in 1usize..6,
-        extra in 1usize..4,
-        policy_idx in 0usize..7,
+    fn pool_stays_bounded_and_serves_file_pages(
+        trace in proptest::collection::vec(0u64..12, 1..200),
+        capacity in 1usize..6,
+        hold in 0usize..8,
     ) {
-        use backbone_storage::bufferpool::BufferPool;
-        use backbone_storage::disk::DiskManager;
-        use backbone_storage::eviction::PolicyKind;
-        use backbone_storage::StorageError;
-
-        let policy = [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::LruK,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::TwoQ,
-            PolicyKind::Arc,
-        ][policy_idx];
-        let disk = Arc::new(DiskManager::new());
-        let ids: Vec<_> = (0..cap + extra).map(|_| disk.allocate()).collect();
-        let pool = BufferPool::new(disk, cap, policy);
-
-        // Pin every frame.
-        let mut guards: Vec<_> = ids[..cap].iter().map(|&id| pool.fetch(id).unwrap()).collect();
-        // Any further page faults must fail with the typed error, repeatably.
-        for &id in &ids[cap..] {
-            for _ in 0..2 {
-                prop_assert_eq!(pool.fetch(id).unwrap_err(), StorageError::PoolExhausted);
+        let bytes = page_file_bytes(12);
+        let pool = file_pool(&bytes, capacity, &Metrics::new());
+        let mut held = Vec::new();
+        for &id in &trace {
+            let page = pool.fetch(id).unwrap();
+            let start = id as usize * PAGE_SIZE;
+            prop_assert_eq!(page.read_at(0, PAGE_SIZE), &bytes[start..start + PAGE_SIZE]);
+            prop_assert!(pool.resident() <= capacity);
+            if held.len() < hold {
+                held.push((id, page));
             }
         }
-        // Re-fetching an already-resident (pinned) page is still a hit.
-        prop_assert!(pool.fetch(ids[0]).is_ok());
-        // Releasing one pin frees exactly one frame's worth of progress.
-        drop(guards.pop());
-        prop_assert!(pool.fetch(ids[cap]).is_ok());
-        prop_assert_eq!(pool.resident(), cap);
+        for (id, page) in &held {
+            let start = *id as usize * PAGE_SIZE;
+            prop_assert_eq!(page.read_at(0, PAGE_SIZE), &bytes[start..start + PAGE_SIZE]);
+        }
+    }
+
+    /// The product pool is the lab's LRU: on any trace and capacity, its
+    /// `bufferpool.{hits,misses,evictions}` equal `CacheSim`'s under
+    /// `PolicyKind::Lru`, so E4's LRU row describes the pool the engine runs.
+    #[test]
+    fn product_pool_matches_lab_lru(
+        trace in proptest::collection::vec(0u64..16, 1..300),
+        capacity in 1usize..12,
+    ) {
+        let metrics = Metrics::new();
+        let pool = file_pool(&page_file_bytes(16), capacity, &metrics);
+        for &id in &trace {
+            pool.fetch(id).unwrap();
+        }
+        let lab = CacheSim::new(capacity, PolicyKind::Lru.build(capacity, None)).run(&trace);
+        let v = |c: &str| metrics.value(&format!("bufferpool.{c}"));
+        prop_assert_eq!(
+            (v("hits"), v("misses"), v("evictions")),
+            (lab.hits, lab.misses, lab.evictions)
+        );
     }
 
     /// Column concat is associative with respect to content.
@@ -205,20 +236,17 @@ proptest! {
 
 #[test]
 fn buffer_pool_hit_rate_monotone_in_capacity() {
-    use backbone_storage::bufferpool::BufferPool;
-    use backbone_storage::disk::DiskManager;
-    use backbone_storage::eviction::PolicyKind;
-
-    let trace: Vec<usize> = (0..500).map(|i| (i * i) % 16).collect();
+    let trace: Vec<u64> = (0..500).map(|i| (i * i) % 16).collect();
+    let bytes = page_file_bytes(16);
     let mut previous = -1.0f64;
     for cap in [2usize, 4, 8, 16] {
-        let disk = Arc::new(DiskManager::new());
-        let ids: Vec<_> = (0..16).map(|_| disk.allocate()).collect();
-        let pool = BufferPool::new(disk, cap, PolicyKind::Lru);
-        for &i in &trace {
-            drop(pool.fetch(ids[i]).unwrap());
+        let metrics = Metrics::new();
+        let pool = file_pool(&bytes, cap, &metrics);
+        for &id in &trace {
+            pool.fetch(id).unwrap();
         }
-        let rate = pool.stats().hit_rate();
+        let rate =
+            metrics.value("bufferpool.hits") as f64 / metrics.value("bufferpool.lookups") as f64;
         assert!(rate >= previous, "hit rate dropped with capacity {cap}");
         previous = rate;
     }

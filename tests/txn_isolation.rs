@@ -2,11 +2,10 @@
 //! invariants under concurrency, and the WAL must reconstruct committed
 //! state.
 
-use backbone_txn::harness::{load_initial, run_workload, WorkloadConfig, INITIAL_BALANCE};
-use backbone_txn::ops::execute_with_retry;
-use backbone_txn::{
-    FsyncPolicy, KvEngine, MvccEngine, SerialEngine, TwoPlEngine, TxnOp, Wal, WalConfig,
-};
+use backbone_lab::harness::{load_initial, run_workload, WorkloadConfig, INITIAL_BALANCE};
+use backbone_lab::ops::execute_with_retry;
+use backbone_lab::{KvEngine, MvccEngine, SerialEngine, TwoPlEngine, TxnOp};
+use backbone_txn::{FsyncPolicy, Wal, WalConfig};
 use std::sync::Arc;
 
 fn engines_with_wal() -> Vec<(Arc<dyn KvEngine>, Arc<Wal>)> {
@@ -230,7 +229,7 @@ fn constraint_violations_abort_cleanly_under_concurrency() {
                 for _ in 0..50 {
                     match e.execute(&[TxnOp::Add(1, -1), TxnOp::Add(2, 1)]) {
                         Ok(_) => {}
-                        Err(backbone_txn::TxnError::ConstraintViolation) => violations += 1,
+                        Err(backbone_lab::TxnError::ConstraintViolation) => violations += 1,
                         Err(e) => panic!("unexpected {e}"),
                     }
                 }
