@@ -11,8 +11,8 @@
 //!    a catalog shape change ([`MemCatalog::plan_version`]) orphans stale
 //!    plans, and sessions that restrict the rule set never share a plan with
 //!    sessions that don't. Physical planning still runs per execution, so
-//!    `mem_budget` / `parallelism` / `batch_rows` deliberately stay *out* of
-//!    the key — they change the physical plan, never the logical one.
+//!    `mem_budget` and `parallelism` deliberately stay *out* of the key —
+//!    they change the physical plan, never the logical one.
 //! 2. **Bind** — prepared statements hold an [`Arc<CachedPlan>`] directly;
 //!    `EXECUTE` substitutes `$n` parameters into a clone of the optimized
 //!    plan and goes straight to physical planning.

@@ -840,26 +840,23 @@ impl Database {
     /// Reads the published snapshot at a pinned epoch: it neither blocks
     /// writers nor seals the table's tail.
     pub fn create_text_index(&self, table: &str, column: &str) -> Result<()> {
-        let mut index = InvertedIndex::new();
-        let mut doc = 0u64;
         let (snapshot, visible) = self.pinned_snapshot(table)?;
-        for batch in snapshot.prefix_batches(visible) {
-            let batch = batch?;
-            let col = batch.column_by_name(column)?;
-            // Dictionary-encoded columns decode here: the inverted index
-            // wants per-row text, not code space.
-            let flat = col.decoded();
-            let texts = flat.as_ref().unwrap_or_else(|| col.as_ref()).utf8_data()?;
-            for text in texts {
-                index.add_document(doc, text);
-                doc += 1;
+        self.install_text_index(table, visible, |index| {
+            let mut doc = 0u64;
+            for batch in snapshot.prefix_batches(visible) {
+                let batch = batch?;
+                let col = batch.column_by_name(column)?;
+                // Dictionary-encoded columns decode here: the inverted index
+                // wants per-row text, not code space.
+                let flat = col.decoded();
+                let texts = flat.as_ref().unwrap_or_else(|| col.as_ref()).utf8_data()?;
+                for text in texts {
+                    index.add_document(doc, text);
+                    doc += 1;
+                }
             }
-        }
-        self.inner
-            .text_indexes
-            .write()
-            .insert(table.to_string(), Arc::new(index));
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Build a full-text index for `table` from external documents (one per
@@ -877,17 +874,30 @@ impl Database {
         let rows = self
             .row_count(table)
             .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
+        self.install_text_index(table, rows, |index| {
+            for (doc, text) in texts.enumerate() {
+                index.add_document(doc as u64, text);
+            }
+            Ok(())
+        })
+    }
+
+    /// The one text-index builder: `fill` adds documents by row ordinal, the
+    /// result must hold exactly the `rows` the caller pinned, and only then
+    /// is it published for `table`.
+    fn install_text_index(
+        &self,
+        table: &str,
+        rows: usize,
+        fill: impl FnOnce(&mut InvertedIndex) -> Result<()>,
+    ) -> Result<()> {
         let mut index = InvertedIndex::new();
-        let mut entries = 0usize;
-        for (i, text) in texts.enumerate() {
-            index.add_document(i as u64, text);
-            entries += 1;
-        }
-        if entries != rows {
+        fill(&mut index)?;
+        if index.num_docs() != rows {
             return Err(Error::IndexCardinality {
                 table: table.to_string(),
                 rows,
-                entries,
+                entries: index.num_docs(),
             });
         }
         self.inner

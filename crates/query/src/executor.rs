@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::logical::LogicalPlan;
 use crate::optimizer::{estimate_rows, Optimizer, Rule};
-use crate::physical::{drain, drain_one};
+use crate::physical::drain_one;
 use crate::planner::{create_instrumented_plan, create_physical_plan};
 use backbone_storage::metrics::Metrics;
 use backbone_storage::RecordBatch;
@@ -85,9 +85,6 @@ pub struct ExecOptions {
     pub rules: Option<Vec<Rule>>,
     /// Shared metrics registry for instrumented execution.
     pub metrics: Option<Metrics>,
-    /// Rows per scan batch (0 = one batch per row group). Smaller batches
-    /// keep the working set cache-resident through the kernel pipeline.
-    pub batch_rows: usize,
     /// Memory budget in bytes for pipeline-breaking operator state (hash
     /// aggregate tables, hash join build sides). `None` = unlimited. When
     /// the shared per-query total crosses the budget, operators partition
@@ -103,9 +100,9 @@ pub struct ExecOptions {
     /// Serve `Database::sql` statements from the plan cache (and populate it
     /// on a miss). Off = always re-parse and re-optimize. Of all the knobs
     /// here, only `rules` changes the cached artifact — the optimized
-    /// *logical* plan — so only `rules` joins the cache key; parallelism,
-    /// batch size, and memory budget steer per-execution *physical* planning,
-    /// which always runs fresh against the caller's options.
+    /// *logical* plan — so only `rules` joins the cache key; parallelism and
+    /// memory budget steer per-execution *physical* planning, which always
+    /// runs fresh against the caller's options.
     pub plan_cache: bool,
     /// Serve read-only `Database::sql` results from the epoch-tagged result
     /// cache (and populate it on a miss). Off = always execute.
@@ -118,20 +115,15 @@ impl Default for ExecOptions {
     }
 }
 
-/// Default scan batch size: large enough to amortize per-batch dispatch,
-/// small enough that a handful of live columns stay in L2.
-pub const DEFAULT_BATCH_ROWS: usize = 16 * 1024;
-
 impl ExecOptions {
     /// The single source of truth for baseline options: serial execution,
-    /// every optimizer rule, no metrics, default batch size. `Default`,
+    /// every optimizer rule, no metrics, no memory budget. `Default`,
     /// the test helpers, and every other constructor route through here.
     pub fn serial() -> ExecOptions {
         ExecOptions {
             parallelism: Parallelism::Serial,
             rules: None,
             metrics: None,
-            batch_rows: DEFAULT_BATCH_ROWS,
             mem_budget: None,
             snapshot_epoch: None,
             plan_cache: true,
@@ -167,12 +159,6 @@ impl ExecOptions {
     /// These options with operator counters recorded into `metrics`.
     pub fn with_metrics(mut self, metrics: Metrics) -> ExecOptions {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// These options with scan batches capped at `n` rows (0 = per row group).
-    pub fn with_batch_rows(mut self, n: usize) -> ExecOptions {
-        self.batch_rows = n;
         self
     }
 
@@ -247,7 +233,7 @@ pub fn execute(
 /// batch. Physical planning still happens here, against the caller's options
 /// — this is the logical/physical split the plan cache leans on: the cached
 /// logical artifact is shared while every execution picks its own physical
-/// strategy (parallelism, batch size, spill budget).
+/// strategy (parallelism, spill budget).
 pub fn execute_optimized(
     optimized: &LogicalPlan,
     catalog: &dyn Catalog,
@@ -256,19 +242,6 @@ pub fn execute_optimized(
     let mut op = create_physical_plan(optimized, catalog, opts)?;
     let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
     Ok(drain_one(op.as_mut())?.decoded())
-}
-
-/// Optimize and execute a plan, returning the raw batch stream (decoded,
-/// like [`execute`]).
-pub fn execute_plan(
-    plan: LogicalPlan,
-    catalog: &dyn Catalog,
-    opts: &ExecOptions,
-) -> Result<Vec<RecordBatch>> {
-    let optimized = opts.optimizer().optimize(plan, catalog)?;
-    let mut op = create_physical_plan(&optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
-    Ok(drain(op.as_mut())?.iter().map(|b| b.decoded()).collect())
 }
 
 /// Render an EXPLAIN report: the plan before and after optimization, with
@@ -442,9 +415,9 @@ mod tests {
     fn parallel_builder_is_consuming() {
         let opts = ExecOptions::serial()
             .parallel(Parallelism::Fixed(2))
-            .with_batch_rows(512);
+            .with_mem_budget(512);
         assert_eq!(opts.parallelism, Parallelism::Fixed(2));
-        assert_eq!(opts.batch_rows, 512);
+        assert_eq!(opts.mem_budget, Some(512));
     }
 
     #[test]

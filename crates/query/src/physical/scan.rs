@@ -14,6 +14,12 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Rows per emitted batch: large enough to amortize per-batch dispatch,
+/// small enough that a handful of live columns stay in L2. Splitting a
+/// filtered segment narrows its selection vector, so no column data is
+/// copied.
+const BATCH_ROWS: usize = 16 * 1024;
+
 /// Counters exposed for pruning experiments (E6 reports them).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScanStats {
@@ -33,10 +39,6 @@ pub struct TableScanExec {
     schema: Arc<Schema>,
     mode: Mode,
     stats: ScanStats,
-    /// Split emitted batches to at most this many logical rows (0 = segment
-    /// size). On filtered scans the split narrows the selection vector, so
-    /// no column data is copied.
-    batch_rows: usize,
     pending: VecDeque<RecordBatch>,
     metrics: Option<Metrics>,
     /// `op.scan.kernel.filter_ns`, resolved once per scan and shared with
@@ -127,19 +129,12 @@ impl TableScanExec {
             schema,
             mode,
             stats: ScanStats::default(),
-            batch_rows: 0,
             pending: VecDeque::new(),
             metrics: None,
             filter_ns: None,
             profile: None,
             clamp: None,
         })
-    }
-
-    /// Cap emitted batches at `n` logical rows (0 = one batch per segment).
-    pub fn with_batch_rows(mut self, n: usize) -> Self {
-        self.batch_rows = n;
-        self
     }
 
     /// Pin the scan to a snapshot epoch: only the table's row prefix
@@ -288,19 +283,20 @@ impl TableScanExec {
         self.mode = Mode::Running { rx, handles };
     }
 
-    /// Split `batch` per `batch_rows`, queueing the tail; returns the head.
+    /// Split `batch` into [`BATCH_ROWS`]-row pieces, queueing the
+    /// tail; returns the head.
     fn emit(&mut self, batch: RecordBatch) -> Result<RecordBatch> {
         let n = batch.num_rows();
-        if self.batch_rows == 0 || n <= self.batch_rows {
+        if n <= BATCH_ROWS {
             return Ok(batch);
         }
-        let mut offset = self.batch_rows;
+        let mut offset = BATCH_ROWS;
         while offset < n {
-            let len = self.batch_rows.min(n - offset);
+            let len = BATCH_ROWS.min(n - offset);
             self.pending.push_back(batch.slice(offset, len)?);
             offset += len;
         }
-        Ok(batch.slice(0, self.batch_rows)?)
+        Ok(batch.slice(0, BATCH_ROWS)?)
     }
 
     /// Pruning counters (serial mode only; parallel workers don't report).

@@ -67,7 +67,6 @@ fn build(
             let op: Box<dyn Operator> = Box::new(
                 TableScanExec::new(t, projection.clone(), filters.clone(), threads)?
                     .with_snapshot(opts.snapshot_epoch)
-                    .with_batch_rows(opts.batch_rows)
                     .with_metrics(opts.metrics.clone())
                     .with_parallel_profile(parallel.clone()),
             );

@@ -18,7 +18,7 @@ pub mod proto;
 mod server;
 
 pub use client::{Client, RowSet};
-pub use server::{Server, ServerOptions};
+pub use server::{Server, ServerOptions, MAX_REQUEST_BYTES};
 
 use std::fmt;
 
@@ -177,6 +177,60 @@ mod tests {
             other => panic!("expected a remote error, got {other:?}"),
         }
         assert_eq!(client.sql("SELECT id FROM t").unwrap().rows.len(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn overlong_request_line_gets_an_error_and_other_sessions_survive() {
+        use crate::proto::Response;
+        use std::io::{BufRead, BufReader, Write};
+        use std::time::Duration;
+
+        let server = Server::start(served_db(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // 17 MiB and no newline. The server stops reading at the cap and
+        // closes, so this write may fail part-way; only the reply matters.
+        let mut writer = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..17 {
+                if writer.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("an error reply before the read timeout");
+        match Response::decode(reply.trim()).unwrap() {
+            Response::Error { message, .. } => {
+                assert!(message.starts_with("bad request"), "{message}");
+                assert!(message.contains("exceeds"), "{message}");
+            }
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        flood.join().unwrap();
+
+        // Another session is unaffected. A line that is not UTF-8 is a bad
+        // request too, but one that leaves its connection open.
+        let other = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(other.try_clone().unwrap());
+        let mut writer = other;
+        writer.write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n").unwrap();
+        let mut next_reply = || {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Response::decode(reply.trim()).unwrap()
+        };
+        match next_reply() {
+            Response::Error { message, .. } => assert!(message.contains("UTF-8"), "{message}"),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        assert_eq!(next_reply(), Response::Pong);
         server.shutdown();
     }
 

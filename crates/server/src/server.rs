@@ -17,7 +17,7 @@ use crate::proto::{Request, Response};
 use backbone_core::{Database, Error, Session};
 use backbone_query::{Counter, Metrics};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -228,8 +228,16 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Longest request line the server reads, newline included. The largest
+/// request any client sends is a 100-row insert, far below this; a line
+/// that never ends is cut off here instead of growing a buffer until the
+/// process runs out of memory.
+pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
+
 /// Serve one connection: read a request line, execute it on this
-/// connection's session, write the response line; repeat until EOF.
+/// connection's session, write the response line; repeat until EOF. A line
+/// longer than [`MAX_REQUEST_BYTES`] gets a `bad request` error, and then
+/// the connection closes: the rest of that line is never read.
 fn serve_connection(
     session: &Session,
     stream: TcpStream,
@@ -237,18 +245,28 @@ fn serve_connection(
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader)
+            .take(MAX_REQUEST_BYTES)
+            .read_until(b'\n', &mut line)?;
+        if n == 0 {
             return Ok(()); // client hung up
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let too_long = n as u64 == MAX_REQUEST_BYTES && line.last() != Some(&b'\n');
+        let text = if too_long {
+            Err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            std::str::from_utf8(&line)
+                .map(str::trim)
+                .map_err(|e| format!("request line is not UTF-8: {e}"))
+        };
+        if text == Ok("") {
             continue;
         }
         requests.incr();
-        let response = match Request::decode(trimmed) {
+        let response = match text.and_then(Request::decode) {
             Ok(request) => handle(session, request),
             Err(e) => Response::Error {
                 message: format!("bad request: {e}"),
@@ -258,6 +276,9 @@ fn serve_connection(
         writer.write_all(response.encode().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if too_long {
+            return Ok(());
+        }
     }
 }
 

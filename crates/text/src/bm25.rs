@@ -33,14 +33,10 @@ fn idf(n_docs: usize, df: usize) -> f64 {
     (((n_docs as f64 - df as f64 + 0.5) / (df as f64 + 0.5)) + 1.0).ln()
 }
 
-/// Score every document matching any query term; returns the top `k` by
-/// descending BM25 score (ties broken by doc id for determinism).
-pub fn search(index: &InvertedIndex, query: &str, k: usize, params: Bm25Params) -> Vec<ScoredDoc> {
-    rank_terms_filtered_counted(index, &tokenize(query), k, params, &|_| true).0
-}
-
 /// Rank pre-tokenized `terms` over the documents passing `keep`, returning
-/// the top `k` and the work performed. Pushing the filter into scoring is
+/// the top `k` by descending BM25 score (ties broken by doc id for
+/// determinism) and the work performed. Stopwords have no postings, so
+/// `terms` should come from [`tokenize`]. Pushing the filter into scoring is
 /// how a co-located engine restricts relevance to a relational predicate
 /// instead of over-fetching and discarding; unfiltered callers pass
 /// `&|_| true`.
@@ -76,7 +72,7 @@ pub fn rank_terms_filtered_counted(
             if !keep(p.doc) {
                 continue;
             }
-            let tf = p.positions.len() as f64;
+            let tf = f64::from(p.tf);
             let denom = tf + c0 + c1 * p.doc_len as f64;
             work.postings_scored += 1;
             *scores.entry(p.doc).or_insert(0.0) += idf * tf * tf_scale / denom;
@@ -103,7 +99,7 @@ pub fn score_doc(index: &InvertedIndex, query: &str, doc: u64, params: Bm25Param
             continue;
         };
         let idf = idf(n, postings.len());
-        let tf = p.positions.len() as f64;
+        let tf = f64::from(p.tf);
         let dl = p.doc_len as f64;
         let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl);
         score += idf * tf * (params.k1 + 1.0) / denom;
@@ -114,13 +110,24 @@ pub fn score_doc(index: &InvertedIndex, query: &str, doc: u64, params: Bm25Param
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn search(index: &InvertedIndex, query: &str, k: usize, params: Bm25Params) -> Vec<ScoredDoc> {
+        rank_terms_filtered_counted(index, &tokenize(query), k, params, &|_| true).0
+    }
+
+    const DOCS: [(u64, &str); 4] = [
+        (1, "rust database engine"),
+        (2, "rust rust rust everywhere"),
+        (3, "database systems and database research"),
+        (4, "cooking with garlic"),
+    ];
 
     fn index() -> InvertedIndex {
         let mut ix = InvertedIndex::new();
-        ix.add_document(1, "rust database engine");
-        ix.add_document(2, "rust rust rust everywhere");
-        ix.add_document(3, "database systems and database research");
-        ix.add_document(4, "cooking with garlic");
+        for (doc, text) in DOCS {
+            ix.add_document(doc, text);
+        }
         ix
     }
 
@@ -186,7 +193,9 @@ mod tests {
         let ix = index();
         for term in ["rust", "database", "cooking"] {
             for p in ix.postings(term) {
-                assert_eq!(Some(p.doc_len), ix.doc_len(p.doc));
+                let (_, text) = DOCS.iter().find(|(doc, _)| *doc == p.doc).unwrap();
+                // Every token counts, stopwords ("and", "with") included.
+                assert_eq!(p.doc_len as usize, text.split_whitespace().count());
             }
         }
     }
@@ -195,7 +204,7 @@ mod tests {
     fn counted_variants_report_work_and_agree() {
         let ix = index();
         let terms: Vec<String> = vec!["rust".into(), "database".into()];
-        let plain = search(&ix, "rust database", 10, Bm25Params::default());
+        let plain = search(&ix, "the rust and database", 10, Bm25Params::default());
         let (counted, work) =
             rank_terms_filtered_counted(&ix, &terms, 10, Bm25Params::default(), &|_| true);
         assert_eq!(plain, counted);
@@ -207,5 +216,75 @@ mod tests {
             rank_terms_filtered_counted(&ix, &terms, 10, Bm25Params::default(), &keep);
         assert!(filtered.iter().all(|h| h.doc != 2));
         assert_eq!(fwork.postings_scored, 3, "skipped postings are not scored");
+    }
+
+    /// BM25 from raw token lists, with no index: tf counts occurrences, dl
+    /// counts every token (stopwords included), avgdl averages over every
+    /// document (the empty one included), and each term's contributions add
+    /// in query order. Scores must match bit for bit.
+    #[test]
+    fn matches_a_reference_built_from_raw_tokens() {
+        let corpus = [
+            (0u64, "the quick brown fox and the lazy dog"),
+            (1, "quick quick quick brown"),
+            (2, ""),
+            (3, "a fox is in the den"),
+            (4, "brown bread with brown butter and a fox"),
+            (5, "the the the"),
+        ];
+        let mut ix = InvertedIndex::new();
+        for (doc, text) in corpus {
+            ix.add_document(doc, text);
+        }
+        let raw: Vec<(u64, Vec<&str>)> = corpus
+            .iter()
+            .map(|&(doc, text)| (doc, text.split_whitespace().collect()))
+            .collect();
+        let n = raw.len() as f64;
+        let avgdl = raw.iter().map(|(_, t)| t.len()).sum::<usize>() as f64 / n;
+        let p = Bm25Params::default();
+        let (c0, c1) = (p.k1 * (1.0 - p.b), p.k1 * p.b / avgdl);
+        let queries = [
+            "fox",
+            "quick brown",
+            "brown fox dog",
+            "the fox",
+            "den bread quick lazy",
+            "missing",
+            "the and a",
+        ];
+        for query in queries {
+            let terms = tokenize(query);
+            let mut scores: BTreeMap<u64, f64> = BTreeMap::new();
+            for term in &terms {
+                let matches: Vec<(u64, f64, f64)> = raw
+                    .iter()
+                    .map(|(doc, toks)| {
+                        let tf = toks.iter().filter(|t| **t == term.as_str()).count();
+                        (*doc, tf as f64, toks.len() as f64)
+                    })
+                    .filter(|&(_, tf, _)| tf > 0.0)
+                    .collect();
+                let df = matches.len() as f64;
+                let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+                for (doc, tf, dl) in matches {
+                    *scores.entry(doc).or_insert(0.0) +=
+                        idf * tf * (p.k1 + 1.0) / (tf + c0 + c1 * dl);
+                }
+            }
+            let mut want: Vec<(u64, u64)> =
+                scores.into_iter().map(|(d, s)| (d, s.to_bits())).collect();
+            want.sort_by(|a, b| {
+                f64::from_bits(b.1)
+                    .total_cmp(&f64::from_bits(a.1))
+                    .then(a.0.cmp(&b.0))
+            });
+            for k in [2, 10] {
+                let (got, _) = rank_terms_filtered_counted(&ix, &terms, k, p, &|_| true);
+                let got: Vec<(u64, u64)> = got.iter().map(|h| (h.doc, h.score.to_bits())).collect();
+                let want = &want[..want.len().min(k)];
+                assert_eq!(got, want, "query {query:?}, k {k}");
+            }
+        }
     }
 }

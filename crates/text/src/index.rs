@@ -1,31 +1,34 @@
-//! Positional inverted index.
+//! Term-frequency inverted index: the per-posting data BM25 reads.
 
-use crate::tokenize::tokenize_with;
-use std::collections::{BTreeMap, HashMap};
+use crate::tokenize::{is_stopword, tokenize_with};
+use std::collections::HashMap;
 
-/// A posting: one document containing a term, with token positions.
+/// A posting: one document containing a term, with the term's frequency.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Posting {
     /// Document id.
     pub doc: u64,
-    /// Zero-based token positions of the term within the document.
-    pub positions: Vec<u32>,
+    /// Occurrences of the term in `doc`.
+    pub tf: u32,
     /// Token count of `doc`, denormalized into every posting at index build
     /// so BM25's length normalization reads it inline instead of chasing a
-    /// per-posting `doc_len` map lookup at query time.
+    /// per-document length map at query time.
     pub doc_len: u32,
 }
 
-/// A positional inverted index over documents of text.
+/// An inverted index over documents of text.
 ///
-/// Documents are tokenized with stopwords *kept* (so phrase positions are
-/// faithful); BM25 and term queries simply never look up stopwords because
-/// query tokenization drops them.
+/// A document's length counts every token, stopwords included, but
+/// stopwords get no postings: query tokenization drops them, so no lookup
+/// would ever read one.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     postings: HashMap<String, Vec<Posting>>,
-    doc_len: BTreeMap<u64, u32>,
+    num_docs: usize,
     total_tokens: u64,
+    /// Smallest id the next document may take: ids (row ordinals) arrive in
+    /// increasing order, so each term's postings stay sorted by document.
+    next_doc: u64,
 }
 
 impl InvertedIndex {
@@ -34,58 +37,42 @@ impl InvertedIndex {
         InvertedIndex::default()
     }
 
-    /// Index a document. Re-adding an existing id replaces nothing and
-    /// panics in debug builds; use fresh ids.
+    /// Index a document. Ids must increase from call to call; a repeated or
+    /// smaller id panics in debug builds.
     pub fn add_document(&mut self, doc: u64, text: &str) {
-        debug_assert!(
-            !self.doc_len.contains_key(&doc),
-            "document {doc} already indexed"
-        );
+        debug_assert!(doc >= self.next_doc, "document {doc} out of order");
+        self.next_doc = doc + 1;
         let tokens = tokenize_with(text, false);
         let doc_len = tokens.len() as u32;
-        self.doc_len.insert(doc, doc_len);
-        self.total_tokens += tokens.len() as u64;
-        let mut per_term: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (pos, tok) in tokens.iter().enumerate() {
-            per_term.entry(tok).or_default().push(pos as u32);
+        self.num_docs += 1;
+        self.total_tokens += u64::from(doc_len);
+        let mut tf: HashMap<String, u32> = HashMap::new();
+        for tok in tokens.into_iter().filter(|t| !is_stopword(t)) {
+            *tf.entry(tok).or_default() += 1;
         }
-        for (term, positions) in per_term {
+        for (term, tf) in tf {
             self.postings
-                .entry(term.to_string())
+                .entry(term)
                 .or_default()
-                .push(Posting {
-                    doc,
-                    positions,
-                    doc_len,
-                });
+                .push(Posting { doc, tf, doc_len });
         }
     }
 
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
-        self.doc_len.len()
+        self.num_docs
     }
 
     /// Average document length in tokens (0 when empty).
     pub fn avg_doc_len(&self) -> f64 {
-        if self.doc_len.is_empty() {
+        if self.num_docs == 0 {
             0.0
         } else {
-            self.total_tokens as f64 / self.doc_len.len() as f64
+            self.total_tokens as f64 / self.num_docs as f64
         }
     }
 
-    /// Length (token count) of one document.
-    pub fn doc_len(&self, doc: u64) -> Option<u32> {
-        self.doc_len.get(&doc).copied()
-    }
-
-    /// All indexed document ids.
-    pub fn doc_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.doc_len.keys().copied()
-    }
-
-    /// Postings for a term (lowercase).
+    /// Postings for a term (lowercase), in document order.
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.postings.get(term).map(|p| p.as_slice()).unwrap_or(&[])
     }
@@ -93,32 +80,6 @@ impl InvertedIndex {
     /// Document frequency of a term.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.postings(term).len()
-    }
-
-    /// Documents containing the exact token sequence `phrase`.
-    pub fn phrase_docs(&self, phrase: &[String]) -> Vec<u64> {
-        let Some(first) = phrase.first() else {
-            return Vec::new();
-        };
-        let mut result = Vec::new();
-        'docs: for p0 in self.postings(first) {
-            // For each start position, check the rest of the phrase.
-            'starts: for &start in &p0.positions {
-                for (offset, term) in phrase.iter().enumerate().skip(1) {
-                    let want = start + offset as u32;
-                    let Some(p) = self.postings(term).iter().find(|p| p.doc == p0.doc) else {
-                        continue 'docs;
-                    };
-                    if p.positions.binary_search(&want).is_err() {
-                        continue 'starts;
-                    }
-                }
-                result.push(p0.doc);
-                continue 'docs;
-            }
-        }
-        result.sort_unstable();
-        result
     }
 }
 
@@ -138,7 +99,7 @@ mod tests {
     fn doc_stats() {
         let ix = index();
         assert_eq!(ix.num_docs(), 3);
-        assert_eq!(ix.doc_len(1), Some(4));
+        assert_eq!(ix.postings("fox")[0].doc_len, 4);
         assert!((ix.avg_doc_len() - 11.0 / 3.0).abs() < 1e-9);
     }
 
@@ -150,38 +111,30 @@ mod tests {
         assert_eq!(ix.doc_freq("missing"), 0);
         // "quick" appears twice in doc 3.
         let p = ix.postings("quick").iter().find(|p| p.doc == 3).unwrap();
-        assert_eq!(p.positions, vec![0, 1]);
+        assert_eq!(p.tf, 2);
     }
 
     #[test]
-    fn phrase_matching() {
+    fn stopwords_count_toward_length_but_have_no_postings() {
         let ix = index();
-        let phrase: Vec<String> = vec!["quick".into(), "brown".into()];
-        assert_eq!(ix.phrase_docs(&phrase), vec![1]);
-        let phrase2: Vec<String> = vec!["brown".into(), "dog".into()];
-        assert_eq!(ix.phrase_docs(&phrase2), vec![2]);
-        let no: Vec<String> = vec!["brown".into(), "fox".into(), "dog".into()];
-        assert!(ix.phrase_docs(&no).is_empty());
+        assert_eq!(ix.doc_freq("the"), 0);
+        // "the lazy brown dog": four tokens, one of them a stopword.
+        let p = ix.postings("dog").iter().find(|p| p.doc == 2).unwrap();
+        assert_eq!((p.tf, p.doc_len), (1, 4));
     }
 
     #[test]
-    fn phrase_with_stopwords_positions() {
+    fn postings_follow_document_order() {
         let ix = index();
-        // Stopwords are indexed, so "the quick" is a real phrase in doc 1.
-        let phrase: Vec<String> = vec!["the".into(), "quick".into()];
-        assert_eq!(ix.phrase_docs(&phrase), vec![1]);
+        let docs: Vec<u64> = ix.postings("quick").iter().map(|p| p.doc).collect();
+        assert_eq!(docs, vec![1, 3]);
     }
 
     #[test]
-    fn empty_phrase() {
-        assert!(index().phrase_docs(&[]).is_empty());
-    }
-
-    #[test]
-    fn repeated_phrase_doc_reported_once() {
-        let mut ix = InvertedIndex::new();
-        ix.add_document(7, "ab cd ab cd");
-        let phrase: Vec<String> = vec!["ab".into(), "cd".into()];
-        assert_eq!(ix.phrase_docs(&phrase), vec![7]);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of order")]
+    fn repeated_document_id_is_rejected() {
+        let mut ix = index();
+        ix.add_document(3, "again");
     }
 }

@@ -5,18 +5,15 @@
 //! vectors, keywords, and relational queries"*).
 //!
 //! - [`tokenize`]: lowercasing word tokenizer with a stopword list,
-//! - [`index`]: positional inverted index,
-//! - [`bm25`]: Okapi BM25 ranking,
-//! - [`query`]: boolean (`AND`/`OR`/`NOT`) and phrase queries.
+//! - [`index`]: term-frequency inverted index,
+//! - [`bm25`]: Okapi BM25 ranking.
 
 pub mod bm25;
 pub mod index;
-pub mod query;
 pub mod tokenize;
 
 pub use bm25::Bm25Params;
 pub use index::InvertedIndex;
-pub use query::TextQuery;
 
 /// A ranked text-search hit (higher score = better match).
 #[derive(Debug, Clone, Copy, PartialEq)]

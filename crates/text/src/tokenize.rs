@@ -1,12 +1,13 @@
 //! Tokenization: lowercase word splitting with a small stopword list.
 
-/// English stopwords excluded from indexing and queries.
+/// English stopwords: dropped from queries; the index counts them toward a
+/// document's length but stores no postings for them.
 pub const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "has", "he", "in", "is", "it",
     "its", "of", "on", "or", "that", "the", "to", "was", "were", "will", "with",
 ];
 
-fn is_stopword(t: &str) -> bool {
+pub(crate) fn is_stopword(t: &str) -> bool {
     STOPWORDS.contains(&t)
 }
 
@@ -15,9 +16,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokenize_with(text, true)
 }
 
-/// Tokenize, optionally keeping stopwords (phrase queries keep them so
-/// positions line up with user expectations).
-pub fn tokenize_with(text: &str, drop_stopwords: bool) -> Vec<String> {
+/// Tokenize, optionally keeping stopwords (the index keeps them to count
+/// every token of a document's length).
+pub(crate) fn tokenize_with(text: &str, drop_stopwords: bool) -> Vec<String> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
         .map(|t| t.to_lowercase())

@@ -17,6 +17,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# perfbench is its own package, outside the workspace, and builds against the
+# crates' public APIs; an API change that breaks it must fail here, not first in
+# a benchmark run. Cargo rewrites perfbench/Cargo.lock when a workspace crate's
+# dependencies changed, so the lock file is restored byte-for-byte afterwards
+# (also when the check fails).
+echo "== perfbench compiles against the workspace =="
+lock_backup="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_backup"
+restore_lock() { cp "$lock_backup" perfbench/Cargo.lock && rm -f "$lock_backup"; }
+trap restore_lock EXIT
+CARGO_TARGET_DIR=target/perfbench-check cargo check --offline --manifest-path perfbench/Cargo.toml
+restore_lock
+trap - EXIT
+
 # The experiment rigs live in backbone-lab; no engine crate may depend on it.
 echo "== product crates do not depend on the lab crate =="
 for product in backbone-server backbone-core; do
@@ -49,11 +63,13 @@ cargo test -q -p backbone-bench --test kernel_equivalence budget
 cargo test -q -p backbone-bench --test kernel_equivalence tiny_budget
 
 # Nesting a client can send — SQL expressions and wire JSON — is capped with a
-# typed error, so no request can overflow a worker's stack.
-echo "== hostile input: SQL and JSON nesting depth =="
+# typed error, so no request can overflow a worker's stack; so is the length of
+# a request line, so no request can grow a buffer without bound.
+echo "== hostile input: SQL and JSON nesting depth, request line length =="
 cargo test -q -p backbone-bench --test sql_robustness sql_depth_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deep_nesting_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deeply_nested
+cargo test -q -p backbone-server overlong_request_line
 
 echo "== serving: server crate + concurrent-session property suite =="
 cargo test -q -p backbone-server
