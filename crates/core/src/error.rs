@@ -61,6 +61,9 @@ pub enum Error {
         /// Capacity of the wait queue that was full.
         queue: usize,
     },
+    /// The engine panicked while serving one request. The request failed;
+    /// the server caught the panic, so the session and its worker survive.
+    Internal(String),
 }
 
 impl fmt::Display for Error {
@@ -91,6 +94,7 @@ impl fmt::Display for Error {
                 f,
                 "server overloaded: {active} sessions active, wait queue of {queue} full"
             ),
+            Error::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

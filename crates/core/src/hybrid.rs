@@ -40,7 +40,7 @@ use crate::error::{Error, Result};
 use backbone_query::eval::refine_selection;
 use backbone_query::optimizer::cardinality::selectivity_on;
 use backbone_query::Expr;
-use backbone_storage::Table;
+use backbone_storage::{Bitmap, Table};
 use backbone_text::bm25::{rank_terms_filtered_counted, Bm25Params, Bm25Work};
 use backbone_text::tokenize::tokenize;
 use backbone_vector::exact::TopK;
@@ -211,20 +211,41 @@ pub fn fuse_top_k(candidates: Candidates, weights: &FusionWeights, k: usize) -> 
     hits
 }
 
-/// Evaluate the spec's filter over the first `visible` rows of `table` into
-/// a row mask, one segment at a time — no whole-table materialization.
-/// `None` when the spec has no filter.
-fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Option<Vec<bool>>> {
+/// The rows passing a hybrid search's filter: their ids in ascending order
+/// (what the exact-scan plan and the relational path iterate) and a bitmap
+/// over the visible rows (what the index and BM25 stages probe).
+struct RowMask {
+    rows: Vec<u64>,
+    bits: Bitmap,
+}
+
+impl RowMask {
+    #[inline]
+    fn contains(&self, row: u64) -> bool {
+        (row as usize) < self.bits.len() && self.bits.get(row as usize)
+    }
+}
+
+/// Evaluate the spec's filter over the first `visible` rows of `table`, one
+/// segment at a time — no whole-table materialization. The passing ids come
+/// straight from each segment's selection vector. `None` when the spec has
+/// no filter.
+fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Option<RowMask>> {
     let Some(f) = &spec.filter else {
         return Ok(None);
     };
-    let mut mask = vec![false; visible];
+    let mut mask = RowMask {
+        rows: Vec::new(),
+        bits: Bitmap::all_null(visible),
+    };
     let mut offset = 0;
     for batch in table.prefix_batches(visible) {
         let batch = batch?;
         let passing = refine_selection(f, &batch)?;
         for &i in passing.selection().unwrap_or_default() {
-            mask[offset + i as usize] = true;
+            let row = offset + i as usize;
+            mask.rows.push(row as u64);
+            mask.bits.set(row, true);
         }
         offset += batch.base_rows();
     }
@@ -317,15 +338,8 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
     let mask = filter_mask(spec, &table, rows)?;
     profile.filter_ns = stage.elapsed().as_nanos() as u64;
     metrics.counter("hybrid.filter_ns").add_elapsed(stage);
-    profile.rows_passing = mask
-        .as_ref()
-        .map(|m| m.iter().filter(|&&b| b).count())
-        .unwrap_or(0);
-    let passes = |row: u64| {
-        mask.as_ref()
-            .map(|m| m.get(row as usize).copied().unwrap_or(false))
-            .unwrap_or(true)
-    };
+    profile.rows_passing = mask.as_ref().map_or(0, |m| m.rows.len());
+    let passes = |row: u64| mask.as_ref().is_none_or(|m| m.contains(row));
 
     let mut merged = Candidates::new();
 
@@ -347,14 +361,9 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
             FilterStrategy::ExactScan => {
                 // Score exactly the qualifying rows; no index traversal.
                 let mut acc = TopK::new(want);
-                if let Some(m) = &mask {
-                    for (row, &pass) in m.iter().enumerate() {
-                        if !pass {
-                            continue;
-                        }
-                        if let Some(d) = index.distance_of(qv, row as u64) {
-                            acc.push(row as u64, d);
-                        }
+                for &row in mask.iter().flat_map(|m| &m.rows) {
+                    if let Some(d) = index.distance_of(qv, row) {
+                        acc.push(row, d);
                     }
                 }
                 acc.into_hits()
@@ -427,13 +436,10 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
 
     // Pure relational query: return the first k masked rows.
     if spec.vector.is_none() && spec.keyword.is_none() {
-        for row in 0..rows as u64 {
-            if passes(row) {
-                merged.insert(row, (None, None));
-                if merged.len() >= spec.k {
-                    break;
-                }
-            }
+        let blank = |row: u64| (row, (None, None));
+        match &mask {
+            Some(m) => merged.extend(m.rows.iter().take(spec.k).copied().map(blank)),
+            None => merged.extend((0..rows as u64).take(spec.k).map(blank)),
         }
     }
 

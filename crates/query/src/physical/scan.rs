@@ -284,19 +284,41 @@ impl TableScanExec {
     }
 
     /// Split `batch` into [`BATCH_ROWS`]-row pieces, queueing the
-    /// tail; returns the head.
+    /// tail; returns the head. Pieces are selection views over the batch's
+    /// own columns, since slicing a dense batch copies every plain column.
+    /// The exception is a dense batch with a run-length column: its slices
+    /// stay run-length encoded and keep the run-aware kernels, while a view
+    /// would make every read of it search the runs.
     fn emit(&mut self, batch: RecordBatch) -> Result<RecordBatch> {
         let n = batch.num_rows();
         if n <= BATCH_ROWS {
             return Ok(batch);
         }
-        let mut offset = BATCH_ROWS;
-        while offset < n {
-            let len = BATCH_ROWS.min(n - offset);
-            self.pending.push_back(batch.slice(offset, len)?);
-            offset += len;
+        let runs = |c: &Arc<backbone_storage::Column>| {
+            c.encoded_parts()
+                .is_some_and(|(data, _)| data.runs().is_some())
+        };
+        if batch.selection().is_none() && batch.columns().iter().any(runs) {
+            let mut offset = BATCH_ROWS;
+            while offset < n {
+                let len = BATCH_ROWS.min(n - offset);
+                self.pending.push_back(batch.slice(offset, len)?);
+                offset += len;
+            }
+            return Ok(batch.slice(0, BATCH_ROWS)?);
         }
-        Ok(batch.slice(0, BATCH_ROWS)?)
+        let rows: Vec<u32> = match batch.selection() {
+            Some(sel) => sel.to_vec(),
+            None => (0..n as u32).collect(),
+        };
+        let mut pieces = rows
+            .chunks(BATCH_ROWS)
+            .map(|piece| batch.with_selection(Arc::new(piece.to_vec())));
+        let head = pieces.next().expect("a batch over BATCH_ROWS has pieces")?;
+        for piece in pieces {
+            self.pending.push_back(piece?);
+        }
+        Ok(head)
     }
 
     /// Pruning counters (serial mode only; parallel workers don't report).
@@ -484,6 +506,45 @@ mod tests {
         let mut scan = TableScanExec::new(t, None, vec![], 1).unwrap();
         let all = drain_one(&mut scan).unwrap();
         assert_eq!(all.num_rows(), 10);
+    }
+
+    #[test]
+    fn large_unfiltered_segment_splits_into_views_not_copies() {
+        let rows = 2 * BATCH_ROWS as i64 + 100;
+        let t = table(rows, rows as usize);
+        let group = t.segment(0).unwrap();
+        let mut scan = TableScanExec::new(t, None, vec![], 1).unwrap();
+        let mut batches = Vec::new();
+        while let Some(b) = scan.next().unwrap() {
+            batches.push(b);
+        }
+        assert_eq!(batches.len(), 3);
+        for b in &batches {
+            assert!(b.num_rows() <= BATCH_ROWS);
+            for (col, base) in b.columns().iter().zip(group.columns()) {
+                assert!(Arc::ptr_eq(col, base), "a piece copied its columns");
+            }
+        }
+        let all = RecordBatch::concat(scan.schema(), &batches).unwrap();
+        assert_eq!(all.to_rows(), group.to_rows());
+
+        // A run-length column slices in encoded form instead, keeping its
+        // run-aware kernels.
+        let schema = Schema::new(vec![Field::new("flag", DataType::Int64)]);
+        let mut t = Table::with_group_size(schema, rows as usize);
+        for i in 0..rows {
+            t.append_row(vec![Value::Int(i / 1000)]).unwrap();
+        }
+        t.flush().unwrap();
+        let mut scan = TableScanExec::new(Arc::new(t), None, vec![], 1).unwrap();
+        let mut pieces = 0;
+        while let Some(b) = scan.next().unwrap() {
+            assert!(b.selection().is_none());
+            let (data, _) = b.column(0).encoded_parts().expect("still encoded");
+            assert!(data.runs().is_some());
+            pieces += 1;
+        }
+        assert_eq!(pieces, 3);
     }
 
     #[test]

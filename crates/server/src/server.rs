@@ -19,6 +19,7 @@ use backbone_query::{Counter, Metrics};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -58,7 +59,12 @@ struct Shared {
     metrics: Metrics,
     /// `session.requests`, resolved once: it is bumped on every request.
     requests: Counter,
+    /// Executes one decoded request ([`handle`] outside tests).
+    handler: Handler,
 }
+
+/// Executes one decoded request on a session.
+type Handler = fn(&Session, Request) -> Response;
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) stops
 /// the listener, wakes the workers, and joins every thread.
@@ -77,6 +83,17 @@ impl Server {
         addr: impl ToSocketAddrs,
         opts: ServerOptions,
     ) -> std::io::Result<Server> {
+        Server::start_with(db, addr, opts, handle)
+    }
+
+    /// [`Server::start`] with the request handler supplied, so tests can
+    /// serve through one that fails.
+    fn start_with(
+        db: Database,
+        addr: impl ToSocketAddrs,
+        opts: ServerOptions,
+        handler: Handler,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let metrics = db.metrics().clone();
@@ -91,6 +108,7 @@ impl Server {
             next_conn_id: AtomicU64::new(0),
             requests: metrics.counter("session.requests"),
             metrics,
+            handler,
         });
         let workers = (0..opts.max_sessions.max(1))
             .map(|_| {
@@ -214,6 +232,9 @@ fn worker_loop(shared: &Shared) {
         if let Ok(clone) = stream.try_clone() {
             shared.conns.lock().unwrap().insert(conn_id, clone);
         }
+        // Releases the slot and the registry entry however serving ends,
+        // unwinding included.
+        let _slot = SessionSlot { shared, conn_id };
         // Re-check after registering: either stop() sees this connection in
         // the registry and closes it, or this check sees the flag — no
         // window where a live connection can outlast shutdown.
@@ -221,10 +242,26 @@ fn worker_loop(shared: &Shared) {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let session = shared.db.session();
-        let _ = serve_connection(&session, stream, &shared.requests);
-        shared.conns.lock().unwrap().remove(&conn_id);
-        shared.metrics.counter("session.closed").incr();
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        let _ = serve_connection(&session, stream, shared);
+    }
+}
+
+/// A worker's hold on one connection: dropping it unregisters the stream
+/// and gives the session slot back.
+struct SessionSlot<'a> {
+    shared: &'a Shared,
+    conn_id: u64,
+}
+
+impl Drop for SessionSlot<'_> {
+    fn drop(&mut self) {
+        // A poisoned registry still gets the entry removed: the slot must be
+        // released even while unwinding.
+        let mut conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
+        conns.remove(&self.conn_id);
+        drop(conns);
+        self.shared.metrics.counter("session.closed").incr();
+        self.shared.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -238,11 +275,7 @@ pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
 /// connection's session, write the response line; repeat until EOF. A line
 /// longer than [`MAX_REQUEST_BYTES`] gets a `bad request` error, and then
 /// the connection closes: the rest of that line is never read.
-fn serve_connection(
-    session: &Session,
-    stream: TcpStream,
-    requests: &Counter,
-) -> std::io::Result<()> {
+fn serve_connection(session: &Session, stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut line = Vec::new();
@@ -265,9 +298,9 @@ fn serve_connection(
         if text == Ok("") {
             continue;
         }
-        requests.incr();
+        shared.requests.incr();
         let response = match text.and_then(Request::decode) {
-            Ok(request) => handle(session, request),
+            Ok(request) => serve_request(session, request, shared.handler),
             Err(e) => Response::Error {
                 message: format!("bad request: {e}"),
                 overloaded: None,
@@ -280,6 +313,22 @@ fn serve_connection(
             return Ok(());
         }
     }
+}
+
+/// Run one request under `catch_unwind`: a panic anywhere in the engine
+/// answers [`Error::Internal`] on the same connection instead of unwinding
+/// out of the worker, so the session keeps serving.
+fn serve_request(session: &Session, request: Request, handler: Handler) -> Response {
+    std::panic::catch_unwind(AssertUnwindSafe(|| handler(session, request))).unwrap_or_else(
+        |panic| {
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "request panicked".into());
+            error_response(Error::Internal(message))
+        },
+    )
 }
 
 fn handle(session: &Session, request: Request) -> Response {
@@ -325,5 +374,67 @@ fn error_response(e: Error) -> Response {
     Response::Error {
         message: e.to_string(),
         overloaded: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ServerError};
+    use backbone_storage::{DataType, Field, Schema, Value};
+    use std::time::{Duration, Instant};
+
+    /// [`handle`], except that the query `PANIC` panics.
+    fn faulty(session: &Session, request: Request) -> Response {
+        if matches!(&request, Request::Sql { query } if query == "PANIC") {
+            panic!("injected fault");
+        }
+        handle(session, request)
+    }
+
+    #[test]
+    fn panicking_request_is_a_typed_error_and_the_worker_survives() {
+        let db = Database::new();
+        db.create_table("t", Schema::new(vec![Field::new("id", DataType::Int64)]))
+            .unwrap();
+        db.insert("t", vec![vec![Value::Int(7)]]).unwrap();
+
+        // The per-request helper turns the panic into the typed error, and
+        // the same session serves the next request.
+        let session = db.session();
+        let panicked = serve_request(&session, Request::Ping, |_, _| panic!("injected fault"));
+        let internal = error_response(Error::Internal("injected fault".into()));
+        assert_eq!(panicked, internal);
+        assert_eq!(
+            serve_request(&session, Request::Ping, handle),
+            Response::Pong
+        );
+
+        // Over the wire, with a single worker: the panic is answered on the
+        // same connection, the connection keeps serving, and the worker is
+        // back in the pool once the client leaves.
+        let opts = ServerOptions {
+            max_sessions: 1,
+            queue_depth: 4,
+        };
+        let server = Server::start_with(db, "127.0.0.1:0", opts, faulty).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        match client.sql("PANIC") {
+            Err(ServerError::Remote(m)) => assert_eq!(m, "internal error: injected fault"),
+            other => panic!("expected the internal error, got {other:?}"),
+        }
+        assert_eq!(
+            client.sql("SELECT id FROM t").unwrap().rows,
+            vec![vec![Value::Int(7)]]
+        );
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.active_sessions() != 0 {
+            assert!(Instant::now() < deadline, "session slot never released");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut next = Client::connect(server.addr()).unwrap();
+        next.ping().unwrap();
+        server.shutdown();
     }
 }

@@ -3,7 +3,6 @@
 use crate::index::InvertedIndex;
 use crate::tokenize::tokenize;
 use crate::ScoredDoc;
-use std::collections::HashMap;
 
 /// BM25 tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +32,58 @@ fn idf(n_docs: usize, df: usize) -> f64 {
     (((n_docs as f64 - df as f64 + 0.5) / (df as f64 + 0.5)) + 1.0).ln()
 }
 
+/// Reusable per-query accumulator: a dense score per document id, a bitset
+/// of the ids this query has touched, and the touched ids in first-touch
+/// order. Finishing a query clears only the touched bits, so no query pays
+/// an O(docs) wipe. Checked out of [`InvertedIndex`]'s pool per query, the
+/// way HNSW pools its visited arrays.
+#[derive(Debug, Default)]
+pub(crate) struct Accumulator {
+    scores: Vec<f64>,
+    seen: Vec<u64>,
+    touched: Vec<u64>,
+}
+
+impl Accumulator {
+    /// Size for document ids `0..docs`.
+    fn begin(&mut self, docs: usize) {
+        if self.scores.len() < docs {
+            self.scores.resize(docs, 0.0);
+            self.seen.resize(docs.div_ceil(64), 0);
+        }
+    }
+
+    /// Add `contribution` to `doc`'s score.
+    #[inline]
+    fn add(&mut self, doc: u64, contribution: f64) {
+        let d = doc as usize;
+        let (word, bit) = (d / 64, 1u64 << (d % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.scores[d] = 0.0;
+            self.touched.push(doc);
+        }
+        self.scores[d] += contribution;
+    }
+
+    /// Drain the touched documents with their scores, leaving the
+    /// accumulator clear for the next query.
+    fn finish(&mut self) -> Vec<ScoredDoc> {
+        let scores = &self.scores;
+        let seen = &mut self.seen;
+        self.touched
+            .drain(..)
+            .map(|doc| {
+                seen[doc as usize / 64] = 0;
+                ScoredDoc {
+                    doc,
+                    score: scores[doc as usize],
+                }
+            })
+            .collect()
+    }
+}
+
 /// Rank pre-tokenized `terms` over the documents passing `keep`, returning
 /// the top `k` by descending BM25 score (ties broken by doc id for
 /// determinism) and the work performed. Stopwords have no postings, so
@@ -42,8 +93,11 @@ fn idf(n_docs: usize, df: usize) -> f64 {
 /// `&|_| true`.
 ///
 /// The per-posting cost is one multiply-add on the posting's cached
-/// `doc_len`: the length-normalization factors that do not depend on the
-/// document (`k1·(1-b)` and `k1·b/avgdl`) are hoisted out of the loop.
+/// `doc_len` and one add into a dense per-document accumulator: the
+/// length-normalization factors that do not depend on the document
+/// (`k1·(1-b)` and `k1·b/avgdl`) are hoisted out of the loop. Each
+/// document's contributions add in query-term order. Only the best `k` of
+/// the touched documents are sorted.
 pub fn rank_terms_filtered_counted(
     index: &InvertedIndex,
     terms: &[String],
@@ -61,7 +115,8 @@ pub fn rank_terms_filtered_counted(
     let c0 = params.k1 * (1.0 - params.b);
     let c1 = params.k1 * params.b / avgdl;
     let tf_scale = params.k1 + 1.0;
-    let mut scores: HashMap<u64, f64> = HashMap::new();
+    let mut acc = index.take_accumulator();
+    acc.begin(index.doc_id_bound());
     for term in terms {
         let postings = index.postings(term);
         if postings.is_empty() {
@@ -75,15 +130,17 @@ pub fn rank_terms_filtered_counted(
             let tf = f64::from(p.tf);
             let denom = tf + c0 + c1 * p.doc_len as f64;
             work.postings_scored += 1;
-            *scores.entry(p.doc).or_insert(0.0) += idf * tf * tf_scale / denom;
+            acc.add(p.doc, idf * tf * tf_scale / denom);
         }
     }
-    let mut ranked: Vec<ScoredDoc> = scores
-        .into_iter()
-        .map(|(doc, score)| ScoredDoc { doc, score })
-        .collect();
-    ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
-    ranked.truncate(k);
+    let mut ranked = acc.finish();
+    index.return_accumulator(acc);
+    let order = |a: &ScoredDoc, b: &ScoredDoc| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc));
+    if ranked.len() > k {
+        ranked.select_nth_unstable_by(k - 1, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
     (ranked, work)
 }
 
@@ -110,7 +167,7 @@ pub fn score_doc(index: &InvertedIndex, query: &str, doc: u64, params: Bm25Param
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn search(index: &InvertedIndex, query: &str, k: usize, params: Bm25Params) -> Vec<ScoredDoc> {
         rank_terms_filtered_counted(index, &tokenize(query), k, params, &|_| true).0
@@ -286,5 +343,60 @@ mod tests {
                 assert_eq!(got, want, "query {query:?}, k {k}");
             }
         }
+    }
+
+    /// The filtered top-k against a `HashMap` accumulator and a full sort
+    /// (the shape the dense accumulator replaced), with k below the number
+    /// of passing matches and a run of tied scores straddling the cut.
+    #[test]
+    fn filtered_partial_top_k_matches_a_hash_map_reference() {
+        let mut ix = InvertedIndex::new();
+        let texts = [
+            "red apple pie",
+            "green apple",
+            "red apple pie",
+            "apple",
+            "red apple pie",
+            "red apple pie",
+            "pie crust recipe",
+            "red apple pie",
+            "apple red red",
+            "red apple pie",
+            "a red apple pie",
+            "red apple pie",
+        ];
+        for (doc, text) in texts.iter().enumerate() {
+            ix.add_document(doc as u64, text);
+        }
+        let p = Bm25Params::default();
+        let keep = |doc: u64| doc != 2 && doc != 8;
+        let terms = tokenize("red apple pie");
+        let mut reference: HashMap<u64, f64> = HashMap::new();
+        let n = ix.num_docs();
+        let avgdl = ix.avg_doc_len();
+        for term in &terms {
+            let postings = ix.postings(term);
+            let idf = idf(n, postings.len());
+            for post in postings.iter().filter(|post| keep(post.doc)) {
+                let tf = f64::from(post.tf);
+                let denom = tf + p.k1 * (1.0 - p.b) + p.k1 * p.b / avgdl * post.doc_len as f64;
+                *reference.entry(post.doc).or_insert(0.0) += idf * tf * (p.k1 + 1.0) / denom;
+            }
+        }
+        let mut want: Vec<(u64, u64)> = reference.iter().map(|(&d, &s)| (d, s.to_bits())).collect();
+        want.sort_by(|a, b| {
+            f64::from_bits(b.1)
+                .total_cmp(&f64::from_bits(a.1))
+                .then(a.0.cmp(&b.0))
+        });
+        // Docs 0, 4, 5, 7, 9 and 11 tie at the top; k = 3 cuts the run.
+        let top = want[0].1;
+        assert!(want.iter().filter(|w| w.1 == top).count() > 3);
+        for k in [1, 3, 5, 6, 7, want.len(), want.len() + 3] {
+            let (got, _) = rank_terms_filtered_counted(&ix, &terms, k, p, &keep);
+            let got: Vec<(u64, u64)> = got.iter().map(|h| (h.doc, h.score.to_bits())).collect();
+            assert_eq!(got, want[..k.min(want.len())], "k {k}");
+        }
+        assert_eq!(&want[..3], &[(0, top), (4, top), (5, top)]);
     }
 }

@@ -1,7 +1,9 @@
 //! Term-frequency inverted index: the per-posting data BM25 reads.
 
+use crate::bm25::Accumulator;
 use crate::tokenize::{is_stopword, tokenize_with};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A posting: one document containing a term, with the term's frequency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +23,9 @@ pub struct Posting {
 /// A document's length counts every token, stopwords included, but
 /// stopwords get no postings: query tokenization drops them, so no lookup
 /// would ever read one.
+///
+/// Document ids are meant to be dense (the engine uses row ordinals): BM25
+/// ranking accumulates into an array indexed by id, sized by the largest id.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     postings: HashMap<String, Vec<Posting>>,
@@ -29,6 +34,8 @@ pub struct InvertedIndex {
     /// Smallest id the next document may take: ids (row ordinals) arrive in
     /// increasing order, so each term's postings stay sorted by document.
     next_doc: u64,
+    /// BM25 accumulators, one checked out per in-flight ranking call.
+    accumulators: Mutex<Vec<Accumulator>>,
 }
 
 impl InvertedIndex {
@@ -80,6 +87,26 @@ impl InvertedIndex {
     /// Document frequency of a term.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.postings(term).len()
+    }
+
+    /// One past the largest document id indexed so far.
+    pub(crate) fn doc_id_bound(&self) -> usize {
+        self.next_doc as usize
+    }
+
+    pub(crate) fn take_accumulator(&self) -> Accumulator {
+        self.accumulators
+            .lock()
+            .expect("accumulator pool lock")
+            .pop()
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn return_accumulator(&self, acc: Accumulator) {
+        self.accumulators
+            .lock()
+            .expect("accumulator pool lock")
+            .push(acc);
     }
 }
 

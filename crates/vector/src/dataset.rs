@@ -110,6 +110,19 @@ impl Dataset {
         &self.norms
     }
 
+    /// All ids, slot order.
+    #[inline]
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// Take the dataset apart into its ids, its contiguous value buffer and
+    /// its per-row norms (all in slot order), so an index can move the
+    /// vectors into its own layout instead of copying them.
+    pub fn into_parts(self) -> (Vec<u64>, Vec<f32>, Vec<f32>) {
+        (self.ids, self.data, self.norms)
+    }
+
     /// Iterate `(id, vector)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[f32])> {
         (0..self.len()).map(move |i| (self.id(i), self.vector(i)))

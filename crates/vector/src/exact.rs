@@ -20,6 +20,8 @@ use std::collections::BinaryHeap;
 const BLOCK: usize = 64;
 
 /// A max-heap entry so the heap root is the *worst* of the current top-k.
+/// Hits order by `(distance.total_cmp, id)`; [`TopK`] stores every NaN
+/// distance as `f32::NAN`, so NaN ranks after every number.
 #[derive(Debug, PartialEq)]
 struct HeapHit(Hit);
 
@@ -43,6 +45,10 @@ impl PartialOrd for HeapHit {
 /// A bounded best-`k` accumulator: push candidates as they are scored, drain
 /// sorted hits at the end. Per-worker instances merge cheaply, which is how
 /// every parallel search path in this crate combines worker results.
+///
+/// The answer is the `k` smallest `(distance, id)` pairs under the heap's
+/// own total order, so it does not depend on the order candidates arrive in
+/// or on how a scan is split across workers.
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
@@ -58,32 +64,22 @@ impl TopK {
         }
     }
 
-    /// Current admission threshold: a candidate at or past this distance
-    /// cannot enter. `INFINITY` until the heap fills.
-    #[inline]
-    pub fn threshold(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap
-                .peek()
-                .map(|h| h.0.distance)
-                .unwrap_or(f32::INFINITY)
-        }
-    }
-
-    /// Offer one candidate.
+    /// Offer one candidate. Once the heap is full, a candidate that does not
+    /// beat the current worst is rejected by one comparison against the
+    /// root, without touching the heap.
     #[inline]
     pub fn push(&mut self, id: u64, distance: f32) {
-        if self.k == 0 {
-            return;
-        }
+        let distance = if distance.is_nan() {
+            f32::NAN
+        } else {
+            distance
+        };
+        let hit = HeapHit(Hit { id, distance });
         if self.heap.len() < self.k {
-            self.heap.push(HeapHit(Hit { id, distance }));
-        } else if let Some(worst) = self.heap.peek() {
-            if distance < worst.0.distance {
-                self.heap.pop();
-                self.heap.push(HeapHit(Hit { id, distance }));
+            self.heap.push(hit);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if hit < *worst {
+                *worst = hit;
             }
         }
     }
@@ -95,11 +91,13 @@ impl TopK {
         }
     }
 
-    /// Sorted hits, best first; ties break by id for determinism.
+    /// Sorted hits, best first; ties break by id.
     pub fn into_hits(self) -> Vec<Hit> {
-        let mut out: Vec<Hit> = self.heap.into_iter().map(|h| h.0).collect();
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        out
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|h| h.0)
+            .collect()
     }
 }
 
@@ -112,40 +110,39 @@ pub(crate) fn top_k(candidates: impl Iterator<Item = Hit>, k: usize) -> Vec<Hit>
     acc.into_hits()
 }
 
-/// Fused score+select over a contiguous slot range of `data`: blocked
-/// distance evaluation into a stack buffer, drained into `acc` — no full
-/// distance array. Shared by the exact scan and IVF's per-cell scans.
-pub(crate) fn scan_slots_into(
-    data: &Dataset,
+/// Fused score+select over contiguous rows: `values` holds one vector per
+/// entry of `ids`, back to back, each `query.len()` floats wide (the
+/// boundary check has matched the query to the index), and `norms` their
+/// Euclidean norms (read only by cosine; may be empty otherwise).
+/// Distances are computed a block at a time with the blocked kernels into a
+/// stack buffer and drained into `acc`, so no full distance array is ever
+/// built. Shared by the exact scan and IVF's per-cell scans.
+pub(crate) fn scan_rows_into(
     metric: Metric,
     query: &[f32],
     query_norm: f32,
-    lo: usize,
-    hi: usize,
+    values: &[f32],
+    norms: &[f32],
+    ids: &[u64],
     acc: &mut TopK,
 ) {
-    let dim = data.dim();
+    let dim = query.len();
     let mut dists = [0f32; BLOCK];
-    let mut start = lo;
-    while start < hi {
-        let rows = (hi - start).min(BLOCK);
-        let block = &data.values()[start * dim..(start + rows) * dim];
-        let norms = metric
-            .uses_norms()
-            .then(|| &data.norms()[start..start + rows]);
+    for (b, block_ids) in ids.chunks(BLOCK).enumerate() {
+        let (lo, rows) = (b * BLOCK, block_ids.len());
+        let block_norms = metric.uses_norms().then(|| &norms[lo..lo + rows]);
         score_block(
             metric,
             query,
-            block,
+            &values[lo * dim..(lo + rows) * dim],
             dim,
-            norms,
+            block_norms,
             query_norm,
             &mut dists[..rows],
         );
-        for (off, &d) in dists[..rows].iter().enumerate() {
-            acc.push(data.id(start + off), d);
+        for (&id, &d) in block_ids.iter().zip(&dists[..rows]) {
+            acc.push(id, d);
         }
-        start += rows;
     }
 }
 
@@ -180,6 +177,20 @@ impl ExactIndex {
     pub fn try_insert(&mut self, id: u64, vector: &[f32]) -> Result<(), crate::DimensionMismatch> {
         self.data.try_push(id, vector)
     }
+
+    /// Score slots `lo..hi` into `acc`.
+    fn scan_slots(&self, query: &[f32], query_norm: f32, lo: usize, hi: usize, acc: &mut TopK) {
+        let dim = self.data.dim();
+        scan_rows_into(
+            self.metric,
+            query,
+            query_norm,
+            &self.data.values()[lo * dim..hi * dim],
+            &self.data.norms()[lo..hi],
+            &self.data.ids()[lo..hi],
+            acc,
+        );
+    }
 }
 
 impl VectorIndex for ExactIndex {
@@ -203,15 +214,7 @@ impl VectorIndex for ExactIndex {
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         let mut acc = TopK::new(k);
-        scan_slots_into(
-            &self.data,
-            self.metric,
-            query,
-            norm(query),
-            0,
-            self.data.len(),
-            &mut acc,
-        );
+        self.scan_slots(query, norm(query), 0, self.data.len(), &mut acc);
         acc.into_hits()
     }
 
@@ -228,7 +231,7 @@ impl VectorIndex for ExactIndex {
             let lo = w * per;
             let hi = ((w + 1) * per).min(n);
             let mut acc = TopK::new(k);
-            scan_slots_into(&self.data, self.metric, query, qn, lo, hi, &mut acc);
+            self.scan_slots(query, qn, lo, hi, &mut acc);
             acc
         });
         let mut merged = TopK::new(k);
@@ -362,19 +365,66 @@ mod tests {
 
     #[test]
     fn topk_threshold_and_merge() {
-        let mut a = TopK::new(2);
-        assert_eq!(a.threshold(), f32::INFINITY);
-        a.push(1, 5.0);
-        a.push(2, 3.0);
-        assert_eq!(a.threshold(), 5.0);
-        a.push(3, 4.0); // evicts 5.0
-        assert_eq!(a.threshold(), 4.0);
+        let ids = |acc: TopK| -> Vec<u64> { acc.into_hits().iter().map(|h| h.id).collect() };
+        let filled = || {
+            let mut a = TopK::new(2);
+            a.push(1, 5.0);
+            a.push(2, 3.0);
+            a.push(3, 4.0); // beats the worst (5.0, id 1): evicts it
+            a.push(7, 4.0); // ties the worst (4.0, id 3), larger id: rejected
+            a.push(0, 4.0); // ties it with a smaller id: evicts id 3
+            a
+        };
+        assert_eq!(ids(filled()), vec![2, 0]);
         let mut b = TopK::new(2);
         b.push(9, 0.5);
-        b.merge(a);
-        let hits = b.into_hits();
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].id, 9);
-        assert_eq!(hits[1].id, 2);
+        b.merge(filled());
+        assert_eq!(ids(b), vec![9, 2]);
+    }
+
+    #[test]
+    fn nan_scanned_first_does_not_block_finite_hits() {
+        // A NaN component makes the first scanned distance NaN (negative
+        // NaN under Dot, whose distance is a negated product). It must rank
+        // after every finite hit instead of pinning the heap root.
+        for metric in [Metric::L2, Metric::Dot, Metric::Cosine] {
+            let mut ix = ExactIndex::new(2, metric);
+            ix.insert(0, &[f32::NAN, 1.0]);
+            for i in 1..6u64 {
+                ix.insert(i, &[1.0, i as f32]);
+            }
+            let q = [1.0, 0.0];
+            let mut want: Vec<(f32, u64)> = (1..6u64)
+                .map(|i| (metric.distance(&q, &[1.0, i as f32]), i))
+                .collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for k in [1, 3] {
+                let got: Vec<u64> = ix.search(&q, k).iter().map(|h| h.id).collect();
+                let want: Vec<u64> = want[..k].iter().map(|w| w.1).collect();
+                assert_eq!(got, want, "{metric:?} k={k}");
+            }
+            // Asked for everything, the NaN hit comes last.
+            let all = ix.search(&q, 6);
+            assert_eq!(all[5].id, 0);
+            assert!(all[5].distance.is_nan());
+        }
+    }
+
+    #[test]
+    fn ties_straddling_k_keep_the_smallest_ids() {
+        // Every row ties; ids are scanned largest first, so admission must
+        // compare ids, not only distances.
+        let mut ix = ExactIndex::new(1, Metric::L2);
+        for i in (0..4096u64).rev() {
+            ix.insert(i, &[1.0]);
+        }
+        for parallel in [Parallelism::Serial, Parallelism::Fixed(4)] {
+            let ids: Vec<u64> = ix
+                .search_with(&[0.0], 5, parallel)
+                .iter()
+                .map(|h| h.id)
+                .collect();
+            assert_eq!(ids, vec![0, 1, 2, 3, 4], "{parallel:?}");
+        }
     }
 }

@@ -2,14 +2,23 @@
 
 use crate::dataset::Dataset;
 use crate::distance::{norm, Metric};
-use crate::exact::TopK;
+use crate::exact::{scan_rows_into, TopK};
 use crate::{DimensionMismatch, Hit, Parallelism, VectorIndex};
 use backbone_query::pool::run_workers;
 use rand::prelude::*;
+use std::collections::HashMap;
 
 /// IVF-Flat index: vectors are partitioned by k-means into `nlist` cells; a
 /// query probes only the `nprobe` nearest cells. Trades recall for speed —
 /// [`crate::recall`] quantifies the trade.
+///
+/// Storage is cell-major: one buffer holds every vector, each cell's
+/// members back to back in insertion order, with their ids (and, for
+/// cosine, their norms) in parallel arrays, so probing a cell is one
+/// sequential pass of the blocked kernels. The buffer is the built
+/// dataset's own, permuted in place. An insert appends to its cell's run,
+/// shifting the cells after it by one row: a memmove of the index tail,
+/// which the engine never pays — it builds each table's IVF once.
 ///
 /// Probed cells are independent, so [`VectorIndex::search_with`] splits them
 /// across the shared worker pool with a top-k heap per worker, merged at
@@ -18,10 +27,59 @@ pub struct IvfIndex {
     dim: usize,
     metric: Metric,
     centroids: Vec<Vec<f32>>,
-    /// Per-cell vector slots (indices into `data`).
-    cells: Vec<Vec<usize>>,
-    data: Dataset,
+    /// Cell `c` owns rows `starts[c]..starts[c + 1]`; `nlist + 1` entries.
+    starts: Vec<usize>,
+    /// Row vectors, back to back, cell-major.
+    values: Vec<f32>,
+    /// Row ids.
+    ids: Vec<u64>,
+    /// Row Euclidean norms; empty unless the metric reads them (cosine).
+    norms: Vec<f32>,
+    /// Where each id's vector lives, for [`VectorIndex::distance_of`].
+    positions: Positions,
     nprobe: usize,
+}
+
+/// A member's place: `(cell, offset within the cell)`.
+type Position = (u32, u32);
+
+const ABSENT: Position = (u32::MAX, u32::MAX);
+
+/// Id → [`Position`]. Engine ids are row ordinals, so a table indexed by id
+/// answers them with one load. An id far past the index size goes to a map
+/// instead, so a sparse id cannot grow the table without bound.
+#[derive(Default)]
+struct Positions {
+    dense: Vec<Position>,
+    sparse: HashMap<u64, Position>,
+}
+
+impl Positions {
+    /// Record `id` at `at` in an index of `len` members (the last write of
+    /// an id wins, like [`Dataset::vector_by_id`]).
+    fn set(&mut self, id: u64, at: Position, len: usize) {
+        let slot = usize::try_from(id).unwrap_or(usize::MAX);
+        if slot >= self.dense.len() && slot <= 2 * len + 1024 {
+            self.dense.resize(slot + 1, ABSENT);
+        }
+        match self.dense.get_mut(slot) {
+            Some(p) => *p = at,
+            None => {
+                self.sparse.insert(id, at);
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: u64) -> Option<Position> {
+        match usize::try_from(id)
+            .ok()
+            .and_then(|slot| self.dense.get(slot))
+        {
+            Some(&p) if p != ABSENT => Some(p),
+            _ => self.sparse.get(&id).copied(),
+        }
+    }
 }
 
 /// Build parameters for [`IvfIndex`].
@@ -49,22 +107,27 @@ impl Default for IvfParams {
 }
 
 impl IvfIndex {
-    /// Train and build the index over `data`.
+    /// Train and build the index over `data`, moving its vectors into the
+    /// cells.
     ///
     /// `nlist` is clamped to the dataset size; an empty dataset yields an
     /// empty index that returns no hits.
     pub fn build(data: Dataset, metric: Metric, params: IvfParams) -> IvfIndex {
         let dim = data.dim();
         let n = data.len();
+        let mut ix = IvfIndex {
+            dim,
+            metric,
+            centroids: Vec::new(),
+            starts: vec![0],
+            values: Vec::new(),
+            ids: Vec::new(),
+            norms: Vec::new(),
+            positions: Positions::default(),
+            nprobe: params.nprobe.max(1),
+        };
         if n == 0 {
-            return IvfIndex {
-                dim,
-                metric,
-                centroids: Vec::new(),
-                cells: Vec::new(),
-                data,
-                nprobe: params.nprobe.max(1),
-            };
+            return ix;
         }
         let nlist = params.nlist.clamp(1, n);
         let mut rng = StdRng::seed_from_u64(params.seed);
@@ -107,19 +170,48 @@ impl IvfIndex {
             }
         }
 
-        let mut cells = vec![Vec::new(); nlist];
-        for i in 0..n {
-            cells[nearest_centroid(&centroids, data.vector(i))].push(i);
+        for (i, slot) in assignment.iter_mut().enumerate() {
+            *slot = nearest_centroid(&centroids, data.vector(i));
         }
+        ix.centroids = centroids;
+        ix.fill_cells(data, assignment);
+        ix
+    }
 
-        IvfIndex {
-            dim,
-            metric,
-            centroids,
-            cells,
-            data,
-            nprobe: params.nprobe.max(1),
+    /// Move `data` into cell-major order: slot `i` joins cell
+    /// `assignment[i]`, each cell keeping slot order. The dataset's own
+    /// buffers are permuted in place, so the vectors are never copied.
+    fn fill_cells(&mut self, data: Dataset, mut assignment: Vec<usize>) {
+        let nlist = self.centroids.len();
+        let (mut ids, mut values, mut norms) = data.into_parts();
+        let mut starts = vec![0usize; nlist + 1];
+        for &c in &assignment {
+            starts[c + 1] += 1;
         }
+        for c in 0..nlist {
+            starts[c + 1] += starts[c];
+        }
+        // Turn each slot's cell into its destination row.
+        let mut fill = starts.clone();
+        self.positions.dense.reserve(ids.len());
+        for (slot, dest) in assignment.iter_mut().enumerate() {
+            let c = *dest;
+            *dest = fill[c];
+            fill[c] += 1;
+            let at = (c as u32, (*dest - starts[c]) as u32);
+            self.positions.set(ids[slot], at, ids.len());
+        }
+        permute_rows(&mut values, self.dim, &assignment);
+        permute_rows(&mut ids, 1, &assignment);
+        if self.metric.uses_norms() {
+            permute_rows(&mut norms, 1, &assignment);
+        } else {
+            norms = Vec::new();
+        }
+        self.starts = starts;
+        self.values = values;
+        self.ids = ids;
+        self.norms = norms;
     }
 
     /// Change the probe width at query time (recall/latency knob).
@@ -132,12 +224,30 @@ impl IvfIndex {
         self.centroids.len()
     }
 
-    /// Insert one vector without retraining: it joins the cell of its
-    /// nearest centroid. Centroids are *not* moved — after heavy churn the
-    /// partition drifts from the data and recall sags until a rebuild, which
-    /// is exactly the trade the incremental-insert recall test pins down.
-    /// Panics on dimension mismatch; the typed alternative is
-    /// [`IvfIndex::try_insert`].
+    /// The cells a search for `query` probes, nearest centroid first.
+    pub fn probes(&self, query: &[f32]) -> Vec<usize> {
+        let mut order: Vec<(f32, usize)> = self
+            .centroids
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (crate::distance::l2_sq(query, c), i))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        order.truncate(self.nprobe);
+        order.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// The ids in `cell`, in insertion order (the order a probe scans them).
+    pub fn cell_ids(&self, cell: usize) -> &[u64] {
+        &self.ids[self.starts[cell]..self.starts[cell + 1]]
+    }
+
+    /// Insert one vector without retraining: it is appended to the cell of
+    /// its nearest centroid (see [`IvfIndex`] for the cost). Centroids are
+    /// *not* moved — after heavy churn the partition drifts from the data
+    /// and recall sags until a rebuild, which is exactly the trade the
+    /// incremental-insert recall test pins down. Panics on dimension
+    /// mismatch; the typed alternative is [`IvfIndex::try_insert`].
     pub fn insert(&mut self, id: u64, vector: &[f32]) {
         self.try_insert(id, vector)
             .expect("vector dimension mismatch");
@@ -154,37 +264,63 @@ impl IvfIndex {
         // First vector into an empty (untrained) index seeds a single cell.
         if self.centroids.is_empty() {
             self.centroids.push(vector.to_vec());
-            self.cells.push(Vec::new());
+            self.starts.push(0);
         }
-        let cell = nearest_centroid(&self.centroids, vector);
-        let slot = self.data.len();
-        self.data.try_push(id, vector)?;
-        self.cells[cell].push(slot);
+        let c = nearest_centroid(&self.centroids, vector);
+        let row = self.starts[c + 1];
+        let at = (c as u32, (row - self.starts[c]) as u32);
+        self.positions.set(id, at, self.ids.len() + 1);
+        self.values
+            .splice(row * self.dim..row * self.dim, vector.iter().copied());
+        self.ids.insert(row, id);
+        if self.metric.uses_norms() {
+            self.norms.insert(row, norm(vector));
+        }
+        for start in &mut self.starts[c + 1..] {
+            *start += 1;
+        }
         Ok(())
     }
 
-    fn probe_order(&self, query: &[f32]) -> Vec<usize> {
-        let mut order: Vec<(f32, usize)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (crate::distance::l2_sq(query, c), i))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
-        order.into_iter().map(|(_, i)| i).collect()
-    }
-
-    /// Score every slot of `cell` into `acc` using cached row norms.
+    /// Score every member of `cell` into `acc`.
     fn scan_cell(&self, cell: usize, query: &[f32], query_norm: f32, acc: &mut TopK) {
-        for &slot in &self.cells[cell] {
-            let d = self.metric.distance_prenorm(
-                query,
-                self.data.vector(slot),
-                query_norm,
-                self.data.norm_of_slot(slot),
-            );
-            acc.push(self.data.id(slot), d);
+        let (lo, hi) = (self.starts[cell], self.starts[cell + 1]);
+        let norms = if self.norms.is_empty() {
+            &[][..]
+        } else {
+            &self.norms[lo..hi]
+        };
+        scan_rows_into(
+            self.metric,
+            query,
+            query_norm,
+            &self.values[lo * self.dim..hi * self.dim],
+            norms,
+            &self.ids[lo..hi],
+            acc,
+        );
+    }
+}
+
+/// Reorder the `width`-item rows of `rows` in place so that row `i` lands
+/// at row `dest[i]` (`dest` a permutation), following each cycle with one
+/// row of scratch.
+fn permute_rows<T: Copy + Default>(rows: &mut [T], width: usize, dest: &[usize]) {
+    let mut placed = vec![false; dest.len()];
+    let mut carry = vec![T::default(); width];
+    for start in 0..dest.len() {
+        if placed[start] || dest[start] == start {
+            continue;
         }
+        carry.copy_from_slice(&rows[start * width..(start + 1) * width]);
+        let mut at = dest[start];
+        while at != start {
+            carry.swap_with_slice(&mut rows[at * width..(at + 1) * width]);
+            placed[at] = true;
+            at = dest[at];
+        }
+        rows[start * width..(start + 1) * width].copy_from_slice(&carry);
+        placed[start] = true;
     }
 }
 
@@ -207,13 +343,14 @@ impl VectorIndex for IvfIndex {
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.ids.len()
     }
 
     fn distance_of(&self, query: &[f32], id: u64) -> Option<f32> {
-        self.data
-            .vector_by_id(id)
-            .map(|v| self.metric.distance(query, v))
+        let (c, off) = self.positions.get(id)?;
+        let row = self.starts[c as usize] + off as usize;
+        let v = &self.values[row * self.dim..(row + 1) * self.dim];
+        Some(self.metric.distance(query, v))
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
@@ -224,11 +361,7 @@ impl VectorIndex for IvfIndex {
         if self.centroids.is_empty() {
             return Vec::new();
         }
-        let probes: Vec<usize> = self
-            .probe_order(query)
-            .into_iter()
-            .take(self.nprobe)
-            .collect();
+        let probes = self.probes(query);
         let qn = norm(query);
         // One worker per probed cell is the natural grain; fewer probes than
         // workers just idles the surplus.
@@ -262,19 +395,14 @@ impl VectorIndex for IvfIndex {
         }
         let qn = norm(query);
         let mut acc = TopK::new(k);
-        for cell in self.probe_order(query).into_iter().take(self.nprobe) {
-            for &slot in &self.cells[cell] {
-                let id = self.data.id(slot);
-                if !filter(id) {
-                    continue;
+        for cell in self.probes(query) {
+            for row in self.starts[cell]..self.starts[cell + 1] {
+                let id = self.ids[row];
+                if filter(id) {
+                    let v = &self.values[row * self.dim..(row + 1) * self.dim];
+                    let row_norm = self.norms.get(row).copied().unwrap_or(0.0);
+                    acc.push(id, self.metric.distance_prenorm(query, v, qn, row_norm));
                 }
-                let d = self.metric.distance_prenorm(
-                    query,
-                    self.data.vector(slot),
-                    qn,
-                    self.data.norm_of_slot(slot),
-                );
-                acc.push(id, d);
             }
         }
         acc.into_hits()
@@ -466,5 +594,55 @@ mod tests {
         let hits = ix.search_masked(&[0.5, 0.5], 5, &|id| id >= 10);
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.id >= 10));
+    }
+
+    #[test]
+    fn cells_keep_insertion_order_and_distance_of_finds_every_id() {
+        let d = clustered_dataset(30);
+        let vectors: Vec<(u64, Vec<f32>)> = d.iter().map(|(id, v)| (id, v.to_vec())).collect();
+        for metric in [Metric::L2, Metric::Cosine] {
+            let mut ix = IvfIndex::build(
+                d.clone(),
+                metric,
+                IvfParams {
+                    nlist: 6,
+                    ..Default::default()
+                },
+            );
+            // A dense id past the build, and one far past any dense table.
+            ix.insert(120, &[3.0, 4.0]);
+            ix.insert(u64::MAX, &[50.0, 50.0]);
+            let mut all = vectors.clone();
+            all.push((120, vec![3.0, 4.0]));
+            all.push((u64::MAX, vec![50.0, 50.0]));
+            let q = [20.0, 70.0];
+            for (id, v) in &all {
+                assert_eq!(ix.distance_of(&q, *id), Some(metric.distance(&q, v)));
+            }
+            assert_eq!(ix.distance_of(&q, 121), None);
+            let mut seen = 0;
+            for c in 0..ix.nlist() {
+                let ids = ix.cell_ids(c);
+                let order: Vec<usize> = ids
+                    .iter()
+                    .map(|id| all.iter().position(|(x, _)| x == id).unwrap())
+                    .collect();
+                assert!(order.windows(2).all(|w| w[0] < w[1]), "cell {c}: {ids:?}");
+                seen += ids.len();
+            }
+            assert_eq!(seen, all.len());
+        }
+    }
+
+    #[test]
+    fn permute_rows_follows_every_cycle() {
+        let mut values: Vec<f32> = (0..12).map(|x| x as f32).collect();
+        // Rows 0..6 of width 2; two cycles (0 2 4) and (1 3), one fixed row.
+        let dest = [2, 3, 4, 1, 0, 5];
+        permute_rows(&mut values, 2, &dest);
+        assert_eq!(
+            values,
+            vec![8.0, 9.0, 6.0, 7.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 11.0]
+        );
     }
 }

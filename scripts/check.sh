@@ -64,12 +64,14 @@ cargo test -q -p backbone-bench --test kernel_equivalence tiny_budget
 
 # Nesting a client can send — SQL expressions and wire JSON — is capped with a
 # typed error, so no request can overflow a worker's stack; so is the length of
-# a request line, so no request can grow a buffer without bound.
-echo "== hostile input: SQL and JSON nesting depth, request line length =="
+# a request line, so no request can grow a buffer without bound. A request that
+# panics the engine gets a typed internal error, and its worker keeps serving.
+echo "== hostile input: SQL and JSON nesting depth, request line length, panics =="
 cargo test -q -p backbone-bench --test sql_robustness sql_depth_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deep_nesting_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deeply_nested
 cargo test -q -p backbone-server overlong_request_line
+cargo test -q -p backbone-server panicking_request_is_a_typed_error_and_the_worker_survives
 
 echo "== serving: server crate + concurrent-session property suite =="
 cargo test -q -p backbone-server

@@ -3,8 +3,10 @@
 //! The blocked distance kernels must agree with the scalar reference loops
 //! (up to float reassociation) on arbitrary inputs — odd lengths, zero
 //! vectors, NaN — and every parallel search path must return the identical
-//! answer to its serial twin. Incremental inserts (no rebuild) must keep
-//! recall above a pinned floor, so index maintenance can't silently rot.
+//! answer to its serial twin. IVF's cell-major storage must answer exactly
+//! like a from-scratch scan of the cells it probes. Incremental inserts (no
+//! rebuild) must keep recall above a pinned floor, so index maintenance
+//! can't silently rot.
 
 use backbone_vector::hnsw::{HnswIndex, HnswParams};
 use backbone_vector::ivf::{IvfIndex, IvfParams};
@@ -12,6 +14,7 @@ use backbone_vector::recall::recall_at_k;
 use backbone_vector::{distance, Dataset, ExactIndex, Metric, Parallelism, VectorIndex};
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::collections::HashMap;
 
 /// Blocked and scalar results agree: both NaN, or within reassociation
 /// tolerance (the blocked kernel sums in 8 independent accumulators).
@@ -83,6 +86,116 @@ proptest! {
             distance::score_block(metric, &query, rows, dim, Some(&norms), query_norm, &mut out);
             for (i, row) in rows.chunks_exact(dim).enumerate() {
                 assert_kernel_eq(out[i], metric.distance(&query, row), "score_block");
+            }
+        }
+    }
+}
+
+/// The IVF answer a search must give: the `k` smallest `(distance, id)`
+/// pairs, under `f32::total_cmp` with every NaN stored as `f32::NAN`, among
+/// the members of the cells the query probes that pass `keep`. Returned as
+/// `(distance bits, id)`.
+fn ivf_reference(
+    ivf: &IvfIndex,
+    vectors: &HashMap<u64, Vec<f32>>,
+    metric: Metric,
+    query: &[f32],
+    k: usize,
+    keep: &dyn Fn(u64) -> bool,
+) -> Vec<(u32, u64)> {
+    let mut want: Vec<(f32, u64)> = ivf
+        .probes(query)
+        .into_iter()
+        .flat_map(|cell| ivf.cell_ids(cell).to_vec())
+        .filter(|&id| keep(id))
+        .map(|id| {
+            let d = metric.distance(query, &vectors[&id]);
+            (if d.is_nan() { f32::NAN } else { d }, id)
+        })
+        .collect();
+    want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    want.iter()
+        .take(k)
+        .map(|&(d, id)| (d.to_bits(), id))
+        .collect()
+}
+
+fn bits(hits: &[backbone_vector::Hit]) -> Vec<(u32, u64)> {
+    hits.iter().map(|h| (h.distance.to_bits(), h.id)).collect()
+}
+
+proptest! {
+    /// IVF's cell-major layout against a from-scratch reference: random
+    /// rows, exact duplicates (ties), NaN components, ids shuffled so scan
+    /// order is not id order, and rows inserted after `build`.
+    #[test]
+    fn ivf_cells_answer_like_a_reference_scan(
+        case in (
+            any::<u64>(),
+            1usize..10,
+            0usize..3,
+            (1usize..300, 0usize..60),
+            (1usize..20, 1usize..20, 1usize..40),
+        ),
+    ) {
+        let (seed, dim, metric, (built, inserted), (nlist, nprobe, k)) = case;
+        let metric = [Metric::L2, Metric::Dot, Metric::Cosine][metric];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = built + inserted;
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        ids.shuffle(&mut rng);
+        let mut rows: Vec<(u64, Vec<f32>)> = Vec::with_capacity(n);
+        for &id in &ids {
+            let v: Vec<f32> = match rng.gen_range(0..10) {
+                0 if !rows.is_empty() => rows[rng.gen_range(0..rows.len())].1.clone(),
+                1 => {
+                    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                    v[rng.gen_range(0..dim)] = f32::NAN;
+                    v
+                }
+                _ => (0..dim).map(|_| rng.gen_range(-5.0f32..5.0).round()).collect(),
+            };
+            rows.push((id, v));
+        }
+        let mut data = Dataset::new(dim);
+        for (id, v) in &rows[..built] {
+            data.push(*id, v);
+        }
+        let mut ivf = IvfIndex::build(
+            data,
+            metric,
+            IvfParams { nlist, nprobe, train_iters: 3, seed },
+        );
+        for (id, v) in &rows[built..] {
+            ivf.insert(*id, v);
+        }
+        prop_assert_eq!(ivf.len(), n);
+
+        // Every cell lists its members in insertion order, and together the
+        // cells hold every row exactly once.
+        let order: HashMap<u64, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let mut members = 0;
+        for cell in 0..ivf.nlist() {
+            let ids = ivf.cell_ids(cell);
+            prop_assert!(ids.windows(2).all(|w| order[&w[0]] < order[&w[1]]), "cell {cell} out of order");
+            members += ids.len();
+        }
+        prop_assert_eq!(members, n);
+
+        let vectors: HashMap<u64, Vec<f32>> = rows.into_iter().collect();
+        for q in 0..3 {
+            let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0).round()).collect();
+            let want = ivf_reference(&ivf, &vectors, metric, &query, k, &|_| true);
+            for parallel in [Parallelism::Serial, Parallelism::Fixed(4)] {
+                let got = bits(&ivf.search_with(&query, k, parallel));
+                prop_assert_eq!(&got, &want, "query {q}, {parallel:?}");
+            }
+            let keep = |id: u64| !id.is_multiple_of(3);
+            let want = ivf_reference(&ivf, &vectors, metric, &query, k, &keep);
+            prop_assert_eq!(bits(&ivf.search_masked(&query, k, &keep)), want, "query {q}, masked");
+            for (&id, v) in &vectors {
+                let got = ivf.distance_of(&query, id).map(f32::to_bits);
+                prop_assert_eq!(got, Some(metric.distance(&query, v).to_bits()), "distance_of({id})");
             }
         }
     }
