@@ -323,14 +323,11 @@ fn select_cmp(col: &Column, op: BinOp, literal: &Value, sel: Option<&[u32]>) -> 
 }
 
 /// The per-kind verdicts of one operator. A NULL literal makes every
-/// comparison NULL; the numeric kinds answer that with no survivors (other
-/// kinds leave it to the reference path, which rejects the type mix).
+/// comparison NULL, over a column of any kind: no survivors.
 fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> Option<Vec<u32>> {
     let n = col.len();
     Some(match (col, literal) {
-        (Column::Int64(..) | Column::Float64(..) | Column::Int64Encoded { .. }, Value::Null) => {
-            Vec::new()
-        }
+        (_, Value::Null) => Vec::new(),
         (Column::Int64(v, valid), Value::Int(x)) => refine(sel, n, valid, |i| O::test(&v[i], x)),
         (Column::Int64(v, valid), Value::Float(x)) => {
             refine(sel, n, valid, |i| O::test(&(v[i] as f64), x))
@@ -650,7 +647,8 @@ fn try_dict_in_list(
     batch: &RecordBatch,
     sel: Option<&[u32]>,
 ) -> Result<Option<Column>> {
-    let Expr::Column(name) = strip_alias(expr) else {
+    // `x IN ()` is FALSE even for a NULL `x`; the general path answers it.
+    let (Expr::Column(name), false) = (strip_alias(expr), list.is_empty()) else {
         return Ok(None);
     };
     let mut items: std::collections::HashSet<&str> = std::collections::HashSet::new();

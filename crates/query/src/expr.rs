@@ -398,7 +398,11 @@ impl Expr {
             },
             Expr::InList { expr, list, .. } => {
                 let probe = expr.data_type(schema)?;
-                for e in list {
+                // A NULL item fits any probe: it only turns a miss into NULL.
+                let typed = list
+                    .iter()
+                    .filter(|e| !matches!(e, Expr::Literal(Value::Null)));
+                for e in typed {
                     let item = e.data_type(schema)?;
                     let compatible = item == probe
                         || matches!(

@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use crate::eval::eval;
-use crate::expr::{BinOp, Expr, UnOp};
+use crate::expr::{BinOp, Expr};
 use crate::logical::LogicalPlan;
 use backbone_storage::{RecordBatch, Schema, Value};
 
@@ -159,13 +159,10 @@ fn try_eval_const(expr: &Expr) -> Option<Expr> {
     if col.len() != 1 {
         return None;
     }
-    // NOT NULL stays NULL-typed; represent as literal null.
+    // A NULL result stays unfolded: the untyped NULL literal would lose the
+    // expression's type, and `NULL > 3` must stay a (NULL) predicate.
     let v = col.value(0);
-    // Avoid folding unary NOT of NULL into Int-typed null surprises.
-    if matches!((expr, &v), (Expr::Unary { op: UnOp::Not, .. }, Value::Null)) {
-        return None;
-    }
-    Some(Expr::Literal(v))
+    (!v.is_null()).then_some(Expr::Literal(v))
 }
 
 #[cfg(test)]
@@ -192,6 +189,12 @@ mod tests {
         assert_eq!(fold_expr(col("p").or(lit(false))), col("p"));
         assert_eq!(fold_expr(col("p").and(lit(false))), lit(false));
         assert_eq!(fold_expr(col("p").or(lit(true))), lit(true));
+    }
+
+    #[test]
+    fn null_results_stay_unfolded() {
+        let e = Expr::Literal(Value::Null).gt(lit(2i64).add(lit(1i64)));
+        assert_eq!(fold_expr(e), Expr::Literal(Value::Null).gt(lit(3i64)));
     }
 
     #[test]

@@ -97,6 +97,28 @@ impl GroupTable {
     }
 }
 
+/// Whether `x` strictly improves on `cur` as a minimum (`min`) or maximum.
+/// Incomparable values never improve.
+fn better<T: PartialOrd>(min: bool, x: &T, cur: &T) -> bool {
+    let ord = x.partial_cmp(cur).unwrap_or(std::cmp::Ordering::Equal);
+    if min {
+        ord == std::cmp::Ordering::Less
+    } else {
+        ord == std::cmp::Ordering::Greater
+    }
+}
+
+/// [`better`] for floats in ORDER BY order (`Value::sort_cmp`): NaN after
+/// every number. So MAX is NaN if any value is, MIN only if every value
+/// is, as `ORDER BY … LIMIT 1` answers, in every input order.
+fn better_f64(min: bool, x: f64, cur: f64) -> bool {
+    match (x.is_nan(), cur.is_nan()) {
+        (false, false) => better(min, &x, &cur),
+        // NaN is the greatest: it wins a MAX and loses a MIN to any number.
+        (nan_x, nan_cur) => nan_x != nan_cur && nan_x != min,
+    }
+}
+
 /// One typed accumulator vector per aggregate, indexed by group id.
 enum AccVec {
     /// COUNT / COUNT(*).
@@ -320,15 +342,7 @@ impl AccVec {
                     let min = *min;
                     for_each_valid(gids, sel, bm, |g, row| {
                         let x = v[row];
-                        // sql_cmp treats incomparable floats as equal, so
-                        // NaN never replaces an existing extreme.
-                        let ord = x.partial_cmp(&vals[g]).unwrap_or(std::cmp::Ordering::Equal);
-                        let better = if min {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        };
-                        if !seen[g] || better {
+                        if !seen[g] || better_f64(min, x, vals[g]) {
                             vals[g] = x;
                             seen[g] = true;
                         }
@@ -376,14 +390,6 @@ impl AccVec {
     /// `update_batch`, so COUNT adds, SUM re-checks overflow, MIN/MAX keep
     /// the better extreme, and never-seen source groups stay NULL.
     fn merge_from(&mut self, dst: usize, src: &AccVec, sg: usize) -> Result<()> {
-        fn better<T: PartialOrd>(min: bool, x: &T, cur: &T) -> bool {
-            let ord = x.partial_cmp(cur).unwrap_or(std::cmp::Ordering::Equal);
-            if min {
-                ord == std::cmp::Ordering::Less
-            } else {
-                ord == std::cmp::Ordering::Greater
-            }
-        }
         match (self, src) {
             (AccVec::Count(a), AccVec::Count(b)) => a[dst] += b[sg],
             (AccVec::SumI { sums, seen }, AccVec::SumI { sums: s2, seen: e2 }) => {
@@ -427,7 +433,7 @@ impl AccVec {
                     vals: v2, seen: e2, ..
                 },
             ) => {
-                if e2[sg] && (!seen[dst] || better(*min, &v2[sg], &vals[dst])) {
+                if e2[sg] && (!seen[dst] || better_f64(*min, v2[sg], vals[dst])) {
                     vals[dst] = v2[sg];
                     seen[dst] = true;
                 }

@@ -53,7 +53,7 @@ impl NestedLoopJoinExec {
         let mut out = Vec::new();
         let mut li = Vec::with_capacity(CHUNK);
         let mut ri = Vec::with_capacity(CHUNK);
-        let mut flush = |li: &mut Vec<usize>, ri: &mut Vec<usize>| -> Result<()> {
+        let mut flush = |li: &mut Vec<u32>, ri: &mut Vec<u32>| -> Result<()> {
             if li.is_empty() {
                 return Ok(());
             }
@@ -75,8 +75,8 @@ impl NestedLoopJoinExec {
             ri.clear();
             Ok(())
         };
-        for l in 0..ln {
-            for r in 0..rn {
+        for l in 0..ln as u32 {
+            for r in 0..rn as u32 {
                 li.push(l);
                 ri.push(r);
                 if li.len() == CHUNK {

@@ -82,15 +82,17 @@ impl StealQueues {
 }
 
 /// A pulled child operator shared by worker threads, with a count of the
-/// batches served so far. Lock scope is exactly one `next()` call.
+/// batches served so far. Lock scope is exactly one `next()` call. Once the
+/// child fails, the worker that pulled the error reports it and every later
+/// pull ends the stream: a failed operator is never pulled again.
 pub(crate) struct SharedSource<'a> {
-    inner: Mutex<(&'a mut dyn Operator, usize)>,
+    inner: Mutex<(&'a mut dyn Operator, usize, bool)>,
 }
 
 impl<'a> SharedSource<'a> {
     pub fn new(op: &'a mut dyn Operator) -> SharedSource<'a> {
         SharedSource {
-            inner: Mutex::new((op, 0)),
+            inner: Mutex::new((op, 0, false)),
         }
     }
 
@@ -103,8 +105,13 @@ impl<'a> SharedSource<'a> {
     /// so workers can break ties exactly as a serial pull would.
     pub fn next_numbered(&self) -> Result<Option<(usize, RecordBatch)>> {
         let mut guard = self.inner.lock().expect("source lock");
-        let (op, served) = &mut *guard;
-        let Some(batch) = op.next()? else {
+        let (op, served, failed) = &mut *guard;
+        if *failed {
+            return Ok(None);
+        }
+        let pulled = op.next();
+        *failed = pulled.is_err();
+        let Some(batch) = pulled? else {
             return Ok(None);
         };
         *served += 1;
@@ -183,6 +190,18 @@ mod tests {
                 .sum::<usize>()
         });
         assert_eq!(got, 6);
+    }
+
+    #[test]
+    fn a_failed_source_is_never_pulled_again() {
+        use crate::expr::{col, lit};
+        let batch = int_batch(&[("x", vec![1, 2])]);
+        let src = BatchSource::new(batch.schema().clone(), vec![batch.clone(), batch]);
+        let div_by_zero = col("x").div(lit(0i64)).gt(lit(1i64));
+        let mut filter = crate::physical::filter::FilterExec::new(Box::new(src), div_by_zero);
+        let shared = SharedSource::new(&mut filter);
+        assert!(shared.next().is_err());
+        assert!(shared.next().unwrap().is_none());
     }
 
     #[test]

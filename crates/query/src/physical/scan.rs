@@ -238,8 +238,7 @@ impl TableScanExec {
                     // Zone maps are always resident: refuted groups are
                     // skipped before their payload is ever read (for paged
                     // tables, before any I/O happens at all).
-                    let zones = segment_zones(&table, g);
-                    if prunable(&zones, table.schema(), &filters) {
+                    if prunable(table.segment_zones(g), table.schema(), &filters) {
                         continue;
                     }
                     let visible = boundary.and_then(|(bg, n)| (bg == g).then_some(n));
@@ -251,7 +250,7 @@ impl TableScanExec {
                         }
                     };
                     let t0 = Instant::now();
-                    let out = process_group(&batch, zones, &filters, &projection);
+                    let out = process_group(&batch, &filters, &projection);
                     if let Some(c) = &filter_ns {
                         c.add_elapsed(t0);
                     }
@@ -327,10 +326,6 @@ impl TableScanExec {
     }
 }
 
-fn segment_zones(table: &Table, s: usize) -> Vec<(usize, ZoneMap)> {
-    table.segment_zones(s).iter().cloned().enumerate().collect()
-}
-
 /// Segments the scan may touch: all of them, or the snapshot's prefix.
 fn visible_segments(table: &Table, clamp: Option<ScanClamp>) -> usize {
     clamp.map_or(table.num_segments(), |c| {
@@ -349,12 +344,14 @@ fn read_segment(table: &Table, s: usize, visible: Option<usize>) -> Result<Recor
 }
 
 /// Can the zone maps refute every row of this group for some filter?
-fn prunable(zones: &[(usize, ZoneMap)], schema: &Schema, filters: &[Expr]) -> bool {
+/// `zones` is indexed by column ordinal; a segment without zone maps (the
+/// unsealed tail) has none and is never refuted.
+fn prunable(zones: &[ZoneMap], schema: &Schema, filters: &[Expr]) -> bool {
     filters.iter().any(|f| zone_refutes(zones, schema, f))
 }
 
 /// Returns true when `filter` provably matches no row of the group.
-fn zone_refutes(zones: &[(usize, ZoneMap)], schema: &Schema, filter: &Expr) -> bool {
+fn zone_refutes(zones: &[ZoneMap], schema: &Schema, filter: &Expr) -> bool {
     let Expr::Binary { left, op, right } = filter else {
         return false;
     };
@@ -370,7 +367,7 @@ fn zone_refutes(zones: &[(usize, ZoneMap)], schema: &Schema, filter: &Expr) -> b
     let Ok(idx) = schema.index_of(name) else {
         return false;
     };
-    let Some((_, zone)) = zones.iter().find(|(i, _)| *i == idx) else {
+    let Some(zone) = zones.get(idx) else {
         return false;
     };
     match op {
@@ -383,15 +380,13 @@ fn zone_refutes(zones: &[(usize, ZoneMap)], schema: &Schema, filter: &Expr) -> b
     }
 }
 
+/// Apply the scan's filters and projection to a segment its zone maps did
+/// not refute (callers prune before reading the segment).
 fn process_group(
     batch: &RecordBatch,
-    zones: Vec<(usize, ZoneMap)>,
     filters: &[Expr],
     projection: &Option<Vec<usize>>,
 ) -> Result<Option<RecordBatch>> {
-    if prunable(&zones, batch.schema(), filters) {
-        return Ok(None);
-    }
     let mut current = batch.clone();
     for f in filters {
         // Survivors become a narrower selection over the same columns;
@@ -437,8 +432,7 @@ impl Operator for TableScanExec {
                     *segment_idx += 1;
                     // Resident zone maps decide pruning before the group is
                     // materialized — paged groups refuted here cost no I/O.
-                    let zones = segment_zones(table, g);
-                    if prunable(&zones, table.schema(), filters) {
+                    if prunable(table.segment_zones(g), table.schema(), filters) {
                         self.stats.groups_pruned += 1;
                         continue;
                     }
@@ -446,7 +440,7 @@ impl Operator for TableScanExec {
                     let visible = clamp.and_then(|c| c.last_rows.filter(|_| g + 1 == c.segments));
                     let batch = read_segment(table, g, visible)?;
                     let t0 = Instant::now();
-                    let out = process_group(&batch, zones, filters, projection)?;
+                    let out = process_group(&batch, filters, projection)?;
                     if let Some(c) = &self.filter_ns {
                         c.add_elapsed(t0);
                     }

@@ -35,7 +35,7 @@ pub(crate) fn cmp_rows(key_cols: &[(Arc<Column>, bool)], a: usize, b: usize) -> 
     for (col, descending) in key_cols {
         let va = col.value(a);
         let vb = col.value(b);
-        let ord = va.sql_cmp(&vb);
+        let ord = va.sort_cmp(&vb);
         let ord = if *descending { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;
@@ -65,9 +65,9 @@ impl Operator for SortExec {
             .iter()
             .map(|k| Ok((eval_arc(&k.expr, &all)?, k.descending)))
             .collect::<Result<_>>()?;
-        let mut indices: Vec<usize> = (0..all.num_rows()).collect();
+        let mut indices: Vec<u32> = (0..all.num_rows() as u32).collect();
         // Stable sort: ties keep input order, giving deterministic output.
-        indices.sort_by(|&a, &b| cmp_rows(&key_cols, a, b));
+        indices.sort_by(|&a, &b| cmp_rows(&key_cols, a as usize, b as usize));
         Ok(Some(all.take(&indices)?))
     }
 

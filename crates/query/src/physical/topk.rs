@@ -25,7 +25,7 @@ struct Candidate {
 /// order, `(seq, pos)`, so the result equals a stable sort plus limit.
 fn cmp_candidates(descending: &[bool], a: &Candidate, b: &Candidate) -> Ordering {
     for (i, (va, vb)) in a.key.iter().zip(&b.key).enumerate() {
-        let ord = va.sql_cmp(vb);
+        let ord = va.sort_cmp(vb);
         let ord = if descending[i] { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;

@@ -234,53 +234,28 @@ impl RecordBatch {
         (0..self.num_rows()).map(|i| self.row(i)).collect()
     }
 
-    /// Keep logical rows where `mask` is true, compacting the columns.
-    pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
-        if mask.len() != self.num_rows() {
+    /// Gather logical rows at `indices`.
+    pub fn take(&self, indices: &[u32]) -> Result<RecordBatch> {
+        if let Some(&bad) = indices.iter().find(|&&i| i as usize >= self.num_rows()) {
             return Err(StorageError::OutOfBounds {
-                index: mask.len(),
+                index: bad as usize,
                 len: self.num_rows(),
             });
         }
-        if let Some(sel) = &self.sel {
-            let kept = sel.iter().zip(mask).filter(|(_, &m)| m).map(|(&i, _)| i);
-            return Ok(self.with_selection(Arc::new(kept.collect()))?.materialize());
-        }
+        let base: Vec<u32>;
+        let rows = match &self.sel {
+            Some(sel) => {
+                base = indices.iter().map(|&i| sel[i as usize]).collect();
+                &base
+            }
+            None => indices,
+        };
         let cols = self
             .columns
             .iter()
-            .map(|c| Arc::new(c.filter(mask)))
+            .map(|c| Arc::new(c.gather(rows)))
             .collect();
         RecordBatch::try_new(self.schema.clone(), cols)
-    }
-
-    /// Gather logical rows at `indices`.
-    pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
-        if let Some(&bad) = indices.iter().find(|&&i| i >= self.num_rows()) {
-            return Err(StorageError::OutOfBounds {
-                index: bad,
-                len: self.num_rows(),
-            });
-        }
-        match &self.sel {
-            Some(sel) => {
-                let base: Vec<usize> = indices.iter().map(|&i| sel[i] as usize).collect();
-                let cols = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(&base)))
-                    .collect();
-                RecordBatch::try_new(self.schema.clone(), cols)
-            }
-            None => {
-                let cols = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(indices)))
-                    .collect();
-                RecordBatch::try_new(self.schema.clone(), cols)
-            }
-        }
     }
 
     /// Project columns by ordinal, preserving any selection.
@@ -415,7 +390,10 @@ mod tests {
     #[test]
     fn filter_take_project_slice() {
         let b = sample();
-        let f = b.filter(&[true, false, true]).unwrap();
+        let f = b
+            .with_selection(Arc::new(vec![0, 2]))
+            .unwrap()
+            .materialize();
         assert_eq!(f.num_rows(), 2);
         assert_eq!(f.row(1)[0], Value::Int(3));
 

@@ -31,9 +31,9 @@ const MAGIC: u32 = u32::from_le_bytes(*b"BCKP");
 /// directory — row count, per-column zone statistics (min/max/null-count),
 /// and the byte length of the column payload — so a paged reader can learn
 /// group boundaries and pruning bounds without decoding any column data.
-/// Version 2 serialized row groups columnar (dictionary columns write their
-/// dictionary once plus frame-of-reference bit-packed codes); version 1 was
-/// row-at-a-time values. Both remain readable.
+/// Group payloads are columnar: dictionary columns write their dictionary
+/// once plus frame-of-reference bit-packed codes. Nothing writes the
+/// earlier versions, so no reader accepts them.
 const VERSION: u32 = 3;
 
 /// Per-column encoding tags in a versioned group.
@@ -345,6 +345,16 @@ pub fn write_checkpoint(path: &Path, lsn: u64, tables: &[(&str, &Table)]) -> Res
     Ok(())
 }
 
+/// Both readers accept only the version this build writes.
+fn check_version(version: u32) -> Result<()> {
+    if version != VERSION {
+        return Err(StorageError::Corrupt(format!(
+            "unsupported checkpoint version {version}"
+        )));
+    }
+    Ok(())
+}
+
 /// Load the checkpoint at `path`; `Ok(None)` when no checkpoint exists yet.
 ///
 /// A corrupt file (bad magic, bad CRC, truncated body) is an error, not a
@@ -367,12 +377,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointData>> {
     if cur.u32()? != MAGIC {
         return Err(StorageError::Corrupt("not a checkpoint file".into()));
     }
-    let version = cur.u32()?;
-    if !(1..=VERSION).contains(&version) {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported checkpoint version {version}"
-        )));
-    }
+    check_version(cur.u32()?)?;
     let lsn = cur.u64()?;
     let n_tables = cur.u32()? as usize;
     let mut tables = Vec::with_capacity(n_tables);
@@ -381,50 +386,29 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointData>> {
         let schema = codec::read_schema(&mut cur)?;
         let width = schema.len();
         let mut table = Table::new(schema.clone());
-        if version == 1 {
+        let n_groups = cur.u32()? as usize;
+        for _ in 0..n_groups {
             let rows = cur.u64()? as usize;
-            for _ in 0..rows {
-                let mut row = Vec::with_capacity(width);
-                for _ in 0..width {
-                    row.push(codec::read_value(&mut cur)?);
-                }
-                table.append_row(row)?;
+            for _ in 0..width {
+                read_zone(&mut cur, rows)?;
             }
-        } else {
-            let n_groups = cur.u32()? as usize;
-            for _ in 0..n_groups {
-                let batch = if version == 2 {
-                    let rows = cur.u64()? as usize;
-                    let mut cols = Vec::with_capacity(width);
-                    for f in schema.fields() {
-                        cols.push(Arc::new(read_column(&mut cur, f.data_type, rows)?));
-                    }
-                    RecordBatch::try_new(schema.clone(), cols)?
-                } else {
-                    let rows = cur.u64()? as usize;
-                    for _ in 0..width {
-                        read_zone(&mut cur, rows)?;
-                    }
-                    let payload_len = cur.u32()? as usize;
-                    let start = cur.position();
-                    let batch = read_batch(&mut cur, &schema)?;
-                    if batch.num_rows() != rows || cur.position() - start != payload_len {
-                        return Err(StorageError::Corrupt(
-                            "group directory disagrees with payload".into(),
-                        ));
-                    }
-                    batch
-                };
-                table.push_sealed_batch(batch)?;
+            let payload_len = cur.u32()? as usize;
+            let start = cur.position();
+            let batch = read_batch(&mut cur, &schema)?;
+            if batch.num_rows() != rows || cur.position() - start != payload_len {
+                return Err(StorageError::Corrupt(
+                    "group directory disagrees with payload".into(),
+                ));
             }
-            let pending = cur.u64()? as usize;
-            for _ in 0..pending {
-                let mut row = Vec::with_capacity(width);
-                for _ in 0..width {
-                    row.push(codec::read_value(&mut cur)?);
-                }
-                table.append_row(row)?;
+            table.push_sealed_batch(batch)?;
+        }
+        let pending = cur.u64()? as usize;
+        for _ in 0..pending {
+            let mut row = Vec::with_capacity(width);
+            for _ in 0..width {
+                row.push(codec::read_value(&mut cur)?);
             }
+            table.append_row(row)?;
         }
         tables.push((name, table));
     }
@@ -465,8 +449,7 @@ fn parse_window<T>(
 /// file (same corruption guarantee as [`read_checkpoint`], without the
 /// whole-file read), then a structure walk that parses each group's
 /// directory and *skips* its payload by length, recording `(offset, len)`
-/// windows for [`Table::group`] to re-read later. Version 1/2 files have no
-/// group directory, so they fall back to the in-memory reader.
+/// windows for [`Table::group`] to re-read later.
 pub fn open_checkpoint_paged(
     path: &Path,
     pool_pages: usize,
@@ -507,16 +490,7 @@ pub fn open_checkpoint_paged(
     if cur.u32()? != MAGIC {
         return Err(StorageError::Corrupt("not a checkpoint file".into()));
     }
-    let version = cur.u32()?;
-    if !(1..=VERSION).contains(&version) {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported checkpoint version {version}"
-        )));
-    }
-    if version < 3 {
-        // No group directory to page over; load it the old way.
-        return read_checkpoint(path);
-    }
+    check_version(cur.u32()?)?;
     let lsn = cur.u64()?;
     let n_tables = cur.u32()? as usize;
     let mut pos = 20u64;
@@ -832,6 +806,29 @@ mod tests {
             open_checkpoint_paged(&path, 4, &Metrics::new()),
             Err(StorageError::Corrupt(_))
         ));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn other_versions_are_a_typed_error_from_both_readers() {
+        use crate::metrics::Metrics;
+        let path = temp_path("version-2");
+        write_checkpoint(&path, 3, &[("t", &sample_table(64))]).unwrap();
+        // Restamp the version word (after the magic) as 2 and reseal the CRC,
+        // so only the version can be what either reader refuses.
+        let mut bytes = fs::read(&path).unwrap();
+        let body = bytes.len() - 4;
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let crc = codec::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let unsupported = |r: Result<Option<CheckpointData>>| matches!(r, Err(StorageError::Corrupt(m)) if m == "unsupported checkpoint version 2");
+        assert!(unsupported(read_checkpoint(&path)));
+        assert!(unsupported(open_checkpoint_paged(
+            &path,
+            4,
+            &Metrics::new()
+        )));
         let _ = fs::remove_file(&path);
     }
 

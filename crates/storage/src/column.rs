@@ -757,89 +757,6 @@ impl Column {
         }
     }
 
-    /// Gather rows at `indices` into a new column (hash-join/sort output path).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int64(v, bm) => {
-                let mut data = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (out, &i) in indices.iter().enumerate() {
-                    data.push(v[i]);
-                    if bm.get(i) {
-                        out_bm.set(out, true);
-                    }
-                }
-                Column::Int64(data, out_bm)
-            }
-            Column::Float64(v, bm) => {
-                let mut data = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (out, &i) in indices.iter().enumerate() {
-                    data.push(v[i]);
-                    if bm.get(i) {
-                        out_bm.set(out, true);
-                    }
-                }
-                Column::Float64(data, out_bm)
-            }
-            Column::Utf8(v, bm) => {
-                let mut data = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (out, &i) in indices.iter().enumerate() {
-                    data.push(v[i].clone());
-                    if bm.get(i) {
-                        out_bm.set(out, true);
-                    }
-                }
-                Column::Utf8(data, out_bm)
-            }
-            Column::Bool(v, bm) => {
-                let mut data = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (out, &i) in indices.iter().enumerate() {
-                    data.push(v[i]);
-                    if bm.get(i) {
-                        out_bm.set(out, true);
-                    }
-                }
-                Column::Bool(data, out_bm)
-            }
-            Column::DictUtf8 {
-                dict,
-                codes,
-                validity,
-            } => {
-                let mut out_codes = Vec::with_capacity(indices.len());
-                let mut out_bm = Bitmap::all_null(indices.len());
-                for (out, &i) in indices.iter().enumerate() {
-                    out_codes.push(codes[i]);
-                    if validity.get(i) {
-                        out_bm.set(out, true);
-                    }
-                }
-                Column::DictUtf8 {
-                    dict: dict.clone(),
-                    codes: out_codes,
-                    validity: out_bm,
-                }
-            }
-            Column::Int64Encoded { data, validity } => {
-                take_encoded(data, validity, indices.iter().copied())
-            }
-        }
-    }
-
-    /// Keep only rows where `mask[i]` is true (filter path).
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        debug_assert_eq!(mask.len(), self.len());
-        let indices: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i))
-            .collect();
-        self.take(&indices)
-    }
-
     /// A contiguous slice `[offset, offset+len)` of this column.
     pub fn slice(&self, offset: usize, len: usize) -> Column {
         // Encoded integers slice in their encoded form — a morsel boundary
@@ -853,8 +770,8 @@ impl Column {
             }
             return Column::encoded_from_parts(data.slice(offset, len), vbm);
         }
-        let indices: Vec<usize> = (offset..offset + len).collect();
-        self.take(&indices)
+        let indices: Vec<u32> = (offset as u32..(offset + len) as u32).collect();
+        self.gather(&indices)
     }
 
     /// Concatenate columns of the same type.
@@ -1373,17 +1290,10 @@ mod tests {
     #[test]
     fn take_preserves_nulls() {
         let c = Column::from_opt_i64(vec![Some(1), None, Some(3), None]);
-        let t = c.take(&[3, 0, 1]);
+        let t = c.gather(&[3, 0, 1]);
         assert_eq!(t.value(0), Value::Null);
         assert_eq!(t.value(1), Value::Int(1));
         assert_eq!(t.value(2), Value::Null);
-    }
-
-    #[test]
-    fn filter_by_mask() {
-        let c = Column::from_i64(vec![10, 20, 30, 40]);
-        let f = c.filter(&[true, false, false, true]);
-        assert_eq!(f.i64_data().unwrap(), &[10, 40]);
     }
 
     #[test]
@@ -1464,7 +1374,7 @@ mod tests {
         let (d1, codes, _) = g.dict_parts().unwrap();
         assert!(Arc::ptr_eq(&d0, d1));
         assert_eq!(codes, &[2, 0]);
-        let t = dict.take(&[1, 1]);
+        let t = dict.slice(1, 1);
         assert!(Arc::ptr_eq(&d0, t.dict_parts().unwrap().0));
         assert_eq!(t.value(0), Value::str("y"));
     }
@@ -1618,8 +1528,6 @@ mod tests {
         assert!(!g.is_encoded());
         assert_eq!(g.value(0), Value::Int(30));
         assert_eq!(g.value(1), Value::Null);
-        let t = enc.take(&[2, 0]);
-        assert_eq!(t.i64_data().unwrap(), &[30, 10]);
         let out = Column::concat(&[&enc, &plain]).unwrap();
         assert_eq!(out.len(), 8);
         assert_eq!(out.value(2), Value::Int(30));

@@ -122,6 +122,19 @@ impl Value {
         }
     }
 
+    /// ORDER BY order: [`Value::sql_cmp`] made total. NaN, which compares
+    /// equal to every number there, sorts after every number and equal to
+    /// itself (as in PostgreSQL), so a sort's answer cannot depend on the
+    /// order its input arrives in.
+    pub fn sort_cmp(&self, other: &Value) -> Ordering {
+        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        let number = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+        if (nan(self) || nan(other)) && number(self) && number(other) {
+            return nan(self).cmp(&nan(other));
+        }
+        self.sql_cmp(other)
+    }
+
     fn type_rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -226,6 +239,18 @@ mod tests {
         assert_eq!(Value::Int(2).sql_cmp(&Value::Float(2.0)), Ordering::Equal);
         assert_eq!(Value::Int(2).sql_cmp(&Value::Float(2.5)), Ordering::Less);
         assert_eq!(Value::Float(3.0).sql_cmp(&Value::Int(2)), Ordering::Greater);
+    }
+
+    #[test]
+    fn nan_sorts_after_every_number() {
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(
+            nan.sort_cmp(&Value::Float(f64::INFINITY)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Int(i64::MAX).sort_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.sort_cmp(&Value::Float(f64::NAN)), Ordering::Equal);
+        assert_eq!(Value::Null.sort_cmp(&nan), Ordering::Less);
     }
 
     #[test]

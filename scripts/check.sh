@@ -52,15 +52,20 @@ cargo test -q -p backbone-bench --test recovery
 echo "== lab crate (E4/E5 substrates) =="
 cargo test -q -p backbone-lab
 
-echo "== kernel equivalence property suite =="
-cargo test -q -p backbone-bench --test kernel_equivalence
+# One differential oracle: random tables and SQL over a fixed seed set, run
+# at a sample of the physical-knob product (encoding, layout, residency,
+# workers, memory budget, optimizer rules, caches) against a row-at-a-time
+# reference, plus the TLP and NoREC metamorphic relations.
+echo "== differential oracle (fixed seed set, sampled knob product) =="
+cargo test -q -p backbone-bench --test oracle
 
-echo "== parallel vs serial equivalence (workers 1/2/8) =="
-cargo test -q -p backbone-bench --test kernel_equivalence parallel
+echo "== oracle: parallel workers 1/2/8/auto vs the reference =="
+cargo test -q -p backbone-bench --test oracle parallel
 
-echo "== out-of-core spill smoke (budget-capped, serial + Fixed(4)) =="
-cargo test -q -p backbone-bench --test kernel_equivalence budget
-cargo test -q -p backbone-bench --test kernel_equivalence tiny_budget
+# A one-byte budget must spill every hash aggregate and hash join that gets
+# input (storage.spill.partitions > 0), serially and at two workers.
+echo "== oracle: budget-capped execution spills and matches the reference =="
+cargo test -q -p backbone-bench --test oracle budget
 
 # Nesting a client can send — SQL expressions and wire JSON — is capped with a
 # typed error, so no request can overflow a worker's stack; so is the length of

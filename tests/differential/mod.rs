@@ -1,0 +1,2213 @@
+//! The differential oracle's machinery: the seeded table and SQL
+//! generator, the row-at-a-time reference, the [`Knob`] enum and the case
+//! runner. `oracle.rs` runs it over the sampled knob product; the named
+//! properties in `kernel_equivalence.rs`, `optimizer_equivalence.rs` and
+//! `eval_model_equivalence.rs` each run one [`Slice`] of it. Every target
+//! uses part of it.
+#![allow(dead_code)]
+
+use backbone_core::{Database, DurabilityOptions};
+use backbone_query::expr::AggFunc;
+use backbone_query::optimizer::Rule;
+use backbone_query::{
+    parse_select, BinOp, ExecOptions, Expr, JoinType, LogicalPlan, Metrics, Parallelism, UnOp,
+};
+use backbone_storage::table::{EncodingPolicy, TAIL_CHUNK_ROWS};
+use backbone_storage::{DataType, Field, Schema, Table, Value};
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
+
+/// The fixed seed set every property runs (a slice, its first few). A
+/// failing seed printed by any property replays by adding it here.
+/// Together the seeds sample every setting of every knob and a multi-chunk
+/// tail (`run_sampled` checks). Seeds 48 and 672 were added to keep two
+/// engine faults the oracle found from coming back: a NULL item in an IN
+/// list failing type checks, and `NOT IN ()` on a dictionary column
+/// answering NULL for NULL rows.
+pub const SEEDS: [u64; 18] = [
+    1, 2, 3, 4, 5, 8, 11, 13, 21, 34, 48, 55, 78, 89, 130, 144, 205, 672,
+];
+
+/// Storage layouts each case builds, and execution tuples run per layout
+/// (the properties that force a knob run one of each).
+const LAYOUTS_PER_CASE: usize = 2;
+const RUNS_PER_LAYOUT: usize = 2;
+/// Queries generated per case.
+const QUERIES_PER_CASE: usize = 6;
+
+// ---- Seeded randomness -------------------------------------------------------
+
+/// SplitMix64: tiny, seedable, and the same stream on every platform.
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03)
+    }
+
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// True with probability `num / den`.
+    pub fn chance(&mut self, num: u64, den: u64) -> bool {
+        self.next() % den < num
+    }
+
+    pub fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len())].clone()
+    }
+
+    /// Uniform in `lo..=hi`.
+    pub fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + (self.next() % ((hi - lo) as u64 + 1)) as i64
+    }
+}
+
+// ---- Knobs ---------------------------------------------------------------------
+
+/// A one-byte memory budget: any hash aggregate or hash join with input
+/// must spill under it.
+pub const TINY_BUDGET: usize = 1;
+/// A budget some partitions fit in.
+pub const MODERATE_BUDGET: usize = 16 * 1024;
+
+/// Where a case's tables live when it queries them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Residency {
+    /// As built, never checkpointed.
+    Memory,
+    /// Checkpointed and reopened into memory.
+    Reopened,
+    /// Checkpointed and reopened with sealed groups paged through an
+    /// 8-page buffer pool.
+    Paged,
+}
+
+/// A selection of optimizer rules.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Rules {
+    All,
+    None,
+    AllBut(Rule),
+}
+
+/// One physical knob at one setting. A case runs at a seeded sample of the
+/// product of every knob's settings ([`Knob::axes`]), and each setting folds
+/// into a [`Setup`] ([`Knob::apply`]). A new knob is one more variant.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Knob {
+    /// How sealed groups encode their columns.
+    Encoding(EncodingPolicy),
+    /// Rows per sealed group, and the quarters of each table committed into
+    /// the unsealed tail after the bulk load (the tail seals again at the
+    /// group size).
+    Layout {
+        group_rows: usize,
+        tail_quarters: usize,
+    },
+    /// Where the tables live when queried.
+    Storage(Residency),
+    /// Worker threads per query.
+    Workers(Parallelism),
+    /// Memory budget in bytes for hash aggregates and hash joins.
+    Budget(Option<usize>),
+    /// Optimizer rules.
+    Rules(Rules),
+    /// Plan and result caches; when on, a second run must be byte-identical
+    /// to the first.
+    Caches(bool),
+}
+
+impl Knob {
+    /// Every setting of every knob, one row per knob. Storage knobs shape
+    /// the database a case builds; the rest shape one execution.
+    pub fn axes() -> Vec<Vec<Knob>> {
+        let mut layouts = Vec::new();
+        for group_rows in [16, 64, 128, 1 << 16] {
+            for tail_quarters in [0, 2, 4] {
+                layouts.push(Knob::Layout {
+                    group_rows,
+                    tail_quarters,
+                });
+            }
+        }
+        let mut rules = vec![Knob::Rules(Rules::All), Knob::Rules(Rules::None)];
+        rules.extend(
+            Rule::all()
+                .into_iter()
+                .map(|r| Knob::Rules(Rules::AllBut(r))),
+        );
+        vec![
+            vec![
+                Knob::Encoding(EncodingPolicy::Auto),
+                Knob::Encoding(EncodingPolicy::Plain),
+            ],
+            layouts,
+            vec![
+                Knob::Storage(Residency::Memory),
+                Knob::Storage(Residency::Reopened),
+                Knob::Storage(Residency::Paged),
+            ],
+            vec![
+                Knob::Workers(Parallelism::Serial),
+                Knob::Workers(Parallelism::Fixed(1)),
+                Knob::Workers(Parallelism::Fixed(2)),
+                Knob::Workers(Parallelism::Fixed(8)),
+                Knob::Workers(Parallelism::Auto),
+            ],
+            vec![
+                Knob::Budget(None),
+                Knob::Budget(Some(TINY_BUDGET)),
+                Knob::Budget(Some(MODERATE_BUDGET)),
+            ],
+            rules,
+            vec![Knob::Caches(false), Knob::Caches(true)],
+        ]
+    }
+
+    fn is_storage(&self) -> bool {
+        matches!(
+            self,
+            Knob::Encoding(_) | Knob::Layout { .. } | Knob::Storage(_)
+        )
+    }
+
+    /// Whether `self` and `other` are settings of the same knob.
+    fn same_axis(&self, other: &Knob) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
+    fn apply(&self, s: &mut Setup) {
+        match *self {
+            Knob::Encoding(e) => s.encoding = e,
+            Knob::Layout {
+                group_rows,
+                tail_quarters,
+            } => {
+                s.group_rows = group_rows;
+                s.tail_quarters = tail_quarters;
+            }
+            Knob::Storage(r) => s.residency = r,
+            Knob::Workers(p) => s.opts.parallelism = p,
+            Knob::Budget(b) => s.opts.mem_budget = b,
+            Knob::Rules(r) => {
+                s.opts.rules = match r {
+                    Rules::All => None,
+                    Rules::None => Some(Vec::new()),
+                    Rules::AllBut(skip) => {
+                        Some(Rule::all().into_iter().filter(|&x| x != skip).collect())
+                    }
+                }
+            }
+            Knob::Caches(on) => {
+                s.opts.plan_cache = on;
+                s.opts.result_cache = on;
+            }
+        }
+    }
+}
+
+/// Everything the knobs decide, folded from one tuple.
+struct Setup {
+    encoding: EncodingPolicy,
+    group_rows: usize,
+    tail_quarters: usize,
+    residency: Residency,
+    opts: ExecOptions,
+}
+
+impl Setup {
+    fn of(tuple: &[Knob]) -> Setup {
+        let mut s = Setup {
+            encoding: EncodingPolicy::Auto,
+            group_rows: 1 << 16,
+            tail_quarters: 0,
+            residency: Residency::Memory,
+            opts: ExecOptions::serial(),
+        };
+        for k in tuple {
+            k.apply(&mut s);
+        }
+        s
+    }
+}
+
+/// A random setting of every storage axis (or every execution axis), with
+/// `forced` settings replacing their axis.
+fn sample(rng: &mut Rng, storage: bool, forced: &[Knob]) -> Vec<Knob> {
+    Knob::axes()
+        .into_iter()
+        .filter(|axis| axis[0].is_storage() == storage)
+        .map(|axis| {
+            forced
+                .iter()
+                .find(|f| f.same_axis(&axis[0]))
+                .copied()
+                .unwrap_or_else(|| rng.pick(&axis))
+        })
+        .collect()
+}
+
+// ---- Tables ------------------------------------------------------------------
+
+/// The two tables of a case as boxed rows, plus what the SQL generator
+/// needs to aim literals at boundaries.
+pub struct Data {
+    pub t: Vec<Vec<Value>>,
+    pub u: Vec<Vec<Value>>,
+    /// `t_i` values lie in `base..=base + span`; spans sit on lane edges.
+    pub base: i64,
+    pub span: i64,
+    pub words: Vec<&'static str>,
+}
+
+const T_FIELDS: [(&str, DataType); 6] = [
+    ("t_k", DataType::Int64),
+    ("t_i", DataType::Int64),
+    ("t_r", DataType::Int64),
+    ("t_f", DataType::Float64),
+    ("t_s", DataType::Utf8),
+    ("t_d", DataType::Utf8),
+];
+const U_FIELDS: [(&str, DataType); 3] = [
+    ("u_k", DataType::Int64),
+    ("u_v", DataType::Int64),
+    ("u_s", DataType::Utf8),
+];
+
+const WORDS: [&str; 16] = [
+    "", "a", "ab", "abc", "b", "ba", "bab", "c", "ca", "cab", "d", "da", "dab", "e", "ea", "eab",
+];
+
+fn schema(fields: &[(&str, DataType)]) -> Arc<Schema> {
+    Schema::new(
+        fields
+            .iter()
+            .map(|&(n, dt)| Field::nullable(n, dt))
+            .collect(),
+    )
+}
+
+/// NULL one time in `null_in`, else a value drawn by `make`.
+fn maybe(rng: &mut Rng, null_in: u64, make: impl FnOnce(&mut Rng) -> Value) -> Value {
+    if rng.chance(1, null_in) {
+        Value::Null
+    } else {
+        make(rng)
+    }
+}
+
+fn gen_data(rng: &mut Rng) -> Data {
+    let rows = match rng.below(16) {
+        0 => rng.range(1100, 1300),
+        1..=3 => rng.range(260, 600),
+        _ => rng.range(1, 260),
+    } as usize;
+    // Residual ranges ending just below, at and just past each lane width.
+    let span = rng.pick(&[255i64, 256, 65_535, 65_536, (1 << 32) - 1, 1 << 32]);
+    // Bases stay within 2^36, so an AVG over 1,300 rows of `7 * t_i` still
+    // sums exactly in f64, in any order.
+    let base = rng.pick(&[0i64, -7, 1000, -(1 << 36), 1 << 36]);
+    // Vocabulary sizes around the code-space domain bound: two keys of 7
+    // words each span (7 + 1) * (7 + 1) = 64 codes, one 64-row group.
+    let s_words = rng.pick(&[1usize, 3, 7, 8, 15]);
+    let d_words = rng.pick(&[3usize, 7, 8, 11]);
+    let words: Vec<&'static str> = WORDS.to_vec();
+    let float_of = |rng: &mut Rng| match rng.below(16) {
+        0..=2 => f64::NAN,
+        3 => -0.0,
+        4 => 0.0,
+        5 if rng.chance(1, 3) => f64::INFINITY,
+        _ => rng.range(-12, 12) as f64 / 4.0,
+    };
+    let mut t = Vec::with_capacity(rows);
+    let (mut run_left, mut run_val) = (0usize, Value::Null);
+    for _ in 0..rows {
+        if run_left == 0 {
+            run_left = rng.range(1, 48) as usize;
+            run_val = maybe(rng, 6, |r| Value::Int(r.range(-3, 3)));
+        }
+        run_left -= 1;
+        let i = match rng.below(8) {
+            0 | 1 => base,
+            2 | 3 => base + span,
+            4 => base + span - 1,
+            5 => base + 1,
+            _ => base + (rng.next() % (span as u64 + 1)) as i64,
+        };
+        let f = float_of(rng);
+        t.push(vec![
+            maybe(rng, 8, |r| Value::Int(r.range(0, 11))),
+            maybe(rng, 10, |_| Value::Int(i)),
+            run_val.clone(),
+            maybe(rng, 8, |_| Value::Float(f)),
+            maybe(rng, 6, |r| Value::str(words[r.below(s_words)])),
+            maybe(rng, 5, |r| Value::str(words[r.below(d_words)])),
+        ]);
+    }
+    let u_rows = rng.range(0, 40) as usize;
+    let u = (0..u_rows)
+        .map(|_| {
+            vec![
+                maybe(rng, 8, |r| Value::Int(r.range(0, 11))),
+                maybe(rng, 10, |r| Value::Int(r.range(-50, 50))),
+                maybe(rng, 6, |r| Value::str(words[r.below(s_words + 1)])),
+            ]
+        })
+        .collect();
+    Data {
+        t,
+        u,
+        base,
+        span,
+        words: words[..s_words.max(d_words) + 1].to_vec(),
+    }
+}
+
+/// Build the case's database under the storage knobs: a bulk load sealed
+/// at the group size, the rest committed into the tail, and — unless it
+/// stays in memory — a checkpoint reopened resident or paged.
+fn build_db(data: &Data, setup: &Setup, dir: &Option<PathBuf>) -> Database {
+    let load = |db: &Database| {
+        for (name, fields, rows) in [("t", &T_FIELDS[..], &data.t), ("u", &U_FIELDS[..], &data.u)] {
+            let sealed = rows.len() - rows.len() * setup.tail_quarters / 4;
+            let mut table = Table::with_group_size(schema(fields), setup.group_rows)
+                .with_encoding(setup.encoding);
+            table.append_rows(&rows[..sealed]).expect("typed rows");
+            db.register_table(name, table).expect("register");
+            if sealed < rows.len() {
+                db.insert(name, rows[sealed..].to_vec()).expect("commit");
+            }
+        }
+    };
+    match dir {
+        None => {
+            let db = Database::new();
+            load(&db);
+            db
+        }
+        Some(dir) => {
+            {
+                let db = Database::open(dir).expect("open durable");
+                load(&db);
+                db.checkpoint().expect("checkpoint");
+            }
+            if setup.residency == Residency::Reopened {
+                return Database::open(dir).expect("reopen");
+            }
+            let db = Database::open_with(dir, DurabilityOptions::default().paged(8))
+                .expect("paged reopen");
+            let paged: usize = ["t", "u"]
+                .iter()
+                .map(|n| {
+                    use backbone_query::Catalog;
+                    db.catalog().table(n).map_or(0, |t| t.num_paged_groups())
+                })
+                .sum();
+            let sealed = data.t.len() > data.t.len() * setup.tail_quarters / 4;
+            assert!(!sealed || paged > 0, "a paged reopen pages sealed groups");
+            db
+        }
+    }
+}
+
+/// A fresh directory for a durable database, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "backbone-oracle-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, AtomicOrdering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+// ---- SQL generator -----------------------------------------------------------
+
+/// A predicate tree over pre-rendered atoms, kept as a tree so failures
+/// can shrink to a sub-predicate.
+#[derive(Clone, Debug)]
+pub enum Pred {
+    Atom(String),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+    Not(Box<Pred>),
+}
+
+impl Pred {
+    pub fn sql(&self) -> String {
+        match self {
+            Pred::Atom(a) => format!("({a})"),
+            Pred::And(l, r) => format!("({} AND {})", l.sql(), r.sql()),
+            Pred::Or(l, r) => format!("({} OR {})", l.sql(), r.sql()),
+            Pred::Not(p) => format!("(NOT {})", p.sql()),
+        }
+    }
+
+    fn children(&self) -> Vec<Pred> {
+        match self {
+            Pred::Atom(_) => vec![],
+            Pred::And(l, r) | Pred::Or(l, r) => vec![(**l).clone(), (**r).clone()],
+            Pred::Not(p) => vec![(**p).clone()],
+        }
+    }
+}
+
+/// One select-list item: its SQL and the output name ORDER BY refers to.
+#[derive(Clone, Debug)]
+pub struct Item {
+    pub sql: String,
+    pub name: String,
+}
+
+#[derive(Clone, Debug)]
+pub enum Select {
+    /// `SELECT *`.
+    Star,
+    Rows(Vec<Item>),
+    /// `GROUP BY keys` (none: a global aggregate) with aggregate items.
+    Groups {
+        keys: Vec<String>,
+        aggs: Vec<Item>,
+    },
+}
+
+#[derive(Clone, Debug)]
+pub struct Query {
+    /// `LEFT`/`INNER` join of `u` on `t_k = u_k` or `t_s = u_s`.
+    pub join: Option<(JoinType, &'static str, &'static str)>,
+    pub filter: Option<Pred>,
+    pub select: Select,
+    /// Output names, descending flags.
+    pub order: Vec<(String, bool)>,
+    pub limit: Option<usize>,
+}
+
+impl Query {
+    fn source(&self) -> String {
+        match self.join {
+            None => "t".to_string(),
+            Some((jt, l, r)) => {
+                let kw = if jt == JoinType::Left {
+                    "LEFT JOIN"
+                } else {
+                    "JOIN"
+                };
+                format!("t {kw} u ON {l} = {r}")
+            }
+        }
+    }
+
+    pub fn sql(&self) -> String {
+        let list = match &self.select {
+            Select::Star => "*".to_string(),
+            Select::Rows(items) => items
+                .iter()
+                .map(|i| i.sql.clone())
+                .collect::<Vec<_>>()
+                .join(", "),
+            Select::Groups { keys, aggs } => {
+                let mut all: Vec<String> = keys.clone();
+                all.extend(aggs.iter().map(|a| a.sql.clone()));
+                all.join(", ")
+            }
+        };
+        let mut sql = format!("SELECT {list} FROM {}", self.source());
+        if let Some(p) = &self.filter {
+            sql += &format!(" WHERE {}", p.sql());
+        }
+        if let Select::Groups { keys, .. } = &self.select {
+            if !keys.is_empty() {
+                sql += &format!(" GROUP BY {}", keys.join(", "));
+            }
+        }
+        if !self.order.is_empty() {
+            let keys: Vec<String> = self
+                .order
+                .iter()
+                .map(|(n, d)| format!("{n}{}", if *d { " DESC" } else { "" }))
+                .collect();
+            sql += &format!(" ORDER BY {}", keys.join(", "));
+        }
+        if let Some(n) = self.limit {
+            sql += &format!(" LIMIT {n}");
+        }
+        sql
+    }
+
+    /// One-step simplifications, simplest first, for greedy shrinking.
+    fn shrunk(&self) -> Vec<Query> {
+        let mut out = Vec::new();
+        let mut with = |f: &dyn Fn(&mut Query)| {
+            let mut q = self.clone();
+            f(&mut q);
+            out.push(q);
+        };
+        if self.limit.is_some() {
+            with(&|q| q.limit = None);
+        }
+        if !self.order.is_empty() {
+            with(&|q| q.order.clear());
+            for i in 0..self.order.len() {
+                with(&|q| {
+                    q.order.remove(i);
+                });
+            }
+        }
+        if let Some(p) = &self.filter {
+            with(&|q| q.filter = None);
+            for c in p.children() {
+                with(&|q| q.filter = Some(c.clone()));
+            }
+        }
+        if self.join.is_some() {
+            with(&|q| q.join = None);
+        }
+        match &self.select {
+            Select::Star => {}
+            Select::Rows(items) if items.len() > 1 => {
+                for i in 0..items.len() {
+                    with(&|q| {
+                        if let Select::Rows(items) = &mut q.select {
+                            let gone = items.remove(i).name;
+                            q.order.retain(|(n, _)| *n != gone);
+                        }
+                    });
+                }
+            }
+            Select::Rows(_) => with(&|q| q.select = Select::Star),
+            Select::Groups { keys, aggs } => {
+                for i in 0..keys.len() {
+                    with(&|q| {
+                        if let Select::Groups { keys, .. } = &mut q.select {
+                            let gone = keys.remove(i);
+                            q.order.retain(|(n, _)| *n != gone);
+                        }
+                    });
+                }
+                for i in 0..aggs.len().saturating_sub(1) {
+                    with(&|q| {
+                        if let Select::Groups { aggs, .. } = &mut q.select {
+                            let gone = aggs.remove(i).name;
+                            q.order.retain(|(n, _)| *n != gone);
+                        }
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A SQL literal for `v` (negative numbers render as a negation).
+fn lit_sql(v: &Value) -> String {
+    match v {
+        Value::Null => "NULL".into(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => {
+            let s = format!("{f:?}");
+            if s.contains('.') {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        }
+        Value::Str(s) => format!("'{s}'"),
+        Value::Bool(b) => b.to_string(),
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Float,
+    Str,
+}
+
+/// The SQL generator for one case: the columns in scope and the literals
+/// worth aiming at. `more` draws the nesting around the terms `rng` picks:
+/// arithmetic trees, constant subexpressions and expression items.
+struct Gen<'a> {
+    rng: &'a mut Rng,
+    more: Rng,
+    data: &'a Data,
+    cols: Vec<(&'static str, Kind)>,
+}
+
+impl Gen<'_> {
+    fn col(&mut self, kind: Kind) -> &'static str {
+        let of: Vec<&'static str> = self
+            .cols
+            .iter()
+            .filter(|c| c.1 == kind)
+            .map(|c| c.0)
+            .collect();
+        self.rng.pick(&of)
+    }
+
+    fn any_col(&mut self) -> (&'static str, Kind) {
+        let cols = self.cols.clone();
+        self.rng.pick(&cols)
+    }
+
+    /// A literal for a column of `kind`: a value stored in it, or a
+    /// boundary of its domain.
+    fn lit(&mut self, col: &str, kind: Kind) -> Value {
+        let data = self.data;
+        let (rows, idx) = match T_FIELDS.iter().position(|f| f.0 == col) {
+            Some(i) => (&data.t, i),
+            None => (
+                &data.u,
+                U_FIELDS
+                    .iter()
+                    .position(|f| f.0 == col)
+                    .expect("known column"),
+            ),
+        };
+        // The lane-edge integer's stored values are mostly its boundaries
+        // already; its literals aim at the edges three times in four.
+        let stored = if col == "t_i" { 4 } else { 2 };
+        if !rows.is_empty() && self.rng.chance(1, stored) {
+            let v = rows[self.rng.below(rows.len())][idx].clone();
+            if !v.is_null() && !matches!(v, Value::Float(f) if !f.is_finite()) {
+                return v;
+            }
+        }
+        match kind {
+            Kind::Int if col == "t_i" => {
+                let (b, s) = (self.data.base, self.data.span);
+                Value::Int(
+                    self.rng
+                        .pick(&[b - 1, b, b + 1, b + s - 1, b + s, b + s + 1]),
+                )
+            }
+            Kind::Int => Value::Int(self.rng.range(-4, 13)),
+            Kind::Float => Value::Float(self.rng.range(-14, 14) as f64 / 4.0),
+            Kind::Str => {
+                let words = self.data.words.clone();
+                Value::str(if self.rng.chance(1, 6) {
+                    "zz"
+                } else {
+                    self.rng.pick(&words)
+                })
+            }
+        }
+    }
+
+    /// A numeric term of `kind`: usually a column, sometimes arithmetic that
+    /// cannot overflow or divide by zero on the generated data, nested up to
+    /// four deep.
+    fn num(&mut self, kind: Kind) -> (String, Kind) {
+        let c = self.col(kind);
+        if !self.rng.chance(1, 4) {
+            return (c.to_string(), kind);
+        }
+        let k = self.rng.pick(&[-3i64, 2, 3, 7]);
+        let op = self.rng.below(6);
+        let (term, kind) = match op {
+            0 => (format!("({c} + {})", self.konst(k)), kind),
+            1 => (format!("({c} - {})", self.col(Kind::Int)), kind),
+            2 => (format!("({c} * {k})"), kind),
+            // Powers of two only: quotients stay exact, so sums of them
+            // do not depend on the order they are added in.
+            3 => (
+                format!("({c} / {})", self.rng.pick(&[-2, 2, 4])),
+                Kind::Float,
+            ),
+            4 => (format!("({c} % {})", self.konst(k)), kind),
+            _ => (format!("(-{c})"), kind),
+        };
+        (self.nest(term, op != 2, 3), kind)
+    }
+
+    /// `term` wrapped in up to `depth` layers of `+ k`, `- column`, `% k`,
+    /// negation and (if `mul`, once) `* k`. One product per tree keeps
+    /// `7 * t_i`-sized values, which sum exactly in f64 in any order.
+    fn nest(&mut self, term: String, mut mul: bool, depth: usize) -> String {
+        let mut e = term;
+        for _ in 0..depth {
+            if self.more.chance(1, 3) {
+                break;
+            }
+            let k = self.more.pick(&[-3i64, 2, 3, 7]);
+            e = match self.more.below(5) {
+                0 => format!("({e} + {})", self.konst(k)),
+                1 => {
+                    let ints: Vec<&str> = (self.cols.iter())
+                        .filter(|c| c.1 == Kind::Int)
+                        .map(|c| c.0)
+                        .collect();
+                    format!("({e} - {})", self.more.pick(&ints))
+                }
+                2 if mul => {
+                    mul = false;
+                    format!("({e} * {k})")
+                }
+                3 => format!("({e} % {})", self.konst(k)),
+                _ => format!("(-{e})"),
+            };
+        }
+        e
+    }
+
+    /// The integer `k`, or a constant expression the optimizer folds to it.
+    fn konst(&mut self, k: i64) -> String {
+        match self.more.below(4) {
+            0 => format!("({} + 1)", k - 1),
+            1 => format!("({} - 3 * 1)", k + 3),
+            _ => k.to_string(),
+        }
+    }
+
+    /// A predicate over no column, for folding: literal comparisons, NULL
+    /// tests and IN lists of constant expressions under AND/OR/NOT.
+    fn constant(&mut self, depth: usize) -> String {
+        let op = self.more.pick(&["=", "<>", "<", "<=", ">", ">="]);
+        let (a, b) = (self.more.range(-3, 3), self.more.range(-3, 3));
+        match self.more.below(if depth == 0 { 4 } else { 7 }) {
+            0 => format!("{} {op} {}", self.konst(a), self.konst(b)),
+            1 => format!("NULL {op} {}", self.konst(a)),
+            2 => {
+                let not = self.more.pick(&["", "NOT "]);
+                let (ka, kb) = (self.konst(a), self.konst(b));
+                format!("{ka} {not}IN ({kb}, {}, NULL)", self.konst(a + b))
+            }
+            3 => self
+                .more
+                .pick(&["NULL IS NULL", "NULL IS NOT NULL", "TRUE"])
+                .into(),
+            4 => format!("NOT ({})", self.constant(depth - 1)),
+            k => {
+                let (l, r) = (self.constant(depth - 1), self.constant(depth - 1));
+                format!("({l}) {} ({r})", if k == 5 { "AND" } else { "OR" })
+            }
+        }
+    }
+
+    fn atom(&mut self) -> String {
+        // The lane-edge integer and the NaN-heavy float get half the atoms:
+        // their encodings and zone maps hold the most boundaries.
+        let (c, kind) = if self.rng.chance(1, 2) {
+            self.rng.pick(&[("t_i", Kind::Int), ("t_f", Kind::Float)])
+        } else {
+            self.any_col()
+        };
+        match self.rng.below(30) {
+            0 | 10 => format!(
+                "{c} IS {}NULL",
+                if self.rng.chance(1, 2) { "NOT " } else { "" }
+            ),
+            // Constants for folding, and a comparison with NULL.
+            11 => {
+                let fixed = self.rng.pick(&["TRUE", "FALSE", "NULL IS NULL"]);
+                if self.more.chance(1, 2) {
+                    self.constant(2)
+                } else {
+                    fixed.to_string()
+                }
+            }
+            12 => format!("{c} {} NULL", self.rng.pick(&["=", "<>", "<"])),
+            1 => {
+                let (lo, hi) = (self.lit(c, kind), self.lit(c, kind));
+                format!("{c} BETWEEN {} AND {}", lit_sql(&lo), lit_sql(&hi))
+            }
+            2 => {
+                let n = self.rng.below(4);
+                let mut items: Vec<String> = (0..n).map(|_| lit_sql(&self.lit(c, kind))).collect();
+                if self.rng.chance(1, 3) {
+                    let at = self.rng.below(items.len() + 1);
+                    items.insert(at, "NULL".into());
+                }
+                let not = if self.rng.chance(1, 3) { "NOT " } else { "" };
+                // Expressions among the items, and as the probe.
+                let mut probe = c.to_string();
+                if self.more.chance(1, 3) {
+                    let of_kind: Vec<&str> = (self.cols.iter())
+                        .filter(|x| x.1 == kind)
+                        .map(|x| x.0)
+                        .collect();
+                    let other = self.more.pick(&of_kind).to_string();
+                    let at = self.more.below(items.len() + 1);
+                    let numeric = kind != Kind::Str;
+                    items.insert(
+                        at,
+                        if numeric {
+                            self.nest(other, true, 2)
+                        } else {
+                            other
+                        },
+                    );
+                    if numeric && self.more.chance(1, 2) {
+                        probe = self.nest(probe, true, 2);
+                    }
+                }
+                format!("{probe} {not}IN ({})", items.join(", "))
+            }
+            3 if kind == Kind::Str => {
+                let pat = self
+                    .rng
+                    .pick(&["a%", "%b", "_a%", "%a_", "", "%", "__", "ab", "%a%b"]);
+                let not = if self.rng.chance(1, 4) { "NOT " } else { "" };
+                format!("{c} {not}LIKE '{pat}'")
+            }
+            4 | 5 => {
+                // Column against column of a comparable kind.
+                let other = match kind {
+                    Kind::Str => self.col(Kind::Str).to_string(),
+                    _ => {
+                        let k = if self.rng.chance(1, 3) {
+                            Kind::Float
+                        } else {
+                            Kind::Int
+                        };
+                        self.num(k).0
+                    }
+                };
+                let op = self.rng.pick(&["=", "<>", "<", "<=", ">", ">="]);
+                format!("{c} {op} {other}")
+            }
+            _ => {
+                let op = self.rng.pick(&["=", "<>", "<", "<=", ">", ">="]);
+                let (lhs, lkind) = if kind == Kind::Str {
+                    (c.to_string(), kind)
+                } else {
+                    self.num(kind)
+                };
+                let lit = self.lit(
+                    c,
+                    if lkind == Kind::Float {
+                        Kind::Float
+                    } else {
+                        kind
+                    },
+                );
+                // Sometimes a constant expression the optimizer folds.
+                let lit = match lit {
+                    Value::Int(v) if self.rng.chance(1, 4) => format!("({} + 1)", v - 1),
+                    other => lit_sql(&other),
+                };
+                if self.rng.chance(1, 4) {
+                    format!("{lit} {op} {lhs}")
+                } else {
+                    format!("{lhs} {op} {lit}")
+                }
+            }
+        }
+    }
+
+    fn pred(&mut self, depth: usize) -> Pred {
+        if depth == 0 || self.rng.chance(2, 5) {
+            return Pred::Atom(self.atom());
+        }
+        match self.rng.below(3) {
+            0 => Pred::And(
+                Box::new(self.pred(depth - 1)),
+                Box::new(self.pred(depth - 1)),
+            ),
+            1 => Pred::Or(
+                Box::new(self.pred(depth - 1)),
+                Box::new(self.pred(depth - 1)),
+            ),
+            _ => Pred::Not(Box::new(self.pred(depth - 1))),
+        }
+    }
+
+    fn agg(&mut self, i: usize) -> Item {
+        let name = format!("a{i}");
+        let sql = match self.rng.below(6) {
+            0 => "COUNT(*)".to_string(),
+            1 => format!("COUNT({})", self.any_col().0),
+            2 => {
+                let k = if self.rng.chance(1, 3) {
+                    Kind::Float
+                } else {
+                    Kind::Int
+                };
+                format!("SUM({})", self.num(k).0)
+            }
+            3 => {
+                let k = if self.rng.chance(1, 3) {
+                    Kind::Float
+                } else {
+                    Kind::Int
+                };
+                format!("AVG({})", self.num(k).0)
+            }
+            f => format!(
+                "{}({})",
+                if f == 4 { "MIN" } else { "MAX" },
+                self.any_col().0
+            ),
+        };
+        Item {
+            sql: format!("{sql} AS {name}"),
+            name,
+        }
+    }
+
+    fn query(&mut self) -> Query {
+        let join = if self.rng.chance(1, 3) {
+            let jt = if self.rng.chance(1, 2) {
+                JoinType::Left
+            } else {
+                JoinType::Inner
+            };
+            let on = if self.rng.chance(2, 3) {
+                ("t_k", "u_k")
+            } else {
+                ("t_s", "u_s")
+            };
+            Some((jt, on.0, on.1))
+        } else {
+            None
+        };
+        self.cols = T_FIELDS.iter().map(|f| (f.0, kind_of(f.1))).collect();
+        if join.is_some() {
+            self.cols
+                .extend(U_FIELDS.iter().map(|f| (f.0, kind_of(f.1))));
+        }
+        // Half the predicates are conjunctions of atoms, the shape the
+        // optimizer pushes into scans and zone maps prune on.
+        let filter = (!self.rng.chance(1, 5)).then(|| {
+            if self.rng.chance(1, 2) {
+                let first = Pred::Atom(self.atom());
+                (0..self.rng.below(3)).fold(first, |p, _| {
+                    Pred::And(Box::new(p), Box::new(Pred::Atom(self.atom())))
+                })
+            } else {
+                self.pred(3)
+            }
+        });
+        let (select, names) = match self.rng.below(5) {
+            0 => {
+                let names = self.cols.iter().map(|c| c.0.to_string()).collect();
+                (Select::Star, names)
+            }
+            1 | 2 => {
+                let n = 1 + self.rng.below(4);
+                let items: Vec<Item> = (0..n)
+                    .map(|i| {
+                        if self.rng.chance(1, 3) {
+                            let k = if self.rng.chance(1, 3) {
+                                Kind::Float
+                            } else {
+                                Kind::Int
+                            };
+                            let name = format!("x{i}");
+                            Item {
+                                sql: format!("{} AS {name}", self.num(k).0),
+                                name,
+                            }
+                        } else {
+                            let c = self.any_col().0.to_string();
+                            Item {
+                                sql: c.clone(),
+                                name: c,
+                            }
+                        }
+                    })
+                    .collect();
+                // One output column per name.
+                let mut seen = std::collections::HashSet::new();
+                let items: Vec<Item> = items
+                    .into_iter()
+                    .filter(|i| seen.insert(i.name.clone()))
+                    .collect();
+                let names = items.iter().map(|i| i.name.clone()).collect();
+                (Select::Rows(items), names)
+            }
+            _ => {
+                let keys: Vec<String> = if self.rng.chance(1, 6) {
+                    Vec::new()
+                } else if self.rng.chance(1, 2) {
+                    vec!["t_s".into(), "t_d".into()]
+                } else {
+                    let mut keys = vec![self.any_col().0.to_string()];
+                    let second = self.any_col().0.to_string();
+                    if self.rng.chance(1, 2) && second != keys[0] {
+                        keys.push(second);
+                    }
+                    keys
+                };
+                let aggs: Vec<Item> = (0..1 + self.rng.below(4)).map(|i| self.agg(i)).collect();
+                let mut names = keys.clone();
+                names.extend(aggs.iter().map(|a| a.name.clone()));
+                (Select::Groups { keys, aggs }, names)
+            }
+        };
+        let (mut order, mut limit) = (Vec::new(), None);
+        if self.rng.chance(1, 2) {
+            for _ in 0..1 + self.rng.below(2) {
+                let n = self.rng.pick(&names);
+                if !order.iter().any(|(o, _)| *o == n) {
+                    order.push((n, self.rng.chance(1, 2)));
+                }
+            }
+            if self.rng.chance(3, 4) {
+                limit = Some(self.rng.below(24));
+            }
+        }
+        Query {
+            join,
+            filter,
+            select,
+            order,
+            limit,
+        }
+    }
+}
+
+fn kind_of(dt: DataType) -> Kind {
+    match dt {
+        DataType::Int64 => Kind::Int,
+        DataType::Float64 => Kind::Float,
+        _ => Kind::Str,
+    }
+}
+
+// ---- The reference -----------------------------------------------------------
+
+/// A relation: column names and boxed rows.
+struct Rel {
+    names: Vec<String>,
+    rows: Vec<Vec<Value>>,
+}
+
+/// What the reference saw that the checks need besides its answer.
+#[derive(Default)]
+struct Trace {
+    /// A keyed aggregate received input: a one-byte budget must spill it.
+    hashed_rows: bool,
+    /// The sort sits directly on one table's rows, so ties keep table order.
+    scan_order: bool,
+}
+
+fn reference(plan: &LogicalPlan, data: &Data, trace: &mut Trace) -> Result<Rel, String> {
+    Ok(match plan {
+        LogicalPlan::Scan {
+            table,
+            table_schema,
+            ..
+        } => Rel {
+            names: table_schema
+                .fields()
+                .iter()
+                .map(|f| f.name.clone())
+                .collect(),
+            rows: if table == "t" {
+                data.t.clone()
+            } else {
+                data.u.clone()
+            },
+        },
+        LogicalPlan::Filter { input, predicate } => {
+            let mut rel = reference(input, data, trace)?;
+            let mut kept = Vec::new();
+            for row in rel.rows {
+                if eval(predicate, &rel.names, &row)? == Value::Bool(true) {
+                    kept.push(row);
+                }
+            }
+            rel.rows = kept;
+            rel
+        }
+        LogicalPlan::Project { input, exprs } => {
+            let rel = reference(input, data, trace)?;
+            let rows = rel
+                .rows
+                .iter()
+                .map(|row| exprs.iter().map(|e| eval(e, &rel.names, row)).collect())
+                .collect::<Result<_, _>>()?;
+            Rel {
+                names: exprs.iter().map(Expr::output_name).collect(),
+                rows,
+            }
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => {
+            let l = reference(left, data, trace)?;
+            let r = reference(right, data, trace)?;
+            let pos = |rel: &Rel, n: &str| {
+                rel.names
+                    .iter()
+                    .position(|x| x == n)
+                    .ok_or(format!("no column {n}"))
+            };
+            let keys: Vec<(usize, usize)> = on
+                .iter()
+                .map(|(a, b)| Ok((pos(&l, a)?, pos(&r, b)?)))
+                .collect::<Result<_, String>>()?;
+            let mut rows = Vec::new();
+            for lr in &l.rows {
+                let mut matched = false;
+                for rr in &r.rows {
+                    if keys
+                        .iter()
+                        .all(|&(a, b)| compare(&lr[a], BinOp::Eq, &rr[b]) == Ok(Some(true)))
+                    {
+                        matched = true;
+                        rows.push(lr.iter().chain(rr).cloned().collect());
+                    }
+                }
+                if !matched && *join_type == JoinType::Left {
+                    let mut row = lr.clone();
+                    row.extend(r.names.iter().map(|_| Value::Null));
+                    rows.push(row);
+                }
+            }
+            let mut names = l.names;
+            names.extend(r.names);
+            Rel { names, rows }
+        }
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let rel = reference(input, data, trace)?;
+            trace.hashed_rows |= !group_by.is_empty() && !rel.rows.is_empty();
+            let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
+            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+            if group_by.is_empty() {
+                groups.push((Vec::new(), aggs.iter().map(|_| Acc::default()).collect()));
+                index.insert(Vec::new(), 0);
+            }
+            for row in &rel.rows {
+                let key = group_by
+                    .iter()
+                    .map(|g| eval(g, &rel.names, row))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let g = *index.entry(key.clone()).or_insert_with(|| {
+                    groups.push((key, aggs.iter().map(|_| Acc::default()).collect()));
+                    groups.len() - 1
+                });
+                for (acc, a) in groups[g].1.iter_mut().zip(aggs) {
+                    let v = match a.func {
+                        AggFunc::CountStar => Value::Int(0),
+                        _ => eval(&a.input, &rel.names, row)?,
+                    };
+                    acc.update(a.func, v)?;
+                }
+            }
+            let mut names: Vec<String> = group_by.iter().map(Expr::output_name).collect();
+            names.extend(aggs.iter().map(|a| a.name.clone()));
+            let rows = groups
+                .into_iter()
+                .map(|(mut key, accs)| {
+                    key.extend(
+                        accs.into_iter()
+                            .zip(aggs)
+                            .map(|(acc, a)| acc.finish(a.func)),
+                    );
+                    key
+                })
+                .collect();
+            Rel { names, rows }
+        }
+        LogicalPlan::Sort { input, keys } => {
+            trace.scan_order = only_scans_below(input);
+            let mut rel = reference(input, data, trace)?;
+            let mut keyed = rel
+                .rows
+                .into_iter()
+                .map(|row| {
+                    let k = keys
+                        .iter()
+                        .map(|k| eval(&k.expr, &rel.names, &row))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    Ok((k, row))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            let desc: Vec<bool> = keys.iter().map(|k| k.descending).collect();
+            keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0, &desc));
+            rel.rows = keyed.into_iter().map(|(_, row)| row).collect();
+            rel
+        }
+        LogicalPlan::Limit { input, n } => {
+            let mut rel = reference(input, data, trace)?;
+            rel.rows.truncate(*n);
+            rel
+        }
+    })
+}
+
+/// Whether a plan is one table's rows, filtered and projected: the order
+/// in which the engine hands them to a sort is table order.
+fn only_scans_below(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Scan { .. } => true,
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            only_scans_below(input)
+        }
+        _ => false,
+    }
+}
+
+/// One aggregate's running state.
+#[derive(Default)]
+enum Acc {
+    #[default]
+    Empty,
+    Count(i64),
+    Int(i64),
+    Float(f64, i64),
+    Extreme(Value),
+}
+
+impl Acc {
+    fn update(&mut self, func: AggFunc, v: Value) -> Result<(), String> {
+        if func == AggFunc::CountStar {
+            *self = Acc::Count(self.count() + 1);
+            return Ok(());
+        }
+        if v.is_null() {
+            if func == AggFunc::Count {
+                *self = Acc::Count(self.count());
+            }
+            return Ok(());
+        }
+        *self = match (func, std::mem::take(self), v) {
+            (AggFunc::Count, acc, _) => Acc::Count(acc.count() + 1),
+            (AggFunc::Sum, Acc::Empty, Value::Int(x)) => Acc::Int(x),
+            (AggFunc::Sum, Acc::Int(s), Value::Int(x)) => {
+                Acc::Int(s.checked_add(x).ok_or("SUM overflow")?)
+            }
+            (AggFunc::Sum | AggFunc::Avg, Acc::Empty, x) => Acc::Float(num(&x)?, 1),
+            (AggFunc::Sum | AggFunc::Avg, Acc::Float(s, n), x) => Acc::Float(s + num(&x)?, n + 1),
+            (AggFunc::Min | AggFunc::Max, Acc::Empty, x) => Acc::Extreme(x),
+            (AggFunc::Min | AggFunc::Max, Acc::Extreme(cur), x) => {
+                // In ORDER BY order: MAX is NaN if any value is, MIN only
+                // if every value is.
+                let want = if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                Acc::Extreme(if order(&x, &cur) == want { x } else { cur })
+            }
+            (f, _, x) => return Err(format!("{f:?} over {x:?}")),
+        };
+        Ok(())
+    }
+
+    fn count(&self) -> i64 {
+        match self {
+            Acc::Count(n) => *n,
+            _ => 0,
+        }
+    }
+
+    fn finish(self, func: AggFunc) -> Value {
+        match (func, self) {
+            (AggFunc::Count | AggFunc::CountStar, acc) => Value::Int(acc.count()),
+            (_, Acc::Int(s)) => Value::Int(s),
+            (AggFunc::Avg, Acc::Float(s, n)) => Value::Float(s / n as f64),
+            (_, Acc::Float(s, _)) => Value::Float(s),
+            (_, Acc::Extreme(v)) => v,
+            _ => Value::Null,
+        }
+    }
+}
+
+fn num(v: &Value) -> Result<f64, String> {
+    match v {
+        Value::Int(i) => Ok(*i as f64),
+        Value::Float(f) => Ok(*f),
+        other => Err(format!("not a number: {other:?}")),
+    }
+}
+
+/// The ORDER BY order of two non-NULL or NULL values: NULL first, numbers
+/// by value with NaN after every number, then strings and booleans.
+fn order(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Null, Value::Null) => Ordering::Equal,
+        (Value::Null, _) => Ordering::Less,
+        (_, Value::Null) => Ordering::Greater,
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        (x, y) => {
+            let (x, y) = (num(x).unwrap_or(f64::NAN), num(y).unwrap_or(f64::NAN));
+            x.partial_cmp(&y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }
+    }
+}
+
+fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
+    for ((x, y), &d) in a.iter().zip(b).zip(desc) {
+        let o = order(x, y);
+        let o = if d { o.reverse() } else { o };
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
+/// SQL comparison: `None` is NULL (a NULL operand, or a NaN on either side).
+fn compare(a: &Value, op: BinOp, b: &Value) -> Result<Option<bool>, String> {
+    let ord = match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => return Ok(None),
+        (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
+        (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
+        (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
+        (x, y) => num(x)?.partial_cmp(&num(y)?),
+    };
+    let Some(ord) = ord else {
+        return Ok(None);
+    };
+    Ok(Some(match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        other => return Err(format!("{other} is not a comparison")),
+    }))
+}
+
+fn truth(v: Option<bool>) -> Value {
+    v.map_or(Value::Null, Value::Bool)
+}
+
+fn as_truth(v: &Value) -> Result<Option<bool>, String> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Bool(b) => Ok(Some(*b)),
+        other => Err(format!("not a boolean: {other:?}")),
+    }
+}
+
+/// One expression over one row.
+pub fn eval(e: &Expr, names: &[String], row: &[Value]) -> Result<Value, String> {
+    Ok(match e {
+        Expr::Column(n) => {
+            let i = names
+                .iter()
+                .position(|x| x == n)
+                .ok_or(format!("no column {n}"))?;
+            row[i].clone()
+        }
+        Expr::Literal(v) => v.clone(),
+        Expr::Param(_) => return Err("unbound parameter".into()),
+        Expr::Alias(inner, _) => eval(inner, names, row)?,
+        Expr::Unary { op, expr } => {
+            let v = eval(expr, names, row)?;
+            match op {
+                UnOp::IsNull => Value::Bool(v.is_null()),
+                UnOp::IsNotNull => Value::Bool(!v.is_null()),
+                UnOp::Not => truth(as_truth(&v)?.map(|b| !b)),
+                UnOp::Neg => match v {
+                    Value::Int(i) => Value::Int(i.wrapping_neg()),
+                    Value::Float(f) => Value::Float(-f),
+                    Value::Null => Value::Null,
+                    other => return Err(format!("negation of {other:?}")),
+                },
+            }
+        }
+        Expr::Binary { left, op, right } => {
+            let (l, r) = (eval(left, names, row)?, eval(right, names, row)?);
+            match op {
+                BinOp::And | BinOp::Or => {
+                    let (a, b) = (as_truth(&l)?, as_truth(&r)?);
+                    let (dominant, other) = (*op == BinOp::Or, *op == BinOp::And);
+                    truth(if a == Some(dominant) || b == Some(dominant) {
+                        Some(dominant)
+                    } else if a == Some(other) && b == Some(other) {
+                        Some(other)
+                    } else {
+                        None
+                    })
+                }
+                op if op.is_comparison() => truth(compare(&l, *op, &r)?),
+                op => arithmetic(&l, *op, &r)?,
+            }
+        }
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => match eval(expr, names, row)? {
+            Value::Null => Value::Null,
+            Value::Str(s) => {
+                let (text, pat): (Vec<char>, Vec<char>) =
+                    (s.chars().collect(), pattern.chars().collect());
+                Value::Bool(like(&text, &pat) != *negated)
+            }
+            other => return Err(format!("LIKE over {other:?}")),
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let probe = eval(expr, names, row)?;
+            let mut acc = Some(false);
+            for item in list {
+                let eq = compare(&probe, BinOp::Eq, &eval(item, names, row)?)?;
+                acc = match (acc, eq) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                };
+            }
+            truth(acc.map(|b| b != *negated))
+        }
+    })
+}
+
+fn arithmetic(l: &Value, op: BinOp, r: &Value) -> Result<Value, String> {
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    if let (Value::Int(a), Value::Int(b), false) = (l, r, op == BinOp::Div) {
+        let out = match op {
+            BinOp::Add => a.checked_add(*b),
+            BinOp::Sub => a.checked_sub(*b),
+            BinOp::Mul => a.checked_mul(*b),
+            BinOp::Mod => a.checked_rem(*b),
+            other => return Err(format!("{other} is not arithmetic")),
+        };
+        return out.map(Value::Int).ok_or_else(|| "integer overflow".into());
+    }
+    let (a, b) = (num(l)?, num(r)?);
+    if matches!(op, BinOp::Div | BinOp::Mod) && b == 0.0 {
+        return Err("division by zero".into());
+    }
+    Ok(Value::Float(match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Mod => a % b,
+        other => return Err(format!("{other} is not arithmetic")),
+    }))
+}
+
+/// SQL LIKE: `%` matches any run of characters, `_` exactly one.
+fn like(text: &[char], pat: &[char]) -> bool {
+    match pat.split_first() {
+        None => text.is_empty(),
+        Some(('%', rest)) => (0..=text.len()).any(|i| like(&text[i..], rest)),
+        Some((&c, rest)) => {
+            text.first().is_some_and(|&t| c == '_' || c == t) && like(&text[1..], rest)
+        }
+    }
+}
+
+// ---- Comparing answers -------------------------------------------------------
+
+/// A value's identity for answers: floats by value (NaN equals NaN, and
+/// -0.0 equals 0.0), everything else exactly.
+fn canon(v: &Value) -> String {
+    match v {
+        Value::Null => "NULL".into(),
+        Value::Int(i) => format!("i{i}"),
+        Value::Float(f) if f.is_nan() => "fNaN".into(),
+        Value::Float(f) => format!("f{:?}", if *f == 0.0 { 0.0 } else { *f }),
+        Value::Str(s) => format!("s{s:?}"),
+        Value::Bool(b) => format!("b{b}"),
+    }
+}
+
+fn canon_row(row: &[Value]) -> String {
+    row.iter().map(canon).collect::<Vec<_>>().join("|")
+}
+
+pub fn multiset(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|r| canon_row(r)).collect();
+    out.sort();
+    out
+}
+
+/// What the reference says a query must return.
+struct Expected {
+    /// Every row before any LIMIT, in reference order.
+    rows: Vec<Vec<Value>>,
+    /// Output positions of the ORDER BY keys and their directions.
+    order: Vec<(usize, bool)>,
+    limit: Option<usize>,
+    /// Ties must keep table order (a serial, uncached sort over one
+    /// table's rows).
+    exact: bool,
+}
+
+fn check_answer(got: &[Vec<Value>], want: &Expected) -> Result<(), String> {
+    let n = want
+        .limit
+        .map_or(want.rows.len(), |l| l.min(want.rows.len()));
+    if got.len() != n {
+        return Err(format!("{} rows, reference {}", got.len(), n));
+    }
+    if want.order.is_empty() {
+        // LIMIT without ORDER BY picks any rows: only the count is fixed.
+        if want.limit.is_none() && multiset(got) != multiset(&want.rows) {
+            return Err(diff(got, &want.rows));
+        }
+        return Ok(());
+    }
+    let key =
+        |row: &[Value]| -> Vec<Value> { want.order.iter().map(|&(i, _)| row[i].clone()).collect() };
+    let desc: Vec<bool> = want.order.iter().map(|&(_, d)| d).collect();
+    for (i, row) in got.iter().enumerate() {
+        if cmp_keys(&key(row), &key(&want.rows[i]), &desc) != Ordering::Equal {
+            return Err(format!(
+                "row {i} sorts as {:?}, reference {:?}",
+                key(row),
+                key(&want.rows[i])
+            ));
+        }
+        if want.exact && canon_row(row) != canon_row(&want.rows[i]) {
+            return Err(format!(
+                "row {i} is {row:?}, reference {:?} (ties keep table order)",
+                want.rows[i]
+            ));
+        }
+    }
+    // Within each run of equal keys, the rows are the reference's (all of
+    // them when the run ends before the LIMIT).
+    let mut start = 0;
+    while start < n {
+        let mut end = start + 1;
+        while end < want.rows.len()
+            && cmp_keys(&key(&want.rows[end]), &key(&want.rows[start]), &desc) == Ordering::Equal
+        {
+            end += 1;
+        }
+        let mut pool = multiset(&want.rows[start..end]);
+        for row in &got[start..end.min(n)] {
+            let c = canon_row(row);
+            match pool.iter().position(|p| *p == c) {
+                Some(i) => {
+                    pool.remove(i);
+                }
+                None => return Err(format!("row {row:?} is not among the reference's ties")),
+            }
+        }
+        start = end;
+    }
+    Ok(())
+}
+
+/// The rows one multiset has more often than the other, a few of each.
+fn diff(got: &[Vec<Value>], want: &[Vec<Value>]) -> String {
+    let (mut extra, mut missing) = (multiset(got), multiset(want));
+    let n = (extra.len(), missing.len());
+    extra.retain(|r| match missing.iter().position(|m| m == r) {
+        Some(i) => {
+            missing.remove(i);
+            false
+        }
+        None => true,
+    });
+    let (extra, missing) = (
+        &extra[..extra.len().min(3)],
+        &missing[..missing.len().min(3)],
+    );
+    format!(
+        "{} rows, reference {}; unexpected {extra:?}; missing {missing:?}",
+        n.0, n.1
+    )
+}
+
+// ---- One case ----------------------------------------------------------------
+
+/// The engine's rows for `sql`. With caches on, the statement runs twice
+/// and the second answer must be byte-identical to the first.
+fn engine(
+    db: &Database,
+    sql: &str,
+    setup: &Setup,
+    metrics: &Metrics,
+) -> Result<Vec<Vec<Value>>, String> {
+    let opts = setup.opts.clone().with_metrics(metrics.clone());
+    let run = || {
+        let out =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.sql_with(sql, &opts)))
+                .map_err(|p| {
+                    let msg = p
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()));
+                    format!("engine panicked: {}", msg.unwrap_or_default())
+                })?;
+        out.map(|b| b.to_rows())
+            .map_err(|e| format!("engine error: {e}"))
+    };
+    let first = run()?;
+    if setup.opts.result_cache {
+        let again = run()?;
+        let bits = |rows: &[Vec<Value>]| format!("{rows:?}");
+        if bits(&again) != bits(&first) {
+            return Err("a cached run is not byte-identical to the first".into());
+        }
+    }
+    Ok(first)
+}
+
+/// Check one query at one knob tuple: the answer against the reference,
+/// (under a one-byte budget, caches off) that hash state spilled, and —
+/// when `metamorphic` — TLP and NoREC on its predicate. Answers whether
+/// the query had to spill (and did).
+fn check_query(
+    db: &Database,
+    data: &Data,
+    setup: &Setup,
+    q: &Query,
+    metamorphic: bool,
+) -> Result<bool, String> {
+    let sql = q.sql();
+    let plan = parse_select(&sql, db.catalog()).map_err(|e| format!("parse: {e}"))?;
+    let mut trace = Trace::default();
+    // The generator avoids overflow and division by zero, so the reference
+    // answers every query it makes.
+    let rel = reference(&plan, data, &mut trace).map_err(|e| format!("reference: {e}"))?;
+    let unlimited = match &plan {
+        LogicalPlan::Limit { input, .. } => reference(input, data, &mut Trace::default())?.rows,
+        _ => rel.rows,
+    };
+    let order = q
+        .order
+        .iter()
+        .map(|(n, d)| {
+            Ok((
+                rel.names
+                    .iter()
+                    .position(|x| x == n)
+                    .ok_or(format!("no output {n}"))?,
+                *d,
+            ))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let want = Expected {
+        rows: unlimited,
+        order,
+        limit: q.limit,
+        // Morsel-parallel scans hand batches on in arrival order, and SQL
+        // leaves the choice among ties to the engine; a cached answer may
+        // come from such a run.
+        exact: trace.scan_order
+            && q.limit.is_some()
+            && setup.opts.parallelism.is_serial()
+            && !setup.opts.result_cache,
+    };
+    let metrics = Metrics::new();
+    let got = engine(db, &sql, setup, &metrics)?;
+    check_answer(&got, &want)?;
+    // `LIMIT 0` answers without running its input.
+    let runs = q.limit != Some(0);
+    let tiny = setup.opts.mem_budget == Some(TINY_BUDGET);
+    let must_spill =
+        tiny && !setup.opts.result_cache && runs && spills(q, data, db, trace.hashed_rows)?;
+    if must_spill && metrics.value("storage.spill.partitions") == 0 {
+        return Err("a one-byte budget did not spill".into());
+    }
+    if let Some(p) = q.filter.as_ref().filter(|_| metamorphic) {
+        let from = q.source();
+        let p = p.sql();
+        let m = Metrics::new();
+        let all = engine(db, &format!("SELECT * FROM {from}"), setup, &m)?;
+        let mut parts = Vec::new();
+        for w in [p.clone(), format!("NOT {p}"), format!("{p} IS NULL")] {
+            parts.extend(engine(
+                db,
+                &format!("SELECT * FROM {from} WHERE {w}"),
+                setup,
+                &m,
+            )?);
+        }
+        if multiset(&parts) != multiset(&all) {
+            return Err(format!(
+                "TLP: p, NOT p and p IS NULL partition wrongly: {}",
+                diff(&parts, &all)
+            ));
+        }
+        let count = engine(
+            db,
+            &format!("SELECT COUNT(*) AS n FROM {from} WHERE {p}"),
+            setup,
+            &m,
+        )?;
+        let lanes = engine(db, &format!("SELECT {p} AS v FROM {from}"), setup, &m)?;
+        let trues = lanes.iter().filter(|r| r[0] == Value::Bool(true)).count() as i64;
+        if count != vec![vec![Value::Int(trues)]] {
+            return Err(format!("NoREC: COUNT(*) {count:?} but {trues} TRUE lanes"));
+        }
+    }
+    Ok(must_spill)
+}
+
+/// Whether a one-byte budget must spill this query: a keyed aggregate got
+/// input, or a matched join pair survives the WHERE (then both join inputs
+/// hold rows, wherever the optimizer evaluates the WHERE).
+fn spills(q: &Query, data: &Data, db: &Database, aggregated: bool) -> Result<bool, String> {
+    let Some((_, l, r)) = q.join else {
+        return Ok(aggregated);
+    };
+    let pairs = Query {
+        join: Some((JoinType::Inner, l, r)),
+        select: Select::Star,
+        order: Vec::new(),
+        limit: None,
+        ..q.clone()
+    };
+    let plan = parse_select(&pairs.sql(), db.catalog()).map_err(|e| format!("parse: {e}"))?;
+    Ok(!reference(&plan, data, &mut Trace::default())?
+        .rows
+        .is_empty())
+}
+
+/// Greedily shrink a failing query: take the first one-step simplification
+/// that still fails, until none does. A candidate the parser or the
+/// reference rejects (say, one naming a column of a dropped join) is not
+/// a smaller engine failure.
+fn shrink(
+    db: &Database,
+    data: &Data,
+    setup: &Setup,
+    metamorphic: bool,
+    mut q: Query,
+    mut err: String,
+) -> (Query, String) {
+    'outer: loop {
+        for cand in q.shrunk() {
+            if let Err(e) = check_query(db, data, setup, &cand, metamorphic) {
+                if !e.starts_with("parse:") && !e.starts_with("reference:") {
+                    (q, err) = (cand, e);
+                    continue 'outer;
+                }
+            }
+        }
+        return (q, err);
+    }
+}
+
+/// What a run exercised: every knob setting it ran, whether some case left
+/// a tail longer than one chunk (the rarest layout), the queries it
+/// checked, and how many of them a one-byte budget had to spill.
+#[derive(Default)]
+pub struct Coverage {
+    pub knobs: Vec<Knob>,
+    pub multi_chunk_tail: bool,
+    pub queries: usize,
+    pub spilled: usize,
+}
+
+/// The part of the oracle one property runs: settings that replace their
+/// knob's axis, a rewrite of each case's tables, which generated queries
+/// it keeps and how it rewrites them, how many of the fixed seeds
+/// [`run_slice`] runs it on, and whether it checks TLP and NoREC too.
+/// [`Slice::all`] is the whole oracle.
+#[derive(Clone)]
+pub struct Slice {
+    pub forced: Vec<Knob>,
+    pub tables: fn(&mut Data, &mut Rng),
+    pub keep: fn(&Query) -> bool,
+    pub rewrite: fn(Query) -> Query,
+    pub seeds: usize,
+    pub metamorphic: bool,
+}
+
+impl Slice {
+    pub fn all() -> Slice {
+        Slice {
+            forced: Vec::new(),
+            tables: |_, _| {},
+            keep: |_| true,
+            rewrite: |q| q,
+            seeds: SLICE_SEEDS,
+            metamorphic: false,
+        }
+    }
+
+    /// `knobs` replace their axes; a later setting replaces an earlier one.
+    pub fn forcing(mut self, knobs: &[Knob]) -> Slice {
+        for k in knobs {
+            self.forced.retain(|f| !f.same_axis(k));
+            self.forced.push(*k);
+        }
+        self
+    }
+
+    pub fn tables(self, tables: fn(&mut Data, &mut Rng)) -> Slice {
+        Slice { tables, ..self }
+    }
+
+    pub fn keep(self, keep: fn(&Query) -> bool) -> Slice {
+        Slice { keep, ..self }
+    }
+
+    pub fn rewrite(self, rewrite: fn(Query) -> Query) -> Slice {
+        Slice { rewrite, ..self }
+    }
+
+    /// Run on every fixed seed, not the first few.
+    pub fn every_seed(self) -> Slice {
+        Slice {
+            seeds: SEEDS.len(),
+            ..self
+        }
+    }
+
+    pub fn metamorphic(self) -> Slice {
+        Slice {
+            metamorphic: true,
+            ..self
+        }
+    }
+}
+
+/// Generated queries a case tries before it runs with fewer than
+/// [`QUERIES_PER_CASE`] that its slice keeps.
+const QUERY_ATTEMPTS: usize = 240;
+/// Seeds a slice runs by default: the first of [`SEEDS`].
+const SLICE_SEEDS: usize = 2;
+
+/// The seed's stream for knob sampling, apart from the data and query
+/// stream, so a generator change leaves every seed's knob tuples alone.
+fn knob_rng(seed: u64) -> Rng {
+    Rng::new(seed ^ 0x4B4E_4F42_5354_524D)
+}
+
+/// Run one seed: generate its tables and queries (kept and rewritten by the
+/// slice), then for each of `layouts` sampled storage
+/// tuples build a database and run every query at each of `runs` sampled
+/// execution tuples, the slice's forced settings replacing their axes.
+/// With `metamorphic`, the first tuple also checks TLP and NoREC.
+pub fn run_case(
+    seed: u64,
+    slice: &Slice,
+    (layouts, runs): (usize, usize),
+    metamorphic: bool,
+    cover: &mut Coverage,
+) {
+    let mut rng = Rng::new(seed);
+    let mut data = gen_data(&mut rng);
+    // Rewrites draw from their own stream, so the query stream stays put.
+    (slice.tables)(&mut data, &mut Rng::new(seed ^ 0x5441_424C_4553));
+    let queries: Vec<Query> = {
+        let mut g = Gen {
+            rng: &mut rng,
+            more: Rng::new(seed ^ 0x4E45_5354),
+            data: &data,
+            cols: Vec::new(),
+        };
+        let mut queries = Vec::new();
+        for _ in 0..QUERY_ATTEMPTS {
+            if queries.len() == QUERIES_PER_CASE {
+                break;
+            }
+            let q = g.query();
+            if (slice.keep)(&q) {
+                queries.push((slice.rewrite)(q));
+            }
+        }
+        queries
+    };
+    let mut knobs = knob_rng(seed);
+    for layout in 0..layouts {
+        let storage = sample(&mut knobs, true, &slice.forced);
+        let setup = Setup::of(&storage);
+        let dir = (setup.residency != Residency::Memory).then(ScratchDir::new);
+        let db = build_db(&data, &setup, &dir.as_ref().map(|d| d.0.clone()));
+        cover.multi_chunk_tail |= {
+            use backbone_query::Catalog;
+            let t = db.catalog().table("t").expect("registered");
+            t.tail_rows() > TAIL_CHUNK_ROWS
+        };
+        for run in 0..runs {
+            let mut tuple = storage.clone();
+            tuple.extend(sample(&mut knobs, false, &slice.forced));
+            let setup = Setup::of(&tuple);
+            cover.knobs.extend(tuple.iter().copied());
+            let metamorphic = metamorphic && layout == 0 && run == 0;
+            for q in &queries {
+                match check_query(&db, &data, &setup, q, metamorphic) {
+                    Ok(spilled) => {
+                        cover.queries += 1;
+                        cover.spilled += spilled as usize;
+                    }
+                    Err(e) => {
+                        let (small, why) =
+                            shrink(&db, &data, &setup, metamorphic, q.clone(), e.clone());
+                        panic!(
+                            "oracle divergence\n  seed: {seed}\n  knobs: {tuple:?}\n  sql: {}\n  \
+                             shrunk sql: {}\n  error: {e}\n  shrunk error: {why}",
+                            q.sql(),
+                            small.sql()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The whole oracle: every seed at two storage tuples with two execution
+/// tuples each; then assert the set ran every setting of every knob and a
+/// multi-chunk tail.
+pub fn run_sampled() {
+    let mut cover = Coverage::default();
+    for seed in SEEDS {
+        run_case(
+            seed,
+            &Slice::all(),
+            (LAYOUTS_PER_CASE, RUNS_PER_LAYOUT),
+            true,
+            &mut cover,
+        );
+    }
+    for k in Knob::axes().into_iter().flatten() {
+        assert!(cover.knobs.contains(&k), "the seed set never ran {k:?}");
+    }
+    assert!(
+        cover.multi_chunk_tail,
+        "the seed set never left a multi-chunk tail"
+    );
+}
+
+/// Run `slice` on its first seeds at one storage and one
+/// execution tuple each, once per setting in `each` (which replaces its
+/// axis; once in all when `each` is empty), with TLP and NoREC at the
+/// first setting if the slice asks for them. Settings that agree with the reference agree with each
+/// other. Asserts some query ran.
+pub fn run_slice(slice: &Slice, each: &[Knob]) -> Coverage {
+    let mut cover = Coverage::default();
+    let settings: Vec<Option<Knob>> = if each.is_empty() {
+        vec![None]
+    } else {
+        each.iter().copied().map(Some).collect()
+    };
+    for (i, setting) in settings.into_iter().enumerate() {
+        let slice = slice.clone().forcing(setting.as_slice());
+        for &seed in &SEEDS[..slice.seeds] {
+            run_case(
+                seed,
+                &slice,
+                (1, 1),
+                slice.metamorphic && i == 0,
+                &mut cover,
+            );
+        }
+    }
+    assert!(cover.queries > 0, "the slice generated no query");
+    cover
+}
+
+// ---- Slices ----------------------------------------------------------------------
+
+/// Every execution-side worker setting that runs morsels in parallel,
+/// after the serial baseline.
+pub const WORKER_SWEEP: [Knob; 4] = [
+    Knob::Workers(Parallelism::Serial),
+    Knob::Workers(Parallelism::Fixed(1)),
+    Knob::Workers(Parallelism::Fixed(2)),
+    Knob::Workers(Parallelism::Fixed(8)),
+];
+/// Unlimited, one-byte and moderate memory budgets.
+pub const BUDGETS: [Knob; 3] = [
+    Knob::Budget(None),
+    Knob::Budget(Some(TINY_BUDGET)),
+    Knob::Budget(Some(MODERATE_BUDGET)),
+];
+/// Dictionary (and integer) encodings against plain columns.
+pub const ENCODINGS: [Knob; 2] = [
+    Knob::Encoding(EncodingPolicy::Auto),
+    Knob::Encoding(EncodingPolicy::Plain),
+];
+/// Every row in the unsealed tail, against every row sealed in 64-row
+/// groups.
+pub const TAIL_VS_SEALED: [Knob; 2] = [
+    Knob::Layout {
+        group_rows: 1 << 16,
+        tail_quarters: 4,
+    },
+    Knob::Layout {
+        group_rows: 64,
+        tail_quarters: 0,
+    },
+];
+/// The dictionary-encoded string columns.
+pub const STRINGS: [&str; 3] = ["t_s", "t_d", "u_s"];
+/// The frame-of-reference and run-length integer columns.
+pub const INTS: [&str; 2] = ["t_i", "t_r"];
+
+/// Whether the query's SQL names any of `cols`.
+pub fn touches(q: &Query, cols: &[&str]) -> bool {
+    let sql = q.sql();
+    cols.iter().any(|c| sql.contains(c))
+}
+
+pub fn joined(q: &Query, jt: JoinType) -> bool {
+    q.join.is_some_and(|j| j.0 == jt)
+}
+
+/// Whether the query groups, by keys that are all among `cols` (any keys,
+/// or none, when `cols` is empty).
+pub fn grouped_by(q: &Query, cols: &[&str]) -> bool {
+    match &q.select {
+        Select::Groups { keys, .. } => {
+            cols.is_empty() || (!keys.is_empty() && keys.iter().all(|k| cols.contains(&&**k)))
+        }
+        _ => false,
+    }
+}
+
+/// Whether the plan holds hash state: a grouped aggregate or a join.
+pub fn hashes(q: &Query) -> bool {
+    grouped_by(q, &[]) || q.join.is_some()
+}
+
+/// Whether the WHERE is an AND/OR/NOT tree, not one atom.
+pub fn predicate_tree(q: &Query) -> bool {
+    matches!(q.filter, Some(Pred::And(..) | Pred::Or(..) | Pred::Not(..)))
+}
+
+pub fn top_k(q: &Query) -> bool {
+    !q.order.is_empty() && q.limit.is_some()
+}
+
+/// The seed's generated tables, and an in-memory database of them at the
+/// default layout.
+pub fn generated(seed: u64) -> (Data, Database) {
+    let data = gen_data(&mut Rng::new(seed));
+    let db = build_db(&data, &Setup::of(&[]), &None);
+    (data, db)
+}
+
+/// The reference's answer to a plan over the generated tables, as a
+/// multiset.
+pub fn reference_multiset(plan: &LogicalPlan, data: &Data) -> Vec<String> {
+    let rel = reference(plan, data, &mut Trace::default()).expect("reference answers");
+    multiset(&rel.rows)
+}
+
+/// The execution options a knob tuple sets.
+pub fn exec_options(tuple: &[Knob]) -> ExecOptions {
+    Setup::of(tuple).opts
+}
+
+/// Whether the query holds a constant subexpression for the folding rule:
+/// a parenthesized operation over no column and no list, or a TRUE/FALSE
+/// atom.
+pub fn folds(q: &Query) -> bool {
+    let sql = q.sql();
+    let constant = |inner: &str| {
+        inner.contains(' ')
+            && !inner.contains(',')
+            && !inner.contains("t_")
+            && !inner.contains("u_")
+    };
+    let mut innermost = sql.split('(').filter_map(|s| s.split_once(')'));
+    innermost.any(|(inner, _)| constant(inner)) || sql.contains("(TRUE)") || sql.contains("(FALSE)")
+}
+
+/// The query with `atom` ANDed into its WHERE.
+pub fn and_where(mut q: Query, atom: &str) -> Query {
+    let atom = Pred::Atom(atom.to_string());
+    q.filter = Some(match q.filter.take() {
+        Some(p) => Pred::And(Box::new(p), Box::new(atom)),
+        None => atom,
+    });
+    q
+}
+
+/// The query over no rows, by a predicate no zone map rules out: every
+/// batch of a group holding NULL and non-NULL run values reaches the
+/// operators above the scan with an empty selection.
+pub fn unsatisfiable(q: Query) -> Query {
+    and_where(q, "t_r IS NULL AND t_r IS NOT NULL")
+}
+
+/// The query over no rows, by a word inside every string zone map's range
+/// that no dictionary holds: each accept set is all false.
+pub fn no_word(q: Query) -> Query {
+    and_where(q, "t_s = 'aa'")
+}
+
+/// About half of every table's cells NULL.
+pub fn null_heavy(d: &mut Data, rng: &mut Rng) {
+    for row in d.t.iter_mut().chain(d.u.iter_mut()) {
+        for v in row.iter_mut() {
+            if rng.chance(1, 2) {
+                *v = Value::Null;
+            }
+        }
+    }
+}
+
+/// Every non-NULL string of the join-key columns `t_s` and `u_s` the same
+/// word: one dictionary entry.
+pub fn one_word(d: &mut Data, _: &mut Rng) {
+    for (rows, at) in [(&mut d.t, 4), (&mut d.u, 2)] {
+        for row in rows.iter_mut().filter(|r| !r[at].is_null()) {
+            row[at] = Value::str("ab");
+        }
+    }
+}
+
+/// Every cell of `t`'s low-cardinality columns NULL, so any grouping by
+/// them forms one group.
+pub fn null_keys(d: &mut Data, _: &mut Rng) {
+    for row in &mut d.t {
+        for at in [0, 2, 4, 5] {
+            row[at] = Value::Null;
+        }
+    }
+}
+
+/// `t`'s rows repeated until it spans three tail chunks.
+pub fn spanning_tail_chunks(d: &mut Data, _: &mut Rng) {
+    if d.t.is_empty() {
+        return;
+    }
+    let rows = d.t.clone();
+    while d.t.len() <= 2 * TAIL_CHUNK_ROWS {
+        d.t.extend(rows.iter().cloned());
+    }
+}
+
+/// `t_s` and `t_d` redrawn from 7 and from 7 or 8 words: with NULL, two
+/// keys span 64 or 72 codes, at and just past a 64-row group.
+pub fn at_code_domain(d: &mut Data, rng: &mut Rng) {
+    let d_words = rng.pick(&[7usize, 8]);
+    for row in &mut d.t {
+        if !row[4].is_null() {
+            row[4] = Value::str(WORDS[rng.below(7)]);
+        }
+        if !row[5].is_null() {
+            row[5] = Value::str(WORDS[rng.below(d_words)]);
+        }
+    }
+    d.words = WORDS[..9].to_vec();
+}

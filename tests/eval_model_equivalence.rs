@@ -1,243 +1,65 @@
-//! The vectorized expression evaluator against a row-at-a-time reference
-//! interpreter: random expression trees over random data must agree on
-//! every row, including NULL propagation and three-valued logic.
+//! The vectorized expression evaluator against the row-at-a-time reference
+//! interpreter: generated expressions over NULL-heavy data must agree on
+//! every row, including NULL propagation and three-valued logic. Each
+//! property is one slice of the differential oracle (`differential/`).
 
-use backbone_query::eval::eval;
-use backbone_query::{col, lit, BinOp, Expr};
-use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Value};
-use proptest::prelude::*;
-use std::sync::Arc;
+mod differential;
 
-/// The reference semantics: evaluate per row with Option-based NULLs.
-#[derive(Debug, Clone, PartialEq)]
-enum Cell {
-    Null,
-    Int(i64),
-    Bool(bool),
-}
+use backbone_query::optimizer::Rule;
+use differential::*;
 
-fn model_eval(expr: &Expr, a: Option<i64>, b: Option<i64>) -> Cell {
-    match expr {
-        Expr::Column(n) if n == "a" => a.map(Cell::Int).unwrap_or(Cell::Null),
-        Expr::Column(n) if n == "b" => b.map(Cell::Int).unwrap_or(Cell::Null),
-        Expr::Column(_) => panic!("unknown column in model"),
-        Expr::Literal(Value::Int(v)) => Cell::Int(*v),
-        Expr::Literal(Value::Bool(v)) => Cell::Bool(*v),
-        Expr::Literal(_) => panic!("unsupported literal in model"),
-        Expr::Alias(inner, _) => model_eval(inner, a, b),
-        Expr::Unary { op, expr } => {
-            let v = model_eval(expr, a, b);
-            match op {
-                backbone_query::UnOp::Not => match v {
-                    Cell::Bool(x) => Cell::Bool(!x),
-                    Cell::Null => Cell::Null,
-                    _ => panic!("NOT over int"),
-                },
-                backbone_query::UnOp::Neg => match v {
-                    Cell::Int(x) => Cell::Int(x.wrapping_neg()),
-                    Cell::Null => Cell::Null,
-                    _ => panic!("neg over bool"),
-                },
-                backbone_query::UnOp::IsNull => Cell::Bool(v == Cell::Null),
-                backbone_query::UnOp::IsNotNull => Cell::Bool(v != Cell::Null),
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            let l = model_eval(left, a, b);
-            let r = model_eval(right, a, b);
-            match op {
-                BinOp::And => match (l, r) {
-                    (Cell::Bool(false), _) | (_, Cell::Bool(false)) => Cell::Bool(false),
-                    (Cell::Bool(true), Cell::Bool(true)) => Cell::Bool(true),
-                    _ => Cell::Null,
-                },
-                BinOp::Or => match (l, r) {
-                    (Cell::Bool(true), _) | (_, Cell::Bool(true)) => Cell::Bool(true),
-                    (Cell::Bool(false), Cell::Bool(false)) => Cell::Bool(false),
-                    _ => Cell::Null,
-                },
-                BinOp::Add | BinOp::Sub | BinOp::Mul => match (l, r) {
-                    (Cell::Int(x), Cell::Int(y)) => Cell::Int(match op {
-                        BinOp::Add => x.wrapping_add(y),
-                        BinOp::Sub => x.wrapping_sub(y),
-                        _ => x.wrapping_mul(y),
-                    }),
-                    _ => Cell::Null,
-                },
-                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                    match (l, r) {
-                        (Cell::Int(x), Cell::Int(y)) => Cell::Bool(match op {
-                            BinOp::Eq => x == y,
-                            BinOp::NotEq => x != y,
-                            BinOp::Lt => x < y,
-                            BinOp::LtEq => x <= y,
-                            BinOp::Gt => x > y,
-                            _ => x >= y,
-                        }),
-                        _ => Cell::Null,
-                    }
-                }
-                _ => panic!("unsupported op in model"),
-            }
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            // Three-valued OR over per-item equalities, starting from the
-            // definite FALSE of `x IN ()`.
-            let probe = model_eval(expr, a, b);
-            let mut acc = Cell::Bool(false);
-            for item in list {
-                let item_v = model_eval(item, a, b);
-                let eq = match (&probe, &item_v) {
-                    (Cell::Int(x), Cell::Int(y)) => Cell::Bool(x == y),
-                    _ => Cell::Null,
-                };
-                acc = match (acc, eq) {
-                    (Cell::Bool(true), _) | (_, Cell::Bool(true)) => Cell::Bool(true),
-                    (Cell::Bool(false), Cell::Bool(false)) => Cell::Bool(false),
-                    _ => Cell::Null,
-                };
-            }
-            match (acc, negated) {
-                (Cell::Bool(v), true) => Cell::Bool(!v),
-                (acc, _) => acc,
-            }
-        }
-        Expr::Like { .. } => panic!("LIKE not in model space"),
-        Expr::Param(_) => panic!("params are bound before evaluation"),
-    }
-}
-
-/// Random integer-valued expressions (depth-bounded).
-fn int_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![Just(col("a")), Just(col("b")), (-20i64..20).prop_map(lit),];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.add(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.sub(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.mul(r)),
-            inner.prop_map(|e| e.neg()),
-        ]
-    })
-}
-
-/// Random boolean expressions built on integer comparisons.
-fn bool_expr() -> impl Strategy<Value = Expr> {
-    let cmp = (int_expr(), int_expr(), 0u8..6).prop_map(|(l, r, op)| match op {
-        0 => l.eq(r),
-        1 => l.not_eq(r),
-        2 => l.lt(r),
-        3 => l.lt_eq(r),
-        4 => l.gt(r),
-        _ => l.gt_eq(r),
+/// Arithmetic in the select list (`+ - * / %` and negation nested up to
+/// four deep over columns and constant subexpressions), evaluated as
+/// written: no rule rewrites it.
+#[test]
+fn int_expressions_match_model() {
+    let slice = Slice::all()
+        .every_seed()
+        .forcing(&[Knob::Rules(Rules::None)]);
+    let slice = slice.keep(|q| {
+        let arithmetic = [" + ", " - ", " * ", " / ", " % ", "(-"];
+        matches!(&q.select, Select::Rows(items)
+            if items.iter().any(|i| arithmetic.iter().any(|op| i.sql.contains(op))))
     });
-    let null_check = prop_oneof![Just(col("a").is_null()), Just(col("b").is_not_null()),];
-    let in_list = (
-        int_expr(),
-        proptest::collection::vec(int_expr(), 0..4),
-        any::<bool>(),
-    )
-        .prop_map(|(probe, items, negated)| {
-            if negated {
-                probe.not_in_list(items)
-            } else {
-                probe.in_list(items)
+    run_slice(&slice, &[]);
+}
+
+/// Generated predicates projected as values: comparisons, IS NULL, IN,
+/// BETWEEN, LIKE and AND/OR/NOT, NULL propagating by three-valued logic.
+#[test]
+fn bool_expressions_match_model() {
+    let slice = Slice::all()
+        .every_seed()
+        .forcing(&[Knob::Rules(Rules::None)])
+        .keep(|q| q.filter.is_some())
+        .rewrite(|q| {
+            let p = q.filter.as_ref().map(Pred::sql).unwrap_or_default();
+            let b = Item {
+                sql: format!("{p} AS b"),
+                name: "b".into(),
+            };
+            Query {
+                filter: None,
+                select: Select::Rows(vec![b]),
+                order: Vec::new(),
+                limit: None,
+                ..q
             }
         });
-    let leaf = prop_oneof![cmp, null_check, in_list];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.and(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.or(r)),
-            inner.prop_map(|e| e.not()),
-        ]
-    })
+    run_slice(&slice, &[]);
 }
 
-fn batch(rows: &[(Option<i64>, Option<i64>)]) -> RecordBatch {
-    let schema = Schema::new(vec![
-        Field::nullable("a", DataType::Int64),
-        Field::nullable("b", DataType::Int64),
-    ]);
-    let a = Column::from_opt_i64(rows.iter().map(|r| r.0).collect());
-    let b = Column::from_opt_i64(rows.iter().map(|r| r.1).collect());
-    RecordBatch::try_new(schema, vec![Arc::new(a), Arc::new(b)]).unwrap()
-}
-
-fn check(expr: Expr, rows: Vec<(Option<i64>, Option<i64>)>) -> Result<(), TestCaseError> {
-    let batch = batch(&rows);
-    let out = match eval(&expr, &batch) {
-        Ok(c) => c,
-        // Overflow errors are legal engine behaviour; the model wraps, so
-        // just skip such cases.
-        Err(_) => return Ok(()),
-    };
-    for (i, (a, b)) in rows.iter().enumerate() {
-        let want = model_eval(&expr, *a, *b);
-        let got = out.value(i);
-        let matches = match (&want, &got) {
-            (Cell::Null, Value::Null) => true,
-            (Cell::Int(x), Value::Int(y)) => x == y,
-            (Cell::Bool(x), Value::Bool(y)) => x == y,
-            _ => false,
-        };
-        prop_assert!(
-            matches,
-            "row {i}: model {want:?} vs engine {got:?} for {expr}"
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    #[test]
-    fn int_expressions_match_model(
-        expr in int_expr(),
-        rows in proptest::collection::vec(
-            (proptest::option::of(-50i64..50), proptest::option::of(-50i64..50)),
-            1..30,
-        ),
-    ) {
-        check(expr, rows)?;
-    }
-
-    #[test]
-    fn bool_expressions_match_model(
-        expr in bool_expr(),
-        rows in proptest::collection::vec(
-            (proptest::option::of(-50i64..50), proptest::option::of(-50i64..50)),
-            1..30,
-        ),
-    ) {
-        check(expr, rows)?;
-    }
-
-    /// Constant folding must agree with the evaluator on the same batch.
-    #[test]
-    fn folding_preserves_semantics(
-        expr in bool_expr(),
-        rows in proptest::collection::vec(
-            (proptest::option::of(-10i64..10), proptest::option::of(-10i64..10)),
-            1..10,
-        ),
-    ) {
-        // Run the expression through the optimizer's constant folding.
-        let folded = backbone_query::optimizer::fold_expr(expr.clone());
-        let b = batch(&rows);
-        let raw = eval(&expr, &b);
-        let cooked = eval(&folded, &b);
-        // If the raw expression errors (overflow), folding may or may not;
-        // both are acceptable as long as folding doesn't produce a wrong
-        // value, so only the Ok/Ok case is checked.
-        if let (Ok(x), Ok(y)) = (raw, cooked) {
-            for i in 0..b.num_rows() {
-                prop_assert_eq!(x.value(i), y.value(i), "row {} for {}", i, expr);
-            }
-        }
-    }
+/// Queries with constant subexpressions the folding rule rewrites (literal
+/// arithmetic inside column expressions and IN lists, predicates over no
+/// column under AND/OR/NOT) answer the same with folding on, off, and with
+/// every rule off.
+#[test]
+fn folding_preserves_semantics() {
+    let slice = Slice::all().every_seed().keep(folds);
+    let rules = [
+        Rules::All,
+        Rules::AllBut(Rule::ConstantFolding),
+        Rules::None,
+    ];
+    run_slice(&slice, &rules.map(Knob::Rules));
 }

@@ -40,9 +40,10 @@ proptest! {
     fn rle_roundtrip(values in proptest::collection::vec(any::<i64>(), 0..300)) {
         let enc = RleI64::encode(&values);
         prop_assert_eq!(enc.decode(), values.clone());
-        // Random access agrees with decode.
+        // Random access through the run ends agrees with decode.
+        let enc = EncodedInts::from_rle(enc);
         for (i, &v) in values.iter().enumerate().step_by(7) {
-            prop_assert_eq!(enc.get(i).unwrap(), v);
+            prop_assert_eq!(enc.get(i), v);
         }
     }
 
@@ -93,7 +94,7 @@ proptest! {
         prop_assert!(dict.utf8_distinct().unwrap() <= values.len().max(1));
     }
 
-    /// filter ∘ take ∘ slice agree with a naive Vec<Vec<Value>> model.
+    /// selection ∘ take ∘ slice agree with a naive Vec<Vec<Value>> model.
     #[test]
     fn batch_ops_match_model(
         rows in proptest::collection::vec((any::<i64>(), proptest::option::of(-100i64..100)), 0..80),
@@ -109,9 +110,10 @@ proptest! {
             .collect();
         let batch = RecordBatch::from_rows(schema, &model).unwrap();
 
-        // filter
+        // filter: a selection of the masked rows, then one materialization
         let mask: Vec<bool> = (0..rows.len()).map(|i| (mask_seed >> (i % 64)) & 1 == 1).collect();
-        let filtered = batch.filter(&mask).unwrap();
+        let kept: Vec<u32> = (0..rows.len() as u32).filter(|&i| mask[i as usize]).collect();
+        let filtered = batch.with_selection(Arc::new(kept)).unwrap().materialize();
         let model_filtered: Vec<&Vec<Value>> =
             model.iter().zip(&mask).filter(|(_, &m)| m).map(|(r, _)| r).collect();
         prop_assert_eq!(filtered.num_rows(), model_filtered.len());
@@ -121,10 +123,10 @@ proptest! {
 
         // take of reversed indices
         if !rows.is_empty() {
-            let idx: Vec<usize> = (0..rows.len()).rev().collect();
+            let idx: Vec<u32> = (0..rows.len() as u32).rev().collect();
             let taken = batch.take(&idx).unwrap();
             for (i, &j) in idx.iter().enumerate() {
-                prop_assert_eq!(taken.row(i), model[j].clone());
+                prop_assert_eq!(taken.row(i), model[j as usize].clone());
             }
         }
 
