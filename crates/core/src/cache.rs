@@ -34,14 +34,16 @@
 //! fixed bookkeeping share instead of a batch's column handles, bitmaps and
 //! schema. Which tables an entry read lives only in the invalidation index.
 //!
-//! Counters: `cache.plan.{hits,misses,evictions}` and
-//! `cache.result.{hits,misses,evictions,invalidations,bytes}`;
-//! `cache.result.bytes` is the retained encoded bytes plus
-//! [`ENTRY_OVERHEAD`] per entry.
+//! Counters: `cache.plan.{lookups,hits,misses,evictions}` and
+//! `cache.result.{lookups,hits,misses,evictions,invalidations,bytes}`,
+//! resolved once when a cache is built; every lookup counts one hit or one
+//! miss, the way the buffer pool counts its pages. `cache.result.bytes` is
+//! the retained encoded bytes plus [`ENTRY_OVERHEAD`] per entry.
 
 use backbone_query::optimizer::Rule;
 use backbone_query::{Counter, LogicalPlan, Metrics};
 use backbone_storage::codec::{self, Cursor};
+use backbone_storage::metrics::CacheCounters;
 use backbone_storage::{checkpoint, RecordBatch, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -136,10 +138,7 @@ struct PlanState {
 /// Fingerprint-keyed cache of optimized logical plans.
 pub(crate) struct PlanCache {
     state: Mutex<PlanState>,
-    metrics: Metrics,
-    // Bumped on every lookup, so resolved once here.
-    hits: Counter,
-    misses: Counter,
+    counters: CacheCounters,
 }
 
 impl PlanCache {
@@ -150,9 +149,7 @@ impl PlanCache {
                 lru: BTreeMap::new(),
                 tick: 0,
             }),
-            hits: metrics.counter("cache.plan.hits"),
-            misses: metrics.counter("cache.plan.misses"),
-            metrics,
+            counters: CacheCounters::resolve(&metrics, "cache.plan"),
         }
     }
 
@@ -167,11 +164,11 @@ impl PlanCache {
                 let old = std::mem::replace(old, tick);
                 s.lru.remove(&old);
                 s.lru.insert(tick, fp);
-                self.hits.incr();
+                self.counters.hit();
                 Some(plan)
             }
             None => {
-                self.misses.incr();
+                self.counters.miss();
                 None
             }
         }
@@ -193,7 +190,7 @@ impl PlanCache {
             if let Some((&t, &victim)) = s.lru.iter().next() {
                 s.lru.remove(&t);
                 s.map.remove(&victim);
-                self.metrics.counter("cache.plan.evictions").incr();
+                self.counters.evict();
             }
         }
         s.lru.insert(tick, plan.fingerprint);
@@ -260,17 +257,17 @@ struct ResultState {
 pub(crate) struct ResultCache {
     state: Mutex<ResultState>,
     budget: usize,
-    metrics: Metrics,
-    // Bumped on every lookup, so resolved once here.
-    hits: Counter,
-    misses: Counter,
+    counters: CacheCounters,
+    invalidations: Counter,
+    bytes: Counter,
 }
 
 impl ResultCache {
     pub fn new(budget: usize, metrics: Metrics) -> ResultCache {
         ResultCache {
-            hits: metrics.counter("cache.result.hits"),
-            misses: metrics.counter("cache.result.misses"),
+            counters: CacheCounters::resolve(&metrics, "cache.result"),
+            invalidations: metrics.counter("cache.result.invalidations"),
+            bytes: metrics.counter("cache.result.bytes"),
             state: Mutex::new(ResultState {
                 map: HashMap::new(),
                 by_table: HashMap::new(),
@@ -280,7 +277,6 @@ impl ResultCache {
                 tick: 0,
             }),
             budget,
-            metrics,
         }
     }
 
@@ -314,12 +310,11 @@ impl ResultCache {
         // The payload is this cache's own encoding, so a decode failure is
         // a bug; answering it as a miss re-executes instead of failing.
         let batch = found.and_then(|payload| decode(&payload).ok());
-        let outcome = if batch.is_some() {
-            &self.hits
+        if batch.is_some() {
+            self.counters.hit();
         } else {
-            &self.misses
-        };
-        outcome.incr();
+            self.counters.miss();
+        }
         batch
     }
 
@@ -355,7 +350,7 @@ impl ResultCache {
             };
             s.lru.remove(&victim.0);
             Self::unlink(&mut s, victim.1);
-            self.metrics.counter("cache.result.evictions").incr();
+            self.counters.evict();
         }
         s.tick += 1;
         let tick = s.tick;
@@ -383,7 +378,7 @@ impl ResultCache {
                 Self::unlink(&mut s, k);
             }
             if n > 0 {
-                self.metrics.counter("cache.result.invalidations").add(n);
+                self.invalidations.add(n);
                 self.publish_bytes(&s);
             }
         }
@@ -405,9 +400,8 @@ impl ResultCache {
     // `cache.result.bytes` is a gauge riding on a counter: reset + add under
     // the cache lock keeps it consistent.
     fn publish_bytes(&self, s: &ResultState) {
-        let g = self.metrics.counter("cache.result.bytes");
-        g.reset();
-        g.add(s.bytes as u64);
+        self.bytes.reset();
+        self.bytes.add(s.bytes as u64);
     }
 }
 
@@ -501,6 +495,40 @@ mod tests {
         assert!(c.contains(1) && c.contains(3));
         assert!(!c.contains(2), "least-recently-used entry evicted");
         assert_eq!(m.counter("cache.result.bytes").get(), (unit * 2) as u64);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every lookup counts one hit or one miss in both caches, through
+        /// inserts, evictions and invalidations.
+        #[test]
+        fn hits_plus_misses_equal_lookups(
+            ops in proptest::collection::vec((0u8..3, 0u64..12), 1..200),
+        ) {
+            let m = Metrics::new();
+            let plans = PlanCache::new(m.clone());
+            let b = batch(&[1, 2, 3]);
+            let results = ResultCache::new((encode(&b).len() + ENTRY_OVERHEAD) * 4, m.clone());
+            let tables = vec!["t".to_string()];
+            for (op, key) in ops {
+                match op {
+                    0 => {
+                        plans.get(key);
+                        results.get(key);
+                    }
+                    1 => {
+                        plans.insert(plan_for(key));
+                        results.insert(key, &b, &tables, &results.generations(&tables));
+                    }
+                    _ => results.invalidate_table("t"),
+                }
+            }
+            for scope in ["cache.plan", "cache.result"] {
+                let v = |k: &str| m.value(&format!("{scope}.{k}"));
+                proptest::prop_assert_eq!(v("hits") + v("misses"), v("lookups"));
+            }
+        }
     }
 
     #[test]

@@ -1530,7 +1530,8 @@ mod tests {
         let b = dict_batch();
         let m = crate::Metrics::new();
         {
-            let _g = kernel_metrics::install(Some(m.clone()));
+            let opts = crate::ExecOptions::serial().with_metrics(m.clone());
+            let _g = kernel_metrics::install(&crate::physical::ExecContext::new(&opts));
             eval_predicate(&col("d").eq(lit("ash")), &b).unwrap();
             eval_predicate(&col("d").like("%ir%"), &b).unwrap();
         }
@@ -1608,7 +1609,8 @@ mod tests {
         let b = encoded_batch();
         let m = crate::Metrics::new();
         {
-            let _g = kernel_metrics::install(Some(m.clone()));
+            let opts = crate::ExecOptions::serial().with_metrics(m.clone());
+            let _g = kernel_metrics::install(&crate::physical::ExecContext::new(&opts));
             eval_predicate(&col("e").gt(lit(0i64)), &b).unwrap();
         }
         assert_eq!(m.value("op.eval.kernel.enc_rows"), 8);

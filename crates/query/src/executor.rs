@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::logical::LogicalPlan;
 use crate::optimizer::{estimate_rows, Optimizer, Rule};
-use crate::physical::drain_one;
+use crate::physical::{drain_one, ExecContext};
 use crate::planner::{create_instrumented_plan, create_physical_plan};
 use backbone_storage::metrics::Metrics;
 use backbone_storage::RecordBatch;
@@ -15,10 +15,10 @@ use backbone_storage::RecordBatch;
 ///
 /// The default is [`Parallelism::Serial`]: every operator runs inline on the
 /// calling thread, which is also what [`Parallelism::Auto`] degrades to on a
-/// single-core machine. `Fixed(n)` always uses exactly `n` workers — even
-/// `Fixed(1)` exercises the full parallel machinery (shared morsel source,
-/// partial states, merge), though its one worker runs inline on the caller,
-/// which is how the bench floor measures parallel overhead deterministically.
+/// single-core machine. `Fixed(n)` uses exactly `n` workers. A plan always
+/// runs at least one worker, and one worker runs inline on the caller, so
+/// `Serial` and `Fixed(1)` run the same code: the serial plan is the
+/// one-worker plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Run every operator inline on the calling thread.
@@ -53,7 +53,9 @@ impl Parallelism {
         }
     }
 
-    /// True when execution stays on the calling thread.
+    /// True when no worker thread is asked for (`worker_threads() == 0`).
+    /// Query plans run `Fixed(1)` on the calling thread too: test
+    /// `worker_threads() <= 1` for every one-worker setting.
     pub fn is_serial(&self) -> bool {
         self.worker_threads() == 0
     }
@@ -224,9 +226,7 @@ pub fn execute(
     opts: &ExecOptions,
 ) -> Result<RecordBatch> {
     let optimized = opts.optimizer().optimize(plan, catalog)?;
-    let mut op = create_physical_plan(&optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
-    Ok(drain_one(op.as_mut())?.decoded())
+    execute_optimized(&optimized, catalog, opts)
 }
 
 /// Execute an *already optimized* plan, returning a single concatenated
@@ -239,8 +239,9 @@ pub fn execute_optimized(
     catalog: &dyn Catalog,
     opts: &ExecOptions,
 ) -> Result<RecordBatch> {
-    let mut op = create_physical_plan(optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
+    let ctx = ExecContext::new(opts);
+    let mut op = create_physical_plan(optimized, catalog, opts, &ctx)?;
+    let _kernel = crate::kernel_metrics::install(&ctx);
     Ok(drain_one(op.as_mut())?.decoded())
 }
 
@@ -259,6 +260,9 @@ pub fn explain(plan: &LogicalPlan, catalog: &dyn Catalog, opts: &ExecOptions) ->
 /// EXPLAIN ANALYZE: optimize the plan, *run* it instrumented, and render the
 /// physical plan annotated with measured per-operator rows-in/rows-out,
 /// batch counts, and elapsed time. Returns the report and the query result.
+/// Every number comes from this query's own stats blocks, so a shared
+/// registry's other traffic never shows, and a `spill:` line appears only
+/// when this query spilled.
 pub fn explain_analyze(
     plan: &LogicalPlan,
     catalog: &dyn Catalog,
@@ -266,19 +270,9 @@ pub fn explain_analyze(
 ) -> Result<(String, RecordBatch)> {
     let optimized = opts.optimizer().optimize(plan.clone(), catalog)?;
     let est = estimate_rows(&optimized, catalog);
-    let (mut op, profile) = create_instrumented_plan(&optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
-    // Snapshot spill counters so the report shows this query's delta even
-    // against a long-lived shared registry.
-    let spill_keys = [
-        "storage.spill.partitions",
-        "storage.spill.bytes_written",
-        "storage.spill.bytes_read",
-    ];
-    let spill_before: Vec<u64> = spill_keys
-        .iter()
-        .map(|k| opts.metrics.as_ref().map_or(0, |m| m.value(k)))
-        .collect();
+    let ctx = ExecContext::new(opts);
+    let (mut op, profile) = create_instrumented_plan(&optimized, catalog, opts, &ctx)?;
+    let _kernel = crate::kernel_metrics::install(&ctx);
     let start = std::time::Instant::now();
     let result = drain_one(op.as_mut())?.decoded();
     let total = start.elapsed();
@@ -289,18 +283,13 @@ pub fn explain_analyze(
         crate::profile::format_ns(total.as_nanos() as u64),
         profile.render(),
     );
-    if let Some(m) = &opts.metrics {
-        let delta: Vec<u64> = spill_keys
-            .iter()
-            .zip(&spill_before)
-            .map(|(k, &b)| m.value(k).saturating_sub(b))
-            .collect();
-        if delta.iter().any(|&d| d > 0) {
-            report.push_str(&format!(
-                "spill: partitions={} bytes_written={} bytes_read={}\n",
-                delta[0], delta[1], delta[2]
-            ));
-        }
+    let partitions = profile.total(|s| &s.spill.partitions);
+    if partitions > 0 {
+        report.push_str(&format!(
+            "spill: partitions={partitions} bytes_written={} bytes_read={}\n",
+            profile.total(|s| &s.spill.bytes_written),
+            profile.total(|s| &s.spill.bytes_read),
+        ));
     }
     Ok((report, result))
 }
@@ -460,6 +449,34 @@ mod tests {
         assert!(report.contains("workers=2"), "{report}");
         assert!(report.contains("morsels="), "{report}");
         assert!(report.contains("merge="), "{report}");
+    }
+
+    #[test]
+    fn one_worker_reports_like_serial() {
+        let cat = catalog();
+        let plan = LogicalPlan::scan("big", &cat)
+            .unwrap()
+            .join_on(
+                LogicalPlan::scan("small", &cat).unwrap(),
+                vec![("big_k", "small_k")],
+            )
+            .aggregate(vec![col("small_tag")], vec![count_star().alias("n")])
+            .sort(vec![asc(col("n"))])
+            .limit(3);
+        // The report with its timings cut out.
+        let shape = |p: Parallelism| {
+            let opts = ExecOptions::with_parallelism(p);
+            let (report, _) = explain_analyze(&plan, &cat, &opts).unwrap();
+            report
+                .lines()
+                .skip(1)
+                .map(|l| l.split(" time=").next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        let serial = shape(Parallelism::Serial);
+        assert_eq!(serial, shape(Parallelism::Fixed(1)));
+        assert!(serial.iter().all(|l| !l.contains("workers=")), "{serial:?}");
+        assert!(serial.iter().any(|l| l.contains("HashJoin")), "{serial:?}");
     }
 
     #[test]

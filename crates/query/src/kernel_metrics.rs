@@ -1,24 +1,25 @@
 //! Thread-local `op.eval.kernel.*` counter handles for expression-level
 //! kernels.
 //!
-//! Operators receive a `Metrics` registry explicitly, but expression
-//! evaluation is a free function called from deep inside every operator —
-//! threading a handle through each `eval` call would put a metrics argument
-//! on the hottest signature in the engine. Instead the executor installs the
-//! registry for the current thread before draining a plan; installing
-//! resolves the fixed `op.eval.kernel.*` counter set once, and encoded
-//! kernels record through those handles. Morsel-parallel worker threads
-//! (scan, aggregate, join probe, top-k) install their own handles on the
-//! same shared registry at spawn, so parallel runs report the same
-//! `op.eval.kernel.*` totals as serial ones.
+//! Operators reach their counters through the query's
+//! [`ExecContext`], but expression evaluation is a free function called from
+//! deep inside every operator — threading a handle through each `eval` call
+//! would put a metrics argument on the hottest signature in the engine.
+//! Instead the executor installs the query's counters for the current thread
+//! before draining a plan, and encoded kernels record through them. Worker
+//! threads (scan, aggregate, join probe, top-k) install the same counters
+//! at start, so parallel runs report the same `op.eval.kernel.*` totals as
+//! serial ones. The handles were resolved once, when the context was built:
+//! installing clones one `Arc`.
 
+use crate::physical::context::{resolve, QueryCounters};
+use crate::physical::ExecContext;
 use backbone_storage::metrics::Counter;
 use backbone_storage::Metrics;
 use std::cell::RefCell;
+use std::sync::Arc;
 
-/// The `op.eval.kernel.*` counters, resolved once per [`install`] so a
-/// kernel call records through handles and never touches the registry's
-/// name map.
+/// The `op.eval.kernel.*` counters.
 pub(crate) struct EvalCounters {
     /// `op.eval.kernel.dict_cmp_ns`: dictionary comparison kernels.
     pub dict_cmp_ns: Counter,
@@ -37,49 +38,48 @@ pub(crate) struct EvalCounters {
 }
 
 impl EvalCounters {
-    fn resolve(m: &Metrics) -> EvalCounters {
+    pub(crate) fn resolve(m: Option<&Metrics>) -> EvalCounters {
         EvalCounters {
-            dict_cmp_ns: m.counter("op.eval.kernel.dict_cmp_ns"),
-            dict_in_ns: m.counter("op.eval.kernel.dict_in_ns"),
-            dict_like_ns: m.counter("op.eval.kernel.dict_like_ns"),
-            dict_rows: m.counter("op.eval.kernel.dict_rows"),
-            dict_fallback: m.counter("op.eval.kernel.dict_fallback"),
-            enc_cmp_ns: m.counter("op.eval.kernel.enc_cmp_ns"),
-            enc_rows: m.counter("op.eval.kernel.enc_rows"),
+            dict_cmp_ns: resolve(m, "op.eval.kernel.dict_cmp_ns"),
+            dict_in_ns: resolve(m, "op.eval.kernel.dict_in_ns"),
+            dict_like_ns: resolve(m, "op.eval.kernel.dict_like_ns"),
+            dict_rows: resolve(m, "op.eval.kernel.dict_rows"),
+            dict_fallback: resolve(m, "op.eval.kernel.dict_fallback"),
+            enc_cmp_ns: resolve(m, "op.eval.kernel.enc_cmp_ns"),
+            enc_rows: resolve(m, "op.eval.kernel.enc_rows"),
         }
     }
 }
 
 thread_local! {
-    static EVAL_COUNTERS: RefCell<Option<EvalCounters>> = const { RefCell::new(None) };
+    static COUNTERS: RefCell<Option<Arc<QueryCounters>>> = const { RefCell::new(None) };
 }
 
-/// Install `metrics` as this thread's eval-kernel registry, resolving its
-/// `op.eval.kernel.*` counters now; the previous handles are restored when
-/// the guard drops (nesting-safe for sub-queries).
-pub fn install(metrics: Option<Metrics>) -> EvalMetricsGuard {
-    let counters = metrics.as_ref().map(EvalCounters::resolve);
-    let prev = EVAL_COUNTERS.with(|tl| tl.replace(counters));
+/// Install `ctx`'s counters as this thread's eval-kernel counters; the
+/// previous ones are restored when the guard drops (nesting-safe for
+/// sub-queries, and for a one-worker plan whose worker runs on the caller).
+pub(crate) fn install(ctx: &ExecContext) -> EvalMetricsGuard {
+    let prev = COUNTERS.with(|tl| tl.replace(Some(ctx.counters.clone())));
     EvalMetricsGuard { prev }
 }
 
 /// Restores the previously installed handles on drop.
-pub struct EvalMetricsGuard {
-    prev: Option<EvalCounters>,
+pub(crate) struct EvalMetricsGuard {
+    prev: Option<Arc<QueryCounters>>,
 }
 
 impl Drop for EvalMetricsGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
-        EVAL_COUNTERS.with(|tl| tl.replace(prev));
+        COUNTERS.with(|tl| tl.replace(prev));
     }
 }
 
 /// Run `f` with the installed counters, if any.
 pub(crate) fn record(f: impl FnOnce(&EvalCounters)) {
-    EVAL_COUNTERS.with(|tl| {
+    COUNTERS.with(|tl| {
         if let Some(c) = tl.borrow().as_ref() {
-            f(c);
+            f(&c.eval);
         }
     });
 }
@@ -87,21 +87,23 @@ pub(crate) fn record(f: impl FnOnce(&EvalCounters)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecOptions;
 
     #[test]
     fn install_restore_nesting() {
         let outer = Metrics::new();
         let inner = Metrics::new();
+        let ctx = |m: &Metrics| ExecContext::new(&ExecOptions::serial().with_metrics(m.clone()));
         {
-            let _g1 = install(Some(outer.clone()));
+            let _g1 = install(&ctx(&outer));
             record(|c| c.enc_rows.add(1));
             {
-                let _g2 = install(Some(inner.clone()));
+                let _g2 = install(&ctx(&inner));
                 record(|c| c.enc_rows.add(10));
             }
             record(|c| c.enc_rows.add(1));
         }
-        record(|c| c.enc_rows.add(100)); // no registry installed
+        record(|c| c.enc_rows.add(100)); // nothing installed
         assert_eq!(outer.value("op.eval.kernel.enc_rows"), 2);
         assert_eq!(inner.value("op.eval.kernel.enc_rows"), 10);
     }

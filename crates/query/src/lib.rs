@@ -25,7 +25,7 @@ pub mod error;
 pub mod eval;
 pub mod executor;
 pub mod expr;
-pub mod kernel_metrics;
+mod kernel_metrics;
 pub mod logical;
 pub mod optimizer;
 pub mod physical;

@@ -18,16 +18,18 @@
 //!
 //! A global aggregate (no keys) skips pass 1 entirely.
 
-use super::parallel::{record_worker, ParallelProfile, SharedSource};
-use super::spill::{BudgetAccountant, BudgetLease, SpillFile, SpillSet, MAX_SPILL_DEPTH};
+use super::context::{ExecContext, Scope};
+use super::parallel::SharedSource;
+use super::spill::{one_key_hash, SpillFile, SpillMeter, SpillSet, MAX_SPILL_DEPTH};
 use super::{for_each_lane, Operator};
 use crate::error::{QueryError, Result};
 use crate::eval::eval_arc;
 use crate::expr::{AggExpr, AggFunc, Expr};
+use crate::profile::OpStats;
 use backbone_storage::column::{fnv1a, mix64, NULL_TAG};
 use backbone_storage::compress::EncodedInts;
 use backbone_storage::with_lanes;
-use backbone_storage::{Bitmap, Column, DataType, Field, Metrics, RecordBatch, Schema, Value};
+use backbone_storage::{Bitmap, Column, DataType, Field, RecordBatch, Schema, Value};
 use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -699,8 +701,8 @@ fn tuple_hash(key_cols: &[Arc<Column>], row: usize) -> u64 {
 }
 
 /// One grouping state: key stores + accumulators + the hash table mapping
-/// key hashes to dense group ids. Serial aggregation uses one; each parallel
-/// worker builds its own and the states merge pairwise afterwards.
+/// key hashes to dense group ids. Each worker builds its own and the states
+/// merge pairwise afterwards.
 struct AggState {
     key_stores: Vec<Column>,
     accs: Vec<AccVec>,
@@ -1024,14 +1026,14 @@ fn spill_state_into(
     spill_schema: &Arc<Schema>,
     spec: &AggSpec<'_>,
     depth: usize,
-    metrics: Option<&Metrics>,
+    meter: &SpillMeter,
 ) -> Result<()> {
     if state.n_groups == 0 {
         return Ok(());
     }
     let batch = state.state_batch(spill_schema)?;
     let key_idx: Vec<usize> = (0..spec.nkeys()).collect();
-    spill.append_partitioned(&batch, &key_idx, depth, metrics)?;
+    spill.append_partitioned(&batch, &key_idx, depth, meter)?;
     let mut fresh = AggState::new(spec.key_types, spec.aggs, spec.agg_input_types);
     fresh.hash_ns = state.hash_ns;
     fresh.update_ns = state.update_ns;
@@ -1056,9 +1058,10 @@ fn finish_batch(state: AggState, schema: &Arc<Schema>) -> Result<RecordBatch> {
 }
 
 /// Hash aggregate: consumes all input, groups by key expressions, and emits
-/// one row per group (first-appearance order). With `workers >= 1`, worker
-/// threads pull batches through a shared source into per-worker states that
-/// merge — in worker order, so output order stays deterministic — at the end.
+/// one row per group (first-appearance order). The context's workers pull
+/// batches through a shared source into per-worker states that merge — in
+/// worker order, so output order stays deterministic — at the end; one
+/// worker runs inline on the calling thread.
 pub struct HashAggregateExec {
     input: Box<dyn Operator>,
     group_by: Vec<Expr>,
@@ -1066,19 +1069,23 @@ pub struct HashAggregateExec {
     schema: Arc<Schema>,
     key_types: Vec<DataType>,
     agg_input_types: Vec<DataType>,
-    metrics: Option<Metrics>,
-    workers: usize,
-    profile: Option<ParallelProfile>,
-    budget: Option<Arc<BudgetAccountant>>,
+    ctx: ExecContext,
+    stats: OpStats,
+    meter: SpillMeter,
     done: bool,
 }
 
 impl HashAggregateExec {
-    /// Build an aggregation over `input`.
+    /// Build an aggregation over `input`, run with the context's workers
+    /// and budget and recorded into `stats`. When the budget's shared total
+    /// crosses the limit, grouped aggregation partitions its hash-table
+    /// state by key hash and spills to disk.
     pub fn new(
         input: Box<dyn Operator>,
         group_by: Vec<Expr>,
         aggs: Vec<AggExpr>,
+        ctx: &ExecContext,
+        stats: OpStats,
     ) -> Result<HashAggregateExec> {
         let in_schema = input.schema();
         let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
@@ -1100,39 +1107,11 @@ impl HashAggregateExec {
             schema: Schema::new(fields),
             key_types,
             agg_input_types,
-            metrics: None,
-            workers: 0,
-            profile: None,
-            budget: None,
+            meter: ctx.spill_meter(&stats),
+            ctx: ctx.clone(),
+            stats,
             done: false,
         })
-    }
-
-    /// Record per-kernel timers into `metrics` under `op.aggregate.kernel.*`
-    /// (plus `op.aggregate.worker.*` when parallel).
-    pub fn with_metrics(mut self, metrics: Option<Metrics>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Aggregate with `n` worker threads (0 = serial, on the calling thread).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Attach shared parallel counters for EXPLAIN ANALYZE.
-    pub fn with_parallel_profile(mut self, profile: Option<ParallelProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Share a per-query memory-budget accountant. When the shared total
-    /// crosses the limit, grouped aggregation partitions its hash-table
-    /// state by key hash and spills to disk.
-    pub fn with_budget(mut self, budget: Option<Arc<BudgetAccountant>>) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// Schema of spilled partial-state batches: group keys, then each
@@ -1161,7 +1140,8 @@ impl HashAggregateExec {
 
     /// Re-aggregate one spilled partition. A partition whose merged state
     /// itself exceeds the budget repartitions with deeper hash bits and
-    /// recurses, up to [`MAX_SPILL_DEPTH`]; past the cap it finishes in
+    /// recurses, up to [`MAX_SPILL_DEPTH`]; past the cap, or when all its
+    /// rows are one group (no deeper bits can split it), it finishes in
     /// memory (correctness over the ceiling).
     fn process_partition(
         &self,
@@ -1174,27 +1154,21 @@ impl HashAggregateExec {
             return Ok(());
         }
         let spec = self.spec();
-        let batches = file.read_all(spill_schema, self.metrics.as_ref())?;
-        let mut lease = self.budget.as_ref().map(|b| BudgetLease::new(b.clone()));
+        let key_idx: Vec<usize> = (0..spec.nkeys()).collect();
+        let batches = file.read_all(spill_schema, &self.meter)?;
+        let splittable = depth < MAX_SPILL_DEPTH && !one_key_hash(&batches, &key_idx);
+        let mut lease = self.ctx.lease();
         let mut st = AggState::new(&self.key_types, &self.aggs, &self.agg_input_types);
         for (i, b) in batches.iter().enumerate() {
             st.absorb_batch(b, &spec)?;
             if let Some(l) = &mut lease {
                 l.set(st.mem_bytes());
-                if l.over() && depth < MAX_SPILL_DEPTH {
+                if l.over() && splittable {
                     let mut sub = SpillSet::new();
-                    spill_state_into(
-                        &mut st,
-                        &mut sub,
-                        spill_schema,
-                        &spec,
-                        depth,
-                        self.metrics.as_ref(),
-                    )?;
+                    spill_state_into(&mut st, &mut sub, spill_schema, &spec, depth, &self.meter)?;
                     l.set(st.mem_bytes());
-                    let key_idx: Vec<usize> = (0..spec.nkeys()).collect();
                     for rest in &batches[i + 1..] {
-                        sub.append_partitioned(rest, &key_idx, depth, self.metrics.as_ref())?;
+                        sub.append_partitioned(rest, &key_idx, depth, &self.meter)?;
                     }
                     for mut f in sub.into_files() {
                         self.process_partition(&mut f, spill_schema, depth + 1, out)?;
@@ -1209,35 +1183,33 @@ impl HashAggregateExec {
         Ok(())
     }
 
-    /// Build per-worker partial states in parallel, then merge them serially
-    /// in worker order. Workers share the budget accountant; a worker whose
-    /// state pushes the shared total over the limit serializes it into the
-    /// shared partition files under one lock.
-    fn parallel_state(
+    /// Build per-worker partial states, then merge them in worker order.
+    /// Workers share the budget accountant; a worker whose state pushes the
+    /// shared total over the limit serializes it into the shared partition
+    /// files under one lock.
+    fn build_state(
         &mut self,
         spill: &mut Option<SpillSet>,
         spill_schema: &Arc<Schema>,
     ) -> Result<AggState> {
-        let workers = self.workers;
-        let metrics = &self.metrics;
-        let profile = &self.profile;
+        let ctx = &self.ctx;
+        let meter = &self.meter;
         let group_by = &self.group_by;
         let aggs = &self.aggs;
         let key_types = &self.key_types;
         let agg_input_types = &self.agg_input_types;
-        let budget = self.budget.clone();
         let nkeys = group_by.len();
         let shared_spill: Mutex<&mut Option<SpillSet>> = Mutex::new(spill);
         let source = SharedSource::new(self.input.as_mut());
-        let states: Vec<Result<AggState>> = super::pool::run_workers(workers, |w| {
+        let states: Vec<Result<AggState>> = super::pool::run_workers(ctx.workers, |w| {
             // Per-thread handle so eval kernels report here too.
-            let _kernel = crate::kernel_metrics::install(metrics.clone());
+            let _kernel = crate::kernel_metrics::install(ctx);
             let spec = AggSpec {
                 key_types,
                 aggs,
                 agg_input_types,
             };
-            let mut lease = budget.as_ref().map(|b| BudgetLease::new(b.clone()));
+            let mut lease = ctx.lease();
             let mut st = AggState::new(key_types, aggs, agg_input_types);
             while let Some(batch) = source.next()? {
                 st.consume(group_by, aggs, &batch)?;
@@ -1247,46 +1219,32 @@ impl HashAggregateExec {
                         if l.over() {
                             let mut guard = shared_spill.lock().expect("spill lock");
                             let set = guard.get_or_insert_with(SpillSet::new);
-                            spill_state_into(
-                                &mut st,
-                                set,
-                                spill_schema,
-                                &spec,
-                                0,
-                                metrics.as_ref(),
-                            )?;
+                            spill_state_into(&mut st, set, spill_schema, &spec, 0, meter)?;
                             drop(guard);
                             l.set(st.mem_bytes());
                         }
                     }
                 }
             }
-            record_worker(metrics.as_ref(), "aggregate", w, st.morsels, st.rows);
+            ctx.record_worker(Scope::Aggregate, w, st.morsels, st.rows);
             Ok(st)
         });
-        if let Some(p) = profile {
-            p.workers.add(workers as u64);
-        }
         let t0 = Instant::now();
         let mut merged: Option<AggState> = None;
         for st in states {
             let st = st?;
             match &mut merged {
                 None => merged = Some(st),
-                Some(m) => m.absorb(&st, self.group_by.len())?,
+                Some(m) => m.absorb(&st, nkeys)?,
             }
         }
+        let merged = merged.expect("at least one worker");
         let merge_ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = profile {
-            if let Some(m) = &merged {
-                p.morsels.add(m.morsels);
-            }
-            p.merge_ns.add(merge_ns);
-        }
-        if let Some(m) = &self.metrics {
-            m.counter("op.aggregate.kernel.merge_ns").add(merge_ns);
-        }
-        Ok(merged.expect("at least one worker"))
+        self.stats.workers.add(ctx.workers as u64);
+        self.stats.morsels.add(merged.morsels);
+        self.stats.merge_ns.add(merge_ns);
+        ctx.counters.agg_merge_ns.add(merge_ns);
+        Ok(merged)
     }
 }
 
@@ -1304,44 +1262,12 @@ impl Operator for HashAggregateExec {
         let nkeys = self.group_by.len();
         let spill_schema = self.spill_schema();
         let mut spill: Option<SpillSet> = None;
-        let mut state = if self.workers == 0 {
-            // Field-level borrows: `spec` must not lock all of `self` while
-            // the loop pulls from `self.input`.
-            let spec = AggSpec {
-                key_types: &self.key_types,
-                aggs: &self.aggs,
-                agg_input_types: &self.agg_input_types,
-            };
-            let mut lease = self.budget.as_ref().map(|b| BudgetLease::new(b.clone()));
-            let mut st = AggState::new(&self.key_types, &self.aggs, &self.agg_input_types);
-            while let Some(batch) = self.input.next()? {
-                st.consume(&self.group_by, &self.aggs, &batch)?;
-                if nkeys > 0 {
-                    if let Some(l) = &mut lease {
-                        l.set(st.mem_bytes());
-                        if l.over() {
-                            spill_state_into(
-                                &mut st,
-                                spill.get_or_insert_with(SpillSet::new),
-                                &spill_schema,
-                                &spec,
-                                0,
-                                self.metrics.as_ref(),
-                            )?;
-                            l.set(st.mem_bytes());
-                        }
-                    }
-                }
-            }
-            st
-        } else {
-            self.parallel_state(&mut spill, &spill_schema)?
-        };
+        let mut state = self.build_state(&mut spill, &spill_schema)?;
 
         // The merge of per-worker partials can itself cross the budget even
         // when no worker spilled mid-stream.
         if spill.is_none() && nkeys > 0 {
-            if let Some(b) = &self.budget {
+            if let Some(b) = &self.ctx.budget {
                 if state.mem_bytes() > b.limit() {
                     spill = Some(SpillSet::new());
                 }
@@ -1360,14 +1286,7 @@ impl Operator for HashAggregateExec {
         // per-partition instead of first-appearance.
         let spilled_out = if let Some(mut set) = spill.take() {
             let spec = self.spec();
-            spill_state_into(
-                &mut state,
-                &mut set,
-                &spill_schema,
-                &spec,
-                0,
-                self.metrics.as_ref(),
-            )?;
+            spill_state_into(&mut state, &mut set, &spill_schema, &spec, 0, &self.meter)?;
             let mut out = Vec::new();
             for mut f in set.into_files() {
                 self.process_partition(&mut f, &spill_schema, 1, &mut out)?;
@@ -1381,16 +1300,11 @@ impl Operator for HashAggregateExec {
             Some(bs) => bs.iter().map(|b| b.num_rows() as u64).sum(),
             None => state.n_groups as u64,
         };
-        if let Some(m) = &self.metrics {
-            m.counter("op.aggregate.kernel.hash_ns").add(state.hash_ns);
-            m.counter("op.aggregate.kernel.update_ns")
-                .add(state.update_ns);
-            m.counter("op.aggregate.kernel.groups").add(groups_total);
-            if state.dict_key_rows > 0 {
-                m.counter("op.aggregate.kernel.dict_key_rows")
-                    .add(state.dict_key_rows);
-            }
-        }
+        let c = &self.ctx.counters;
+        c.agg_hash_ns.add(state.hash_ns);
+        c.agg_update_ns.add(state.update_ns);
+        c.agg_groups.add(groups_total);
+        c.agg_dict_key_rows.add(state.dict_key_rows);
 
         match spilled_out {
             Some(bs) => Ok(Some(RecordBatch::concat(self.schema.clone(), &bs)?)),
@@ -1408,7 +1322,8 @@ mod tests {
     use super::*;
     use crate::expr::{avg, col, count, count_star, lit, max, min, sum};
     use crate::physical::drain_one;
-    use crate::physical::test_util::{int_batch, BatchSource};
+    use crate::physical::test_util::{ctx, ctx_with, int_batch, BatchSource};
+    use backbone_storage::Metrics;
 
     #[test]
     fn grouped_sums() {
@@ -1417,6 +1332,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![col("g")],
             vec![sum(col("v")).alias("total"), count_star().alias("n")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1442,6 +1359,8 @@ mod tests {
                 avg(col("v")),
                 count(col("v")),
             ],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1461,6 +1380,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![],
             vec![count_star().alias("n"), sum(col("v")).alias("s")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1476,6 +1397,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![col("g")],
             vec![count_star()],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1495,6 +1418,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![],
             vec![count(col("v")).alias("c"), count_star().alias("cs")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1509,6 +1434,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![col("v").modulo(lit(2i64)).alias("parity")],
             vec![count_star().alias("n")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1525,6 +1452,8 @@ mod tests {
             Box::new(src),
             vec![col("g")],
             vec![sum(col("v")).alias("s")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1541,6 +1470,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![],
             vec![sum(col("v"))],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         assert!(matches!(agg.next(), Err(QueryError::Arithmetic(_))));
@@ -1553,6 +1484,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![col("g")],
             vec![count_star().alias("n")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1579,6 +1512,8 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![col("g")],
             vec![sum(col("v")).alias("s")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1616,15 +1551,16 @@ mod tests {
                     max(col("v")).alias("hi"),
                     avg(col("v")).alias("a"),
                 ],
+                &ctx(workers),
+                OpStats::default(),
             )
-            .unwrap()
-            .with_workers(workers);
+            .unwrap();
             let mut rows = drain_one(&mut agg).unwrap().to_rows();
             rows.sort_by_key(|r| format!("{:?}", r[0]));
             rows
         };
-        let serial = run(0);
-        assert_eq!(serial, run(1));
+        let serial = run(1);
+        assert_eq!(serial, run(2));
         assert_eq!(serial, run(3));
     }
 
@@ -1634,22 +1570,21 @@ mod tests {
             .map(|b| int_batch(&[("v", (b * 10..b * 10 + 10).collect())]))
             .collect();
         let src = BatchSource::new(batches[0].schema().clone(), batches);
-        let profile = ParallelProfile::default();
+        let stats = OpStats::default();
         let metrics = Metrics::new();
         let mut agg = HashAggregateExec::new(
             Box::new(src),
             vec![],
             vec![sum(col("v")).alias("s"), count_star().alias("n")],
+            &ctx_with(2, None, Some(metrics.clone())),
+            stats.clone(),
         )
-        .unwrap()
-        .with_workers(2)
-        .with_metrics(Some(metrics.clone()))
-        .with_parallel_profile(Some(profile.clone()));
+        .unwrap();
         let out = drain_one(&mut agg).unwrap();
         assert_eq!(out.row(0)[0], Value::Int((0..40).sum()));
         assert_eq!(out.row(0)[1], Value::Int(40));
-        assert_eq!(profile.workers.get(), 2);
-        assert_eq!(profile.morsels.get(), 4);
+        assert_eq!(stats.workers.get(), 2);
+        assert_eq!(stats.morsels.get(), 4);
         let worker_morsels: u64 = (0..2)
             .map(|w| metrics.value(&format!("op.aggregate.worker.{w}.morsels")))
             .sum();
@@ -1663,9 +1598,10 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![],
             vec![count_star().alias("n"), sum(col("v")).alias("s")],
+            &ctx(2),
+            OpStats::default(),
         )
-        .unwrap()
-        .with_workers(2);
+        .unwrap();
         let out = drain_one(&mut agg).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0)[0], Value::Int(0));
@@ -1680,6 +1616,8 @@ mod tests {
             Box::new(BatchSource::new(view.schema().clone(), vec![view])),
             vec![col("g")],
             vec![sum(col("v")).alias("s"), count_star().alias("n")],
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut agg).unwrap();
@@ -1734,6 +1672,7 @@ mod tests {
     /// 800 rows over 157 groups with a mixed accumulator set; integer-valued
     /// sums stay exact in f64, so avg is merge-order independent.
     fn many_groups(workers: usize, budget: Option<usize>, metrics: Option<Metrics>) -> RecordBatch {
+        let ctx = ctx_with(workers, budget, metrics);
         let batches: Vec<_> = (0..8)
             .map(|b| {
                 int_batch(&[
@@ -1751,19 +1690,18 @@ mod tests {
                 min(col("v")).alias("lo"),
                 avg(col("v")).alias("a"),
             ],
+            &ctx,
+            OpStats::default(),
         )
-        .unwrap()
-        .with_workers(workers)
-        .with_metrics(metrics)
-        .with_budget(budget.map(BudgetAccountant::new));
+        .unwrap();
         drain_one(&mut agg).unwrap()
     }
 
     #[test]
     fn spilling_aggregate_matches_in_memory() {
-        let expect = sorted_rows(&many_groups(0, None, None));
+        let expect = sorted_rows(&many_groups(1, None, None));
         let metrics = Metrics::new();
-        let spilled = many_groups(0, Some(4096), Some(metrics.clone()));
+        let spilled = many_groups(1, Some(4096), Some(metrics.clone()));
         assert_eq!(sorted_rows(&spilled), expect);
         assert!(
             metrics.value("storage.spill.partitions") > 0,
@@ -1775,7 +1713,7 @@ mod tests {
 
     #[test]
     fn parallel_spilling_aggregate_matches_serial() {
-        let expect = sorted_rows(&many_groups(0, None, None));
+        let expect = sorted_rows(&many_groups(1, None, None));
         let metrics = Metrics::new();
         let spilled = many_groups(4, Some(4096), Some(metrics.clone()));
         assert_eq!(sorted_rows(&spilled), expect);
@@ -1784,17 +1722,40 @@ mod tests {
 
     #[test]
     fn one_byte_budget_recursion_stays_correct() {
-        // Every partition is always "over", so repartitioning recurses to
-        // MAX_SPILL_DEPTH and then finishes in memory.
-        let expect = sorted_rows(&many_groups(0, None, None));
-        assert_eq!(sorted_rows(&many_groups(0, Some(1), None)), expect);
+        // Every partition is always "over", so repartitioning recurses until
+        // a partition holds one group, or MAX_SPILL_DEPTH, and then finishes
+        // in memory.
+        let expect = sorted_rows(&many_groups(1, None, None));
+        assert_eq!(sorted_rows(&many_groups(1, Some(1), None)), expect);
+    }
+
+    #[test]
+    fn single_group_partitions_finish_without_recursing() {
+        // One group: every spilled row shares its key hash, so no depth can
+        // split the partition. It must finish at depth 1, writing no file
+        // beyond the first level.
+        let batches: Vec<_> = (0..4)
+            .map(|b| int_batch(&[("g", vec![7; 50]), ("v", vec![b; 50])]))
+            .collect();
+        let metrics = Metrics::new();
+        let mut agg = HashAggregateExec::new(
+            Box::new(BatchSource::new(batches[0].schema().clone(), batches)),
+            vec![col("g")],
+            vec![sum(col("v")).alias("s")],
+            &ctx_with(1, Some(1), Some(metrics.clone())),
+            OpStats::default(),
+        )
+        .unwrap();
+        let out = drain_one(&mut agg).unwrap();
+        assert_eq!(out.to_rows(), vec![vec![Value::Int(7), Value::Int(300)]]);
+        assert_eq!(metrics.value("storage.spill.partitions"), 1);
     }
 
     #[test]
     fn generous_budget_never_spills() {
         let metrics = Metrics::new();
-        let out = many_groups(0, Some(64 << 20), Some(metrics.clone()));
-        assert_eq!(sorted_rows(&out), sorted_rows(&many_groups(0, None, None)));
+        let out = many_groups(1, Some(64 << 20), Some(metrics.clone()));
+        assert_eq!(sorted_rows(&out), sorted_rows(&many_groups(1, None, None)));
         assert_eq!(metrics.value("storage.spill.partitions"), 0);
     }
 
@@ -1808,10 +1769,10 @@ mod tests {
             Box::new(BatchSource::single(batch)),
             vec![],
             vec![sum(col("v")).alias("s")],
+            &ctx_with(1, Some(1), Some(metrics.clone())),
+            OpStats::default(),
         )
-        .unwrap()
-        .with_metrics(Some(metrics.clone()))
-        .with_budget(Some(BudgetAccountant::new(1)));
+        .unwrap();
         let out = drain_one(&mut agg).unwrap();
         assert_eq!(out.row(0)[0], Value::Int(10));
         assert_eq!(metrics.value("storage.spill.partitions"), 0);

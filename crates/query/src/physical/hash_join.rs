@@ -6,18 +6,22 @@
 //! lanes, and matches accumulate as `u32` row-id lists that turn into **one
 //! gather per output column** instead of per-row pushes.
 //!
-//! With `workers >= 1` the build table is split into hash partitions linked
-//! in parallel and probe batches are pulled by worker threads. Equal keys
-//! have equal hashes, so they land in one partition and one bucket whose
-//! chain lists build rows in ascending order exactly like the serial table —
-//! per-batch join output is identical either way.
+//! The join forks once, on the context's worker count. One worker streams:
+//! each probe batch is joined as the consumer pulls it. Two or more split
+//! the build table into hash partitions linked in parallel and pull probe
+//! batches on worker threads. Equal keys have equal hashes, so they land in
+//! one partition and one bucket whose chain lists build rows in ascending
+//! order exactly like the one-partition table — per-batch join output is
+//! identical either way.
 
-use super::parallel::{record_worker, ParallelProfile, SharedSource};
-use super::spill::{BudgetAccountant, BudgetLease, SpillFile, SpillSet, MAX_SPILL_DEPTH};
+use super::context::{ExecContext, QueryCounters, Scope};
+use super::parallel::SharedSource;
+use super::spill::{one_key_hash, BudgetLease, SpillFile, SpillMeter, SpillSet, MAX_SPILL_DEPTH};
 use super::{for_each_lane, Operator};
 use crate::error::{QueryError, Result};
 use crate::logical::JoinType;
-use backbone_storage::{Column, Metrics, RecordBatch, Schema};
+use crate::profile::OpStats;
+use backbone_storage::{Column, RecordBatch, Schema};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,16 +36,15 @@ pub struct HashJoinExec {
     join_type: JoinType,
     schema: Arc<Schema>,
     build: Option<BuildSide>,
-    metrics: Option<Metrics>,
-    workers: usize,
-    profile: Option<ParallelProfile>,
+    /// Workers and the shared memory budget: the build side spills to a
+    /// Grace partition join when collecting it would cross the ceiling.
+    ctx: ExecContext,
+    stats: OpStats,
+    meter: SpillMeter,
     pending: VecDeque<RecordBatch>,
     done_probe: bool,
     /// Left-outer padding emitted (at most once, after the probe drains).
     left_emitted: bool,
-    /// Shared memory budget; the build side spills to a Grace partition
-    /// join when collecting it would cross the ceiling.
-    budget: Option<Arc<BudgetAccountant>>,
     /// Reservation for the resident build table (in-memory mode).
     lease: Option<BudgetLease>,
     grace: Option<GraceJoin>,
@@ -65,8 +68,8 @@ struct BuildSide {
     batch: RecordBatch,
     /// Per-partition chained hash tables: `heads[part][bucket]` and
     /// `next[row]` hold `row + 1` (0 terminates). Rows with NULL keys are
-    /// never linked in. Serial builds use a single partition, reproducing
-    /// the classic one-table layout.
+    /// never linked in. One-worker builds use a single partition, the
+    /// classic one-table layout.
     heads: Vec<Vec<u32>>,
     next: Vec<AtomicU32>,
     /// Per-row key hash, for cheap pre-checks before typed comparison.
@@ -93,7 +96,7 @@ impl BuildSide {
     }
 }
 
-/// Per-batch probe counters, folded into the metrics registry by the caller.
+/// Per-batch probe counters, folded into the query's counters by the caller.
 #[derive(Default)]
 struct ProbeStats {
     probe_ns: u64,
@@ -112,25 +115,12 @@ impl ProbeStats {
         self.dict_mixed += other.dict_mixed;
     }
 
-    fn record(&self, metrics: &Option<Metrics>) {
-        if let Some(m) = metrics {
-            m.counter("op.hash_join.kernel.probe_ns").add(self.probe_ns);
-            if self.gather_ns > 0 {
-                m.counter("op.hash_join.kernel.gather_ns")
-                    .add(self.gather_ns);
-            }
-            if self.out_rows > 0 {
-                m.counter("op.hash_join.kernel.out_rows").add(self.out_rows);
-            }
-            if self.dict_shared_rows > 0 {
-                m.counter("op.hash_join.kernel.dict_code_probe_rows")
-                    .add(self.dict_shared_rows);
-            }
-            if self.dict_mixed > 0 {
-                m.counter("op.hash_join.kernel.dict_fallback")
-                    .add(self.dict_mixed);
-            }
-        }
+    fn record(&self, c: &QueryCounters) {
+        c.join_probe_ns.add(self.probe_ns);
+        c.join_gather_ns.add(self.gather_ns);
+        c.join_out_rows.add(self.out_rows);
+        c.join_dict_code_probe_rows.add(self.dict_shared_rows);
+        c.join_dict_fallback.add(self.dict_mixed);
     }
 }
 
@@ -273,14 +263,14 @@ fn finish_probe(
 
 /// Hash, partition, and link one dense build batch into a [`BuildSide`].
 /// `workers >= 2` links hash partitions in parallel; otherwise the classic
-/// single-partition table is produced (grace partitions always link
-/// serially — they are already small by construction).
+/// single-partition table is produced (grace partitions always link on one
+/// worker — they are already small by construction).
 fn link_build_side(
     batch: RecordBatch,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
     workers: usize,
-    metrics: &Option<Metrics>,
+    counters: &QueryCounters,
 ) -> BuildSide {
     let t0 = Instant::now();
     let rows = batch.num_rows();
@@ -290,7 +280,7 @@ fn link_build_side(
         batch.column(c).hash_combine(None, &mut hashes);
     }
     // Partition by the top hash bits so the low bits that pick a bucket
-    // stay independent. Serial builds use one partition — the classic
+    // stay independent. One-worker builds use one partition — the classic
     // single-table layout.
     let npart = if workers >= 2 {
         workers.next_power_of_two().min(64)
@@ -349,14 +339,10 @@ fn link_build_side(
         heads
     };
 
-    if let Some(m) = metrics {
-        m.counter("op.hash_join.kernel.build_ns")
-            .add(t0.elapsed().as_nanos() as u64);
-        m.counter("op.hash_join.kernel.build_rows").add(rows as u64);
-        if npart > 1 {
-            m.counter("op.hash_join.kernel.build_partitions")
-                .add(npart as u64);
-        }
+    counters.join_build_ns.add_elapsed(t0);
+    counters.join_build_rows.add(rows as u64);
+    if npart > 1 {
+        counters.join_build_partitions.add(npart as u64);
     }
     BuildSide {
         batch,
@@ -402,12 +388,17 @@ fn unmatched_left_batch(
 
 impl HashJoinExec {
     /// Build a hash join of `left` and `right` on `(left_col, right_col)`
-    /// pairs.
+    /// pairs, run with the context's workers and budget and recorded into
+    /// `stats`. When collecting the build side would cross the budget, the
+    /// join switches to Grace mode: both inputs are hash-partitioned to
+    /// spill files and the partition pairs are joined one at a time.
     pub fn new(
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
         on: Vec<(String, String)>,
         join_type: JoinType,
+        ctx: &ExecContext,
+        stats: OpStats,
     ) -> Result<HashJoinExec> {
         if on.is_empty() {
             return Err(QueryError::InvalidPlan(
@@ -444,44 +435,15 @@ impl HashJoinExec {
             join_type,
             schema,
             build: None,
-            metrics: None,
-            workers: 0,
-            profile: None,
+            meter: ctx.spill_meter(&stats),
+            ctx: ctx.clone(),
+            stats,
             pending: VecDeque::new(),
             done_probe: false,
             left_emitted: false,
-            budget: None,
             lease: None,
             grace: None,
         })
-    }
-
-    /// Record per-kernel timers into `metrics` under `op.hash_join.kernel.*`
-    /// (plus `op.hash_join.worker.*` when parallel).
-    pub fn with_metrics(mut self, metrics: Option<Metrics>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Join with `n` worker threads (0 = serial, on the calling thread).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Attach shared parallel counters for EXPLAIN ANALYZE.
-    pub fn with_parallel_profile(mut self, profile: Option<ParallelProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Attach the query's shared memory budget. When collecting the build
-    /// side would cross the ceiling, the join switches to Grace mode:
-    /// both inputs are hash-partitioned to spill files and the partition
-    /// pairs are joined one at a time.
-    pub fn with_budget(mut self, budget: Option<Arc<BudgetAccountant>>) -> Self {
-        self.budget = budget;
-        self
     }
 
     fn ensure_built(&mut self) -> Result<()> {
@@ -505,7 +467,8 @@ impl HashJoinExec {
         // Drain the build side under the shared budget. Batches are
         // densified up front so spill partitioning and concat both see
         // plain rows.
-        let mut lease = self.budget.as_ref().map(|b| BudgetLease::new(b.clone()));
+        self.stats.workers.add(self.ctx.workers as u64);
+        let mut lease = self.ctx.lease();
         let mut batches: Vec<RecordBatch> = Vec::new();
         let mut held = 0usize;
         let mut overflow = false;
@@ -528,27 +491,17 @@ impl HashJoinExec {
             // ever being held whole.
             let mut build_spill = SpillSet::new();
             for b in batches.drain(..) {
-                build_spill.append_partitioned(&b, &build_keys, 0, self.metrics.as_ref())?;
+                build_spill.append_partitioned(&b, &build_keys, 0, &self.meter)?;
             }
             if let Some(l) = &mut lease {
                 l.set(0);
             }
             while let Some(b) = left.next()? {
-                build_spill.append_partitioned(
-                    &b.materialize(),
-                    &build_keys,
-                    0,
-                    self.metrics.as_ref(),
-                )?;
+                build_spill.append_partitioned(&b.materialize(), &build_keys, 0, &self.meter)?;
             }
             let mut probe_spill = SpillSet::new();
             while let Some(p) = self.right.next()? {
-                probe_spill.append_partitioned(
-                    &p.materialize(),
-                    &probe_keys,
-                    0,
-                    self.metrics.as_ref(),
-                )?;
+                probe_spill.append_partitioned(&p.materialize(), &probe_keys, 0, &self.meter)?;
             }
             self.done_probe = true;
             self.grace = Some(GraceJoin {
@@ -579,12 +532,7 @@ impl HashJoinExec {
             .zip(&any_dict_key)
             .filter(|&(&c, &was_dict)| was_dict && !batch.column(c).is_dict())
             .count() as u64;
-        if decode_fallbacks > 0 {
-            if let Some(m) = &self.metrics {
-                m.counter("op.hash_join.kernel.dict_fallback")
-                    .add(decode_fallbacks);
-            }
-        }
+        self.ctx.counters.join_dict_fallback.add(decode_fallbacks);
         if let Some(l) = &mut lease {
             l.set(batch.byte_size());
         }
@@ -592,8 +540,8 @@ impl HashJoinExec {
             batch,
             build_keys,
             probe_keys,
-            self.workers,
-            &self.metrics,
+            self.ctx.workers,
+            &self.ctx.counters,
         ));
         // Hold the reservation as long as the build table is resident.
         self.lease = lease;
@@ -601,8 +549,9 @@ impl HashJoinExec {
     }
 
     /// Join one spilled partition pair, or repartition it with deeper hash
-    /// bits when the build half alone still exceeds the budget. Returns
-    /// `false` once the grace queue is exhausted.
+    /// bits when the build half alone still exceeds the budget and its rows
+    /// hold more than one key hash. Returns `false` once the grace queue is
+    /// exhausted.
     fn grace_step(&mut self) -> Result<bool> {
         let (lschema, rschema, build_keys, probe_keys) = {
             let g = self.grace.as_ref().expect("grace mode");
@@ -622,21 +571,22 @@ impl HashJoinExec {
             // no left rows here to pad either.
             return Ok(true);
         }
-        let build_batches = bf.read_all(&lschema, self.metrics.as_ref())?;
+        let build_batches = bf.read_all(&lschema, &self.meter)?;
         let bytes: usize = build_batches.iter().map(|b| b.byte_size()).sum();
-        let over = self.budget.as_ref().is_some_and(|b| bytes > b.limit());
-        if over && depth < MAX_SPILL_DEPTH {
+        let over = self.ctx.budget.as_ref().is_some_and(|b| bytes > b.limit());
+        if over && depth < MAX_SPILL_DEPTH && !one_key_hash(&build_batches, &build_keys) {
             // This partition alone overflows: carve both halves into
             // sub-partitions by the next hash bits and requeue. Past
-            // MAX_SPILL_DEPTH it is joined in memory anyway — correctness
-            // wins over the ceiling on adversarial key distributions.
+            // MAX_SPILL_DEPTH, or when every build row shares one key hash,
+            // it is joined in memory anyway — correctness wins over the
+            // ceiling on adversarial key distributions.
             let mut bsub = SpillSet::new();
             for b in &build_batches {
-                bsub.append_partitioned(b, &build_keys, depth, self.metrics.as_ref())?;
+                bsub.append_partitioned(b, &build_keys, depth, &self.meter)?;
             }
             let mut psub = SpillSet::new();
-            for p in pf.read_all(&rschema, self.metrics.as_ref())? {
-                psub.append_partitioned(&p, &probe_keys, depth, self.metrics.as_ref())?;
+            for p in pf.read_all(&rschema, &self.meter)? {
+                psub.append_partitioned(&p, &probe_keys, depth, &self.meter)?;
             }
             let g = self.grace.as_mut().expect("grace mode");
             for (b, p) in bsub.into_files().into_iter().zip(psub.into_files()) {
@@ -644,21 +594,21 @@ impl HashJoinExec {
             }
             return Ok(true);
         }
-        let mut lease = self.budget.as_ref().map(|b| BudgetLease::new(b.clone()));
+        let mut lease = self.ctx.lease();
         let batch = RecordBatch::concat(lschema, &build_batches)?;
         if let Some(l) = &mut lease {
             l.set(batch.byte_size());
         }
-        let build = link_build_side(batch, build_keys, probe_keys, 0, &self.metrics);
+        let build = link_build_side(batch, build_keys, probe_keys, 1, &self.ctx.counters);
         let mut stats = ProbeStats::default();
-        for probe in pf.read_all(&rschema, self.metrics.as_ref())? {
+        for probe in pf.read_all(&rschema, &self.meter)? {
             let (out, st) = probe_batch(&build, &probe, &self.schema)?;
             stats.merge(&st);
             if let Some(b) = out {
                 self.pending.push_back(b);
             }
         }
-        stats.record(&self.metrics);
+        stats.record(&self.ctx.counters);
         if self.join_type == JoinType::Left {
             // Partitions are key-disjoint, so a build row unmatched here can
             // never match another partition's probes: pad it now.
@@ -669,17 +619,16 @@ impl HashJoinExec {
         Ok(true)
     }
 
-    /// Drain the whole probe side with worker threads, queueing output
-    /// batches in worker order.
+    /// Drain the whole probe side with two or more worker threads, queueing
+    /// output batches in worker order.
     fn parallel_probe(&mut self) -> Result<()> {
-        let workers = self.workers.max(1);
         let build = self.build.as_ref().expect("built before probe");
         let schema = &self.schema;
-        let metrics = &self.metrics;
+        let ctx = &self.ctx;
         let source = SharedSource::new(self.right.as_mut());
         let results: Vec<Result<(Vec<RecordBatch>, ProbeStats, u64)>> =
-            super::pool::run_workers(workers, |w| {
-                let _kernel = crate::kernel_metrics::install(metrics.clone());
+            super::pool::run_workers(ctx.workers, |w| {
+                let _kernel = crate::kernel_metrics::install(ctx);
                 let mut out = Vec::new();
                 let mut stats = ProbeStats::default();
                 let mut morsels = 0u64;
@@ -691,22 +640,17 @@ impl HashJoinExec {
                     stats.merge(&st);
                     out.extend(batch);
                 }
-                record_worker(metrics.as_ref(), "hash_join", w, morsels, rows);
+                ctx.record_worker(Scope::HashJoin, w, morsels, rows);
                 Ok((out, stats, morsels))
             });
-        if let Some(p) = &self.profile {
-            p.workers.add(workers as u64);
-        }
         let mut stats = ProbeStats::default();
         for r in results {
             let (batches, st, morsels) = r?;
             self.pending.extend(batches);
             stats.merge(&st);
-            if let Some(p) = &self.profile {
-                p.morsels.add(morsels);
-            }
+            self.stats.morsels.add(morsels);
         }
-        stats.record(&self.metrics);
+        stats.record(&self.ctx.counters);
         self.done_probe = true;
         Ok(())
     }
@@ -743,7 +687,7 @@ impl Operator for HashJoinExec {
                 }
                 return Ok(None);
             }
-            if self.workers >= 1 {
+            if self.ctx.workers >= 2 {
                 self.parallel_probe()?;
                 continue;
             }
@@ -751,9 +695,10 @@ impl Operator for HashJoinExec {
                 self.done_probe = true;
                 continue;
             };
+            self.stats.morsels.incr();
             let build = self.build.as_ref().expect("built above");
             let (out, stats) = probe_batch(build, &probe, &self.schema)?;
-            stats.record(&self.metrics);
+            stats.record(&self.ctx.counters);
             if let Some(b) = out {
                 return Ok(Some(b));
             }
@@ -769,8 +714,8 @@ impl Operator for HashJoinExec {
 mod tests {
     use super::*;
     use crate::physical::drain_one;
-    use crate::physical::test_util::{int_batch, BatchSource};
-    use backbone_storage::Value;
+    use crate::physical::test_util::{ctx, ctx_with, int_batch, BatchSource};
+    use backbone_storage::{Metrics, Value};
 
     fn join(
         left: Vec<(&'static str, Vec<i64>)>,
@@ -785,6 +730,8 @@ mod tests {
             Box::new(BatchSource::single(rb)),
             vec![(on.0.to_string(), on.1.to_string())],
             jt,
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         drain_one(&mut j).unwrap()
@@ -875,6 +822,8 @@ mod tests {
             Box::new(BatchSource::single(rb)),
             vec![("id".to_string(), "rid".to_string())],
             JoinType::Inner,
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut j).unwrap();
@@ -893,6 +842,8 @@ mod tests {
                 ("b".to_string(), "d".to_string()),
             ],
             JoinType::Inner,
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut j).unwrap();
@@ -910,6 +861,8 @@ mod tests {
             Box::new(BatchSource::new(view.schema().clone(), vec![view])),
             vec![("id".to_string(), "rid".to_string())],
             JoinType::Inner,
+            &ctx(1),
+            OpStats::default(),
         )
         .unwrap();
         let out = drain_one(&mut j).unwrap();
@@ -927,6 +880,8 @@ mod tests {
             Box::new(BatchSource::single(rb)),
             vec![("zzz".to_string(), "b".to_string())],
             JoinType::Inner,
+            &ctx(1),
+            OpStats::default(),
         )
         .is_err());
     }
@@ -958,12 +913,13 @@ mod tests {
                 Box::new(BatchSource::new(rbs[0].schema().clone(), rbs)),
                 vec![("id".to_string(), "rid".to_string())],
                 JoinType::Inner,
+                &ctx(workers),
+                OpStats::default(),
             )
             .unwrap()
-            .with_workers(workers)
         };
-        let serial = sorted_rows(&drain_one(&mut make(0)).unwrap());
-        assert_eq!(serial, sorted_rows(&drain_one(&mut make(1)).unwrap()));
+        let serial = sorted_rows(&drain_one(&mut make(1)).unwrap());
+        assert_eq!(serial, sorted_rows(&drain_one(&mut make(2)).unwrap()));
         assert_eq!(serial, sorted_rows(&drain_one(&mut make(4)).unwrap()));
     }
 
@@ -980,17 +936,18 @@ mod tests {
                 Box::new(BatchSource::single(rb)),
                 vec![("id".to_string(), "rid".to_string())],
                 JoinType::Left,
+                &ctx(workers),
+                OpStats::default(),
             )
             .unwrap()
-            .with_workers(workers)
         };
-        let serial = sorted_rows(&drain_one(&mut make(0)).unwrap());
+        let serial = sorted_rows(&drain_one(&mut make(1)).unwrap());
         assert_eq!(serial, sorted_rows(&drain_one(&mut make(3)).unwrap()));
     }
 
     #[test]
     fn parallel_join_records_profile() {
-        let profile = ParallelProfile::default();
+        let stats = OpStats::default();
         let metrics = Metrics::new();
         let lb = int_batch(&[("id", vec![1, 2, 3])]);
         let rbs: Vec<_> = (0..3)
@@ -1001,14 +958,13 @@ mod tests {
             Box::new(BatchSource::new(rbs[0].schema().clone(), rbs)),
             vec![("id".to_string(), "rid".to_string())],
             JoinType::Inner,
+            &ctx_with(2, None, Some(metrics.clone())),
+            stats.clone(),
         )
-        .unwrap()
-        .with_workers(2)
-        .with_metrics(Some(metrics.clone()))
-        .with_parallel_profile(Some(profile.clone()));
+        .unwrap();
         drain_one(&mut j).unwrap();
-        assert_eq!(profile.workers.get(), 2);
-        assert_eq!(profile.morsels.get(), 3);
+        assert_eq!(stats.workers.get(), 2);
+        assert_eq!(stats.morsels.get(), 3);
         assert_eq!(metrics.value("op.hash_join.kernel.build_partitions"), 2);
         let worker_morsels: u64 = (0..2)
             .map(|w| metrics.value(&format!("op.hash_join.worker.{w}.morsels")))
@@ -1045,19 +1001,18 @@ mod tests {
             Box::new(BatchSource::new(rbs[0].schema().clone(), rbs)),
             vec![("id".to_string(), "rid".to_string())],
             jt,
+            &ctx_with(workers, budget, metrics),
+            OpStats::default(),
         )
-        .unwrap()
-        .with_workers(workers)
-        .with_metrics(metrics)
-        .with_budget(budget.map(BudgetAccountant::new));
+        .unwrap();
         drain_one(&mut j).unwrap()
     }
 
     #[test]
     fn grace_inner_join_matches_in_memory() {
-        let expect = sorted_rows(&budget_join(0, None, JoinType::Inner, None));
+        let expect = sorted_rows(&budget_join(1, None, JoinType::Inner, None));
         let metrics = Metrics::new();
-        let out = budget_join(0, Some(2048), JoinType::Inner, Some(metrics.clone()));
+        let out = budget_join(1, Some(2048), JoinType::Inner, Some(metrics.clone()));
         assert_eq!(sorted_rows(&out), expect);
         assert!(
             metrics.value("storage.spill.partitions") > 0,
@@ -1068,8 +1023,8 @@ mod tests {
 
     #[test]
     fn grace_left_join_pads_per_partition() {
-        let expect = sorted_rows(&budget_join(0, None, JoinType::Left, None));
-        let out = budget_join(0, Some(2048), JoinType::Left, None);
+        let expect = sorted_rows(&budget_join(1, None, JoinType::Left, None));
+        let out = budget_join(1, Some(2048), JoinType::Left, None);
         assert_eq!(sorted_rows(&out), expect);
     }
 
@@ -1077,20 +1032,41 @@ mod tests {
     fn one_byte_budget_grace_recursion_stays_correct() {
         // Every partition is always "over", so both sides repartition down
         // to MAX_SPILL_DEPTH and join in memory there.
-        let expect = sorted_rows(&budget_join(0, None, JoinType::Inner, None));
+        let expect = sorted_rows(&budget_join(1, None, JoinType::Inner, None));
         assert_eq!(
-            sorted_rows(&budget_join(0, Some(1), JoinType::Inner, None)),
+            sorted_rows(&budget_join(1, Some(1), JoinType::Inner, None)),
             expect
         );
     }
 
     #[test]
+    fn one_key_build_partitions_join_without_recursing() {
+        // Every build row has key 5: no depth can split the partition, so
+        // it joins at depth 1 and only the first level writes files (one
+        // build and one probe partition).
+        let lb = int_batch(&[("id", vec![5; 40]), ("lv", (0..40).collect())]);
+        let rb = int_batch(&[("rid", vec![5, 5, 5]), ("rv", vec![1, 2, 3])]);
+        let metrics = Metrics::new();
+        let mut j = HashJoinExec::new(
+            Box::new(BatchSource::single(lb)),
+            Box::new(BatchSource::single(rb)),
+            vec![("id".to_string(), "rid".to_string())],
+            JoinType::Inner,
+            &ctx_with(1, Some(1), Some(metrics.clone())),
+            OpStats::default(),
+        )
+        .unwrap();
+        assert_eq!(drain_one(&mut j).unwrap().num_rows(), 120);
+        assert_eq!(metrics.value("storage.spill.partitions"), 2);
+    }
+
+    #[test]
     fn generous_budget_join_never_spills() {
         let metrics = Metrics::new();
-        let out = budget_join(0, Some(64 << 20), JoinType::Inner, Some(metrics.clone()));
+        let out = budget_join(1, Some(64 << 20), JoinType::Inner, Some(metrics.clone()));
         assert_eq!(
             sorted_rows(&out),
-            sorted_rows(&budget_join(0, None, JoinType::Inner, None))
+            sorted_rows(&budget_join(1, None, JoinType::Inner, None))
         );
         assert_eq!(metrics.value("storage.spill.partitions"), 0);
     }
@@ -1116,9 +1092,10 @@ mod tests {
                 Box::new(BatchSource::single(rb.clone())),
                 vec![("id".to_string(), "rid".to_string())],
                 JoinType::Left,
+                &ctx_with(1, budget, None),
+                OpStats::default(),
             )
-            .unwrap()
-            .with_budget(budget.map(BudgetAccountant::new));
+            .unwrap();
             drain_one(&mut j).unwrap()
         };
         let expect = sorted_rows(&make(None));

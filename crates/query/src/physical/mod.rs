@@ -6,6 +6,7 @@
 //! database principle.
 
 mod aggregate;
+pub(crate) mod context;
 mod filter;
 mod hash_join;
 mod limit;
@@ -19,11 +20,11 @@ pub mod spill;
 mod topk;
 
 pub use aggregate::HashAggregateExec;
+pub use context::ExecContext;
 pub use filter::FilterExec;
 pub use hash_join::HashJoinExec;
 pub use limit::LimitExec;
 pub use nl_join::NestedLoopJoinExec;
-pub use parallel::ParallelProfile;
 pub use project::ProjectExec;
 pub use scan::TableScanExec;
 pub use sort::SortExec;
@@ -118,6 +119,24 @@ pub(crate) mod test_util {
         fn name(&self) -> &'static str {
             "BatchSource"
         }
+    }
+
+    /// A context running `workers` workers, with no budget or registry.
+    pub fn ctx(workers: usize) -> ExecContext {
+        ctx_with(workers, None, None)
+    }
+
+    /// A context running `workers` workers under an optional memory budget,
+    /// recording into an optional registry.
+    pub fn ctx_with(
+        workers: usize,
+        budget: Option<usize>,
+        metrics: Option<backbone_storage::Metrics>,
+    ) -> ExecContext {
+        let mut opts = crate::ExecOptions::with_parallelism(crate::Parallelism::Fixed(workers));
+        opts.mem_budget = budget;
+        opts.metrics = metrics;
+        ExecContext::new(&opts)
     }
 
     /// Build an int batch from (name, values) column specs.

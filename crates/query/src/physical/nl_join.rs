@@ -143,6 +143,8 @@ mod tests {
             Box::new(BatchSource::single(int_batch(&r))),
             vec![("id".to_string(), "rid".to_string())],
             JoinType::Inner,
+            &crate::physical::test_util::ctx(1),
+            crate::OpStats::default(),
         )
         .unwrap();
         let mut a = drain_one(&mut nl).unwrap().to_rows();

@@ -1,6 +1,6 @@
 //! Shared machinery for morsel-driven parallel operators.
 //!
-//! Three pieces, reused by every parallel operator:
+//! Two pieces, reused by every parallel operator:
 //!
 //! - [`StealQueues`]: per-worker deques of morsel indices with LIFO stealing.
 //!   Each scan worker drains its own range front-to-back and steals from the
@@ -11,33 +11,18 @@
 //!   through it; the lock only covers the child's `next()` — when the child
 //!   is a parallel scan that is one cheap channel receive, so the expensive
 //!   per-batch kernel work happens outside the lock, on the worker.
-//! - [`ParallelProfile`]: shared atomic counters (workers, morsels, steals,
-//!   merge time) that the operator fills in while running and EXPLAIN
-//!   ANALYZE renders next to the per-operator row counts.
 //!
-//! Per-worker engine-truth counters land in the [`Metrics`] registry under
-//! `op.<scope>.worker.<i>.{morsels,rows}` via [`record_worker`].
+//! With one worker, the breakers' worker runs inline on the caller
+//! ([`super::pool::run_workers`]), so the serial plan is the one-worker
+//! plan. Workers, morsels, steals and merge time land in the operator's
+//! [`OpStats`](crate::OpStats); per-worker totals go to the registry
+//! through [`ExecContext::record_worker`](super::ExecContext).
 
 use super::Operator;
 use crate::error::Result;
-use backbone_storage::metrics::{Counter, Metrics};
 use backbone_storage::RecordBatch;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Live counters describing one operator's parallel execution, shared
-/// between the running operator and its EXPLAIN ANALYZE profile node.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelProfile {
-    /// Worker threads spawned.
-    pub workers: Counter,
-    /// Morsels (row groups or input batches) processed across all workers.
-    pub morsels: Counter,
-    /// Morsels taken from another worker's queue.
-    pub steals: Counter,
-    /// Nanoseconds spent merging per-worker partial states.
-    pub merge_ns: Counter,
-}
 
 /// Work-stealing queues over `0..items` morsel indices, split into
 /// contiguous per-worker ranges.
@@ -119,23 +104,6 @@ impl<'a> SharedSource<'a> {
     }
 }
 
-/// Record one worker's morsel/row totals under
-/// `op.<scope>.worker.<worker>.*`.
-pub(crate) fn record_worker(
-    metrics: Option<&Metrics>,
-    scope: &str,
-    worker: usize,
-    morsels: u64,
-    rows: u64,
-) {
-    if let Some(m) = metrics {
-        m.counter(&format!("op.{scope}.worker.{worker}.morsels"))
-            .add(morsels);
-        m.counter(&format!("op.{scope}.worker.{worker}.rows"))
-            .add(rows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,10 +174,22 @@ mod tests {
 
     #[test]
     fn worker_counters_land_in_registry() {
+        use crate::physical::context::Scope;
+        use crate::physical::ExecContext;
+        use crate::{ExecOptions, Metrics};
         let m = Metrics::new();
-        record_worker(Some(&m), "scan", 3, 5, 120);
+        let ctx = |workers: usize| {
+            ExecContext::new(&ExecOptions::with_parallelism(workers).with_metrics(m.clone()))
+        };
+        // One worker is the serial plan: no per-worker counter exists.
+        ctx(1).record_worker(Scope::Scan, 0, 5, 120);
+        assert!(m.snapshot().keys().all(|k| !k.contains(".worker.")));
+        ctx(4).record_worker(Scope::Scan, 3, 5, 120);
         assert_eq!(m.value("op.scan.worker.3.morsels"), 5);
         assert_eq!(m.value("op.scan.worker.3.rows"), 120);
-        record_worker(None, "scan", 0, 1, 1); // no registry: no-op
+        assert_eq!(m.value("op.topk.worker.3.rows"), 0);
+        // No registry: detached counters nobody reads.
+        let opts = ExecOptions::with_parallelism(4);
+        ExecContext::new(&opts).record_worker(Scope::Scan, 0, 1, 1);
     }
 }

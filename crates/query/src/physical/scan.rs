@@ -1,14 +1,16 @@
 //! Table scan with zone-map pruning, scan-time filtering, projection, and
 //! morsel-style parallelism.
 
-use super::parallel::{record_worker, ParallelProfile, StealQueues};
+use super::context::{ExecContext, Scope};
+use super::parallel::StealQueues;
 use super::pool::{spawn_detached, PoolHandle};
 use super::Operator;
 use crate::error::Result;
 use crate::eval::refine_selection;
 use crate::expr::{BinOp, Expr};
+use crate::profile::OpStats;
 use backbone_storage::table::ZoneMap;
-use backbone_storage::{Counter, Metrics, RecordBatch, Schema, Table, Value};
+use backbone_storage::{RecordBatch, Schema, Table, Value};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -20,62 +22,68 @@ use std::time::Instant;
 /// copied.
 const BATCH_ROWS: usize = 16 * 1024;
 
-/// Counters exposed for pruning experiments (E6 reports them).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScanStats {
-    /// Row groups skipped via zone maps.
-    pub groups_pruned: usize,
-    /// Segments actually scanned: row groups plus unsealed tail chunks.
-    pub groups_scanned: usize,
-}
-
 /// Scans a table's segments — sealed row groups, then the unsealed tail's
 /// chunks — skipping groups whose zone maps refute a pushed-down filter,
-/// evaluating remaining filters per batch, and projecting early. With
-/// `workers >= 1` segments become morsels on per-worker work-stealing queues
-/// processed by that many threads, with no change to semantics — the
-/// paper's "automatic scalability" principle.
+/// evaluating remaining filters per batch, and projecting early. One worker
+/// reads the segments in table order on the calling thread; two or more
+/// take them as morsels off per-worker work-stealing queues, with no change
+/// to semantics — the paper's "automatic scalability" principle. Both run
+/// one per-segment prune/read/filter function.
 pub struct TableScanExec {
     schema: Arc<Schema>,
+    scan: Arc<SegmentScan>,
     mode: Mode,
-    stats: ScanStats,
     pending: VecDeque<RecordBatch>,
-    metrics: Option<Metrics>,
-    /// `op.scan.kernel.filter_ns`, resolved once per scan and shared with
-    /// the parallel workers.
-    filter_ns: Option<Counter>,
-    profile: Option<ParallelProfile>,
-    /// Snapshot clamp: scan only this visible row prefix (see
-    /// [`TableScanExec::with_snapshot`]). `None` = scan everything.
-    clamp: Option<ScanClamp>,
 }
 
-/// The segment-level shape of a snapshot's visible row prefix.
-#[derive(Debug, Clone, Copy)]
-struct ScanClamp {
-    /// Leading segments that intersect the prefix; later segments hold only
-    /// rows committed after the snapshot and are never touched.
+/// What reading one segment needs, shared by the inline scan and the
+/// workers.
+struct SegmentScan {
+    table: Arc<Table>,
+    filters: Vec<Expr>,
+    projection: Option<Vec<usize>>,
+    /// Leading segments the scan may touch: all of them, or those that
+    /// intersect a snapshot's visible row prefix.
     segments: usize,
-    /// When the prefix ends inside segment `segments - 1`: how many of its
-    /// leading rows are visible. `None` = the last segment is wholly visible.
-    last_rows: Option<usize>,
+    /// `(segment, visible leading rows)` when the snapshot boundary falls
+    /// inside the last visible segment.
+    boundary: Option<(usize, usize)>,
+    ctx: ExecContext,
+    stats: OpStats,
+}
+
+impl SegmentScan {
+    /// Prune, read, filter and project segment `g`; `None` when its zone
+    /// maps refute a filter or no row survives. Zone maps are always
+    /// resident, so a refuted group costs no read (for a paged table, no
+    /// I/O at all).
+    fn scan(&self, g: usize) -> Result<Option<RecordBatch>> {
+        self.stats.morsels.incr();
+        if prunable(
+            self.table.segment_zones(g),
+            self.table.schema(),
+            &self.filters,
+        ) {
+            self.stats.segments_pruned.incr();
+            return Ok(None);
+        }
+        self.stats.segments_scanned.incr();
+        let visible = self.boundary.and_then(|(bg, n)| (bg == g).then_some(n));
+        let batch = read_segment(&self.table, g, visible)?;
+        let t0 = Instant::now();
+        let out = process_group(&batch, &self.filters, &self.projection);
+        self.ctx.counters.scan_filter_ns.add_elapsed(t0);
+        out
+    }
 }
 
 enum Mode {
-    Serial {
-        table: Arc<Table>,
-        filters: Vec<Expr>,
-        projection: Option<Vec<usize>>,
-        segment_idx: usize,
-    },
-    /// Parallel scan not yet started: workers spawn lazily on the first
-    /// `next()` so the builder methods (`with_metrics`, profile) apply.
-    Pending {
-        table: Arc<Table>,
-        filters: Vec<Expr>,
-        projection: Option<Vec<usize>>,
-        workers: usize,
-    },
+    /// One worker: segments are read on the calling thread, in table
+    /// order; `next` is the next segment.
+    Inline { next: usize },
+    /// Workers start lazily on the first `next()`, after
+    /// [`TableScanExec::with_snapshot`] has clamped the scan.
+    Pending,
     Running {
         rx: Receiver<Result<RecordBatch>>,
         /// Keep handles so worker panics surface at join.
@@ -87,13 +95,14 @@ impl TableScanExec {
     /// Build a scan.
     ///
     /// `projection` lists output column names (in order); `filters` are
-    /// conjunctive predicates applied during the scan; `workers` is the
-    /// number of worker threads (0 or 1 = serial, on the calling thread).
+    /// conjunctive predicates applied during the scan. The scan runs the
+    /// context's workers and records into `stats`.
     pub fn new(
         table: Arc<Table>,
         projection: Option<Vec<String>>,
         filters: Vec<Expr>,
-        workers: usize,
+        ctx: &ExecContext,
+        stats: OpStats,
     ) -> Result<TableScanExec> {
         let table_schema = table.schema().clone();
         let proj_indices: Option<Vec<usize>> = match &projection {
@@ -110,30 +119,26 @@ impl TableScanExec {
             None => table_schema.clone(),
             Some(idx) => table_schema.project(idx),
         };
-        let mode = if workers <= 1 {
-            Mode::Serial {
-                table,
-                filters,
-                projection: proj_indices,
-                segment_idx: 0,
-            }
+        stats.workers.add(ctx.workers as u64);
+        let mode = if ctx.workers == 1 {
+            Mode::Inline { next: 0 }
         } else {
-            Mode::Pending {
-                table,
-                filters,
-                projection: proj_indices,
-                workers,
-            }
+            Mode::Pending
+        };
+        let scan = SegmentScan {
+            segments: table.num_segments(),
+            table,
+            filters,
+            projection: proj_indices,
+            boundary: None,
+            ctx: ctx.clone(),
+            stats,
         };
         Ok(TableScanExec {
             schema,
+            scan: Arc::new(scan),
             mode,
-            stats: ScanStats::default(),
             pending: VecDeque::new(),
-            metrics: None,
-            filter_ns: None,
-            profile: None,
-            clamp: None,
         })
     }
 
@@ -146,115 +151,46 @@ impl TableScanExec {
     /// still holds.
     pub fn with_snapshot(mut self, epoch: Option<u64>) -> Self {
         let Some(epoch) = epoch else { return self };
-        let table = match &self.mode {
-            Mode::Serial { table, .. } | Mode::Pending { table, .. } => table,
-            Mode::Running { .. } => unreachable!("snapshot set before the scan starts"),
-        };
-        let mut remaining = table.visible_rows_at(epoch);
+        let scan = Arc::get_mut(&mut self.scan).expect("snapshot set before the scan starts");
+        let mut remaining = scan.table.visible_rows_at(epoch);
         let mut segments = 0usize;
-        let mut last_rows = None;
-        for s in 0..table.num_segments() {
+        for s in 0..scan.table.num_segments() {
             if remaining == 0 {
                 break;
             }
-            let rows = table.segment_rows(s);
+            let rows = scan.table.segment_rows(s);
             segments += 1;
             if rows > remaining {
-                last_rows = Some(remaining);
+                scan.boundary = Some((s, remaining));
                 break;
             }
             remaining -= rows;
         }
-        self.clamp = Some(ScanClamp {
-            segments,
-            last_rows,
-        });
-        self
-    }
-
-    /// Record scan kernel time (`op.scan.kernel.*`) and, in parallel mode,
-    /// per-worker morsel/row/steal counters (`op.scan.worker.*`,
-    /// `op.scan.steals`) into `metrics`.
-    pub fn with_metrics(mut self, metrics: Option<Metrics>) -> Self {
-        self.filter_ns = metrics
-            .as_ref()
-            .map(|m| m.counter("op.scan.kernel.filter_ns"));
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach shared parallel counters for EXPLAIN ANALYZE.
-    pub fn with_parallel_profile(mut self, profile: Option<ParallelProfile>) -> Self {
-        self.profile = profile;
+        scan.segments = segments;
         self
     }
 
     /// Morsel-parallel start: segments go onto per-worker work-stealing
-    /// queues; workers prune, filter, and project their morsels and feed
-    /// surviving batches through a bounded channel.
+    /// queues; workers scan their morsels and feed surviving batches
+    /// through a bounded channel.
     fn start(&mut self) {
-        let placeholder = Mode::Running {
-            rx: sync_channel(0).1,
-            handles: Vec::new(),
-        };
-        let Mode::Pending {
-            table,
-            filters,
-            projection,
-            workers,
-        } = std::mem::replace(&mut self.mode, placeholder)
-        else {
-            unreachable!("start is only called on a pending parallel scan");
-        };
+        let workers = self.scan.ctx.workers;
         let (tx, rx) = sync_channel(workers * 2);
-        let n_segments = visible_segments(&table, self.clamp);
-        // (segment index, visible leading rows) when the snapshot boundary
-        // falls inside the final visible segment.
-        let boundary = self
-            .clamp
-            .and_then(|c| c.last_rows.map(|n| (c.segments - 1, n)));
-        let queues = Arc::new(StealQueues::split(n_segments, workers));
-        if let Some(p) = &self.profile {
-            p.workers.add(workers as u64);
-        }
+        let queues = Arc::new(StealQueues::split(self.scan.segments, workers));
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let table = table.clone();
-            let filters = filters.clone();
-            let projection = projection.clone();
+            let scan = self.scan.clone();
             let tx = tx.clone();
             let queues = queues.clone();
-            let metrics = self.metrics.clone();
-            let filter_ns = self.filter_ns.clone();
-            let profile = self.profile.clone();
             handles.push(spawn_detached(move || {
-                // Workers record eval-kernel counters through their own
-                // thread-local handle; all counters are shared atomics.
-                let _kernel = crate::kernel_metrics::install(metrics.clone());
+                // Workers record eval-kernel counters through the query's
+                // handles; all counters are shared atomics.
+                let _kernel = crate::kernel_metrics::install(&scan.ctx);
                 let (mut morsels, mut rows, mut steals) = (0u64, 0u64, 0u64);
                 while let Some((g, stolen)) = queues.pop(w) {
                     morsels += 1;
                     steals += u64::from(stolen);
-                    // Zone maps are always resident: refuted groups are
-                    // skipped before their payload is ever read (for paged
-                    // tables, before any I/O happens at all).
-                    if prunable(table.segment_zones(g), table.schema(), &filters) {
-                        continue;
-                    }
-                    let visible = boundary.and_then(|(bg, n)| (bg == g).then_some(n));
-                    let batch = match read_segment(&table, g, visible) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            break;
-                        }
-                    };
-                    let t0 = Instant::now();
-                    let out = process_group(&batch, &filters, &projection);
-                    if let Some(c) = &filter_ns {
-                        c.add_elapsed(t0);
-                    }
-                    match out {
+                    match scan.scan(g) {
                         Ok(Some(batch)) => {
                             rows += batch.num_rows() as u64;
                             if tx.send(Ok(batch)).is_err() {
@@ -268,17 +204,11 @@ impl TableScanExec {
                         }
                     }
                 }
-                record_worker(metrics.as_ref(), "scan", w, morsels, rows);
-                if let Some(m) = &metrics {
-                    m.counter("op.scan.steals").add(steals);
-                }
-                if let Some(p) = &profile {
-                    p.morsels.add(morsels);
-                    p.steals.add(steals);
-                }
+                scan.ctx.record_worker(Scope::Scan, w, morsels, rows);
+                scan.ctx.counters.scan_steals.add(steals);
+                scan.stats.steals.add(steals);
             }));
         }
-        drop(tx);
         self.mode = Mode::Running { rx, handles };
     }
 
@@ -319,18 +249,6 @@ impl TableScanExec {
         }
         Ok(head)
     }
-
-    /// Pruning counters (serial mode only; parallel workers don't report).
-    pub fn stats(&self) -> ScanStats {
-        self.stats
-    }
-}
-
-/// Segments the scan may touch: all of them, or the snapshot's prefix.
-fn visible_segments(table: &Table, clamp: Option<ScanClamp>) -> usize {
-    clamp.map_or(table.num_segments(), |c| {
-        c.segments.min(table.num_segments())
-    })
 }
 
 /// Materialize segment `s`, sliced to its leading `visible` rows when the
@@ -411,47 +329,19 @@ impl Operator for TableScanExec {
         if let Some(b) = self.pending.pop_front() {
             return Ok(Some(b));
         }
-        if matches!(self.mode, Mode::Pending { .. }) {
+        if matches!(self.mode, Mode::Pending) {
             self.start();
         }
         let produced = match &mut self.mode {
-            Mode::Serial {
-                table,
-                filters,
-                projection,
-                segment_idx,
-            } => {
-                let clamp = self.clamp;
-                let total = visible_segments(table, clamp);
+            Mode::Inline { next } => {
                 let mut found = None;
-                loop {
-                    if *segment_idx >= total {
-                        break;
-                    }
-                    let g = *segment_idx;
-                    *segment_idx += 1;
-                    // Resident zone maps decide pruning before the group is
-                    // materialized — paged groups refuted here cost no I/O.
-                    if prunable(table.segment_zones(g), table.schema(), filters) {
-                        self.stats.groups_pruned += 1;
-                        continue;
-                    }
-                    self.stats.groups_scanned += 1;
-                    let visible = clamp.and_then(|c| c.last_rows.filter(|_| g + 1 == c.segments));
-                    let batch = read_segment(table, g, visible)?;
-                    let t0 = Instant::now();
-                    let out = process_group(&batch, filters, projection)?;
-                    if let Some(c) = &self.filter_ns {
-                        c.add_elapsed(t0);
-                    }
-                    if let Some(batch) = out {
-                        found = Some(batch);
-                        break;
-                    }
+                while found.is_none() && *next < self.scan.segments {
+                    *next += 1;
+                    found = self.scan.scan(*next - 1)?;
                 }
                 found
             }
-            Mode::Pending { .. } => unreachable!("pending scan started above"),
+            Mode::Pending => unreachable!("pending scan started above"),
             Mode::Running { rx, handles } => match rx.recv() {
                 Ok(item) => Some(item?),
                 Err(_) => {
@@ -478,6 +368,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::physical::drain_one;
+    use crate::physical::test_util::ctx;
     use backbone_storage::{DataType, Field};
 
     fn table(rows: i64, group_size: usize) -> Arc<Table> {
@@ -497,7 +388,7 @@ mod tests {
     #[test]
     fn full_scan() {
         let t = table(10, 4);
-        let mut scan = TableScanExec::new(t, None, vec![], 1).unwrap();
+        let mut scan = TableScanExec::new(t, None, vec![], &ctx(1), OpStats::default()).unwrap();
         let all = drain_one(&mut scan).unwrap();
         assert_eq!(all.num_rows(), 10);
     }
@@ -507,7 +398,7 @@ mod tests {
         let rows = 2 * BATCH_ROWS as i64 + 100;
         let t = table(rows, rows as usize);
         let group = t.segment(0).unwrap();
-        let mut scan = TableScanExec::new(t, None, vec![], 1).unwrap();
+        let mut scan = TableScanExec::new(t, None, vec![], &ctx(1), OpStats::default()).unwrap();
         let mut batches = Vec::new();
         while let Some(b) = scan.next().unwrap() {
             batches.push(b);
@@ -530,7 +421,8 @@ mod tests {
             t.append_row(vec![Value::Int(i / 1000)]).unwrap();
         }
         t.flush().unwrap();
-        let mut scan = TableScanExec::new(Arc::new(t), None, vec![], 1).unwrap();
+        let mut scan =
+            TableScanExec::new(Arc::new(t), None, vec![], &ctx(1), OpStats::default()).unwrap();
         let mut pieces = 0;
         while let Some(b) = scan.next().unwrap() {
             assert!(b.selection().is_none());
@@ -544,7 +436,14 @@ mod tests {
     #[test]
     fn filtered_scan() {
         let t = table(100, 10);
-        let mut scan = TableScanExec::new(t, None, vec![col("id").gt_eq(lit(95i64))], 1).unwrap();
+        let mut scan = TableScanExec::new(
+            t,
+            None,
+            vec![col("id").gt_eq(lit(95i64))],
+            &ctx(1),
+            OpStats::default(),
+        )
+        .unwrap();
         let out = drain_one(&mut scan).unwrap();
         assert_eq!(out.num_rows(), 5);
     }
@@ -552,28 +451,43 @@ mod tests {
     #[test]
     fn zone_maps_prune_groups() {
         // Ten groups of 10 sorted ids: id >= 95 touches only the last group.
-        let t = table(100, 10);
-        let mut scan = TableScanExec::new(t, None, vec![col("id").gt_eq(lit(95i64))], 1).unwrap();
-        while scan.next().unwrap().is_some() {}
-        let stats = scan.stats();
-        assert_eq!(stats.groups_pruned, 9);
-        assert_eq!(stats.groups_scanned, 1);
+        // Both the inline scan and the workers count them.
+        for workers in [1, 2] {
+            let t = table(100, 10);
+            let stats = OpStats::default();
+            let filters = vec![col("id").gt_eq(lit(95i64))];
+            let mut scan =
+                TableScanExec::new(t, None, filters, &ctx(workers), stats.clone()).unwrap();
+            while scan.next().unwrap().is_some() {}
+            assert_eq!(stats.segments_pruned.get(), 9, "{workers} workers");
+            assert_eq!(stats.segments_scanned.get(), 1, "{workers} workers");
+            assert_eq!(stats.morsels.get(), 10, "{workers} workers");
+        }
     }
 
     #[test]
     fn pruning_eq_and_flipped_literal() {
         let t = table(100, 10);
         // literal on the left: 5 > id  <=>  id < 5 — only group 0 survives.
-        let mut scan = TableScanExec::new(t, None, vec![lit(5i64).gt(col("id"))], 1).unwrap();
+        let stats = OpStats::default();
+        let filters = vec![lit(5i64).gt(col("id"))];
+        let mut scan = TableScanExec::new(t, None, filters, &ctx(1), stats.clone()).unwrap();
         let out = drain_one(&mut scan).unwrap();
         assert_eq!(out.num_rows(), 5);
-        assert_eq!(scan.stats().groups_scanned, 1);
+        assert_eq!(stats.segments_scanned.get(), 1);
     }
 
     #[test]
     fn projection_narrows_schema() {
         let t = table(10, 4);
-        let mut scan = TableScanExec::new(t, Some(vec!["val".into()]), vec![], 1).unwrap();
+        let mut scan = TableScanExec::new(
+            t,
+            Some(vec!["val".into()]),
+            vec![],
+            &ctx(1),
+            OpStats::default(),
+        )
+        .unwrap();
         let out = drain_one(&mut scan).unwrap();
         assert_eq!(out.num_columns(), 1);
         assert_eq!(out.schema().field(0).name, "val");
@@ -583,15 +497,30 @@ mod tests {
     #[test]
     fn unknown_projection_column_errors() {
         let t = table(4, 4);
-        assert!(TableScanExec::new(t, Some(vec!["nope".into()]), vec![], 1).is_err());
+        assert!(TableScanExec::new(
+            t,
+            Some(vec!["nope".into()]),
+            vec![],
+            &ctx(1),
+            OpStats::default()
+        )
+        .is_err());
     }
 
     #[test]
     fn parallel_scan_matches_serial() {
         let t = table(1000, 32);
         let filters = vec![col("id").modulo(lit(7i64)).eq(lit(0i64))];
-        let mut serial = TableScanExec::new(t.clone(), None, filters.clone(), 1).unwrap();
-        let mut parallel = TableScanExec::new(t, None, filters, 4).unwrap();
+        let mut serial = TableScanExec::new(
+            t.clone(),
+            None,
+            filters.clone(),
+            &ctx(1),
+            OpStats::default(),
+        )
+        .unwrap();
+        let mut parallel =
+            TableScanExec::new(t, None, filters, &ctx(4), OpStats::default()).unwrap();
         let a = drain_one(&mut serial).unwrap();
         let b = drain_one(&mut parallel).unwrap();
         assert_eq!(a.num_rows(), b.num_rows());
@@ -629,24 +558,24 @@ mod tests {
     fn snapshot_clamps_to_visible_prefix() {
         let t = marked_table();
         // Epoch 1: only the first 10 rows; the 3rd group is sliced to 2.
-        let mut scan = TableScanExec::new(t.clone(), None, vec![], 1)
+        let mut scan = TableScanExec::new(t.clone(), None, vec![], &ctx(1), OpStats::default())
             .unwrap()
             .with_snapshot(Some(1));
         let out = drain_one(&mut scan).unwrap();
         let ids: Vec<i64> = out.column(0).i64_data().unwrap().to_vec();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         // Epoch 2 (and beyond): everything.
-        let mut scan = TableScanExec::new(t.clone(), None, vec![], 1)
+        let mut scan = TableScanExec::new(t.clone(), None, vec![], &ctx(1), OpStats::default())
             .unwrap()
             .with_snapshot(Some(5));
         assert_eq!(drain_one(&mut scan).unwrap().num_rows(), 17);
         // Epoch 0 predates every commit: nothing visible.
-        let mut scan = TableScanExec::new(t.clone(), None, vec![], 1)
+        let mut scan = TableScanExec::new(t.clone(), None, vec![], &ctx(1), OpStats::default())
             .unwrap()
             .with_snapshot(Some(0));
         assert!(scan.next().unwrap().is_none());
         // No snapshot: the pre-MVCC full scan.
-        let mut scan = TableScanExec::new(t, None, vec![], 1)
+        let mut scan = TableScanExec::new(t, None, vec![], &ctx(1), OpStats::default())
             .unwrap()
             .with_snapshot(None);
         assert_eq!(drain_one(&mut scan).unwrap().num_rows(), 17);
@@ -656,12 +585,14 @@ mod tests {
     fn snapshot_parallel_matches_serial() {
         let t = marked_table();
         for epoch in [0u64, 1, 2] {
-            let mut serial = TableScanExec::new(t.clone(), None, vec![], 1)
-                .unwrap()
-                .with_snapshot(Some(epoch));
-            let mut parallel = TableScanExec::new(t.clone(), None, vec![], 4)
-                .unwrap()
-                .with_snapshot(Some(epoch));
+            let mut serial =
+                TableScanExec::new(t.clone(), None, vec![], &ctx(1), OpStats::default())
+                    .unwrap()
+                    .with_snapshot(Some(epoch));
+            let mut parallel =
+                TableScanExec::new(t.clone(), None, vec![], &ctx(4), OpStats::default())
+                    .unwrap()
+                    .with_snapshot(Some(epoch));
             let a = drain_one(&mut serial).unwrap();
             let b = drain_one(&mut parallel).unwrap();
             let collect = |x: &RecordBatch| {
@@ -678,9 +609,15 @@ mod tests {
         let t = marked_table();
         // id >= 8 under epoch 1 must see exactly rows 8 and 9 — rows 10+ are
         // in the same physical groups but invisible.
-        let mut scan = TableScanExec::new(t, None, vec![col("id").gt_eq(lit(8i64))], 1)
-            .unwrap()
-            .with_snapshot(Some(1));
+        let mut scan = TableScanExec::new(
+            t,
+            None,
+            vec![col("id").gt_eq(lit(8i64))],
+            &ctx(1),
+            OpStats::default(),
+        )
+        .unwrap()
+        .with_snapshot(Some(1));
         let out = drain_one(&mut scan).unwrap();
         let ids: Vec<i64> = out.column(0).i64_data().unwrap().to_vec();
         assert_eq!(ids, vec![8, 9]);
@@ -690,7 +627,7 @@ mod tests {
     fn empty_table_scan() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);
         let t = Arc::new(Table::new(schema));
-        let mut scan = TableScanExec::new(t, None, vec![], 1).unwrap();
+        let mut scan = TableScanExec::new(t, None, vec![], &ctx(1), OpStats::default()).unwrap();
         assert!(scan.next().unwrap().is_none());
     }
 }

@@ -7,7 +7,9 @@
 //! the operator partitions its state by key hash into [`SpillFile`]s —
 //! serialized with the checkpoint codec's `put_batch`/`read_batch` — and
 //! re-reads one partition at a time. Partitions that are still too big
-//! repartition recursively with deeper hash bits, up to [`MAX_SPILL_DEPTH`].
+//! repartition recursively with deeper hash bits, up to [`MAX_SPILL_DEPTH`],
+//! unless every row shares one key hash ([`one_key_hash`]): no deeper bits
+//! can split such a partition, so it finishes in memory at once.
 //!
 //! Partition bits come from the *upper* half of the 64-bit key hash
 //! (`(hash >> 32) >> (3 * depth)`), leaving the low bits free for the hash
@@ -16,7 +18,7 @@
 use crate::error::{QueryError, Result};
 use backbone_storage::checkpoint::{put_batch, read_batch};
 use backbone_storage::codec::Cursor;
-use backbone_storage::{Metrics, RecordBatch, Schema, StorageError};
+use backbone_storage::{Counter, RecordBatch, Schema, StorageError};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -136,6 +138,35 @@ impl Drop for BudgetLease {
     }
 }
 
+/// Spill traffic counters: `storage.spill.{partitions,bytes_written,bytes_read}`.
+#[derive(Debug, Clone, Default)]
+pub struct SpillCounters {
+    /// Partition files created.
+    pub partitions: Counter,
+    /// Bytes appended to partition files.
+    pub bytes_written: Counter,
+    /// Bytes read back from partition files.
+    pub bytes_read: Counter,
+}
+
+/// Where one operator's spill traffic is counted: its own stats block,
+/// which EXPLAIN ANALYZE's per-query `spill:` line sums, and the registry's
+/// `storage.spill.*` totals.
+#[derive(Debug, Clone, Default)]
+pub struct SpillMeter {
+    /// The operator's per-query counters.
+    pub op: SpillCounters,
+    /// The registry's running totals.
+    pub total: SpillCounters,
+}
+
+impl SpillMeter {
+    fn each(&self, f: impl Fn(&SpillCounters)) {
+        f(&self.op);
+        f(&self.total);
+    }
+}
+
 /// Monotonic spill-file sequence: unique names without touching the clock.
 static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -179,10 +210,9 @@ impl SpillFile {
         self.rows == 0
     }
 
-    /// Append one batch (dense; selections are materialized here). Counts
-    /// `storage.spill.partitions` on the first write and
-    /// `storage.spill.bytes_written` on every write.
-    pub fn append(&mut self, batch: &RecordBatch, metrics: Option<&Metrics>) -> Result<()> {
+    /// Append one batch (dense; selections are materialized here). Counts a
+    /// partition on the first write and the bytes of every write.
+    pub fn append(&mut self, batch: &RecordBatch, meter: &SpillMeter) -> Result<()> {
         if batch.num_rows() == 0 {
             return Ok(());
         }
@@ -199,9 +229,7 @@ impl SpillFile {
             Some(w) => w,
             None => {
                 std::fs::create_dir_all(spill_dir()).map_err(io_err)?;
-                if let Some(m) = metrics {
-                    m.counter("storage.spill.partitions").add(1);
-                }
+                meter.each(|c| c.partitions.incr());
                 self.writer
                     .insert(File::create(&self.path).map_err(io_err)?)
             }
@@ -211,18 +239,15 @@ impl SpillFile {
         writer.write_all(&buf).map_err(io_err)?;
         self.rows += batch.num_rows() as u64;
         self.batches += 1;
-        if let Some(m) = metrics {
-            m.counter("storage.spill.bytes_written")
-                .add((buf.len() + 4) as u64);
-        }
+        meter.each(|c| c.bytes_written.add((buf.len() + 4) as u64));
         Ok(())
     }
 
-    /// Read every batch back. Counts `storage.spill.bytes_read`.
+    /// Read every batch back, counting the bytes read.
     pub fn read_all(
         &mut self,
         schema: &Arc<Schema>,
-        metrics: Option<&Metrics>,
+        meter: &SpillMeter,
     ) -> Result<Vec<RecordBatch>> {
         if self.rows == 0 {
             return Ok(Vec::new());
@@ -235,10 +260,7 @@ impl SpillFile {
         File::open(&self.path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(io_err)?;
-        if let Some(m) = metrics {
-            m.counter("storage.spill.bytes_read")
-                .add(bytes.len() as u64);
-        }
+        meter.each(|c| c.bytes_read.add(bytes.len() as u64));
         let mut out = Vec::with_capacity(self.batches as usize);
         let mut pos = 0usize;
         while pos < bytes.len() {
@@ -298,14 +320,14 @@ impl SpillSet {
         batch: &RecordBatch,
         key_idx: &[usize],
         depth: usize,
-        metrics: Option<&Metrics>,
+        meter: &SpillMeter,
     ) -> Result<()> {
         for (p, part) in partition_batch(batch, key_idx, depth)?
             .into_iter()
             .enumerate()
         {
             if let Some(b) = part {
-                self.files[p].append(&b, metrics)?;
+                self.files[p].append(&b, meter)?;
             }
         }
         Ok(())
@@ -315,6 +337,24 @@ impl SpillSet {
     pub fn into_files(self) -> Vec<SpillFile> {
         self.files
     }
+}
+
+/// Whether every row of the dense `batches` has one hash over the
+/// `key_idx` columns. Every depth puts such rows in one partition, so
+/// repartitioning could only rewrite them: an aggregate partition holding
+/// one group, or a grace-join build partition whose rows share one key.
+pub fn one_key_hash(batches: &[RecordBatch], key_idx: &[usize]) -> bool {
+    let mut first = None;
+    for b in batches {
+        let mut hashes = vec![0u64; b.num_rows()];
+        for &k in key_idx {
+            b.column(k).hash_combine(None, &mut hashes);
+        }
+        if hashes.iter().any(|&h| *first.get_or_insert(h) != h) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Split a batch into per-partition dense batches by hashing `key_idx`
@@ -391,18 +431,20 @@ mod tests {
     fn spill_file_round_trips_batches() {
         let b1 = int_batch(&[("k", vec![1, 2, 3]), ("v", vec![10, 20, 30])]);
         let b2 = int_batch(&[("k", vec![4]), ("v", vec![40])]);
-        let metrics = Metrics::new();
+        let meter = SpillMeter::default();
         let mut f = SpillFile::new();
-        f.append(&b1, Some(&metrics)).unwrap();
-        f.append(&b2, Some(&metrics)).unwrap();
+        f.append(&b1, &meter).unwrap();
+        f.append(&b2, &meter).unwrap();
         assert_eq!(f.rows(), 4);
-        let back = f.read_all(&b1.schema().clone(), Some(&metrics)).unwrap();
+        let back = f.read_all(&b1.schema().clone(), &meter).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].to_rows(), b1.to_rows());
         assert_eq!(back[1].to_rows(), b2.to_rows());
-        assert_eq!(metrics.value("storage.spill.partitions"), 1);
-        assert!(metrics.value("storage.spill.bytes_written") > 0);
-        assert!(metrics.value("storage.spill.bytes_read") > 0);
+        for c in [&meter.op, &meter.total] {
+            assert_eq!(c.partitions.get(), 1);
+            assert!(c.bytes_written.get() > 0);
+            assert_eq!(c.bytes_read.get(), c.bytes_written.get());
+        }
         let path = f.path.clone();
         assert!(path.exists());
         drop(f);
@@ -413,10 +455,12 @@ mod tests {
     fn empty_append_creates_nothing() {
         let b = int_batch(&[("k", vec![])]);
         let mut f = SpillFile::new();
-        f.append(&b, None).unwrap();
+        let meter = SpillMeter::default();
+        f.append(&b, &meter).unwrap();
         assert!(f.is_empty());
         assert!(!f.path.exists());
-        assert!(f.read_all(&b.schema().clone(), None).unwrap().is_empty());
+        assert!(f.read_all(&b.schema().clone(), &meter).unwrap().is_empty());
+        assert_eq!(meter.total.partitions.get(), 0);
     }
 
     #[test]
@@ -444,12 +488,23 @@ mod tests {
     }
 
     #[test]
+    fn one_key_hash_spots_partitions_no_depth_can_split() {
+        let one = int_batch(&[("k", vec![7, 7, 7]), ("v", vec![1, 2, 3])]);
+        let other = int_batch(&[("k", vec![7, 8]), ("v", vec![4, 5])]);
+        assert!(one_key_hash(&[one.clone(), one.clone()], &[0]));
+        assert!(!one_key_hash(&[one.clone(), other], &[0]));
+        assert!(!one_key_hash(&[one], &[0, 1]), "the key spans both columns");
+        assert!(one_key_hash(&[], &[0]));
+    }
+
+    #[test]
     fn selection_views_are_densified_before_spilling() {
         let b = int_batch(&[("k", vec![1, 2, 3, 4]), ("v", vec![10, 20, 30, 40])]);
         let view = b.with_selection(Arc::new(vec![1, 3])).unwrap();
         let mut f = SpillFile::new();
-        f.append(&view, None).unwrap();
-        let back = f.read_all(&b.schema().clone(), None).unwrap();
+        let meter = SpillMeter::default();
+        f.append(&view, &meter).unwrap();
+        let back = f.read_all(&b.schema().clone(), &meter).unwrap();
         assert_eq!(back[0].num_rows(), 2);
         assert_eq!(back[0].column(1).i64_data().unwrap(), &[20, 40]);
     }

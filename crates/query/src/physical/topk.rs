@@ -1,12 +1,14 @@
 //! Top-K operator: `ORDER BY ... LIMIT k` without a full sort.
 
-use super::parallel::{record_worker, ParallelProfile, SharedSource};
+use super::context::{ExecContext, Scope};
+use super::parallel::SharedSource;
 use super::Operator;
 use crate::error::Result;
 use crate::eval::eval_arc;
 use crate::logical::SortKey;
 use crate::physical::sort::cmp_rows;
-use backbone_storage::{Column, Metrics, RecordBatch, Schema, Value};
+use crate::profile::OpStats;
+use backbone_storage::{Column, RecordBatch, Schema, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,10 +47,9 @@ fn keep_smallest<T>(items: &mut Vec<T>, k: usize, cmp: impl FnMut(&T, &T) -> Ord
 
 /// One selection buffer: the best `k` candidates seen so far, unordered.
 /// Rows stay in their source batches until the final gather (late
-/// materialization), so evicted candidates never cost a row copy. Serial
-/// top-k uses one; each parallel worker keeps its own and the buffers merge
-/// at drain. Ties break on input order, so serial and parallel runs keep
-/// the same rows.
+/// materialization), so evicted candidates never cost a row copy. Each
+/// worker keeps its own and the buffers merge at drain. Ties break on input
+/// order, so any worker count keeps the same rows.
 #[derive(Default)]
 struct TopKState {
     kept: Vec<RecordBatch>,
@@ -120,67 +121,47 @@ pub struct TopKExec {
     keys: Vec<SortKey>,
     k: usize,
     schema: Arc<Schema>,
-    metrics: Option<Metrics>,
-    workers: usize,
-    profile: Option<ParallelProfile>,
+    ctx: ExecContext,
+    stats: OpStats,
     done: bool,
 }
 
 impl TopKExec {
-    /// Keep the best `k` rows of `input` under `keys`.
-    pub fn new(input: Box<dyn Operator>, keys: Vec<SortKey>, k: usize) -> TopKExec {
+    /// Keep the best `k` rows of `input` under `keys`, with the context's
+    /// workers, recording into `stats`.
+    pub fn new(
+        input: Box<dyn Operator>,
+        keys: Vec<SortKey>,
+        k: usize,
+        ctx: &ExecContext,
+        stats: OpStats,
+    ) -> TopKExec {
         let schema = input.schema();
         TopKExec {
             input: Some(input),
             keys,
             k,
             schema,
-            metrics: None,
-            workers: 0,
-            profile: None,
+            ctx: ctx.clone(),
+            stats,
             done: false,
         }
     }
 
-    /// Record merge-phase time into `metrics` under `op.topk.kernel.*`
-    /// (plus `op.topk.worker.*` when parallel).
-    pub fn with_metrics(mut self, metrics: Option<Metrics>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Select with `n` worker threads (0 = serial, on the calling thread).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Attach shared parallel counters for EXPLAIN ANALYZE.
-    pub fn with_parallel_profile(mut self, profile: Option<ParallelProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Per-worker selection buffers over a shared source, merged in worker
-    /// order.
-    fn parallel_state(&self, input: &mut dyn Operator, descending: &[bool]) -> Result<TopKState> {
-        let workers = self.workers;
-        let keys = &self.keys;
-        let k = self.k;
-        let metrics = &self.metrics;
+    /// order. One worker runs inline and pulls the input in order.
+    fn select(&self, input: &mut dyn Operator, descending: &[bool]) -> Result<TopKState> {
+        let (ctx, keys, k) = (&self.ctx, &self.keys, self.k);
         let source = SharedSource::new(input);
-        let states: Vec<Result<TopKState>> = super::pool::run_workers(workers, |w| {
-            let _kernel = crate::kernel_metrics::install(metrics.clone());
+        let states: Vec<Result<TopKState>> = super::pool::run_workers(ctx.workers, |w| {
+            let _kernel = crate::kernel_metrics::install(ctx);
             let mut st = TopKState::default();
             while let Some((seq, batch)) = source.next_numbered()? {
                 st.consume(keys, descending, k, seq, batch)?;
             }
-            record_worker(metrics.as_ref(), "topk", w, st.morsels, st.rows);
+            ctx.record_worker(Scope::TopK, w, st.morsels, st.rows);
             Ok(st)
         });
-        if let Some(p) = &self.profile {
-            p.workers.add(workers as u64);
-        }
         let t0 = Instant::now();
         let mut merged: Option<TopKState> = None;
         for st in states {
@@ -192,13 +173,10 @@ impl TopKExec {
         }
         let merge_ns = t0.elapsed().as_nanos() as u64;
         let merged = merged.expect("at least one worker");
-        if let Some(p) = &self.profile {
-            p.morsels.add(merged.morsels);
-            p.merge_ns.add(merge_ns);
-        }
-        if let Some(m) = &self.metrics {
-            m.counter("op.topk.kernel.merge_ns").add(merge_ns);
-        }
+        self.stats.workers.add(ctx.workers as u64);
+        self.stats.morsels.add(merged.morsels);
+        self.stats.merge_ns.add(merge_ns);
+        ctx.counters.topk_merge_ns.add(merge_ns);
         Ok(merged)
     }
 }
@@ -219,17 +197,7 @@ impl Operator for TopKExec {
         let mut input = self.input.take().expect("run once");
         let descending: Vec<bool> = self.keys.iter().map(|k| k.descending).collect();
 
-        let mut state = if self.workers == 0 {
-            let mut st = TopKState::default();
-            let mut seq = 0;
-            while let Some(batch) = input.next()? {
-                st.consume(&self.keys, &descending, self.k, seq, batch)?;
-                seq += 1;
-            }
-            st
-        } else {
-            self.parallel_state(input.as_mut(), &descending)?
-        };
+        let mut state = self.select(input.as_mut(), &descending)?;
 
         // Order the k survivors, then gather them column-by-column with
         // typed appends.
@@ -259,13 +227,23 @@ mod tests {
     use crate::expr::col;
     use crate::logical::{asc, desc};
     use crate::physical::drain_one;
-    use crate::physical::test_util::{int_batch, BatchSource};
+    use crate::physical::test_util::{ctx, int_batch, BatchSource};
     use crate::physical::SortExec;
+
+    fn topk(input: BatchSource, key: SortKey, k: usize, workers: usize) -> TopKExec {
+        TopKExec::new(
+            Box::new(input),
+            vec![key],
+            k,
+            &ctx(workers),
+            OpStats::default(),
+        )
+    }
 
     #[test]
     fn keeps_best_k() {
         let batch = int_batch(&[("x", vec![5, 3, 9, 1, 7])]);
-        let mut t = TopKExec::new(Box::new(BatchSource::single(batch)), vec![asc(col("x"))], 2);
+        let mut t = topk(BatchSource::single(batch), asc(col("x")), 2, 1);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.column(0).i64_data().unwrap(), &[1, 3]);
     }
@@ -273,11 +251,7 @@ mod tests {
     #[test]
     fn descending_top_k() {
         let batch = int_batch(&[("x", vec![5, 3, 9, 1, 7])]);
-        let mut t = TopKExec::new(
-            Box::new(BatchSource::single(batch)),
-            vec![desc(col("x"))],
-            3,
-        );
+        let mut t = topk(BatchSource::single(batch), desc(col("x")), 3, 1);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.column(0).i64_data().unwrap(), &[9, 7, 5]);
     }
@@ -285,11 +259,7 @@ mod tests {
     #[test]
     fn k_larger_than_input() {
         let batch = int_batch(&[("x", vec![2, 1])]);
-        let mut t = TopKExec::new(
-            Box::new(BatchSource::single(batch)),
-            vec![asc(col("x"))],
-            10,
-        );
+        let mut t = topk(BatchSource::single(batch), asc(col("x")), 10, 1);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.column(0).i64_data().unwrap(), &[1, 2]);
     }
@@ -297,7 +267,7 @@ mod tests {
     #[test]
     fn zero_k() {
         let batch = int_batch(&[("x", vec![1])]);
-        let mut t = TopKExec::new(Box::new(BatchSource::single(batch)), vec![asc(col("x"))], 0);
+        let mut t = topk(BatchSource::single(batch), asc(col("x")), 0, 1);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.num_rows(), 0);
     }
@@ -308,7 +278,7 @@ mod tests {
         let batch = int_batch(&[("x", vec![5, 3, 9, 1, 7])])
             .with_selection(Arc::new(vec![1, 3, 4]))
             .unwrap();
-        let mut t = TopKExec::new(Box::new(BatchSource::single(batch)), vec![asc(col("x"))], 2);
+        let mut t = topk(BatchSource::single(batch), asc(col("x")), 2, 1);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.column(0).i64_data().unwrap(), &[1, 3]);
     }
@@ -324,12 +294,8 @@ mod tests {
             })
             .collect();
         let schema = batches[0].schema().clone();
-        let mut topk = TopKExec::new(
-            Box::new(BatchSource::new(schema.clone(), batches.clone())),
-            vec![asc(col("x"))],
-            7,
-        );
-        let a = drain_one(&mut topk).unwrap();
+        let src = BatchSource::new(schema.clone(), batches.clone());
+        let a = drain_one(&mut topk(src, asc(col("x")), 7, 1)).unwrap();
         let mut sort = SortExec::new(
             Box::new(BatchSource::new(schema, batches)),
             vec![asc(col("x"))],
@@ -350,30 +316,25 @@ mod tests {
                     int_batch(&[("x", vals)])
                 })
                 .collect();
-            TopKExec::new(
-                Box::new(BatchSource::new(batches[0].schema().clone(), batches)),
-                vec![asc(col("x"))],
-                9,
-            )
-            .with_workers(workers)
+            let src = BatchSource::new(batches[0].schema().clone(), batches);
+            topk(src, asc(col("x")), 9, workers)
         };
-        let serial = drain_one(&mut make(0)).unwrap().to_rows();
-        assert_eq!(serial, drain_one(&mut make(1)).unwrap().to_rows());
+        let serial = drain_one(&mut make(1)).unwrap().to_rows();
+        assert_eq!(serial, drain_one(&mut make(2)).unwrap().to_rows());
         assert_eq!(serial, drain_one(&mut make(4)).unwrap().to_rows());
     }
 
     #[test]
     fn parallel_zero_k_skips_workers() {
         let batch = int_batch(&[("x", vec![1, 2])]);
-        let mut t = TopKExec::new(Box::new(BatchSource::single(batch)), vec![asc(col("x"))], 0)
-            .with_workers(4);
+        let mut t = topk(BatchSource::single(batch), asc(col("x")), 0, 4);
         let out = drain_one(&mut t).unwrap();
         assert_eq!(out.num_rows(), 0);
     }
 
     #[test]
     fn parallel_records_profile() {
-        let profile = ParallelProfile::default();
+        let stats = OpStats::default();
         let batches: Vec<_> = (0..5)
             .map(|b| int_batch(&[("x", vec![b, b + 1])]))
             .collect();
@@ -381,11 +342,11 @@ mod tests {
             Box::new(BatchSource::new(batches[0].schema().clone(), batches)),
             vec![asc(col("x"))],
             3,
-        )
-        .with_workers(2)
-        .with_parallel_profile(Some(profile.clone()));
+            &ctx(2),
+            stats.clone(),
+        );
         drain_one(&mut t).unwrap();
-        assert_eq!(profile.workers.get(), 2);
-        assert_eq!(profile.morsels.get(), 5);
+        assert_eq!(stats.workers.get(), 2);
+        assert_eq!(stats.morsels.get(), 5);
     }
 }

@@ -5,13 +5,14 @@ use crate::error::{QueryError, Result};
 use crate::executor::ExecOptions;
 use crate::logical::LogicalPlan;
 use crate::physical::{
-    BudgetAccountant, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
-    Operator, ParallelProfile, ProjectExec, SortExec, TableScanExec, TopKExec,
+    ExecContext, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
+    Operator, ProjectExec, SortExec, TableScanExec, TopKExec,
 };
 use crate::profile::{InstrumentedExec, OpStats, ProfileNode};
-use std::sync::Arc;
 
-/// Lower `plan` to a physical operator tree.
+/// Lower `plan` to a physical operator tree whose operators share `ctx`,
+/// the query's execution context (built from `opts` by
+/// [`ExecContext::new`]).
 ///
 /// Physical choices made here — hash vs nested-loop join, top-k fusion,
 /// parallel scans — are invisible to the logical plan: this function is the
@@ -20,9 +21,9 @@ pub fn create_physical_plan(
     plan: &LogicalPlan,
     catalog: &dyn Catalog,
     opts: &ExecOptions,
+    ctx: &ExecContext,
 ) -> Result<Box<dyn Operator>> {
-    let budget = opts.mem_budget.map(BudgetAccountant::new);
-    Ok(build(plan, catalog, opts, budget.as_ref(), false)?.0)
+    Ok(build(plan, catalog, opts, ctx, false)?.0)
 }
 
 /// Lower `plan` with every operator wrapped in an [`InstrumentedExec`],
@@ -32,27 +33,23 @@ pub fn create_instrumented_plan(
     plan: &LogicalPlan,
     catalog: &dyn Catalog,
     opts: &ExecOptions,
+    ctx: &ExecContext,
 ) -> Result<(Box<dyn Operator>, ProfileNode)> {
-    let budget = opts.mem_budget.map(BudgetAccountant::new);
-    let (op, node) = build(plan, catalog, opts, budget.as_ref(), true)?;
+    let (op, node) = build(plan, catalog, opts, ctx, true)?;
     Ok((op, node.expect("instrumented build returns a profile")))
 }
 
-/// One level of lowering. When `instrument` is set the returned operator is
-/// wrapped and a profile node (with the children's profiles attached) is
-/// returned alongside.
+/// One level of lowering. Every operator gets its own [`OpStats`]; when
+/// `instrument` is set the returned operator is wrapped and a profile node
+/// (with the children's profiles attached) is returned alongside.
 fn build(
     plan: &LogicalPlan,
     catalog: &dyn Catalog,
     opts: &ExecOptions,
-    budget: Option<&Arc<BudgetAccountant>>,
+    ctx: &ExecContext,
     instrument: bool,
 ) -> Result<(Box<dyn Operator>, Option<ProfileNode>)> {
-    let threads = opts.parallelism.worker_threads();
-    // Parallel operators get a live counter block only when instrumenting:
-    // EXPLAIN ANALYZE reads it, plain execution skips the bookkeeping.
-    let new_pprof = || (instrument && threads > 0).then(ParallelProfile::default);
-    let mut parallel: Option<ParallelProfile> = None;
+    let stats = OpStats::default();
     let (op, detail, children): (Box<dyn Operator>, String, Vec<Option<ProfileNode>>) = match plan {
         LogicalPlan::Scan {
             table,
@@ -63,22 +60,19 @@ fn build(
             let t = catalog
                 .table(table)
                 .ok_or_else(|| QueryError::TableNotFound(table.clone()))?;
-            parallel = new_pprof();
             let op: Box<dyn Operator> = Box::new(
-                TableScanExec::new(t, projection.clone(), filters.clone(), threads)?
-                    .with_snapshot(opts.snapshot_epoch)
-                    .with_metrics(opts.metrics.clone())
-                    .with_parallel_profile(parallel.clone()),
+                TableScanExec::new(t, projection.clone(), filters.clone(), ctx, stats.clone())?
+                    .with_snapshot(opts.snapshot_epoch),
             );
             (op, table.clone(), vec![])
         }
         LogicalPlan::Filter { input, predicate } => {
-            let (child, prof) = build(input, catalog, opts, budget, instrument)?;
+            let (child, prof) = build(input, catalog, opts, ctx, instrument)?;
             let op: Box<dyn Operator> = Box::new(FilterExec::new(child, predicate.clone()));
             (op, predicate.to_string(), vec![prof])
         }
         LogicalPlan::Project { input, exprs } => {
-            let (child, prof) = build(input, catalog, opts, budget, instrument)?;
+            let (child, prof) = build(input, catalog, opts, ctx, instrument)?;
             let detail = exprs
                 .iter()
                 .map(|e| e.to_string())
@@ -93,8 +87,8 @@ fn build(
             on,
             join_type,
         } => {
-            let (l, lprof) = build(left, catalog, opts, budget, instrument)?;
-            let (r, rprof) = build(right, catalog, opts, budget, instrument)?;
+            let (l, lprof) = build(left, catalog, opts, ctx, instrument)?;
+            let (r, rprof) = build(right, catalog, opts, ctx, instrument)?;
             let detail = on
                 .iter()
                 .map(|(a, b)| format!("{a} = {b}"))
@@ -109,14 +103,14 @@ fn build(
                 }
                 Box::new(NestedLoopJoinExec::new(l, r, None))
             } else {
-                parallel = new_pprof();
-                Box::new(
-                    HashJoinExec::new(l, r, on.clone(), *join_type)?
-                        .with_metrics(opts.metrics.clone())
-                        .with_workers(threads)
-                        .with_budget(budget.cloned())
-                        .with_parallel_profile(parallel.clone()),
-                )
+                Box::new(HashJoinExec::new(
+                    l,
+                    r,
+                    on.clone(),
+                    *join_type,
+                    ctx,
+                    stats.clone(),
+                )?)
             };
             (op, detail, vec![lprof, rprof])
         }
@@ -125,16 +119,15 @@ fn build(
             group_by,
             aggs,
         } => {
-            let (child, prof) = build(input, catalog, opts, budget, instrument)?;
+            let (child, prof) = build(input, catalog, opts, ctx, instrument)?;
             let detail = format!("group=[{}]", group_by.len());
-            parallel = new_pprof();
-            let op: Box<dyn Operator> = Box::new(
-                HashAggregateExec::new(child, group_by.clone(), aggs.clone())?
-                    .with_metrics(opts.metrics.clone())
-                    .with_workers(threads)
-                    .with_budget(budget.cloned())
-                    .with_parallel_profile(parallel.clone()),
-            );
+            let op: Box<dyn Operator> = Box::new(HashAggregateExec::new(
+                child,
+                group_by.clone(),
+                aggs.clone(),
+                ctx,
+                stats.clone(),
+            )?);
             (op, detail, vec![prof])
         }
         // Limit directly over Sort fuses into TopK: no full sort needed.
@@ -144,29 +137,17 @@ fn build(
                 keys,
             } = input.as_ref()
             {
-                let (child, prof) = build(sort_input, catalog, opts, budget, instrument)?;
-                let pprof = new_pprof();
-                let op: Box<dyn Operator> = Box::new(
-                    TopKExec::new(child, keys.clone(), *n)
-                        .with_metrics(opts.metrics.clone())
-                        .with_workers(threads)
-                        .with_parallel_profile(pprof.clone()),
-                );
-                return Ok(finish(
-                    op,
-                    format!("k={n}"),
-                    vec![prof],
-                    pprof,
-                    opts,
-                    instrument,
-                ));
+                let (child, prof) = build(sort_input, catalog, opts, ctx, instrument)?;
+                let op = TopKExec::new(child, keys.clone(), *n, ctx, stats.clone());
+                (Box::new(op), format!("k={n}"), vec![prof])
+            } else {
+                let (child, prof) = build(input, catalog, opts, ctx, instrument)?;
+                let op: Box<dyn Operator> = Box::new(LimitExec::new(child, *n));
+                (op, format!("n={n}"), vec![prof])
             }
-            let (child, prof) = build(input, catalog, opts, budget, instrument)?;
-            let op: Box<dyn Operator> = Box::new(LimitExec::new(child, *n));
-            (op, format!("n={n}"), vec![prof])
         }
         LogicalPlan::Sort { input, keys } => {
-            let (child, prof) = build(input, catalog, opts, budget, instrument)?;
+            let (child, prof) = build(input, catalog, opts, ctx, instrument)?;
             let detail = keys
                 .iter()
                 .map(|k| format!("{}{}", k.expr, if k.descending { " DESC" } else { "" }))
@@ -176,42 +157,24 @@ fn build(
             (op, detail, vec![prof])
         }
     };
-    Ok(finish(op, detail, children, parallel, opts, instrument))
-}
-
-/// Wrap a lowered operator when instrumenting, threading the children's
-/// rows-out counters in so the wrapper can report rows-in deltas.
-fn finish(
-    op: Box<dyn Operator>,
-    detail: String,
-    children: Vec<Option<ProfileNode>>,
-    parallel: Option<ParallelProfile>,
-    opts: &ExecOptions,
-    instrument: bool,
-) -> (Box<dyn Operator>, Option<ProfileNode>) {
     if !instrument {
-        return (op, None);
+        return Ok((op, None));
     }
+    // Wrap the operator, threading the children's rows-out counters in so
+    // the wrapper can report rows-in deltas.
     let children: Vec<ProfileNode> = children
         .into_iter()
         .map(|c| c.expect("instrumented children carry profiles"))
         .collect();
-    let stats = OpStats::default();
     let child_rows = children.iter().map(|c| c.stats.rows_out.clone()).collect();
     let node = ProfileNode {
         name: op.name(),
         detail,
         stats: stats.clone(),
-        parallel,
         children,
     };
-    let wrapped = Box::new(InstrumentedExec::new(
-        op,
-        stats,
-        opts.metrics.as_ref(),
-        child_rows,
-    ));
-    (wrapped, Some(node))
+    let wrapped = InstrumentedExec::new(op, stats, opts.metrics.as_ref(), child_rows);
+    Ok((Box::new(wrapped), Some(node)))
 }
 
 #[cfg(test)]
@@ -221,6 +184,10 @@ mod tests {
     use crate::logical::asc;
     use crate::optimizer::test_fixtures::catalog;
 
+    fn serial() -> ExecContext {
+        ExecContext::new(&ExecOptions::serial())
+    }
+
     #[test]
     fn limit_sort_fuses_to_topk() {
         let cat = catalog();
@@ -228,7 +195,7 @@ mod tests {
             .unwrap()
             .sort(vec![asc(col("big_v"))])
             .limit(5);
-        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial()).unwrap();
+        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial(), &serial()).unwrap();
         assert_eq!(op.name(), "TopK");
     }
 
@@ -238,7 +205,7 @@ mod tests {
         let plan = LogicalPlan::scan("big", &cat)
             .unwrap()
             .sort(vec![asc(col("big_v"))]);
-        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial()).unwrap();
+        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial(), &serial()).unwrap();
         assert_eq!(op.name(), "Sort");
     }
 
@@ -251,7 +218,7 @@ mod tests {
             on: vec![],
             join_type: crate::logical::JoinType::Inner,
         };
-        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial()).unwrap();
+        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial(), &serial()).unwrap();
         assert_eq!(op.name(), "NestedLoopJoin");
     }
 
@@ -265,7 +232,7 @@ mod tests {
             filters: vec![],
         };
         assert!(matches!(
-            create_physical_plan(&plan, &cat, &ExecOptions::serial()),
+            create_physical_plan(&plan, &cat, &ExecOptions::serial(), &serial()),
             Err(QueryError::TableNotFound(_))
         ));
     }
@@ -276,7 +243,7 @@ mod tests {
         let plan = LogicalPlan::scan("big", &cat)
             .unwrap()
             .filter(col("big_v").lt(lit(3i64)));
-        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial()).unwrap();
+        let op = create_physical_plan(&plan, &cat, &ExecOptions::serial(), &serial()).unwrap();
         assert_eq!(op.name(), "Filter");
     }
 }

@@ -1,24 +1,29 @@
 //! Execution profiling: per-operator counters behind EXPLAIN ANALYZE.
 //!
-//! The planner can lower a logical plan into an *instrumented* operator tree
-//! (see [`crate::planner::create_instrumented_plan`]): every physical
-//! operator is wrapped in an [`InstrumentedExec`] that counts rows, batches,
-//! and wall time, and a parallel [`ProfileNode`] tree holds handles to the
-//! same counters. After the plan is drained, [`ProfileNode::render`] prints
-//! the annotated plan — rows in/out, batch count, and elapsed time per
-//! operator — and, when a shared [`Metrics`] registry is configured on
-//! [`crate::ExecOptions`], the same numbers accumulate under `op.<name>.*`
-//! so engine-truth totals survive across queries.
+//! The planner gives every operator of a plan one [`OpStats`] block. The
+//! operators that run workers, prune or spill fill in their share of it as
+//! they run. When EXPLAIN ANALYZE lowers an *instrumented* tree (see
+//! [`crate::planner::create_instrumented_plan`]), every operator is also
+//! wrapped in an [`InstrumentedExec`] that counts rows, batches and wall
+//! time into the same block, and a [`ProfileNode`] tree holds the blocks.
+//! After the plan is drained, [`ProfileNode::render`] prints the annotated
+//! plan, and the `spill:` line sums the tree's spill counters, so every
+//! number in the report belongs to this query alone. When a shared
+//! [`Metrics`] registry is configured on [`crate::ExecOptions`], the row,
+//! batch and time counts also accumulate under `op.<name>.*`, so
+//! engine-truth totals survive across queries.
 
 use crate::error::Result;
-use crate::physical::{Operator, ParallelProfile};
+use crate::physical::spill::SpillCounters;
+use crate::physical::Operator;
 use backbone_storage::metrics::{Counter, Metrics};
 use backbone_storage::{RecordBatch, Schema};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counters for one operator instance. All fields are shared atomics, so the
-/// profile tree observes updates while (and after) the wrapped operator runs.
+/// Counters for one operator instance in one query. All fields are shared
+/// atomics, so the profile tree observes updates while (and after) the
+/// operator runs.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
     /// Rows produced.
@@ -29,6 +34,20 @@ pub struct OpStats {
     /// Includes time spent in children (times are inclusive, like a flame
     /// graph), so subtract children to get self time.
     pub elapsed_ns: Counter,
+    /// Workers the operator ran (1 = inline on the calling thread).
+    pub workers: Counter,
+    /// Morsels (segments or input batches) processed across all workers.
+    pub morsels: Counter,
+    /// Morsels a scan worker took from another worker's queue.
+    pub steals: Counter,
+    /// Nanoseconds spent merging per-worker partial states.
+    pub merge_ns: Counter,
+    /// Segments a scan skipped because their zone maps refute a filter.
+    pub segments_pruned: Counter,
+    /// Segments a scan read: sealed row groups plus unsealed tail chunks.
+    pub segments_scanned: Counter,
+    /// Spill traffic of this operator.
+    pub spill: SpillCounters,
 }
 
 /// The stable registry scope for a physical operator name
@@ -141,9 +160,6 @@ pub struct ProfileNode {
     pub detail: String,
     /// Live counters shared with the running operator.
     pub stats: OpStats,
-    /// Parallel-execution counters (workers, morsels, steals, merge time),
-    /// present when the operator ran with worker threads.
-    pub parallel: Option<ParallelProfile>,
     /// Child profiles, in the operator's input order.
     pub children: Vec<ProfileNode>,
 }
@@ -153,6 +169,12 @@ impl ProfileNode {
     /// Leaves (scans) have no plan inputs and report 0.
     pub fn rows_in(&self) -> u64 {
         self.children.iter().map(|c| c.stats.rows_out.get()).sum()
+    }
+
+    /// `counter` of this operator's stats plus every descendant's.
+    pub fn total(&self, counter: fn(&OpStats) -> &Counter) -> u64 {
+        let own = counter(&self.stats).get();
+        own + self.children.iter().map(|c| c.total(counter)).sum::<u64>()
     }
 
     /// Render the annotated tree, one operator per line:
@@ -175,23 +197,31 @@ impl ProfileNode {
         } else {
             format!("rows_in={} ", self.rows_in())
         };
-        // Parallel annotation only when workers actually ran (a serial plan
-        // renders exactly as before).
-        let parallel = match &self.parallel {
-            Some(p) if p.workers.get() > 0 => {
-                let mut s = format!(" workers={} morsels={}", p.workers.get(), p.morsels.get());
-                if p.steals.get() > 0 {
-                    s.push_str(&format!(" steals={}", p.steals.get()));
-                }
-                if p.merge_ns.get() > 0 {
-                    s.push_str(&format!(" merge={}", format_ns(p.merge_ns.get())));
-                }
-                s
+        // Annotations only where they say something: pruned segments, and
+        // worker counts when two or more workers ran (a one-worker plan is
+        // the serial plan and renders like it).
+        let s = &self.stats;
+        let mut extra = String::new();
+        let pruned = s.segments_pruned.get();
+        if pruned > 0 {
+            let total = pruned + s.segments_scanned.get();
+            extra.push_str(&format!(" pruned={pruned}/{total}"));
+        }
+        if s.workers.get() > 1 {
+            extra.push_str(&format!(
+                " workers={} morsels={}",
+                s.workers.get(),
+                s.morsels.get()
+            ));
+            if s.steals.get() > 0 {
+                extra.push_str(&format!(" steals={}", s.steals.get()));
             }
-            _ => String::new(),
-        };
+            if s.merge_ns.get() > 0 {
+                extra.push_str(&format!(" merge={}", format_ns(s.merge_ns.get())));
+            }
+        }
         out.push_str(&format!(
-            "{pad}{}:{detail} ({rows_in}rows_out={} batches={} time={}{parallel})\n",
+            "{pad}{}:{detail} ({rows_in}rows_out={} batches={} time={}{extra})\n",
             self.name,
             self.stats.rows_out.get(),
             self.stats.batches.get(),
@@ -272,12 +302,10 @@ mod tests {
             name: "Filter",
             detail: "(v > 1)".into(),
             stats: OpStats::default(),
-            parallel: None,
             children: vec![ProfileNode {
                 name: "TableScan",
                 detail: "t".into(),
                 stats: child_stats,
-                parallel: None,
                 children: vec![],
             }],
         };
@@ -285,34 +313,35 @@ mod tests {
         let text = root.render();
         assert!(text.contains("Filter: (v > 1) (rows_in=3 rows_out=0"));
         assert!(text.contains("  TableScan: t (rows_out=3"));
+        root.children[0].stats.segments_pruned.add(9);
+        root.children[0].stats.segments_scanned.add(1);
+        assert!(root.render().contains("(rows_out=3 batches=1"));
+        assert!(root.render().contains(" pruned=9/10)"), "{}", root.render());
+        root.children[0].stats.spill.partitions.add(2);
+        root.stats.spill.partitions.add(1);
+        assert_eq!(root.total(|s| &s.spill.partitions), 3);
     }
 
     #[test]
     fn parallel_counters_render_when_workers_ran() {
-        let parallel = ParallelProfile::default();
-        parallel.workers.add(4);
-        parallel.morsels.add(12);
-        parallel.steals.add(2);
-        parallel.merge_ns.add(1_700);
-        let node = ProfileNode {
-            name: "HashAggregate",
-            detail: String::new(),
-            stats: OpStats::default(),
-            parallel: Some(parallel),
-            children: vec![],
+        let node = |workers: u64| {
+            let stats = OpStats::default();
+            stats.workers.add(workers);
+            stats.morsels.add(12);
+            stats.steals.add(2);
+            stats.merge_ns.add(1_700);
+            ProfileNode {
+                name: "HashAggregate",
+                detail: String::new(),
+                stats,
+                children: vec![],
+            }
+            .render()
         };
-        let text = node.render();
-        assert!(text.contains("workers=4 morsels=12 steals=2 merge=1.70us"));
-
-        // Zero-worker profiles (serial fallback) stay unannotated.
-        let quiet = ProfileNode {
-            name: "HashAggregate",
-            detail: String::new(),
-            stats: OpStats::default(),
-            parallel: Some(ParallelProfile::default()),
-            children: vec![],
-        };
-        assert!(!quiet.render().contains("workers="));
+        assert!(node(4).contains("workers=4 morsels=12 steals=2 merge=1.70us"));
+        // One inline worker is the serial plan: no annotation.
+        assert!(!node(1).contains("workers="));
+        assert!(!node(1).contains("merge="));
     }
 
     #[test]

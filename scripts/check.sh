@@ -78,6 +78,17 @@ cargo test -q -p backbone-server deeply_nested
 cargo test -q -p backbone-server overlong_request_line
 cargo test -q -p backbone-server panicking_request_is_a_typed_error_and_the_worker_survives
 
+# EXPLAIN ANALYZE's spill line counts its own query alone, even while another
+# session spills into the same registry; and perfbench's per-layer
+# query.kernel.* readouts come from op.*.kernel.* counters a renamed counter
+# would silently zero, so the names are pinned by a test.
+echo "== per-query counters: spill-line isolation, perfbench counter names =="
+for t in spill_line_is_per_query_under_a_shared_registry perfbench_kernel_counters_are_recorded_by_name; do
+  out="$(cargo test -q -p backbone-core --test query_counters "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+  echo "$out"
+  grep -q " 1 passed" <<<"$out" || { echo "query_counters: $t did not run"; exit 1; }
+done
+
 echo "== serving: server crate + concurrent-session property suite =="
 cargo test -q -p backbone-server
 cargo test -q -p backbone-bench --test serving

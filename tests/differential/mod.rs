@@ -1713,12 +1713,13 @@ fn check_query(
         rows: unlimited,
         order,
         limit: q.limit,
-        // Morsel-parallel scans hand batches on in arrival order, and SQL
-        // leaves the choice among ties to the engine; a cached answer may
-        // come from such a run.
+        // One worker (Serial or Fixed(1): the same plan) reads segments in
+        // table order. Morsel-parallel scans hand batches on in arrival
+        // order, and SQL leaves the choice among ties to the engine; a
+        // cached answer may come from such a run.
         exact: trace.scan_order
             && q.limit.is_some()
-            && setup.opts.parallelism.is_serial()
+            && setup.opts.parallelism.worker_threads() <= 1
             && !setup.opts.result_cache,
     };
     let metrics = Metrics::new();
