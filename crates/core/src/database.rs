@@ -6,6 +6,7 @@ use crate::durability::{
     self, DbOp, Durability, DurabilityOptions, RecoveredState, RecoveryReport,
 };
 use crate::error::{Error, Result};
+use crate::hybrid::HybridCounters;
 use crate::index::VectorIndexSpec;
 use crate::session::{SearchRequest, Session};
 use backbone_query::{Catalog, ExecOptions, LogicalPlan, MemCatalog, Metrics, Statement};
@@ -74,6 +75,8 @@ struct DbInner {
     plan_cache: PlanCache,
     /// Epoch-tagged cache of read-only result batches (see [`cache`]).
     result_cache: ResultCache,
+    /// The `hybrid.*` counters, resolved once.
+    hybrid: HybridCounters,
 }
 
 impl DbInner {
@@ -90,6 +93,7 @@ impl DbInner {
             recovery: None,
             clock: Arc::new(EpochClock::new()),
             plan_cache: PlanCache::new(metrics.clone()),
+            hybrid: HybridCounters::resolve(&metrics),
             result_cache: ResultCache::new(cache::RESULT_CACHE_BYTES, metrics),
         }
     }
@@ -946,6 +950,11 @@ impl Database {
     /// `table`'s published snapshot and its row count visible at a freshly
     /// pinned epoch. The snapshot is immutable, so the pin can drop once
     /// the count is read.
+    /// The `hybrid.*` counters of [`Database::metrics`].
+    pub(crate) fn hybrid_counters(&self) -> &HybridCounters {
+        &self.inner.hybrid
+    }
+
     pub(crate) fn pinned_snapshot(&self, table: &str) -> Result<(Arc<Table>, usize)> {
         let pin = self.pin_snapshot();
         let snapshot = self.table(table)?;

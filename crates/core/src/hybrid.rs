@@ -33,18 +33,27 @@
 //! [`search_forced`] runs a named plan instead. The decision, the
 //! selectivity estimate, and per-stage timings surface in [`HybridProfile`]
 //! and the `hybrid.*` metrics.
+//!
+//! ## The row mask
+//!
+//! The filter is evaluated once per search into one bitmap over the
+//! visible rows ([`select_words`], 64 verdicts to a word, one segment at a
+//! time). The index and BM25 stages probe it per candidate; exact-scan and
+//! the pure relational path walk its set bits; the passing-row count is its
+//! popcount.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
 
-use backbone_query::eval::refine_selection;
+use backbone_query::eval::select_words;
 use backbone_query::optimizer::cardinality::selectivity_on;
 use backbone_query::Expr;
-use backbone_storage::{Bitmap, Table};
+use backbone_storage::{Bitmap, Counter, Metrics, Table};
 use backbone_text::bm25::{rank_terms_filtered_counted, Bm25Params, Bm25Work};
 use backbone_text::tokenize::tokenize;
 use backbone_vector::exact::TopK;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Physical plan for the *vector stage* of a filtered hybrid search.
@@ -211,45 +220,89 @@ pub fn fuse_top_k(candidates: Candidates, weights: &FusionWeights, k: usize) -> 
     hits
 }
 
-/// The rows passing a hybrid search's filter: their ids in ascending order
-/// (what the exact-scan plan and the relational path iterate) and a bitmap
-/// over the visible rows (what the index and BM25 stages probe).
-struct RowMask {
-    rows: Vec<u64>,
-    bits: Bitmap,
-}
+/// The rows passing a hybrid search's filter: one bit per visible row, set
+/// when the row passes.
+struct RowMask(Bitmap);
 
 impl RowMask {
     #[inline]
     fn contains(&self, row: u64) -> bool {
-        (row as usize) < self.bits.len() && self.bits.get(row as usize)
+        (row as usize) < self.0.len() && self.0.get(row as usize)
     }
 }
 
 /// Evaluate the spec's filter over the first `visible` rows of `table`, one
-/// segment at a time — no whole-table materialization. The passing ids come
-/// straight from each segment's selection vector. `None` when the spec has
-/// no filter.
+/// segment at a time, into one table-wide bitmap — no whole-table
+/// materialization, no row-id list. Each segment's words are ORed in at its
+/// row offset, which need not be a multiple of 64. A segment the visible
+/// prefix ends inside is evaluated under a selection of its visible rows
+/// (masked at word level by the kernels; no column is copied), so no row
+/// past the snapshot is read and none can raise an error the snapshot must
+/// not see. `None` when the spec has no filter.
 fn filter_mask(spec: &HybridSpec, table: &Table, visible: usize) -> Result<Option<RowMask>> {
     let Some(f) = &spec.filter else {
         return Ok(None);
     };
-    let mut mask = RowMask {
-        rows: Vec::new(),
-        bits: Bitmap::all_null(visible),
-    };
+    let mut words = vec![0u64; visible.div_ceil(64)];
     let mut offset = 0;
-    for batch in table.prefix_batches(visible) {
-        let batch = batch?;
-        let passing = refine_selection(f, &batch)?;
-        for &i in passing.selection().unwrap_or_default() {
-            let row = offset + i as usize;
-            mask.rows.push(row as u64);
-            mask.bits.set(row, true);
+    for i in 0..table.num_segments() {
+        if offset >= visible {
+            break;
         }
-        offset += batch.base_rows();
+        let mut batch = table.segment(i)?;
+        let rows = batch.base_rows();
+        if visible - offset < rows {
+            let prefix = (0..(visible - offset) as u32).collect();
+            batch = batch.with_selection(Arc::new(prefix))?;
+        }
+        let (at, shift) = (offset / 64, offset % 64);
+        for (j, &w) in select_words(f, &batch)?.words().iter().enumerate() {
+            if let Some(dst) = words.get_mut(at + j) {
+                *dst |= w << shift;
+            }
+            if shift > 0 {
+                if let Some(dst) = words.get_mut(at + j + 1) {
+                    *dst |= w >> (64 - shift);
+                }
+            }
+        }
+        offset += rows;
     }
-    Ok(Some(mask))
+    Ok(Some(RowMask(Bitmap::from_words(words, visible))))
+}
+
+/// The registry counters every hybrid search records into, resolved once
+/// per database so a search never looks a counter up by name. The names
+/// are what benches and operators read.
+pub(crate) struct HybridCounters {
+    searches: Counter,
+    /// One per [`FilterStrategy`], indexed by its discriminant.
+    strategies: [Counter; 4],
+    filter_ns: Counter,
+    vector_ns: Counter,
+    text_ns: Counter,
+    complete_ns: Counter,
+    postings_scored: Counter,
+}
+
+impl HybridCounters {
+    pub(crate) fn resolve(metrics: &Metrics) -> HybridCounters {
+        HybridCounters {
+            searches: metrics.counter("hybrid.searches"),
+            strategies: [
+                FilterStrategy::Unfiltered,
+                FilterStrategy::PreFilter,
+                FilterStrategy::PostFilter,
+                FilterStrategy::ExactScan,
+            ]
+            .map(|s| metrics.counter(s.counter_key())),
+            filter_ns: metrics.counter("hybrid.filter_ns"),
+            vector_ns: metrics.counter("hybrid.vector_ns"),
+            text_ns: metrics.counter("hybrid.text_ns"),
+            complete_ns: metrics.counter("hybrid.complete_ns"),
+            postings_scored: metrics.counter("text.bm25.postings_scored"),
+        }
+    }
 }
 
 fn missing(spec: &HybridSpec, kind: &'static str) -> Error {
@@ -309,8 +362,8 @@ pub fn search_forced(
 }
 
 fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Result<SearchResponse> {
-    let metrics = db.metrics();
-    metrics.counter("hybrid.searches").incr();
+    let counters = db.hybrid_counters();
+    counters.searches.incr();
 
     let (table, rows) = db.pinned_snapshot(&spec.table)?;
     let (costed, sel) = choose_strategy(db, spec, rows);
@@ -325,7 +378,7 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
         }
         Some(f) => f,
     };
-    metrics.counter(strategy.counter_key()).incr();
+    counters.strategies[strategy as usize].incr();
 
     let mut profile = HybridProfile {
         strategy,
@@ -337,8 +390,8 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
     let stage = Instant::now();
     let mask = filter_mask(spec, &table, rows)?;
     profile.filter_ns = stage.elapsed().as_nanos() as u64;
-    metrics.counter("hybrid.filter_ns").add_elapsed(stage);
-    profile.rows_passing = mask.as_ref().map_or(0, |m| m.rows.len());
+    counters.filter_ns.add_elapsed(stage);
+    profile.rows_passing = mask.as_ref().map_or(0, |m| m.0.count_valid());
     let passes = |row: u64| mask.as_ref().is_none_or(|m| m.contains(row));
 
     let mut merged = Candidates::new();
@@ -361,9 +414,9 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
             FilterStrategy::ExactScan => {
                 // Score exactly the qualifying rows; no index traversal.
                 let mut acc = TopK::new(want);
-                for &row in mask.iter().flat_map(|m| &m.rows) {
-                    if let Some(d) = index.distance_of(qv, row) {
-                        acc.push(row, d);
+                for row in mask.iter().flat_map(|m| m.0.iter_ones()) {
+                    if let Some(d) = index.distance_of(qv, row as u64) {
+                        acc.push(row as u64, d);
                     }
                 }
                 acc.into_hits()
@@ -393,7 +446,7 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
             merged.entry(h.id).or_insert((None, None)).0 = Some(h.distance);
         }
         profile.vector_ns = stage.elapsed().as_nanos() as u64;
-        metrics.counter("hybrid.vector_ns").add_elapsed(stage);
+        counters.vector_ns.add_elapsed(stage);
     }
 
     if let Some(kw) = &spec.keyword {
@@ -408,14 +461,12 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
         let (scored, work) =
             rank_terms_filtered_counted(&index, &terms, fetch, Bm25Params::default(), &passes);
         profile.bm25 = work;
-        metrics
-            .counter("text.bm25.postings_scored")
-            .add(work.postings_scored);
+        counters.postings_scored.add(work.postings_scored);
         for s in scored {
             merged.entry(s.doc).or_insert((None, None)).1 = Some(s.score);
         }
         profile.text_ns = stage.elapsed().as_nanos() as u64;
-        metrics.counter("hybrid.text_ns").add_elapsed(stage);
+        counters.text_ns.add_elapsed(stage);
     }
 
     // Co-location pays: complete missing vector distances for candidates
@@ -431,14 +482,14 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
             }
         }
         profile.complete_ns = stage.elapsed().as_nanos() as u64;
-        metrics.counter("hybrid.complete_ns").add_elapsed(stage);
+        counters.complete_ns.add_elapsed(stage);
     }
 
     // Pure relational query: return the first k masked rows.
     if spec.vector.is_none() && spec.keyword.is_none() {
         let blank = |row: u64| (row, (None, None));
         match &mask {
-            Some(m) => merged.extend(m.rows.iter().take(spec.k).copied().map(blank)),
+            Some(m) => merged.extend(m.0.iter_ones().take(spec.k).map(|r| blank(r as u64))),
             None => merged.extend((0..rows as u64).take(spec.k).map(blank)),
         }
     }
@@ -453,6 +504,7 @@ fn run(db: &Database, spec: &HybridSpec, forced: Option<FilterStrategy>) -> Resu
 mod tests {
     use super::*;
     use crate::index::VectorIndexSpec;
+    use backbone_query::eval::refine_selection;
     use backbone_query::{col, lit};
     use backbone_storage::{DataType, Field, Schema, Value};
     use backbone_vector::{Dataset, Metric};
@@ -584,7 +636,12 @@ mod tests {
         let before = db.metrics().value("hybrid.searches");
         search(&db, &spec()).unwrap();
         assert_eq!(db.metrics().value("hybrid.searches"), before + 1);
-        for stage in ["hybrid.filter_ns", "hybrid.vector_ns", "hybrid.text_ns"] {
+        for stage in [
+            "hybrid.filter_ns",
+            "hybrid.vector_ns",
+            "hybrid.text_ns",
+            "hybrid.complete_ns",
+        ] {
             assert!(db.metrics().value(stage) > 0, "{stage} not recorded");
         }
     }
@@ -641,10 +698,29 @@ mod tests {
         let mut s = spec();
         s.filter = None;
         assert_eq!(choose_strategy(&db, &s, 40).0, FilterStrategy::Unfiltered);
-        // Strategy counters tick.
-        let before = db.metrics().value("hybrid.strategy.exactscan");
-        search(&db, &spec()).unwrap();
-        assert_eq!(db.metrics().value("hybrid.strategy.exactscan"), before + 1);
+        // Each plan ticks its own strategy counter and no other.
+        let keys = [
+            "hybrid.strategy.exactscan",
+            "hybrid.strategy.prefilter",
+            "hybrid.strategy.postfilter",
+        ];
+        let counts = || keys.map(|k| db.metrics().value(k));
+        for (i, forced) in [
+            None,
+            Some(FilterStrategy::PreFilter),
+            Some(FilterStrategy::PostFilter),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut want = counts();
+            want[i] += 1;
+            match forced {
+                None => search(&db, &spec()).unwrap(),
+                Some(f) => search_forced(&db, &spec(), f).unwrap(),
+            };
+            assert_eq!(counts(), want, "{forced:?}");
+        }
     }
 
     #[test]
@@ -658,6 +734,133 @@ mod tests {
             "text stage must record its cached-norm postings"
         );
         assert_eq!(scored, work.postings_scored);
+    }
+
+    /// 280 rows in segments of 100, 100 and 50 sealed rows and a 30-row
+    /// tail, so no segment offset past the first is a multiple of 64.
+    /// Column `d` is 0 on the last row only.
+    fn ragged_db() -> Database {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("price", DataType::Float64),
+            Field::new("d", DataType::Int64),
+            Field::new("desc", DataType::Utf8),
+        ]);
+        let row = |i: i64| {
+            vec![
+                Value::Int(i),
+                Value::Float(((i * 37) % 101) as f64),
+                Value::Int(if i == 279 { 0 } else { 1 + i % 5 }),
+                Value::str(format!("item {i} widget")),
+            ]
+        };
+        let mut table = Table::with_group_size(schema, 100);
+        table
+            .append_rows(&(0..250).map(row).collect::<Vec<_>>())
+            .unwrap();
+        let db = Database::new();
+        db.register_table("ragged", table).unwrap();
+        db.insert("ragged", (250..280).map(row).collect()).unwrap();
+        db.create_text_index("ragged", "desc").unwrap();
+        let mut ds = Dataset::new(2);
+        for i in 0..280u64 {
+            ds.push(i, &[(i % 17) as f32, (i % 5) as f32]);
+        }
+        db.create_vector_index("ragged", ds, VectorIndexSpec::exact(Metric::L2))
+            .unwrap();
+        db
+    }
+
+    fn ragged_spec() -> HybridSpec {
+        HybridSpec {
+            table: "ragged".into(),
+            filter: Some(col("price").lt(lit(40.0))),
+            keyword: Some("widget".into()),
+            vector: Some(vec![3.0, 1.0]),
+            k: 10,
+            weights: FusionWeights::default(),
+        }
+    }
+
+    #[test]
+    fn mask_equals_selection_at_ragged_offsets_and_prefixes() {
+        let db = ragged_db();
+        let (table, rows) = db.pinned_snapshot("ragged").unwrap();
+        let sizes: Vec<usize> = (0..table.num_segments())
+            .map(|i| table.segment_rows(i))
+            .collect();
+        assert_eq!((rows, sizes), (280, vec![100, 100, 50, 30]));
+        let filters = [
+            col("price").lt(lit(40.0)),
+            lit(60.0).lt_eq(col("price")).or(col("id").eq(lit(3i64))),
+            col("d")
+                .not_eq(lit(0i64))
+                .and(lit(10i64).div(col("d")).gt(lit(2i64))),
+        ];
+        for f in filters {
+            let spec = HybridSpec {
+                filter: Some(f.clone()),
+                ..ragged_spec()
+            };
+            for visible in 0..=rows {
+                let mask = filter_mask(&spec, &table, visible).unwrap().unwrap();
+                let (mut want, mut offset) = (Vec::new(), 0);
+                for batch in table.prefix_batches(visible) {
+                    let kept = refine_selection(&f, &batch.unwrap()).unwrap();
+                    let sel = kept.selection().unwrap();
+                    want.extend(sel.iter().map(|&i| offset + i as usize));
+                    offset += kept.base_rows();
+                }
+                assert_eq!(mask.0.len(), visible, "{f} over {visible} rows");
+                assert_eq!(
+                    mask.0.iter_ones().collect::<Vec<_>>(),
+                    want,
+                    "{f} over {visible} rows"
+                );
+            }
+        }
+        // `10 / d` fails on the last row alone: a prefix that stops short of
+        // it never evaluates it.
+        let failing = HybridSpec {
+            filter: Some(lit(10i64).div(col("d")).gt(lit(2i64))),
+            ..ragged_spec()
+        };
+        assert!(filter_mask(&failing, &table, rows - 1).is_ok());
+        assert!(filter_mask(&failing, &table, rows).is_err());
+    }
+
+    #[test]
+    fn every_forced_strategy_respects_the_filter_at_ragged_offsets() {
+        let db = ragged_db();
+        let passes = |row: u64| (row * 37) % 101 < 40;
+        let s = ragged_spec();
+        for strat in [
+            FilterStrategy::PreFilter,
+            FilterStrategy::PostFilter,
+            FilterStrategy::ExactScan,
+        ] {
+            let SearchResponse { hits, profile } = search_forced(&db, &s, strat).unwrap();
+            assert_eq!(hits.len(), 10, "{strat:?}");
+            assert!(hits.iter().all(|h| passes(h.row)), "{strat:?}: {hits:?}");
+            assert_eq!(
+                profile.rows_passing,
+                (0..280).filter(|&r| passes(r)).count()
+            );
+        }
+        // The pure relational path returns the first k passing rows.
+        let relational = HybridSpec {
+            keyword: None,
+            vector: None,
+            ..s
+        };
+        let rows: Vec<u64> = search(&db, &relational)
+            .unwrap()
+            .hits
+            .iter()
+            .map(|h| h.row)
+            .collect();
+        let want: Vec<u64> = (0..280).filter(|&r| passes(r)).take(10).collect();
+        assert_eq!(rows, want);
     }
 
     #[test]

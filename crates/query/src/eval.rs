@@ -13,10 +13,19 @@
 //! the column's borrowed slices — no literal broadcast, no `Bool` column, no
 //! mask. Any other shape evaluates through [`eval`] (the reference path) and
 //! keeps its TRUE lanes.
+//!
+//! [`select_words`] keeps the same rows as a bitmap, 64 verdicts to a word,
+//! for callers that mask rows rather than narrow batches (hybrid search).
+//! The per-kind comparison matrix is written once, generic over its output
+//! (`Verdicts`): a selection vector or words. In words, AND and OR of
+//! kernel-covered comparisons are word ops; any other shape runs the
+//! selection path and scatters its survivors, so errors and three-valued
+//! logic are exactly the selection path's.
 
 use crate::error::{QueryError, Result};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel_metrics;
+use backbone_storage::column::set_bits;
 use backbone_storage::compress::{EncodedInts, ForLanes, Lane};
 use backbone_storage::{Bitmap, Column, RecordBatch, Value};
 use std::cmp::Ordering;
@@ -68,6 +77,79 @@ pub fn refine_selection(predicate: &Expr, batch: &RecordBatch) -> Result<RecordB
     Ok(batch.with_selection(Arc::new(sel))?)
 }
 
+/// The rows [`refine_selection`] keeps, as a bitmap over the batch's base
+/// rows: bit `i` is set exactly when base row `i` is among them. Conjuncts
+/// narrow one after another, as there; `column <cmp> literal` leaves, and
+/// AND/OR trees of them, run the comparison kernels 64 rows to a word.
+pub fn select_words(predicate: &Expr, batch: &RecordBatch) -> Result<Bitmap> {
+    let n = batch.base_rows();
+    let cand = batch.selection().map(|s| scatter(s, n));
+    Ok(Bitmap::from_words(
+        words(predicate, batch, cand.as_deref())?,
+        n,
+    ))
+}
+
+/// [`select`] into words: the candidates (`cand`, else every row) where
+/// `predicate` is TRUE.
+fn words(predicate: &Expr, batch: &RecordBatch, cand: Option<&[u64]>) -> Result<Vec<u64>> {
+    if let Expr::Binary {
+        left,
+        op: BinOp::And,
+        right,
+    } = strip_alias(predicate)
+    {
+        let survivors = words(left, batch, cand)?;
+        if survivors.iter().all(|&w| w == 0) {
+            return Ok(survivors);
+        }
+        return words(right, batch, Some(&survivors));
+    }
+    if let Some(out) = kernel_words(predicate, batch, cand)? {
+        return Ok(out);
+    }
+    // Any other shape sees exactly the candidates the selection path would.
+    let sel: Option<Vec<u32>> = cand.map(|c| set_bits(c).map(|i| i as u32).collect());
+    let kept = select(predicate, batch, sel.as_deref())?;
+    Ok(scatter(&kept, batch.base_rows()))
+}
+
+/// The words of a tree of `column <cmp> literal` leaves joined by AND and
+/// OR, or `None` when it has another shape or a leaf has no kernel (found
+/// before any later leaf is read, so the caller's fallback reports the
+/// selection path's errors). A kernel reads every row and cannot fail, so
+/// the rows where the tree is TRUE are plain word ops on the leaves' TRUE
+/// rows, as three-valued AND and OR give.
+fn kernel_words(
+    predicate: &Expr,
+    batch: &RecordBatch,
+    cand: Option<&[u64]>,
+) -> Result<Option<Vec<u64>>> {
+    let Expr::Binary { left, op, right } = strip_alias(predicate) else {
+        return Ok(None);
+    };
+    if let logical @ (BinOp::And | BinOp::Or) = *op {
+        let Some(mut out) = kernel_words(left, batch, cand)? else {
+            return Ok(None);
+        };
+        let Some(other) = kernel_words(right, batch, cand)? else {
+            return Ok(None);
+        };
+        for (a, b) in out.iter_mut().zip(&other) {
+            *a = if logical == BinOp::And {
+                *a & b
+            } else {
+                *a | b
+            };
+        }
+        return Ok(Some(out));
+    }
+    match column_vs_literal(left, *op, right) {
+        Some((name, op, literal)) => Ok(select_cmp(column(batch, name)?, op, literal, cand)),
+        None => Ok(None),
+    }
+}
+
 /// Base-row indices among the candidates (`sel`, else every row) where
 /// `predicate` is TRUE, in candidate order.
 fn select(predicate: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<Vec<u32>> {
@@ -100,7 +182,7 @@ fn select(predicate: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<
 /// The candidates whose lane of a Bool verdict column is TRUE.
 fn true_lanes(verdict: &Column, sel: Option<&[u32]>) -> Result<Vec<u32>> {
     match verdict {
-        Column::Bool(vals, validity) => Ok(refine(sel, vals.len(), validity, |i| vals[i])),
+        Column::Bool(vals, validity) => Ok(Vec::refine(sel, vals.len(), validity, |i| vals[i])),
         other => Err(QueryError::InvalidExpression(format!(
             "predicate must be boolean, got {}",
             other.data_type()
@@ -133,8 +215,8 @@ fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<A
             // for its negation splits the lanes into TRUE, FALSE and NULL.
             if let Some((name, cmp, literal)) = column_vs_literal(left, *op, right) {
                 let col = column(batch, name)?;
-                if let Some(yes) = select_cmp(col, cmp, literal, sel) {
-                    let no = select_cmp(col, cmp.negated(), literal, sel)
+                if let Some(yes) = select_cmp::<Vec<u32>>(col, cmp, literal, sel) {
+                    let no = select_cmp::<Vec<u32>>(col, cmp.negated(), literal, sel)
                         .expect("a kernel covers both a comparison and its negation");
                     return Ok(Arc::new(verdict_column(col.len(), &yes, &no)));
                 }
@@ -296,18 +378,23 @@ impl Cmp for CmpGe {
 /// Refine the candidates by `col <op> literal`, or `None` when no kernel
 /// covers this column kind and literal type (the caller then evaluates the
 /// reference path, which also reports type errors).
-fn select_cmp(col: &Column, op: BinOp, literal: &Value, sel: Option<&[u32]>) -> Option<Vec<u32>> {
+fn select_cmp<V: Verdicts>(
+    col: &Column,
+    op: BinOp,
+    literal: &Value,
+    cand: V::Cand<'_>,
+) -> Option<V> {
     let t0 = Instant::now();
     let out = match op {
-        BinOp::Eq => select_cmp_op::<CmpEq>(col, literal, sel),
-        BinOp::NotEq => select_cmp_op::<CmpNe>(col, literal, sel),
-        BinOp::Lt => select_cmp_op::<CmpLt>(col, literal, sel),
-        BinOp::LtEq => select_cmp_op::<CmpLe>(col, literal, sel),
-        BinOp::Gt => select_cmp_op::<CmpGt>(col, literal, sel),
-        BinOp::GtEq => select_cmp_op::<CmpGe>(col, literal, sel),
+        BinOp::Eq => select_cmp_op::<CmpEq, V>(col, literal, cand),
+        BinOp::NotEq => select_cmp_op::<CmpNe, V>(col, literal, cand),
+        BinOp::Lt => select_cmp_op::<CmpLt, V>(col, literal, cand),
+        BinOp::LtEq => select_cmp_op::<CmpLe, V>(col, literal, cand),
+        BinOp::Gt => select_cmp_op::<CmpGt, V>(col, literal, cand),
+        BinOp::GtEq => select_cmp_op::<CmpGe, V>(col, literal, cand),
         _ => None,
     }?;
-    let lanes = sel.map_or(col.len(), <[u32]>::len) as u64;
+    let lanes = V::lanes(cand, col.len()) as u64;
     match col {
         Column::DictUtf8 { .. } => kernel_metrics::record(|c| {
             c.dict_cmp_ns.add_elapsed(t0);
@@ -324,20 +411,26 @@ fn select_cmp(col: &Column, op: BinOp, literal: &Value, sel: Option<&[u32]>) -> 
 
 /// The per-kind verdicts of one operator. A NULL literal makes every
 /// comparison NULL, over a column of any kind: no survivors.
-fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> Option<Vec<u32>> {
+fn select_cmp_op<O: Cmp, V: Verdicts>(
+    col: &Column,
+    literal: &Value,
+    cand: V::Cand<'_>,
+) -> Option<V> {
     let n = col.len();
     Some(match (col, literal) {
-        (_, Value::Null) => Vec::new(),
-        (Column::Int64(v, valid), Value::Int(x)) => refine(sel, n, valid, |i| O::test(&v[i], x)),
+        (_, Value::Null) => V::none(n),
+        (Column::Int64(v, valid), Value::Int(x)) => {
+            V::refine(cand, n, valid, |i| O::test(&v[i], x))
+        }
         (Column::Int64(v, valid), Value::Float(x)) => {
-            refine(sel, n, valid, |i| O::test(&(v[i] as f64), x))
+            V::refine(cand, n, valid, |i| O::test(&(v[i] as f64), x))
         }
         (Column::Float64(v, valid), Value::Float(x)) => {
-            refine(sel, n, valid, |i| O::test(&v[i], x))
+            V::refine(cand, n, valid, |i| O::test(&v[i], x))
         }
         (Column::Float64(v, valid), Value::Int(x)) => {
             let x = *x as f64;
-            refine(sel, n, valid, |i| O::test(&v[i], &x))
+            V::refine(cand, n, valid, |i| O::test(&v[i], &x))
         }
         (
             Column::Int64Encoded {
@@ -345,35 +438,35 @@ fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> 
                 validity,
             },
             Value::Int(x),
-        ) => refine_frame::<O>(sel, f, validity, |v| v < *x, |v| v <= *x),
+        ) => refine_frame::<O, V>(cand, f, validity, |v| v < *x, |v| v <= *x),
         (
             Column::Int64Encoded {
                 data: EncodedInts::For(_),
                 ..
             },
             Value::Float(x),
-        ) if x.is_nan() => Vec::new(),
+        ) if x.is_nan() => V::none(n),
         (
             Column::Int64Encoded {
                 data: EncodedInts::For(f),
                 validity,
             },
             Value::Float(x),
-        ) => refine_frame::<O>(sel, f, validity, |v| (v as f64) < *x, |v| (v as f64) <= *x),
+        ) => refine_frame::<O, V>(cand, f, validity, |v| (v as f64) < *x, |v| (v as f64) <= *x),
         (
             Column::Int64Encoded {
                 data: EncodedInts::Rle { rle, ends },
                 validity,
             },
             Value::Int(x),
-        ) => refine_runs(sel, &rle.runs, ends, validity, |v| O::test(&v, x)),
+        ) => V::runs(cand, &rle.runs, ends, validity, |v| O::test(&v, x)),
         (
             Column::Int64Encoded {
                 data: EncodedInts::Rle { rle, ends },
                 validity,
             },
             Value::Float(x),
-        ) => refine_runs(sel, &rle.runs, ends, validity, |v| O::test(&(v as f64), x)),
+        ) => V::runs(cand, &rle.runs, ends, validity, |v| O::test(&(v as f64), x)),
         (
             Column::DictUtf8 {
                 dict,
@@ -388,28 +481,201 @@ fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, sel: Option<&[u32]>) -> 
             let mut accept: Vec<bool> = dict.iter().map(|e| O::test(e.as_str(), &**s)).collect();
             accept.push(false);
             let last = dict.len();
-            refine(sel, n, validity, |i| accept[(codes[i] as usize).min(last)])
+            V::refine(cand, n, validity, |i| accept[(codes[i] as usize).min(last)])
         }
         (Column::Utf8(v, valid), Value::Str(s)) => {
-            refine(sel, n, valid, |i| O::test(v[i].as_str(), &**s))
+            V::refine(cand, n, valid, |i| O::test(v[i].as_str(), &**s))
         }
         _ => return None,
     })
 }
 
-/// The candidates (`sel`, else `0..n`) that are valid and pass `keep`.
-#[inline(always)]
-fn refine(
-    sel: Option<&[u32]>,
-    n: usize,
-    validity: &Bitmap,
-    keep: impl Fn(usize) -> bool,
-) -> Vec<u32> {
-    if validity.all_set() {
-        refine_lanes(sel, n, keep)
-    } else {
-        refine_lanes(sel, n, |i| validity.get(i) & keep(i))
+/// What a selection kernel writes: the one comparison matrix
+/// ([`select_cmp_op`]) is monomorphized per output. Operators narrow
+/// batches by a selection vector (`Vec<u32>`, the passing candidates in
+/// candidate order); hybrid search masks rows by words (`Vec<u64>`, bit
+/// `i % 64` of word `i / 64` set when row `i` passes).
+trait Verdicts: Sized {
+    /// The candidates a kernel refines, in the output's own form; `None`
+    /// means every row.
+    type Cand<'c>: Copy;
+
+    /// Rows a kernel reads over `n` rows (for the kernel counters).
+    fn lanes(cand: Self::Cand<'_>, n: usize) -> usize;
+
+    /// No survivors among `n` rows.
+    fn none(n: usize) -> Self;
+
+    /// The candidates among `0..n` that are valid and pass `keep`.
+    fn refine(
+        cand: Self::Cand<'_>,
+        n: usize,
+        validity: &Bitmap,
+        keep: impl Fn(usize) -> bool,
+    ) -> Self;
+
+    /// [`Verdicts::refine`] over an RLE column (`runs[r]` ends before row
+    /// `ends[r]`): one verdict per run.
+    fn runs(
+        cand: Self::Cand<'_>,
+        runs: &[(i64, u32)],
+        ends: &[u32],
+        validity: &Bitmap,
+        verdict: impl Fn(i64) -> bool,
+    ) -> Self;
+}
+
+impl Verdicts for Vec<u32> {
+    type Cand<'c> = Option<&'c [u32]>;
+
+    fn lanes(sel: Option<&[u32]>, n: usize) -> usize {
+        sel.map_or(n, <[u32]>::len)
     }
+
+    fn none(_: usize) -> Vec<u32> {
+        Vec::new()
+    }
+
+    #[inline(always)]
+    fn refine(
+        sel: Option<&[u32]>,
+        n: usize,
+        validity: &Bitmap,
+        keep: impl Fn(usize) -> bool,
+    ) -> Vec<u32> {
+        if validity.all_set() {
+            refine_lanes(sel, n, keep)
+        } else {
+            refine_lanes(sel, n, |i| validity.get(i) & keep(i))
+        }
+    }
+
+    /// Without a selection the passing runs' ranges are emitted whole; with
+    /// one, the run cursor is merge-walked forward along the (ascending)
+    /// selection instead of binary-searching every lane. An out-of-order
+    /// lane re-seeks the cursor.
+    fn runs(
+        sel: Option<&[u32]>,
+        runs: &[(i64, u32)],
+        ends: &[u32],
+        validity: &Bitmap,
+        verdict: impl Fn(i64) -> bool,
+    ) -> Vec<u32> {
+        let all_valid = validity.all_set();
+        let Some(sel) = sel else {
+            let mut out = Vec::new();
+            let mut start = 0u32;
+            for (&(v, _), &end) in runs.iter().zip(ends) {
+                if verdict(v) {
+                    out.extend(start..end);
+                }
+                start = end;
+            }
+            if !all_valid {
+                out.retain(|&i| validity.get(i as usize));
+            }
+            return out;
+        };
+        let mut out = vec![0u32; sel.len()];
+        let mut k = 0;
+        let mut r = 0usize;
+        let mut keep = runs.first().is_some_and(|&(v, _)| verdict(v));
+        for &i in sel {
+            if ends[r] <= i {
+                while ends[r] <= i {
+                    r += 1;
+                }
+                keep = verdict(runs[r].0);
+            } else if r > 0 && ends[r - 1] > i {
+                r = ends.partition_point(|&e| e <= i);
+                keep = verdict(runs[r].0);
+            }
+            out[k] = i;
+            k += (keep & (all_valid || validity.get(i as usize))) as usize;
+        }
+        shrunk(out, k)
+    }
+}
+
+impl Verdicts for Vec<u64> {
+    type Cand<'c> = Option<&'c [u64]>;
+
+    /// Word kernels read every row, candidate or not: no lane can fail,
+    /// and a dense loop packs 64 verdicts without a gather.
+    fn lanes(_: Option<&[u64]>, n: usize) -> usize {
+        n
+    }
+
+    fn none(n: usize) -> Vec<u64> {
+        vec![0; n.div_ceil(64)]
+    }
+
+    #[inline(always)]
+    fn refine(
+        cand: Option<&[u64]>,
+        n: usize,
+        validity: &Bitmap,
+        keep: impl Fn(usize) -> bool,
+    ) -> Vec<u64> {
+        let mut out = vec![0u64; n.div_ceil(64)];
+        let full = n / 64;
+        let mut flags = [0u8; 64];
+        for (w, word) in out[..full].iter_mut().enumerate() {
+            let base = w * 64;
+            for (j, f) in flags.iter_mut().enumerate() {
+                *f = keep(base + j) as u8;
+            }
+            // The verdicts go to bytes first (that loop vectorizes); one
+            // multiply then gathers eight 0/1 bytes into the top byte of
+            // its product, the first row in the lowest bit.
+            *word = flags.chunks_exact(8).rev().fold(0, |bits, eight| {
+                let bytes = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+                bits << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+            });
+        }
+        if let Some(word) = out.get_mut(full) {
+            let base = full * 64;
+            *word = (base..n).fold(0, |bits, i| bits | (keep(i) as u64) << (i - base));
+        }
+        mask_words(&mut out, validity, cand);
+        out
+    }
+
+    /// The selection kernel's rows, scattered: one RLE walk to keep
+    /// right, for one extra pass over the passing rows.
+    fn runs(
+        cand: Option<&[u64]>,
+        runs: &[(i64, u32)],
+        ends: &[u32],
+        validity: &Bitmap,
+        verdict: impl Fn(i64) -> bool,
+    ) -> Vec<u64> {
+        let kept = Vec::<u32>::runs(None, runs, ends, validity, verdict);
+        let mut out = scatter(&kept, validity.len());
+        mask_words(&mut out, validity, cand);
+        out
+    }
+}
+
+/// Clear the bits of NULL rows and of rows that are not candidates.
+fn mask_words(out: &mut [u64], validity: &Bitmap, cand: Option<&[u64]>) {
+    if !validity.all_set() {
+        out.iter_mut()
+            .zip(validity.words())
+            .for_each(|(w, v)| *w &= v);
+    }
+    if let Some(cand) = cand {
+        out.iter_mut().zip(cand).for_each(|(w, c)| *w &= c);
+    }
+}
+
+/// Positions `sel` of `n` rows as words.
+fn scatter(sel: &[u32], n: usize) -> Vec<u64> {
+    let mut out = Vec::<u64>::none(n);
+    for &i in sel {
+        out[i as usize / 64] |= 1 << (i % 64);
+    }
+    out
 }
 
 /// Branch-free selection (Ross, "Selection conditions in main memory",
@@ -448,21 +714,22 @@ fn shrunk(mut out: Vec<u32>, k: usize) -> Vec<u32> {
     out
 }
 
-/// [`refine`] over frame-of-reference lanes. The literal is translated once
-/// into residual space: `lt(v)` / `le(v)` say whether value `v` compares
-/// less / less-or-equal to it, exactly as the plain kernel compares (in
-/// f64 for a Float literal). Both are monotone in `v`, so a binary search
-/// over the lane width's codes finds where each flips, and `O::codes` turns
-/// the two split points into an inclusive code range (empty or full when
-/// the literal falls outside the frame). The lanes are then compared raw,
-/// monomorphized per lane width. A NaN literal never gets here.
-fn refine_frame<O: Cmp>(
-    sel: Option<&[u32]>,
+/// [`Verdicts::refine`] over frame-of-reference lanes. The literal is
+/// translated once into residual space: `lt(v)` / `le(v)` say whether value
+/// `v` compares less / less-or-equal to it, exactly as the plain kernel
+/// compares (in f64 for a Float literal). Both are monotone in `v`, so a
+/// binary search over the lane width's codes finds where each flips, and
+/// `O::codes` turns the two split points into an inclusive code range
+/// (empty or full when the literal falls outside the frame). The lanes are
+/// then compared raw, monomorphized per lane width. A NaN literal never
+/// gets here.
+fn refine_frame<O: Cmp, V: Verdicts>(
+    cand: V::Cand<'_>,
     f: &ForLanes,
     validity: &Bitmap,
     lt: impl Fn(i64) -> bool,
     le: impl Fn(i64) -> bool,
-) -> Vec<u32> {
+) -> V {
     backbone_storage::with_lanes!(&f.lanes, s => {
         let end = lane_end(s);
         // Codes past the largest residual saturate, which keeps both
@@ -470,7 +737,7 @@ fn refine_frame<O: Cmp>(
         let value = |c: u64| f.reference.saturating_add(c as i64);
         let split = |pred: &dyn Fn(i64) -> bool| partition_codes(end, |c| pred(value(c)));
         let (range, outside) = O::codes(split(&lt), split(&le), end);
-        refine_codes(sel, s, validity, range, outside, end)
+        refine_codes(cand, s, validity, range, outside, end)
     })
 }
 
@@ -497,79 +764,33 @@ fn partition_codes(end: u64, pred: impl Fn(u64) -> bool) -> u64 {
 /// The candidates whose lane falls inside `range` (outside it when
 /// `outside`), compared in the lane type. Empty and full ranges answer
 /// without reading a lane.
-fn refine_codes<T: Lane>(
-    sel: Option<&[u32]>,
+fn refine_codes<T: Lane, V: Verdicts>(
+    cand: V::Cand<'_>,
     lanes: &[T],
     validity: &Bitmap,
     range: Range<u64>,
     outside: bool,
     end: u64,
-) -> Vec<u32> {
+) -> V {
     let n = lanes.len();
     if range.is_empty() || range == (0..end) {
         return if range.is_empty() == outside {
-            refine(sel, n, validity, |_| true)
+            V::refine(cand, n, validity, |_| true)
         } else {
-            Vec::new()
+            V::none(n)
         };
     }
     let (lo, hi) = (T::narrow(range.start), T::narrow(range.end - 1));
     // One comparison per lane whenever the range is a point or touches an
     // end of the lane width.
     match (outside, range.start == 0, range.end == end, lo == hi) {
-        (true, _, _, true) => refine(sel, n, validity, |i| lanes[i] != lo),
-        (true, ..) => refine(sel, n, validity, |i| (lanes[i] < lo) | (lanes[i] > hi)),
-        (false, _, _, true) => refine(sel, n, validity, |i| lanes[i] == lo),
-        (false, true, ..) => refine(sel, n, validity, |i| lanes[i] <= hi),
-        (false, _, true, _) => refine(sel, n, validity, |i| lanes[i] >= lo),
-        (false, ..) => refine(sel, n, validity, |i| (lanes[i] >= lo) & (lanes[i] <= hi)),
+        (true, _, _, true) => V::refine(cand, n, validity, |i| lanes[i] != lo),
+        (true, ..) => V::refine(cand, n, validity, |i| (lanes[i] < lo) | (lanes[i] > hi)),
+        (false, _, _, true) => V::refine(cand, n, validity, |i| lanes[i] == lo),
+        (false, true, ..) => V::refine(cand, n, validity, |i| lanes[i] <= hi),
+        (false, _, true, _) => V::refine(cand, n, validity, |i| lanes[i] >= lo),
+        (false, ..) => V::refine(cand, n, validity, |i| (lanes[i] >= lo) & (lanes[i] <= hi)),
     }
-}
-
-/// [`refine`] over an RLE column: one verdict per run. Without a selection
-/// the passing runs' ranges are emitted whole; with one, the run cursor is
-/// merge-walked forward along the (ascending) selection instead of
-/// binary-searching every lane. An out-of-order lane re-seeks the cursor.
-fn refine_runs(
-    sel: Option<&[u32]>,
-    runs: &[(i64, u32)],
-    ends: &[u32],
-    validity: &Bitmap,
-    verdict: impl Fn(i64) -> bool,
-) -> Vec<u32> {
-    let all_valid = validity.all_set();
-    let Some(sel) = sel else {
-        let mut out = Vec::new();
-        let mut start = 0u32;
-        for (&(v, _), &end) in runs.iter().zip(ends) {
-            if verdict(v) {
-                out.extend(start..end);
-            }
-            start = end;
-        }
-        if !all_valid {
-            out.retain(|&i| validity.get(i as usize));
-        }
-        return out;
-    };
-    let mut out = vec![0u32; sel.len()];
-    let mut k = 0;
-    let mut r = 0usize;
-    let mut keep = runs.first().is_some_and(|&(v, _)| verdict(v));
-    for &i in sel {
-        if ends[r] <= i {
-            while ends[r] <= i {
-                r += 1;
-            }
-            keep = verdict(runs[r].0);
-        } else if r > 0 && ends[r - 1] > i {
-            r = ends.partition_point(|&e| e <= i);
-            keep = verdict(runs[r].0);
-        }
-        out[k] = i;
-        k += (keep & (all_valid || validity.get(i as usize))) as usize;
-    }
-    shrunk(out, k)
 }
 
 /// SQL `IN (...)`: OR-chain three-valued semantics. Dictionary columns with

@@ -56,6 +56,31 @@ impl Bitmap {
         bm
     }
 
+    /// A bitmap of `len` bits from packed words: bit `i % 64` of word
+    /// `i / 64` is bit `i`. Missing words read as clear and bits past `len`
+    /// are dropped; the set bits are counted once, by popcount.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(64), 0);
+        if !len.is_multiple_of(64) {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
+        }
+        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
+        Bitmap { words, len, ones }
+    }
+
+    /// The packed words (see [`Bitmap::from_words`]); bits past
+    /// [`Bitmap::len`] are clear.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Positions of the set bits, ascending.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.words)
+    }
+
     /// Number of rows covered.
     pub fn len(&self) -> usize {
         self.len
@@ -116,6 +141,22 @@ impl Bitmap {
     pub fn all_set(&self) -> bool {
         self.ones == self.len
     }
+}
+
+/// Positions of the set bits of packed words (bit `i % 64` of word `i / 64`
+/// is position `i`), ascending: one `trailing_zeros` per set bit, none per
+/// clear one.
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// A typed column of values with a validity bitmap.

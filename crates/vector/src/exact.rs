@@ -3,56 +3,49 @@
 //! The scan is the fused hot loop the other indexes reuse: distances are
 //! computed block-at-a-time with the blocked kernels
 //! ([`crate::distance::score_block`]) into a small stack buffer, and each
-//! block drains straight into a bounded [`TopK`] heap — the full distance
-//! array is never materialized. Under [`Parallelism::Fixed`]/`Auto` the slot
-//! range splits across the shared worker pool with one heap per worker,
-//! merged at drain (the same shape as the relational top-k operator).
+//! block drains straight into a bounded [`TopK`] buffer — the full distance
+//! array is never materialized. The buffer admits a candidate only when it
+//! beats the k-th best of its last compaction, and selects
+//! (`select_nth_unstable`) only when it fills, so a rejected candidate costs
+//! one comparison and an admitted one no heap sift. Under [`Parallelism::Fixed`]/`Auto` the slot range splits
+//! across the shared worker pool with one buffer per worker, merged at drain
+//! (the same shape as the relational top-k operator).
 
 use crate::dataset::Dataset;
 use crate::distance::{norm, score_block, Metric};
 use crate::{Hit, Parallelism, VectorIndex};
 use backbone_query::pool::run_workers;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Rows scored per fused block: enough to amortize heap checks, small
+/// Rows scored per fused block: enough to amortize admission checks, small
 /// enough to stay in L1 (64 distances = 256 bytes).
 const BLOCK: usize = 64;
 
-/// A max-heap entry so the heap root is the *worst* of the current top-k.
-/// Hits order by `(distance.total_cmp, id)`; [`TopK`] stores every NaN
-/// distance as `f32::NAN`, so NaN ranks after every number.
-#[derive(Debug, PartialEq)]
-struct HeapHit(Hit);
-
-impl Eq for HeapHit {}
-
-impl Ord for HeapHit {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .distance
-            .total_cmp(&other.0.distance)
-            .then(self.0.id.cmp(&other.0.id))
-    }
-}
-
-impl PartialOrd for HeapHit {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The order every top-k answer is ranked by: `(distance.total_cmp, id)`.
+/// [`TopK`] stores every NaN distance as `f32::NAN`, so NaN ranks after
+/// every number.
+#[inline]
+fn rank(a: &Hit, b: &Hit) -> Ordering {
+    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
 }
 
 /// A bounded best-`k` accumulator: push candidates as they are scored, drain
 /// sorted hits at the end. Per-worker instances merge cheaply, which is how
 /// every parallel search path in this crate combines worker results.
 ///
-/// The answer is the `k` smallest `(distance, id)` pairs under the heap's
-/// own total order, so it does not depend on the order candidates arrive in
-/// or on how a scan is split across workers.
+/// Candidates collect in a buffer of up to `2k` hits. When it fills, one
+/// `select_nth_unstable` keeps the best `k` and records the k-th of them as
+/// the bound; from then on a candidate that does not rank before the bound
+/// is rejected by one comparison. The answer is the `k` smallest hits
+/// under `(distance.total_cmp, id)`, every NaN distance stored as
+/// `f32::NAN`, so it does not depend on the order candidates arrive in or
+/// on how a scan is split across workers.
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
-    heap: BinaryHeap<HeapHit>,
+    buf: Vec<Hit>,
+    /// The k-th best hit at the last compaction (`None` before the first).
+    bound: Option<Hit>,
 }
 
 impl TopK {
@@ -60,13 +53,15 @@ impl TopK {
     pub fn new(k: usize) -> TopK {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            // Grown on demand past this, so a huge `k` over a small scan
+            // does not allocate `2k` up front.
+            buf: Vec::with_capacity((2 * k).min(4096)),
+            bound: None,
         }
     }
 
-    /// Offer one candidate. Once the heap is full, a candidate that does not
-    /// beat the current worst is rejected by one comparison against the
-    /// root, without touching the heap.
+    /// Offer one candidate. A candidate that does not rank before the bound
+    /// is rejected without touching the buffer.
     #[inline]
     pub fn push(&mut self, id: u64, distance: f32) {
         let distance = if distance.is_nan() {
@@ -74,30 +69,36 @@ impl TopK {
         } else {
             distance
         };
-        let hit = HeapHit(Hit { id, distance });
-        if self.heap.len() < self.k {
-            self.heap.push(hit);
-        } else if let Some(mut worst) = self.heap.peek_mut() {
-            if hit < *worst {
-                *worst = hit;
-            }
+        let hit = Hit { id, distance };
+        if self.k == 0 || self.bound.is_some_and(|b| rank(&hit, &b) != Ordering::Less) {
+            return;
         }
+        self.buf.push(hit);
+        if self.buf.len() >= 2 * self.k {
+            self.compact();
+        }
+    }
+
+    /// Keep the best `k` of the buffer and raise the bound to the k-th.
+    fn compact(&mut self) {
+        let k = self.k;
+        self.buf.select_nth_unstable_by(k - 1, rank);
+        self.buf.truncate(k);
+        self.bound = Some(self.buf[k - 1]);
     }
 
     /// Fold another accumulator's survivors in (parallel drain merge).
     pub fn merge(&mut self, other: TopK) {
-        for h in other.heap {
-            self.push(h.0.id, h.0.distance);
+        for h in other.buf {
+            self.push(h.id, h.distance);
         }
     }
 
     /// Sorted hits, best first; ties break by id.
-    pub fn into_hits(self) -> Vec<Hit> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|h| h.0)
-            .collect()
+    pub fn into_hits(mut self) -> Vec<Hit> {
+        self.buf.sort_unstable_by(rank);
+        self.buf.truncate(self.k);
+        self.buf
     }
 }
 

@@ -21,13 +21,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # crates' public APIs; an API change that breaks it must fail here, not first in
 # a benchmark run. Cargo rewrites perfbench/Cargo.lock when a workspace crate's
 # dependencies changed, so the lock file is restored byte-for-byte afterwards
-# (also when the check fails).
-echo "== perfbench compiles against the workspace =="
+# (also when the check fails). Its self-tests run too, and so does a one-second
+# hybrid run (about 5 s): perfbench checks every answer against a brute-force
+# scan, so the result line must report all of them correct.
+echo "== perfbench compiles against the workspace, passes its self-tests, answers correctly =="
 lock_backup="$(mktemp)"
 cp perfbench/Cargo.lock "$lock_backup"
 restore_lock() { cp "$lock_backup" perfbench/Cargo.lock && rm -f "$lock_backup"; }
 trap restore_lock EXIT
-CARGO_TARGET_DIR=target/perfbench-check cargo check --offline --manifest-path perfbench/Cargo.toml
+export CARGO_TARGET_DIR=target/perfbench-check
+cargo check --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload hybrid --seconds 1 | tail -n 1)"
+unset CARGO_TARGET_DIR
+echo "$out"
+grep -q '"correct": true' <<<"$out" && grep -q '"failed": 0,' <<<"$out" ||
+  { echo "perfbench hybrid: an answer disagreed with the brute-force scan"; exit 1; }
 restore_lock
 trap - EXIT
 

@@ -6,8 +6,10 @@
 //! answer to its serial twin. IVF's cell-major storage must answer exactly
 //! like a from-scratch scan of the cells it probes. Incremental inserts (no
 //! rebuild) must keep recall above a pinned floor, so index maintenance
-//! can't silently rot.
+//! can't silently rot. The bounded top-k accumulator every search drains
+//! into must equal sort-then-truncate.
 
+use backbone_vector::exact::TopK;
 use backbone_vector::hnsw::{HnswIndex, HnswParams};
 use backbone_vector::ivf::{IvfIndex, IvfParams};
 use backbone_vector::recall::recall_at_k;
@@ -198,6 +200,59 @@ proptest! {
                 prop_assert_eq!(got, Some(metric.distance(&query, v).to_bits()), "distance_of({id})");
             }
         }
+    }
+}
+
+/// A candidate distance: mostly small integers, so ties are common, and
+/// otherwise NaN of either sign, ±0.0 or ±∞.
+fn tie_heavy_distance(rng: &mut StdRng) -> f32 {
+    const EDGES: [f32; 6] = [
+        f32::NAN,
+        -f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    if rng.gen_bool(0.3) {
+        EDGES[rng.gen_range(0..EDGES.len())]
+    } else {
+        rng.gen_range(0..6) as f32
+    }
+}
+
+proptest! {
+    /// `TopK` equals sort-then-truncate under `(distance.total_cmp, id)`,
+    /// with every NaN stored as `f32::NAN`: over tie-heavy distances with
+    /// ids in shuffled order, at k = 0, 1, n - 1, n and n + 5, whether the
+    /// stream goes into one accumulator or is split across two and merged.
+    #[test]
+    fn topk_equals_sort_then_truncate(case in (any::<u64>(), 0usize..400, 0usize..5, 0usize..401)) {
+        let (seed, n, pick, split) = case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        ids.shuffle(&mut rng);
+        let stream: Vec<(u64, f32)> = ids.iter().map(|&id| (id, tie_heavy_distance(&mut rng))).collect();
+        let k = [0, 1, n.saturating_sub(1), n, n + 5][pick];
+        let mut want: Vec<(f32, u64)> = stream
+            .iter()
+            .map(|&(id, d)| (if d.is_nan() { f32::NAN } else { d }, id))
+            .collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let want: Vec<(u32, u64)> = want.iter().take(k).map(|&(d, id)| (d.to_bits(), id)).collect();
+
+        let mut whole = TopK::new(k);
+        for &(id, d) in &stream {
+            whole.push(id, d);
+        }
+        prop_assert_eq!(bits(&whole.into_hits()), want.clone(), "k={k} of {n}");
+
+        let (head, tail) = stream.split_at(split.min(n));
+        let (mut a, mut b) = (TopK::new(k), TopK::new(k));
+        head.iter().for_each(|&(id, d)| a.push(id, d));
+        tail.iter().for_each(|&(id, d)| b.push(id, d));
+        a.merge(b);
+        prop_assert_eq!(bits(&a.into_hits()), want, "k={k} of {n}, merged at {split}");
     }
 }
 

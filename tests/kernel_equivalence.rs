@@ -7,7 +7,7 @@
 
 mod differential;
 
-use backbone_query::eval::refine_selection;
+use backbone_query::eval::{refine_selection, select_words};
 use backbone_query::{
     col, execute, parse_select, BinOp, ExecOptions, Expr, JoinType, MemCatalog, Parallelism,
 };
@@ -234,7 +234,9 @@ fn multi_chunk_tail_matches_sealed() {
 // run-length and lane ints, floats, plain and dictionary strings) at every
 // operator, literal (NaN, -0.0, fractional and infinite Floats against ints,
 // NULL) and literal side, with and without an incoming selection, against
-// the reference's row-at-a-time `eval`.
+// the reference's row-at-a-time `eval`. The bitmap entry point `select_words`
+// must set exactly the bits of the rows `refine_selection` keeps, and fail
+// exactly when it fails.
 
 const OPS: [BinOp; 6] = [
     BinOp::Eq,
@@ -259,9 +261,10 @@ fn cmp_expr(column: &str, op: BinOp, literal: &Value, literal_first: bool) -> Ex
     }
 }
 
-/// `refine_selection` and `eval` on `batch` as is and under the selection
-/// `keep` picks: `column <op> literal` for each `(column, twin, literals)`,
-/// either side, and conjunctions of them. The reference evaluates the same
+/// `refine_selection`, `select_words` and `eval` on `batch` as is and under
+/// the selection `keep` picks: `column <op> literal` for each `(column,
+/// twin, literals)`, either side, conjunctions of them, and disjunctions of
+/// a comparison with a conjunction. The reference evaluates the same
 /// comparison over column `twin`, the plain column holding the same values.
 fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)], keep: &[bool]) {
     let names: Vec<String> = (batch.schema().fields().iter())
@@ -281,9 +284,18 @@ fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)]
         }
     }
     // Conjunctions refine one conjunct after the other.
-    for k in (0..cases.len()).step_by(5) {
-        let (a, b) = (&cases[k], &cases[(k * 37 + 11) % cases.len()]);
+    let comparisons = cases.len();
+    for k in (0..comparisons).step_by(5) {
+        let (a, b) = (&cases[k], &cases[(k * 37 + 11) % comparisons]);
         cases.push((a.0.clone().and(b.0.clone()), a.1.clone().and(b.1.clone())));
+    }
+    // Disjunctions: the selection path evaluates them as a value, the
+    // bitmap path ORs the leaves' words.
+    let conjunctions = comparisons..cases.len();
+    for k in (0..comparisons).step_by(7) {
+        let j = conjunctions.start + k % conjunctions.len();
+        let (a, b) = (&cases[k], &cases[j]);
+        cases.push((a.0.clone().or(b.0.clone()), a.1.clone().or(b.1.clone())));
     }
     let rows = batch.to_rows();
     let picked: Vec<u32> = (0..rows.len() as u32)
@@ -303,10 +315,50 @@ fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)]
             let context = format!("{expr} over {} rows", candidates.len());
             let got = refine_selection(expr, b).expect("kernel runs");
             assert_eq!(got.selection().expect("refined"), &trues[..], "{context}");
+            assert_eq!(set_rows(expr, b), Ok(trues.clone()), "{context}: bitmap");
             let verdicts = backbone_query::eval::eval(expr, b).expect("comparison evaluates");
             for (&i, w) in candidates.iter().zip(&want) {
                 assert_eq!(&verdicts.value(i), w, "{context}: row {i}");
             }
+        }
+    }
+}
+
+/// The rows `select_words` sets, ascending, checking the bitmap covers
+/// exactly the batch's base rows; `Err` when it fails.
+fn set_rows(predicate: &Expr, batch: &RecordBatch) -> Result<Vec<u32>, ()> {
+    let bits = select_words(predicate, batch).map_err(|_| ())?;
+    assert_eq!(bits.len(), batch.base_rows(), "{predicate}: bitmap length");
+    Ok(bits.iter_ones().map(|i| i as u32).collect())
+}
+
+/// Predicates that fail on some row only when evaluated there: the bitmap
+/// must keep the selection path's rows when an earlier conjunct rejects
+/// every failing row (`i <> 0 AND 10 / i > 1`), and fail with it when a
+/// disjunction evaluates the failing conjunct on every row.
+fn check_guarded_errors(batch: &RecordBatch, keep: &[bool]) {
+    let picked: Vec<u32> = (0..batch.base_rows() as u32)
+        .filter(|&i| keep[i as usize % keep.len()])
+        .collect();
+    let selected = batch.with_selection(Arc::new(picked)).expect("in bounds");
+    let ten = || Expr::Literal(Value::Int(10));
+    let guarded = |first: bool| {
+        let zero = cmp_expr("i", BinOp::NotEq, &Value::Int(0), first);
+        zero.and(ten().div(col("i")).gt(Expr::Literal(Value::Int(1))))
+    };
+    let low = cmp_expr("f", BinOp::Lt, &Value::Float(0.5), false);
+    for b in [batch, &selected] {
+        for predicate in [
+            guarded(false),
+            guarded(true),
+            guarded(false).and(low.clone()),
+            low.clone().and(guarded(true)),
+            guarded(false).or(low.clone()),
+        ] {
+            let want = refine_selection(&predicate, b)
+                .map(|r| r.selection().expect("refined").to_vec())
+                .map_err(|_| ());
+            assert_eq!(set_rows(&predicate, b), want, "{predicate}");
         }
     }
 }
@@ -370,6 +422,7 @@ fn check_selection_kernels(rng: &mut Rng, max_runs: usize, null_weight: u64) {
         (5, 5, words),
     ];
     check_comparisons(&batch, &columns, &keep_mask(rng));
+    check_guarded_errors(&batch, &keep_mask(rng));
 }
 
 /// Residual widths in bits, and the lane bytes each must seal as (`None`:
