@@ -11,7 +11,7 @@ use crate::index::VectorIndexSpec;
 use crate::session::{SearchRequest, Session};
 use backbone_query::{Catalog, ExecOptions, LogicalPlan, MemCatalog, Metrics, Statement};
 use backbone_storage::checkpoint::write_checkpoint;
-use backbone_storage::{DataType, Field, RecordBatch, Schema, Table, Value};
+use backbone_storage::{Counter, DataType, Field, RecordBatch, Schema, Table, Value};
 use backbone_text::InvertedIndex;
 use backbone_txn::wal::LogDevice;
 use backbone_txn::{EpochClock, SnapshotGuard};
@@ -77,6 +77,11 @@ struct DbInner {
     result_cache: ResultCache,
     /// The `hybrid.*` counters, resolved once.
     hybrid: HybridCounters,
+    /// `wal.commits`, `mvcc.snapshots_pinned` and `mvcc.reader_stalls`,
+    /// resolved once: every commit and every pinned query ticks one.
+    commits: Counter,
+    snapshots_pinned: Counter,
+    reader_stalls: Counter,
 }
 
 impl DbInner {
@@ -94,6 +99,9 @@ impl DbInner {
             clock: Arc::new(EpochClock::new()),
             plan_cache: PlanCache::new(metrics.clone()),
             hybrid: HybridCounters::resolve(&metrics),
+            commits: metrics.counter("wal.commits"),
+            snapshots_pinned: metrics.counter("mvcc.snapshots_pinned"),
+            reader_stalls: metrics.counter("mvcc.reader_stalls"),
             result_cache: ResultCache::new(cache::RESULT_CACHE_BYTES, metrics),
         }
     }
@@ -373,7 +381,7 @@ impl Database {
         self.inner.clock.publish(epoch);
         self.inner.result_cache.invalidate_table(table);
         waited?;
-        self.inner.metrics.counter("wal.commits").incr();
+        self.inner.commits.incr();
         if let Some(d) = &self.inner.durability {
             if d.checkpoint_due() {
                 self.checkpoint()?;
@@ -390,9 +398,9 @@ impl Database {
     pub fn pin_snapshot(&self) -> SnapshotGuard {
         let t0 = Instant::now();
         let guard = self.inner.clock.pin();
-        self.inner.metrics.counter("mvcc.snapshots_pinned").incr();
+        self.inner.snapshots_pinned.incr();
         if t0.elapsed() >= READER_STALL_THRESHOLD {
-            self.inner.metrics.counter("mvcc.reader_stalls").incr();
+            self.inner.reader_stalls.incr();
         }
         guard
     }

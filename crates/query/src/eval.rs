@@ -7,20 +7,17 @@
 //! error semantics — a division by zero on a row the filter already dropped
 //! must not fail the query.
 //!
-//! Predicates take a narrower road: [`refine_selection`] turns a `WHERE`
-//! clause straight into a narrower selection vector. Conjuncts refine one
-//! after another, and `column <cmp> literal` runs a branch-free kernel over
-//! the column's borrowed slices — no literal broadcast, no `Bool` column, no
-//! mask. Any other shape evaluates through [`eval`] (the reference path) and
-//! keeps its TRUE lanes.
-//!
-//! [`select_words`] keeps the same rows as a bitmap, 64 verdicts to a word,
-//! for callers that mask rows rather than narrow batches (hybrid search).
-//! The per-kind comparison matrix is written once, generic over its output
-//! (`Verdicts`): a selection vector or words. In words, AND and OR of
-//! kernel-covered comparisons are word ops; any other shape runs the
-//! selection path and scatters its survivors, so errors and three-valued
-//! logic are exactly the selection path's.
+//! Predicates take a narrower road: their comparison kernels have one
+//! output, `u64` words of 64 row verdicts (bit `i % 64` of word `i / 64` is
+//! base row `i`). `words` is the one recursion over a predicate. A conjunct
+//! narrows the candidate words the conjuncts before it left; `column <cmp>
+//! literal` runs a branch-free kernel over the column's borrowed slices (no
+//! literal broadcast, no `Bool` column); AND and OR trees of such
+//! comparisons are word ops; any other shape evaluates through [`eval`]
+//! over the candidates to a `Bool` column, masked into words.
+//! [`select_words`] hands the words out as a bitmap (hybrid search masks
+//! rows with it), and [`refine_selection`] reads the ascending selection
+//! vector operators narrow batches with off them.
 
 use crate::error::{QueryError, Result};
 use crate::expr::{BinOp, Expr, UnOp};
@@ -28,6 +25,7 @@ use crate::kernel_metrics;
 use backbone_storage::column::set_bits;
 use backbone_storage::compress::{EncodedInts, ForLanes, Lane};
 use backbone_storage::{Bitmap, Column, RecordBatch, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -70,28 +68,31 @@ pub fn eval_arc(expr: &Expr, batch: &RecordBatch) -> Result<Arc<Column>> {
 
 /// Narrow `batch`'s selection to the rows where `predicate` is TRUE — SQL
 /// `WHERE` semantics: FALSE and NULL rows drop. Columns are shared, never
-/// copied, and the result always carries a selection vector (ascending
-/// when the input's was).
+/// copied, and the result always carries an ascending selection vector:
+/// the set bits of [`select_words`].
 pub fn refine_selection(predicate: &Expr, batch: &RecordBatch) -> Result<RecordBatch> {
-    let sel = select(predicate, batch, batch.selection())?;
-    Ok(batch.with_selection(Arc::new(sel))?)
+    let kept = words(predicate, batch, candidates(batch).as_deref())?;
+    Ok(batch.with_selection(Arc::new(selection_of(&kept)))?)
 }
 
-/// The rows [`refine_selection`] keeps, as a bitmap over the batch's base
-/// rows: bit `i` is set exactly when base row `i` is among them. Conjuncts
-/// narrow one after another, as there; `column <cmp> literal` leaves, and
-/// AND/OR trees of them, run the comparison kernels 64 rows to a word.
+/// The rows where `predicate` is TRUE among the batch's selected rows, as a
+/// bitmap over its base rows: bit `i` is set exactly when base row `i`
+/// passes.
 pub fn select_words(predicate: &Expr, batch: &RecordBatch) -> Result<Bitmap> {
-    let n = batch.base_rows();
-    let cand = batch.selection().map(|s| scatter(s, n));
-    Ok(Bitmap::from_words(
-        words(predicate, batch, cand.as_deref())?,
-        n,
-    ))
+    let kept = words(predicate, batch, candidates(batch).as_deref())?;
+    Ok(Bitmap::from_words(kept, batch.base_rows()))
 }
 
-/// [`select`] into words: the candidates (`cand`, else every row) where
-/// `predicate` is TRUE.
+/// The batch's selection as candidate words; `None` when every row is one.
+fn candidates(batch: &RecordBatch) -> Option<Vec<u64>> {
+    batch.selection().map(|s| scatter(s, batch.base_rows()))
+}
+
+/// The candidates (`cand`, else every row) where `predicate` is TRUE, as
+/// words. TRUE AND TRUE is the only TRUE conjunction, so each conjunct
+/// refines the survivors of the one before; a conjunct that can fail (`10
+/// / a > 1`) is evaluated on those survivors only, so `a <> 0 AND 10 / a >
+/// 1` never divides by a rejected zero.
 fn words(predicate: &Expr, batch: &RecordBatch, cand: Option<&[u64]>) -> Result<Vec<u64>> {
     if let Expr::Binary {
         left,
@@ -108,18 +109,22 @@ fn words(predicate: &Expr, batch: &RecordBatch, cand: Option<&[u64]>) -> Result<
     if let Some(out) = kernel_words(predicate, batch, cand)? {
         return Ok(out);
     }
-    // Any other shape sees exactly the candidates the selection path would.
-    let sel: Option<Vec<u32>> = cand.map(|c| set_bits(c).map(|i| i as u32).collect());
-    let kept = select(predicate, batch, sel.as_deref())?;
-    Ok(scatter(&kept, batch.base_rows()))
+    let sel = cand.map(selection_of);
+    match &*eval_lanes(predicate, batch, sel.as_deref())? {
+        Column::Bool(vals, validity) => Ok(refine(cand, vals.len(), validity, |i| vals[i])),
+        other => Err(QueryError::InvalidExpression(format!(
+            "predicate must be boolean, got {}",
+            other.data_type()
+        ))),
+    }
 }
 
 /// The words of a tree of `column <cmp> literal` leaves joined by AND and
 /// OR, or `None` when it has another shape or a leaf has no kernel (found
-/// before any later leaf is read, so the caller's fallback reports the
-/// selection path's errors). A kernel reads every row and cannot fail, so
-/// the rows where the tree is TRUE are plain word ops on the leaves' TRUE
-/// rows, as three-valued AND and OR give.
+/// before any later leaf is read, so the caller's `eval` reports the
+/// errors). A kernel reads every row and cannot fail, so the rows where
+/// the tree is TRUE are plain word ops on the leaves' TRUE rows, as
+/// three-valued AND and OR give.
 fn kernel_words(
     predicate: &Expr,
     batch: &RecordBatch,
@@ -150,46 +155,6 @@ fn kernel_words(
     }
 }
 
-/// Base-row indices among the candidates (`sel`, else every row) where
-/// `predicate` is TRUE, in candidate order.
-fn select(predicate: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<Vec<u32>> {
-    match strip_alias(predicate) {
-        // TRUE AND TRUE is the only TRUE conjunction: each conjunct refines
-        // the survivors of the one before.
-        Expr::Binary {
-            left,
-            op: BinOp::And,
-            right,
-        } => {
-            let survivors = select(left, batch, sel)?;
-            if survivors.is_empty() {
-                return Ok(survivors);
-            }
-            return select(right, batch, Some(&survivors));
-        }
-        Expr::Binary { left, op, right } => {
-            if let Some((name, op, literal)) = column_vs_literal(left, *op, right) {
-                if let Some(out) = select_cmp(column(batch, name)?, op, literal, sel) {
-                    return Ok(out);
-                }
-            }
-        }
-        _ => {}
-    }
-    true_lanes(&*eval_lanes(predicate, batch, sel)?, sel)
-}
-
-/// The candidates whose lane of a Bool verdict column is TRUE.
-fn true_lanes(verdict: &Column, sel: Option<&[u32]>) -> Result<Vec<u32>> {
-    match verdict {
-        Column::Bool(vals, validity) => Ok(Vec::refine(sel, vals.len(), validity, |i| vals[i])),
-        other => Err(QueryError::InvalidExpression(format!(
-            "predicate must be boolean, got {}",
-            other.data_type()
-        ))),
-    }
-}
-
 fn column<'b>(batch: &'b RecordBatch, name: &str) -> Result<&'b Arc<Column>> {
     batch
         .column_by_name(name)
@@ -211,14 +176,15 @@ fn eval_lanes(expr: &Expr, batch: &RecordBatch, sel: Option<&[u32]>) -> Result<A
         }
         Expr::Binary { left, op, right } => {
             // `column <cmp> literal` as a value (under OR, NOT, a
-            // projection): the selection kernel run for the comparison and
-            // for its negation splits the lanes into TRUE, FALSE and NULL.
+            // projection): the kernel run for the comparison and for its
+            // negation splits the lanes into TRUE, FALSE and NULL.
             if let Some((name, cmp, literal)) = column_vs_literal(left, *op, right) {
                 let col = column(batch, name)?;
-                if let Some(yes) = select_cmp::<Vec<u32>>(col, cmp, literal, sel) {
-                    let no = select_cmp::<Vec<u32>>(col, cmp.negated(), literal, sel)
+                let cand = sel.map(|s| scatter(s, col.len()));
+                if let Some(yes) = select_cmp(col, cmp, literal, cand.as_deref()) {
+                    let no = select_cmp(col, cmp.negated(), literal, cand.as_deref())
                         .expect("a kernel covers both a comparison and its negation");
-                    return Ok(Arc::new(verdict_column(col.len(), &yes, &no)));
+                    return Ok(Arc::new(verdict_column(col.len(), yes, &no)));
                 }
             }
             let l = eval_lanes(left, batch, sel)?;
@@ -266,19 +232,12 @@ fn column_vs_literal<'e>(
     }
 }
 
-/// A Bool column from the TRUE lanes `yes` and the FALSE lanes `no`; every
-/// other lane is NULL.
-fn verdict_column(n: usize, yes: &[u32], no: &[u32]) -> Column {
-    let mut vals = vec![false; n];
-    let mut validity = Bitmap::all_null(n);
-    for &i in yes {
-        vals[i as usize] = true;
-        validity.set(i as usize, true);
-    }
-    for &i in no {
-        validity.set(i as usize, true);
-    }
-    Column::Bool(vals, validity)
+/// A Bool column from the words of its TRUE rows `yes` and its FALSE rows
+/// `no`; every other lane is NULL.
+fn verdict_column(n: usize, mut yes: Vec<u64>, no: &[u64]) -> Column {
+    let vals = (0..n).map(|i| yes[i / 64] >> (i % 64) & 1 == 1).collect();
+    yes.iter_mut().zip(no).for_each(|(y, n)| *y |= n);
+    Column::Bool(vals, Bitmap::from_words(yes, n))
 }
 
 /// One comparison operator as a type, so every kernel below is
@@ -375,62 +334,56 @@ impl Cmp for CmpGe {
     }
 }
 
-/// Refine the candidates by `col <op> literal`, or `None` when no kernel
-/// covers this column kind and literal type (the caller then evaluates the
-/// reference path, which also reports type errors).
-fn select_cmp<V: Verdicts>(
-    col: &Column,
-    op: BinOp,
-    literal: &Value,
-    cand: V::Cand<'_>,
-) -> Option<V> {
-    let t0 = Instant::now();
+/// The candidates (`cand`, else every row) where `col <op> literal` is
+/// TRUE, as words, or `None` when no kernel covers this column kind and
+/// literal type (the caller then evaluates the reference path, which also
+/// reports type errors).
+fn select_cmp(col: &Column, op: BinOp, literal: &Value, cand: Option<&[u64]>) -> Option<Vec<u64>> {
+    // Only the dictionary and encoded kernels record their time.
+    let timed = matches!(col, Column::DictUtf8 { .. } | Column::Int64Encoded { .. });
+    let t0 = timed.then(Instant::now);
     let out = match op {
-        BinOp::Eq => select_cmp_op::<CmpEq, V>(col, literal, cand),
-        BinOp::NotEq => select_cmp_op::<CmpNe, V>(col, literal, cand),
-        BinOp::Lt => select_cmp_op::<CmpLt, V>(col, literal, cand),
-        BinOp::LtEq => select_cmp_op::<CmpLe, V>(col, literal, cand),
-        BinOp::Gt => select_cmp_op::<CmpGt, V>(col, literal, cand),
-        BinOp::GtEq => select_cmp_op::<CmpGe, V>(col, literal, cand),
+        BinOp::Eq => select_cmp_op::<CmpEq>(col, literal, cand),
+        BinOp::NotEq => select_cmp_op::<CmpNe>(col, literal, cand),
+        BinOp::Lt => select_cmp_op::<CmpLt>(col, literal, cand),
+        BinOp::LtEq => select_cmp_op::<CmpLe>(col, literal, cand),
+        BinOp::Gt => select_cmp_op::<CmpGt>(col, literal, cand),
+        BinOp::GtEq => select_cmp_op::<CmpGe>(col, literal, cand),
         _ => None,
     }?;
-    let lanes = V::lanes(cand, col.len()) as u64;
-    match col {
-        Column::DictUtf8 { .. } => kernel_metrics::record(|c| {
-            c.dict_cmp_ns.add_elapsed(t0);
-            c.dict_rows.add(lanes);
-        }),
-        Column::Int64Encoded { .. } => kernel_metrics::record(|c| {
-            c.enc_cmp_ns.add_elapsed(t0);
-            c.enc_rows.add(lanes);
-        }),
-        _ => {}
+    if let Some(t0) = t0 {
+        let rows = col.len() as u64;
+        if col.is_encoded() {
+            kernel_metrics::record(|c| {
+                c.enc_cmp_ns.add_elapsed(t0);
+                c.enc_rows.add(rows);
+            });
+        } else {
+            kernel_metrics::record(|c| {
+                c.dict_cmp_ns.add_elapsed(t0);
+                c.dict_rows.add(rows);
+            });
+        }
     }
     Some(out)
 }
 
 /// The per-kind verdicts of one operator. A NULL literal makes every
 /// comparison NULL, over a column of any kind: no survivors.
-fn select_cmp_op<O: Cmp, V: Verdicts>(
-    col: &Column,
-    literal: &Value,
-    cand: V::Cand<'_>,
-) -> Option<V> {
+fn select_cmp_op<O: Cmp>(col: &Column, literal: &Value, cand: Option<&[u64]>) -> Option<Vec<u64>> {
     let n = col.len();
     Some(match (col, literal) {
-        (_, Value::Null) => V::none(n),
-        (Column::Int64(v, valid), Value::Int(x)) => {
-            V::refine(cand, n, valid, |i| O::test(&v[i], x))
-        }
+        (_, Value::Null) => no_rows(n),
+        (Column::Int64(v, valid), Value::Int(x)) => refine(cand, n, valid, |i| O::test(&v[i], x)),
         (Column::Int64(v, valid), Value::Float(x)) => {
-            V::refine(cand, n, valid, |i| O::test(&(v[i] as f64), x))
+            refine(cand, n, valid, |i| O::test(&(v[i] as f64), x))
         }
         (Column::Float64(v, valid), Value::Float(x)) => {
-            V::refine(cand, n, valid, |i| O::test(&v[i], x))
+            refine(cand, n, valid, |i| O::test(&v[i], x))
         }
         (Column::Float64(v, valid), Value::Int(x)) => {
             let x = *x as f64;
-            V::refine(cand, n, valid, |i| O::test(&v[i], &x))
+            refine(cand, n, valid, |i| O::test(&v[i], &x))
         }
         (
             Column::Int64Encoded {
@@ -438,35 +391,35 @@ fn select_cmp_op<O: Cmp, V: Verdicts>(
                 validity,
             },
             Value::Int(x),
-        ) => refine_frame::<O, V>(cand, f, validity, |v| v < *x, |v| v <= *x),
+        ) => refine_frame::<O>(cand, f, validity, |v| v < *x, |v| v <= *x),
         (
             Column::Int64Encoded {
                 data: EncodedInts::For(_),
                 ..
             },
             Value::Float(x),
-        ) if x.is_nan() => V::none(n),
+        ) if x.is_nan() => no_rows(n),
         (
             Column::Int64Encoded {
                 data: EncodedInts::For(f),
                 validity,
             },
             Value::Float(x),
-        ) => refine_frame::<O, V>(cand, f, validity, |v| (v as f64) < *x, |v| (v as f64) <= *x),
+        ) => refine_frame::<O>(cand, f, validity, |v| (v as f64) < *x, |v| (v as f64) <= *x),
         (
             Column::Int64Encoded {
                 data: EncodedInts::Rle { rle, ends },
                 validity,
             },
             Value::Int(x),
-        ) => V::runs(cand, &rle.runs, ends, validity, |v| O::test(&v, x)),
+        ) => refine_runs(cand, &rle.runs, ends, validity, |v| O::test(&v, x)),
         (
             Column::Int64Encoded {
                 data: EncodedInts::Rle { rle, ends },
                 validity,
             },
             Value::Float(x),
-        ) => V::runs(cand, &rle.runs, ends, validity, |v| O::test(&(v as f64), x)),
+        ) => refine_runs(cand, &rle.runs, ends, validity, |v| O::test(&(v as f64), x)),
         (
             Column::DictUtf8 {
                 dict,
@@ -481,179 +434,101 @@ fn select_cmp_op<O: Cmp, V: Verdicts>(
             let mut accept: Vec<bool> = dict.iter().map(|e| O::test(e.as_str(), &**s)).collect();
             accept.push(false);
             let last = dict.len();
-            V::refine(cand, n, validity, |i| accept[(codes[i] as usize).min(last)])
+            refine(cand, n, validity, |i| accept[(codes[i] as usize).min(last)])
         }
         (Column::Utf8(v, valid), Value::Str(s)) => {
-            V::refine(cand, n, valid, |i| O::test(v[i].as_str(), &**s))
+            refine(cand, n, valid, |i| O::test(v[i].as_str(), &**s))
         }
         _ => return None,
     })
 }
 
-/// What a selection kernel writes: the one comparison matrix
-/// ([`select_cmp_op`]) is monomorphized per output. Operators narrow
-/// batches by a selection vector (`Vec<u32>`, the passing candidates in
-/// candidate order); hybrid search masks rows by words (`Vec<u64>`, bit
-/// `i % 64` of word `i / 64` set when row `i` passes).
-trait Verdicts: Sized {
-    /// The candidates a kernel refines, in the output's own form; `None`
-    /// means every row.
-    type Cand<'c>: Copy;
+/// A word with fewer candidates than this asks `keep` about them alone;
+/// a denser one asks about all 64 rows.
+const SPARSE: u32 = 16;
 
-    /// Rows a kernel reads over `n` rows (for the kernel counters).
-    fn lanes(cand: Self::Cand<'_>, n: usize) -> usize;
-
-    /// No survivors among `n` rows.
-    fn none(n: usize) -> Self;
-
-    /// The candidates among `0..n` that are valid and pass `keep`.
-    fn refine(
-        cand: Self::Cand<'_>,
-        n: usize,
-        validity: &Bitmap,
-        keep: impl Fn(usize) -> bool,
-    ) -> Self;
-
-    /// [`Verdicts::refine`] over an RLE column (`runs[r]` ends before row
-    /// `ends[r]`): one verdict per run.
-    fn runs(
-        cand: Self::Cand<'_>,
-        runs: &[(i64, u32)],
-        ends: &[u32],
-        validity: &Bitmap,
-        verdict: impl Fn(i64) -> bool,
-    ) -> Self;
+/// The candidates (`cand`, else every row) among `0..n` that are valid and
+/// pass `keep`, as words. No lane can fail, so a word with [`SPARSE`] or
+/// more candidates asks about every row in a dense loop that packs 64
+/// verdicts without a gather; a sparser one asks about its candidates
+/// only, and a word without any costs nothing.
+#[inline(always)]
+fn refine(
+    cand: Option<&[u64]>,
+    n: usize,
+    validity: &Bitmap,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<u64> {
+    let mut out = no_rows(n);
+    let full = n / 64;
+    let mut flags = [0u8; 64];
+    for (w, word) in out[..full].iter_mut().enumerate() {
+        let base = w * 64;
+        if let Some(c) = cand.map(|c| c[w]).filter(|c| c.count_ones() < SPARSE) {
+            for j in set_bits(std::slice::from_ref(&c)) {
+                *word |= (keep(base + j) as u64) << j;
+            }
+            continue;
+        }
+        for (j, f) in flags.iter_mut().enumerate() {
+            *f = keep(base + j) as u8;
+        }
+        // The verdicts go to bytes first (that loop vectorizes); one
+        // multiply then gathers eight 0/1 bytes into the top byte of its
+        // product, the first row in the lowest bit.
+        *word = flags.chunks_exact(8).rev().fold(0, |bits, eight| {
+            let bytes = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+            bits << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+    }
+    if let Some(word) = out.get_mut(full) {
+        let base = full * 64;
+        *word = (base..n).fold(0, |bits, i| bits | (keep(i) as u64) << (i - base));
+    }
+    mask_words(&mut out, validity, cand);
+    out
 }
 
-impl Verdicts for Vec<u32> {
-    type Cand<'c> = Option<&'c [u32]>;
-
-    fn lanes(sel: Option<&[u32]>, n: usize) -> usize {
-        sel.map_or(n, <[u32]>::len)
-    }
-
-    fn none(_: usize) -> Vec<u32> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    fn refine(
-        sel: Option<&[u32]>,
-        n: usize,
-        validity: &Bitmap,
-        keep: impl Fn(usize) -> bool,
-    ) -> Vec<u32> {
-        if validity.all_set() {
-            refine_lanes(sel, n, keep)
-        } else {
-            refine_lanes(sel, n, |i| validity.get(i) & keep(i))
+/// [`refine`] over an RLE column (`runs[r]` ends before row `ends[r]`):
+/// one verdict per run, and a passing run sets its rows as one bit range.
+fn refine_runs(
+    cand: Option<&[u64]>,
+    runs: &[(i64, u32)],
+    ends: &[u32],
+    validity: &Bitmap,
+    verdict: impl Fn(i64) -> bool,
+) -> Vec<u64> {
+    let mut out = no_rows(validity.len());
+    let mut start = 0;
+    for (&(v, _), &end) in runs.iter().zip(ends) {
+        if verdict(v) {
+            set_range(&mut out, start..end as usize);
         }
+        start = end as usize;
     }
-
-    /// Without a selection the passing runs' ranges are emitted whole; with
-    /// one, the run cursor is merge-walked forward along the (ascending)
-    /// selection instead of binary-searching every lane. An out-of-order
-    /// lane re-seeks the cursor.
-    fn runs(
-        sel: Option<&[u32]>,
-        runs: &[(i64, u32)],
-        ends: &[u32],
-        validity: &Bitmap,
-        verdict: impl Fn(i64) -> bool,
-    ) -> Vec<u32> {
-        let all_valid = validity.all_set();
-        let Some(sel) = sel else {
-            let mut out = Vec::new();
-            let mut start = 0u32;
-            for (&(v, _), &end) in runs.iter().zip(ends) {
-                if verdict(v) {
-                    out.extend(start..end);
-                }
-                start = end;
-            }
-            if !all_valid {
-                out.retain(|&i| validity.get(i as usize));
-            }
-            return out;
-        };
-        let mut out = vec![0u32; sel.len()];
-        let mut k = 0;
-        let mut r = 0usize;
-        let mut keep = runs.first().is_some_and(|&(v, _)| verdict(v));
-        for &i in sel {
-            if ends[r] <= i {
-                while ends[r] <= i {
-                    r += 1;
-                }
-                keep = verdict(runs[r].0);
-            } else if r > 0 && ends[r - 1] > i {
-                r = ends.partition_point(|&e| e <= i);
-                keep = verdict(runs[r].0);
-            }
-            out[k] = i;
-            k += (keep & (all_valid || validity.get(i as usize))) as usize;
-        }
-        shrunk(out, k)
-    }
+    mask_words(&mut out, validity, cand);
+    out
 }
 
-impl Verdicts for Vec<u64> {
-    type Cand<'c> = Option<&'c [u64]>;
+/// Words for `n` rows, none set.
+fn no_rows(n: usize) -> Vec<u64> {
+    vec![0; n.div_ceil(64)]
+}
 
-    /// Word kernels read every row, candidate or not: no lane can fail,
-    /// and a dense loop packs 64 verdicts without a gather.
-    fn lanes(_: Option<&[u64]>, n: usize) -> usize {
-        n
+/// Set the bits of `rows`: whole words in the middle, masked ends.
+fn set_range(words: &mut [u64], rows: Range<usize>) {
+    if rows.is_empty() {
+        return;
     }
-
-    fn none(n: usize) -> Vec<u64> {
-        vec![0; n.div_ceil(64)]
-    }
-
-    #[inline(always)]
-    fn refine(
-        cand: Option<&[u64]>,
-        n: usize,
-        validity: &Bitmap,
-        keep: impl Fn(usize) -> bool,
-    ) -> Vec<u64> {
-        let mut out = vec![0u64; n.div_ceil(64)];
-        let full = n / 64;
-        let mut flags = [0u8; 64];
-        for (w, word) in out[..full].iter_mut().enumerate() {
-            let base = w * 64;
-            for (j, f) in flags.iter_mut().enumerate() {
-                *f = keep(base + j) as u8;
-            }
-            // The verdicts go to bytes first (that loop vectorizes); one
-            // multiply then gathers eight 0/1 bytes into the top byte of
-            // its product, the first row in the lowest bit.
-            *word = flags.chunks_exact(8).rev().fold(0, |bits, eight| {
-                let bytes = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
-                bits << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
-            });
-        }
-        if let Some(word) = out.get_mut(full) {
-            let base = full * 64;
-            *word = (base..n).fold(0, |bits, i| bits | (keep(i) as u64) << (i - base));
-        }
-        mask_words(&mut out, validity, cand);
-        out
-    }
-
-    /// The selection kernel's rows, scattered: one RLE walk to keep
-    /// right, for one extra pass over the passing rows.
-    fn runs(
-        cand: Option<&[u64]>,
-        runs: &[(i64, u32)],
-        ends: &[u32],
-        validity: &Bitmap,
-        verdict: impl Fn(i64) -> bool,
-    ) -> Vec<u64> {
-        let kept = Vec::<u32>::runs(None, runs, ends, validity, verdict);
-        let mut out = scatter(&kept, validity.len());
-        mask_words(&mut out, validity, cand);
-        out
+    let (first, last) = (rows.start / 64, (rows.end - 1) / 64);
+    let head = !0u64 << (rows.start % 64);
+    let tail = !0u64 >> (63 - (rows.end - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+    } else {
+        words[first] |= head;
+        words[first + 1..last].fill(!0);
+        words[last] |= tail;
     }
 }
 
@@ -671,65 +546,77 @@ fn mask_words(out: &mut [u64], validity: &Bitmap, cand: Option<&[u64]>) {
 
 /// Positions `sel` of `n` rows as words.
 fn scatter(sel: &[u32], n: usize) -> Vec<u64> {
-    let mut out = Vec::<u64>::none(n);
+    let mut out = no_rows(n);
     for &i in sel {
         out[i as usize / 64] |= 1 << (i % 64);
     }
     out
 }
 
-/// Branch-free selection (Ross, "Selection conditions in main memory",
-/// TODS 2004): every candidate is written to the output and the cursor
-/// advances by the verdict, so the loop has no data-dependent branch to
-/// mispredict at middling selectivities.
-#[inline(always)]
-fn refine_lanes(sel: Option<&[u32]>, n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
-    let mut out = vec![0u32; sel.map_or(n, <[u32]>::len)];
+/// The set bits of `words`, ascending, as a selection vector. A sparse word
+/// is walked bit by bit; a denser one a byte at a time, writing the byte's
+/// eight positions from a table and advancing the cursor by its popcount.
+fn selection_of(words: &[u64]) -> Vec<u32> {
+    let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+    // Eight slots of slack: a byte always writes eight past the cursor.
+    let mut sel = vec![0u32; ones + 8];
     let mut k = 0;
-    match sel {
-        Some(s) => {
-            for &i in s {
-                out[k] = i;
-                k += keep(i as usize) as usize;
+    for (w, &word) in words.iter().enumerate() {
+        let base = w as u32 * 64;
+        if word.count_ones() < 8 {
+            for j in set_bits(std::slice::from_ref(&word)) {
+                sel[k] = base + j as u32;
+                k += 1;
             }
+            continue;
         }
-        None => {
-            for i in 0..n {
-                out[k] = i as u32;
-                k += keep(i) as usize;
+        for (b, byte) in word.to_le_bytes().into_iter().enumerate() {
+            let at = base + b as u32 * 8;
+            for (slot, &bit) in sel[k..k + 8].iter_mut().zip(&BYTE_BITS[byte as usize]) {
+                *slot = at + bit as u32;
             }
+            k += byte.count_ones() as usize;
         }
     }
-    shrunk(out, k)
+    sel.truncate(k);
+    sel
 }
 
-/// Truncate a kernel's output to its `k` survivors, returning memory a
-/// selective predicate left unused (the selection lives as long as the
-/// batch view that carries it).
-fn shrunk(mut out: Vec<u32>, k: usize) -> Vec<u32> {
-    out.truncate(k);
-    if k < out.capacity() / 4 {
-        out.shrink_to_fit();
+/// The positions of the set bits of each byte value, ascending, padded
+/// with zeros.
+static BYTE_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut k) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][k] = bit as u8;
+                k += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
     }
-    out
-}
+    table
+};
 
-/// [`Verdicts::refine`] over frame-of-reference lanes. The literal is
-/// translated once into residual space: `lt(v)` / `le(v)` say whether value
-/// `v` compares less / less-or-equal to it, exactly as the plain kernel
+/// [`refine`] over frame-of-reference lanes. The literal is translated
+/// once into residual space: `lt(v)` / `le(v)` say whether value `v`
+/// compares less / less-or-equal to it, exactly as the plain kernel
 /// compares (in f64 for a Float literal). Both are monotone in `v`, so a
 /// binary search over the lane width's codes finds where each flips, and
 /// `O::codes` turns the two split points into an inclusive code range
 /// (empty or full when the literal falls outside the frame). The lanes are
 /// then compared raw, monomorphized per lane width. A NaN literal never
 /// gets here.
-fn refine_frame<O: Cmp, V: Verdicts>(
-    cand: V::Cand<'_>,
+fn refine_frame<O: Cmp>(
+    cand: Option<&[u64]>,
     f: &ForLanes,
     validity: &Bitmap,
     lt: impl Fn(i64) -> bool,
     le: impl Fn(i64) -> bool,
-) -> V {
+) -> Vec<u64> {
     backbone_storage::with_lanes!(&f.lanes, s => {
         let end = lane_end(s);
         // Codes past the largest residual saturate, which keeps both
@@ -764,32 +651,32 @@ fn partition_codes(end: u64, pred: impl Fn(u64) -> bool) -> u64 {
 /// The candidates whose lane falls inside `range` (outside it when
 /// `outside`), compared in the lane type. Empty and full ranges answer
 /// without reading a lane.
-fn refine_codes<T: Lane, V: Verdicts>(
-    cand: V::Cand<'_>,
+fn refine_codes<T: Lane>(
+    cand: Option<&[u64]>,
     lanes: &[T],
     validity: &Bitmap,
     range: Range<u64>,
     outside: bool,
     end: u64,
-) -> V {
+) -> Vec<u64> {
     let n = lanes.len();
     if range.is_empty() || range == (0..end) {
         return if range.is_empty() == outside {
-            V::refine(cand, n, validity, |_| true)
+            refine(cand, n, validity, |_| true)
         } else {
-            V::none(n)
+            no_rows(n)
         };
     }
     let (lo, hi) = (T::narrow(range.start), T::narrow(range.end - 1));
     // One comparison per lane whenever the range is a point or touches an
     // end of the lane width.
     match (outside, range.start == 0, range.end == end, lo == hi) {
-        (true, _, _, true) => V::refine(cand, n, validity, |i| lanes[i] != lo),
-        (true, ..) => V::refine(cand, n, validity, |i| (lanes[i] < lo) | (lanes[i] > hi)),
-        (false, _, _, true) => V::refine(cand, n, validity, |i| lanes[i] == lo),
-        (false, true, ..) => V::refine(cand, n, validity, |i| lanes[i] <= hi),
-        (false, _, true, _) => V::refine(cand, n, validity, |i| lanes[i] >= lo),
-        (false, ..) => V::refine(cand, n, validity, |i| (lanes[i] >= lo) & (lanes[i] <= hi)),
+        (true, _, _, true) => refine(cand, n, validity, |i| lanes[i] != lo),
+        (true, ..) => refine(cand, n, validity, |i| (lanes[i] < lo) | (lanes[i] > hi)),
+        (false, _, _, true) => refine(cand, n, validity, |i| lanes[i] == lo),
+        (false, true, ..) => refine(cand, n, validity, |i| lanes[i] <= hi),
+        (false, _, true, _) => refine(cand, n, validity, |i| lanes[i] >= lo),
+        (false, ..) => refine(cand, n, validity, |i| (lanes[i] >= lo) & (lanes[i] <= hi)),
     }
 }
 
@@ -805,7 +692,8 @@ fn eval_in_list(
     if let Some(out) = try_dict_in_list(expr, list, negated, batch, sel)? {
         return Ok(out);
     }
-    let input = eval_lanes(expr, batch, sel)?;
+    let evaluated = eval_lanes(expr, batch, sel)?;
+    let input = plain_ints(&evaluated);
     let n = input.len();
     // Fold `input = item` comparisons with three-valued OR, starting from
     // definite FALSE (the SQL verdict of `x IN ()`).
@@ -1205,7 +1093,9 @@ fn eval_logical(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Resul
 }
 
 fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
-    use std::cmp::Ordering;
+    if l.is_encoded() || r.is_encoded() {
+        return eval_comparison(&plain_ints(l), op, &plain_ints(r), sel);
+    }
     let n = l.len();
     let keep = |ord: Ordering| -> bool {
         match op {
@@ -1267,83 +1157,6 @@ fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
                 if lb.get(i) && rb.get(i) {
                     vals[i] = keep(lv[i].cmp(&rv[i]));
                     validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::Int64Encoded {
-                data: ld,
-                validity: lb,
-            },
-            Column::Int64(rv, rb),
-        ) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(ld.get(i).cmp(&rv[i]));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::Int64(lv, lb),
-            Column::Int64Encoded {
-                data: rd,
-                validity: rb,
-            },
-        ) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(lv[i].cmp(&rd.get(i)));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::Int64Encoded {
-                data: ld,
-                validity: lb,
-            },
-            Column::Int64Encoded {
-                data: rd,
-                validity: rb,
-            },
-        ) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(ld.get(i).cmp(&rd.get(i)));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::Int64Encoded {
-                data: ld,
-                validity: lb,
-            },
-            Column::Float64(rv, rb),
-        ) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    if let Some(ord) = (ld.get(i) as f64).partial_cmp(&rv[i]) {
-                        vals[i] = keep(ord);
-                        validity.set(i, true);
-                    }
-                }
-            });
-        }
-        (
-            Column::Float64(lv, lb),
-            Column::Int64Encoded {
-                data: rd,
-                validity: rb,
-            },
-        ) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    if let Some(ord) = lv[i].partial_cmp(&(rd.get(i) as f64)) {
-                        vals[i] = keep(ord);
-                        validity.set(i, true);
-                    }
                 }
             });
         }
@@ -1431,12 +1244,8 @@ fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
 }
 
 fn eval_arithmetic(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
-    // Encoded integer inputs decode once and recurse: arithmetic writes a
-    // fresh output vector per lane anyway, so there is no code-space win.
     if l.is_encoded() || r.is_encoded() {
-        let ld = if l.is_encoded() { l.decoded() } else { None };
-        let rd = if r.is_encoded() { r.decoded() } else { None };
-        return eval_arithmetic(ld.as_ref().unwrap_or(l), op, rd.as_ref().unwrap_or(r), sel);
+        return eval_arithmetic(&plain_ints(l), op, &plain_ints(r), sel);
     }
     let n = l.len();
     match (l, r) {
@@ -1503,6 +1312,17 @@ fn eval_arithmetic(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Re
             });
             Ok(Column::Float64(vals, validity))
         }
+    }
+}
+
+/// `c` with encoded integers decoded, any other column as is. Column
+/// against column, comparisons and arithmetic decode an encoded operand
+/// once and recurse: they write a fresh output per lane anyway, so there is
+/// no code-space win, and a per-lane read of RLE would search the runs.
+fn plain_ints(c: &Column) -> Cow<'_, Column> {
+    match c.is_encoded().then(|| c.decoded()).flatten() {
+        Some(plain) => Cow::Owned(plain),
+        None => Cow::Borrowed(c),
     }
 }
 
@@ -1882,7 +1702,8 @@ mod tests {
         ]);
         let cols = vec![Arc::new(rle), Arc::new(Column::from_i64(vals.to_vec()))];
         let b = RecordBatch::try_new(schema, cols).unwrap();
-        // Ascending lanes merge-walk the runs; the reversed ones re-seek.
+        // Passing runs become bit ranges, masked by the candidates in any
+        // order; the survivors come back ascending.
         for lanes in [vec![0, 3, 4, 8, 9], vec![9, 8, 5, 4, 1, 0]] {
             let sel = b.with_selection(Arc::new(lanes)).unwrap();
             for pred in [col("r").gt(lit(1i64)), lit(2i64).not_eq(col("r"))] {

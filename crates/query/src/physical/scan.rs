@@ -40,7 +40,8 @@ pub struct TableScanExec {
 /// workers.
 struct SegmentScan {
     table: Arc<Table>,
-    filters: Vec<Expr>,
+    /// The pushed-down filters' conjunction, in their order.
+    filter: Option<Expr>,
     projection: Option<Vec<usize>>,
     /// Leading segments the scan may touch: all of them, or those that
     /// intersect a snapshot's visible row prefix.
@@ -59,11 +60,9 @@ impl SegmentScan {
     /// I/O at all).
     fn scan(&self, g: usize) -> Result<Option<RecordBatch>> {
         self.stats.morsels.incr();
-        if prunable(
-            self.table.segment_zones(g),
-            self.table.schema(),
-            &self.filters,
-        ) {
+        let zones = self.table.segment_zones(g);
+        let schema = self.table.schema();
+        if (self.filter.as_ref()).is_some_and(|f| zone_refutes(zones, schema, f)) {
             self.stats.segments_pruned.incr();
             return Ok(None);
         }
@@ -71,7 +70,7 @@ impl SegmentScan {
         let visible = self.boundary.and_then(|(bg, n)| (bg == g).then_some(n));
         let batch = read_segment(&self.table, g, visible)?;
         let t0 = Instant::now();
-        let out = process_group(&batch, &self.filters, &self.projection);
+        let out = process_group(&batch, self.filter.as_ref(), &self.projection);
         self.ctx.counters.scan_filter_ns.add_elapsed(t0);
         out
     }
@@ -128,7 +127,7 @@ impl TableScanExec {
         let scan = SegmentScan {
             segments: table.num_segments(),
             table,
-            filters,
+            filter: Expr::conjunction(filters),
             projection: proj_indices,
             boundary: None,
             ctx: ctx.clone(),
@@ -261,18 +260,17 @@ fn read_segment(table: &Table, s: usize, visible: Option<usize>) -> Result<Recor
     })
 }
 
-/// Can the zone maps refute every row of this group for some filter?
-/// `zones` is indexed by column ordinal; a segment without zone maps (the
-/// unsealed tail) has none and is never refuted.
-fn prunable(zones: &[ZoneMap], schema: &Schema, filters: &[Expr]) -> bool {
-    filters.iter().any(|f| zone_refutes(zones, schema, f))
-}
-
-/// Returns true when `filter` provably matches no row of the group.
+/// Returns true when `filter` provably matches no row of the group: some
+/// conjunct of it can be refuted by the zone maps. `zones` is indexed by
+/// column ordinal; a segment without zone maps (the unsealed tail) has none
+/// and is never refuted.
 fn zone_refutes(zones: &[ZoneMap], schema: &Schema, filter: &Expr) -> bool {
     let Expr::Binary { left, op, right } = filter else {
         return false;
     };
+    if *op == BinOp::And {
+        return zone_refutes(zones, schema, left) || zone_refutes(zones, schema, right);
+    }
     // Normalize to (column op literal).
     let (name, op, value) = match (left.as_ref(), right.as_ref()) {
         (Expr::Column(n), Expr::Literal(v)) => (n, *op, v),
@@ -298,15 +296,15 @@ fn zone_refutes(zones: &[ZoneMap], schema: &Schema, filter: &Expr) -> bool {
     }
 }
 
-/// Apply the scan's filters and projection to a segment its zone maps did
+/// Apply the scan's filter and projection to a segment its zone maps did
 /// not refute (callers prune before reading the segment).
 fn process_group(
     batch: &RecordBatch,
-    filters: &[Expr],
+    filter: Option<&Expr>,
     projection: &Option<Vec<usize>>,
 ) -> Result<Option<RecordBatch>> {
     let mut current = batch.clone();
-    for f in filters {
+    if let Some(f) = filter {
         // Survivors become a narrower selection over the same columns;
         // downstream kernels and the projection late-materialize.
         current = refine_selection(f, &current)?;

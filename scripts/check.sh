@@ -77,6 +77,18 @@ cargo test -q -p backbone-bench --test oracle parallel
 echo "== oracle: budget-capped execution spills and matches the reference =="
 cargo test -q -p backbone-bench --test oracle budget
 
+# The selection kernels called directly on every column kind, operator and
+# literal against the three-valued row reference (also NULL-heavy), every
+# frame-of-reference lane width, and a guarded division through the scan's
+# pushed-down filters; each runs by exact name, so a renamed test fails here.
+echo "== selection kernels: reference, lane widths, guarded scan filters =="
+for t in selection_kernels_match_three_valued_reference selection_kernels_match_reference_null_heavy \
+  lane_widths_match_plain_and_reference guarded_division_in_scan_filters_matches_reference; do
+  out="$(cargo test -q -p backbone-bench --test kernel_equivalence "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+  echo "$out"
+  grep -q " 1 passed" <<<"$out" || { echo "kernel_equivalence: $t did not run"; exit 1; }
+done
+
 # Nesting a client can send — SQL expressions and wire JSON — is capped with a
 # typed error, so no request can overflow a worker's stack; so is the length of
 # a request line, so no request can grow a buffer without bound. A request that

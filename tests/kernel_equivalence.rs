@@ -7,6 +7,7 @@
 
 mod differential;
 
+use backbone_core::Database;
 use backbone_query::eval::{refine_selection, select_words};
 use backbone_query::{
     col, execute, parse_select, BinOp, ExecOptions, Expr, JoinType, MemCatalog, Parallelism,
@@ -93,6 +94,70 @@ fn selection_kernels_match_reference_null_heavy() {
     run_slice(&slice.keep(predicate_tree), &[]);
     for case in 0..24 {
         check_selection_kernels(&mut Rng::new(case), 16, 25);
+    }
+}
+
+/// `i <> 0 AND 10 / i > 1` through SQL: both conjuncts are pushed into the
+/// scan, which narrows each segment by them in order, so no zero is
+/// divided by. Zeros sit in both sealed 64-row groups and in the unsealed
+/// tail; serial and two-worker runs return the reference's rows.
+#[test]
+fn guarded_division_in_scan_filters_matches_reference() {
+    let names = ["id", "i"].map(String::from);
+    let rows: Vec<Vec<Value>> = (0..168i64)
+        .map(|id| {
+            let i = if id % 11 == 5 {
+                Value::Null
+            } else {
+                Value::Int(id % 7 - 2)
+            };
+            vec![Value::Int(id), i]
+        })
+        .collect();
+    let fields = vec![
+        Field::new("id", DataType::Int64),
+        Field::nullable("i", DataType::Int64),
+    ];
+    let mut table = Table::with_group_size(Schema::new(fields), 64);
+    table.append_rows(&rows[..128]).expect("typed rows");
+    let db = Database::new();
+    db.register_table("g", table).expect("register");
+    db.insert("g", rows[128..].to_vec()).expect("commit");
+    {
+        use backbone_query::Catalog;
+        let g = db.catalog().table("g").expect("registered");
+        assert_eq!((g.num_groups(), g.tail_rows()), (2, 40));
+    }
+    for (range, part) in [
+        (0..64, "first group"),
+        (64..128, "second group"),
+        (128..168, "tail"),
+    ] {
+        assert!(
+            rows[range].iter().any(|r| r[1] == Value::Int(0)),
+            "a zero in the {part}"
+        );
+    }
+    let sql = "SELECT id, i FROM g WHERE i <> 0 AND 10 / i > 1";
+    let ten_over_i = Expr::Literal(Value::Int(10)).div(col("i"));
+    let predicate = cmp_expr("i", BinOp::NotEq, &Value::Int(0), false)
+        .and(ten_over_i.gt(Expr::Literal(Value::Int(1))));
+    let all: Vec<usize> = (0..rows.len()).collect();
+    let want: Vec<Vec<Value>> = where_rows(&predicate, &names, &rows, &all)
+        .expect("the guard rejects every zero")
+        .into_iter()
+        .map(|i| rows[i as usize].clone())
+        .collect();
+    assert!(!want.is_empty());
+    for workers in [Parallelism::Serial, Parallelism::Fixed(2)] {
+        let opts = ExecOptions::with_parallelism(workers).without_caches();
+        let out = db.sql_with(sql, &opts).expect("no row divides by zero");
+        let mut got = out.to_rows();
+        got.sort_by_key(|r| match r[0] {
+            Value::Int(id) => id,
+            _ => unreachable!("ids are ints"),
+        });
+        assert_eq!(got, want, "{workers:?}");
     }
 }
 
@@ -234,9 +299,9 @@ fn multi_chunk_tail_matches_sealed() {
 // run-length and lane ints, floats, plain and dictionary strings) at every
 // operator, literal (NaN, -0.0, fractional and infinite Floats against ints,
 // NULL) and literal side, with and without an incoming selection, against
-// the reference's row-at-a-time `eval`. The bitmap entry point `select_words`
-// must set exactly the bits of the rows `refine_selection` keeps, and fail
-// exactly when it fails.
+// the reference's row-at-a-time `eval`, through both entry points:
+// `refine_selection` (an ascending selection vector) and `select_words` (a
+// bitmap), which read the same words.
 
 const OPS: [BinOp; 6] = [
     BinOp::Eq,
@@ -289,8 +354,8 @@ fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)]
         let (a, b) = (&cases[k], &cases[(k * 37 + 11) % comparisons]);
         cases.push((a.0.clone().and(b.0.clone()), a.1.clone().and(b.1.clone())));
     }
-    // Disjunctions: the selection path evaluates them as a value, the
-    // bitmap path ORs the leaves' words.
+    // Disjunctions: a comparison OR a conjunction is a word op on the
+    // leaves' words.
     let conjunctions = comparisons..cases.len();
     for k in (0..comparisons).step_by(7) {
         let j = conjunctions.start + k % conjunctions.len();
@@ -332,11 +397,16 @@ fn set_rows(predicate: &Expr, batch: &RecordBatch) -> Result<Vec<u32>, ()> {
     Ok(bits.iter_ones().map(|i| i as u32).collect())
 }
 
-/// Predicates that fail on some row only when evaluated there: the bitmap
-/// must keep the selection path's rows when an earlier conjunct rejects
-/// every failing row (`i <> 0 AND 10 / i > 1`), and fail with it when a
+/// Predicates that fail on some row only when evaluated there, against the
+/// row reference in WHERE's conjunct order ([`where_rows`]): the selection
+/// and the bitmap keep its rows when an earlier conjunct rejects every
+/// failing row (`i <> 0 AND 10 / i > 1`), and fail with it when a
 /// disjunction evaluates the failing conjunct on every row.
 fn check_guarded_errors(batch: &RecordBatch, keep: &[bool]) {
+    let names: Vec<String> = (batch.schema().fields().iter())
+        .map(|f| f.name.clone())
+        .collect();
+    let rows = batch.to_rows();
     let picked: Vec<u32> = (0..batch.base_rows() as u32)
         .filter(|&i| keep[i as usize % keep.len()])
         .collect();
@@ -348,6 +418,7 @@ fn check_guarded_errors(batch: &RecordBatch, keep: &[bool]) {
     };
     let low = cmp_expr("f", BinOp::Lt, &Value::Float(0.5), false);
     for b in [batch, &selected] {
+        let candidates: Vec<usize> = (0..b.num_rows()).map(|i| b.base_index(i)).collect();
         for predicate in [
             guarded(false),
             guarded(true),
@@ -355,12 +426,37 @@ fn check_guarded_errors(batch: &RecordBatch, keep: &[bool]) {
             low.clone().and(guarded(true)),
             guarded(false).or(low.clone()),
         ] {
-            let want = refine_selection(&predicate, b)
+            let want = where_rows(&predicate, &names, &rows, &candidates);
+            let got = refine_selection(&predicate, b)
                 .map(|r| r.selection().expect("refined").to_vec())
                 .map_err(|_| ());
-            assert_eq!(set_rows(&predicate, b), want, "{predicate}");
+            assert_eq!(got, want, "{predicate}");
+            assert_eq!(set_rows(&predicate, b), want, "{predicate}: bitmap");
         }
     }
+}
+
+/// The candidate rows (ascending) `predicate` keeps under the row
+/// reference, conjunct by conjunct as WHERE narrows them: a conjunct is
+/// evaluated only on the rows every conjunct before it kept. `Err` when it
+/// fails on one of them.
+fn where_rows(
+    predicate: &Expr,
+    names: &[String],
+    rows: &[Vec<Value>],
+    candidates: &[usize],
+) -> Result<Vec<u32>, ()> {
+    let mut kept = candidates.to_vec();
+    for conjunct in predicate.split_conjunction() {
+        let mut survivors = Vec::new();
+        for i in kept {
+            if eval(conjunct, names, &rows[i]).map_err(|_| ())? == Value::Bool(true) {
+                survivors.push(i);
+            }
+        }
+        kept = survivors;
+    }
+    Ok(kept.into_iter().map(|i| i as u32).collect())
 }
 
 /// One batch of every column kind the selection kernels read, from rows in
