@@ -8,25 +8,49 @@
 //! `--quick` shrinks workload sizes for smoke runs (used by CI/tests);
 //! the default sizes match the numbers recorded in EXPERIMENTS.md.
 //! `ann`, `bench` and `serve` exit with status 1 when any of their gates
-//! fails or finds a rung missing.
+//! fails or finds a rung missing. `--help` prints the usage; any other
+//! flag, a second experiment or an unknown one prints it to stderr and
+//! exits with status 2 before anything runs.
 
 use backbone_bench as bench;
 use bench::ledger::{self, Gate, Rung};
 
+const EXPERIMENTS: &[&str] = &[
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "ann", "bench", "serve", "all",
+];
+
+fn usage() -> String {
+    format!("usage: repro [{}] [--quick]", EXPERIMENTS.join("|"))
+}
+
+/// Exit with status 2 after printing `problem` and the usage to stderr.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("repro: {problem}\n{}", usage());
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .unwrap_or("all");
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return;
+    }
+    let mut quick = false;
+    let mut which = None;
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag '{flag}'")),
+            id if !EXPERIMENTS.contains(&id) => usage_error(&format!("unknown experiment '{id}'")),
+            id if which.is_some() => usage_error(&format!("unexpected argument '{id}'")),
+            id => which = Some(id),
+        }
+    }
+    let which = which.unwrap_or("all");
 
     let run = |id: &str| which == "all" || which == id;
-    let mut ran = false;
 
     if run("e1") {
-        ran = true;
         let sfs: &[f64] = if quick {
             &[0.001, 0.002]
         } else {
@@ -35,7 +59,6 @@ fn main() {
         println!("{}", bench::e1_tpch::report(sfs, 4, 42));
     }
     if run("e2") {
-        ran = true;
         let (sf, sizes): (f64, &[usize]) = if quick {
             (0.002, &[10, 50])
         } else {
@@ -44,12 +67,10 @@ fn main() {
         println!("{}", bench::e2_orm::report(sf, sizes, 42));
     }
     if run("e3") {
-        ran = true;
         let (products, queries) = if quick { (2000, 10) } else { (20_000, 50) };
         println!("{}", bench::e3_hybrid::report(products, queries, 10, 42));
     }
     if run("e4") {
-        ran = true;
         let caps: &[usize] = if quick {
             &[64, 128]
         } else {
@@ -59,7 +80,6 @@ fn main() {
         println!("{}", bench::e4_kvcache::pinning_report(&caps[1..], 42));
     }
     if run("e5") {
-        ran = true;
         let (threads, txns): (&[usize], usize) = if quick {
             (&[2, 4], 200)
         } else {
@@ -68,25 +88,21 @@ fn main() {
         println!("{}", bench::e5_txn::report(threads, txns, 42));
     }
     if run("e6") {
-        ran = true;
         let sf = if quick { 0.002 } else { 0.01 };
         println!("{}", bench::e6_optimizer::report(sf, 42));
     }
     if run("e7") {
-        ran = true;
         println!(
             "{}",
             bench::e7_disciplines::report(if quick { 25 } else { 250 }, 42)
         );
     }
     if run("e8") {
-        ran = true;
         let sf = if quick { 0.002 } else { 0.02 };
         println!("{}", bench::e8_usability::report(sf, 42));
     }
 
     if run("e9") {
-        ran = true;
         let n = if quick { 2000 } else { 20_000 };
         println!("{}", bench::e9_ann::report(n, 42));
     }
@@ -130,11 +146,5 @@ fn main() {
         if !passed {
             std::process::exit(1);
         }
-        ran = true;
-    }
-
-    if !ran {
-        eprintln!("unknown experiment '{which}'; expected e1..e9, ann, bench, serve, or all");
-        std::process::exit(2);
     }
 }

@@ -1,7 +1,7 @@
 //! Term-frequency inverted index: the per-posting data BM25 reads.
 
 use crate::bm25::Accumulator;
-use crate::tokenize::{is_stopword, tokenize_with};
+use crate::tokenize::{is_stopword, words};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -46,22 +46,47 @@ impl InvertedIndex {
 
     /// Index a document. Ids must increase from call to call; a repeated or
     /// smaller id panics in debug builds.
+    ///
+    /// Tokens are lowercased into one buffer (an ASCII word in place, any
+    /// other through `str::to_lowercase`, as `tokenize` does), and a term's
+    /// frequency is its run length among the sorted token spans, so a term
+    /// allocates a `String` only when the index first sees it.
     pub fn add_document(&mut self, doc: u64, text: &str) {
         debug_assert!(doc >= self.next_doc, "document {doc} out of order");
         self.next_doc = doc + 1;
-        let tokens = tokenize_with(text, false);
-        let doc_len = tokens.len() as u32;
+        let mut lower = String::with_capacity(text.len());
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let mut doc_len = 0u32;
+        for word in words(text) {
+            doc_len += 1;
+            let start = lower.len();
+            if word.is_ascii() {
+                lower.push_str(word);
+                lower[start..].make_ascii_lowercase();
+            } else {
+                lower.push_str(&word.to_lowercase());
+            }
+            if !is_stopword(&lower[start..]) {
+                spans.push((start, lower.len()));
+            }
+        }
         self.num_docs += 1;
         self.total_tokens += u64::from(doc_len);
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for tok in tokens.into_iter().filter(|t| !is_stopword(t)) {
-            *tf.entry(tok).or_default() += 1;
-        }
-        for (term, tf) in tf {
-            self.postings
-                .entry(term)
-                .or_default()
-                .push(Posting { doc, tf, doc_len });
+        let term = |&(start, end): &(usize, usize)| &lower[start..end];
+        spans.sort_unstable_by_key(term);
+        for run in spans.chunk_by(|a, b| term(a) == term(b)) {
+            let posting = Posting {
+                doc,
+                tf: run.len() as u32,
+                doc_len,
+            };
+            match self.postings.get_mut(term(&run[0])) {
+                Some(list) => list.push(posting),
+                None => {
+                    self.postings
+                        .insert(term(&run[0]).to_owned(), vec![posting]);
+                }
+            }
         }
     }
 
@@ -155,6 +180,54 @@ mod tests {
         let ix = index();
         let docs: Vec<u64> = ix.postings("quick").iter().map(|p| p.doc).collect();
         assert_eq!(docs, vec![1, 3]);
+    }
+
+    /// The index built from `tokenize_with(text, false)` with per-document
+    /// counting, term by term: every posting, `num_docs` and `avg_doc_len`
+    /// must come out identical.
+    #[test]
+    fn postings_match_reference_tokenizer() {
+        use crate::tokenize::tokenize_with;
+        use std::collections::BTreeMap;
+        let docs = [
+            "The Quick BROWN fox",
+            "quick Quick QUICK slow, quick",
+            "THE And of a",
+            "",
+            "...!!! --- ",
+            "tpc-h SF1000 x1y2 1000 1000",
+            "ΟΔΟΣ οδος Οδός ΟΔΟΣ",
+            "İstanbul istanbul ISTANBUL",
+            "café Menü CAFÉ menü MENÜ",
+            "brown fox; the LAZY dog, the brown DOG",
+        ];
+        let mut ix = InvertedIndex::new();
+        let mut reference: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
+        let mut total_tokens = 0usize;
+        for (doc, text) in docs.iter().enumerate() {
+            let doc = doc as u64 * 2;
+            ix.add_document(doc, text);
+            let tokens = tokenize_with(text, false);
+            let doc_len = tokens.len() as u32;
+            total_tokens += tokens.len();
+            let mut tf: BTreeMap<String, u32> = BTreeMap::new();
+            for tok in tokens.into_iter().filter(|t| !is_stopword(t)) {
+                *tf.entry(tok).or_default() += 1;
+            }
+            for (term, tf) in tf {
+                reference
+                    .entry(term)
+                    .or_default()
+                    .push(Posting { doc, tf, doc_len });
+            }
+        }
+        assert!(reference.contains_key("οδος"), "final sigma lost");
+        for (term, postings) in &reference {
+            assert_eq!(ix.postings(term), postings.as_slice(), "term {term:?}");
+        }
+        assert_eq!(ix.postings.len(), reference.len());
+        assert_eq!(ix.num_docs(), docs.len());
+        assert_eq!(ix.avg_doc_len(), total_tokens as f64 / docs.len() as f64);
     }
 
     #[test]

@@ -16,11 +16,17 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokenize_with(text, true)
 }
 
-/// Tokenize, optionally keeping stopwords (the index keeps them to count
-/// every token of a document's length).
-pub(crate) fn tokenize_with(text: &str, drop_stopwords: bool) -> Vec<String> {
+/// The words of `text` as written: maximal runs of alphanumeric chars. A
+/// token is a word lowercased by `str::to_lowercase`.
+pub(crate) fn words(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
+}
+
+/// Tokenize, optionally keeping stopwords (with them, these are the tokens
+/// the index counts toward a document's length).
+pub(crate) fn tokenize_with(text: &str, drop_stopwords: bool) -> Vec<String> {
+    words(text)
         .map(|t| t.to_lowercase())
         .filter(|t| !drop_stopwords || !is_stopword(t))
         .collect()

@@ -1,7 +1,7 @@
 //! IVF-Flat: inverted file index over k-means partitions.
 
 use crate::dataset::Dataset;
-use crate::distance::{norm, Metric};
+use crate::distance::{l2_sq, norm, Metric};
 use crate::exact::{scan_rows_into, TopK};
 use crate::{DimensionMismatch, Hit, Parallelism, VectorIndex};
 use backbone_query::pool::run_workers;
@@ -230,7 +230,7 @@ impl IvfIndex {
             .centroids
             .iter()
             .enumerate()
-            .map(|(i, c)| (crate::distance::l2_sq(query, c), i))
+            .map(|(i, c)| (l2_sq(query, c), i))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
         order.truncate(self.nprobe);
@@ -324,13 +324,20 @@ fn permute_rows<T: Copy + Default>(rows: &mut [T], width: usize, dest: &[usize])
     }
 }
 
+/// The centroid nearest `v` by L2: each distance is computed once, ordered
+/// by `total_cmp`, and the first of equal distances wins (the rule of
+/// `Iterator::min_by`), so training and inserts assign bit-identically to a
+/// `min_by` over the same distances.
 fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-    centroids
-        .iter()
-        .enumerate()
-        .min_by(|a, b| crate::distance::l2_sq(a.1, v).total_cmp(&crate::distance::l2_sq(b.1, v)))
-        .map(|(i, _)| i)
-        .expect("nlist >= 1")
+    let (first, rest) = centroids.split_first().expect("nlist >= 1");
+    let mut best = (0, l2_sq(first, v));
+    for (i, c) in rest.iter().enumerate() {
+        let d = l2_sq(c, v);
+        if d.total_cmp(&best.1).is_lt() {
+            best = (i + 1, d);
+        }
+    }
+    best.0
 }
 
 impl VectorIndex for IvfIndex {
@@ -631,6 +638,112 @@ mod tests {
                 seen += ids.len();
             }
             assert_eq!(seen, all.len());
+        }
+    }
+
+    /// The centroid `Iterator::min_by` picks, evaluating both distances of
+    /// every comparison: the assignment rule the build must keep.
+    fn reference_nearest(centroids: &[Vec<f32>], v: &[f32]) -> usize {
+        centroids
+            .iter()
+            .enumerate()
+            .min_by(|a, b| l2_sq(a.1, v).total_cmp(&l2_sq(b.1, v)))
+            .map(|(i, _)| i)
+            .unwrap()
+    }
+
+    /// Seeding, Lloyd iterations and the final pass, written out with
+    /// [`reference_nearest`]: the trained centroids and each cell's ids in
+    /// insertion order.
+    fn reference_lloyd(data: &Dataset, params: &IvfParams) -> (Vec<Vec<f32>>, Vec<Vec<u64>>) {
+        let (n, dim) = (data.len(), data.dim());
+        let nlist = params.nlist.clamp(1, n);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut slots: Vec<usize> = (0..n).collect();
+        slots.shuffle(&mut rng);
+        let mut centroids: Vec<Vec<f32>> = slots[..nlist]
+            .iter()
+            .map(|&i| data.vector(i).to_vec())
+            .collect();
+        for _ in 0..params.train_iters.max(1) {
+            let mut sums = vec![vec![0f32; dim]; nlist];
+            let mut counts = vec![0usize; nlist];
+            for (_, v) in data.iter() {
+                let c = reference_nearest(&centroids, v);
+                counts[c] += 1;
+                for (s, x) in sums[c].iter_mut().zip(v) {
+                    *s += x;
+                }
+            }
+            for c in 0..nlist {
+                centroids[c] = if counts[c] > 0 {
+                    sums[c].iter().map(|s| s / counts[c] as f32).collect()
+                } else {
+                    data.vector(rng.gen_range(0..n)).to_vec()
+                };
+            }
+        }
+        let mut cells = vec![Vec::new(); nlist];
+        for (id, v) in data.iter() {
+            cells[reference_nearest(&centroids, v)].push(id);
+        }
+        (centroids, cells)
+    }
+
+    /// Vectors that make the assignment rule matter: two patterns repeated
+    /// so that seeded centroids tie, random rows, and one row with an
+    /// infinite component.
+    fn awkward_dataset(dim: usize, n: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(dim as u64);
+        let mut d = Dataset::new(dim);
+        for id in 0..n as u64 {
+            let v: Vec<f32> = match id % 4 {
+                0 => vec![1.0; dim],
+                1 => (0..dim).map(|j| j as f32).collect(),
+                _ => (0..dim).map(|_| rng.gen_range(-4.0..4.0)).collect(),
+            };
+            d.push(id, &v);
+        }
+        let mut inf = vec![0.5; dim];
+        inf[dim / 2] = f32::INFINITY;
+        d.push(n as u64, &inf);
+        d
+    }
+
+    #[test]
+    fn build_matches_reference_lloyd() {
+        // Dims off the LANES multiple; the last case clamps nlist to n.
+        for (dim, n, nlist) in [(5, 60, 8), (33, 50, 8), (5, 6, 64)] {
+            for metric in [Metric::L2, Metric::Cosine] {
+                let data = awkward_dataset(dim, n);
+                let params = IvfParams {
+                    nlist,
+                    ..Default::default()
+                };
+                let (centroids, cells) = reference_lloyd(&data, &params);
+                let mut ix = IvfIndex::build(data, metric, params);
+                let case = format!("dim {dim}, n {n}, nlist {nlist}, {metric:?}");
+                let bits = |cs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                    cs.iter()
+                        .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&ix.centroids), bits(&centroids), "{case}");
+                for (c, ids) in cells.iter().enumerate() {
+                    assert_eq!(ix.cell_ids(c), ids.as_slice(), "{case}, cell {c}");
+                }
+                // Inserts after the build land in the reference's cell,
+                // duplicates and an infinite row included.
+                let mut inf = vec![-2.0; dim];
+                inf[0] = f32::INFINITY;
+                let extra = [vec![1.0; dim], (0..dim).map(|j| j as f32).collect(), inf];
+                for (k, v) in extra.iter().enumerate() {
+                    let id = 1_000 + k as u64;
+                    ix.try_insert(id, v).unwrap();
+                    let c = reference_nearest(&ix.centroids, v);
+                    assert!(ix.cell_ids(c).contains(&id), "{case}, insert {k}");
+                }
+            }
         }
     }
 

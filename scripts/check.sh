@@ -89,6 +89,19 @@ for t in selection_kernels_match_three_valued_reference selection_kernels_match_
   grep -q " 1 passed" <<<"$out" || { echo "kernel_equivalence: $t did not run"; exit 1; }
 done
 
+# Index builds stay bit-identical to their reference formulations: IVF
+# training against a Lloyd loop that assigns with `min_by` (tied centroids, an
+# infinite component, dims off the lane multiple, inserts after the build),
+# and the text index against `tokenize_with` plus per-document counting.
+echo "== index builds: IVF training and text postings match their references =="
+for spec in backbone-vector:ivf::tests::build_matches_reference_lloyd \
+  backbone-text:index::tests::postings_match_reference_tokenizer; do
+  crate="${spec%%:*}" t="${spec#*:}"
+  out="$(cargo test -q -p "$crate" --lib "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+  echo "$out"
+  grep -q " 1 passed" <<<"$out" || { echo "$crate: $t did not run"; exit 1; }
+done
+
 # Nesting a client can send — SQL expressions and wire JSON — is capped with a
 # typed error, so no request can overflow a worker's stack; so is the length of
 # a request line, so no request can grow a buffer without bound. A request that
@@ -130,6 +143,19 @@ cargo test -q -p backbone-bench --test serving prepare_execute_roundtrip
 # non-zero when a gate fails or a rung is missing (see bench::ledger).
 echo "== serve smoke (quick) =="
 cargo run -q --release -p backbone-bench --bin repro -- serve --quick
+
+# `repro --help` prints the usage and exits 0; an unknown flag, a second
+# experiment or an unknown one exits 2 with nothing on stdout, running nothing.
+echo "== repro: --help exits 0, unknown arguments exit 2 and run nothing =="
+cargo build -q --release -p backbone-bench --bin repro
+out="$(target/release/repro --help)"
+grep -q "^usage: repro" <<<"$out" || { echo "repro --help: no usage line"; exit 1; }
+for bad in "--bogus" "e5 e4" "nope" "e5 --quick --bogus"; do
+  status=0
+  out="$(target/release/repro $bad 2>/dev/null)" || status=$?
+  [ "$status" -eq 2 ] && [ -z "$out" ] ||
+    { echo "repro $bad: exit $status, stdout '$out' (want 2 and nothing)"; exit 1; }
+done
 
 echo "== repro smoke (quick) =="
 out="$(cargo run -q -p backbone-bench --bin repro -- e5 --quick)"
