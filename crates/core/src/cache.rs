@@ -17,7 +17,9 @@
 //!    `EXECUTE` substitutes `$n` parameters into a clone of the optimized
 //!    plan and goes straight to physical planning.
 //! 3. **Execute** — the [`ResultCache`] keys a finished read-only batch by
-//!    `hash(plan fingerprint, bound params, per-table content version)`.
+//!    `hash(plan fingerprint, worker count, bound params, per-table content
+//!    version)`. The worker count is there because ties under a parallel
+//!    `ORDER BY … LIMIT` may resolve differently from the serial run's.
 //!    The content version of a table is `(generation, visible_rows_at(E))`
 //!    for the snapshot epoch `E` the query pinned: in this append-only
 //!    engine the bytes visible at `E` are fully determined by how many rows
@@ -41,7 +43,7 @@
 //! the retained encoded bytes plus [`ENTRY_OVERHEAD`] per entry.
 
 use backbone_query::optimizer::Rule;
-use backbone_query::{Counter, LogicalPlan, Metrics};
+use backbone_query::{Counter, LogicalPlan, Metrics, Parallelism};
 use backbone_storage::codec::{self, Cursor};
 use backbone_storage::metrics::CacheCounters;
 use backbone_storage::{checkpoint, RecordBatch, Value};
@@ -76,11 +78,21 @@ pub(crate) fn fingerprint(
     h.finish()
 }
 
-/// Result-cache key: statement fingerprint x bound parameters x the
-/// `(generation, visible_rows_at(epoch))` pair of every table the plan reads.
-pub(crate) fn result_key(fp: u64, params: &[Value], versions: &[(u64, u64)]) -> u64 {
+/// Result-cache key: statement fingerprint x worker count x bound
+/// parameters x the `(generation, visible_rows_at(epoch))` pair of every
+/// table the plan reads. The workers join the key because a parallel
+/// `ORDER BY … LIMIT` keeps the ties its batches happened to deliver first,
+/// where a serial one keeps them in table order. `Serial` and `Fixed(1)`
+/// run the same one-worker plan, so they share entries.
+pub(crate) fn result_key(
+    fp: u64,
+    parallelism: Parallelism,
+    params: &[Value],
+    versions: &[(u64, u64)],
+) -> u64 {
     let mut h = DefaultHasher::new();
     fp.hash(&mut h);
+    parallelism.worker_threads().max(1).hash(&mut h);
     params.len().hash(&mut h);
     for p in params {
         hash_value(p, &mut h);
@@ -533,15 +545,34 @@ mod tests {
 
     #[test]
     fn result_keys_separate_params_and_versions() {
-        let base = result_key(1, &[], &[(0, 10)]);
-        assert_eq!(base, result_key(1, &[], &[(0, 10)]), "deterministic");
-        assert_ne!(base, result_key(2, &[], &[(0, 10)]), "fingerprint");
-        assert_ne!(base, result_key(1, &[Value::Int(1)], &[(0, 10)]), "params");
-        assert_ne!(base, result_key(1, &[], &[(0, 11)]), "visible rows");
-        assert_ne!(base, result_key(1, &[], &[(1, 10)]), "generation");
+        let serial = Parallelism::Serial;
+        let base = result_key(1, serial, &[], &[(0, 10)]);
+        assert_eq!(
+            base,
+            result_key(1, serial, &[], &[(0, 10)]),
+            "deterministic"
+        );
+        assert_eq!(
+            base,
+            result_key(1, Parallelism::Fixed(1), &[], &[(0, 10)]),
+            "one worker"
+        );
+        assert_ne!(base, result_key(2, serial, &[], &[(0, 10)]), "fingerprint");
         assert_ne!(
-            result_key(1, &[Value::Float(1.0)], &[]),
-            result_key(1, &[Value::Int(1)], &[]),
+            base,
+            result_key(1, Parallelism::Fixed(2), &[], &[(0, 10)]),
+            "workers"
+        );
+        assert_ne!(
+            base,
+            result_key(1, serial, &[Value::Int(1)], &[(0, 10)]),
+            "params"
+        );
+        assert_ne!(base, result_key(1, serial, &[], &[(0, 11)]), "visible rows");
+        assert_ne!(base, result_key(1, serial, &[], &[(1, 10)]), "generation");
+        assert_ne!(
+            result_key(1, serial, &[Value::Float(1.0)], &[]),
+            result_key(1, serial, &[Value::Int(1)], &[]),
             "value type is part of the key"
         );
     }

@@ -599,7 +599,7 @@ impl Database {
                     let epoch = opts_pinned.snapshot_epoch.unwrap_or_default();
                     let line = match self.table_versions(&plan.referenced_tables(), epoch) {
                         Some(versions) if opts.result_cache => {
-                            let key = cache::result_key(info.fp, &[], &versions);
+                            let key = cache::result_key(info.fp, opts.parallelism, &[], &versions);
                             if self.inner.result_cache.contains(key) {
                                 format!("result: cached@epoch {epoch}")
                             } else {
@@ -684,7 +684,7 @@ impl Database {
             self.table_versions(&cached.tables, epoch).map(|versions| {
                 let gens = versions.iter().map(|&(g, _)| g).collect::<Vec<_>>();
                 (
-                    cache::result_key(cached.fingerprint, params, &versions),
+                    cache::result_key(cached.fingerprint, opts.parallelism, params, &versions),
                     gens,
                 )
             })

@@ -6,8 +6,8 @@
 //! - **Declarativeness**: callers build a [`logical::LogicalPlan`] describing
 //!   *what* they want ([`expr`] provides the expression algebra).
 //! - **Logical/physical independence**: the [`optimizer`] rewrites logical
-//!   plans (predicate pushdown, projection pruning, constant folding, join
-//!   reordering) and the [`planner`] lowers them to interchangeable
+//!   plans (predicate pushdown, projection pruning, constant folding, the
+//!   hash-join build side) and the [`planner`] lowers them to interchangeable
 //!   [`physical`] operators; the same logical query admits many physical
 //!   executions.
 //! - **Automatic scalability**: scans are morsel-parallel — the executor

@@ -1,10 +1,12 @@
-//! Greedy join reordering over inner-join chains.
+//! Build-side selection for inner equi-joins.
 //!
-//! Flattens nested inner joins into a relation set + equi-conditions, then
-//! greedily builds a left-deep tree starting from the smallest estimated
-//! relation, always choosing the next relation minimizing the estimated
-//! intermediate size. Hash joins build on the left input, so the running
-//! (usually smaller) side stays on the build side.
+//! The written join order is kept: reordering chains on today's estimates
+//! made plans worse (a greedy chain builder once joined Q5's `supplier` to
+//! `customer` on the 25-value nation key and built a hash table on that
+//! many-to-many output). What remains is the one choice the estimates get
+//! right: hash joins build on the left input, so an inner equi-join whose
+//! right input is estimated smaller swaps its inputs, and one projection
+//! restores the caller's column order.
 
 use super::cardinality::estimate_rows;
 use crate::catalog::Catalog;
@@ -13,234 +15,80 @@ use crate::expr::col;
 use crate::logical::{JoinType, LogicalPlan};
 use std::collections::BTreeSet;
 
-/// Reorder inner-join chains in `plan` by estimated cardinality.
-pub fn reorder(plan: LogicalPlan, catalog: &dyn Catalog) -> Result<LogicalPlan> {
-    match plan {
+/// Put the smaller estimated input of every inner equi-join in `plan` on
+/// the build (left) side, bottom-up.
+pub fn choose_build_sides(plan: LogicalPlan, catalog: &dyn Catalog) -> Result<LogicalPlan> {
+    let visit = |p: Box<LogicalPlan>| -> Result<Box<LogicalPlan>> {
+        Ok(Box::new(choose_build_sides(*p, catalog)?))
+    };
+    Ok(match plan {
         LogicalPlan::Join {
             left,
             right,
             on,
-            join_type: JoinType::Inner,
+            join_type,
         } => {
-            let joined = LogicalPlan::Join {
-                left,
-                right,
-                on,
-                join_type: JoinType::Inner,
-            };
-            // Name-based reordering is ambiguous when the combined schema
-            // has duplicate column names (self-joins): leave such subtrees
-            // untouched rather than risk misplacing conditions.
-            if let Ok(schema) = joined.schema() {
-                let mut seen = BTreeSet::new();
-                if schema.fields().iter().any(|f| !seen.insert(f.name.clone())) {
-                    return Ok(joined);
-                }
+            let (left, right) = (visit(left)?, visit(right)?);
+            let swap = join_type == JoinType::Inner
+                && !on.is_empty()
+                && estimate_rows(&right, catalog) < estimate_rows(&left, catalog);
+            // Columns are placed by name, which is ambiguous when the two
+            // sides share one (self-joins): leave those joins as written.
+            let order: Vec<String> = left
+                .schema()?
+                .fields()
+                .iter()
+                .chain(right.schema()?.fields())
+                .map(|f| f.name.clone())
+                .collect();
+            if !swap || order.iter().collect::<BTreeSet<_>>().len() < order.len() {
+                return Ok(LogicalPlan::Join {
+                    left,
+                    right,
+                    on,
+                    join_type,
+                });
             }
-            // Flatten this maximal inner-join subtree.
-            let mut relations = Vec::new();
-            let mut conditions = Vec::new();
-            flatten(joined, catalog, &mut relations, &mut conditions)?;
-            build_greedy(relations, conditions, catalog)
+            LogicalPlan::Join {
+                left: right,
+                right: left,
+                on: on.into_iter().map(|(l, r)| (r, l)).collect(),
+                join_type,
+            }
+            .project(order.into_iter().map(col).collect())
         }
-        // Recurse into non-join nodes.
-        LogicalPlan::Filter { input, predicate } => Ok(LogicalPlan::Filter {
-            input: Box::new(reorder(*input, catalog)?),
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: visit(input)?,
             predicate,
-        }),
-        LogicalPlan::Project { input, exprs } => Ok(LogicalPlan::Project {
-            input: Box::new(reorder(*input, catalog)?),
+        },
+        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
+            input: visit(input)?,
             exprs,
-        }),
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => Ok(LogicalPlan::Join {
-            left: Box::new(reorder(*left, catalog)?),
-            right: Box::new(reorder(*right, catalog)?),
-            on,
-            join_type,
-        }),
+        },
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        } => Ok(LogicalPlan::Aggregate {
-            input: Box::new(reorder(*input, catalog)?),
+        } => LogicalPlan::Aggregate {
+            input: visit(input)?,
             group_by,
             aggs,
-        }),
-        LogicalPlan::Sort { input, keys } => Ok(LogicalPlan::Sort {
-            input: Box::new(reorder(*input, catalog)?),
+        },
+        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+            input: visit(input)?,
             keys,
-        }),
-        LogicalPlan::Limit { input, n } => Ok(LogicalPlan::Limit {
-            input: Box::new(reorder(*input, catalog)?),
+        },
+        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
+            input: visit(input)?,
             n,
-        }),
-        leaf => Ok(leaf),
-    }
-}
-
-/// Collect the leaves and equi-conditions of a nested inner-join tree.
-fn flatten(
-    plan: LogicalPlan,
-    catalog: &dyn Catalog,
-    relations: &mut Vec<LogicalPlan>,
-    conditions: &mut Vec<(String, String)>,
-) -> Result<()> {
-    match plan {
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            join_type: JoinType::Inner,
-        } => {
-            conditions.extend(on);
-            flatten(*left, catalog, relations, conditions)?;
-            flatten(*right, catalog, relations, conditions)?;
-            Ok(())
-        }
-        other => {
-            // Leaves get optimized independently (they may contain joins
-            // below e.g. an aggregate boundary).
-            relations.push(reorder(other, catalog)?);
-            Ok(())
-        }
-    }
-}
-
-fn build_greedy(
-    relations: Vec<LogicalPlan>,
-    conditions: Vec<(String, String)>,
-    catalog: &dyn Catalog,
-) -> Result<LogicalPlan> {
-    // The caller rejects duplicate column names before flattening, so
-    // name-based placement below is unambiguous.
-
-    // Desired final column order (for the restoring projection).
-    let original_order: Vec<String> = relations
-        .iter()
-        .map(|r| r.schema())
-        .collect::<Result<Vec<_>>>()?
-        .iter()
-        .flat_map(|s| s.fields().iter().map(|f| f.name.clone()))
-        .collect();
-
-    let col_sets: Vec<BTreeSet<String>> = relations
-        .iter()
-        .map(|r| {
-            Ok(r.schema()?
-                .fields()
-                .iter()
-                .map(|f| f.name.clone())
-                .collect())
-        })
-        .collect::<Result<_>>()?;
-    let sizes: Vec<f64> = relations
-        .iter()
-        .map(|r| estimate_rows(r, catalog))
-        .collect();
-
-    let n = relations.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    // Seed with the smallest relation.
-    let seed_pos = remaining
-        .iter()
-        .enumerate()
-        .min_by(|a, b| sizes[*a.1].total_cmp(&sizes[*b.1]))
-        .map(|(pos, _)| pos)
-        .expect("at least two relations");
-    let seed = remaining.remove(seed_pos);
-
-    let mut relations: Vec<Option<LogicalPlan>> = relations.into_iter().map(Some).collect();
-    let mut current = relations[seed].take().expect("seed present");
-    let mut current_cols = col_sets[seed].clone();
-    let mut current_size = sizes[seed];
-    let mut unused_conditions = conditions;
-
-    while !remaining.is_empty() {
-        // Pick the joinable relation minimizing the estimated output.
-        let mut best: Option<(usize, f64, bool)> = None; // (pos, est, connected)
-        for (pos, &idx) in remaining.iter().enumerate() {
-            let connected = unused_conditions.iter().any(|(a, b)| {
-                (current_cols.contains(a) && col_sets[idx].contains(b))
-                    || (current_cols.contains(b) && col_sets[idx].contains(a))
-            });
-            let est = if connected {
-                current_size
-                    .min(sizes[idx])
-                    .max(current_size.max(sizes[idx]) * 0.5)
-            } else {
-                current_size * sizes[idx] // cross product
-            };
-            let better = match &best {
-                None => true,
-                Some((_, best_est, best_conn)) => {
-                    // Connected relations always beat cross products.
-                    (connected && !best_conn) || (connected == *best_conn && est < *best_est)
-                }
-            };
-            if better {
-                best = Some((pos, est, connected));
-            }
-        }
-        let (pos, est, _) = best.expect("non-empty remaining");
-        let idx = remaining.remove(pos);
-        let next = relations[idx].take().expect("unused relation");
-
-        // Gather every condition linking the current set with `next`.
-        let mut on: Vec<(String, String)> = Vec::new();
-        unused_conditions.retain(|(a, b)| {
-            if current_cols.contains(a) && col_sets[idx].contains(b) {
-                on.push((a.clone(), b.clone()));
-                false
-            } else if current_cols.contains(b) && col_sets[idx].contains(a) {
-                on.push((b.clone(), a.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        current = LogicalPlan::Join {
-            left: Box::new(current),
-            right: Box::new(next),
-            on,
-            join_type: JoinType::Inner,
-        };
-        current_cols.extend(col_sets[idx].iter().cloned());
-        current_size = est;
-    }
-
-    // Conditions whose endpoints ended up in the same side (cycles in the
-    // join graph) become residual filters.
-    for (a, b) in unused_conditions {
-        current = LogicalPlan::Filter {
-            input: Box::new(current),
-            predicate: col(a).eq(col(b)),
-        };
-    }
-
-    // Restore the caller-visible column order.
-    let new_order: Vec<String> = current
-        .schema()?
-        .fields()
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
-    if new_order != original_order {
-        current = LogicalPlan::Project {
-            input: Box::new(current),
-            exprs: original_order.into_iter().map(col).collect(),
-        };
-    }
-    Ok(current)
+        },
+        scan => scan,
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::choose_build_sides as reorder;
     use super::*;
     use crate::expr::lit;
     use crate::optimizer::test_fixtures::catalog;
@@ -279,8 +127,20 @@ mod tests {
         assert_eq!(names(&before), names(&after));
     }
 
+    /// Per join, in pre-order: its left and right estimates and the tables
+    /// under it.
+    fn joins(plan: &LogicalPlan, cat: &dyn Catalog, out: &mut Vec<(f64, f64, Vec<String>)>) {
+        if let LogicalPlan::Join { left, right, .. } = plan {
+            let (l, r) = (estimate_rows(left, cat), estimate_rows(right, cat));
+            out.push((l, r, plan.referenced_tables()));
+        }
+        for child in plan.children() {
+            joins(child, cat, out);
+        }
+    }
+
     #[test]
-    fn three_way_chain_starts_smallest() {
+    fn chain_keeps_written_levels_and_builds_the_smaller_side() {
         let cat = catalog();
         let plan = LogicalPlan::scan("big", &cat)
             .unwrap()
@@ -292,8 +152,20 @@ mod tests {
                 LogicalPlan::scan("small", &cat).unwrap(),
                 vec![("mid_k", "small_k")],
             );
-        let out = reorder(plan, &cat).unwrap();
+        let out = reorder(plan.clone(), &cat).unwrap();
+        let (mut written, mut planned) = (Vec::new(), Vec::new());
+        joins(&plan, &cat, &mut written);
+        joins(&out, &cat, &mut planned);
+        // Both joins swap: `mid` builds under `big`, then `small` builds
+        // under the pair, and neither join gains or loses a table.
         assert_eq!(leftmost(&out), Some("small"), "got:\n{out}");
+        for (l, r, tables) in &planned {
+            assert!(l <= r, "{tables:?} builds on {l} rows against {r}:\n{out}");
+        }
+        let levels = |js: &[(f64, f64, Vec<String>)]| -> Vec<Vec<String>> {
+            js.iter().map(|j| j.2.clone()).collect()
+        };
+        assert_eq!(levels(&planned), levels(&written), "got:\n{out}");
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub enum Rule {
     PredicatePushdown,
     /// Read only the columns a query needs.
     ProjectionPruning,
-    /// Reorder inner-join chains by estimated cardinality and put the
-    /// smaller input on the hash-join build side.
-    JoinReorder,
+    /// Keep the written join order, and put the smaller estimated input of
+    /// each inner equi-join on the hash-join build side.
+    BuildSide,
 }
 
 impl Rule {
@@ -38,7 +38,7 @@ impl Rule {
         vec![
             Rule::ConstantFolding,
             Rule::PredicatePushdown,
-            Rule::JoinReorder,
+            Rule::BuildSide,
             Rule::ProjectionPruning,
         ]
     }
@@ -76,7 +76,7 @@ impl Optimizer {
                 Rule::ConstantFolding => fold::fold_plan(plan)?,
                 Rule::PredicatePushdown => pushdown::push_down(plan)?,
                 Rule::ProjectionPruning => prune::prune(plan)?,
-                Rule::JoinReorder => join_reorder::reorder(plan, catalog)?,
+                Rule::BuildSide => join_reorder::choose_build_sides(plan, catalog)?,
             };
         }
         Ok(plan)

@@ -81,7 +81,7 @@ fn rewrite(plan: LogicalPlan, need: Need) -> Result<LogicalPlan> {
             // Keep only the outputs an ancestor reads. The query's final
             // projection always sees `Need::All`, so the user-visible schema
             // is never narrowed; this clause exists for *intermediate*
-            // projections (e.g. the column-order restorers join reordering
+            // projections (e.g. the column-order restorers a build-side swap
             // inserts), which would otherwise reset requirements to every
             // column and defeat pruning below a join.
             let exprs = match &need {

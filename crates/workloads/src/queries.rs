@@ -266,7 +266,7 @@ mod tests {
             };
             let a = execute(plan.clone(), &cat, &ExecOptions::default()).unwrap();
             let b = execute(plan, &cat, &ExecOptions::unoptimized()).unwrap();
-            // Join reordering changes float summation order: compare with
+            // Swapped join inputs change float summation order: compare with
             // relative tolerance.
             let (ra, rb) = (a.to_rows(), b.to_rows());
             assert_eq!(ra.len(), rb.len(), "{name} row count differs");

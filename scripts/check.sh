@@ -89,6 +89,15 @@ for t in selection_kernels_match_three_valued_reference selection_kernels_match_
   grep -q " 1 passed" <<<"$out" || { echo "kernel_equivalence: $t did not run"; exit 1; }
 done
 
+# The optimizer keeps Q5's written join order: no join on the nation key
+# alone, never a hash table built on lineitem, every join building on its
+# smaller estimated input. Run by exact name, so a renamed test fails here.
+echo "== optimizer: Q5 plan shape =="
+t=q5_never_builds_on_lineitem_or_joins_on_the_nation_key_alone
+out="$(cargo test -q -p backbone-bench --test optimizer_equivalence "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+echo "$out"
+grep -q " 1 passed" <<<"$out" || { echo "optimizer_equivalence: $t did not run"; exit 1; }
+
 # Index builds stay bit-identical to their reference formulations: IVF
 # training against a Lloyd loop that assigns with `min_by` (tied centroids, an
 # infinite component, dims off the lane multiple, inserts after the build),

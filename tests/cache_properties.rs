@@ -1,11 +1,14 @@
-//! Property tests for the replacement-policy family.
+//! Property tests for the replacement-policy family, the buffer pool's
+//! counters, and the serving-path result cache's key.
 
+use backbone_core::Database;
 use backbone_lab::cache::CacheSim;
 use backbone_lab::eviction::PolicyKind;
+use backbone_query::{ExecOptions, Parallelism};
 use backbone_storage::bufferpool::BufferPool;
 use backbone_storage::disk::DiskManager;
 use backbone_storage::page::PAGE_SIZE;
-use backbone_storage::Metrics;
+use backbone_storage::{DataType, Field, Metrics, Schema, Value};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -168,4 +171,38 @@ fn belady_matches_hand_computed_optimum() {
     // Known MIN result for this trace: 9 faults (with 3 cold) -> 11 hits.
     assert_eq!(stats.misses, 9, "{stats:?}");
     assert_eq!(stats.hits, 11);
+}
+
+/// A parallel `ORDER BY … LIMIT` keeps the tied rows its batches delivered
+/// first; a serial one keeps them in table order. So the result cache keys
+/// on the worker count, and a serial read is never served the rows a
+/// parallel run cached.
+#[test]
+fn serial_reads_never_hit_a_parallel_runs_cached_result() {
+    let db = Database::new();
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("v", DataType::Int64),
+    ]);
+    db.create_table("t", schema).unwrap();
+    let rows = (0..3_000i64)
+        .map(|i| vec![Value::Int(i % 4), Value::Int(i)])
+        .collect();
+    db.insert("t", rows).unwrap();
+    let sql = "SELECT k, v FROM t ORDER BY k LIMIT 10";
+    let hits = || db.metrics().value("cache.result.hits");
+    let parallel = ExecOptions::serial().parallel(Parallelism::Fixed(2));
+    db.sql_with(sql, &parallel).unwrap();
+    db.sql_with(sql, &parallel).unwrap();
+    let after_parallel = hits();
+    assert_eq!(
+        after_parallel, 1,
+        "the parallel run's result was not cached"
+    );
+    let serial = db.sql_with(sql, &ExecOptions::serial()).unwrap();
+    assert_eq!(hits(), after_parallel, "a serial read hit a parallel entry");
+    let cold = db
+        .sql_with(sql, &ExecOptions::serial().without_caches())
+        .unwrap();
+    assert_eq!(serial.to_rows(), cold.to_rows());
 }

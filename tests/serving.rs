@@ -18,7 +18,7 @@ use backbone_core::Database;
 use backbone_query::{col, lit, Catalog, ExecOptions, Parallelism};
 use backbone_storage::{DataType, Field, Schema, Table, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const BATCH: usize = 3;
 
@@ -72,14 +72,18 @@ fn readers_see_prefix_consistent_snapshots_while_writers_churn() {
     db.create_table("stream", stream_schema()).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers start only once every reader has completed one read, so all
+    // the inserts cannot finish before a reader's first query does.
+    let started = Arc::new(Barrier::new(readers + 1));
     let reader_handles: Vec<_> = (0..readers)
         .map(|_| {
             let session = db.session();
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut observations = 0usize;
                 let mut max_seen = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let rows = session
                         .sql("SELECT writer, seq FROM stream")
                         .unwrap()
@@ -87,11 +91,18 @@ fn readers_see_prefix_consistent_snapshots_while_writers_churn() {
                     assert_consistent(&rows, writers, "live reader");
                     max_seen = max_seen.max(rows.len());
                     observations += 1;
+                    if observations == 1 {
+                        started.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 (observations, max_seen)
             })
         })
         .collect();
+    started.wait();
 
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
