@@ -6,8 +6,11 @@
 //! dominates on Q3/Q5, the build-side rule (the smaller estimated input of
 //! each inner equi-join builds the hash table; the written join order is
 //! kept) never makes a plan slower, and the fully unoptimized plan is
-//! dramatically slower.
+//! dramatically slower. Each "-Rule" cell is a paired ratio against "all"
+//! (interleaved blocks, best sample per side), so a rule worth well under
+//! the box's run-to-run noise still reads as a stable number.
 
+use crate::exec_bench::paired_ratio;
 use crate::time;
 use backbone_query::optimizer::Rule;
 use backbone_query::{execute, ExecOptions, MemCatalog};
@@ -20,9 +23,18 @@ pub struct E6Row {
     pub query: &'static str,
     /// Rule-set label.
     pub rules: String,
-    /// Wall-clock seconds.
+    /// Wall-clock seconds of one run.
     pub seconds: f64,
+    /// Time over the "all" rule set's: paired (best of `PAIRED_ROUNDS` ×
+    /// `PAIRED_REPS` samples per side) for each "-Rule" cell, one run over
+    /// one run for "none", 1 for "all".
+    pub vs_all: f64,
 }
+
+/// Interleaved blocks per side of a paired "-Rule" cell.
+const PAIRED_ROUNDS: usize = 8;
+/// Samples per block of a paired "-Rule" cell.
+const PAIRED_REPS: usize = 8;
 
 /// The rule sets evaluated: all, all-minus-one per rule, none.
 pub fn rule_sets() -> Vec<(String, Vec<Rule>)> {
@@ -55,13 +67,20 @@ pub fn run(catalog: &MemCatalog) -> Vec<E6Row> {
             },
         );
         let mut baseline_rows = None;
+        let all_opts = ExecOptions {
+            rules: Some(Rule::all()),
+            ..ExecOptions::serial()
+        };
+        let run = |opts: &ExecOptions| {
+            time(|| execute(plan.clone(), catalog, opts).expect("ablation run"))
+        };
+        let mut all_seconds = f64::NAN;
         for (rules_label, rules) in rule_sets() {
             let opts = ExecOptions {
                 rules: Some(rules),
                 ..ExecOptions::serial()
             };
-            let (result, seconds) =
-                time(|| execute(plan.clone(), catalog, &opts).expect("ablation run"));
+            let (result, seconds) = run(&opts);
             // Every rule set must return the same results (floats compared
             // with tolerance: swapped join inputs change summation order).
             let rows = result.to_rows();
@@ -86,10 +105,22 @@ pub fn run(catalog: &MemCatalog) -> Vec<E6Row> {
                     }
                 }
             }
+            let vs_all = if rules_label == "all" {
+                all_seconds = seconds;
+                1.0
+            } else if rules_label.starts_with('-') {
+                // No ceiling: one window, no retries.
+                paired_ratio(f64::INFINITY, PAIRED_ROUNDS, PAIRED_REPS, |mode| {
+                    run([&all_opts, &opts][mode]).1
+                })
+            } else {
+                seconds / all_seconds
+            };
             out.push(E6Row {
                 query: label,
                 rules: rules_label,
                 seconds,
+                vs_all,
             });
         }
     }
@@ -109,22 +140,19 @@ pub fn report(sf: f64, seed: u64) -> String {
         "{:>6} {:>22} {:>12} {:>9}\n",
         "query", "rules", "latency(ms)", "vs-all"
     ));
-    let mut all_time = std::collections::HashMap::new();
     for r in &rows {
-        if r.rules == "all" {
-            all_time.insert(r.query, r.seconds);
-        }
-    }
-    for r in &rows {
-        let slowdown = r.seconds / all_time.get(r.query).copied().unwrap_or(r.seconds);
         out.push_str(&format!(
-            "{:>6} {:>22} {:>12.2} {:>8.1}x\n",
+            "{:>6} {:>22} {:>12.2} {:>8.2}x\n",
             r.query,
             r.rules,
             r.seconds * 1000.0,
-            slowdown
+            r.vs_all
         ));
     }
+    out.push_str(&format!(
+        "\nlatency: one run; vs-all of a -Rule cell: paired best of {} per side\n",
+        PAIRED_ROUNDS * PAIRED_REPS
+    ));
     out
 }
 
@@ -138,6 +166,7 @@ mod tests {
         let rows = run(&catalog);
         // 2 queries x (1 + 4 + 1) rule sets
         assert_eq!(rows.len(), 12);
+        assert!(rows.iter().all(|r| r.vs_all.is_finite() && r.vs_all > 0.0));
         let all_q5 = rows
             .iter()
             .find(|r| r.query == "Q5" && r.rules == "all")

@@ -1,6 +1,7 @@
 //! Machine-readable execution-kernel baseline (`repro bench`).
 //!
-//! Measures the operator hot paths this crate's experiments lean on — E1's
+//! Measures the TPC-H bulk load (appends plus row-group seals) and the
+//! operator hot paths this crate's experiments lean on — E1's
 //! Q1/Q6 aggregation scans, Q5 as planned against its written join order,
 //! E8's declarative-vs-hand-rolled gap, and a LIKE micro-benchmark over the
 //! compiled-pattern matcher — and records the
@@ -193,7 +194,7 @@ const SCALING_RUNGS: [(usize, &str, &str, &str); 4] = [
 /// switch. A window at or under `ceiling` ends the measurement; a polluted
 /// one (a host-wide slowdown landing on one mode) gets up to two retries,
 /// while a genuine regression fails every window.
-fn paired_ratio(
+pub(crate) fn paired_ratio(
     ceiling: f64,
     rounds: usize,
     reps: usize,
@@ -228,7 +229,16 @@ pub fn run(quick: bool) -> Vec<Rung> {
     // committed baseline; the morsel-parallel ladder (1/2/4/8 workers) runs
     // the identical plans and every rung re-checks the answer.
     let sf = if quick { 0.005 } else { 0.05 };
-    let catalog = tpch::generate(sf, 42);
+    // Bulk load first: generating the catalog appends every row and seals
+    // the row groups (encodings and zone maps). Recorded, not gated.
+    let (catalog, load_ms) = measure(|| tpch::generate(sf, 42));
+    let loaded = catalog
+        .table_names()
+        .iter()
+        .filter_map(|name| backbone_query::Catalog::table(&catalog, name))
+        .map(|t| t.num_rows())
+        .sum();
+    out.push(Rung::ms("tpch_load_ms", load_ms, loaded));
     let serial = ExecOptions::serial();
     let baseline_opts = ExecOptions::unoptimized();
     let plan = |q: &str| {
@@ -677,10 +687,11 @@ mod tests {
     #[test]
     fn quick_suite_runs_and_serializes() {
         let rungs = run(true);
-        assert_eq!(rungs.len(), 40);
+        assert_eq!(rungs.len(), 41);
         let json = crate::ledger::to_json(&rungs, true);
         for name in [
             "cores",
+            "tpch_load_ms",
             "e1_q1_ms",
             "e1_q3_budget_ms",
             "e1_q3_spill_partitions",

@@ -279,13 +279,30 @@ impl Database {
     /// Register a pre-built table (e.g. from a workload generator). The
     /// table is stamped committed at the currently published epoch: visible
     /// whole to every new snapshot, like a bulk load that just committed.
+    ///
+    /// On a durable database the table is durable before it is visible: a
+    /// bulk load is not write-ahead-logged, so registration writes a
+    /// checkpoint of the published tables plus this one at the appended WAL
+    /// position, under the checkpoint lock and then the commit lock (the
+    /// order [`Database::checkpoint`] takes them), and publishes the table
+    /// only after that write. On an error nothing is published; a retry is
+    /// safe, because registration replaces the table.
     pub fn register_table(&self, name: impl Into<String>, mut table: Table) -> Result<()> {
         let name = name.into();
         table.flush()?;
+        let durability = self.inner.durability.as_ref();
+        let _serialize = durability.map(|d| d.checkpoint_lock().lock());
         {
             let _commit = self.inner.commit.lock();
             table.record_commit(self.inner.clock.published(), self.inner.clock.horizon());
-            self.inner.catalog.register_arc(&name, Arc::new(table));
+            let table = Arc::new(table);
+            if let Some(d) = durability {
+                let mut snapshot = self.tables();
+                snapshot.retain(|(n, _)| *n != name);
+                snapshot.push((name.clone(), table.clone()));
+                self.persist(d, &snapshot, d.wal().appended_lsn())?;
+            }
+            self.inner.catalog.register_arc(&name, table);
         }
         // Wholesale replacement: even if the row count happens to match the
         // old content, the generation bump retires every cached result.
@@ -438,6 +455,15 @@ impl Database {
             let _commit = self.inner.commit.lock();
             (self.tables(), d.wal().appended_lsn())
         };
+        self.persist(d, &snapshot, lsn)?;
+        self.record_encoding_stats();
+        Ok(())
+    }
+
+    /// Write `snapshot` as the checkpoint at `lsn`, then truncate the log
+    /// through `lsn`. Call under the checkpoint lock, with `lsn` read
+    /// together with the snapshot under the commit mutex.
+    fn persist(&self, d: &Durability, snapshot: &[(String, Arc<Table>)], lsn: u64) -> Result<()> {
         let refs: Vec<(&str, &Table)> = snapshot.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
         write_checkpoint(d.checkpoint_path(), lsn, &refs)?;
         d.wal().truncate_through(lsn)?;
@@ -451,7 +477,6 @@ impl Database {
             bytes.reset();
             bytes.add(meta.len());
         }
-        self.record_encoding_stats();
         Ok(())
     }
 

@@ -1,6 +1,6 @@
 //! Typed, nullable column vectors — the unit of storage and execution.
 
-use crate::compress::EncodedInts;
+use crate::compress::{EncodedInts, IntShape};
 use crate::error::{Result, StorageError};
 use crate::types::{DataType, Value};
 use crate::with_lanes;
@@ -125,6 +125,33 @@ impl Bitmap {
             self.words[i / 64] |= 1u64 << (i % 64);
             self.ones += 1;
         }
+    }
+
+    /// Append every bit of `other`, a word at a time.
+    pub(crate) fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            self.words.reserve(other.words.len());
+            for &w in &other.words {
+                *self.words.last_mut().expect("a partial word exists") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.ones += other.ones;
+        // Bits past `other.len` are clear, so the dropped word is all zero.
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
+    /// The bitmaps of `parts` end to end.
+    pub(crate) fn concat<'a>(parts: impl IntoIterator<Item = &'a Bitmap>) -> Bitmap {
+        let mut out = Bitmap::all_valid(0);
+        for part in parts {
+            out.append(part);
+        }
+        out
     }
 
     /// Number of valid (set) bits.
@@ -839,47 +866,29 @@ impl Column {
         if dt == DataType::Utf8 {
             return concat_utf8(parts);
         }
+        // One copy per part: values by `extend_from_slice`, validity a word
+        // at a time.
         let total: usize = parts.iter().map(|c| c.len()).sum();
-        let mut out = Column::empty(dt);
-        out.reserve(total);
-        for part in parts {
-            for i in 0..part.len() {
-                // Fast paths per type avoid Value round-trips.
-                match (&mut out, *part) {
-                    (Column::Int64(d, b), Column::Int64(s, sb)) => {
-                        d.push(s[i]);
-                        b.push(sb.get(i));
+        let validity = Bitmap::concat(parts.iter().map(|c| c.validity()));
+        Ok(match dt {
+            DataType::Int64 => {
+                let mut data = Vec::with_capacity(total);
+                for part in parts {
+                    match part {
+                        Column::Int64(s, _) => data.extend_from_slice(s),
+                        // Mixed plain/encoded integers decode into the output.
+                        Column::Int64Encoded { data: enc, .. } => {
+                            data.extend_from_slice(&enc.decode())
+                        }
+                        _ => unreachable!("type checked above"),
                     }
-                    (Column::Float64(d, b), Column::Float64(s, sb)) => {
-                        d.push(s[i]);
-                        b.push(sb.get(i));
-                    }
-                    (Column::Bool(d, b), Column::Bool(s, sb)) => {
-                        d.push(s[i]);
-                        b.push(sb.get(i));
-                    }
-                    // Mixed plain/encoded integers decode into the output.
-                    (Column::Int64(d, b), Column::Int64Encoded { data, validity }) => {
-                        d.push(data.get(i));
-                        b.push(validity.get(i));
-                    }
-                    _ => unreachable!("type checked above"),
                 }
+                Column::Int64(data, validity)
             }
-        }
-        Ok(out)
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            Column::Int64(v, _) => v.reserve(additional),
-            Column::Float64(v, _) => v.reserve(additional),
-            Column::Utf8(v, _) => v.reserve(additional),
-            Column::Bool(v, _) => v.reserve(additional),
-            Column::DictUtf8 { codes, .. } => codes.reserve(additional),
-            // Encoded columns are immutable; appends fail before reserving.
-            Column::Int64Encoded { .. } => {}
-        }
+            DataType::Float64 => Column::Float64(concat_slices(parts, |c| c.f64_data()), validity),
+            DataType::Bool => Column::Bool(concat_slices(parts, |c| c.bool_data()), validity),
+            DataType::Utf8 => unreachable!("handled above"),
+        })
     }
 
     /// Approximate in-memory size in bytes (for scale accounting in benches).
@@ -932,23 +941,10 @@ impl Column {
         let Column::Int64(values, bm) = self else {
             return None;
         };
-        let data = if bm.all_set() {
-            EncodedInts::encode(values)
-        } else {
-            let fill = (0..values.len())
-                .filter(|&i| bm.get(i))
-                .map(|i| values[i])
-                .min()
-                .unwrap_or(0);
-            let cleaned: Vec<i64> = values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| if bm.get(i) { v } else { fill })
-                .collect();
-            EncodedInts::encode(&cleaned)
-        };
+        let parts = [(values.as_slice(), bm)];
+        let values = null_filled(&parts);
         Some(Column::Int64Encoded {
-            data,
+            data: EncodedInts::build(&IntShape::of(values.clone()), values),
             validity: bm.clone(),
         })
     }
@@ -1091,6 +1087,29 @@ fn take_encoded(
     Column::Int64(values, out_bm)
 }
 
+/// The values of integer `parts` end to end, each NULL slot read as the
+/// smallest valid value (0 when none is valid), so a NULL never widens the
+/// frame of reference (and hence the lane width) of an encoding.
+pub(crate) fn null_filled<'a>(
+    parts: &'a [(&'a [i64], &'a Bitmap)],
+) -> impl Iterator<Item = i64> + Clone + 'a {
+    let fill = if parts.iter().all(|(_, bm)| bm.all_set()) {
+        0
+    } else {
+        parts
+            .iter()
+            .flat_map(|&(v, bm)| bm.iter_ones().map(move |i| v[i]))
+            .min()
+            .unwrap_or(0)
+    };
+    parts.iter().flat_map(move |&(v, bm)| {
+        let all = bm.all_set();
+        v.iter()
+            .enumerate()
+            .map(move |(i, &x)| if all || bm.get(i) { x } else { fill })
+    })
+}
+
 /// The error every append path raises for sealed encoded-integer columns.
 fn encoded_immutable() -> StorageError {
     StorageError::TypeMismatch {
@@ -1114,6 +1133,7 @@ fn dict_intern(dict: &mut Arc<Vec<String>>, s: &str) -> u32 {
 /// [`Column::concat`] for logical-Utf8 parts that may mix encodings.
 fn concat_utf8(parts: &[&Column]) -> Result<Column> {
     let total: usize = parts.iter().map(|c| c.len()).sum();
+    let validity = Bitmap::concat(parts.iter().map(|c| c.validity()));
     if parts.iter().all(|c| c.is_dict()) {
         let Some((first_dict, ..)) = parts[0].dict_parts() else {
             unreachable!("all parts are dict");
@@ -1122,16 +1142,12 @@ fn concat_utf8(parts: &[&Column]) -> Result<Column> {
             .iter()
             .all(|c| matches!(c.dict_parts(), Some((d, ..)) if Arc::ptr_eq(d, first_dict)));
         let mut codes = Vec::with_capacity(total);
-        let mut validity = Bitmap::all_valid(0);
         if shared {
             for part in parts {
-                let Some((_, pc, pv)) = part.dict_parts() else {
+                let Some((_, pc, _)) = part.dict_parts() else {
                     unreachable!("all parts are dict");
                 };
-                for (i, &c) in pc.iter().enumerate() {
-                    codes.push(c);
-                    validity.push(pv.get(i));
-                }
+                codes.extend_from_slice(pc);
             }
             return Ok(Column::DictUtf8 {
                 dict: first_dict.clone(),
@@ -1155,11 +1171,11 @@ fn concat_utf8(parts: &[&Column]) -> Result<Column> {
                     })
                 })
                 .collect();
-            for (i, &c) in pc.iter().enumerate() {
-                let valid = pv.get(i);
-                codes.push(if valid { remap[c as usize] } else { 0 });
-                validity.push(valid);
-            }
+            codes.extend(
+                pc.iter()
+                    .enumerate()
+                    .map(|(i, &c)| if pv.get(i) { remap[c as usize] } else { 0 }),
+            );
         }
         return Ok(Column::DictUtf8 {
             dict: Arc::new(merged),
@@ -1169,34 +1185,33 @@ fn concat_utf8(parts: &[&Column]) -> Result<Column> {
     }
     // Mixed encodings or all plain: emit flat strings.
     let mut data = Vec::with_capacity(total);
-    let mut bm = Bitmap::all_valid(0);
     for part in parts {
         match part {
-            Column::Utf8(s, sb) => {
-                for (i, v) in s.iter().enumerate() {
-                    data.push(v.clone());
-                    bm.push(sb.get(i));
-                }
-            }
+            Column::Utf8(s, _) => data.extend_from_slice(s),
             Column::DictUtf8 {
                 dict,
                 codes,
                 validity,
-            } => {
-                for (i, &c) in codes.iter().enumerate() {
-                    let valid = validity.get(i);
-                    data.push(if valid {
-                        dict[c as usize].clone()
-                    } else {
-                        String::new()
-                    });
-                    bm.push(valid);
+            } => data.extend(codes.iter().enumerate().map(|(i, &c)| {
+                if validity.get(i) {
+                    dict[c as usize].clone()
+                } else {
+                    String::new()
                 }
-            }
+            })),
             _ => unreachable!("type checked by concat"),
         }
     }
-    Ok(Column::Utf8(data, bm))
+    Ok(Column::Utf8(data, validity))
+}
+
+/// The typed slices of `parts` end to end; `data` borrows one part's values.
+fn concat_slices<T: Copy>(parts: &[&Column], data: impl Fn(&Column) -> Result<&[T]>) -> Vec<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(|c| c.len()).sum());
+    for part in parts {
+        out.extend_from_slice(data(part).expect("type checked by concat"));
+    }
+    out
 }
 
 /// The lane value [`Column::hash_combine`] mixes in for a NULL key, so
@@ -1301,6 +1316,31 @@ mod tests {
         assert_eq!(bm.count_valid(), 34);
         assert!(bm.get(0) && bm.get(99));
         assert!(!bm.get(1));
+    }
+
+    #[test]
+    fn bitmap_concat_matches_pushes() {
+        // Parts of every length around a word edge, at every starting
+        // offset: the words, length and count equal bit-by-bit pushes.
+        let bits = |n: usize, seed: usize| (0..n).map(move |i| !(i * 7 + seed).is_multiple_of(3));
+        for lens in [
+            [0, 1, 63],
+            [1, 64, 2],
+            [63, 65, 130],
+            [64, 64, 1],
+            [5, 0, 70],
+        ] {
+            let parts: Vec<Bitmap> = lens
+                .iter()
+                .enumerate()
+                .map(|(k, &n)| Bitmap::from_bools(&bits(n, k).collect::<Vec<_>>()))
+                .collect();
+            let mut pushed = Bitmap::all_valid(0);
+            for (k, &n) in lens.iter().enumerate() {
+                bits(n, k).for_each(|b| pushed.push(b));
+            }
+            assert_eq!(Bitmap::concat(&parts), pushed, "lengths {lens:?}");
+        }
     }
 
     #[test]

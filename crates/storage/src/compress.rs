@@ -24,17 +24,23 @@ pub struct RleI64 {
 impl RleI64 {
     /// Encode a slice. Runs longer than `u32::MAX` are split.
     pub fn encode(values: &[i64]) -> RleI64 {
-        let mut runs: Vec<(i64, u32)> = Vec::new();
-        for &v in values {
-            match runs.last_mut() {
+        RleI64::from_values(values.iter().copied())
+    }
+
+    /// Encode a value stream, as [`RleI64::encode`] does a slice.
+    pub(crate) fn from_values(values: impl Iterator<Item = i64>) -> RleI64 {
+        let mut rle = RleI64 {
+            runs: Vec::new(),
+            len: 0,
+        };
+        values.for_each(|v| {
+            match rle.runs.last_mut() {
                 Some((last, n)) if *last == v && *n < u32::MAX => *n += 1,
-                _ => runs.push((v, 1)),
+                _ => rle.runs.push((v, 1)),
             }
-        }
-        RleI64 {
-            runs,
-            len: values.len(),
-        }
+            rle.len += 1;
+        });
+        rle
     }
 
     /// Decode back to the original slice.
@@ -201,6 +207,20 @@ macro_rules! with_lanes {
     };
 }
 
+/// Bytes per lane of the narrowest lane type holding residuals up to
+/// `max_delta`, or `None` past 32 bits.
+fn lane_bytes(max_delta: u64) -> Option<usize> {
+    if max_delta <= <u8 as Lane>::MAX {
+        Some(1)
+    } else if max_delta <= <u16 as Lane>::MAX {
+        Some(2)
+    } else if max_delta <= <u32 as Lane>::MAX {
+        Some(4)
+    } else {
+        None
+    }
+}
+
 /// Frame-of-reference integers stored byte-aligned: row `i` is
 /// `reference + lanes[i]` (Lang et al., "Data Blocks", SIGMOD 2016, truncate
 /// to the narrowest byte-addressable width). Kernels compare, hash and
@@ -232,14 +252,15 @@ impl ForLanes {
         max_delta: u64,
         residuals: impl Iterator<Item = u64>,
     ) -> Option<ForLanes> {
-        let lanes = if max_delta <= <u8 as Lane>::MAX {
-            Lanes::U8(residuals.map(u8::narrow).collect())
-        } else if max_delta <= <u16 as Lane>::MAX {
-            Lanes::U16(residuals.map(u16::narrow).collect())
-        } else if max_delta <= <u32 as Lane>::MAX {
-            Lanes::U32(residuals.map(u32::narrow).collect())
-        } else {
-            return None;
+        fn narrow<L: Lane>(residuals: impl Iterator<Item = u64>) -> Vec<L> {
+            let mut out = Vec::with_capacity(residuals.size_hint().0);
+            residuals.for_each(|d| out.push(L::narrow(d)));
+            out
+        }
+        let lanes = match lane_bytes(max_delta)? {
+            1 => Lanes::U8(narrow(residuals)),
+            2 => Lanes::U16(narrow(residuals)),
+            _ => Lanes::U32(narrow(residuals)),
         };
         Some(ForLanes { reference, lanes })
     }
@@ -312,13 +333,69 @@ impl ForLanes {
     }
 }
 
+/// What picking an integer encoding needs to know of a value stream, taken
+/// in one pass: its length, range and run count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IntShape {
+    /// Number of values.
+    pub len: usize,
+    /// Smallest value (0 for an empty stream).
+    pub min: i64,
+    /// Largest value (0 for an empty stream).
+    pub max: i64,
+    /// Runs [`RleI64::encode`] would emit (runs past `u32::MAX` split).
+    pub runs: usize,
+}
+
+impl IntShape {
+    /// The shape of `values`.
+    pub(crate) fn of(values: impl Iterator<Item = i64>) -> IntShape {
+        let mut shape = IntShape {
+            len: 0,
+            min: i64::MAX,
+            max: i64::MIN,
+            runs: 0,
+        };
+        let (mut prev, mut run) = (0i64, 0u32);
+        values.for_each(|v| {
+            shape.min = shape.min.min(v);
+            shape.max = shape.max.max(v);
+            if shape.len > 0 && v == prev && run < u32::MAX {
+                run += 1;
+            } else {
+                shape.runs += 1;
+                (prev, run) = (v, 1);
+            }
+            shape.len += 1;
+        });
+        if shape.len == 0 {
+            (shape.min, shape.max) = (0, 0);
+        }
+        shape
+    }
+
+    /// Bytes of the RLE arm: 12 per run plus the 4-byte run-end index.
+    pub(crate) fn rle_bytes(&self) -> usize {
+        self.runs * 16
+    }
+
+    /// Whether frame-of-reference lanes exist for this range and take no
+    /// more bytes than the RLE runs alone ([`ForLanes::byte_size`] against
+    /// [`RleI64::byte_size`]).
+    pub(crate) fn lanes_win(&self) -> bool {
+        lane_bytes(self.max.wrapping_sub(self.min) as u64)
+            .is_some_and(|bytes| 8 + self.len * bytes <= self.runs * 12)
+    }
+}
+
 /// A sealed integer column body in one of the lightweight encodings — the
 /// representation behind [`crate::Column::Int64Encoded`].
 ///
 /// NULL slots carry a placeholder value; the owning column's validity
-/// bitmap is authoritative. Which encoding wins is decided at seal time by
-/// [`EncodedInts::encode`]: frame-of-reference lanes when the residual range
-/// fits 32 bits, unless RLE runs are smaller still.
+/// bitmap is authoritative. Which encoding wins is decided at seal time from
+/// the values' range and run count alone ([`EncodedInts::encode`] applies the
+/// same rule): frame-of-reference lanes when the residual range fits 32
+/// bits, unless RLE runs are smaller still; only the winner is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodedInts {
     /// Run-length runs plus a prefix-sum of run ends for binary-searched
@@ -337,10 +414,25 @@ impl EncodedInts {
     /// Encode `values`, picking whichever of RLE and frame-of-reference
     /// lanes is smaller (lanes only exist for ranges of at most 32 bits).
     pub fn encode(values: &[i64]) -> EncodedInts {
-        let rle = RleI64::encode(values);
-        match ForLanes::encode(values) {
-            Some(lanes) if lanes.byte_size() <= rle.byte_size() => EncodedInts::For(lanes),
-            _ => EncodedInts::from_rle(rle),
+        let values = values.iter().copied();
+        EncodedInts::build(&IntShape::of(values.clone()), values)
+    }
+
+    /// Build only the arm [`EncodedInts::encode`] picks for a stream of
+    /// this `shape`: frame-of-reference lanes when they exist and are no
+    /// larger than the RLE runs, else RLE. `values` must be the stream
+    /// `shape` was taken of.
+    pub(crate) fn build(shape: &IntShape, values: impl Iterator<Item = i64>) -> EncodedInts {
+        if shape.lanes_win() {
+            let reference = shape.min;
+            let lanes = ForLanes::from_residuals(
+                reference,
+                shape.max.wrapping_sub(reference) as u64,
+                values.map(|v| v.wrapping_sub(reference) as u64),
+            );
+            EncodedInts::For(lanes.expect("lanes_win implies a lane width"))
+        } else {
+            EncodedInts::from_rle(RleI64::from_values(values))
         }
     }
 

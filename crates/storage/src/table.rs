@@ -7,13 +7,16 @@
 //! *what* rows it wants and the table decides *which groups* to touch.
 
 use crate::batch::RecordBatch;
-use crate::column::Column;
-use crate::compress::EncodedInts;
+use crate::column::{mix64, null_filled, Bitmap, Column};
+use crate::compress::{EncodedInts, IntShape};
 use crate::error::{Result, StorageError};
 use crate::pager::PagedFile;
 use crate::schema::Schema;
 use crate::types::{DataType, Value};
+use crate::with_lanes;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Default number of rows per row group.
@@ -60,62 +63,42 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Compute the zone map for a column. Dictionary columns scan their
-    /// entries instead of rows: O(distinct) rather than O(rows), and still
-    /// sound (entries bound every stored value). NaN is left out of the
-    /// bounds: it satisfies no comparison, and as a bound it would compare
-    /// equal to everything and refute groups holding matching rows.
+    /// Compute the zone map for a column from its typed values: no `Value`
+    /// per row, and no per-row decode of an encoded column. Dictionary
+    /// columns scan their entries instead of rows (O(distinct), and still
+    /// sound: entries bound every stored value); RLE columns with no NULL
+    /// scan their runs. Bounds follow [`Value::sql_cmp`] and keep the first
+    /// of equal values. NaN is left out of the bounds: it satisfies no
+    /// comparison, and as a bound it would compare equal to everything and
+    /// refute groups holding matching rows.
     pub fn from_column(col: &Column) -> ZoneMap {
-        if let Some((dict, _, validity)) = col.dict_parts() {
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            for s in dict.iter() {
-                let v = Value::str(s);
-                match &min {
-                    None => min = Some(v.clone()),
-                    Some(m) if v.sql_cmp(m) == Ordering::Less => min = Some(v.clone()),
-                    _ => {}
+        let ints = |b: Option<(i64, i64)>| b.map(|(lo, hi)| (Value::Int(lo), Value::Int(hi)));
+        let strs = |b: Option<(&str, &str)>| b.map(|(lo, hi)| (Value::str(lo), Value::str(hi)));
+        let bounds = match col {
+            Column::Int64(v, bm) => ints(bounds(valid(v, bm).copied())),
+            Column::Float64(v, bm) => bounds(valid(v, bm).copied().filter(|f| !f.is_nan()))
+                .map(|(lo, hi)| (Value::Float(lo), Value::Float(hi))),
+            Column::Utf8(v, bm) => strs(bounds(valid(v, bm).map(String::as_str))),
+            Column::Bool(v, bm) => {
+                bounds(valid(v, bm).copied()).map(|(lo, hi)| (Value::Bool(lo), Value::Bool(hi)))
+            }
+            Column::DictUtf8 { dict, .. } => strs(bounds(dict.iter().map(String::as_str))),
+            Column::Int64Encoded { data, validity } => ints(match data {
+                EncodedInts::For(f) => {
+                    with_lanes!(&f.lanes, s => bounds(valid(s, validity).copied())
+                    .map(|(lo, hi)| (f.reference.wrapping_add(lo as i64), f.reference.wrapping_add(hi as i64))))
                 }
-                match &max {
-                    None => max = Some(v),
-                    Some(m) if v.sql_cmp(m) == Ordering::Greater => max = Some(v),
-                    _ => {}
+                EncodedInts::Rle { rle, .. } if validity.all_set() => {
+                    bounds(rle.runs.iter().map(|&(v, _)| v))
                 }
-            }
-            return ZoneMap {
-                min,
-                max,
-                null_count: validity.count_null(),
-                row_count: col.len(),
-            };
-        }
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        let mut null_count = 0;
-        for i in 0..col.len() {
-            let v = col.value(i);
-            if v.is_null() {
-                null_count += 1;
-                continue;
-            }
-            if matches!(v, Value::Float(f) if f.is_nan()) {
-                continue;
-            }
-            match &min {
-                None => min = Some(v.clone()),
-                Some(m) if v.sql_cmp(m) == Ordering::Less => min = Some(v.clone()),
-                _ => {}
-            }
-            match &max {
-                None => max = Some(v),
-                Some(m) if v.sql_cmp(m) == Ordering::Greater => max = Some(v),
-                _ => {}
-            }
-        }
+                EncodedInts::Rle { .. } => bounds(valid(&data.decode(), validity).copied()),
+            }),
+        };
+        let (min, max) = bounds.unzip();
         ZoneMap {
             min,
             max,
-            null_count,
+            null_count: col.validity().count_null(),
             row_count: col.len(),
         }
     }
@@ -152,6 +135,24 @@ impl ZoneMap {
             None => false,
         }
     }
+}
+
+/// The values of `v` whose validity bit is set, in row order.
+fn valid<'a, T>(v: &'a [T], validity: &'a Bitmap) -> impl Iterator<Item = &'a T> + 'a {
+    let all = validity.all_set();
+    v.iter()
+        .enumerate()
+        .filter(move |&(i, _)| all || validity.get(i))
+        .map(|(_, x)| x)
+}
+
+/// The smallest and largest of `values` (`None` when empty), keeping the
+/// first of equal values. `values` must hold no NaN.
+fn bounds<T: PartialOrd + Copy>(mut values: impl Iterator<Item = T>) -> Option<(T, T)> {
+    let first = values.next()?;
+    Some(values.fold((first, first), |(lo, hi), x| {
+        (if x < lo { x } else { lo }, if x > hi { x } else { hi })
+    }))
 }
 
 /// A horizontal partition of a table: one immutable batch plus per-column
@@ -354,25 +355,35 @@ impl Table {
 
     /// Append rows, all or nothing: every row is checked against the schema
     /// before any is appended, so a bad row leaves the table untouched.
+    /// Rows land column by column, one run per open chunk: each open column
+    /// is taken with `Arc::make_mut` once per run, not once per value.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
         for row in rows {
             self.check_row(row)?;
         }
-        for row in rows {
-            for (col, v) in self.tail.open.iter_mut().zip(row) {
-                Arc::make_mut(col).push_value(v)?;
+        let chunk_rows = TAIL_CHUNK_ROWS.min(self.group_size);
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let room = (chunk_rows - self.tail.open_rows).min(self.group_size - self.tail.rows);
+            let (run, next) = rest.split_at(room.min(rest.len()));
+            for (c, col) in self.tail.open.iter_mut().enumerate() {
+                let col = Arc::make_mut(col);
+                for row in run {
+                    col.push_value(&row[c])?;
+                }
             }
-            self.tail.open_rows += 1;
-            self.tail.rows += 1;
-            self.rows += 1;
+            self.tail.open_rows += run.len();
+            self.tail.rows += run.len();
+            self.rows += run.len();
             if self.tail.rows >= self.group_size {
                 self.flush()?;
-            } else if self.tail.open_rows >= TAIL_CHUNK_ROWS.min(self.group_size) {
+            } else if self.tail.open_rows >= chunk_rows {
                 let chunk = self.tail.open_batch(&self.schema);
                 Arc::make_mut(&mut self.tail.frozen).push(chunk);
                 self.tail.open = empty_columns(&self.schema);
                 self.tail.open_rows = 0;
             }
+            rest = next;
         }
         Ok(())
     }
@@ -406,21 +417,32 @@ impl Table {
     /// Seal the tail into a row group now, even if it is short of the group
     /// size (bulk loads do this once at the end), encoding qualifying
     /// columns under the table's [`EncodingPolicy`].
+    ///
+    /// The seal goes column by column, straight from the tail's chunks: a
+    /// Utf8 column builds its dictionary from the chunks' strings, an Int64
+    /// column takes its range and run count in one pass and builds only the
+    /// encoding the rule keeps, and a column that stays plain is copied a
+    /// chunk at a time (or shared, when the tail is one chunk). Qualifying
+    /// columns need at least [`DICT_MIN_SEAL_ROWS`] rows. Utf8 columns
+    /// dictionary-encode when their distinct count is at most
+    /// `rows / DICT_RATIO_DEN`. Int64 columns take frame-of-reference lanes
+    /// whenever the range fits 32 bits and the lanes are no larger than the
+    /// runs, and RLE when the runs clear the [`ENC_RATIO_DEN`] floor.
     pub fn flush(&mut self) -> Result<()> {
         if self.tail.rows == 0 {
             return Ok(());
         }
-        let mut chunks: Vec<RecordBatch> = self.tail_batches().collect();
+        let rows = self.tail.rows;
+        let chunks: Vec<RecordBatch> = self.tail_batches().collect();
         self.tail = Tail::new(&self.schema);
-        let batch = if chunks.len() == 1 {
-            chunks.swap_remove(0)
-        } else {
-            RecordBatch::concat(self.schema.clone(), &chunks)?
-        };
-        let batch = match self.encoding {
-            EncodingPolicy::Auto => encode_for_seal(batch),
-            EncodingPolicy::Plain => batch,
-        };
+        let encode = self.encoding == EncodingPolicy::Auto && rows >= DICT_MIN_SEAL_ROWS;
+        let columns = (0..self.schema.len())
+            .map(|c| {
+                let parts: Vec<&Arc<Column>> = chunks.iter().map(|b| b.column(c)).collect();
+                seal_column(&parts, rows, encode)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let batch = RecordBatch::try_new(self.schema.clone(), columns)?;
         self.groups
             .push(GroupSlot::Mem(Arc::new(RowGroup::new(batch))));
         Ok(())
@@ -701,48 +723,147 @@ impl Table {
     }
 }
 
-/// Re-encode every qualifying column of a freshly sealed batch: Utf8
-/// columns dictionary-encode when at least [`DICT_MIN_SEAL_ROWS`] rows and
-/// distinct ratio at most `1 / DICT_RATIO_DEN`; Int64 columns switch to
-/// [`crate::compress::EncodedInts`] — frame-of-reference lanes whenever the
-/// value range fits 32 bits, RLE when its runs are smaller still or clear
-/// the [`ENC_RATIO_DEN`] floor on their own. One encode pass per column;
-/// non-qualifying columns keep their plain vectors.
-fn encode_for_seal(batch: RecordBatch) -> RecordBatch {
-    let rows = batch.num_rows();
-    if rows < DICT_MIN_SEAL_ROWS {
-        return batch;
+/// One sealed column from its tail chunks `parts` (plain columns, in row
+/// order; `rows` in total), encoded when `encode` and the rules of
+/// [`Table::flush`] keep an encoding.
+fn seal_column(parts: &[&Arc<Column>], rows: usize, encode: bool) -> Result<Arc<Column>> {
+    if encode {
+        let sealed = match parts[0].data_type() {
+            DataType::Utf8 => dict_seal(parts, rows),
+            DataType::Int64 => int_seal(parts, rows),
+            DataType::Float64 | DataType::Bool => None,
+        };
+        if let Some(col) = sealed {
+            return Ok(Arc::new(col));
+        }
     }
-    let mut changed = false;
-    let columns: Vec<Arc<Column>> = batch
-        .columns()
+    match parts {
+        [only] => Ok(Arc::clone(only)),
+        _ => {
+            let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
+            Column::concat(&parts).map(Arc::new)
+        }
+    }
+}
+
+/// Dictionary-encode Utf8 chunks, entries in first-occurrence order, or
+/// `None` as soon as the distinct count passes `rows / DICT_RATIO_DEN`.
+fn dict_seal(parts: &[&Arc<Column>], rows: usize) -> Option<Column> {
+    let limit = rows / DICT_RATIO_DEN;
+    let mut index: HashMap<&str, u32, SealHashState> = HashMap::with_hasher(SealHashState::new());
+    let mut dict: Vec<String> = Vec::new();
+    let mut codes = Vec::with_capacity(rows);
+    for part in parts {
+        let values = part.utf8_data().expect("tail chunks hold plain strings");
+        let validity = part.validity();
+        for (i, s) in values.iter().enumerate() {
+            if !validity.get(i) {
+                codes.push(0);
+                continue;
+            }
+            let next = dict.len() as u32;
+            let code = *index.entry(s.as_str()).or_insert(next);
+            if code == next {
+                if dict.len() == limit {
+                    return None;
+                }
+                dict.push(s.clone());
+            }
+            codes.push(code);
+        }
+    }
+    Some(Column::DictUtf8 {
+        dict: Arc::new(dict),
+        codes,
+        validity: Bitmap::concat(parts.iter().map(|c| c.validity())),
+    })
+}
+
+/// Encode Int64 chunks when frame-of-reference lanes win or the RLE runs
+/// clear the [`ENC_RATIO_DEN`] floor; `None` keeps the column plain. Only
+/// the kept encoding is built.
+fn int_seal(parts: &[&Arc<Column>], rows: usize) -> Option<Column> {
+    let parts: Vec<(&[i64], &Bitmap)> = parts
         .iter()
         .map(|c| {
-            if let Some(dict) = c.dict_encode() {
-                if dict.utf8_distinct().unwrap_or(usize::MAX) * DICT_RATIO_DEN <= rows {
-                    changed = true;
-                    return Arc::new(dict);
-                }
-            }
-            if let Some(enc) = c.int64_encode() {
-                let keep = match enc.encoded_parts() {
-                    Some((EncodedInts::For(_), _)) => true,
-                    Some((data, _)) => data.byte_size() * ENC_RATIO_DEN <= rows * 8,
-                    None => false,
-                };
-                if keep {
-                    changed = true;
-                    return Arc::new(enc);
-                }
-            }
-            c.clone()
+            let values = c.i64_data().expect("tail chunks hold plain ints");
+            (values, c.validity())
         })
         .collect();
-    if !changed {
-        return batch;
+    let values = null_filled(&parts);
+    let shape = IntShape::of(values.clone());
+    if !shape.lanes_win() && shape.rle_bytes() * ENC_RATIO_DEN > rows * 8 {
+        return None;
     }
-    let schema = batch.schema().clone();
-    RecordBatch::try_new(schema, columns).expect("re-encoded batch keeps schema")
+    Some(Column::encoded_from_parts(
+        EncodedInts::build(&shape, values),
+        Bitmap::concat(parts.iter().map(|&(_, bm)| bm)),
+    ))
+}
+
+/// Builds [`SealHasher`]s under a key drawn from std's per-process random
+/// hash state.
+struct SealHashState(u64);
+
+impl SealHashState {
+    fn new() -> SealHashState {
+        SealHashState(std::collections::hash_map::RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for SealHashState {
+    type Hasher = SealHasher;
+
+    fn build_hasher(&self) -> SealHasher {
+        SealHasher(self.0)
+    }
+}
+
+/// The seal's dictionary hasher, for `&str` keys only: one multiply per 8
+/// bytes (strings under 8 bytes are read as overlapping loads, as
+/// wyhash-style hashers do) and one [`mix64`] to finish, where SipHash
+/// spends several rounds per string. Keyed, so colliding strings cannot be
+/// chosen without the process's key. A string's length is mixed in with its
+/// last word, so the terminator byte `str` hashing appends is skipped.
+struct SealHasher(u64);
+
+impl SealHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn absorb(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K).rotate_left(26);
+    }
+}
+
+impl Hasher for SealHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let n = bytes.len();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                bytes[at..at + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        let last = if n >= 8 {
+            for at in (0..n - 8).step_by(8) {
+                self.absorb(word(at));
+            }
+            word(n - 8)
+        } else if n >= 4 {
+            half(0) | half(n - 4) << 32
+        } else if n > 0 {
+            u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16
+        } else {
+            0
+        };
+        self.absorb(last ^ (n as u64) << 56);
+    }
+
+    fn write_u8(&mut self, _terminator: u8) {}
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
 }
 
 #[cfg(test)]
@@ -1013,6 +1134,296 @@ mod tests {
         }
         assert!(!plain.group(0).unwrap().batch().columns()[0].is_encoded());
         assert_eq!(plain.int_encoding_stats(), (0, 0));
+    }
+
+    /// The seal before it went column by column, kept as the reference the
+    /// seal must match bit for bit: concatenate the chunks row by row,
+    /// re-encode each column (both integer encodings built, the smaller
+    /// kept), then take zone maps row by row through `Column::value`.
+    fn reference_seal(
+        chunks: &[RecordBatch],
+        encoding: EncodingPolicy,
+    ) -> (RecordBatch, Vec<ZoneMap>) {
+        let schema = chunks[0].schema().clone();
+        let columns = (0..schema.len())
+            .map(|c| {
+                let mut out = Column::empty(schema.field(c).data_type);
+                for chunk in chunks {
+                    let col = chunk.column(c);
+                    for i in 0..col.len() {
+                        out.push_from(col, i).unwrap();
+                    }
+                }
+                Arc::new(out)
+            })
+            .collect();
+        let batch = RecordBatch::try_new(schema, columns).unwrap();
+        let batch = match encoding {
+            EncodingPolicy::Auto => reference_encode(batch),
+            EncodingPolicy::Plain => batch,
+        };
+        let zones = batch.columns().iter().map(|c| reference_zone(c)).collect();
+        (batch, zones)
+    }
+
+    fn reference_encode(batch: RecordBatch) -> RecordBatch {
+        use crate::compress::{ForLanes, RleI64};
+        let rows = batch.num_rows();
+        if rows < DICT_MIN_SEAL_ROWS {
+            return batch;
+        }
+        let columns = batch
+            .columns()
+            .iter()
+            .map(|c| {
+                if let Some(dict) = c.dict_encode() {
+                    if dict.utf8_distinct().unwrap() * DICT_RATIO_DEN <= rows {
+                        return Arc::new(dict);
+                    }
+                }
+                if let Column::Int64(values, bm) = &**c {
+                    let fill = bm.iter_ones().map(|i| values[i]).min().unwrap_or(0);
+                    let cleaned: Vec<i64> = (0..values.len())
+                        .map(|i| if bm.get(i) { values[i] } else { fill })
+                        .collect();
+                    let rle = RleI64::encode(&cleaned);
+                    let data = match ForLanes::encode(&cleaned) {
+                        Some(l) if l.byte_size() <= rle.byte_size() => EncodedInts::For(l),
+                        _ => EncodedInts::from_rle(rle),
+                    };
+                    let keep = matches!(data, EncodedInts::For(_))
+                        || data.byte_size() * ENC_RATIO_DEN <= rows * 8;
+                    if keep {
+                        return Arc::new(Column::encoded_from_parts(data, bm.clone()));
+                    }
+                }
+                c.clone()
+            })
+            .collect();
+        RecordBatch::try_new(batch.schema().clone(), columns).unwrap()
+    }
+
+    fn reference_zone(col: &Column) -> ZoneMap {
+        if let Some((dict, _, validity)) = col.dict_parts() {
+            let mut min: Option<Value> = None;
+            let mut max: Option<Value> = None;
+            for s in dict.iter() {
+                let v = Value::str(s);
+                if min.as_ref().is_none_or(|m| v.sql_cmp(m) == Ordering::Less) {
+                    min = Some(v.clone());
+                }
+                if max
+                    .as_ref()
+                    .is_none_or(|m| v.sql_cmp(m) == Ordering::Greater)
+                {
+                    max = Some(v);
+                }
+            }
+            return ZoneMap {
+                min,
+                max,
+                null_count: validity.count_null(),
+                row_count: col.len(),
+            };
+        }
+        let mut min: Option<Value> = None;
+        let mut max: Option<Value> = None;
+        let mut null_count = 0;
+        for i in 0..col.len() {
+            let v = col.value(i);
+            if v.is_null() {
+                null_count += 1;
+                continue;
+            }
+            if matches!(v, Value::Float(f) if f.is_nan()) {
+                continue;
+            }
+            if min.as_ref().is_none_or(|m| v.sql_cmp(m) == Ordering::Less) {
+                min = Some(v.clone());
+            }
+            if max
+                .as_ref()
+                .is_none_or(|m| v.sql_cmp(m) == Ordering::Greater)
+            {
+                max = Some(v);
+            }
+        }
+        ZoneMap {
+            min,
+            max,
+            null_count,
+            row_count: col.len(),
+        }
+    }
+
+    /// Bit-level identity: `Debug` prints every field, and floats in a form
+    /// that round-trips (`-0.0`, `NaN`, `inf` included).
+    fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    fn seal_schema() -> Arc<Schema> {
+        Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::nullable("wide", DataType::Int64),
+            Field::nullable("spread", DataType::Int64),
+            Field::nullable("sparse", DataType::Int64),
+            Field::nullable("none", DataType::Int64),
+            Field::new("edge", DataType::Int64),
+            Field::new("quarter", DataType::Int64),
+            Field::new("tie", DataType::Int64),
+            Field::nullable("f", DataType::Float64),
+            Field::nullable("b", DataType::Bool),
+            Field::new("at", DataType::Utf8),
+            Field::new("over", DataType::Utf8),
+            Field::nullable("tag", DataType::Utf8),
+            Field::nullable("gone", DataType::Utf8),
+        ])
+    }
+
+    /// Row `r` of a table sealed in groups of `group` rows. Column by
+    /// column: small-range churn (lanes); runs over a range past 32 bits,
+    /// with NULLs inside the runs of 0 (RLE); no runs past 32 bits with
+    /// NULLs (plain); NULL-heavy near 1e9 (NULL slots must not widen the
+    /// lanes); all NULL; near `i64::MAX` (u32 lanes); runs of 4 past 32 bits
+    /// (RLE exactly at the `ENC_RATIO_DEN` floor when `group % 4 == 0`);
+    /// `(group + 8) / 12` runs under 256 (lanes exactly as large as the runs
+    /// when `group + 8` divides by 12); NaN/±0/±∞/NULL floats; nullable
+    /// bools; strings with exactly `group / 4` and `group / 4 + 1` distinct
+    /// values per full group; NULL-heavy low-cardinality strings; all-NULL
+    /// strings.
+    fn seal_row(r: usize, group: usize) -> Vec<Value> {
+        let g = r % group;
+        let ri = r as i64;
+        let int_or_null = |keep: bool, v: i64| if keep { Value::Int(v) } else { Value::Null };
+        vec![
+            Value::Int(ri * 7919 % 1000),
+            int_or_null(
+                ri / 100 % 3 != 0 || !r.is_multiple_of(10),
+                (ri / 100 % 3) << 40,
+            ),
+            int_or_null(r % 7 != 3, (ri % 5) << 40),
+            int_or_null(r.is_multiple_of(3), 1_000_000_000 + ri / 50),
+            Value::Null,
+            Value::Int(i64::MAX - ri * 31 % 70_000),
+            Value::Int((g as i64 / 4 % 2) << 40),
+            Value::Int((g * ((group + 8) / 12) / group) as i64),
+            match r % 8 {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(-0.0),
+                2 => Value::Float(0.0),
+                3 => Value::Float(f64::INFINITY),
+                4 => Value::Float(f64::NEG_INFINITY),
+                5 => Value::Float(r as f64 / 3.0),
+                _ => Value::Null,
+            },
+            if r.is_multiple_of(5) {
+                Value::Null
+            } else {
+                Value::Bool(r.is_multiple_of(3))
+            },
+            Value::str(format!("a{}", g % (group / 4).max(1))),
+            Value::str(format!("o{}", g % (group / 4 + 1))),
+            if r.is_multiple_of(4) {
+                Value::str(["x", "y"][r / 4 % 2])
+            } else {
+                Value::Null
+            },
+            Value::Null,
+        ]
+    }
+
+    /// A table of `seal_row`s sealed in groups of `group` rows, appended in
+    /// calls of 1, 7 and 300 rows and then one call with the rest, which
+    /// crosses chunk and group boundaries.
+    fn sealed_table(
+        group: usize,
+        rows: usize,
+        encoding: EncodingPolicy,
+    ) -> (Table, Vec<Vec<Value>>) {
+        let all: Vec<Vec<Value>> = (0..rows).map(|r| seal_row(r, group)).collect();
+        let mut t = Table::with_group_size(seal_schema(), group).with_encoding(encoding);
+        let mut rest = all.as_slice();
+        for call in [1, 7, 300, usize::MAX] {
+            let (now, later) = rest.split_at(call.min(rest.len()));
+            t.append_rows(now).unwrap();
+            rest = later;
+        }
+        t.flush().unwrap();
+        (t, all)
+    }
+
+    #[test]
+    fn seal_matches_reference_pipeline() {
+        for group in [1, 4, 63, 64, 65, 1024, 1025, 2500] {
+            let rows = 2 * group + group / 2 + 1;
+            for encoding in [EncodingPolicy::Auto, EncodingPolicy::Plain] {
+                let (t, all) = sealed_table(group, rows, encoding);
+                assert_eq!(t.num_groups(), rows.div_ceil(group));
+                for g in 0..t.num_groups() {
+                    let expect = &all[g * group..((g + 1) * group).min(rows)];
+                    let chunk = RecordBatch::from_rows(seal_schema(), expect).unwrap();
+                    let (batch, zones) = reference_seal(&[chunk], encoding);
+                    let got = t.group(g).unwrap();
+                    for (c, field) in seal_schema().fields().iter().enumerate() {
+                        let at = format!(
+                            "group size {group}, {encoding:?}, group {g}, {}",
+                            field.name
+                        );
+                        assert!(same(got.batch().column(c), batch.column(c)), "{at}: column");
+                        assert!(same(got.zone(c), &zones[c]), "{at}: zone map");
+                    }
+                }
+            }
+        }
+        // The cases reach every encoding the seal can choose.
+        let (t, _) = sealed_table(1025, 2 * 1025, EncodingPolicy::Auto);
+        let g = t.group(0).unwrap();
+        let col = |name: &str| g.batch().column_by_name(name).unwrap().clone();
+        let arm = |name: &str| col(name).encoded_parts().map(|(d, _)| d.runs().is_some());
+        assert_eq!(arm("k"), Some(false), "k: lanes");
+        assert_eq!(arm("sparse"), Some(false), "sparse: lanes");
+        assert_eq!(arm("wide"), Some(true), "wide: runs");
+        assert_eq!(arm("spread"), None, "spread: plain");
+        assert_eq!(arm("edge"), Some(false), "edge: lanes");
+        let (t, _) = sealed_table(1024, 1024, EncodingPolicy::Auto);
+        let g = t.group(0).unwrap();
+        let arm = |name: &str| {
+            let col = g.batch().column_by_name(name).unwrap();
+            col.encoded_parts().map(|(d, _)| d.runs().is_some())
+        };
+        assert_eq!(arm("quarter"), Some(true), "quarter: runs at the floor");
+        assert_eq!(arm("tie"), Some(false), "tie: lanes as large as the runs");
+        assert!(col("at").is_dict() && col("tag").is_dict() && col("gone").is_dict());
+        assert!(!col("over").is_dict());
+    }
+
+    #[test]
+    fn typed_zone_maps_survive_checkpoint_replay() {
+        use crate::checkpoint::{open_checkpoint_paged, read_checkpoint, write_checkpoint};
+        let path = std::env::temp_dir().join(format!("backbone-zones-{}", std::process::id()));
+        let (t, _) = sealed_table(1025, 3000, EncodingPolicy::Auto);
+        write_checkpoint(&path, 1, &[("t", &t)]).unwrap();
+        let resident = read_checkpoint(&path).unwrap().unwrap().tables.remove(0).1;
+        let metrics = crate::metrics::Metrics::new();
+        let paged = open_checkpoint_paged(&path, 8, &metrics)
+            .unwrap()
+            .unwrap()
+            .tables
+            .remove(0)
+            .1;
+        assert!(paged.num_paged_groups() > 0);
+        for back in [&resident, &paged] {
+            assert_eq!(back.num_groups(), t.num_groups());
+            for g in 0..back.num_groups() {
+                let batch = back.group(g).unwrap().batch().clone();
+                let reference: Vec<ZoneMap> =
+                    batch.columns().iter().map(|c| reference_zone(c)).collect();
+                assert!(same(&back.group_zones(g).to_vec(), &reference), "group {g}");
+                assert!(same(&t.group_zones(g).to_vec(), &reference), "group {g}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -98,13 +98,17 @@ out="$(cargo test -q -p backbone-bench --test optimizer_equivalence "$t" -- --ex
 echo "$out"
 grep -q " 1 passed" <<<"$out" || { echo "optimizer_equivalence: $t did not run"; exit 1; }
 
-# Index builds stay bit-identical to their reference formulations: IVF
-# training against a Lloyd loop that assigns with `min_by` (tied centroids, an
-# infinite component, dims off the lane multiple, inserts after the build),
-# and the text index against `tokenize_with` plus per-document counting.
-echo "== index builds: IVF training and text postings match their references =="
+# Index builds and row-group seals stay bit-identical to their reference
+# formulations: IVF training against a Lloyd loop that assigns with `min_by`
+# (tied centroids, an infinite component, dims off the lane multiple, inserts
+# after the build), the text index against `tokenize_with` plus per-document
+# counting, and the column-by-column seal against concatenate, re-encode and
+# per-row zone maps (also after checkpoint replay, resident and paged).
+echo "== index builds and seals: IVF, text postings, row groups match their references =="
 for spec in backbone-vector:ivf::tests::build_matches_reference_lloyd \
-  backbone-text:index::tests::postings_match_reference_tokenizer; do
+  backbone-text:index::tests::postings_match_reference_tokenizer \
+  backbone-storage:table::tests::seal_matches_reference_pipeline \
+  backbone-storage:table::tests::typed_zone_maps_survive_checkpoint_replay; do
   crate="${spec%%:*}" t="${spec#*:}"
   out="$(cargo test -q -p "$crate" --lib "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
   echo "$out"

@@ -569,6 +569,28 @@ fn fsync_never_policy_is_durable_after_explicit_sync() {
 }
 
 #[test]
+fn registered_bulk_load_survives_a_crash_after_an_acked_insert() {
+    // A bulk load is not write-ahead-logged: unless registration makes the
+    // table durable, the insert's WAL record replays against a table the
+    // reopen does not know, and recovery fails.
+    let dir = scratch_dir("register-crash");
+    {
+        let db = Database::open(&dir).unwrap();
+        let mut table = Table::new(events_schema());
+        for i in 0..10 {
+            table.append_row(event_row(i)).unwrap();
+        }
+        db.register_table("events", table).unwrap();
+        db.insert("events", vec![event_row(10)]).unwrap();
+        std::mem::forget(db); // crash: no destructors, no deferred flush
+    }
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(recovered_ids(&db).unwrap(), (0..11).collect::<Vec<i64>>());
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn paged_reopen_streams_groups_through_the_pool() {
     let dir = scratch_dir("paged-reopen");
     {
