@@ -30,7 +30,7 @@
 //!    correctness, so its timing cannot race a reader into a stale answer.
 //!
 //! A result entry is one flat buffer: the schema and the batch as
-//! [`codec::put_schema`] and [`checkpoint::put_batch`] encode them, decoded
+//! [`codec::put_schema`] and [`codec::put_batch`] encode them, decoded
 //! again on every hit. A hit already costs O(result) to send, so the decode
 //! adds no new order of cost, and an entry retains its encoded bytes plus a
 //! fixed bookkeeping share instead of a batch's column handles, bitmaps and
@@ -46,7 +46,7 @@ use backbone_query::optimizer::Rule;
 use backbone_query::{Counter, LogicalPlan, Metrics, Parallelism};
 use backbone_storage::codec::{self, Cursor};
 use backbone_storage::metrics::CacheCounters;
-use backbone_storage::{checkpoint, RecordBatch, Value};
+use backbone_storage::{RecordBatch, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -238,7 +238,7 @@ fn encode(batch: &RecordBatch) -> Arc<[u8]> {
     };
     let mut out = Vec::new();
     codec::put_schema(&mut out, batch.schema());
-    checkpoint::put_batch(&mut out, &batch);
+    codec::put_batch(&mut out, &batch);
     out.into()
 }
 
@@ -246,7 +246,7 @@ fn encode(batch: &RecordBatch) -> Arc<[u8]> {
 fn decode(payload: &[u8]) -> backbone_storage::error::Result<RecordBatch> {
     let mut cur = Cursor::new(payload);
     let schema = codec::read_schema(&mut cur)?;
-    checkpoint::read_batch(&mut cur, &schema)
+    codec::read_batch(&mut cur, &schema)
 }
 
 struct ResultState {
@@ -409,11 +409,10 @@ impl ResultCache {
         }
     }
 
-    // `cache.result.bytes` is a gauge riding on a counter: reset + add under
-    // the cache lock keeps it consistent.
+    // `cache.result.bytes` is a gauge riding on a counter, published with
+    // one store so a concurrent reader never sees it pass through zero.
     fn publish_bytes(&self, s: &ResultState) {
-        self.bytes.reset();
-        self.bytes.add(s.bytes as u64);
+        self.bytes.set(s.bytes as u64);
     }
 }
 

@@ -470,12 +470,10 @@ impl Database {
         d.checkpoint_done();
         self.inner.metrics.counter("wal.checkpoints").incr();
         if let Ok(meta) = std::fs::metadata(d.checkpoint_path()) {
-            let bytes = self
-                .inner
+            self.inner
                 .metrics
-                .counter("storage.encoding.checkpoint_bytes");
-            bytes.reset();
-            bytes.add(meta.len());
+                .counter("storage.encoding.checkpoint_bytes")
+                .set(meta.len());
         }
         Ok(())
     }
@@ -503,9 +501,7 @@ impl Database {
             ("storage.encoding.int_rows", int_rows),
             ("storage.pager.paged_groups", paged_groups),
         ] {
-            let counter = self.inner.metrics.counter(name);
-            counter.reset();
-            counter.add(value);
+            self.inner.metrics.counter(name).set(value);
         }
     }
 

@@ -149,10 +149,13 @@ pub fn decode_op(bytes: &[u8]) -> Result<DbOp> {
         }
         OP_INSERT => {
             let table = cur.str().map_err(Error::from)?.to_string();
-            let n_rows = cur.u32().map_err(Error::from)? as usize;
+            // A row is at least its width word, a value at least its tag.
+            let n_rows = cur.u32().map_err(Error::from)?;
+            let n_rows = cur.count(n_rows.into(), 4).map_err(Error::from)?;
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
-                let width = cur.u32().map_err(Error::from)? as usize;
+                let width = cur.u32().map_err(Error::from)?;
+                let width = cur.count(width.into(), 1).map_err(Error::from)?;
                 let mut row = Vec::with_capacity(width);
                 for _ in 0..width {
                     row.push(codec::read_value(&mut cur).map_err(Error::from)?);

@@ -5,7 +5,7 @@
 //! aggregate, hash join build) and every morsel worker reports its resident
 //! state through a [`BudgetLease`]. When the shared total crosses the limit,
 //! the operator partitions its state by key hash into [`SpillFile`]s —
-//! serialized with the checkpoint codec's `put_batch`/`read_batch` — and
+//! serialized with the storage codec's `put_batch`/`read_batch` — and
 //! re-reads one partition at a time. Partitions that are still too big
 //! repartition recursively with deeper hash bits, up to [`MAX_SPILL_DEPTH`],
 //! unless every row shares one key hash ([`one_key_hash`]): no deeper bits
@@ -16,8 +16,7 @@
 //! table's bucket index, so one partition's keys still spread across buckets.
 
 use crate::error::{QueryError, Result};
-use backbone_storage::checkpoint::{put_batch, read_batch};
-use backbone_storage::codec::Cursor;
+use backbone_storage::codec::{put_batch, read_batch, Cursor};
 use backbone_storage::{Counter, RecordBatch, Schema, StorageError};
 use std::fs::File;
 use std::io::{Read, Write};

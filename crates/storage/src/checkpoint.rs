@@ -1,25 +1,33 @@
 //! Checkpoint snapshots of table state.
 //!
-//! A checkpoint is a point-in-time serialization of every table (schema +
-//! rows) plus the WAL LSN the snapshot corresponds to. Recovery loads the
-//! newest checkpoint and replays only WAL records with a higher LSN, so the
-//! log can be truncated after each checkpoint instead of growing forever.
+//! A checkpoint is a point-in-time serialization of every table (schema,
+//! sealed row groups and unsealed tail) plus the WAL LSN the snapshot
+//! corresponds to. Recovery loads the newest checkpoint and replays only WAL
+//! records with a higher LSN, so the log can be truncated after each
+//! checkpoint instead of growing forever.
 //!
 //! The file is written atomically: serialize to `<path>.tmp`, fsync, then
 //! rename over the live file. A crash at any point leaves either the old
 //! checkpoint or the new one — never a half-written hybrid — and the
 //! whole-body CRC-32 trailer rejects torn or bit-flipped files that slip
 //! through anyway.
+//!
+//! Both opens — resident ([`read_checkpoint`]) and paged
+//! ([`open_checkpoint_paged`]) — are one walk over the file: it checks the
+//! CRC, parses each table's header and group directory once, and then
+//! either decodes each group payload into a resident group that keeps the
+//! directory's zone maps, or records the payload's window for
+//! [`Table::group`] to read through the buffer pool on demand.
 
+use crate::bufferpool::BufferPool;
 use crate::codec::{self, Cursor};
-use crate::column::{Bitmap, Column};
-use crate::compress::{BitPackedI64, EncodedInts, ForLanes, RleI64};
+use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
+use crate::page::PAGE_SIZE;
 use crate::pager::PagedFile;
-use crate::table::{Table, ZoneMap};
+use crate::table::{GroupSlot, RowGroup, Table, ZoneMap};
 use crate::types::Value;
-use crate::RecordBatch;
-use crate::Schema;
+use std::borrow::Cow;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
@@ -27,25 +35,15 @@ use std::sync::Arc;
 
 /// File magic: "BCKP".
 const MAGIC: u32 = u32::from_le_bytes(*b"BCKP");
-/// Format version. Version 3 prefixes every row group with a small
-/// directory — row count, per-column zone statistics (min/max/null-count),
-/// and the byte length of the column payload — so a paged reader can learn
-/// group boundaries and pruning bounds without decoding any column data.
-/// Group payloads are columnar: dictionary columns write their dictionary
-/// once plus frame-of-reference bit-packed codes. Nothing writes the
-/// earlier versions, so no reader accepts them.
-const VERSION: u32 = 3;
-
-/// Per-column encoding tags in a versioned group.
-const COL_PLAIN: u8 = 0;
-const COL_DICT: u8 = 1;
-const COL_INT: u8 = 2;
-
-/// Sub-tags for the two [`EncodedInts`] representations under [`COL_INT`].
-/// Frame-of-reference lanes are stored bit-packed at their exact width
-/// ([`ForLanes::packed`]) and widened back to byte-aligned lanes on read.
-const INT_RLE: u8 = 0;
-const INT_PACKED: u8 = 1;
+/// Format version. After the 16-byte head (magic, version, LSN), every
+/// table is four regions, each prefixed by its `u64` byte length: a header
+/// (name, schema), the group payloads end to end, the group directory (per
+/// group: row count, per-column zone statistics, payload length), and the
+/// tail. Payloads and tail are [`codec::put_batch`] column chunks; the tail
+/// is its chunks end to end. The directory follows the payloads so the
+/// writer streams them into the file and keeps only the directory aside.
+/// Nothing writes the earlier versions, so no reader accepts them.
+const VERSION: u32 = 4;
 
 /// A decoded checkpoint: the WAL position it covers and the table snapshot.
 pub struct CheckpointData {
@@ -59,235 +57,31 @@ fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{ctx}: {e}"))
 }
 
-/// Serialize one validity bitmap as packed u64 words.
-fn put_bitmap(out: &mut Vec<u8>, bm: &Bitmap, rows: usize) {
-    let mut words = vec![0u64; rows.div_ceil(64)];
-    for (i, word) in words.iter_mut().enumerate() {
-        for bit in 0..64.min(rows - i * 64) {
-            if bm.get(i * 64 + bit) {
-                *word |= 1u64 << bit;
-            }
-        }
-    }
-    codec::put_u32(out, words.len() as u32);
-    for w in words {
-        codec::put_u64(out, w);
-    }
-}
-
-fn read_bitmap(cur: &mut Cursor<'_>, rows: usize) -> Result<Bitmap> {
-    let nwords = cur.u32()? as usize;
-    if nwords != rows.div_ceil(64) {
-        return Err(StorageError::Corrupt("bitmap word count mismatch".into()));
-    }
-    let mut bm = Bitmap::all_null(rows);
-    for i in 0..nwords {
-        let w = cur.u64()?;
-        for bit in 0..64.min(rows - i * 64) {
-            if (w >> bit) & 1 == 1 {
-                bm.set(i * 64 + bit, true);
-            }
-        }
-    }
-    Ok(bm)
-}
-
-/// Serialize one column of a sealed row group, preserving its encoding.
-fn put_column(out: &mut Vec<u8>, col: &Column, rows: usize) {
-    if let Some((dict, codes, validity)) = col.dict_parts() {
-        out.push(COL_DICT);
-        codec::put_u32(out, dict.len() as u32);
-        for s in dict.iter() {
-            codec::put_str(out, s);
-        }
-        let ints: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
-        put_packed(out, &BitPackedI64::encode(&ints));
-        put_bitmap(out, validity, rows);
-    } else if let Some((data, validity)) = col.encoded_parts() {
-        out.push(COL_INT);
-        match data {
-            EncodedInts::Rle { .. } => {
-                let runs = data.runs().expect("Rle variant exposes runs");
-                out.push(INT_RLE);
-                codec::put_u64(out, data.len() as u64);
-                codec::put_u32(out, runs.len() as u32);
-                for &(v, n) in runs {
-                    codec::put_u64(out, v as u64);
-                    codec::put_u32(out, n);
-                }
-            }
-            EncodedInts::For(lanes) => {
-                out.push(INT_PACKED);
-                put_packed(out, &lanes.packed());
-            }
-        }
-        put_bitmap(out, validity, rows);
-    } else {
-        out.push(COL_PLAIN);
-        for i in 0..rows {
-            codec::put_value(out, &col.value(i));
-        }
-    }
-}
-
-/// Serialize one bit-packed vector: reference, width, length, words.
-fn put_packed(out: &mut Vec<u8>, packed: &BitPackedI64) {
-    codec::put_u64(out, packed.reference as u64);
-    out.push(packed.width);
-    codec::put_u64(out, packed.len as u64);
-    codec::put_u32(out, packed.words.len() as u32);
-    for w in &packed.words {
-        codec::put_u64(out, *w);
-    }
-}
-
-/// Inverse of [`put_packed`]; a word count that disagrees with the length
-/// and width is corruption, caught before anything is unpacked.
-fn read_packed(cur: &mut Cursor<'_>) -> Result<BitPackedI64> {
-    let reference = cur.u64()? as i64;
-    let width = cur.u8()?;
-    let len = cur.u64()? as usize;
-    let nwords = cur.u32()? as usize;
-    let mut words = Vec::with_capacity(nwords.min(cur.remaining() / 8));
-    for _ in 0..nwords {
-        words.push(cur.u64()?);
-    }
-    let packed = BitPackedI64 {
-        reference,
-        width,
-        words,
-        len,
-    };
-    if !packed.is_well_formed() {
-        return Err(StorageError::Corrupt(
-            "bit-packed word count mismatch".into(),
-        ));
-    }
-    Ok(packed)
-}
-
-fn read_column(cur: &mut Cursor<'_>, dt: crate::DataType, rows: usize) -> Result<Column> {
-    match cur.u8()? {
-        COL_PLAIN => {
-            let mut vals = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                vals.push(codec::read_value(cur)?);
-            }
-            Column::from_values(dt, &vals)
-        }
-        COL_DICT => {
-            let dict_len = cur.u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(cur.str()?.to_string());
-            }
-            let packed = read_packed(cur)?;
-            if packed.len != rows {
-                return Err(StorageError::Corrupt("dict code count mismatch".into()));
-            }
-            let codes: Vec<u32> = packed.decode().into_iter().map(|v| v as u32).collect();
-            if codes
-                .iter()
-                .any(|&c| c as usize >= dict.len() && dict_len > 0)
-            {
-                return Err(StorageError::Corrupt("dict code out of range".into()));
-            }
-            let validity = read_bitmap(cur, rows)?;
-            Ok(Column::dict_from_parts(Arc::new(dict), codes, validity))
-        }
-        COL_INT => {
-            let data = match cur.u8()? {
-                INT_PACKED => {
-                    let packed = read_packed(cur)?;
-                    if packed.len != rows {
-                        return Err(StorageError::Corrupt("encoded int count mismatch".into()));
-                    }
-                    let validity = read_bitmap(cur, rows)?;
-                    // A range wider than 32 bits has no lane width; such a
-                    // column reopens plain.
-                    return Ok(match ForLanes::from_packed(&packed) {
-                        Some(lanes) => {
-                            Column::encoded_from_parts(EncodedInts::For(lanes), validity)
-                        }
-                        None => Column::Int64(packed.decode(), validity),
-                    });
-                }
-                INT_RLE => {
-                    let len = cur.u64()? as usize;
-                    let n_runs = cur.u32()? as usize;
-                    let mut runs = Vec::with_capacity(n_runs);
-                    for _ in 0..n_runs {
-                        runs.push((cur.u64()? as i64, cur.u32()?));
-                    }
-                    let rle = RleI64 { runs, len };
-                    if rle.runs.iter().map(|&(_, n)| n as usize).sum::<usize>() != len {
-                        return Err(StorageError::Corrupt("RLE run total mismatch".into()));
-                    }
-                    EncodedInts::from_rle(rle)
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "unknown int encoding sub-tag {other}"
-                    )))
-                }
-            };
-            if data.len() != rows {
-                return Err(StorageError::Corrupt("encoded int count mismatch".into()));
-            }
-            let validity = read_bitmap(cur, rows)?;
-            Ok(Column::encoded_from_parts(data, validity))
-        }
-        other => Err(StorageError::Corrupt(format!(
-            "unknown column encoding tag {other}"
-        ))),
-    }
-}
-
-/// Serialize one sealed, materialized batch (row count + tagged columns),
-/// preserving physical encodings. This is also the on-disk unit operator
-/// spill files use; callers must materialize any selection first.
-pub fn put_batch(out: &mut Vec<u8>, batch: &RecordBatch) {
-    let rows = batch.num_rows();
-    codec::put_u64(out, rows as u64);
-    for col in batch.columns() {
-        put_column(out, col, rows);
-    }
-}
-
-/// Inverse of [`put_batch`].
-pub fn read_batch(cur: &mut Cursor<'_>, schema: &Arc<Schema>) -> Result<RecordBatch> {
-    let rows = cur.u64()? as usize;
-    let mut cols = Vec::with_capacity(schema.len());
-    for f in schema.fields() {
-        cols.push(Arc::new(read_column(cur, f.data_type, rows)?));
-    }
-    RecordBatch::try_new(schema.clone(), cols)
-}
-
-/// Serialize one zone-map entry of a version-3 group directory.
+/// Serialize one zone-map entry of a group directory.
 fn put_zone(out: &mut Vec<u8>, z: &ZoneMap) {
     codec::put_value(out, z.min.as_ref().unwrap_or(&Value::Null));
     codec::put_value(out, z.max.as_ref().unwrap_or(&Value::Null));
     codec::put_u64(out, z.null_count as u64);
 }
 
-/// Read one zone-map entry of a version-3 group directory.
+/// Read one zone-map entry of a group directory.
 fn read_zone(cur: &mut Cursor<'_>, rows: usize) -> Result<ZoneMap> {
-    let min = match codec::read_value(cur)? {
-        Value::Null => None,
-        v => Some(v),
-    };
-    let max = match codec::read_value(cur)? {
-        Value::Null => None,
-        v => Some(v),
-    };
-    let null_count = cur.u64()? as usize;
     Ok(ZoneMap {
-        min,
-        max,
-        null_count,
+        min: Some(codec::read_value(cur)?).filter(|v| !v.is_null()),
+        max: Some(codec::read_value(cur)?).filter(|v| !v.is_null()),
+        null_count: cur.u64()? as usize,
         row_count: rows,
     })
+}
+
+/// Append a region written by `fill`, prefixed by its `u64` byte length.
+fn put_region<R>(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let at = out.len();
+    codec::put_u64(out, 0);
+    let r = fill(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    r
 }
 
 /// Serialize `tables` as a checkpoint covering WAL position `lsn` and
@@ -297,39 +91,34 @@ pub fn write_checkpoint(path: &Path, lsn: u64, tables: &[(&str, &Table)]) -> Res
     codec::put_u32(&mut body, MAGIC);
     codec::put_u32(&mut body, VERSION);
     codec::put_u64(&mut body, lsn);
-    codec::put_u32(&mut body, tables.len() as u32);
     for (name, table) in tables {
-        codec::put_str(&mut body, name);
-        codec::put_schema(&mut body, table.schema());
-        codec::put_u32(&mut body, table.num_groups() as u32);
-        for gi in 0..table.num_groups() {
-            // Paged groups materialize one at a time here and are dropped
-            // after serialization — checkpointing a paged table never holds
-            // more than one group in memory.
-            let g = table.group(gi)?;
-            let batch = g.batch();
-            let rows = batch.num_rows();
-            // Group directory: row count + per-column zones + payload length,
-            // so a paged reader can skip payloads it never needs to read.
-            codec::put_u64(&mut body, rows as u64);
-            for i in 0..batch.columns().len() {
-                put_zone(&mut body, g.zone(i));
+        put_region(&mut body, |out| {
+            codec::put_str(out, name);
+            codec::put_schema(out, table.schema());
+        });
+        let mut dir = Vec::new();
+        put_region(&mut body, |out| -> Result<()> {
+            for gi in 0..table.num_groups() {
+                // Paged groups materialize one at a time here and are
+                // dropped after serialization — checkpointing a paged table
+                // never holds more than one group in memory.
+                let g = table.group(gi)?;
+                codec::put_u64(&mut dir, g.num_rows() as u64);
+                g.zones().iter().for_each(|z| put_zone(&mut dir, z));
+                let start = out.len();
+                codec::put_batch(out, g.batch());
+                codec::put_u64(&mut dir, (out.len() - start) as u64);
             }
-            let mut payload = Vec::new();
-            put_batch(&mut payload, batch);
-            codec::put_u32(&mut body, payload.len() as u32);
-            body.extend_from_slice(&payload);
-        }
-        // The unsealed tail rides along in row form and is restored as a
-        // tail, so checkpoints never fragment a table into short groups.
-        codec::put_u64(&mut body, table.tail_rows() as u64);
-        for chunk in table.tail_batches() {
-            for i in 0..chunk.num_rows() {
-                for v in chunk.row(i) {
-                    codec::put_value(&mut body, &v);
-                }
-            }
-        }
+            Ok(())
+        })?;
+        put_region(&mut body, |out| out.extend_from_slice(&dir));
+        // The unsealed tail is restored as a tail, so checkpoints never
+        // fragment a table into short groups.
+        put_region(&mut body, |out| {
+            table
+                .tail_batches()
+                .for_each(|chunk| codec::put_batch(out, &chunk));
+        });
     }
     let crc = codec::crc32(&body);
     codec::put_u32(&mut body, crc);
@@ -345,208 +134,189 @@ pub fn write_checkpoint(path: &Path, lsn: u64, tables: &[(&str, &Table)]) -> Res
     Ok(())
 }
 
-/// Both readers accept only the version this build writes.
-fn check_version(version: u32) -> Result<()> {
-    if version != VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported checkpoint version {version}"
-        )));
-    }
-    Ok(())
-}
-
-/// Load the checkpoint at `path`; `Ok(None)` when no checkpoint exists yet.
+/// Load the checkpoint at `path` into memory; `Ok(None)` when no checkpoint
+/// exists yet.
 ///
 /// A corrupt file (bad magic, bad CRC, truncated body) is an error, not a
 /// silent empty state — the caller decides whether to fall back.
 pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointData>> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("read checkpoint", e)),
-    };
-    if bytes.len() < 4 {
-        return Err(StorageError::Corrupt("checkpoint shorter than CRC".into()));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if codec::crc32(body) != stored_crc {
-        return Err(StorageError::Corrupt("checkpoint CRC mismatch".into()));
-    }
-    let mut cur = Cursor::new(body);
-    if cur.u32()? != MAGIC {
-        return Err(StorageError::Corrupt("not a checkpoint file".into()));
-    }
-    check_version(cur.u32()?)?;
-    let lsn = cur.u64()?;
-    let n_tables = cur.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        let name = cur.str()?.to_string();
-        let schema = codec::read_schema(&mut cur)?;
-        let width = schema.len();
-        let mut table = Table::new(schema.clone());
-        let n_groups = cur.u32()? as usize;
-        for _ in 0..n_groups {
-            let rows = cur.u64()? as usize;
-            for _ in 0..width {
-                read_zone(&mut cur, rows)?;
-            }
-            let payload_len = cur.u32()? as usize;
-            let start = cur.position();
-            let batch = read_batch(&mut cur, &schema)?;
-            if batch.num_rows() != rows || cur.position() - start != payload_len {
-                return Err(StorageError::Corrupt(
-                    "group directory disagrees with payload".into(),
-                ));
-            }
-            table.push_sealed_batch(batch)?;
-        }
-        let pending = cur.u64()? as usize;
-        for _ in 0..pending {
-            let mut row = Vec::with_capacity(width);
-            for _ in 0..width {
-                row.push(codec::read_value(&mut cur)?);
-            }
-            table.append_row(row)?;
-        }
-        tables.push((name, table));
-    }
-    Ok(Some(CheckpointData { lsn, tables }))
-}
-
-/// Parse a sequentially-encoded region starting at absolute offset `pos`
-/// without knowing its length up front: read a small window, try to parse,
-/// and double the window on a bounds shortfall. Returns the parsed value
-/// and how many bytes it consumed. Genuine corruption still surfaces once
-/// the window covers everything that remains.
-fn parse_window<T>(
-    pager: &PagedFile,
-    pos: u64,
-    body_len: u64,
-    f: impl Fn(&mut Cursor<'_>) -> Result<T>,
-) -> Result<(T, usize)> {
-    let mut window = 256usize;
-    loop {
-        let avail = (body_len.saturating_sub(pos)) as usize;
-        let take = window.min(avail);
-        let bytes = pager.read_at(pos, take)?;
-        let mut cur = Cursor::new(&bytes);
-        match f(&mut cur) {
-            Ok(v) => return Ok((v, cur.position())),
-            Err(StorageError::Corrupt(_)) if take < avail => window *= 2,
-            Err(e) => return Err(e),
-        }
+    match fs::read(path) {
+        Ok(bytes) => walk(&Source::Bytes(bytes)).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err("read checkpoint", e)),
     }
 }
 
 /// Open the checkpoint at `path` *paged*: row-group payloads stay on disk
-/// and stream through a [`BufferPool`](crate::bufferpool::BufferPool) of
-/// `pool_pages` frames on demand; only schemas, zone maps, and tail rows are
-/// materialized. `Ok(None)` when no checkpoint exists.
-///
-/// Two passes, both in `O(pool)` memory: a streaming CRC-32 over the whole
-/// file (same corruption guarantee as [`read_checkpoint`], without the
-/// whole-file read), then a structure walk that parses each group's
-/// directory and *skips* its payload by length, recording `(offset, len)`
-/// windows for [`Table::group`] to re-read later.
+/// and stream through a [`BufferPool`] of `pool_pages` frames on demand;
+/// only schemas, zone maps, and tail rows are materialized. `Ok(None)` when
+/// no checkpoint exists. The open itself holds `O(pool)` memory beyond
+/// those: the CRC streams through the pool a page at a time.
 pub fn open_checkpoint_paged(
     path: &Path,
     pool_pages: usize,
     metrics: &crate::metrics::Metrics,
 ) -> Result<Option<CheckpointData>> {
-    use crate::bufferpool::BufferPool;
-    use crate::disk::DiskManager;
-    use crate::page::PAGE_SIZE;
-
     if !path.exists() {
         return Ok(None);
     }
     let disk = Arc::new(DiskManager::open_file(path)?);
     let len = disk.len_bytes();
-    if len < 4 {
-        return Err(StorageError::Corrupt("checkpoint shorter than CRC".into()));
-    }
     let pool = BufferPool::with_metrics(disk, pool_pages.max(2), metrics);
-    let pager = Arc::new(PagedFile::new(pool, len));
-    let body_len = len - 4;
+    walk(&Source::Paged(Arc::new(PagedFile::new(pool, len)))).map(Some)
+}
 
-    // Pass 1: whole-file checksum, one page at a time.
-    let mut crc = codec::Crc32::new();
-    let mut pos = 0u64;
-    while pos < body_len {
-        let take = ((body_len - pos) as usize).min(PAGE_SIZE);
-        crc.update(&pager.read_at(pos, take)?);
-        pos += take as u64;
+/// Where [`walk`] reads a checkpoint from.
+enum Source {
+    /// The whole file, read once: groups decode into resident groups.
+    Bytes(Vec<u8>),
+    /// The file through a buffer pool: groups stay paged windows.
+    Paged(Arc<PagedFile>),
+}
+
+impl Source {
+    /// Bytes `[at, at + len)`, which the caller keeps inside the file.
+    fn read(&self, at: u64, len: u64) -> Result<Cow<'_, [u8]>> {
+        Ok(match self {
+            Source::Bytes(b) => Cow::Borrowed(&b[at as usize..(at + len) as usize]),
+            Source::Paged(p) => Cow::Owned(p.read_at(at, len as usize)?),
+        })
     }
-    let trailer = pager.read_at(body_len, 4)?;
-    if crc.finish() != u32::from_le_bytes(trailer.as_slice().try_into().unwrap()) {
+}
+
+/// A forward reader over `[pos, end)` of a [`Source`].
+struct Reader<'a> {
+    src: &'a Source,
+    pos: u64,
+    end: u64,
+}
+
+impl<'a> Reader<'a> {
+    /// Step over `len` bytes, returning their offset.
+    fn skip(&mut self, len: u64) -> Result<u64> {
+        if len > self.end - self.pos {
+            return Err(StorageError::Corrupt(format!(
+                "checkpoint region of {len} bytes at {} runs past the body",
+                self.pos
+            )));
+        }
+        self.pos += len;
+        Ok(self.pos - len)
+    }
+
+    /// The next `len` bytes.
+    fn take(&mut self, len: u64) -> Result<Cow<'a, [u8]>> {
+        let at = self.skip(len)?;
+        self.src.read(at, len)
+    }
+
+    /// The next region's length prefix.
+    fn prefix(&mut self) -> Result<u64> {
+        Cursor::new(&self.take(8)?).u64()
+    }
+
+    /// The next length-prefixed region.
+    fn region(&mut self) -> Result<Cow<'a, [u8]>> {
+        let len = self.prefix()?;
+        self.take(len)
+    }
+}
+
+/// The one checkpoint walk behind both opens.
+fn walk(src: &Source) -> Result<CheckpointData> {
+    let file_len = match src {
+        Source::Bytes(b) => b.len() as u64,
+        Source::Paged(p) => p.len(),
+    };
+    let body_len = file_len
+        .checked_sub(4)
+        .ok_or_else(|| StorageError::Corrupt("checkpoint shorter than CRC".into()))?;
+    // A page at a time, so a paged file is never in memory whole.
+    let mut crc = codec::Crc32::new();
+    for pos in (0..body_len).step_by(PAGE_SIZE) {
+        crc.update(&src.read(pos, (body_len - pos).min(PAGE_SIZE as u64))?);
+    }
+    if crc.finish() != Cursor::new(&src.read(body_len, 4)?).u32()? {
         return Err(StorageError::Corrupt("checkpoint CRC mismatch".into()));
     }
-
-    // Pass 2: walk the structure, skipping group payloads by length.
-    let header = pager.read_at(0, 20.min(body_len) as usize)?;
-    let mut cur = Cursor::new(&header);
+    let mut body = Reader {
+        src,
+        pos: 0,
+        end: body_len,
+    };
+    let head = body.take(16)?;
+    let mut cur = Cursor::new(&head);
     if cur.u32()? != MAGIC {
         return Err(StorageError::Corrupt("not a checkpoint file".into()));
     }
-    check_version(cur.u32()?)?;
-    let lsn = cur.u64()?;
-    let n_tables = cur.u32()? as usize;
-    let mut pos = 20u64;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        let ((name, schema, n_groups), used) = parse_window(&pager, pos, body_len, |cur| {
-            let name = cur.str()?.to_string();
-            let schema = codec::read_schema(cur)?;
-            let n_groups = cur.u32()? as usize;
-            Ok((name, schema, n_groups))
-        })?;
-        pos += used as u64;
-        let width = schema.len();
-        let mut table = Table::new(schema.clone());
-        for _ in 0..n_groups {
-            let ((rows, zones, payload_len), used) = parse_window(&pager, pos, body_len, |cur| {
-                let rows = cur.u64()? as usize;
-                let mut zones = Vec::with_capacity(width);
-                for _ in 0..width {
-                    zones.push(read_zone(cur, rows)?);
-                }
-                let payload_len = cur.u32()? as usize;
-                Ok((rows, zones, payload_len))
-            })?;
-            pos += used as u64;
-            if pos + payload_len as u64 > body_len {
-                return Err(StorageError::Corrupt(
-                    "group payload extends past checkpoint body".into(),
-                ));
-            }
-            table.push_paged_group(pager.clone(), pos, payload_len, rows, zones);
-            pos += payload_len as u64;
-        }
-        let (pending, used) = parse_window(&pager, pos, body_len, |cur| {
-            let count = cur.u64()? as usize;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut row = Vec::with_capacity(width);
-                for _ in 0..width {
-                    row.push(codec::read_value(cur)?);
-                }
-                rows.push(row);
-            }
-            Ok(rows)
-        })?;
-        pos += used as u64;
-        table.append_rows(&pending)?;
-        tables.push((name, table));
-    }
-    if pos != body_len {
+    let version = cur.u32()?;
+    if version != VERSION {
         return Err(StorageError::Corrupt(format!(
-            "checkpoint body has {} trailing bytes",
-            body_len - pos
+            "unsupported checkpoint version {version}"
         )));
     }
-    Ok(Some(CheckpointData { lsn, tables }))
+    let lsn = cur.u64()?;
+    let mut tables = Vec::new();
+    while body.pos < body.end {
+        let header = body.region()?;
+        let mut cur = Cursor::new(&header);
+        let name = cur.str()?.to_string();
+        let schema = codec::read_schema(&mut cur)?;
+        let width = schema.len() as u64;
+        let mut table = Table::new(schema.clone());
+        let len = body.prefix()?;
+        let at = body.skip(len)?;
+        let mut payloads = Reader {
+            src,
+            pos: at,
+            end: at + len,
+        };
+        let dir = body.region()?;
+        let mut cur = Cursor::new(&dir);
+        while !cur.is_empty() {
+            let rows = cur.u64()?;
+            let zones = (0..width)
+                .map(|_| read_zone(&mut cur, rows as usize))
+                .collect::<Result<Vec<_>>>()?;
+            let len = cur.u64()?;
+            // A payload ends every column in a validity word per 64 rows,
+            // so its length bounds the row count the directory claims.
+            if rows.div_ceil(64).saturating_mul(8 * width.max(1)) > len {
+                return Err(StorageError::Corrupt(
+                    "group directory claims more rows than its payload holds".into(),
+                ));
+            }
+            table.push_group(match src {
+                Source::Bytes(_) => GroupSlot::Mem(Arc::new(RowGroup::decode(
+                    &payloads.take(len)?,
+                    &schema,
+                    rows as usize,
+                    zones,
+                )?)),
+                Source::Paged(pager) => GroupSlot::Paged {
+                    pager: pager.clone(),
+                    offset: payloads.skip(len)?,
+                    len: len as usize,
+                    rows: rows as usize,
+                    zones: Arc::new(zones),
+                },
+            });
+        }
+        if payloads.pos != payloads.end {
+            return Err(StorageError::Corrupt(
+                "group payloads disagree with the directory".into(),
+            ));
+        }
+        let tail = body.region()?;
+        let mut cur = Cursor::new(&tail);
+        let mut rows = Vec::new();
+        while !cur.is_empty() {
+            rows.extend(codec::read_batch(&mut cur, &schema)?.to_rows());
+        }
+        table.append_rows(&rows)?;
+        tables.push((name, table));
+    }
+    Ok(CheckpointData { lsn, tables })
 }
 
 #[cfg(test)]
@@ -718,11 +488,11 @@ mod tests {
         let t = sample_table(9);
         let batch = t.to_batch().unwrap();
         let mut buf = Vec::new();
-        put_batch(&mut buf, &batch);
-        put_batch(&mut buf, &batch);
+        codec::put_batch(&mut buf, &batch);
+        codec::put_batch(&mut buf, &batch);
         let mut cur = Cursor::new(&buf);
         for _ in 0..2 {
-            let back = read_batch(&mut cur, batch.schema()).unwrap();
+            let back = codec::read_batch(&mut cur, batch.schema()).unwrap();
             assert_eq!(back.to_rows(), batch.to_rows());
         }
         assert!(cur.is_empty());
@@ -829,6 +599,36 @@ mod tests {
             4,
             &Metrics::new()
         )));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn both_opens_keep_the_directory_zone_maps() {
+        use crate::metrics::Metrics;
+        let path = temp_path("dir-zones");
+        write_checkpoint(&path, 1, &[("t", &sample_table(10))]).unwrap();
+        // Restamp the first group's `id` minimum in the directory (after the
+        // header and payload regions, the group's row count and the value
+        // tag) and reseal the CRC: an open that recomputed zone maps from
+        // the payload would report 0 again.
+        let mut bytes = fs::read(&path).unwrap();
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let header = u64_at(16) as usize;
+        let dir = 24 + header + 8 + u64_at(24 + header) as usize + 8;
+        let min_at = dir + 8 + 1;
+        assert_eq!(bytes[min_at..min_at + 8], 0i64.to_le_bytes());
+        bytes[min_at..min_at + 8].copy_from_slice(&(-7i64).to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = codec::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let resident = read_checkpoint(&path).unwrap().unwrap();
+        let paged = open_checkpoint_paged(&path, 4, &Metrics::new())
+            .unwrap()
+            .unwrap();
+        for data in [resident, paged] {
+            assert_eq!(data.tables[0].1.group_zones(0)[0].min, Some(Value::Int(-7)));
+        }
         let _ = fs::remove_file(&path);
     }
 

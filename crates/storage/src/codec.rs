@@ -1,12 +1,17 @@
-//! Byte-level encoding shared by the durability subsystem.
+//! The storage layer's one byte codec.
 //!
-//! The WAL and the checkpoint file both need to serialize schemas, rows, and
-//! scalar [`Value`]s into self-describing bytes and to detect corruption on
-//! the way back in. This module is the single codec both sides use: CRC-32
-//! checksums, length-prefixed primitives, and value/schema round-trips.
-//! Decoding never panics — every malformed input surfaces as
+//! Everything the engine turns into bytes goes through this module: CRC-32
+//! checksums, length-prefixed primitives, tagged scalar [`Value`]s (WAL
+//! insert records and zone-map bounds), schemas, and the column-chunk batch
+//! format of [`put_batch`]/[`read_batch`], which checkpoint row groups and
+//! tails, operator spill frames and result-cache entries all share.
+//! Decoding never panics, and no decoder allocates for a count the bytes
+//! left cannot hold ([`Cursor::count`]): every malformed input surfaces as
 //! [`StorageError::Corrupt`].
 
+use crate::batch::RecordBatch;
+use crate::column::{Bitmap, Column};
+use crate::compress::{BitPackedI64, EncodedInts, ForLanes, RleI64};
 use crate::error::{Result, StorageError};
 use crate::schema::{Field, Schema};
 use crate::types::{DataType, Value};
@@ -85,15 +90,10 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// A bounds-checked reader over encoded bytes.
@@ -116,14 +116,28 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Bytes consumed so far (offset from the start of the buffer).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Whether the cursor has consumed every byte.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// `n`, a count read from the input, as a `usize` — or `Corrupt` unless
+    /// the bytes left can hold `n` items of at least `min_size` bytes each.
+    /// Decoders check a count with this before allocating for it, so a
+    /// forged count cannot ask for more memory than the input's size backs.
+    pub fn count(&self, n: u64, min_size: usize) -> Result<usize> {
+        usize::try_from(n)
+            .ok()
+            .filter(|n| {
+                n.checked_mul(min_size)
+                    .is_some_and(|b| b <= self.remaining())
+            })
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "count {n} of {min_size}-byte items exceeds the {} bytes left",
+                    self.remaining()
+                ))
+            })
     }
 
     /// Consume `n` raw bytes.
@@ -159,20 +173,10 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Consume a little-endian `f64`.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Consume a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
     /// Consume a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str> {
-        std::str::from_utf8(self.bytes()?)
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| StorageError::Corrupt("invalid utf-8 in encoded string".into()))
     }
 }
@@ -211,7 +215,7 @@ pub fn read_value(cur: &mut Cursor<'_>) -> Result<Value> {
     match cur.u8()? {
         VALUE_NULL => Ok(Value::Null),
         VALUE_INT => Ok(Value::Int(cur.i64()?)),
-        VALUE_FLOAT => Ok(Value::Float(cur.f64()?)),
+        VALUE_FLOAT => Ok(Value::Float(f64::from_bits(cur.u64()?))),
         VALUE_STR => Ok(Value::str(cur.str()?)),
         VALUE_BOOL => Ok(Value::Bool(cur.u8()? != 0)),
         tag => Err(StorageError::Corrupt(format!("unknown value tag {tag}"))),
@@ -249,7 +253,9 @@ pub fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
 
 /// Decode a schema written by [`put_schema`].
 pub fn read_schema(cur: &mut Cursor<'_>) -> Result<Arc<Schema>> {
-    let n = cur.u32()? as usize;
+    // A field is at least a name length, a type tag and a nullable flag.
+    let n = cur.u32()?;
+    let n = cur.count(n.into(), 6)?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let name = cur.str()?.to_string();
@@ -262,6 +268,229 @@ pub fn read_schema(cur: &mut Cursor<'_>) -> Result<Arc<Schema>> {
         });
     }
     Ok(Schema::new(fields))
+}
+
+/// Column-chunk tags in a [`put_batch`] payload.
+const COL_PLAIN: u8 = 0;
+const COL_DICT: u8 = 1;
+const COL_INT: u8 = 2;
+
+/// Sub-tags for the two [`EncodedInts`] representations under [`COL_INT`].
+/// Frame-of-reference lanes are stored bit-packed at their exact width
+/// ([`ForLanes::packed`]) and widened back to byte-aligned lanes on read.
+const INT_RLE: u8 = 0;
+const INT_PACKED: u8 = 1;
+
+/// Append one materialized batch: its row count, then one chunk per column
+/// in the column's physical encoding, each ending in the validity words
+/// ([`Bitmap::words`]). A plain chunk holds the typed values (little-endian
+/// `i64`/`f64`, a byte per bool, length-prefixed strings), NULL slots'
+/// placeholders included; a dictionary chunk its entries and bit-packed
+/// codes; an integer chunk its RLE runs or bit-packed lanes. Callers
+/// materialize any selection first.
+pub fn put_batch(out: &mut Vec<u8>, batch: &RecordBatch) {
+    debug_assert!(batch.selection().is_none(), "put_batch takes a dense batch");
+    put_u64(out, batch.num_rows() as u64);
+    for col in batch.columns() {
+        put_column(out, col);
+    }
+}
+
+fn put_column(out: &mut Vec<u8>, col: &Column) {
+    match col {
+        Column::Int64(v, _) => put_fixed(out, v, |x| x.to_le_bytes()),
+        Column::Float64(v, _) => put_fixed(out, v, |x| x.to_le_bytes()),
+        Column::Bool(v, _) => put_fixed(out, v, |&b| [b as u8]),
+        Column::Utf8(v, _) => {
+            out.push(COL_PLAIN);
+            v.iter().for_each(|s| put_str(out, s));
+        }
+        Column::DictUtf8 { dict, codes, .. } => {
+            out.push(COL_DICT);
+            put_u32(out, dict.len() as u32);
+            dict.iter().for_each(|s| put_str(out, s));
+            let ints: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
+            put_packed(out, &BitPackedI64::encode(&ints));
+        }
+        Column::Int64Encoded { data, .. } => {
+            out.push(COL_INT);
+            match data {
+                EncodedInts::Rle { rle, .. } => {
+                    out.push(INT_RLE);
+                    put_u64(out, rle.len as u64);
+                    put_u32(out, rle.runs.len() as u32);
+                    for &(v, n) in &rle.runs {
+                        put_u64(out, v as u64);
+                        put_u32(out, n);
+                    }
+                }
+                EncodedInts::For(lanes) => {
+                    out.push(INT_PACKED);
+                    put_packed(out, &lanes.packed());
+                }
+            }
+        }
+    }
+    put_words(out, col.validity().words());
+}
+
+/// Append a plain chunk's fixed-width values.
+fn put_fixed<T, const N: usize>(out: &mut Vec<u8>, values: &[T], bytes: impl Fn(&T) -> [u8; N]) {
+    out.push(COL_PLAIN);
+    values.iter().for_each(|v| out.extend_from_slice(&bytes(v)));
+}
+
+/// Append a word count and the words.
+fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    put_u32(out, words.len() as u32);
+    words.iter().for_each(|&w| put_u64(out, w));
+}
+
+/// Append one bit-packed vector: reference, width, length, words.
+fn put_packed(out: &mut Vec<u8>, packed: &BitPackedI64) {
+    put_u64(out, packed.reference as u64);
+    out.push(packed.width);
+    put_u64(out, packed.len as u64);
+    put_words(out, &packed.words);
+}
+
+/// Decode one batch written by [`put_batch`] against the schema it was
+/// written with.
+pub fn read_batch(cur: &mut Cursor<'_>, schema: &Arc<Schema>) -> Result<RecordBatch> {
+    let rows = cur.u64()?;
+    // Every chunk ends in a validity word per 64 rows, so the bytes left
+    // bound the row count before anything is sized by it.
+    cur.count(rows.div_ceil(64), 8 * schema.len())?;
+    let rows = rows as usize;
+    let cols = schema
+        .fields()
+        .iter()
+        .map(|f| read_column(cur, f.data_type, rows).map(Arc::new))
+        .collect::<Result<Vec<_>>>()?;
+    RecordBatch::try_new(schema.clone(), cols)
+}
+
+fn read_column(cur: &mut Cursor<'_>, dt: DataType, rows: usize) -> Result<Column> {
+    let tag = cur.u8()?;
+    Ok(match (tag, dt) {
+        (COL_PLAIN, DataType::Int64) => Column::Int64(
+            read_fixed(cur, rows, i64::from_le_bytes)?,
+            read_validity(cur, rows)?,
+        ),
+        (COL_PLAIN, DataType::Float64) => Column::Float64(
+            read_fixed(cur, rows, f64::from_le_bytes)?,
+            read_validity(cur, rows)?,
+        ),
+        (COL_PLAIN, DataType::Bool) => Column::Bool(
+            read_fixed(cur, rows, |[b]: [u8; 1]| b != 0)?,
+            read_validity(cur, rows)?,
+        ),
+        (COL_PLAIN, DataType::Utf8) => {
+            Column::Utf8(read_strings(cur, rows)?, read_validity(cur, rows)?)
+        }
+        (COL_DICT, DataType::Utf8) => {
+            let n = cur.u32()?;
+            let dict = read_strings(cur, n as usize)?;
+            let codes = read_packed(cur, rows)?.decode();
+            let validity = read_validity(cur, rows)?;
+            // An empty dictionary belongs to an all-NULL chunk.
+            let in_range = |c: &i64| (0..dict.len() as i64).contains(c);
+            if !(codes.iter().all(in_range) || (dict.is_empty() && validity.count_valid() == 0)) {
+                return Err(StorageError::Corrupt("dict code out of range".into()));
+            }
+            let codes = codes.into_iter().map(|c| c as u32).collect();
+            Column::dict_from_parts(Arc::new(dict), codes, validity)
+        }
+        (COL_INT, DataType::Int64) => {
+            let data = match cur.u8()? {
+                INT_PACKED => {
+                    let lanes = ForLanes::from_packed(&read_packed(cur, rows)?);
+                    // Lanes are at most 32 bits wide, and so is their packing.
+                    EncodedInts::For(lanes.ok_or_else(|| {
+                        StorageError::Corrupt("packed lanes wider than 32 bits".into())
+                    })?)
+                }
+                INT_RLE => {
+                    let len = cur.u64()?;
+                    let n = cur.u32()?;
+                    let n = cur.count(n.into(), 12)?;
+                    let runs = (0..n)
+                        .map(|_| Ok((cur.i64()?, cur.u32()?)))
+                        .collect::<Result<Vec<_>>>()?;
+                    // Run ends are indexed as u32.
+                    let total: u64 = runs.iter().map(|&(_, n)| u64::from(n)).sum();
+                    if total != len || len != rows as u64 || len > u64::from(u32::MAX) {
+                        return Err(StorageError::Corrupt("RLE run total mismatch".into()));
+                    }
+                    EncodedInts::from_rle(RleI64 { runs, len: rows })
+                }
+                other => {
+                    return Err(StorageError::Corrupt(format!(
+                        "unknown int encoding sub-tag {other}"
+                    )))
+                }
+            };
+            Column::encoded_from_parts(data, read_validity(cur, rows)?)
+        }
+        _ => {
+            return Err(StorageError::Corrupt(format!(
+                "column chunk tag {tag} does not fit a {dt} column"
+            )))
+        }
+    })
+}
+
+/// `n` fixed-width little-endian values.
+fn read_fixed<const N: usize, T>(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    from: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>> {
+    let n = cur.count(n as u64, N)?;
+    Ok(cur
+        .take(n * N)?
+        .chunks_exact(N)
+        .map(|c| from(c.try_into().expect("chunks_exact yields N bytes")))
+        .collect())
+}
+
+/// `n` length-prefixed strings.
+fn read_strings(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<String>> {
+    let n = cur.count(n as u64, 4)?;
+    (0..n).map(|_| cur.str().map(str::to_owned)).collect()
+}
+
+/// Inverse of [`put_words`].
+fn read_words(cur: &mut Cursor<'_>) -> Result<Vec<u64>> {
+    let n = cur.u32()?;
+    read_fixed(cur, n as usize, u64::from_le_bytes)
+}
+
+/// A chunk's validity: exactly one word per 64 rows.
+fn read_validity(cur: &mut Cursor<'_>, rows: usize) -> Result<Bitmap> {
+    let words = read_words(cur)?;
+    if words.len() != rows.div_ceil(64) {
+        return Err(StorageError::Corrupt("bitmap word count mismatch".into()));
+    }
+    Ok(Bitmap::from_words(words, rows))
+}
+
+/// Inverse of [`put_packed`] for a vector of `rows` values; a word count
+/// that disagrees with the length and width is corruption, caught before
+/// anything is unpacked.
+fn read_packed(cur: &mut Cursor<'_>, rows: usize) -> Result<BitPackedI64> {
+    let packed = BitPackedI64 {
+        reference: cur.i64()?,
+        width: cur.u8()?,
+        len: cur.u64()? as usize,
+        words: read_words(cur)?,
+    };
+    if packed.len != rows || !packed.is_well_formed() {
+        return Err(StorageError::Corrupt(
+            "bit-packed length or word count mismatch".into(),
+        ));
+    }
+    Ok(packed)
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //! - [`bufferpool`]: a read-only LRU cache of those pages,
 //! - [`pager`]: byte-range reads over a page file served through the pool
 //!   (how checkpoint row groups stream without whole-file materialization),
-//! - [`codec`] / [`checkpoint`]: checksummed byte encodings and atomic
-//!   table snapshots for the durability subsystem,
+//! - [`codec`] / [`checkpoint`]: the one byte codec (checksums, schemas,
+//!   column-chunk batches for checkpoints, spill files and the result
+//!   cache) and atomic table snapshots,
 //! - [`metrics`]: the engine-wide [`metrics::Metrics`] counter registry that
 //!   the buffer pool, query operators, and the `Database` facade all record
 //!   into.

@@ -49,9 +49,11 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+    /// Replace the value with `n` in one store — how a gauge riding on a
+    /// counter publishes, so a concurrent reader sees the old value or the
+    /// new one, never a zero in between.
+    pub fn set(&self, n: u64) {
+        self.0.store(n, Ordering::Relaxed);
     }
 }
 
@@ -103,7 +105,7 @@ impl Metrics {
     /// Reset every counter to zero (handles stay valid).
     pub fn reset(&self) {
         for c in self.inner.read().values() {
-            c.reset();
+            c.set(0);
         }
     }
 
@@ -202,6 +204,30 @@ mod tests {
         assert_eq!(m2.value("a"), 5);
         m2.reset();
         assert_eq!(m.value("a"), 0);
+    }
+
+    #[test]
+    fn set_publishes_a_gauge_in_one_store() {
+        let m = Metrics::new();
+        let gauge = m.counter("g.bytes");
+        gauge.add(7);
+        gauge.set(3);
+        assert_eq!(m.value("g.bytes"), 3);
+        // A reader racing the republishing writer sees only published
+        // values: never the zero a reset-then-add would expose.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for n in 1..=20_000 {
+                    gauge.set(n);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            while !done.load(Ordering::SeqCst) {
+                assert_ne!(m.value("g.bytes"), 0);
+            }
+        });
+        assert_eq!(gauge.get(), 20_000);
     }
 
     #[test]

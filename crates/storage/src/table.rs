@@ -174,13 +174,24 @@ impl RowGroup {
         RowGroup { batch, zones }
     }
 
-    /// Rebuild a row group from a batch plus zone maps that were computed
-    /// when it was first sealed (the paged checkpoint reader keeps zones
-    /// resident and re-reads payloads on demand; recomputing zones on every
-    /// fetch would defeat the point of keeping them in the directory).
-    pub fn with_zones(batch: RecordBatch, zones: Vec<ZoneMap>) -> RowGroup {
-        debug_assert_eq!(batch.columns().len(), zones.len());
-        RowGroup { batch, zones }
+    /// Decode a checkpoint group payload ([`crate::codec::put_batch`]
+    /// bytes) of `rows` rows, keeping the `zones` its directory carried:
+    /// they were computed when the group was first sealed, so neither
+    /// reopening nor re-reading a paged group recomputes them.
+    pub(crate) fn decode(
+        payload: &[u8],
+        schema: &Arc<Schema>,
+        rows: usize,
+        zones: Vec<ZoneMap>,
+    ) -> Result<RowGroup> {
+        let mut cur = crate::codec::Cursor::new(payload);
+        let batch = crate::codec::read_batch(&mut cur, schema)?;
+        if batch.num_rows() != rows || !cur.is_empty() {
+            return Err(StorageError::Corrupt(
+                "group directory disagrees with payload".into(),
+            ));
+        }
+        Ok(RowGroup { batch, zones })
     }
 
     /// The underlying batch.
@@ -219,7 +230,7 @@ pub enum GroupSlot {
     Paged {
         /// The checkpoint file, served through a buffer pool.
         pager: Arc<PagedFile>,
-        /// Byte offset of the group payload ([`crate::checkpoint::put_batch`]
+        /// Byte offset of the group payload ([`crate::codec::put_batch`]
         /// bytes) within the file.
         offset: u64,
         /// Payload length in bytes.
@@ -449,9 +460,8 @@ impl Table {
     }
 
     /// Seal an already-built batch directly as a row group, keeping whatever
-    /// physical encodings its columns carry (checkpoint replay restores
-    /// dictionary columns without a re-encode pass). A non-empty tail seals
-    /// first, so row order is preserved.
+    /// physical encodings its columns carry. A non-empty tail seals first,
+    /// so row order is preserved.
     pub fn push_sealed_batch(&mut self, batch: RecordBatch) -> Result<()> {
         if batch.schema().fields() != self.schema.fields() {
             return Err(StorageError::SchemaMismatch(
@@ -459,33 +469,21 @@ impl Table {
             ));
         }
         self.flush()?;
-        self.rows += batch.num_rows();
-        self.groups
-            .push(GroupSlot::Mem(Arc::new(RowGroup::new(batch))));
+        self.push_group(GroupSlot::Mem(Arc::new(RowGroup::new(batch))));
         Ok(())
     }
 
-    /// Register a row group that stays on disk: only its zone maps are
-    /// resident; [`Table::group`] re-reads the payload window through the
-    /// buffer pool on every access. This is how the paged checkpoint open
-    /// publishes tables whose working set exceeds memory.
-    pub fn push_paged_group(
-        &mut self,
-        pager: Arc<PagedFile>,
-        offset: u64,
-        len: usize,
-        rows: usize,
-        zones: Vec<ZoneMap>,
-    ) {
-        debug_assert_eq!(self.tail.rows, 0, "paged groups precede the tail");
-        self.rows += rows;
-        self.groups.push(GroupSlot::Paged {
-            pager,
-            offset,
-            len,
-            rows,
-            zones: Arc::new(zones),
-        });
+    /// Append a sealed group as it is: a resident group, or a paged window
+    /// whose payload [`Table::group`] re-reads through the buffer pool on
+    /// every access (how the paged checkpoint open publishes tables whose
+    /// working set exceeds memory). The tail must be empty.
+    pub(crate) fn push_group(&mut self, slot: GroupSlot) {
+        debug_assert_eq!(self.tail.rows, 0, "sealed groups precede the tail");
+        self.rows += match &slot {
+            GroupSlot::Mem(g) => g.num_rows(),
+            GroupSlot::Paged { rows, .. } => *rows,
+        };
+        self.groups.push(slot);
     }
 
     /// Materialize sealed row group `i`.
@@ -509,18 +507,12 @@ impl Table {
                 zones,
             } => {
                 let bytes = pager.read_at(*offset, *len)?;
-                let mut cur = crate::codec::Cursor::new(&bytes);
-                let batch = crate::checkpoint::read_batch(&mut cur, &self.schema)?;
-                if batch.num_rows() != *rows {
-                    return Err(StorageError::Corrupt(format!(
-                        "paged group {i}: payload has {} rows, directory says {rows}",
-                        batch.num_rows()
-                    )));
-                }
-                Ok(Arc::new(RowGroup::with_zones(
-                    batch,
+                Ok(Arc::new(RowGroup::decode(
+                    &bytes,
+                    &self.schema,
+                    *rows,
                     zones.as_ref().clone(),
-                )))
+                )?))
             }
         }
     }

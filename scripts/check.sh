@@ -119,12 +119,23 @@ done
 # typed error, so no request can overflow a worker's stack; so is the length of
 # a request line, so no request can grow a buffer without bound. A request that
 # panics the engine gets a typed internal error, and its worker keeps serving.
-echo "== hostile input: SQL and JSON nesting depth, request line length, panics =="
+echo "== hostile input: SQL and JSON nesting depth, request line length, panics, stored bytes =="
 cargo test -q -p backbone-bench --test sql_robustness sql_depth_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deep_nesting_is_a_typed_error_not_a_stack_overflow
 cargo test -q -p backbone-server deeply_nested
 cargo test -q -p backbone-server overlong_request_line
 cargo test -q -p backbone-server panicking_request_is_a_typed_error_and_the_worker_survives
+# Stored bytes are hostile input too: counts crafted in batch chunks,
+# schemas, WAL records and resealed checkpoints are `Corrupt`, never an
+# allocation that aborts the process, and mutated checkpoints and random
+# batch bytes open to `Ok` or a typed error. Run by exact name, so a renamed
+# test fails here.
+for t in crafted_counts_are_corrupt_not_allocations mutated_checkpoints_open_or_fail_typed \
+  random_bytes_read_batch_or_fail_typed; do
+  out="$(cargo test -q -p backbone-bench --test storage_properties "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+  echo "$out"
+  grep -q " 1 passed" <<<"$out" || { echo "storage_properties: $t did not run"; exit 1; }
+done
 
 # EXPLAIN ANALYZE's spill line counts its own query alone, even while another
 # session spills into the same registry; and perfbench's per-layer

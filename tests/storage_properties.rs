@@ -1,14 +1,24 @@
 //! Property tests for the storage layer: encodings are lossless, batch
-//! operators agree with a naive row model, and zone maps never lie.
+//! operators agree with a naive row model, zone maps never lie, and the
+//! byte codec round-trips every batch exactly while hostile bytes — crafted
+//! counts, mutated checkpoints, random batch payloads — give a typed error,
+//! never a panic or an allocation the process cannot survive.
 
+use backbone_core::durability::{decode_op, encode_insert};
 use backbone_lab::cache::CacheSim;
 use backbone_lab::eviction::PolicyKind;
 use backbone_storage::bufferpool::BufferPool;
+use backbone_storage::checkpoint::{
+    open_checkpoint_paged, read_checkpoint, write_checkpoint, CheckpointData,
+};
+use backbone_storage::codec::{self, put_batch, read_batch, Cursor};
 use backbone_storage::compress::{EncodedInts, ForLanes, RleI64};
 use backbone_storage::disk::DiskManager;
 use backbone_storage::page::PAGE_SIZE;
 use backbone_storage::table::ZoneMap;
-use backbone_storage::{Column, DataType, Field, Metrics, RecordBatch, Schema, Table, Value};
+use backbone_storage::{
+    Bitmap, Column, DataType, Field, Metrics, RecordBatch, Schema, StorageError, Table, Value,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,15 +28,20 @@ fn page_file_bytes(pages: usize) -> Vec<u8> {
     (0..pages * PAGE_SIZE).map(|i| (i % 251) as u8).collect()
 }
 
-/// A pool of `capacity` frames over a fresh file holding `bytes`. The file
-/// is unlinked once open; the pool's handle keeps it readable.
-fn file_pool(bytes: &[u8], capacity: usize, metrics: &Metrics) -> Arc<BufferPool> {
+/// A fresh path in the temp directory, unique within this process.
+fn temp_file() -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let path = std::env::temp_dir().join(format!(
+    std::env::temp_dir().join(format!(
         "backbone-storage-properties-{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
+    ))
+}
+
+/// A pool of `capacity` frames over a fresh file holding `bytes`. The file
+/// is unlinked once open; the pool's handle keeps it readable.
+fn file_pool(bytes: &[u8], capacity: usize, metrics: &Metrics) -> Arc<BufferPool> {
+    let path = temp_file();
     std::fs::write(&path, bytes).unwrap();
     let disk = Arc::new(DiskManager::open_file(&path).unwrap());
     std::fs::remove_file(&path).unwrap();
@@ -251,5 +266,402 @@ fn buffer_pool_hit_rate_monotone_in_capacity() {
             metrics.value("bufferpool.hits") as f64 / metrics.value("bufferpool.lookups") as f64;
         assert!(rate >= previous, "hit rate dropped with capacity {cap}");
         previous = rate;
+    }
+}
+
+/// Bit-exact column equality: floats compare by `to_bits`, so NaN payloads
+/// and −0.0 count; every other representation compares whole (values, NULL
+/// placeholders, validity and encoding).
+fn same_column(a: &Column, b: &Column) -> bool {
+    match (a, b) {
+        (Column::Float64(x, xv), Column::Float64(y, yv)) => {
+            xv == yv
+                && x.iter()
+                    .map(|f| f.to_bits())
+                    .eq(y.iter().map(|f| f.to_bits()))
+        }
+        _ => a == b,
+    }
+}
+
+/// A generated row: one optional value per plain type, then a key in
+/// `0..4` that drives the dictionary, lane and RLE columns and their NULLs.
+type CodecRow = (Option<i64>, Option<f64>, Option<String>, Option<bool>, u8);
+
+/// One plain column per type with NULLs, then a dictionary, a
+/// frame-of-reference and an RLE column over the same rows.
+fn codec_batch(rows: &[CodecRow]) -> RecordBatch {
+    let n = rows.len();
+    let validity =
+        |valid: &dyn Fn(usize) -> bool| Bitmap::from_bools(&(0..n).map(valid).collect::<Vec<_>>());
+    let strings = ["", "ünïcødé €😀", "a", "λ"];
+    let utf8 = Column::Utf8(
+        rows.iter()
+            .map(|r| r.2.clone().unwrap_or_default())
+            .collect(),
+        validity(&|i| rows[i].2.is_some()),
+    );
+    let bools = Column::Bool(
+        rows.iter().map(|r| r.3.unwrap_or(false)).collect(),
+        validity(&|i| rows[i].3.is_some()),
+    );
+    let dict = Column::Utf8(
+        rows.iter()
+            .map(|r| strings[r.4 as usize].to_string())
+            .collect(),
+        validity(&|i| rows[i].4 != 1),
+    )
+    .dict_encode()
+    .unwrap();
+    let lane_values: Vec<i64> = (0..n as i64)
+        .map(|i| 1_000 * i64::from(rows[i as usize].4) + i % 7)
+        .collect();
+    let lanes = Column::encoded_from_parts(
+        EncodedInts::For(ForLanes::encode(&lane_values).unwrap()),
+        validity(&|i| rows[i].4 != 2),
+    );
+    let run_values: Vec<i64> = (0..n as i64).map(|i| (i / 16) << 40).collect();
+    let runs = Column::encoded_from_parts(
+        EncodedInts::from_rle(RleI64::encode(&run_values)),
+        validity(&|i| rows[i].4 != 3),
+    );
+    let schema = Schema::new(vec![
+        Field::nullable("i", DataType::Int64),
+        Field::nullable("f", DataType::Float64),
+        Field::nullable("s", DataType::Utf8),
+        Field::nullable("b", DataType::Bool),
+        Field::nullable("d", DataType::Utf8),
+        Field::nullable("l", DataType::Int64),
+        Field::nullable("r", DataType::Int64),
+    ]);
+    let columns = vec![
+        Column::from_opt_i64(rows.iter().map(|r| r.0).collect()),
+        Column::from_opt_f64(rows.iter().map(|r| r.1).collect()),
+        utf8,
+        bools,
+        dict,
+        lanes,
+        runs,
+    ];
+    RecordBatch::try_new(schema, columns.into_iter().map(Arc::new).collect()).unwrap()
+}
+
+/// Floats the codec must keep bit for bit: NaNs with payloads, both zeros,
+/// infinities, ordinary values.
+fn awkward_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        (0u64..1 << 51).prop_map(|p| f64::from_bits(0x7ff8_0000_0000_0000 | p)),
+        (0u64..1 << 51).prop_map(|p| f64::from_bits(0xfff0_0000_0000_0001 | p)),
+        Just(-0.0),
+        Just(0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `put_batch`/`read_batch` give back the batch exactly: values, NULL
+    /// placeholders, validity and physical encoding. A slice comes back
+    /// with the same values and encodings, except that lanes reopen at the
+    /// narrowest width the slice's residuals need (lanes are stored
+    /// bit-packed at the exact width of the largest residual).
+    #[test]
+    fn batch_codec_round_trips_values_validity_and_encodings(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::of(any::<i64>()),
+                proptest::option::of(awkward_f64()),
+                proptest::option::of("[a-zλ]{0,8}"),
+                proptest::option::of(any::<bool>()),
+                0u8..4,
+            ),
+            1..300,
+        ),
+        cut in (any::<u16>(), any::<u16>()),
+    ) {
+        let batch = codec_batch(&rows);
+        let offset = cut.0 as usize % rows.len();
+        let len = cut.1 as usize % (rows.len() - offset + 1);
+        let sliced = batch.slice(offset, len).unwrap();
+        let plain = |c: &Column| c.decoded().unwrap_or_else(|| c.clone());
+        let lane_bytes = |c: &Column| {
+            c.encoded_parts().and_then(|(data, _)| data.lanes()).map(|l| l.lane_bytes())
+        };
+        for (batch, whole) in [(&batch, true), (&sliced, false)] {
+            let mut buf = Vec::new();
+            put_batch(&mut buf, batch);
+            let mut cur = Cursor::new(&buf);
+            let back = read_batch(&mut cur, batch.schema()).unwrap();
+            prop_assert!(cur.is_empty());
+            prop_assert_eq!(back.num_rows(), batch.num_rows());
+            for (a, b) in batch.columns().iter().zip(back.columns()) {
+                if whole {
+                    prop_assert!(same_column(a, b), "{a:?} came back as {b:?}");
+                } else {
+                    prop_assert!(same_column(&plain(a), &plain(b)), "{a:?} came back as {b:?}");
+                    prop_assert_eq!(std::mem::discriminant(&**a), std::mem::discriminant(&**b));
+                    prop_assert!(lane_bytes(b) <= lane_bytes(a));
+                }
+            }
+        }
+    }
+}
+
+/// `bytes` with the CRC trailer recomputed over everything before it, so a
+/// reader can refuse them only for what they say.
+fn reseal(bytes: &mut [u8]) {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let crc = codec::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// The bytes of a checkpoint of `tables`.
+fn checkpoint_bytes(tables: &[(&str, &Table)]) -> Vec<u8> {
+    let path = temp_file();
+    write_checkpoint(&path, 7, tables).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+/// Open checkpoint `bytes` resident and paged. Each table an open returns
+/// is read whole, so paged groups decode too; that read's error is the
+/// open's.
+fn open_both(bytes: &[u8]) -> [backbone_storage::error::Result<()>; 2] {
+    let path = temp_file();
+    std::fs::write(&path, bytes).unwrap();
+    let read_all = |data: backbone_storage::error::Result<Option<CheckpointData>>| {
+        for (_, t) in data?.expect("the file exists").tables {
+            t.to_batch()?;
+        }
+        Ok(())
+    };
+    let opened = [
+        read_all(read_checkpoint(&path)),
+        read_all(open_checkpoint_paged(&path, 4, &Metrics::new())),
+    ];
+    std::fs::remove_file(&path).unwrap();
+    opened
+}
+
+fn events_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::nullable("region", DataType::Utf8),
+        Field::nullable("amount", DataType::Int64),
+        Field::nullable("price", DataType::Float64),
+        Field::nullable("flag", DataType::Bool),
+    ])
+}
+
+/// `events` seals three encoded 64-row groups (dictionary, RLE and
+/// frame-of-reference columns) and keeps a 9-row tail with NULLs; `notes`
+/// is a tail alone.
+fn fuzz_tables() -> (Table, Table) {
+    let mut events = Table::with_group_size(events_schema(), 64);
+    for i in 0..201i64 {
+        let null_or = |v: Value| if i % 5 == 0 { Value::Null } else { v };
+        events
+            .append_row(vec![
+                Value::Int(i / 16),
+                null_or(Value::str(["north", "south", "east"][i as usize % 3])),
+                null_or(Value::Int(1_000 + i % 37)),
+                null_or(Value::Float(i as f64 / 4.0)),
+                null_or(Value::Bool(i % 2 == 0)),
+            ])
+            .unwrap();
+    }
+    let mut notes = Table::new(Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::nullable("text", DataType::Utf8),
+    ]));
+    for i in 0..5i64 {
+        let text = if i == 2 {
+            Value::Null
+        } else {
+            Value::str(format!("note {i} ü"))
+        };
+        notes.append_row(vec![Value::Int(i), text]).unwrap();
+    }
+    (events, notes)
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Every count the decoders read is checked against the bytes left before
+/// anything is sized by it: each crafted input is `Corrupt`, not an
+/// allocation that aborts the process.
+#[test]
+fn crafted_counts_are_corrupt_not_allocations() {
+    fn corrupt<T>(r: backbone_storage::error::Result<T>) -> bool {
+        matches!(r, Err(StorageError::Corrupt(_)))
+    }
+    let int = Schema::new(vec![Field::nullable("x", DataType::Int64)]);
+    let text = Schema::new(vec![Field::nullable("s", DataType::Utf8)]);
+    let max32 = &u32::MAX.to_le_bytes()[..];
+    let one = &1u64.to_le_bytes()[..];
+    let huge = &(1u64 << 40).to_le_bytes()[..];
+    let batches: [(&str, &Arc<Schema>, Vec<u8>); 7] = [
+        // A zero-width packing has no words to bound its length: only the
+        // row count's own bound stops a 2^40-value decode.
+        (
+            "2^40 rows in a zero-width packed chunk",
+            &int,
+            [huge, &[2, 1], &[0; 9], huge, &[0; 4]].concat(),
+        ),
+        ("2^40 rows, then a plain chunk", &int, [huge, &[0]].concat()),
+        (
+            "u32::MAX dictionary entries",
+            &text,
+            [one, &[1], max32, &[0; 16]].concat(),
+        ),
+        (
+            "u32::MAX RLE runs",
+            &int,
+            [one, &[2, 0], one, max32, &[0; 16]].concat(),
+        ),
+        (
+            "u32::MAX validity words",
+            &int,
+            [one, &[0], &[7; 8], max32, &[0; 8]].concat(),
+        ),
+        (
+            "u32::MAX bit-packed words",
+            &int,
+            [one, &[2, 1], &[0; 9], one, max32, &[0; 8]].concat(),
+        ),
+        (
+            "64 strings in 8 bytes",
+            &text,
+            [&64u64.to_le_bytes()[..], &[0], &[0; 8]].concat(),
+        ),
+    ];
+    for (case, schema, bytes) in &batches {
+        assert!(
+            corrupt(read_batch(&mut Cursor::new(bytes), schema)),
+            "batch: {case}"
+        );
+    }
+    let fields = [max32, &[0; 8]].concat();
+    assert!(
+        corrupt(codec::read_schema(&mut Cursor::new(&fields))),
+        "u32::MAX schema fields"
+    );
+
+    // WAL insert records: the row count, then one row's width, as u32::MAX.
+    for rows in [vec![], vec![vec![]]] {
+        let mut record = encode_insert("t", &rows);
+        let at = record.len() - 4;
+        record[at..].copy_from_slice(max32);
+        let got = decode_op(&record);
+        assert!(
+            matches!(
+                got,
+                Err(backbone_core::Error::Storage(StorageError::Corrupt(_)))
+            ),
+            "WAL insert of {} rows with a u32::MAX count",
+            rows.len()
+        );
+    }
+
+    // Checkpoints, CRC resealed, through both opens. Table 0's header
+    // region starts at 16: its u64 length, then the name and the schema's
+    // field count. The payload, directory and tail regions follow, each
+    // after its u64 length.
+    let (events, notes) = fuzz_tables();
+    let sealed = checkpoint_bytes(&[("events", &events)]);
+    let tail_only = checkpoint_bytes(&[("notes", &notes)]);
+    let header = u64_at(&sealed, 16);
+    let fields_at = 24 + 4 + "events".len();
+    let dir_at = 32 + header + u64_at(&sealed, 24 + header);
+    let tail_header = u64_at(&tail_only, 16);
+    // `notes` has no groups: empty payload and directory regions, then
+    // the tail region, whose first chunk starts with its row count.
+    let tail_rows_at = 24 + tail_header + 3 * 8;
+    let cases: [(&str, &[u8], usize, Vec<u8>); 4] = [
+        (
+            "header region of u64::MAX bytes",
+            &sealed,
+            16,
+            u64::MAX.to_le_bytes().to_vec(),
+        ),
+        ("u32::MAX schema fields", &sealed, fields_at, max32.to_vec()),
+        (
+            "a group of u64::MAX rows",
+            &sealed,
+            dir_at + 8,
+            u64::MAX.to_le_bytes().to_vec(),
+        ),
+        (
+            "a tail chunk of 2^40 rows",
+            &tail_only,
+            tail_rows_at,
+            (1u64 << 40).to_le_bytes().to_vec(),
+        ),
+    ];
+    for (case, base, at, patch) in cases {
+        assert!(
+            open_both(base).iter().all(|r| r.is_ok()),
+            "{case}: the unpatched file opens"
+        );
+        let mut bytes = base.to_vec();
+        bytes[at..at + patch.len()].copy_from_slice(&patch);
+        reseal(&mut bytes);
+        for (open, got) in ["resident", "paged"].iter().zip(open_both(&bytes)) {
+            assert!(corrupt(got), "checkpoint, {open} open: {case}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    /// A checkpoint with one byte flipped, cut short, or one u32/u64
+    /// overwritten anywhere — CRC resealed, so the structure is what gets
+    /// tested — opens resident and paged to `Ok` or a typed error.
+    #[test]
+    fn mutated_checkpoints_open_or_fail_typed(
+        kind in 0u8..3,
+        at in any::<u64>(),
+        value in any::<u64>(),
+        shift in 0u32..64,
+        wide in any::<bool>(),
+    ) {
+        let (events, notes) = fuzz_tables();
+        let mut bytes = checkpoint_bytes(&[("events", &events), ("notes", &notes)]);
+        let body = bytes.len() - 4;
+        let at = (at % body as u64) as usize;
+        // Small values as often as huge ones: counts near the truth get
+        // further into the decoders.
+        let value = value >> shift;
+        match kind {
+            0 => bytes[at] ^= (value % 255) as u8 + 1,
+            1 => bytes.truncate(at),
+            _ => {
+                let width = if wide { 8 } else { 4 };
+                let at = at.min(body - width);
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            }
+        }
+        reseal(&mut bytes);
+        // A panic fails the test; any `Err` is a typed `StorageError`.
+        let _ = open_both(&bytes);
+    }
+
+    /// Random bytes after a small row count decode against a fixed schema
+    /// to a batch or a typed error.
+    #[test]
+    fn random_bytes_read_batch_or_fail_typed(
+        rows in 0u64..200,
+        bytes in proptest::collection::vec(prop_oneof![0u8..4, any::<u8>()], 0..400),
+    ) {
+        let buf = [&rows.to_le_bytes()[..], &bytes].concat();
+        let _ = read_batch(&mut Cursor::new(&buf), &events_schema());
     }
 }
