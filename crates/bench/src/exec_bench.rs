@@ -229,8 +229,9 @@ pub fn run(quick: bool) -> Vec<Rung> {
     // committed baseline; the morsel-parallel ladder (1/2/4/8 workers) runs
     // the identical plans and every rung re-checks the answer.
     let sf = if quick { 0.005 } else { 0.05 };
-    // Bulk load first: generating the catalog appends every row and seals
-    // the row groups (encodings and zone maps). Recorded, not gated.
+    // Bulk load first: generating the catalog draws every value into typed
+    // buffers, appends them one tail chunk at a time and seals the row
+    // groups (encodings and zone maps). Recorded, not gated.
     let (catalog, load_ms) = measure(|| tpch::generate(sf, 42));
     let loaded = catalog
         .table_names()

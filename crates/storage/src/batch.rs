@@ -175,6 +175,15 @@ impl RecordBatch {
         }
     }
 
+    /// The columns by value, any selection gathered first, so that a sole
+    /// owner can take their data.
+    pub(crate) fn into_columns(self) -> Vec<Arc<Column>> {
+        match self.sel {
+            None => self.columns,
+            Some(_) => self.materialize().columns,
+        }
+    }
+
     /// Replace dictionary- and integer-encoded columns with their decoded
     /// (flat) form. A no-op clone when nothing is encoded — the late-
     /// materialization step at the boundary where results leave the engine.

@@ -275,9 +275,11 @@ fn walk(src: &Source) -> Result<CheckpointData> {
         let mut cur = Cursor::new(&dir);
         while !cur.is_empty() {
             let rows = cur.u64()?;
-            let zones = (0..width)
-                .map(|_| read_zone(&mut cur, rows as usize))
-                .collect::<Result<Vec<_>>>()?;
+            let zones = Arc::new(
+                (0..width)
+                    .map(|_| read_zone(&mut cur, rows as usize))
+                    .collect::<Result<Vec<_>>>()?,
+            );
             let len = cur.u64()?;
             // A payload ends every column in a validity word per 64 rows,
             // so its length bounds the row count the directory claims.
@@ -298,7 +300,7 @@ fn walk(src: &Source) -> Result<CheckpointData> {
                     offset: payloads.skip(len)?,
                     len: len as usize,
                     rows: rows as usize,
-                    zones: Arc::new(zones),
+                    zones,
                 },
             });
         }
@@ -309,11 +311,12 @@ fn walk(src: &Source) -> Result<CheckpointData> {
         }
         let tail = body.region()?;
         let mut cur = Cursor::new(&tail);
-        let mut rows = Vec::new();
         while !cur.is_empty() {
-            rows.extend(codec::read_batch(&mut cur, &schema)?.to_rows());
+            // The writer stores plain tail chunks; an encoded one is refused.
+            table
+                .append_batch(codec::read_batch(&mut cur, &schema)?)
+                .map_err(|e| StorageError::Corrupt(format!("checkpoint tail chunk: {e}")))?;
         }
-        table.append_rows(&rows)?;
         tables.push((name, table));
     }
     Ok(CheckpointData { lsn, tables })

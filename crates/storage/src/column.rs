@@ -145,6 +145,22 @@ impl Bitmap {
         self.words.truncate(self.len.div_ceil(64));
     }
 
+    /// Append bits `[at, at + n)` of `other`, a word at a time.
+    pub(crate) fn append_range(&mut self, other: &Bitmap, at: usize, n: usize) {
+        if at == 0 && n == other.len {
+            return self.append(other);
+        }
+        let (first, shift) = (at / 64, at % 64);
+        let word = |k: usize| other.words.get(k).copied().unwrap_or(0);
+        let words = (first..first + n.div_ceil(64))
+            .map(|k| match shift {
+                0 => word(k),
+                s => word(k) >> s | word(k + 1) << (64 - s),
+            })
+            .collect();
+        self.append(&Bitmap::from_words(words, n));
+    }
+
     /// The bitmaps of `parts` end to end.
     pub(crate) fn concat<'a>(parts: impl IntoIterator<Item = &'a Bitmap>) -> Bitmap {
         let mut out = Bitmap::all_valid(0);
@@ -455,6 +471,40 @@ impl Column {
             }
         }
         Ok(())
+    }
+
+    /// Append rows `[at, at + n)` of `src`, a plain column of this plain
+    /// column's type: values by slice copy, validity a word at a time.
+    /// Strings are moved out of `src` when this is its only owner (their
+    /// slots are left empty), and cloned otherwise.
+    pub(crate) fn append_range(&mut self, src: &mut Arc<Column>, at: usize, n: usize) {
+        let rows = at..at + n;
+        if let (Column::Utf8(out, bm), Some(Column::Utf8(values, from))) =
+            (&mut *self, Arc::get_mut(src))
+        {
+            out.extend(values[rows].iter_mut().map(std::mem::take));
+            return bm.append_range(from, at, n);
+        }
+        let bm = match (self, &**src) {
+            (Column::Int64(out, bm), Column::Int64(v, _)) => {
+                out.extend_from_slice(&v[rows]);
+                bm
+            }
+            (Column::Float64(out, bm), Column::Float64(v, _)) => {
+                out.extend_from_slice(&v[rows]);
+                bm
+            }
+            (Column::Utf8(out, bm), Column::Utf8(v, _)) => {
+                out.extend_from_slice(&v[rows]);
+                bm
+            }
+            (Column::Bool(out, bm), Column::Bool(v, _)) => {
+                out.extend_from_slice(&v[rows]);
+                bm
+            }
+            _ => unreachable!("appends copy between plain columns of one type"),
+        };
+        bm.append_range(src.validity(), at, n);
     }
 
     /// Borrow the raw i64 data, failing on other types. Encoded integer

@@ -160,7 +160,7 @@ fn bounds<T: PartialOrd + Copy>(mut values: impl Iterator<Item = T>) -> Option<(
 #[derive(Debug, Clone)]
 pub struct RowGroup {
     batch: RecordBatch,
-    zones: Vec<ZoneMap>,
+    zones: Arc<Vec<ZoneMap>>,
 }
 
 impl RowGroup {
@@ -171,18 +171,22 @@ impl RowGroup {
             .iter()
             .map(|c| ZoneMap::from_column(c))
             .collect();
-        RowGroup { batch, zones }
+        RowGroup {
+            batch,
+            zones: Arc::new(zones),
+        }
     }
 
     /// Decode a checkpoint group payload ([`crate::codec::put_batch`]
     /// bytes) of `rows` rows, keeping the `zones` its directory carried:
     /// they were computed when the group was first sealed, so neither
-    /// reopening nor re-reading a paged group recomputes them.
+    /// reopening nor re-reading a paged group recomputes them, and every
+    /// read of a paged group shares its slot's zone maps.
     pub(crate) fn decode(
         payload: &[u8],
         schema: &Arc<Schema>,
         rows: usize,
-        zones: Vec<ZoneMap>,
+        zones: Arc<Vec<ZoneMap>>,
     ) -> Result<RowGroup> {
         let mut cur = crate::codec::Cursor::new(payload);
         let batch = crate::codec::read_batch(&mut cur, schema)?;
@@ -359,33 +363,65 @@ impl Table {
         self.tail.rows
     }
 
-    /// Append one row.
+    /// Append one row (see [`Table::append_rows`]).
     pub fn append_row(&mut self, row: Vec<Value>) -> Result<()> {
         self.append_rows(std::slice::from_ref(&row))
     }
 
-    /// Append rows, all or nothing: every row is checked against the schema
-    /// before any is appended, so a bad row leaves the table untouched.
-    /// Rows land column by column, one run per open chunk: each open column
-    /// is taken with `Arc::make_mut` once per run, not once per value.
+    /// Append rows, all or nothing: the rows are built into one typed
+    /// column per field first (ints widen into float columns, NULL fits
+    /// any column), and the batch goes through [`Table::append_batch`], so
+    /// a bad row fails before anything lands.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        for row in rows {
-            self.check_row(row)?;
+        self.append_batch(RecordBatch::from_rows(self.schema.clone(), rows)?)
+    }
+
+    /// Append a batch: the one append every write path ends in. It needs
+    /// one column per field, of the field's type, and plain: a dictionary
+    /// or encoded column is refused, because encodings are chosen when the
+    /// tail seals. That is checked once per column before any row lands,
+    /// so a refused batch leaves the table untouched.
+    ///
+    /// Rows land one chunk run at a time. When the open chunk is empty and
+    /// the batch fits in it, the batch's columns become the open chunk
+    /// without a copy. Otherwise rows are copied column by column, each
+    /// open column taken with `Arc::make_mut` once per run; validity moves
+    /// a word at a time, and strings are moved when the batch is their only
+    /// owner.
+    pub fn append_batch(&mut self, batch: RecordBatch) -> Result<()> {
+        if batch.num_columns() != self.schema.len() {
+            return Err(StorageError::SchemaMismatch(format!(
+                "batch has {} columns, schema has {} fields",
+                batch.num_columns(),
+                self.schema.len()
+            )));
         }
+        for (f, col) in self.schema.fields().iter().zip(batch.columns()) {
+            let plain = !(col.is_dict() || col.is_encoded());
+            if col.data_type() != f.data_type || !plain {
+                return Err(StorageError::TypeMismatch {
+                    expected: format!("plain {}", f.data_type),
+                    found: format!("{}{}", if plain { "" } else { "encoded " }, col.data_type()),
+                });
+            }
+        }
+        let rows = batch.num_rows();
+        let mut columns = batch.into_columns();
         let chunk_rows = TAIL_CHUNK_ROWS.min(self.group_size);
-        let mut rest = rows;
-        while !rest.is_empty() {
+        let mut at = 0;
+        while at < rows {
             let room = (chunk_rows - self.tail.open_rows).min(self.group_size - self.tail.rows);
-            let (run, next) = rest.split_at(room.min(rest.len()));
-            for (c, col) in self.tail.open.iter_mut().enumerate() {
-                let col = Arc::make_mut(col);
-                for row in run {
-                    col.push_value(&row[c])?;
+            let n = room.min(rows - at);
+            if self.tail.open_rows == 0 && n == rows {
+                self.tail.open = std::mem::take(&mut columns);
+            } else {
+                for (col, src) in self.tail.open.iter_mut().zip(&mut columns) {
+                    Arc::make_mut(col).append_range(src, at, n);
                 }
             }
-            self.tail.open_rows += run.len();
-            self.tail.rows += run.len();
-            self.rows += run.len();
+            self.tail.open_rows += n;
+            self.tail.rows += n;
+            self.rows += n;
             if self.tail.rows >= self.group_size {
                 self.flush()?;
             } else if self.tail.open_rows >= chunk_rows {
@@ -394,33 +430,7 @@ impl Table {
                 self.tail.open = empty_columns(&self.schema);
                 self.tail.open_rows = 0;
             }
-            rest = next;
-        }
-        Ok(())
-    }
-
-    /// Arity and type check of one row (ints widen into float columns,
-    /// NULL fits anywhere), mirroring what [`Column::push_value`] accepts.
-    fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "row has {} values, schema has {} fields",
-                row.len(),
-                self.schema.len()
-            )));
-        }
-        for (f, v) in self.schema.fields().iter().zip(row) {
-            match v.data_type() {
-                None => {}
-                Some(DataType::Int64) if f.data_type == DataType::Float64 => {}
-                Some(got) if got == f.data_type => {}
-                Some(got) => {
-                    return Err(StorageError::TypeMismatch {
-                        expected: f.data_type.to_string(),
-                        found: got.to_string(),
-                    })
-                }
-            }
+            at += n;
         }
         Ok(())
     }
@@ -511,7 +521,7 @@ impl Table {
                     &bytes,
                     &self.schema,
                     *rows,
-                    zones.as_ref().clone(),
+                    zones.clone(),
                 )?))
             }
         }
@@ -1414,6 +1424,32 @@ mod tests {
                 assert!(same(&back.group_zones(g).to_vec(), &reference), "group {g}");
                 assert!(same(&t.group_zones(g).to_vec(), &reference), "group {g}");
             }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn paged_groups_share_their_zone_maps() {
+        use crate::checkpoint::{open_checkpoint_paged, write_checkpoint};
+        let path =
+            std::env::temp_dir().join(format!("backbone-shared-zones-{}", std::process::id()));
+        let (t, _) = sealed_table(64, 200, EncodingPolicy::Auto);
+        write_checkpoint(&path, 1, &[("t", &t)]).unwrap();
+        let metrics = crate::metrics::Metrics::new();
+        let paged = open_checkpoint_paged(&path, 4, &metrics)
+            .unwrap()
+            .unwrap()
+            .tables
+            .remove(0)
+            .1;
+        assert_eq!(paged.num_paged_groups(), 4);
+        for g in 0..paged.num_groups() {
+            let (a, b) = (paged.group(g).unwrap(), paged.group(g).unwrap());
+            assert!(!Arc::ptr_eq(&a, &b), "group {g}: each read decodes afresh");
+            assert!(
+                Arc::ptr_eq(&a.zones, &b.zones),
+                "group {g}: zone maps shared"
+            );
         }
         let _ = std::fs::remove_file(&path);
     }

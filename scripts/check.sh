@@ -103,12 +103,16 @@ grep -q " 1 passed" <<<"$out" || { echo "optimizer_equivalence: $t did not run";
 # (tied centroids, an infinite component, dims off the lane multiple, inserts
 # after the build), the text index against `tokenize_with` plus per-document
 # counting, and the column-by-column seal against concatenate, re-encode and
-# per-row zone maps (also after checkpoint replay, resident and paged).
+# per-row zone maps (also after checkpoint replay, resident and paged). The
+# TPC-H generator's column chunks match its row-at-a-time form at three
+# seeds, and reads of a paged group share its zone maps.
 echo "== index builds and seals: IVF, text postings, row groups match their references =="
 for spec in backbone-vector:ivf::tests::build_matches_reference_lloyd \
   backbone-text:index::tests::postings_match_reference_tokenizer \
   backbone-storage:table::tests::seal_matches_reference_pipeline \
-  backbone-storage:table::tests::typed_zone_maps_survive_checkpoint_replay; do
+  backbone-storage:table::tests::typed_zone_maps_survive_checkpoint_replay \
+  backbone-storage:table::tests::paged_groups_share_their_zone_maps \
+  backbone-workloads:tpch::tests::generate_matches_row_path; do
   crate="${spec%%:*}" t="${spec#*:}"
   out="$(cargo test -q -p "$crate" --lib "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
   echo "$out"
@@ -128,10 +132,11 @@ cargo test -q -p backbone-server panicking_request_is_a_typed_error_and_the_work
 # Stored bytes are hostile input too: counts crafted in batch chunks,
 # schemas, WAL records and resealed checkpoints are `Corrupt`, never an
 # allocation that aborts the process, and mutated checkpoints and random
-# batch bytes open to `Ok` or a typed error. Run by exact name, so a renamed
-# test fails here.
+# batch bytes open to `Ok` or a typed error. Typed batch appends land as the
+# same rows appended one value at a time, and a malformed batch is a typed
+# error. Run by exact name, so a renamed test fails here.
 for t in crafted_counts_are_corrupt_not_allocations mutated_checkpoints_open_or_fail_typed \
-  random_bytes_read_batch_or_fail_typed; do
+  random_bytes_read_batch_or_fail_typed append_batch_matches_append_rows; do
   out="$(cargo test -q -p backbone-bench --test storage_properties "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
   echo "$out"
   grep -q " 1 passed" <<<"$out" || { echo "storage_properties: $t did not run"; exit 1; }

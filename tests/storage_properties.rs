@@ -284,6 +284,171 @@ fn same_column(a: &Column, b: &Column) -> bool {
     }
 }
 
+/// A generated table row: one optional value per plain type.
+type PlainRow = (Option<i64>, Option<f64>, Option<String>, Option<bool>);
+
+fn plain_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Field::nullable("i", DataType::Int64),
+        Field::nullable("f", DataType::Float64),
+        Field::nullable("s", DataType::Utf8),
+        Field::nullable("b", DataType::Bool),
+    ])
+}
+
+/// `rows` as typed columns built directly, not through `Value`s.
+fn plain_batch(rows: &[PlainRow]) -> RecordBatch {
+    let validity = |valid: &dyn Fn(&PlainRow) -> bool| {
+        Bitmap::from_bools(&rows.iter().map(valid).collect::<Vec<_>>())
+    };
+    let columns = vec![
+        Column::from_opt_i64(rows.iter().map(|r| r.0).collect()),
+        Column::from_opt_f64(rows.iter().map(|r| r.1).collect()),
+        Column::Utf8(
+            rows.iter()
+                .map(|r| r.2.clone().unwrap_or_default())
+                .collect(),
+            validity(&|r| r.2.is_some()),
+        ),
+        Column::Bool(
+            rows.iter().map(|r| r.3.unwrap_or(false)).collect(),
+            validity(&|r| r.3.is_some()),
+        ),
+    ];
+    RecordBatch::try_new(plain_schema(), columns.into_iter().map(Arc::new).collect()).unwrap()
+}
+
+fn same_batches(
+    a: impl Iterator<Item = RecordBatch>,
+    b: impl Iterator<Item = RecordBatch>,
+) -> bool {
+    let (a, b): (Vec<_>, Vec<_>) = (a.collect(), b.collect());
+    a.len() == b.len()
+        && a.iter().zip(&b).all(|(x, y)| {
+            x.num_columns() == y.num_columns()
+                && x.columns()
+                    .iter()
+                    .zip(y.columns())
+                    .all(|(p, q)| same_column(p, q))
+        })
+}
+
+/// Sealed groups (columns and zone maps) and tail chunks of `a` and `b`.
+fn same_table(a: &Table, b: &Table) -> bool {
+    a.num_rows() == b.num_rows()
+        && a.num_groups() == b.num_groups()
+        && (0..a.num_groups()).all(|g| {
+            let (x, y) = (a.group(g).unwrap(), b.group(g).unwrap());
+            format!("{:?}", x.zones()) == format!("{:?}", y.zones())
+                && same_batches(
+                    std::iter::once(x.batch().clone()),
+                    std::iter::once(y.batch().clone()),
+                )
+        })
+        && same_batches(a.tail_batches(), b.tail_batches())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Typed batches cut at random sizes land exactly as the same rows
+    /// appended as `Value`s: the same sealed groups, zone maps and tail
+    /// chunks (at 1,100 rows a group, chunks freeze inside the tail), which
+    /// read back as the rows. A
+    /// batch of the wrong arity or type, or with an encoded column, is a
+    /// typed error that leaves the table untouched.
+    #[test]
+    fn append_batch_matches_append_rows(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::of(any::<i64>()),
+                proptest::option::of(awkward_f64()),
+                proptest::option::of("[a-zλ]{0,6}"),
+                proptest::option::of(any::<bool>()),
+            ),
+            0..2500,
+        ),
+        cuts in proptest::collection::vec(1usize..1500, 1..8),
+    ) {
+        let values: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|(i, f, s, b)| {
+                vec![
+                    i.map_or(Value::Null, Value::Int),
+                    f.map_or(Value::Null, Value::Float),
+                    s.as_ref().map_or(Value::Null, Value::str),
+                    b.map_or(Value::Null, Value::Bool),
+                ]
+            })
+            .collect();
+        for group in [64, 100, 1100] {
+            let mut by_rows = Table::with_group_size(plain_schema(), group);
+            by_rows.append_rows(&values).unwrap();
+            let mut by_batches = Table::with_group_size(plain_schema(), group);
+            let (mut at, mut k) = (0, 0);
+            while at < rows.len() {
+                let n = cuts[k % cuts.len()].min(rows.len() - at);
+                by_batches
+                    .append_batch(plain_batch(&rows[at..at + n]))
+                    .unwrap();
+                at += n;
+                k += 1;
+            }
+            prop_assert!(same_table(&by_rows, &by_batches), "group size {group}");
+            prop_assert!(by_batches.to_batch().unwrap().to_rows() == values, "group size {group}");
+
+            // Bad batches over up to 70 of the rows: the last three
+            // columns; `i` and `f` swapped; `s` dictionary-encoded; `i`
+            // encoded (frame-of-reference lanes or RLE runs).
+            let good = plain_batch(&rows[..rows.len().min(70)]);
+            let columns = good.columns();
+            let with = |schema: Arc<Schema>, columns: Vec<Arc<Column>>| {
+                RecordBatch::try_new(schema, columns).unwrap()
+            };
+            let mut swapped = plain_schema().fields().to_vec();
+            swapped.swap(0, 1);
+            let encoded = |c: usize, col: Column| {
+                let mut columns = columns.to_vec();
+                columns[c] = Arc::new(col);
+                with(plain_schema(), columns)
+            };
+            let bad = [
+                (
+                    "arity",
+                    with(
+                        Schema::new(plain_schema().fields()[1..].to_vec()),
+                        columns[1..].to_vec(),
+                    ),
+                ),
+                (
+                    "type",
+                    with(
+                        Schema::new(swapped),
+                        vec![
+                            columns[1].clone(),
+                            columns[0].clone(),
+                            columns[2].clone(),
+                            columns[3].clone(),
+                        ],
+                    ),
+                ),
+                ("dictionary", encoded(2, columns[2].dict_encode().unwrap())),
+                ("encoded ints", encoded(0, columns[0].int64_encode().unwrap())),
+            ];
+            for (case, batch) in bad {
+                let before = by_batches.clone();
+                let got = by_batches.append_batch(batch);
+                let typed = matches!(
+                    got,
+                    Err(StorageError::SchemaMismatch(_) | StorageError::TypeMismatch { .. })
+                );
+                prop_assert!(typed, "group size {group}, {case}: {got:?}");
+                prop_assert!(same_table(&before, &by_batches), "group size {group}, {case}");
+            }
+        }
+    }
+}
+
 /// A generated row: one optional value per plain type, then a key in
 /// `0..4` that drives the dictionary, lane and RLE columns and their NULLs.
 type CodecRow = (Option<i64>, Option<f64>, Option<String>, Option<bool>, u8);
@@ -496,7 +661,8 @@ fn u64_at(bytes: &[u8], at: usize) -> usize {
 
 /// Every count the decoders read is checked against the bytes left before
 /// anything is sized by it: each crafted input is `Corrupt`, not an
-/// allocation that aborts the process.
+/// allocation that aborts the process. So is a checkpoint tail chunk in an
+/// encoding the writer never stores there.
 #[test]
 fn crafted_counts_are_corrupt_not_allocations() {
     fn corrupt<T>(r: backbone_storage::error::Result<T>) -> bool {
@@ -615,6 +781,39 @@ fn crafted_counts_are_corrupt_not_allocations() {
         reseal(&mut bytes);
         for (open, got) in ["resident", "paged"].iter().zip(open_both(&bytes)) {
             assert!(corrupt(got), "checkpoint, {open} open: {case}");
+        }
+    }
+
+    // The writer stores plain tail chunks, and the tail seals from plain
+    // chunks alone: a tail region holding a dictionary or frame-of-reference
+    // chunk is refused at the open, not left to panic at the seal.
+    let ids = Arc::new(Column::from_i64((0..70).collect()));
+    let texts = Column::from_strings((0..70).map(|i| format!("t{}", i % 3)).collect());
+    let encoded = [
+        (
+            "dictionary",
+            vec![ids.clone(), Arc::new(texts.dict_encode().unwrap())],
+        ),
+        (
+            "frame-of-reference",
+            vec![Arc::new(ids.int64_encode().unwrap()), Arc::new(texts)],
+        ),
+    ];
+    for (case, columns) in encoded {
+        let chunk = RecordBatch::try_new(notes.schema().clone(), columns).unwrap();
+        let mut region = Vec::new();
+        put_batch(&mut region, &chunk);
+        let at = tail_rows_at - 8;
+        let mut bytes = [
+            &tail_only[..at],
+            &(region.len() as u64).to_le_bytes(),
+            &region,
+            &[0; 4],
+        ]
+        .concat();
+        reseal(&mut bytes);
+        for (open, got) in ["resident", "paged"].iter().zip(open_both(&bytes)) {
+            assert!(corrupt(got), "checkpoint, {open} open: a {case} tail chunk");
         }
     }
 }
