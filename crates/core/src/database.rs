@@ -3,7 +3,7 @@
 
 use crate::cache::{self, CachedPlan, PlanCache, ResultCache};
 use crate::durability::{
-    self, DbOp, Durability, DurabilityOptions, RecoveredState, RecoveryReport,
+    self, DbOp, Durability, DurabilityOptions, RecoveredState, RecoveryReport, WAL_FILE,
 };
 use crate::error::{Error, Result};
 use crate::hybrid::HybridCounters;
@@ -11,9 +11,9 @@ use crate::index::VectorIndexSpec;
 use crate::session::{SearchRequest, Session};
 use backbone_query::{Catalog, ExecOptions, LogicalPlan, MemCatalog, Metrics, Statement};
 use backbone_storage::checkpoint::write_checkpoint;
-use backbone_storage::{Counter, DataType, Field, RecordBatch, Schema, Table, Value};
+use backbone_storage::{Counter, DataType, Field, RecordBatch, Schema, StorageError, Table, Value};
 use backbone_text::InvertedIndex;
-use backbone_txn::wal::LogDevice;
+use backbone_txn::wal::{FileDevice, LogDevice, WalError};
 use backbone_txn::{EpochClock, SnapshotGuard};
 use backbone_vector::{Dataset, VectorIndex};
 use parking_lot::{Mutex, RwLock};
@@ -168,28 +168,31 @@ impl Database {
         Database::open_with(dir, DurabilityOptions::default())
     }
 
-    /// [`Database::open`] with explicit [`DurabilityOptions`].
+    /// [`Database::open`] with explicit [`DurabilityOptions`]: creates `dir`
+    /// and opens the log on `dir/wal.log`.
     pub fn open_with(dir: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Database> {
-        // The registry is created before recovery so a paged open's
-        // buffer-pool traffic lands in the database's own metrics.
-        let metrics = Metrics::new();
-        let (durability, state) = Durability::open(dir.as_ref(), opts, &metrics)?;
-        Database::recover(durability, state, metrics)
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Error::Storage(StorageError::Io(format!("create db dir: {e}"))))?;
+        let device = FileDevice::open(dir.join(WAL_FILE))
+            .map_err(|e| Error::Wal(WalError::Device(e.to_string())))?;
+        Database::open_with_device(dir, Box::new(device), opts)
     }
 
     /// Open a durable database whose WAL writes go through a caller-supplied
     /// [`LogDevice`] — the fault-injection entry point: pass a
     /// [`backbone_txn::fault::FaultFile`] to crash the log deterministically
     /// mid-run, then reopen the directory with [`Database::open`] to
-    /// exercise recovery. The checkpoint file still lives in `dir`.
+    /// exercise recovery. The checkpoint file lives in `dir`.
     pub fn open_with_device(
         dir: impl AsRef<Path>,
         device: Box<dyn LogDevice>,
         opts: DurabilityOptions,
     ) -> Result<Database> {
+        // The registry is created before recovery so a paged open's
+        // buffer-pool traffic lands in the database's own metrics.
         let metrics = Metrics::new();
-        let (durability, state) =
-            Durability::open_with_device(dir.as_ref(), device, opts, &metrics)?;
+        let (durability, state) = Durability::open(dir.as_ref(), device, opts, &metrics)?;
         Database::recover(durability, state, metrics)
     }
 
@@ -400,8 +403,12 @@ impl Database {
         waited?;
         self.inner.commits.incr();
         if let Some(d) = &self.inner.durability {
-            if d.checkpoint_due() {
-                self.checkpoint()?;
+            // The commit is durable and visible, so a failed checkpoint is
+            // not its error: it is counted, the cadence restarts as after a
+            // success, and the next due checkpoint retries.
+            if d.checkpoint_due() && self.checkpoint().is_err() {
+                d.checkpoint_done();
+                self.inner.metrics.counter("wal.checkpoint_failures").incr();
             }
         }
         Ok(())

@@ -27,7 +27,6 @@ use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// File name of the write-ahead log inside a database directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -40,9 +39,6 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 pub struct DurabilityOptions {
     /// When commits fsync (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Simulated extra fsync latency (benchmarks only; keep `ZERO` for
-    /// real deployments).
-    pub fsync_latency: Duration,
     /// Take a checkpoint after this many logged operations (0 disables
     /// automatic checkpoints; [`crate::Database::checkpoint`] still works).
     pub checkpoint_every: u64,
@@ -57,7 +53,6 @@ impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
             fsync: FsyncPolicy::Group,
-            fsync_latency: Duration::ZERO,
             checkpoint_every: 1024,
             pool_pages: None,
         }
@@ -75,12 +70,6 @@ impl DurabilityOptions {
     /// automatically).
     pub fn checkpoint_every(mut self, n: u64) -> DurabilityOptions {
         self.checkpoint_every = n;
-        self
-    }
-
-    /// Add simulated fsync latency (benchmark modeling).
-    pub fn fsync_latency(mut self, latency: Duration) -> DurabilityOptions {
-        self.fsync_latency = latency;
         self
     }
 
@@ -208,43 +197,18 @@ pub struct RecoveredState {
 }
 
 impl Durability {
-    /// Open the durable state in `dir` (created if missing) over the WAL
-    /// file `dir/wal.log`, returning the state recovery must apply.
-    /// Buffer-pool traffic from a paged open lands in `metrics`
+    /// Open the durable state in `dir` over the log `device` (`dir/wal.log`
+    /// for a file-backed database), returning the state recovery must
+    /// apply. Buffer-pool traffic from a paged open lands in `metrics`
     /// (`bufferpool.*`) — pass the registry the database will own so
     /// EXPLAIN ANALYZE sees the recovery I/O.
     pub fn open(
-        dir: &Path,
-        opts: DurabilityOptions,
-        metrics: &Metrics,
-    ) -> Result<(Durability, RecoveredState)> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| Error::Storage(StorageError::Io(format!("create db dir: {e}"))))?;
-        let wal = Wal::open(dir.join(WAL_FILE), wal_config(&opts))?;
-        Durability::finish_open(dir, wal, opts, metrics)
-    }
-
-    /// Like [`Durability::open`] but over a caller-supplied log device —
-    /// the fault-injection entry point
-    /// ([`backbone_txn::fault::FaultFile`]).
-    pub fn open_with_device(
         dir: &Path,
         device: Box<dyn LogDevice>,
         opts: DurabilityOptions,
         metrics: &Metrics,
     ) -> Result<(Durability, RecoveredState)> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| Error::Storage(StorageError::Io(format!("create db dir: {e}"))))?;
-        let wal = Wal::with_device(device, wal_config(&opts))?;
-        Durability::finish_open(dir, wal, opts, metrics)
-    }
-
-    fn finish_open(
-        dir: &Path,
-        wal: Wal,
-        opts: DurabilityOptions,
-        metrics: &Metrics,
-    ) -> Result<(Durability, RecoveredState)> {
+        let wal = Wal::with_device(device, WalConfig::with_policy(opts.fsync))?;
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
         let checkpoint = match opts.pool_pages {
             Some(pages) => open_checkpoint_paged(&checkpoint_path, pages, metrics)?,
@@ -308,13 +272,6 @@ impl Durability {
     /// The options this database was opened with.
     pub fn options(&self) -> &DurabilityOptions {
         &self.opts
-    }
-}
-
-fn wal_config(opts: &DurabilityOptions) -> WalConfig {
-    WalConfig {
-        fsync_latency: opts.fsync_latency,
-        policy: opts.fsync,
     }
 }
 

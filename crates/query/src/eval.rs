@@ -31,24 +31,28 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Visit base-row indices: the selected lanes when `sel` is present, else all
-/// of `0..n`.
-macro_rules! lanes {
-    ($sel:expr, $n:expr, $i:ident => $body:block) => {
-        match $sel {
-            Some(s) => {
-                for &lane in s {
-                    let $i = lane as usize;
-                    $body
-                }
-            }
-            None => {
-                for $i in 0..$n {
-                    $body
-                }
-            }
+/// The lane loop of the value kernels whose NULLs depend on more than
+/// their operands' validity (AND/OR, `IN`, LIKE): `f` of each visited lane
+/// (the selected ones when `sel` is present, else all of `0..n`) is its
+/// value, `None` for NULL, and lanes not visited are NULL.
+fn lane_kernel<T: Copy + Default>(
+    n: usize,
+    sel: Option<&[u32]>,
+    mut f: impl FnMut(usize) -> Option<T>,
+) -> (Vec<T>, Bitmap) {
+    let mut vals = vec![T::default(); n];
+    let mut valid = no_rows(n);
+    let mut visit = |i: usize| {
+        if let Some(v) = f(i) {
+            vals[i] = v;
+            valid[i / 64] |= 1 << (i % 64);
         }
     };
+    match sel {
+        Some(s) => s.iter().for_each(|&i| visit(i as usize)),
+        None => (0..n).for_each(visit),
+    }
+    (vals, Bitmap::from_words(valid, n))
 }
 
 /// Evaluate an expression against a batch, producing one column of the
@@ -246,6 +250,10 @@ fn verdict_column(n: usize, mut yes: Vec<u64>, no: &[u64]) -> Column {
 /// (a NaN on either side) compare NULL, so every operator — `<>` included —
 /// answers `false` for them.
 trait Cmp {
+    /// Whether the verdict asks only if the operands are equal (`=`, `<>`),
+    /// so codes of one dictionary answer it without their strings.
+    const EQUALITY: bool = false;
+
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
 
     /// The passing residual codes of a frame of `end` codes, where exactly
@@ -263,6 +271,8 @@ struct CmpGt;
 struct CmpGe;
 
 impl Cmp for CmpEq {
+    const EQUALITY: bool = true;
+
     #[inline(always)]
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a == b
@@ -275,6 +285,8 @@ impl Cmp for CmpEq {
 }
 
 impl Cmp for CmpNe {
+    const EQUALITY: bool = true;
+
     #[inline(always)]
     fn test<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Greater))
@@ -695,55 +707,22 @@ fn eval_in_list(
     let evaluated = eval_lanes(expr, batch, sel)?;
     let input = plain_ints(&evaluated);
     let n = input.len();
-    // Fold `input = item` comparisons with three-valued OR, starting from
-    // definite FALSE (the SQL verdict of `x IN ()`).
-    let mut vals = vec![false; n];
-    let mut validity = Bitmap::all_valid(n);
+    // `x IN (a, b)` is `x = a OR x = b`, folded from definite FALSE (the
+    // SQL verdict of `x IN ()`).
+    let mut acc = Column::Bool(vec![false; n], Bitmap::all_valid(n));
     for item in list {
-        if matches!(strip_alias(item), Expr::Literal(Value::Null)) {
-            // `x = NULL` is NULL for every row: a definite TRUE survives the
-            // OR, everything else degrades to NULL.
-            lanes!(sel, n, i => {
-                if !(validity.get(i) && vals[i]) {
-                    vals[i] = false;
-                    validity.set(i, false);
-                }
-            });
-            continue;
-        }
-        let item_col = eval_lanes(item, batch, sel)?;
-        let cmp = eval_comparison(&input, BinOp::Eq, &item_col, sel)?;
-        let Column::Bool(cv, cb) = cmp else {
-            unreachable!("comparison yields Bool")
+        let hit = if matches!(strip_alias(item), Expr::Literal(Value::Null)) {
+            // `x = NULL` is NULL for every row.
+            Column::Bool(vec![false; n], Bitmap::all_null(n))
+        } else {
+            eval_comparison(&input, BinOp::Eq, &*eval_lanes(item, batch, sel)?, sel)?
         };
-        lanes!(sel, n, i => {
-            let acc = validity.get(i).then_some(vals[i]);
-            let item_v = cb.get(i).then_some(cv[i]);
-            let out = match (acc, item_v) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            };
-            match out {
-                Some(v) => {
-                    vals[i] = v;
-                    validity.set(i, true);
-                }
-                None => {
-                    vals[i] = false;
-                    validity.set(i, false);
-                }
-            }
-        });
+        acc = eval_logical(&acc, BinOp::Or, &hit, sel)?;
     }
     if negated {
-        lanes!(sel, n, i => {
-            if validity.get(i) {
-                vals[i] = !vals[i];
-            }
-        });
+        acc = eval_unary(UnOp::Not, &acc)?;
     }
-    Ok(Column::Bool(vals, validity))
+    Ok(acc)
 }
 
 /// Accept-set membership for `dict_col IN ('a', 'b', ...)`. Returns `None`
@@ -780,18 +759,12 @@ fn try_dict_in_list(
     let t0 = Instant::now();
     let accept: Vec<bool> = dict.iter().map(|e| items.contains(e.as_str())).collect();
     let n = codes.len();
-    let mut vals = vec![false; n];
-    let mut out_validity = Bitmap::all_null(n);
-    lanes!(sel, n, i => {
-        if validity.get(i) {
-            if accept[codes[i] as usize] {
-                vals[i] = !negated;
-                out_validity.set(i, true);
-            } else if !has_null_item {
-                vals[i] = negated;
-                out_validity.set(i, true);
-            }
-            // else: no match but a NULL item — verdict is NULL.
+    // No match but a NULL item: the verdict is NULL.
+    let (vals, out_validity) = lane_kernel(n, sel, |i| {
+        match validity.get(i).then(|| accept[codes[i] as usize]) {
+            Some(true) => Some(!negated),
+            Some(false) => (!has_null_item).then_some(negated),
+            None => None,
         }
     });
     kernel_metrics::record(|c| {
@@ -879,13 +852,10 @@ fn eval_like(input: &Column, pattern: &str, negated: bool, sel: Option<&[u32]>) 
             let mut buf: Vec<char> = Vec::new();
             let accept: Vec<bool> = dict.iter().map(|e| pat.matches(e, &mut buf)).collect();
             let n = codes.len();
-            let mut out = vec![false; n];
-            let mut out_validity = Bitmap::all_null(n);
-            lanes!(sel, n, i => {
-                if validity.get(i) {
-                    out[i] = accept[codes[i] as usize] != negated;
-                    out_validity.set(i, true);
-                }
+            let (out, out_validity) = lane_kernel(n, sel, |i| {
+                validity
+                    .get(i)
+                    .then(|| accept[codes[i] as usize] != negated)
             });
             kernel_metrics::record(|c| {
                 c.dict_like_ns.add_elapsed(t0);
@@ -901,16 +871,11 @@ fn eval_like(input: &Column, pattern: &str, negated: bool, sel: Option<&[u32]>) 
         }
     };
     let pat = LikePattern::compile(pattern);
-    let n = vals.len();
-    let mut out = vec![false; n];
-    let mut out_validity = Bitmap::all_null(n);
     let mut buf: Vec<char> = Vec::new();
-    lanes!(sel, n, i => {
-        if validity.get(i) {
-            let m = pat.matches(&vals[i], &mut buf);
-            out[i] = m != negated;
-            out_validity.set(i, true);
-        }
+    let (out, out_validity) = lane_kernel(vals.len(), sel, |i| {
+        validity
+            .get(i)
+            .then(|| pat.matches(&vals[i], &mut buf) != negated)
     });
     Ok(Column::Bool(out, out_validity))
 }
@@ -1045,274 +1010,251 @@ fn eval_binary(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result
     eval_arithmetic(l, op, r, sel)
 }
 
-/// Three-valued AND/OR per the SQL standard.
+/// Three-valued AND/OR per the SQL standard: FALSE decides an AND and TRUE
+/// an OR; otherwise a NULL side makes the result NULL.
 fn eval_logical(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
-    let (lv, lb) = match l {
-        Column::Bool(v, b) => (v, b),
-        other => {
-            return Err(QueryError::InvalidExpression(format!(
-                "{op} over {}",
-                other.data_type()
-            )))
-        }
+    let (Column::Bool(a, lb), Column::Bool(b, rb)) = (l, r) else {
+        let other = if matches!(l, Column::Bool(..)) { r } else { l };
+        return Err(QueryError::InvalidExpression(format!(
+            "{op} over {}",
+            other.data_type()
+        )));
     };
-    let (rv, rb) = match r {
-        Column::Bool(v, b) => (v, b),
-        other => {
-            return Err(QueryError::InvalidExpression(format!(
-                "{op} over {}",
-                other.data_type()
-            )))
-        }
-    };
-    let n = lv.len();
-    let mut vals = vec![false; n];
-    let mut validity = Bitmap::all_null(n);
-    lanes!(sel, n, i => {
-        let a = lb.get(i).then_some(lv[i]);
-        let b = rb.get(i).then_some(rv[i]);
-        let out = match op {
-            BinOp::And => match (a, b) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinOp::Or => match (a, b) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => unreachable!(),
-        };
-        if let Some(v) = out {
-            vals[i] = v;
-            validity.set(i, true);
+    let decides = op == BinOp::Or;
+    let (vals, validity) = lane_kernel(a.len(), sel, |i| {
+        let (x, y) = (lb.get(i).then_some(a[i]), rb.get(i).then_some(b[i]));
+        if x == Some(decides) || y == Some(decides) {
+            Some(decides)
+        } else {
+            x.and(y).map(|_| !decides)
         }
     });
     Ok(Column::Bool(vals, validity))
 }
 
+/// `l <op> r` per lane: NULL when either side is NULL or the two are
+/// unordered (a NaN), else the operator's verdict.
 fn eval_comparison(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
-    if l.is_encoded() || r.is_encoded() {
-        return eval_comparison(&plain_ints(l), op, &plain_ints(r), sel);
+    match op {
+        BinOp::Eq => compare::<CmpEq>(l, r, sel),
+        BinOp::NotEq => compare::<CmpNe>(l, r, sel),
+        BinOp::Lt => compare::<CmpLt>(l, r, sel),
+        BinOp::LtEq => compare::<CmpLe>(l, r, sel),
+        BinOp::Gt => compare::<CmpGt>(l, r, sel),
+        BinOp::GtEq => compare::<CmpGe>(l, r, sel),
+        _ => unreachable!("{op} is not a comparison"),
     }
-    let n = l.len();
-    let keep = |ord: Ordering| -> bool {
-        match op {
-            BinOp::Eq => ord == Ordering::Equal,
-            BinOp::NotEq => ord != Ordering::Equal,
-            BinOp::Lt => ord == Ordering::Less,
-            BinOp::LtEq => ord != Ordering::Greater,
-            BinOp::Gt => ord == Ordering::Greater,
-            BinOp::GtEq => ord != Ordering::Less,
-            _ => unreachable!(),
-        }
-    };
-
-    let mut vals = vec![false; n];
-    let mut validity = Bitmap::all_null(n);
-
-    // Fast paths for the hot numeric/string cases; generic fallback via Value.
-    match (l, r) {
-        (Column::Int64(lv, lb), Column::Int64(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(lv[i].cmp(&rv[i]));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (Column::Float64(lv, lb), Column::Float64(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    if let Some(ord) = lv[i].partial_cmp(&rv[i]) {
-                        vals[i] = keep(ord);
-                        validity.set(i, true);
-                    }
-                }
-            });
-        }
-        (Column::Int64(lv, lb), Column::Float64(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    if let Some(ord) = (lv[i] as f64).partial_cmp(&rv[i]) {
-                        vals[i] = keep(ord);
-                        validity.set(i, true);
-                    }
-                }
-            });
-        }
-        (Column::Float64(lv, lb), Column::Int64(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    if let Some(ord) = lv[i].partial_cmp(&(rv[i] as f64)) {
-                        vals[i] = keep(ord);
-                        validity.set(i, true);
-                    }
-                }
-            });
-        }
-        (Column::Utf8(lv, lb), Column::Utf8(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(lv[i].cmp(&rv[i]));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (Column::Bool(lv, lb), Column::Bool(rv, rb)) => {
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(lv[i].cmp(&rv[i]));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::DictUtf8 {
-                dict: ld,
-                codes: lc,
-                validity: lb,
-            },
-            Column::DictUtf8 {
-                dict: rd,
-                codes: rc,
-                validity: rb,
-            },
-        ) => {
-            if Arc::ptr_eq(ld, rd) && matches!(op, BinOp::Eq | BinOp::NotEq) {
-                // Shared dictionary: equality is code equality — no string
-                // comparisons at all.
-                lanes!(sel, n, i => {
-                    if lb.get(i) && rb.get(i) {
-                        vals[i] = keep(lc[i].cmp(&rc[i]));
-                        validity.set(i, true);
-                    }
-                });
-            } else {
-                kernel_metrics::record(|c| c.dict_fallback.incr());
-                lanes!(sel, n, i => {
-                    if lb.get(i) && rb.get(i) {
-                        vals[i] =
-                            keep(ld[lc[i] as usize].as_str().cmp(rd[rc[i] as usize].as_str()));
-                        validity.set(i, true);
-                    }
-                });
-            }
-        }
-        (
-            Column::DictUtf8 {
-                dict: ld,
-                codes: lc,
-                validity: lb,
-            },
-            Column::Utf8(rv, rb),
-        ) => {
-            kernel_metrics::record(|c| c.dict_fallback.incr());
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(ld[lc[i] as usize].as_str().cmp(rv[i].as_str()));
-                    validity.set(i, true);
-                }
-            });
-        }
-        (
-            Column::Utf8(lv, lb),
-            Column::DictUtf8 {
-                dict: rd,
-                codes: rc,
-                validity: rb,
-            },
-        ) => {
-            kernel_metrics::record(|c| c.dict_fallback.incr());
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    vals[i] = keep(lv[i].as_str().cmp(rd[rc[i] as usize].as_str()));
-                    validity.set(i, true);
-                }
-            });
-        }
-        _ => {
-            return Err(QueryError::InvalidExpression(format!(
-                "cannot compare {} with {}",
-                l.data_type(),
-                r.data_type()
-            )))
-        }
-    }
-    Ok(Column::Bool(vals, validity))
 }
 
+/// [`eval_comparison`] for one operator: each column pair supplies the
+/// ordering of its two lanes to [`verdicts`]. Int64 against Int64 compares
+/// exactly, Int64 against Float64 in f64; one dictionary on both sides
+/// compares codes for `=` and `<>`, and every other string mix compares
+/// strings.
+fn compare<O: Cmp>(l: &Column, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
+    if l.is_encoded() || r.is_encoded() {
+        return compare::<O>(&plain_ints(l), &plain_ints(r), sel);
+    }
+    // The Bool column of `O` from the ordering of each lane pair.
+    macro_rules! by {
+        ($ord:expr) => {
+            verdicts::<O>(sel, l.validity(), r.validity(), $ord)
+        };
+    }
+    Ok(match (l, r) {
+        (Column::Int64(a, _), Column::Int64(b, _)) => by!(|i| Some(a[i].cmp(&b[i]))),
+        (Column::Float64(a, _), Column::Float64(b, _)) => by!(|i| a[i].partial_cmp(&b[i])),
+        (Column::Int64(a, _), Column::Float64(b, _)) => by!(|i| (a[i] as f64).partial_cmp(&b[i])),
+        (Column::Float64(a, _), Column::Int64(b, _)) => by!(|i| a[i].partial_cmp(&(b[i] as f64))),
+        (Column::Bool(a, _), Column::Bool(b, _)) => by!(|i| Some(a[i].cmp(&b[i]))),
+        (Column::Utf8(a, _), Column::Utf8(b, _)) => by!(|i| Some(a[i].cmp(&b[i]))),
+        (
+            Column::DictUtf8 {
+                dict: x, codes: a, ..
+            },
+            Column::DictUtf8 {
+                dict: y, codes: b, ..
+            },
+        ) if O::EQUALITY && Arc::ptr_eq(x, y) => by!(|i| Some(a[i].cmp(&b[i]))),
+        _ => {
+            let (Some(a), Some(b)) = (strings(l), strings(r)) else {
+                return Err(QueryError::InvalidExpression(format!(
+                    "cannot compare {} with {}",
+                    l.data_type(),
+                    r.data_type()
+                )));
+            };
+            kernel_metrics::record(|c| c.dict_fallback.incr());
+            by!(|i| Some(a(i).cmp(b(i))))
+        }
+    })
+}
+
+/// The Bool column of `O` from the ordering `ord` of each visited lane
+/// pair (`Less < Equal < Greater`, so `O` tested against `Equal` is the
+/// verdict). `ord` runs on every visited lane, NULLs' placeholders too, and
+/// validity is decided a word at a time: both sides valid and the pair
+/// ordered.
+fn verdicts<O: Cmp>(
+    sel: Option<&[u32]>,
+    lb: &Bitmap,
+    rb: &Bitmap,
+    ord: impl Fn(usize) -> Option<Ordering>,
+) -> Column {
+    let (n, mut valid) = (lb.len(), both_valid(sel, lb, rb));
+    let mut vals = vec![false; n];
+    let mut unordered = no_rows(n);
+    let mut visit = |i: usize| match ord(i) {
+        Some(o) => vals[i] = O::test(&o, &Ordering::Equal),
+        None => unordered[i / 64] |= 1 << (i % 64),
+    };
+    match sel {
+        Some(s) => s.iter().for_each(|&i| visit(i as usize)),
+        None => (0..n).for_each(visit),
+    }
+    valid.iter_mut().zip(&unordered).for_each(|(v, u)| *v &= !u);
+    Column::Bool(vals, Bitmap::from_words(valid, n))
+}
+
+/// A string column's lanes, plain or through its dictionary; `None` for
+/// any other kind.
+fn strings<'c>(c: &'c Column) -> Option<Box<dyn Fn(usize) -> &'c str + 'c>> {
+    match c {
+        Column::Utf8(v, _) => Some(Box::new(|i| v[i].as_str())),
+        Column::DictUtf8 { dict, codes, .. } => {
+            // A NULL slot may hold any code.
+            Some(Box::new(|i| {
+                dict.get(codes[i] as usize).map_or("", String::as_str)
+            }))
+        }
+        _ => None,
+    }
+}
+
+/// `l <op> r` for `+ - * / %`. Int64 with Int64 stays integer and fails on
+/// overflow or a zero modulus; `/` and every other numeric pair compute in
+/// f64 and fail on a zero divisor.
 fn eval_arithmetic(l: &Column, op: BinOp, r: &Column, sel: Option<&[u32]>) -> Result<Column> {
     if l.is_encoded() || r.is_encoded() {
         return eval_arithmetic(&plain_ints(l), op, &plain_ints(r), sel);
     }
-    let n = l.len();
     match (l, r) {
-        // Int op Int: stays integer, except Div which widens to float.
-        (Column::Int64(lv, lb), Column::Int64(rv, rb)) if op != BinOp::Div => {
-            let mut vals = vec![0i64; n];
-            let mut validity = Bitmap::all_null(n);
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    let out = match op {
-                        BinOp::Add => lv[i].checked_add(rv[i]),
-                        BinOp::Sub => lv[i].checked_sub(rv[i]),
-                        BinOp::Mul => lv[i].checked_mul(rv[i]),
-                        BinOp::Mod => lv[i].checked_rem(rv[i]),
-                        _ => unreachable!(),
-                    };
-                    match out {
-                        Some(v) => {
-                            vals[i] = v;
-                            validity.set(i, true);
-                        }
-                        None => {
-                            return Err(QueryError::Arithmetic(format!(
-                                "integer overflow or zero modulus in {} {op} {}",
-                                lv[i], rv[i]
-                            )))
-                        }
-                    }
-                }
-            });
+        (Column::Int64(a, lb), Column::Int64(b, rb)) if op != BinOp::Div => {
+            let (a, b) = ((&a[..], lb), (&b[..], rb));
+            let fail = |x, y| {
+                QueryError::Arithmetic(format!("integer overflow or zero modulus in {x} {op} {y}"))
+            };
+            let (vals, validity) = match op {
+                BinOp::Add => pairs(sel, a, b, i64::checked_add, fail),
+                BinOp::Sub => pairs(sel, a, b, i64::checked_sub, fail),
+                BinOp::Mul => pairs(sel, a, b, i64::checked_mul, fail),
+                BinOp::Mod => pairs(sel, a, b, i64::checked_rem, fail),
+                _ => unreachable!("{op} is not arithmetic"),
+            }?;
             Ok(Column::Int64(vals, validity))
         }
-        // Everything else numeric: compute in f64.
+        (Column::Int64(a, lb), Column::Int64(b, rb)) => floats(op, sel, (a, lb), (b, rb)),
+        (Column::Int64(a, lb), Column::Float64(b, rb)) => floats(op, sel, (a, lb), (b, rb)),
+        (Column::Float64(a, lb), Column::Int64(b, rb)) => floats(op, sel, (a, lb), (b, rb)),
+        (Column::Float64(a, lb), Column::Float64(b, rb)) => floats(op, sel, (a, lb), (b, rb)),
         _ => {
-            let (lv, lb) = to_f64_parts(l)?;
-            let (rv, rb) = to_f64_parts(r)?;
-            let mut vals = vec![0f64; n];
-            let mut validity = Bitmap::all_null(n);
-            lanes!(sel, n, i => {
-                if lb.get(i) && rb.get(i) {
-                    let a = lv.get_f64(i);
-                    let b = rv.get_f64(i);
-                    let v = match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div => {
-                            if b == 0.0 {
-                                return Err(QueryError::Arithmetic("division by zero".into()));
-                            }
-                            a / b
-                        }
-                        BinOp::Mod => {
-                            if b == 0.0 {
-                                return Err(QueryError::Arithmetic("modulo by zero".into()));
-                            }
-                            a % b
-                        }
-                        _ => unreachable!(),
-                    };
-                    vals[i] = v;
-                    validity.set(i, true);
-                }
-            });
-            Ok(Column::Float64(vals, validity))
+            let numeric = |c: &Column| matches!(c, Column::Int64(..) | Column::Float64(..));
+            let other = if numeric(l) { r } else { l };
+            Err(QueryError::InvalidExpression(format!(
+                "arithmetic over {}",
+                other.data_type()
+            )))
         }
     }
+}
+
+/// A numeric lane as f64. An Int64 operand of a float operator converts lane
+/// by lane in a kernel monomorphized for it, never as a whole column.
+trait AsF64: Copy {
+    fn f64(self) -> f64;
+}
+
+impl AsF64 for f64 {
+    fn f64(self) -> f64 {
+        self
+    }
+}
+
+impl AsF64 for i64 {
+    fn f64(self) -> f64 {
+        self as f64
+    }
+}
+
+/// [`eval_arithmetic`] in f64: one kernel per operator and operand types.
+fn floats<A: AsF64, B: AsF64>(
+    op: BinOp,
+    sel: Option<&[u32]>,
+    a: (&[A], &Bitmap),
+    b: (&[B], &Bitmap),
+) -> Result<Column> {
+    let div = |x: A, y: B| nonzero(y).map(|y| x.f64() / y);
+    let rem = |x: A, y: B| nonzero(y).map(|y| x.f64() % y);
+    let zero = |what: &'static str| move |_, _| QueryError::Arithmetic(format!("{what} by zero"));
+    let never = |_, _| unreachable!("{op} cannot fail");
+    let (vals, validity) = match op {
+        BinOp::Add => pairs(sel, a, b, |x: A, y: B| Some(x.f64() + y.f64()), never),
+        BinOp::Sub => pairs(sel, a, b, |x: A, y: B| Some(x.f64() - y.f64()), never),
+        BinOp::Mul => pairs(sel, a, b, |x: A, y: B| Some(x.f64() * y.f64()), never),
+        BinOp::Div => pairs(sel, a, b, div, zero("division")),
+        BinOp::Mod => pairs(sel, a, b, rem, zero("modulo")),
+        _ => unreachable!("{op} is not arithmetic"),
+    }?;
+    Ok(Column::Float64(vals, validity))
+}
+
+/// A divisor as f64, `None` when it is zero.
+fn nonzero(y: impl AsF64) -> Option<f64> {
+    Some(y.f64()).filter(|&y| y != 0.0)
+}
+
+/// The lane loop of arithmetic: a lane is valid where it is visited (the
+/// selected ones, else all) and both operands are valid, decided a word at
+/// a time up front ([`both_valid`]). `f` runs on every visited lane; where it has no answer
+/// on a valid lane, `fail` of the first such lane is the error, so only a
+/// lane the selection kept can fail, and a NULL's placeholder never does.
+fn pairs<A: Copy, B: Copy, U: Copy + Default>(
+    sel: Option<&[u32]>,
+    (a, lb): (&[A], &Bitmap),
+    (b, rb): (&[B], &Bitmap),
+    f: impl Fn(A, B) -> Option<U>,
+    fail: impl Fn(A, B) -> QueryError,
+) -> Result<(Vec<U>, Bitmap)> {
+    let n = a.len();
+    let validity = Bitmap::from_words(both_valid(sel, lb, rb), n);
+    let mut vals = vec![U::default(); n];
+    // Whether lane `i` fails: `f` has no answer and the lane is valid.
+    let mut fails = |i: usize| {
+        match f(a[i], b[i]) {
+            Some(v) => vals[i] = v,
+            None => return validity.get(i),
+        }
+        false
+    };
+    let failed = match sel {
+        Some(s) => s
+            .iter()
+            .position(|&i| fails(i as usize))
+            .map(|k| s[k] as usize),
+        None => (0..n).position(fails),
+    };
+    match failed {
+        Some(i) => Err(fail(a[i], b[i])),
+        None => Ok((vals, validity)),
+    }
+}
+
+/// The visited lanes (the selected ones, else all) where both `lb` and `rb`
+/// are valid, as words.
+fn both_valid(sel: Option<&[u32]>, lb: &Bitmap, rb: &Bitmap) -> Vec<u64> {
+    let mut valid = lb.words().to_vec();
+    mask_words(&mut valid, rb, sel.map(|s| scatter(s, lb.len())).as_deref());
+    valid
 }
 
 /// `c` with encoded integers decoded, any other column as is. Column
@@ -1323,33 +1265,6 @@ fn plain_ints(c: &Column) -> Cow<'_, Column> {
     match c.is_encoded().then(|| c.decoded()).flatten() {
         Some(plain) => Cow::Owned(plain),
         None => Cow::Borrowed(c),
-    }
-}
-
-/// A numeric slice readable as `f64` without copying the column.
-enum F64Lanes<'a> {
-    F(&'a [f64]),
-    I(&'a [i64]),
-}
-
-impl F64Lanes<'_> {
-    #[inline]
-    fn get_f64(&self, i: usize) -> f64 {
-        match self {
-            F64Lanes::F(v) => v[i],
-            F64Lanes::I(v) => v[i] as f64,
-        }
-    }
-}
-
-fn to_f64_parts(c: &Column) -> Result<(F64Lanes<'_>, &Bitmap)> {
-    match c {
-        Column::Float64(v, b) => Ok((F64Lanes::F(v), b)),
-        Column::Int64(v, b) => Ok((F64Lanes::I(v), b)),
-        other => Err(QueryError::InvalidExpression(format!(
-            "arithmetic over {}",
-            other.data_type()
-        ))),
     }
 }
 

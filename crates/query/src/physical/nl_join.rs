@@ -1,36 +1,26 @@
-//! Nested-loop join: the baseline the optimizer experiments compare against.
+//! Nested-loop join: the cross product of a join without equi-keys.
 
 use super::{drain, Operator};
 use crate::error::Result;
-use crate::eval::refine_selection;
-use crate::expr::Expr;
 use backbone_storage::{Column, RecordBatch, Schema};
 use std::sync::Arc;
 
-/// Quadratic join with an arbitrary (not necessarily equi-) predicate over
-/// the combined row. Used as the unoptimized baseline in E6 and for
-/// non-equi join conditions.
+/// The cross product of its two inputs, for a join without equi-keys. A
+/// non-equi condition is a Filter above it.
 pub struct NestedLoopJoinExec {
     left: Option<Box<dyn Operator>>,
     right: Option<Box<dyn Operator>>,
-    predicate: Option<Expr>,
     schema: Arc<Schema>,
     output: Option<std::vec::IntoIter<RecordBatch>>,
 }
 
 impl NestedLoopJoinExec {
-    /// Build a nested-loop join. `predicate` of `None` yields the cross
-    /// product.
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        predicate: Option<Expr>,
-    ) -> NestedLoopJoinExec {
+    /// Build the cross product of `left` and `right`.
+    pub fn new(left: Box<dyn Operator>, right: Box<dyn Operator>) -> NestedLoopJoinExec {
         let schema = left.schema().join(&right.schema());
         NestedLoopJoinExec {
             left: Some(left),
             right: Some(right),
-            predicate,
             schema,
             output: None,
         }
@@ -61,16 +51,7 @@ impl NestedLoopJoinExec {
             let rpart = rbatch.take(ri)?;
             let mut cols: Vec<Arc<Column>> = lpart.columns().to_vec();
             cols.extend(rpart.columns().iter().cloned());
-            let combined = RecordBatch::try_new(self.schema.clone(), cols)?;
-            let kept = match &self.predicate {
-                None => combined,
-                // Compact the survivors: the output holds every chunk until
-                // the join drains, and a view would pin each whole chunk.
-                Some(p) => refine_selection(p, &combined)?.materialize(),
-            };
-            if !kept.is_empty() {
-                out.push(kept);
-            }
+            out.push(RecordBatch::try_new(self.schema.clone(), cols)?);
             li.clear();
             ri.clear();
             Ok(())
@@ -110,7 +91,6 @@ impl Operator for NestedLoopJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
     use crate::physical::drain_one;
     use crate::physical::test_util::{int_batch, BatchSource};
 
@@ -121,52 +101,9 @@ mod tests {
         let mut j = NestedLoopJoinExec::new(
             Box::new(BatchSource::single(lb)),
             Box::new(BatchSource::single(rb)),
-            None,
         );
         let out = drain_one(&mut j).unwrap();
         assert_eq!(out.num_rows(), 6);
-    }
-
-    #[test]
-    fn predicate_join_matches_hash_join() {
-        use crate::logical::JoinType;
-        use crate::physical::HashJoinExec;
-        let l = vec![("id", vec![1i64, 2, 3, 4]), ("x", vec![5i64, 6, 7, 8])];
-        let r = vec![("rid", vec![2i64, 4, 9]), ("y", vec![1i64, 2, 3])];
-        let mut nl = NestedLoopJoinExec::new(
-            Box::new(BatchSource::single(int_batch(&l))),
-            Box::new(BatchSource::single(int_batch(&r))),
-            Some(col("id").eq(col("rid"))),
-        );
-        let mut hj = HashJoinExec::new(
-            Box::new(BatchSource::single(int_batch(&l))),
-            Box::new(BatchSource::single(int_batch(&r))),
-            vec![("id".to_string(), "rid".to_string())],
-            JoinType::Inner,
-            &crate::physical::test_util::ctx(1),
-            crate::OpStats::default(),
-        )
-        .unwrap();
-        let mut a = drain_one(&mut nl).unwrap().to_rows();
-        let mut b = drain_one(&mut hj).unwrap().to_rows();
-        let key = |r: &Vec<backbone_storage::Value>| format!("{r:?}");
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn non_equi_predicate() {
-        let lb = int_batch(&[("a", vec![1, 5])]);
-        let rb = int_batch(&[("b", vec![3])]);
-        let mut j = NestedLoopJoinExec::new(
-            Box::new(BatchSource::single(lb)),
-            Box::new(BatchSource::single(rb)),
-            Some(col("a").gt(col("b"))),
-        );
-        let out = drain_one(&mut j).unwrap();
-        assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.column(0).i64_data().unwrap(), &[5]);
     }
 
     #[test]
@@ -176,20 +113,6 @@ mod tests {
         let mut j = NestedLoopJoinExec::new(
             Box::new(BatchSource::single(lb)),
             Box::new(BatchSource::single(rb)),
-            None,
-        );
-        let out = drain_one(&mut j).unwrap();
-        assert_eq!(out.num_rows(), 0);
-    }
-
-    #[test]
-    fn constant_false_predicate() {
-        let lb = int_batch(&[("a", vec![1, 2, 3])]);
-        let rb = int_batch(&[("b", vec![1, 2, 3])]);
-        let mut j = NestedLoopJoinExec::new(
-            Box::new(BatchSource::single(lb)),
-            Box::new(BatchSource::single(rb)),
-            Some(lit(false)),
         );
         let out = drain_one(&mut j).unwrap();
         assert_eq!(out.num_rows(), 0);

@@ -101,7 +101,7 @@ fn build(
                         "outer join requires equi-join keys".into(),
                     ));
                 }
-                Box::new(NestedLoopJoinExec::new(l, r, None))
+                Box::new(NestedLoopJoinExec::new(l, r))
             } else {
                 Box::new(HashJoinExec::new(
                     l,

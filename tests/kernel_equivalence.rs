@@ -14,7 +14,7 @@ use backbone_query::{
 };
 use backbone_storage::compress::{EncodedInts, ForLanes, RleI64};
 use backbone_storage::table::EncodingPolicy;
-use backbone_storage::{Column, DataType, Field, RecordBatch, Schema, Table, Value};
+use backbone_storage::{Bitmap, Column, DataType, Field, RecordBatch, Schema, Table, Value};
 use differential::*;
 use std::sync::Arc;
 
@@ -331,7 +331,15 @@ fn cmp_expr(column: &str, op: BinOp, literal: &Value, literal_first: bool) -> Ex
 /// twin, literals)`, either side, conjunctions of them, and disjunctions of
 /// a comparison with a conjunction. The reference evaluates the same
 /// comparison over column `twin`, the plain column holding the same values.
-fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)], keep: &[bool]) {
+/// Then `column <op> column` for each of `pairs`, and, for a numeric pair,
+/// `+ - * / %` as values, which fail exactly when the reference fails on a
+/// candidate row.
+fn check_comparisons(
+    batch: &RecordBatch,
+    columns: &[(usize, usize, Vec<Value>)],
+    pairs: &[(usize, usize)],
+    keep: &[bool],
+) {
     let names: Vec<String> = (batch.schema().fields().iter())
         .map(|f| f.name.clone())
         .collect();
@@ -362,6 +370,23 @@ fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)]
         let (a, b) = (&cases[k], &cases[j]);
         cases.push((a.0.clone().or(b.0.clone()), a.1.clone().or(b.1.clone())));
     }
+    // Column against column: the reference reads both columns' values.
+    let between = |a: usize, op, b: usize| Expr::Binary {
+        left: Box::new(col(&names[a])),
+        op,
+        right: Box::new(col(&names[b])),
+    };
+    let mut arithmetic = Vec::new();
+    for &(a, b) in pairs {
+        cases.extend(OPS.map(|op| (between(a, op, b), between(a, op, b))));
+        let numeric = |c: usize| batch.schema().fields()[c].data_type != DataType::Utf8;
+        if numeric(a) && numeric(b) {
+            arithmetic.extend(
+                [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod]
+                    .map(|op| between(a, op, b)),
+            );
+        }
+    }
     let rows = batch.to_rows();
     let picked: Vec<u32> = (0..rows.len() as u32)
         .filter(|&i| keep[i as usize % keep.len()])
@@ -385,6 +410,14 @@ fn check_comparisons(batch: &RecordBatch, columns: &[(usize, usize, Vec<Value>)]
             for (&i, w) in candidates.iter().zip(&want) {
                 assert_eq!(&verdicts.value(i), w, "{context}: row {i}");
             }
+        }
+        for expr in &arithmetic {
+            let want: Result<Vec<String>, String> = (candidates.iter())
+                .map(|&i| eval(expr, &names, &rows[i]).map(|v| rounded(&v)))
+                .collect();
+            let got = backbone_query::eval::eval(expr, b)
+                .map(|c| candidates.iter().map(|&i| rounded(&c.value(i))).collect());
+            assert_eq!(got.ok(), want.ok(), "{expr} over {} rows", candidates.len());
         }
     }
 }
@@ -490,15 +523,31 @@ fn check_selection_kernels(rng: &mut Rng, max_runs: usize, null_weight: u64) {
     let rle = EncodedInts::from_rle(RleI64::encode(&raw));
     let lanes = EncodedInts::For(ForLanes::encode(&raw).expect("a small range fits a lane"));
     let strings = Column::from_values(DataType::Utf8, &strs).expect("string column");
+    // A dictionary whose code order is the reverse of string order, shared
+    // by `e` and `h` (`e`'s rows shifted by one): `<` and `>=` between them
+    // must compare strings, not codes.
+    let reversed: Arc<Vec<String>> = Arc::new(WORDS.iter().rev().map(|w| w.to_string()).collect());
+    let in_reversed = |vals: &[Value]| {
+        let code = |v: &Value| reversed.iter().position(|w| Value::str(w) == *v);
+        let valid: Vec<bool> = vals.iter().map(|v| !v.is_null()).collect();
+        let codes = vals.iter().map(|v| code(v).unwrap_or(0) as u32).collect();
+        Column::dict_from_parts(reversed.clone(), codes, Bitmap::from_bools(&valid))
+    };
     let cols = [
         Column::encoded_from_parts(rle, plain.validity().clone()),
         Column::encoded_from_parts(lanes, plain.validity().clone()),
         plain,
         Column::from_opt_f64(floats),
         strings.dict_encode().expect("string columns encode"),
-        strings,
+        strings.clone(),
+        Column::from_opt_i64(shifted(&ints)),
+        in_reversed(&strs),
+        in_reversed(&shifted(&strs)),
+        // A second dictionary of `d`'s strings.
+        strings.dict_encode().expect("string columns encode"),
     ];
-    let fields = (["r", "l", "i", "f", "d", "s"].iter().zip(&cols))
+    let names = ["r", "l", "i", "f", "d", "s", "j", "e", "h", "g"];
+    let fields = (names.iter().zip(&cols))
         .map(|(n, c)| Field::nullable(*n, c.data_type()))
         .collect();
     let batch = RecordBatch::try_new(Schema::new(fields), cols.map(Arc::new).to_vec())
@@ -517,8 +566,31 @@ fn check_selection_kernels(rng: &mut Rng, max_runs: usize, null_weight: u64) {
         (4, 5, words.clone()),
         (5, 5, words),
     ];
-    check_comparisons(&batch, &columns, &keep_mask(rng));
+    // Ints (encoded or not, `j` shifted) against ints and against floats
+    // (NaN, ±0, NULL); strings through one shared dictionary (`e`, `h`), two
+    // dictionaries of the same strings (`d`, `g`), dictionary and plain.
+    let pairs = [
+        (0, 6),
+        (1, 6),
+        (2, 6),
+        (6, 3),
+        (3, 1),
+        (3, 3),
+        (7, 8),
+        (4, 9),
+        (4, 5),
+        (5, 8),
+        (5, 5),
+    ];
+    check_comparisons(&batch, &columns, &pairs, &keep_mask(rng));
     check_guarded_errors(&batch, &keep_mask(rng));
+}
+
+/// `v` with its rows shifted up by one, the first last.
+fn shifted<T: Clone>(v: &[T]) -> Vec<T> {
+    let mut out = v.to_vec();
+    out.rotate_left(v.len().min(1));
+    out
 }
 
 /// Residual widths in bits, and the lane bytes each must seal as (`None`:
@@ -596,7 +668,7 @@ fn check_lane_kernels(vals: &[Option<i64>], want_bytes: Option<usize>, keep: &[b
     ]);
     let batch = RecordBatch::try_new(schema, vec![Arc::new(plain.clone()), Arc::new(enc.clone())])
         .expect("columns match schema");
-    check_comparisons(&batch, &[(1, 0, frame_literals(lo, hi))], keep);
+    check_comparisons(&batch, &[(1, 0, frame_literals(lo, hi))], &[], keep);
     let (mut h_plain, mut h_enc) = (vec![3u64; n], vec![3u64; n]);
     plain.hash_combine(None, &mut h_plain);
     enc.hash_combine(None, &mut h_enc);

@@ -14,12 +14,12 @@
 //!   construction, but recovery still lands on a clean acknowledged prefix
 //!   (or an explicit corrupt-log error — never a panic).
 
-use backbone_core::durability::WAL_FILE;
+use backbone_core::durability::{CHECKPOINT_FILE, WAL_FILE};
 use backbone_core::{Database, DurabilityOptions, Error, FsyncPolicy};
 use backbone_query::{Catalog, QueryError};
 use backbone_storage::table::DEFAULT_ROW_GROUP_SIZE;
 use backbone_storage::{DataType, Field, Schema, Table, Value};
-use backbone_txn::{FaultFile, FaultKind, FaultPlan};
+use backbone_txn::{FaultFile, FaultKind, FaultPlan, FileDevice, LogDevice};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -449,18 +449,70 @@ fn automatic_checkpoints_fire_on_cadence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A commit is acknowledged once its record is durable and visible, so a
+/// checkpoint that fails after it is counted, not returned: a caller that
+/// retried on the error would write the row twice.
+#[test]
+fn failed_checkpoint_does_not_fail_an_acked_commit() {
+    let dir = scratch_dir("checkpoint-fails");
+    {
+        let db =
+            Database::open_with(&dir, DurabilityOptions::default().checkpoint_every(1)).unwrap();
+        db.create_table("events", events_schema()).unwrap();
+        // A directory where the checkpoint writes its tmp file fails the write.
+        let blocker = dir.join(CHECKPOINT_FILE).with_extension("tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        db.insert("events", vec![event_row(0)]).unwrap();
+        assert_eq!(recovered_ids(&db).unwrap(), vec![0]);
+        assert_eq!(db.metrics().value("wal.checkpoint_failures"), 1);
+        std::fs::remove_dir(&blocker).unwrap();
+        let checkpoints = db.metrics().value("wal.checkpoints");
+        db.insert("events", vec![event_row(1)]).unwrap();
+        assert_eq!(db.metrics().value("wal.checkpoints"), checkpoints + 1);
+        assert_eq!(db.metrics().value("wal.checkpoint_failures"), 1);
+        std::mem::forget(db);
+    }
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(recovered_ids(&db).unwrap(), vec![0, 1]);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log file whose every fsync takes `latency` longer, so concurrent
+/// commits queue up behind one and group commit has a batch to share.
+struct SlowSync(FileDevice, Duration);
+
+impl LogDevice for SlowSync {
+    fn append(&self, buf: &[u8]) -> std::io::Result<()> {
+        self.0.append(buf)
+    }
+
+    fn sync(&self) -> std::io::Result<()> {
+        std::thread::sleep(self.1);
+        self.0.sync()
+    }
+
+    fn contents(&self) -> std::io::Result<Vec<u8>> {
+        self.0.contents()
+    }
+
+    fn reset(&self, contents: &[u8]) -> std::io::Result<()> {
+        self.0.reset(contents)
+    }
+}
+
+/// A group-commit database in `dir` over a [`SlowSync`] log.
+fn open_slow_group_commit(dir: &Path, latency: Duration) -> Database {
+    std::fs::create_dir_all(dir).unwrap();
+    let wal = SlowSync(FileDevice::open(dir.join(WAL_FILE)).unwrap(), latency);
+    let opts = DurabilityOptions::default().fsync(FsyncPolicy::Group);
+    Database::open_with_device(dir, Box::new(wal), opts).unwrap()
+}
+
 #[test]
 fn group_commit_shares_fsyncs_across_concurrent_inserters() {
     let dir = scratch_dir("group-commit");
-    let db = Arc::new(
-        Database::open_with(
-            &dir,
-            DurabilityOptions::default()
-                .fsync(FsyncPolicy::Group)
-                .fsync_latency(Duration::from_millis(2)),
-        )
-        .unwrap(),
-    );
+    let db = Arc::new(open_slow_group_commit(&dir, Duration::from_millis(2)));
     db.create_table("events", events_schema()).unwrap();
     let threads = 4;
     let per_thread = 20;
@@ -499,13 +551,7 @@ fn no_acked_write_from_batched_group_commit_is_lost_on_crash() {
     let dir = scratch_dir("group-commit-crash");
     let acked = Arc::new(std::sync::Mutex::new(Vec::<i64>::new()));
     {
-        let db = Database::open_with(
-            &dir,
-            DurabilityOptions::default()
-                .fsync(FsyncPolicy::Group)
-                .fsync_latency(Duration::from_millis(1)),
-        )
-        .unwrap();
+        let db = open_slow_group_commit(&dir, Duration::from_millis(1));
         db.create_table("events", events_schema()).unwrap();
         let threads = 4;
         let per_thread = 15;
