@@ -15,6 +15,12 @@
 //! 2. **Accumulators.** Every aggregate keeps a **typed accumulator vector
 //!    indexed by group id**, updated one column at a time; an all-valid
 //!    input skips the per-lane validity probe.
+//! 3. **Merges.** A partial state — a morsel worker's, or a spilled
+//!    partition's — is a **state batch**: the group keys, then each
+//!    accumulator's state columns, with "no value reached this group" as
+//!    NULL. One merge folds it in: its keys get group ids as input rows do,
+//!    and each function folds its own state columns — SUM, MIN and MAX
+//!    through their `update`, COUNT and AVG by adding counts and sums.
 //!
 //! A global aggregate (no keys) skips pass 1 entirely.
 
@@ -29,8 +35,8 @@ use crate::profile::OpStats;
 use backbone_storage::column::{fnv1a, mix64, NULL_TAG};
 use backbone_storage::compress::EncodedInts;
 use backbone_storage::with_lanes;
-use backbone_storage::{Bitmap, Column, DataType, Field, RecordBatch, Schema, Value};
-use std::borrow::Borrow;
+use backbone_storage::{Bitmap, Column, DataType, Field, RecordBatch, Schema};
+use std::mem::take;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -101,7 +107,7 @@ impl GroupTable {
 
 /// Whether `x` strictly improves on `cur` as a minimum (`min`) or maximum.
 /// Incomparable values never improve.
-fn better<T: PartialOrd>(min: bool, x: &T, cur: &T) -> bool {
+fn better<T: PartialOrd + ?Sized>(min: bool, x: &T, cur: &T) -> bool {
     let ord = x.partial_cmp(cur).unwrap_or(std::cmp::Ordering::Equal);
     if min {
         ord == std::cmp::Ordering::Less
@@ -110,506 +116,466 @@ fn better<T: PartialOrd>(min: bool, x: &T, cur: &T) -> bool {
     }
 }
 
-/// [`better`] for floats in ORDER BY order (`Value::sort_cmp`): NaN after
-/// every number. So MAX is NaN if any value is, MIN only if every value
-/// is, as `ORDER BY … LIMIT 1` answers, in every input order.
-fn better_f64(min: bool, x: f64, cur: f64) -> bool {
-    match (x.is_nan(), cur.is_nan()) {
-        (false, false) => better(min, &x, &cur),
-        // NaN is the greatest: it wins a MAX and loses a MIN to any number.
-        (nan_x, nan_cur) => nan_x != nan_cur && nan_x != min,
-    }
-}
+/// The value type of an accumulator's lanes: `i64`, `f64`, `String` or
+/// `bool`. Each accumulator's lane loop is generic over it, so it is
+/// compiled once per type, with no per-lane dispatch.
+trait LaneValue: Default + Send + 'static {
+    /// A lane as a column yields it: the value itself, or `&str`.
+    type Ref<'a>: Copy + Into<Self>;
 
-/// One typed accumulator vector per aggregate, indexed by group id.
-enum AccVec {
-    /// COUNT / COUNT(*).
-    Count(Vec<i64>),
-    SumI {
-        sums: Vec<i64>,
-        seen: Vec<bool>,
-    },
-    SumF {
-        sums: Vec<f64>,
-        seen: Vec<bool>,
-    },
-    Avg {
-        sums: Vec<f64>,
-        counts: Vec<i64>,
-    },
-    MinMaxI {
-        vals: Vec<i64>,
-        seen: Vec<bool>,
-        min: bool,
-    },
-    MinMaxF {
-        vals: Vec<f64>,
-        seen: Vec<bool>,
-        min: bool,
-    },
-    MinMaxS {
-        vals: Vec<String>,
-        seen: Vec<bool>,
-        min: bool,
-    },
-    MinMaxB {
-        vals: Vec<bool>,
-        seen: Vec<bool>,
-        min: bool,
-    },
-}
-
-impl AccVec {
-    fn new(func: AggFunc, input_dt: DataType) -> AccVec {
-        match func {
-            AggFunc::Count | AggFunc::CountStar => AccVec::Count(Vec::new()),
-            AggFunc::Sum => match input_dt {
-                DataType::Float64 => AccVec::SumF {
-                    sums: Vec::new(),
-                    seen: Vec::new(),
-                },
-                // Non-numeric SUM is rejected at plan time (AggExpr::data_type).
-                _ => AccVec::SumI {
-                    sums: Vec::new(),
-                    seen: Vec::new(),
-                },
-            },
-            AggFunc::Avg => AccVec::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-            AggFunc::Min | AggFunc::Max => {
-                let min = func == AggFunc::Min;
-                match input_dt {
-                    DataType::Int64 => AccVec::MinMaxI {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        min,
-                    },
-                    DataType::Float64 => AccVec::MinMaxF {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        min,
-                    },
-                    DataType::Utf8 => AccVec::MinMaxS {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        min,
-                    },
-                    DataType::Bool => AccVec::MinMaxB {
-                        vals: Vec::new(),
-                        seen: Vec::new(),
-                        min,
-                    },
-                }
-            }
-        }
-    }
-
-    /// Append default state for one newly created group.
-    fn push_group(&mut self) {
-        match self {
-            AccVec::Count(c) => c.push(0),
-            AccVec::SumI { sums, seen } => {
-                sums.push(0);
-                seen.push(false);
-            }
-            AccVec::SumF { sums, seen } => {
-                sums.push(0.0);
-                seen.push(false);
-            }
-            AccVec::Avg { sums, counts } => {
-                sums.push(0.0);
-                counts.push(0);
-            }
-            AccVec::MinMaxI { vals, seen, .. } => {
-                vals.push(0);
-                seen.push(false);
-            }
-            AccVec::MinMaxF { vals, seen, .. } => {
-                vals.push(0.0);
-                seen.push(false);
-            }
-            AccVec::MinMaxS { vals, seen, .. } => {
-                vals.push(String::new());
-                seen.push(false);
-            }
-            AccVec::MinMaxB { vals, seen, .. } => {
-                vals.push(false);
-                seen.push(false);
-            }
-        }
-    }
-
-    /// Fold one batch's lanes into the accumulators. `gids[pos]` is the group
-    /// for logical row `pos`; `input` is `None` only for COUNT(*).
-    fn update_batch(
-        &mut self,
+    /// Call `f(group, value)` for every valid lane of `col` (see
+    /// [`for_each_valid`]); `false`, with no calls, when `col` holds no
+    /// values of this type.
+    fn read<'a>(
         gids: &[u32],
         sel: Option<&[u32]>,
-        input: Option<&Column>,
-    ) -> Result<()> {
-        match self {
-            AccVec::Count(counts) => match input {
-                None => {
-                    // COUNT(*): every lane counts.
-                    for &g in gids {
-                        counts[g as usize] += 1;
-                    }
-                }
-                Some(col) => for_each_valid(gids, sel, col.validity(), |g, _| counts[g] += 1),
-            },
-            AccVec::SumI { sums, seen } => {
-                let col = input.expect("SUM has an input");
-                let mut overflow = false;
-                let add = |g: usize, x: i64| match sums[g].checked_add(x) {
-                    Some(s) => {
-                        sums[g] = s;
-                        seen[g] = true;
-                    }
-                    None => overflow = true,
-                };
-                if !for_each_valid_int(gids, sel, col, add) {
-                    return Err(QueryError::InvalidExpression(format!(
-                        "SUM over {}",
-                        col.data_type()
-                    )));
-                }
-                if overflow {
-                    return Err(QueryError::Arithmetic("SUM integer overflow".into()));
-                }
+        col: &'a Column,
+        f: impl FnMut(usize, Self::Ref<'a>),
+    ) -> bool;
+
+    /// [`better`] for this type.
+    fn better(min: bool, x: Self::Ref<'_>, cur: &Self) -> bool;
+
+    /// A column of `vals` under `validity`.
+    fn column(vals: Vec<Self>, validity: Bitmap) -> Column;
+
+    /// Approximate resident bytes of `vals`.
+    fn bytes(vals: &[Self]) -> usize {
+        std::mem::size_of_val(vals)
+    }
+}
+
+impl LaneValue for i64 {
+    type Ref<'a> = i64;
+
+    /// Plain, frame-of-reference (read as a slice, once per lane width) and
+    /// RLE integers.
+    fn read<'a>(
+        gids: &[u32],
+        sel: Option<&[u32]>,
+        col: &'a Column,
+        mut f: impl FnMut(usize, Self::Ref<'a>),
+    ) -> bool {
+        match col {
+            Column::Int64(v, bm) => for_each_valid(gids, sel, bm, |g, row| f(g, v[row])),
+            Column::Int64Encoded {
+                data: EncodedInts::For(l),
+                validity,
+            } => with_lanes!(&l.lanes, s => for_each_valid(gids, sel, validity, |g, row| {
+                f(g, l.reference.wrapping_add(s[row] as i64))
+            })),
+            Column::Int64Encoded { data, validity } => {
+                for_each_valid(gids, sel, validity, |g, row| f(g, data.get(row)))
             }
-            AccVec::SumF { sums, seen } => {
-                let col = input.expect("SUM has an input");
-                let mut add = |g: usize, x: f64| {
-                    sums[g] += x;
-                    seen[g] = true;
-                };
-                match col {
-                    Column::Float64(v, bm) => {
-                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
-                    }
-                    other => {
-                        if !for_each_valid_int(gids, sel, other, |g, x| add(g, x as f64)) {
-                            return Err(QueryError::InvalidExpression(format!(
-                                "SUM over {}",
-                                other.data_type()
-                            )));
-                        }
-                    }
-                }
-            }
-            AccVec::Avg { sums, counts } => {
-                let col = input.expect("AVG has an input");
-                let mut add = |g: usize, x: f64| {
-                    sums[g] += x;
-                    counts[g] += 1;
-                };
-                match col {
-                    Column::Float64(v, bm) => {
-                        for_each_valid(gids, sel, bm, |g, row| add(g, v[row]))
-                    }
-                    other if for_each_valid_int(gids, sel, other, |g, x| add(g, x as f64)) => {}
-                    other => {
-                        // Mirror the row-at-a-time error: only raised when a
-                        // non-null value actually arrives.
-                        let mut bad: Option<Value> = None;
-                        for_each_lane(sel, gids.len(), |_, base| {
-                            if bad.is_none() && !other.is_null(base) {
-                                bad = Some(other.value(base));
-                            }
-                        });
-                        if let Some(v) = bad {
-                            return Err(QueryError::InvalidExpression(format!(
-                                "AVG over non-numeric value {v}"
-                            )));
-                        }
-                    }
-                }
-            }
-            AccVec::MinMaxI { vals, seen, min } => {
-                let min = *min;
-                let fold = |g: usize, x: i64| {
-                    if !seen[g] || (min && x < vals[g]) || (!min && x > vals[g]) {
-                        vals[g] = x;
-                        seen[g] = true;
-                    }
-                };
-                if let Some(col) = input {
-                    for_each_valid_int(gids, sel, col, fold);
-                }
-            }
-            AccVec::MinMaxF { vals, seen, min } => {
-                if let Some(Column::Float64(v, bm)) = input {
-                    let min = *min;
-                    for_each_valid(gids, sel, bm, |g, row| {
-                        let x = v[row];
-                        if !seen[g] || better_f64(min, x, vals[g]) {
-                            vals[g] = x;
-                            seen[g] = true;
-                        }
-                    });
-                }
-            }
-            AccVec::MinMaxS { vals, seen, min } => {
-                let min = *min;
-                let mut fold = |g: usize, x: &str| {
-                    if !seen[g] || (min && x < vals[g].as_str()) || (!min && x > vals[g].as_str()) {
-                        vals[g] = x.to_string();
-                        seen[g] = true;
-                    }
-                };
-                match input {
-                    Some(Column::Utf8(v, bm)) => {
-                        for_each_valid(gids, sel, bm, |g, row| fold(g, &v[row]))
-                    }
-                    Some(c @ Column::DictUtf8 { .. }) => {
-                        let (dict, codes, bm) = c.dict_parts().expect("matched dict");
-                        for_each_valid(gids, sel, bm, |g, row| fold(g, &dict[codes[row] as usize]))
-                    }
-                    _ => {}
-                }
-            }
-            AccVec::MinMaxB { vals, seen, min } => {
-                if let Some(Column::Bool(v, bm)) = input {
-                    let min = *min;
-                    for_each_valid(gids, sel, bm, |g, row| {
-                        let x = v[row];
-                        if !seen[g] || (min && !x & vals[g]) || (!min && x & !vals[g]) {
-                            vals[g] = x;
-                            seen[g] = true;
-                        }
-                    });
-                }
-            }
+            _ => return false,
         }
-        Ok(())
+        true
     }
 
-    /// Fold source group `sg` of `src` (a partial state for the same
-    /// aggregate) into group `dst` of `self` — the merge phase of parallel
-    /// aggregation. Same semantics as feeding `src`'s inputs through
-    /// `update_batch`, so COUNT adds, SUM re-checks overflow, MIN/MAX keep
-    /// the better extreme, and never-seen source groups stay NULL.
-    fn merge_from(&mut self, dst: usize, src: &AccVec, sg: usize) -> Result<()> {
-        match (self, src) {
-            (AccVec::Count(a), AccVec::Count(b)) => a[dst] += b[sg],
-            (AccVec::SumI { sums, seen }, AccVec::SumI { sums: s2, seen: e2 }) => {
-                if e2[sg] {
-                    sums[dst] = sums[dst]
-                        .checked_add(s2[sg])
-                        .ok_or_else(|| QueryError::Arithmetic("SUM integer overflow".into()))?;
-                    seen[dst] = true;
-                }
-            }
-            (AccVec::SumF { sums, seen }, AccVec::SumF { sums: s2, seen: e2 }) => {
-                if e2[sg] {
-                    sums[dst] += s2[sg];
-                    seen[dst] = true;
-                }
-            }
-            (
-                AccVec::Avg { sums, counts },
-                AccVec::Avg {
-                    sums: s2,
-                    counts: c2,
-                },
-            ) => {
-                sums[dst] += s2[sg];
-                counts[dst] += c2[sg];
-            }
-            (
-                AccVec::MinMaxI { vals, seen, min },
-                AccVec::MinMaxI {
-                    vals: v2, seen: e2, ..
-                },
-            ) => {
-                if e2[sg] && (!seen[dst] || better(*min, &v2[sg], &vals[dst])) {
-                    vals[dst] = v2[sg];
-                    seen[dst] = true;
-                }
-            }
-            (
-                AccVec::MinMaxF { vals, seen, min },
-                AccVec::MinMaxF {
-                    vals: v2, seen: e2, ..
-                },
-            ) => {
-                if e2[sg] && (!seen[dst] || better_f64(*min, v2[sg], vals[dst])) {
-                    vals[dst] = v2[sg];
-                    seen[dst] = true;
-                }
-            }
-            (
-                AccVec::MinMaxS { vals, seen, min },
-                AccVec::MinMaxS {
-                    vals: v2, seen: e2, ..
-                },
-            ) => {
-                if e2[sg] && (!seen[dst] || better(*min, &v2[sg], &vals[dst])) {
-                    vals[dst] = v2[sg].clone();
-                    seen[dst] = true;
-                }
-            }
-            (
-                AccVec::MinMaxB { vals, seen, min },
-                AccVec::MinMaxB {
-                    vals: v2, seen: e2, ..
-                },
-            ) => {
-                if e2[sg] && (!seen[dst] || better(*min, &v2[sg], &vals[dst])) {
-                    vals[dst] = v2[sg];
-                    seen[dst] = true;
-                }
-            }
-            _ => unreachable!("partial aggregate states share one spec"),
-        }
-        Ok(())
+    fn better(min: bool, x: i64, cur: &i64) -> bool {
+        better(min, &x, cur)
     }
+
+    fn column(vals: Vec<i64>, validity: Bitmap) -> Column {
+        Column::Int64(vals, validity)
+    }
+}
+
+impl LaneValue for f64 {
+    type Ref<'a> = f64;
+
+    /// Floats, and integers widened to floats.
+    fn read<'a>(
+        gids: &[u32],
+        sel: Option<&[u32]>,
+        col: &'a Column,
+        mut f: impl FnMut(usize, Self::Ref<'a>),
+    ) -> bool {
+        match col {
+            Column::Float64(v, bm) => {
+                for_each_valid(gids, sel, bm, |g, row| f(g, v[row]));
+                true
+            }
+            ints => i64::read(gids, sel, ints, |g, x| f(g, x as f64)),
+        }
+    }
+
+    /// In ORDER BY order (`Value::sort_cmp`): NaN after every number. So
+    /// MAX is NaN if any value is, MIN only if every value is, as
+    /// `ORDER BY … LIMIT 1` answers, in every input order.
+    fn better(min: bool, x: f64, cur: &f64) -> bool {
+        match (x.is_nan(), cur.is_nan()) {
+            (false, false) => better(min, &x, cur),
+            // NaN is the greatest: it wins a MAX and loses a MIN to any number.
+            (nan_x, nan_cur) => nan_x != nan_cur && nan_x != min,
+        }
+    }
+
+    fn column(vals: Vec<f64>, validity: Bitmap) -> Column {
+        Column::Float64(vals, validity)
+    }
+}
+
+impl LaneValue for String {
+    type Ref<'a> = &'a str;
+
+    /// Plain and dictionary strings.
+    fn read<'a>(
+        gids: &[u32],
+        sel: Option<&[u32]>,
+        col: &'a Column,
+        mut f: impl FnMut(usize, Self::Ref<'a>),
+    ) -> bool {
+        match col {
+            Column::Utf8(v, bm) => for_each_valid(gids, sel, bm, |g, row| f(g, &v[row])),
+            Column::DictUtf8 {
+                dict,
+                codes,
+                validity,
+            } => for_each_valid(gids, sel, validity, |g, row| {
+                f(g, &dict[codes[row] as usize])
+            }),
+            _ => return false,
+        }
+        true
+    }
+
+    fn better(min: bool, x: &str, cur: &String) -> bool {
+        better(min, x, cur.as_str())
+    }
+
+    fn column(vals: Vec<String>, validity: Bitmap) -> Column {
+        Column::Utf8(vals, validity)
+    }
+
+    fn bytes(vals: &[String]) -> usize {
+        vals.iter().map(|s| s.capacity() + 24).sum()
+    }
+}
+
+impl LaneValue for bool {
+    type Ref<'a> = bool;
+
+    fn read<'a>(
+        gids: &[u32],
+        sel: Option<&[u32]>,
+        col: &'a Column,
+        mut f: impl FnMut(usize, Self::Ref<'a>),
+    ) -> bool {
+        let Column::Bool(v, bm) = col else {
+            return false;
+        };
+        for_each_valid(gids, sel, bm, |g, row| f(g, v[row]));
+        true
+    }
+
+    fn better(min: bool, x: bool, cur: &bool) -> bool {
+        better(min, &x, cur)
+    }
+
+    fn column(vals: Vec<bool>, validity: Bitmap) -> Column {
+        Column::Bool(vals, validity)
+    }
+}
+
+/// A lane type SUM adds: `None` on overflow.
+trait Summable: LaneValue + Copy {
+    fn plus(self, x: Self) -> Option<Self>;
+}
+
+impl Summable for i64 {
+    fn plus(self, x: i64) -> Option<i64> {
+        self.checked_add(x)
+    }
+}
+
+impl Summable for f64 {
+    fn plus(self, x: f64) -> Option<f64> {
+        Some(self + x)
+    }
+}
+
+/// One aggregate's per-group state, indexed by group id.
+trait Accumulator: Send {
+    /// Append the state of one new group.
+    fn push_group(&mut self);
+
+    /// Fold one batch's lanes in. `gids[pos]` is the group of logical row
+    /// `pos`; `input` is `None` only for COUNT(*).
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, input: Option<&Column>) -> Result<()>;
+
+    /// Fold another partial's state columns (what its
+    /// [`Accumulator::take_state`] returned) in, taking them from `state`;
+    /// `gids[row]` is the group of state row `row`.
+    fn merge(&mut self, gids: &[u32], state: &mut StateColumns<'_>) -> Result<()>;
+
+    /// Move every group's state out as columns, leaving no groups.
+    fn take_state(&mut self) -> Vec<Column>;
+
+    /// The output column across all groups.
+    fn finish(self: Box<Self>) -> Column;
 
     /// Approximate resident bytes, for budget accounting.
-    fn byte_size(&self) -> usize {
-        match self {
-            AccVec::Count(c) => c.len() * 8,
-            AccVec::SumI { sums, seen } => sums.len() * 8 + seen.len(),
-            AccVec::SumF { sums, seen } => sums.len() * 8 + seen.len(),
-            AccVec::Avg { sums, counts } => sums.len() * 8 + counts.len() * 8,
-            AccVec::MinMaxI { vals, seen, .. } => vals.len() * 8 + seen.len(),
-            AccVec::MinMaxF { vals, seen, .. } => vals.len() * 8 + seen.len(),
-            AccVec::MinMaxS { vals, seen, .. } => {
-                vals.iter().map(|s| s.capacity() + 24).sum::<usize>() + seen.len()
-            }
-            AccVec::MinMaxB { vals, seen, .. } => vals.len() + seen.len(),
-        }
+    fn byte_size(&self) -> usize;
+}
+
+/// The state columns of a state batch, in accumulator order.
+type StateColumns<'a> = std::slice::Iter<'a, Arc<Column>>;
+
+/// The next accumulator's next state column.
+fn next_state<'a>(state: &mut StateColumns<'a>) -> Result<&'a Column> {
+    let missing = || QueryError::InvalidPlan("missing aggregate state column".into());
+    state.next().map(|c| &**c).ok_or_else(missing)
+}
+
+/// The accumulator of `func` over input of type `input_dt`.
+fn accumulator(func: AggFunc, input_dt: DataType) -> Box<dyn Accumulator> {
+    fn min_max<T: LaneValue>(func: AggFunc) -> Box<dyn Accumulator> {
+        Box::new(MinMax::<T> {
+            slots: Slots::default(),
+            min: func == AggFunc::Min,
+        })
+    }
+    match (func, input_dt) {
+        (AggFunc::Count | AggFunc::CountStar, _) => Box::<Count>::default(),
+        (AggFunc::Avg, _) => Box::<Avg>::default(),
+        (AggFunc::Sum, DataType::Float64) => Box::<Sum<f64>>::default(),
+        // Non-numeric SUM is rejected at plan time (AggExpr::data_type).
+        (AggFunc::Sum, _) => Box::<Sum<i64>>::default(),
+        (_, DataType::Int64) => min_max::<i64>(func),
+        (_, DataType::Float64) => min_max::<f64>(func),
+        (_, DataType::Utf8) => min_max::<String>(func),
+        (_, DataType::Bool) => min_max::<bool>(func),
+    }
+}
+
+/// COUNT(x) and COUNT(*): zero, not NULL, for a group no row reached.
+#[derive(Default)]
+struct Count(Vec<i64>);
+
+impl Accumulator for Count {
+    fn push_group(&mut self) {
+        self.0.push(0);
     }
 
-    /// Data types of this accumulator's serialized partial state. AVG keeps
-    /// sums and counts as separate columns so re-merged partials stay exact.
-    fn state_types(&self) -> Vec<DataType> {
-        match self {
-            AccVec::Count(_) => vec![DataType::Int64],
-            AccVec::SumI { .. } => vec![DataType::Int64],
-            AccVec::SumF { .. } => vec![DataType::Float64],
-            AccVec::Avg { .. } => vec![DataType::Float64, DataType::Int64],
-            AccVec::MinMaxI { .. } => vec![DataType::Int64],
-            AccVec::MinMaxF { .. } => vec![DataType::Float64],
-            AccVec::MinMaxS { .. } => vec![DataType::Utf8],
-            AccVec::MinMaxB { .. } => vec![DataType::Bool],
-        }
-    }
-
-    /// Serialize the partial state for spilling. `seen` becomes the validity
-    /// bitmap, so a codec round trip that zeroes data under nulls cannot
-    /// change the merge result ([`AccVec::merge_from`] checks `seen` first).
-    fn state_columns(&self) -> Vec<Column> {
-        match self {
-            AccVec::Count(c) => vec![Column::from_i64(c.clone())],
-            AccVec::SumI { sums, seen } => {
-                vec![Column::Int64(sums.clone(), Bitmap::from_bools(seen))]
-            }
-            AccVec::SumF { sums, seen } => {
-                vec![Column::Float64(sums.clone(), Bitmap::from_bools(seen))]
-            }
-            AccVec::Avg { sums, counts } => vec![
-                Column::from_f64(sums.clone()),
-                Column::from_i64(counts.clone()),
-            ],
-            AccVec::MinMaxI { vals, seen, .. } => {
-                vec![Column::Int64(vals.clone(), Bitmap::from_bools(seen))]
-            }
-            AccVec::MinMaxF { vals, seen, .. } => {
-                vec![Column::Float64(vals.clone(), Bitmap::from_bools(seen))]
-            }
-            AccVec::MinMaxS { vals, seen, .. } => {
-                vec![Column::Utf8(vals.clone(), Bitmap::from_bools(seen))]
-            }
-            AccVec::MinMaxB { vals, seen, .. } => {
-                vec![Column::Bool(vals.clone(), Bitmap::from_bools(seen))]
-            }
-        }
-    }
-
-    /// Rebuild partial state from spilled columns (inverse of
-    /// [`AccVec::state_columns`]); consumes as many columns from the
-    /// iterator as [`AccVec::state_types`] declares.
-    fn load_state<'a>(&mut self, cols: &mut impl Iterator<Item = &'a Arc<Column>>) -> Result<()> {
-        fn seen_of(col: &Column) -> Vec<bool> {
-            let bm = col.validity();
-            (0..col.len()).map(|i| bm.get(i)).collect()
-        }
-        let mut next = || {
-            cols.next().ok_or_else(|| {
-                QueryError::InvalidPlan("missing spilled aggregate state column".into())
-            })
-        };
-        match self {
-            AccVec::Count(c) => *c = next()?.i64_data()?.to_vec(),
-            AccVec::SumI { sums, seen } => {
-                let col = next()?;
-                *sums = col.i64_data()?.to_vec();
-                *seen = seen_of(col);
-            }
-            AccVec::SumF { sums, seen } => {
-                let col = next()?;
-                *sums = col.f64_data()?.to_vec();
-                *seen = seen_of(col);
-            }
-            AccVec::Avg { sums, counts } => {
-                *sums = next()?.f64_data()?.to_vec();
-                *counts = next()?.i64_data()?.to_vec();
-            }
-            AccVec::MinMaxI { vals, seen, .. } => {
-                let col = next()?;
-                *vals = col.i64_data()?.to_vec();
-                *seen = seen_of(col);
-            }
-            AccVec::MinMaxF { vals, seen, .. } => {
-                let col = next()?;
-                *vals = col.f64_data()?.to_vec();
-                *seen = seen_of(col);
-            }
-            AccVec::MinMaxS { vals, seen, .. } => {
-                let col = next()?;
-                *vals = col.utf8_data()?.to_vec();
-                *seen = seen_of(col);
-            }
-            AccVec::MinMaxB { vals, seen, .. } => {
-                let col = next()?;
-                *vals = col.bool_data()?.to_vec();
-                *seen = seen_of(col);
-            }
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, input: Option<&Column>) -> Result<()> {
+        let counts = &mut self.0;
+        match input {
+            // COUNT(*): every lane counts.
+            None => gids.iter().for_each(|&g| counts[g as usize] += 1),
+            Some(col) => for_each_valid(gids, sel, col.validity(), |g, _| counts[g] += 1),
         }
         Ok(())
     }
 
-    /// Emit the output column across all groups.
-    fn finish(self) -> Column {
-        fn with_seen<T>(
-            vals: Vec<T>,
-            seen: Vec<bool>,
-            build: impl Fn(Vec<T>, Bitmap) -> Column,
-        ) -> Column {
-            let bm = Bitmap::from_bools(&seen);
-            build(vals, bm)
-        }
-        match self {
-            AccVec::Count(c) => Column::from_i64(c),
-            AccVec::SumI { sums, seen } => with_seen(sums, seen, Column::Int64),
-            AccVec::SumF { sums, seen } => with_seen(sums, seen, Column::Float64),
-            AccVec::Avg { sums, counts } => {
-                let seen: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
-                let vals: Vec<f64> = sums
-                    .iter()
-                    .zip(&counts)
-                    .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-                    .collect();
-                with_seen(vals, seen, Column::Float64)
+    fn merge(&mut self, gids: &[u32], state: &mut StateColumns<'_>) -> Result<()> {
+        let counts = &mut self.0;
+        i64::read(gids, None, next_state(state)?, |g, n| counts[g] += n);
+        Ok(())
+    }
+
+    fn take_state(&mut self) -> Vec<Column> {
+        vec![Column::from_i64(take(&mut self.0))]
+    }
+
+    fn finish(self: Box<Self>) -> Column {
+        Column::from_i64(self.0)
+    }
+
+    fn byte_size(&self) -> usize {
+        self.0.len() * 8
+    }
+}
+
+/// Per-group values, and whether any value reached each group: the state
+/// of SUM and of MIN/MAX, where a group no value reached is NULL.
+#[derive(Default)]
+struct Slots<T> {
+    vals: Vec<T>,
+    seen: Vec<bool>,
+}
+
+impl<T: LaneValue> Slots<T> {
+    fn push_group(&mut self) {
+        self.vals.push(T::default());
+        self.seen.push(false);
+    }
+
+    /// Move the values out as a column with `seen` as its validity. A merge
+    /// skips NULL lanes, so a codec round trip that zeroes the values under
+    /// them cannot change it.
+    fn take(&mut self) -> Column {
+        T::column(
+            take(&mut self.vals),
+            Bitmap::from_bools(&take(&mut self.seen)),
+        )
+    }
+
+    fn byte_size(&self) -> usize {
+        T::bytes(&self.vals) + self.seen.len()
+    }
+}
+
+/// SUM over integers (an overflow is an error) or floats. Partial sums
+/// merge through `update`, so a merge overflows exactly when one pass does.
+#[derive(Default)]
+struct Sum<T>(Slots<T>);
+
+impl<T: Summable> Accumulator for Sum<T> {
+    fn push_group(&mut self) {
+        self.0.push_group();
+    }
+
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, input: Option<&Column>) -> Result<()> {
+        let col = input.expect("SUM has an input");
+        let Slots { vals, seen } = &mut self.0;
+        let mut overflow = false;
+        let read = T::read(gids, sel, col, |g, x| match vals[g].plus(x.into()) {
+            Some(s) => {
+                vals[g] = s;
+                seen[g] = true;
             }
-            AccVec::MinMaxI { vals, seen, .. } => with_seen(vals, seen, Column::Int64),
-            AccVec::MinMaxF { vals, seen, .. } => with_seen(vals, seen, Column::Float64),
-            AccVec::MinMaxS { vals, seen, .. } => with_seen(vals, seen, Column::Utf8),
-            AccVec::MinMaxB { vals, seen, .. } => with_seen(vals, seen, Column::Bool),
+            None => overflow = true,
+        });
+        if !read {
+            return Err(QueryError::InvalidExpression(format!(
+                "SUM over {}",
+                col.data_type()
+            )));
         }
+        if overflow {
+            return Err(QueryError::Arithmetic("SUM integer overflow".into()));
+        }
+        Ok(())
+    }
+
+    fn merge(&mut self, gids: &[u32], state: &mut StateColumns<'_>) -> Result<()> {
+        self.update(gids, None, Some(next_state(state)?))
+    }
+
+    fn take_state(&mut self) -> Vec<Column> {
+        vec![self.0.take()]
+    }
+
+    fn finish(mut self: Box<Self>) -> Column {
+        self.0.take()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.0.byte_size()
+    }
+}
+
+/// AVG: a float sum and a count per group, NULL where the count is zero.
+/// Sums and counts merge as two state columns, so re-merged partials stay
+/// exact.
+#[derive(Default)]
+struct Avg {
+    sums: Vec<f64>,
+    counts: Vec<i64>,
+}
+
+impl Accumulator for Avg {
+    fn push_group(&mut self) {
+        self.sums.push(0.0);
+        self.counts.push(0);
+    }
+
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, input: Option<&Column>) -> Result<()> {
+        let col = input.expect("AVG has an input");
+        let Avg { sums, counts } = self;
+        if f64::read(gids, sel, col, |g, x| {
+            sums[g] += x;
+            counts[g] += 1;
+        }) {
+            return Ok(());
+        }
+        // Mirror the row-at-a-time error: only raised when a non-null value
+        // actually arrives.
+        let mut bad = None;
+        for_each_lane(sel, gids.len(), |_, base| {
+            if bad.is_none() && !col.is_null(base) {
+                bad = Some(col.value(base));
+            }
+        });
+        match bad {
+            Some(v) => Err(QueryError::InvalidExpression(format!(
+                "AVG over non-numeric value {v}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    fn merge(&mut self, gids: &[u32], state: &mut StateColumns<'_>) -> Result<()> {
+        let Avg { sums, counts } = self;
+        f64::read(gids, None, next_state(state)?, |g, s| sums[g] += s);
+        i64::read(gids, None, next_state(state)?, |g, n| counts[g] += n);
+        Ok(())
+    }
+
+    fn take_state(&mut self) -> Vec<Column> {
+        vec![
+            Column::from_f64(take(&mut self.sums)),
+            Column::from_i64(take(&mut self.counts)),
+        ]
+    }
+
+    fn finish(self: Box<Self>) -> Column {
+        let seen: Vec<bool> = self.counts.iter().map(|&c| c > 0).collect();
+        let vals: Vec<f64> = self
+            .sums
+            .iter()
+            .zip(&self.counts)
+            .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
+            .collect();
+        Column::Float64(vals, Bitmap::from_bools(&seen))
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.sums.len() + self.counts.len()) * 8
+    }
+}
+
+/// MIN or MAX (`min` says which) in [`LaneValue::better`]'s order. Partial
+/// extremes merge through `update`.
+struct MinMax<T> {
+    slots: Slots<T>,
+    min: bool,
+}
+
+impl<T: LaneValue> Accumulator for MinMax<T> {
+    fn push_group(&mut self) {
+        self.slots.push_group();
+    }
+
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, input: Option<&Column>) -> Result<()> {
+        let Slots { vals, seen } = &mut self.slots;
+        let min = self.min;
+        if let Some(col) = input {
+            T::read(gids, sel, col, |g, x| {
+                if !seen[g] || T::better(min, x, &vals[g]) {
+                    vals[g] = x.into();
+                    seen[g] = true;
+                }
+            });
+        }
+        Ok(())
+    }
+
+    fn merge(&mut self, gids: &[u32], state: &mut StateColumns<'_>) -> Result<()> {
+        self.update(gids, None, Some(next_state(state)?))
+    }
+
+    fn take_state(&mut self) -> Vec<Column> {
+        vec![self.slots.take()]
+    }
+
+    fn finish(mut self: Box<Self>) -> Column {
+        self.slots.take()
+    }
+
+    fn byte_size(&self) -> usize {
+        self.slots.byte_size()
     }
 }
 
@@ -650,31 +616,6 @@ fn for_each_valid(
     }
 }
 
-/// [`for_each_valid`] over an integer column's values: `f(group, value)`
-/// per valid lane. Frame-of-reference lanes are read as a slice, once per
-/// lane width. `false` (and no calls) for a non-integer column.
-fn for_each_valid_int(
-    gids: &[u32],
-    sel: Option<&[u32]>,
-    col: &Column,
-    mut f: impl FnMut(usize, i64),
-) -> bool {
-    match col {
-        Column::Int64(v, bm) => for_each_valid(gids, sel, bm, |g, row| f(g, v[row])),
-        Column::Int64Encoded {
-            data: EncodedInts::For(l),
-            validity,
-        } => with_lanes!(&l.lanes, s => for_each_valid(gids, sel, validity, |g, row| {
-            f(g, l.reference.wrapping_add(s[row] as i64))
-        })),
-        Column::Int64Encoded { data, validity } => {
-            for_each_valid(gids, sel, validity, |g, row| f(g, data.get(row)))
-        }
-        _ => return false,
-    }
-    true
-}
-
 /// The code-space domain of a batch's group keys: the product of
 /// `dict.len() + 1` over the keys (the `+ 1` is the NULL code). `None`
 /// unless every key is dictionary-encoded and the product is at most the
@@ -701,13 +642,14 @@ fn tuple_hash(key_cols: &[Arc<Column>], row: usize) -> u64 {
 }
 
 /// One grouping state: key stores + accumulators + the hash table mapping
-/// key hashes to dense group ids. Each worker builds its own and the states
-/// merge pairwise afterwards.
+/// key hashes to dense group ids. Each worker builds its own, and the states
+/// merge as state batches afterwards.
 struct AggState {
     key_stores: Vec<Column>,
-    accs: Vec<AccVec>,
+    accs: Vec<Box<dyn Accumulator>>,
     table: GroupTable,
     n_groups: u32,
+    // This state's input and kernel time, recorded by `record`.
     hash_ns: u64,
     update_ns: u64,
     dict_key_rows: u64,
@@ -726,7 +668,7 @@ impl AggState {
             accs: aggs
                 .iter()
                 .zip(agg_input_types)
-                .map(|(a, &dt)| AccVec::new(a.func, dt))
+                .map(|(a, &dt)| accumulator(a.func, dt))
                 .collect(),
             table: GroupTable::with_capacity(256),
             n_groups: 0,
@@ -756,6 +698,9 @@ impl AggState {
             .iter()
             .map(|g| eval_arc(g, batch))
             .collect::<Result<_>>()?;
+        if key_cols.iter().any(|kc| kc.is_dict()) {
+            self.dict_key_rows += n as u64;
+        }
         // COUNT(*) needs no input column at all.
         let agg_cols: Vec<Option<Arc<Column>>> = aggs
             .iter()
@@ -767,23 +712,21 @@ impl AggState {
 
         // Pass 1: assign a group id to every lane.
         let t0 = Instant::now();
-        let mut gids = std::mem::take(&mut self.gids);
-        gids.clear();
-        gids.resize(n, 0);
-        self.assign_groups(&key_cols, sel, batch.base_rows(), &mut gids)?;
+        let gids = self.assign_groups(&key_cols, sel, batch.base_rows(), n)?;
         self.hash_ns += t0.elapsed().as_nanos() as u64;
 
         // Pass 2: columnar accumulator update, one aggregate at a time.
         let t1 = Instant::now();
         for (acc, col) in self.accs.iter_mut().zip(&agg_cols) {
-            acc.update_batch(&gids, sel, col.as_deref())?;
+            acc.update(&gids, sel, col.as_deref())?;
         }
         self.update_ns += t1.elapsed().as_nanos() as u64;
         self.gids = gids;
         Ok(())
     }
 
-    /// Fill `gids[pos]` with the group of logical row `pos`. Dictionary keys
+    /// The groups of the `n` logical rows of `key_cols`, in the reusable
+    /// scratch vector (hand it back through `self.gids`). Dictionary keys
     /// with a small code domain resolve in code space; an all-valid RLE key
     /// without a selection resolves once per run; anything else hashes every
     /// lane with [`Column::hash_combine`].
@@ -792,22 +735,23 @@ impl AggState {
         key_cols: &[Arc<Column>],
         sel: Option<&[u32]>,
         base_rows: usize,
-        gids: &mut [u32],
-    ) -> Result<()> {
+        n: usize,
+    ) -> Result<Vec<u32>> {
+        let mut gids = take(&mut self.gids);
+        gids.clear();
+        gids.resize(n, 0);
         if key_cols.is_empty() {
             // Global aggregate: one group, no hashing.
-            if self.n_groups == 0 && !gids.is_empty() {
+            if self.n_groups == 0 && n > 0 {
                 self.new_group();
             }
-            return Ok(());
+            return Ok(gids);
         }
-        if key_cols.iter().any(|kc| kc.is_dict()) {
-            self.dict_key_rows += gids.len() as u64;
+        if let Some(domain) = code_domain(key_cols, n) {
+            self.code_space_groups(key_cols, sel, domain, &mut gids)?;
+            return Ok(gids);
         }
-        if let Some(domain) = code_domain(key_cols, gids.len()) {
-            return self.code_space_groups(key_cols, sel, domain, gids);
-        }
-        let mut hashes = std::mem::take(&mut self.hashes);
+        let mut hashes = take(&mut self.hashes);
         hashes.clear();
         hashes.resize(base_rows, 0);
         for kc in key_cols {
@@ -844,7 +788,7 @@ impl AggState {
             }
         }
         self.hashes = hashes;
-        Ok(())
+        Ok(gids)
     }
 
     /// Code-space group ids (see [`code_domain`]). Each lane's key codes
@@ -886,7 +830,7 @@ impl AggState {
                 });
             }
         }
-        let mut lut = std::mem::take(&mut self.lut);
+        let mut lut = take(&mut self.lut);
         lut.clear();
         lut.resize(domain, u32::MAX);
         for pos in 0..gids.len() {
@@ -904,17 +848,17 @@ impl AggState {
     /// The group of row `row` of `keys`, which hashes to `hash`; a key seen
     /// for the first time becomes a new group.
     #[inline]
-    fn group_of<C: Borrow<Column>>(&mut self, hash: u64, keys: &[C], row: usize) -> Result<u32> {
+    fn group_of(&mut self, hash: u64, keys: &[Arc<Column>], row: usize) -> Result<u32> {
         let stores = &self.key_stores;
         let (gid, inserted) = self.table.find_or_insert(hash, self.n_groups, |g| {
             stores
                 .iter()
                 .zip(keys)
-                .all(|(store, k)| store.eq_rows_null_eq(g as usize, k.borrow(), row))
+                .all(|(store, k)| store.eq_rows_null_eq(g as usize, k, row))
         });
         if inserted {
             for (store, k) in self.key_stores.iter_mut().zip(keys) {
-                store.push_from(k.borrow(), row)?;
+                store.push_from(k, row)?;
             }
             self.new_group();
         }
@@ -929,39 +873,51 @@ impl AggState {
         }
     }
 
-    /// Merge another worker's partial state into this one. Key stores hold
-    /// decoded values, and [`Column::hash_combine`]'s hash is value-
-    /// compatible between plain and dict columns, so rehashing the stored
-    /// keys reproduces the hashes the per-worker tables were built from.
-    fn absorb(&mut self, other: &AggState, nkeys: usize) -> Result<()> {
-        self.hash_ns += other.hash_ns;
-        self.update_ns += other.update_ns;
-        self.dict_key_rows += other.dict_key_rows;
-        self.morsels += other.morsels;
-        self.rows += other.rows;
-        if other.n_groups == 0 {
-            return Ok(());
+    /// Move every group out as a state batch — the keys, then each
+    /// accumulator's state columns — leaving this state with no groups but
+    /// its counters. An empty state's batch carries the schema every state
+    /// batch of this aggregate has.
+    fn take_batch(&mut self) -> Result<RecordBatch> {
+        let keys = self.key_stores.iter_mut().map(|ks| {
+            let dt = ks.data_type();
+            std::mem::replace(ks, Column::empty(dt))
+        });
+        let cols: Vec<Column> = keys
+            .chain(self.accs.iter_mut().flat_map(|acc| acc.take_state()))
+            .collect();
+        self.table = GroupTable::with_capacity(256);
+        self.n_groups = 0;
+        let fields = cols
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Field::nullable(format!("s{i}"), c.data_type()))
+            .collect();
+        let cols = cols.into_iter().map(Arc::new).collect();
+        Ok(RecordBatch::try_new(Schema::new(fields), cols)?)
+    }
+
+    /// Fold a partial state in: another worker's, or a spilled partition's,
+    /// [`AggState::take_batch`]. Its keys get group ids as input rows do —
+    /// hashed by value, so they meet the groups of plain and dictionary
+    /// input alike — and each accumulator folds its state columns in.
+    fn merge(&mut self, partial: RecordBatch) -> Result<()> {
+        let (keys, state) = partial.columns().split_at(self.key_stores.len());
+        let gids = self.assign_groups(keys, None, partial.num_rows(), partial.num_rows())?;
+        let mut state = state.iter();
+        for acc in &mut self.accs {
+            acc.merge(&gids, &mut state)?;
         }
-        if nkeys == 0 {
-            if self.n_groups == 0 {
-                self.new_group();
-            }
-            for (acc, src) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_from(0, src, 0)?;
-            }
-            return Ok(());
-        }
-        let mut hashes = vec![0u64; other.n_groups as usize];
-        for ks in &other.key_stores {
-            ks.hash_combine(None, &mut hashes);
-        }
-        for (sg, &hash) in hashes.iter().enumerate() {
-            let gid = self.group_of(hash, &other.key_stores, sg)?;
-            for (acc, src) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_from(gid as usize, src, sg)?;
-            }
-        }
+        self.gids = gids;
         Ok(())
+    }
+
+    /// Flush every group into `spill`, partitioned by key hash at `depth`.
+    fn spill(&mut self, spill: &mut SpillSet, depth: usize, meter: &SpillMeter) -> Result<()> {
+        if self.n_groups == 0 {
+            return Ok(());
+        }
+        let key_idx: Vec<usize> = (0..self.key_stores.len()).collect();
+        spill.append_partitioned(&self.take_batch()?, &key_idx, depth, meter)
     }
 
     /// Approximate resident bytes of this grouping state (keys +
@@ -972,89 +928,23 @@ impl AggState {
         keys + accs + self.table.slots.len() * 12
     }
 
-    /// Serialize every group as one partial-state row: key columns first,
-    /// then each accumulator's state columns, matching the spill schema.
-    fn state_batch(&self, spill_schema: &Arc<Schema>) -> Result<RecordBatch> {
-        let mut cols: Vec<Arc<Column>> = Vec::with_capacity(spill_schema.len());
-        for ks in &self.key_stores {
-            cols.push(Arc::new(ks.clone()));
-        }
-        for acc in &self.accs {
-            for c in acc.state_columns() {
-                cols.push(Arc::new(c));
-            }
-        }
-        Ok(RecordBatch::try_new(spill_schema.clone(), cols)?)
+    /// Record worker `w`'s input and kernel time (this state's counters)
+    /// into the query's counters and `stats`.
+    fn record(&self, ctx: &ExecContext, stats: &OpStats, w: usize) {
+        ctx.record_worker(Scope::Aggregate, w, self.morsels, self.rows);
+        stats.morsels.add(self.morsels);
+        let c = &ctx.counters;
+        c.agg_hash_ns.add(self.hash_ns);
+        c.agg_update_ns.add(self.update_ns);
+        c.agg_dict_key_rows.add(self.dict_key_rows);
     }
 
-    /// Merge one spilled partial-state batch back in (inverse of
-    /// [`AggState::state_batch`], routed through [`AggState::absorb`] so the
-    /// merge semantics are identical to the parallel worker merge).
-    fn absorb_batch(&mut self, batch: &RecordBatch, spec: &AggSpec<'_>) -> Result<()> {
-        let mut partial = AggState::new(spec.key_types, spec.aggs, spec.agg_input_types);
-        partial.n_groups = batch.num_rows() as u32;
-        partial.key_stores = (0..spec.nkeys())
-            .map(|i| batch.column(i).as_ref().clone())
-            .collect();
-        let mut it = batch.columns().iter().skip(spec.nkeys());
-        for acc in &mut partial.accs {
-            acc.load_state(&mut it)?;
-        }
-        self.absorb(&partial, spec.nkeys())
+    /// The output batch: keys, then each aggregate's result.
+    fn finish(self, schema: &Arc<Schema>) -> Result<RecordBatch> {
+        let results = self.accs.into_iter().map(|acc| acc.finish());
+        let columns = self.key_stores.into_iter().chain(results).map(Arc::new);
+        Ok(RecordBatch::try_new(schema.clone(), columns.collect())?)
     }
-}
-
-/// The aggregate's type spec, bundled so spill helpers stay callable from
-/// worker closures that cannot borrow the whole operator.
-struct AggSpec<'a> {
-    key_types: &'a [DataType],
-    aggs: &'a [AggExpr],
-    agg_input_types: &'a [DataType],
-}
-
-impl AggSpec<'_> {
-    fn nkeys(&self) -> usize {
-        self.key_types.len()
-    }
-}
-
-/// Flush `state`'s groups into `spill` partitioned by key hash at `depth`,
-/// leaving a fresh state that keeps the running timing counters.
-fn spill_state_into(
-    state: &mut AggState,
-    spill: &mut SpillSet,
-    spill_schema: &Arc<Schema>,
-    spec: &AggSpec<'_>,
-    depth: usize,
-    meter: &SpillMeter,
-) -> Result<()> {
-    if state.n_groups == 0 {
-        return Ok(());
-    }
-    let batch = state.state_batch(spill_schema)?;
-    let key_idx: Vec<usize> = (0..spec.nkeys()).collect();
-    spill.append_partitioned(&batch, &key_idx, depth, meter)?;
-    let mut fresh = AggState::new(spec.key_types, spec.aggs, spec.agg_input_types);
-    fresh.hash_ns = state.hash_ns;
-    fresh.update_ns = state.update_ns;
-    fresh.dict_key_rows = state.dict_key_rows;
-    fresh.morsels = state.morsels;
-    fresh.rows = state.rows;
-    *state = fresh;
-    Ok(())
-}
-
-/// Emit a finished state as an output batch (keys + aggregate results).
-fn finish_batch(state: AggState, schema: &Arc<Schema>) -> Result<RecordBatch> {
-    let mut columns: Vec<Arc<Column>> =
-        Vec::with_capacity(state.key_stores.len() + state.accs.len());
-    for store in state.key_stores {
-        columns.push(Arc::new(store));
-    }
-    for acc in state.accs {
-        columns.push(Arc::new(acc.finish()));
-    }
-    Ok(RecordBatch::try_new(schema.clone(), columns)?)
 }
 
 /// Hash aggregate: consumes all input, groups by key expressions, and emits
@@ -1114,30 +1004,6 @@ impl HashAggregateExec {
         })
     }
 
-    /// Schema of spilled partial-state batches: group keys, then each
-    /// accumulator's state columns.
-    fn spill_schema(&self) -> Arc<Schema> {
-        let mut fields = Vec::new();
-        for (i, &dt) in self.key_types.iter().enumerate() {
-            fields.push(Field::nullable(format!("k{i}"), dt));
-        }
-        for (ai, (a, &dt)) in self.aggs.iter().zip(&self.agg_input_types).enumerate() {
-            let proto = AccVec::new(a.func, dt);
-            for (si, sdt) in proto.state_types().into_iter().enumerate() {
-                fields.push(Field::nullable(format!("a{ai}s{si}"), sdt));
-            }
-        }
-        Schema::new(fields)
-    }
-
-    fn spec(&self) -> AggSpec<'_> {
-        AggSpec {
-            key_types: &self.key_types,
-            aggs: &self.aggs,
-            agg_input_types: &self.agg_input_types,
-        }
-    }
-
     /// Re-aggregate one spilled partition. A partition whose merged state
     /// itself exceeds the budget repartitions with deeper hash bits and
     /// recurses, up to [`MAX_SPILL_DEPTH`]; past the cap, or when all its
@@ -1146,102 +1012,88 @@ impl HashAggregateExec {
     fn process_partition(
         &self,
         file: &mut SpillFile,
-        spill_schema: &Arc<Schema>,
         depth: usize,
         out: &mut Vec<RecordBatch>,
     ) -> Result<()> {
         if file.is_empty() {
             return Ok(());
         }
-        let spec = self.spec();
-        let key_idx: Vec<usize> = (0..spec.nkeys()).collect();
-        let batches = file.read_all(spill_schema, &self.meter)?;
+        let mut st = AggState::new(&self.key_types, &self.aggs, &self.agg_input_types);
+        let schema = st.take_batch()?.schema().clone();
+        let key_idx: Vec<usize> = (0..self.key_types.len()).collect();
+        let batches = file.read_all(&schema, &self.meter)?;
         let splittable = depth < MAX_SPILL_DEPTH && !one_key_hash(&batches, &key_idx);
         let mut lease = self.ctx.lease();
-        let mut st = AggState::new(&self.key_types, &self.aggs, &self.agg_input_types);
-        for (i, b) in batches.iter().enumerate() {
-            st.absorb_batch(b, &spec)?;
+        let mut batches = batches.into_iter();
+        while let Some(b) = batches.next() {
+            st.merge(b)?;
             if let Some(l) = &mut lease {
                 l.set(st.mem_bytes());
                 if l.over() && splittable {
                     let mut sub = SpillSet::new();
-                    spill_state_into(&mut st, &mut sub, spill_schema, &spec, depth, &self.meter)?;
+                    st.spill(&mut sub, depth, &self.meter)?;
                     l.set(st.mem_bytes());
-                    for rest in &batches[i + 1..] {
-                        sub.append_partitioned(rest, &key_idx, depth, &self.meter)?;
+                    for rest in batches {
+                        sub.append_partitioned(&rest, &key_idx, depth, &self.meter)?;
                     }
                     for mut f in sub.into_files() {
-                        self.process_partition(&mut f, spill_schema, depth + 1, out)?;
+                        self.process_partition(&mut f, depth + 1, out)?;
                     }
                     return Ok(());
                 }
             }
         }
         if st.n_groups > 0 {
-            out.push(finish_batch(st, &self.schema)?);
+            out.push(st.finish(&self.schema)?);
         }
         Ok(())
     }
 
     /// Build per-worker partial states, then merge them in worker order.
     /// Workers share the budget accountant; a worker whose state pushes the
-    /// shared total over the limit serializes it into the shared partition
+    /// shared total over the limit spills it into the shared partition
     /// files under one lock.
-    fn build_state(
-        &mut self,
-        spill: &mut Option<SpillSet>,
-        spill_schema: &Arc<Schema>,
-    ) -> Result<AggState> {
+    fn build_state(&mut self, spill: &mut Option<SpillSet>) -> Result<AggState> {
         let ctx = &self.ctx;
         let meter = &self.meter;
+        let stats = &self.stats;
         let group_by = &self.group_by;
         let aggs = &self.aggs;
         let key_types = &self.key_types;
         let agg_input_types = &self.agg_input_types;
-        let nkeys = group_by.len();
         let shared_spill: Mutex<&mut Option<SpillSet>> = Mutex::new(spill);
         let source = SharedSource::new(self.input.as_mut());
         let states: Vec<Result<AggState>> = super::pool::run_workers(ctx.workers, |w| {
             // Per-thread handle so eval kernels report here too.
             let _kernel = crate::kernel_metrics::install(ctx);
-            let spec = AggSpec {
-                key_types,
-                aggs,
-                agg_input_types,
-            };
             let mut lease = ctx.lease();
             let mut st = AggState::new(key_types, aggs, agg_input_types);
             while let Some(batch) = source.next()? {
                 st.consume(group_by, aggs, &batch)?;
-                if nkeys > 0 {
-                    if let Some(l) = &mut lease {
+                if group_by.is_empty() {
+                    continue;
+                }
+                if let Some(l) = &mut lease {
+                    l.set(st.mem_bytes());
+                    if l.over() {
+                        let mut guard = shared_spill.lock().expect("spill lock");
+                        st.spill(guard.get_or_insert_with(SpillSet::new), 0, meter)?;
+                        drop(guard);
                         l.set(st.mem_bytes());
-                        if l.over() {
-                            let mut guard = shared_spill.lock().expect("spill lock");
-                            let set = guard.get_or_insert_with(SpillSet::new);
-                            spill_state_into(&mut st, set, spill_schema, &spec, 0, meter)?;
-                            drop(guard);
-                            l.set(st.mem_bytes());
-                        }
                     }
                 }
             }
-            ctx.record_worker(Scope::Aggregate, w, st.morsels, st.rows);
+            st.record(ctx, stats, w);
             Ok(st)
         });
         let t0 = Instant::now();
-        let mut merged: Option<AggState> = None;
+        let mut states = states.into_iter();
+        let mut merged = states.next().expect("at least one worker")?;
         for st in states {
-            let st = st?;
-            match &mut merged {
-                None => merged = Some(st),
-                Some(m) => m.absorb(&st, nkeys)?,
-            }
+            merged.merge(st?.take_batch()?)?;
         }
-        let merged = merged.expect("at least one worker");
         let merge_ns = t0.elapsed().as_nanos() as u64;
         self.stats.workers.add(ctx.workers as u64);
-        self.stats.morsels.add(merged.morsels);
         self.stats.merge_ns.add(merge_ns);
         ctx.counters.agg_merge_ns.add(merge_ns);
         Ok(merged)
@@ -1260,18 +1112,14 @@ impl Operator for HashAggregateExec {
         self.done = true;
 
         let nkeys = self.group_by.len();
-        let spill_schema = self.spill_schema();
         let mut spill: Option<SpillSet> = None;
-        let mut state = self.build_state(&mut spill, &spill_schema)?;
+        let mut state = self.build_state(&mut spill)?;
 
         // The merge of per-worker partials can itself cross the budget even
         // when no worker spilled mid-stream.
-        if spill.is_none() && nkeys > 0 {
-            if let Some(b) = &self.ctx.budget {
-                if state.mem_bytes() > b.limit() {
-                    spill = Some(SpillSet::new());
-                }
-            }
+        let budget = self.ctx.budget.as_ref();
+        if spill.is_none() && nkeys > 0 && budget.is_some_and(|b| state.mem_bytes() > b.limit()) {
+            spill = Some(SpillSet::new());
         }
 
         // Global aggregation over an empty input still yields one row
@@ -1284,32 +1132,19 @@ impl Operator for HashAggregateExec {
         // the in-memory residual is flushed too, so a group spilled earlier
         // cannot also be emitted from memory. Output group order becomes
         // per-partition instead of first-appearance.
-        let spilled_out = if let Some(mut set) = spill.take() {
-            let spec = self.spec();
-            spill_state_into(&mut state, &mut set, &spill_schema, &spec, 0, &self.meter)?;
-            let mut out = Vec::new();
-            for mut f in set.into_files() {
-                self.process_partition(&mut f, &spill_schema, 1, &mut out)?;
+        let out = match spill {
+            Some(mut set) => {
+                state.spill(&mut set, 0, &self.meter)?;
+                let mut parts = Vec::new();
+                for mut f in set.into_files() {
+                    self.process_partition(&mut f, 1, &mut parts)?;
+                }
+                RecordBatch::concat(self.schema.clone(), &parts)?
             }
-            Some(out)
-        } else {
-            None
+            None => state.finish(&self.schema)?,
         };
-
-        let groups_total = match &spilled_out {
-            Some(bs) => bs.iter().map(|b| b.num_rows() as u64).sum(),
-            None => state.n_groups as u64,
-        };
-        let c = &self.ctx.counters;
-        c.agg_hash_ns.add(state.hash_ns);
-        c.agg_update_ns.add(state.update_ns);
-        c.agg_groups.add(groups_total);
-        c.agg_dict_key_rows.add(state.dict_key_rows);
-
-        match spilled_out {
-            Some(bs) => Ok(Some(RecordBatch::concat(self.schema.clone(), &bs)?)),
-            None => Ok(Some(finish_batch(state, &self.schema)?)),
-        }
+        self.ctx.counters.agg_groups.add(out.num_rows() as u64);
+        Ok(Some(out))
     }
 
     fn name(&self) -> &'static str {
@@ -1323,7 +1158,7 @@ mod tests {
     use crate::expr::{avg, col, count, count_star, lit, max, min, sum};
     use crate::physical::drain_one;
     use crate::physical::test_util::{ctx, ctx_with, int_batch, BatchSource};
-    use backbone_storage::Metrics;
+    use backbone_storage::{Metrics, Value};
 
     #[test]
     fn grouped_sums() {
@@ -1585,10 +1420,18 @@ mod tests {
         assert_eq!(out.row(0)[1], Value::Int(40));
         assert_eq!(stats.workers.get(), 2);
         assert_eq!(stats.morsels.get(), 4);
-        let worker_morsels: u64 = (0..2)
-            .map(|w| metrics.value(&format!("op.aggregate.worker.{w}.morsels")))
-            .sum();
-        assert_eq!(worker_morsels, 4);
+        assert_eq!(worker_total(&metrics, "morsels"), 4);
+        // Merging the two partials is not input.
+        assert_eq!(worker_total(&metrics, "rows"), 40);
+        assert_eq!(metrics.value("op.aggregate.kernel.groups"), 1);
+        assert_eq!(metrics.value("op.aggregate.kernel.dict_key_rows"), 0);
+    }
+
+    /// `op.aggregate.worker.{0,1}.<key>` summed: a two-worker total.
+    fn worker_total(metrics: &Metrics, key: &str) -> u64 {
+        (0..2)
+            .map(|w| metrics.value(&format!("op.aggregate.worker.{w}.{key}")))
+            .sum()
     }
 
     #[test]
@@ -1718,6 +1561,16 @@ mod tests {
         let spilled = many_groups(4, Some(4096), Some(metrics.clone()));
         assert_eq!(sorted_rows(&spilled), expect);
         assert!(metrics.value("storage.spill.partitions") > 0);
+        // Two workers under a one-byte budget merge spilled partials with
+        // each other's; only the eight input batches count as input.
+        let metrics = Metrics::new();
+        let spilled = many_groups(2, Some(1), Some(metrics.clone()));
+        assert_eq!(sorted_rows(&spilled), expect);
+        assert!(metrics.value("storage.spill.partitions") > 0);
+        assert_eq!(worker_total(&metrics, "morsels"), 8);
+        assert_eq!(worker_total(&metrics, "rows"), 800);
+        assert_eq!(metrics.value("op.aggregate.kernel.groups"), 157);
+        assert_eq!(metrics.value("op.aggregate.kernel.dict_key_rows"), 0);
     }
 
     #[test]
@@ -1776,5 +1629,226 @@ mod tests {
         let out = drain_one(&mut agg).unwrap();
         assert_eq!(out.row(0)[0], Value::Int(10));
         assert_eq!(metrics.value("storage.spill.partitions"), 0);
+    }
+
+    /// Row images with floats as their bits, sorted: -0.0 differs from 0.0
+    /// and every NaN payload is its own value.
+    fn exact_rows(b: &RecordBatch) -> Vec<String> {
+        let mut rows: Vec<String> = b
+            .to_rows()
+            .iter()
+            .map(|r| {
+                let lanes: Vec<String> = r
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                        v => format!("{v:?}"),
+                    })
+                    .collect();
+                lanes.join("|")
+            })
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Eight 64-row batches: an int key `k` (NULL now and then) and a
+    /// dictionary key `d` derived from it, so both keyings see the same
+    /// per-group shape; plain ints `i`, frame-of-reference ints `e`, exactly
+    /// representable floats `f`, floats `x` whose groups take NaN, ±0, ±∞
+    /// and NULL as their extremes, and strings `s` (plain) and `ds`
+    /// (dictionary) and bools `b` with NULLs. A class 4 group has only NULL
+    /// `x`, `s`, `ds` and `b`. No group holds both zeros in `x` unless a
+    /// smaller and a greater value are there too, so every answer is the
+    /// same in every merge order.
+    fn merge_batches() -> Vec<RecordBatch> {
+        const WORDS: [&str; 7] = ["pear", "fig", "apple", "kiwi", "plum", "date", "lime"];
+        const NAMES: [&str; 6] = ["c0", "c1", "c2", "c3", "c4", "c5"];
+        let schema = Schema::new(vec![
+            Field::nullable("k", DataType::Int64),
+            Field::nullable("d", DataType::Utf8),
+            Field::nullable("i", DataType::Int64),
+            Field::nullable("e", DataType::Int64),
+            Field::nullable("f", DataType::Float64),
+            Field::nullable("x", DataType::Float64),
+            Field::nullable("s", DataType::Utf8),
+            Field::nullable("ds", DataType::Utf8),
+            Field::nullable("b", DataType::Bool),
+        ]);
+        (0..8)
+            .map(|batch| {
+                let rows: Vec<i64> = (batch * 64..batch * 64 + 64).collect();
+                let key = |r: i64| (r % 29 != 3).then_some(r % 41);
+                let class = |r: i64| key(r).map(|k| k % 6);
+                let x = |r: i64| {
+                    let v = r as f64 * 0.25;
+                    match class(r) {
+                        None => Some(v),
+                        Some(0) => Some(if r % 3 == 0 { f64::NAN } else { v }),
+                        Some(1) => Some(match r % 4 {
+                            0 => f64::INFINITY,
+                            1 => f64::NEG_INFINITY,
+                            _ => v,
+                        }),
+                        Some(2) => Some(if r % 3 == 0 { -0.0 } else { v + 1.0 }),
+                        Some(3) => Some(if r % 3 == 0 { 0.0 } else { -v - 1.0 }),
+                        Some(4) => None,
+                        _ => (r % 2 == 0).then_some(-0.0),
+                    }
+                };
+                let s = |r: i64| {
+                    (class(r) != Some(4) && r % 5 != 0).then(|| WORDS[(r * 13 % 7) as usize])
+                };
+                let b = |r: i64| match class(r) {
+                    Some(4) => None,
+                    Some(5) => Some(true),
+                    _ => (r % 3 != 0).then_some(r % 2 == 0),
+                };
+                let strs = |f: &dyn Fn(i64) -> Option<&'static str>| {
+                    let vals: Vec<Value> = rows
+                        .iter()
+                        .map(|&r| f(r).map_or(Value::Null, Value::str))
+                        .collect();
+                    Column::from_values(DataType::Utf8, &vals).unwrap()
+                };
+                let e = Column::from_i64(rows.iter().map(|r| 1_000_000 + r * 37 % 200).collect())
+                    .int64_encode()
+                    .unwrap();
+                assert!(matches!(
+                    &e,
+                    Column::Int64Encoded {
+                        data: EncodedInts::For(_),
+                        ..
+                    }
+                ));
+                let cols = vec![
+                    Column::from_opt_i64(rows.iter().map(|&r| key(r)).collect()),
+                    strs(&|r| class(r).map(|c| NAMES[c as usize]))
+                        .dict_encode()
+                        .unwrap(),
+                    Column::from_opt_i64(
+                        rows.iter()
+                            .map(|&r| (r % 11 != 0).then_some(r * 3 - 700))
+                            .collect(),
+                    ),
+                    e,
+                    Column::from_opt_f64(
+                        rows.iter()
+                            .map(|&r| (r % 13 != 0).then_some(r as f64 * 0.5 - 100.0))
+                            .collect(),
+                    ),
+                    Column::from_opt_f64(rows.iter().map(|&r| x(r)).collect()),
+                    strs(&s),
+                    strs(&s).dict_encode().unwrap(),
+                    Column::from_values(
+                        DataType::Bool,
+                        &rows
+                            .iter()
+                            .map(|&r| b(r).map_or(Value::Null, Value::Bool))
+                            .collect::<Vec<_>>(),
+                    )
+                    .unwrap(),
+                ];
+                RecordBatch::try_new(schema.clone(), cols.into_iter().map(Arc::new).collect())
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partial_states_merge_like_one_pass() {
+        let aggs = || {
+            let mut aggs = vec![count_star(), count(col("i")), count(col("x"))];
+            for c in ["i", "f"] {
+                aggs.extend([sum(col(c)), avg(col(c))]);
+            }
+            for c in ["i", "e", "x", "s", "ds", "b"] {
+                aggs.extend([min(col(c)), max(col(c))]);
+            }
+            aggs.into_iter()
+                .enumerate()
+                .map(|(i, a)| a.alias(format!("a{i}")))
+                .collect::<Vec<_>>()
+        };
+        let batches = merge_batches();
+        let input_rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+        // Keys, their group count (41 ints and NULL; six classes and NULL)
+        // and the input rows keyed by a dictionary.
+        let keyings = [
+            (vec![], 1, 0),
+            (vec![col("k")], 42, 0),
+            (vec![col("d")], 7, input_rows),
+        ];
+        for (keys, groups, dict_rows) in keyings {
+            let run = |workers: usize, budget: Option<usize>| {
+                let metrics = Metrics::new();
+                let mut agg = HashAggregateExec::new(
+                    Box::new(BatchSource::new(
+                        batches[0].schema().clone(),
+                        batches.clone(),
+                    )),
+                    keys.clone(),
+                    aggs(),
+                    &ctx_with(workers, budget, Some(metrics.clone())),
+                    OpStats::default(),
+                )
+                .unwrap();
+                let out = drain_one(&mut agg).unwrap();
+                assert_eq!(
+                    metrics.value("op.aggregate.kernel.dict_key_rows"),
+                    dict_rows
+                );
+                assert_eq!(
+                    metrics.value("op.aggregate.kernel.groups"),
+                    out.num_rows() as u64
+                );
+                if budget == Some(1) && !keys.is_empty() {
+                    assert!(
+                        metrics.value("storage.spill.partitions") > 0,
+                        "{keys:?} must spill"
+                    );
+                }
+                exact_rows(&out)
+            };
+            let expect = run(1, None);
+            assert_eq!(expect.len(), groups);
+            for workers in [1, 2, 8] {
+                for budget in [None, Some(1), Some(16 << 10)] {
+                    assert_eq!(
+                        run(workers, budget),
+                        expect,
+                        "{keys:?} workers {workers} budget {budget:?}"
+                    );
+                }
+            }
+        }
+        // Each batch's sum fits in an i64, both together do not: a partial
+        // merge (workers or spill partitions) must overflow as one pass does.
+        let half = 1i64 << 61;
+        let overflow: Vec<_> = (0..2)
+            .map(|_| int_batch(&[("g", vec![1, 1]), ("v", vec![half, half])]))
+            .collect();
+        for keys in [vec![], vec![col("g")]] {
+            for workers in [1, 2, 8] {
+                for budget in [None, Some(1), Some(16 << 10)] {
+                    let mut agg = HashAggregateExec::new(
+                        Box::new(BatchSource::new(
+                            overflow[0].schema().clone(),
+                            overflow.clone(),
+                        )),
+                        keys.clone(),
+                        vec![sum(col("v"))],
+                        &ctx_with(workers, budget, None),
+                        OpStats::default(),
+                    )
+                    .unwrap();
+                    let res = drain_one(&mut agg);
+                    assert!(
+                        matches!(res, Err(QueryError::Arithmetic(_))),
+                        "{keys:?} workers {workers} budget {budget:?}: {res:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -77,6 +77,17 @@ cargo test -q -p backbone-bench --test oracle parallel
 echo "== oracle: budget-capped execution spills and matches the reference =="
 cargo test -q -p backbone-bench --test oracle budget
 
+# Partial aggregate states, a morsel worker's or a spilled partition's, fold in
+# through one merge: every function over every column kind, three key shapes,
+# one to eight workers and three budgets against one serial pass (floats bit for
+# bit), and a SUM that overflows only once its halves merge. Run by exact name,
+# so a renamed test fails here.
+echo "== aggregate merges: partial states merge like one pass =="
+t=physical::aggregate::tests::partial_states_merge_like_one_pass
+out="$(cargo test -q -p backbone-query --lib "$t" -- --exact 2>&1)" || { echo "$out"; exit 1; }
+echo "$out"
+grep -q " 1 passed" <<<"$out" || { echo "aggregate: $t did not run"; exit 1; }
+
 # The selection kernels called directly on every column kind, operator and
 # literal against the three-valued row reference (also NULL-heavy), every
 # frame-of-reference lane width, and a guarded division through the scan's
